@@ -94,8 +94,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let stale = stale_allowlist_entries(&root).expect("allowlist drift check");
-    if !stale.is_empty() {
-        eprintln!("gate failed: stale allowlist entries: {stale:?}");
+    if !stale.is_empty() || !stats.stale_std_entries.is_empty() {
+        eprintln!(
+            "gate failed: stale allowlist entries: {stale:?}, stale certified-std entries: {:?}",
+            stats.stale_std_entries
+        );
         return ExitCode::FAILURE;
     }
     eprintln!(

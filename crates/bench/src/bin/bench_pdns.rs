@@ -1,5 +1,5 @@
-//! Learned-index pDNS storage-engine throughput versus classic map
-//! baselines, written to `BENCH_pdns.json`.
+//! pDNS storage-engine throughput versus classic map baselines, written
+//! to `BENCH_pdns.json`.
 //!
 //! Usage:
 //!
@@ -14,10 +14,9 @@
 //! lookup) and "what lives under this zone?" (ordered prefix scan):
 //!
 //! * the [`RunStore`] engine behind `--store disk`, compacted to one
-//!   sorted run whose learned index predicts a key's block to within a
-//!   bounded error window;
+//!   sorted run whose sparse index narrows a key to a bounded window;
 //! * a `BTreeMap` over the same reverse-label composite keys — the
-//!   classic ordered baseline the learned index must beat;
+//!   classic ordered baseline the engine must beat;
 //! * a `HashMap<RrKey, day>` — the point-lookup speed ceiling, which
 //!   cannot scan a zone without filtering and sorting the whole table.
 //!
@@ -151,8 +150,8 @@ fn main() -> ExitCode {
     store.optimize();
     let stats = store.stats();
     eprintln!(
-        "  {} flushes, {} compactions; optimized to {} run(s), {} learned",
-        build_stats.flushes, build_stats.compactions, stats.runs, stats.learned_runs
+        "  {} flushes, {} compactions; optimized to {} run(s)",
+        build_stats.flushes, build_stats.compactions, stats.runs
     );
 
     eprintln!("building the RpDns reference and the BTree/HashMap baselines ...");
@@ -228,7 +227,7 @@ fn main() -> ExitCode {
     eprintln!("  btree     {:>12.0} entries/s", scan_btree.per_sec);
     eprintln!("  hashmap   {:>12.0} entries/s", scan_hash.per_sec);
 
-    // The acceptance bar: the learned-index engine beats the ordered
+    // The acceptance bar: the run-store engine beats the ordered
     // baseline on both access paths at this scale.
     assert!(
         point_store.secs < point_btree.secs,
@@ -255,21 +254,16 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(
         json,
-        "  \"store\": {{\"memtable_cap\": {}, \"fanout\": {}, \"epsilon\": {}}},",
+        "  \"store\": {{\"memtable_cap\": {}, \"fanout\": {}}},",
         store.config().memtable_cap,
-        store.config().fanout,
-        store.config().epsilon
+        store.config().fanout
     );
     let _ = writeln!(
         json,
         "  \"build\": {{\"flushes\": {}, \"compactions\": {}, \"runs_before_optimize\": {}}},",
         build_stats.flushes, build_stats.compactions, build_stats.runs
     );
-    let _ = writeln!(
-        json,
-        "  \"optimized\": {{\"runs\": {}, \"learned_runs\": {}}},",
-        stats.runs, stats.learned_runs
-    );
+    let _ = writeln!(json, "  \"optimized\": {{\"runs\": {}}},", stats.runs);
     let _ = writeln!(json, "  \"storage_bytes\": {},", store.storage_bytes());
     let _ = writeln!(
         json,

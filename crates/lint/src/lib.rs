@@ -5,8 +5,7 @@
 //! live in `scripts/check.sh` grep gates and reviewer folklore: no
 //! unordered hash iteration on replay/merge/export paths, no wall-clock
 //! or ambient randomness in replay code, exact (cast-free, float-free)
-//! shard merges, overload-gated exports, and no deprecated `run_day_*`
-//! entry points outside `crates/resolver`. See [`rules`] for the rule
+//! shard merges, and overload-gated exports. See [`rules`] for the rule
 //! catalogue and DESIGN.md §static analysis for rationale.
 //!
 //! Violations are suppressible two ways, both auditable in review:

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dnsnoise_lint::{diag, lint_workspace, stale_allowlist_entries};
+use dnsnoise_lint::{certification_stats, diag, lint_workspace, stale_allowlist_entries};
 
 const USAGE: &str = "\
 dnsnoise-lint: workspace determinism & invariant linter
@@ -19,7 +19,9 @@ OPTIONS:
                       rule-id: message per violation) or json.
     --check-allowlist Instead of linting, fail if lint-allowlist.txt
                       contains stale entries (suppressions that no
-                      longer match any diagnostic).
+                      longer match any diagnostic) or
+                      lint-certified-std.txt lists names no certified
+                      zone calls.
     -h, --help        Print this help.
 
 EXIT CODES:
@@ -67,23 +69,29 @@ fn main() -> ExitCode {
     };
 
     if check_allowlist {
-        let stale = match stale_allowlist_entries(&root) {
+        let stale = stale_allowlist_entries(&root)
+            .and_then(|stale| Ok((stale, certification_stats(&root)?.stale_std_entries)));
+        let (stale, stale_std) = match stale {
             Ok(stale) => stale,
             Err(err) => {
                 eprintln!("dnsnoise-lint: {err}");
                 return ExitCode::from(2);
             }
         };
-        if stale.is_empty() {
-            eprintln!("dnsnoise-lint: allowlist is live (no stale entries)");
+        if stale.is_empty() && stale_std.is_empty() {
+            eprintln!("dnsnoise-lint: allowlists are live (no stale entries)");
             return ExitCode::SUCCESS;
         }
         for e in &stale {
             println!("stale allowlist entry: {} {}", e.rule, e.path_prefix);
         }
+        for e in &stale_std {
+            println!("stale certified-std entry: {e}");
+        }
         eprintln!(
-            "dnsnoise-lint: {} stale allowlist entr(y/ies) — prune them from lint-allowlist.txt",
-            stale.len()
+            "dnsnoise-lint: {} stale entr(y/ies) — prune them from lint-allowlist.txt / \
+             lint-certified-std.txt",
+            stale.len() + stale_std.len()
         );
         return ExitCode::FAILURE;
     }

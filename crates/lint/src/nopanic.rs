@@ -77,45 +77,50 @@ const EXPR_KEYWORDS: &[&str] = &[
 /// `lint-certified-std.txt`.
 #[derive(Debug, Default)]
 pub struct StdAllow {
-    /// Bare fn/method names, total for every receiver they are called
-    /// on in certified code.
-    names: HashSet<String>,
-    /// `Type::name` qualified entries.
-    qualified: HashSet<(String, String)>,
-    /// Macro names (committed with a trailing `!`).
-    macros: HashSet<String>,
+    /// Entries as committed: `name` (bare fn/method, total for every
+    /// receiver certified code calls it on), `Type::name`, or `name!`.
+    entries: HashSet<String>,
 }
 
 impl StdAllow {
-    /// Number of entries across all three kinds (for reporting).
+    /// Number of entries (for reporting).
     pub fn len(&self) -> usize {
-        self.names.len() + self.qualified.len() + self.macros.len()
+        self.entries.len()
     }
 
     /// Whether the allowlist is empty (no std file was found).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 }
 
 /// Parses `lint-certified-std.txt`: one entry per line — `name`,
 /// `Type::name`, or `name!` for macros; `#` starts a comment.
 pub fn parse_std_allow(text: &str) -> StdAllow {
-    let mut out = StdAllow::default();
-    for raw in text.lines() {
-        let entry = raw.split('#').next().unwrap_or("").trim();
-        if entry.is_empty() {
-            continue;
-        }
-        if let Some(mac) = entry.strip_suffix('!') {
-            out.macros.insert(mac.to_string());
-        } else if let Some((ty, name)) = entry.split_once("::") {
-            out.qualified.insert((ty.to_string(), name.to_string()));
-        } else {
-            out.names.insert(entry.to_string());
-        }
+    let entries = text
+        .lines()
+        .map(|raw| raw.split('#').next().unwrap_or("").trim())
+        .filter(|entry| !entry.is_empty())
+        .map(str::to_string)
+        .collect();
+    StdAllow { entries }
+}
+
+/// The std allowlist as one certification pass consults it: every entry
+/// that decides a resolution is recorded, so the drift check can tell
+/// live entries from stale ones.
+struct StdLookup<'a> {
+    allow: &'a StdAllow,
+    used: HashSet<&'a str>,
+}
+
+impl StdLookup<'_> {
+    /// Whether `entry` (in committed form) is allowlisted.
+    fn allows(&mut self, entry: &str) -> bool {
+        let hit = self.allow.entries.get(entry).map(String::as_str);
+        self.used.extend(hit);
+        hit.is_some()
     }
-    out
 }
 
 /// Summary of the certification surface, for the bench gate and the
@@ -129,6 +134,9 @@ pub struct CertStats {
     pub certified_fns: usize,
     /// Workspace-relative paths of files that declare zone roots.
     pub files_with_zones: Vec<String>,
+    /// Std allowlist entries that decided no macro or call resolution
+    /// in any zone, sorted — dead weight in `lint-certified-std.txt`.
+    pub stale_std_entries: Vec<String>,
 }
 
 /// One file prepared for whole-workspace analysis.
@@ -214,6 +222,7 @@ pub fn analyze(
     // each fn entered the zone (shortest path wins).
     let mut queue: VecDeque<((usize, usize), Vec<String>)> = VecDeque::new();
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let mut std = StdLookup { allow: std_allow, used: HashSet::new() };
     let mut marked_roots = 0usize;
     let mut files_with_zones: Vec<String> = Vec::new();
     for (fi, p) in prepared.iter().enumerate() {
@@ -242,7 +251,7 @@ pub fn analyze(
         let via = (chain.len() > 1).then(|| chain.join(" -> "));
         let excluded = nested_fn_spans(&p.parsed, k, open, close);
         let untrusted = sig_mentions_bytes(&p.lexed.tokens, f);
-        for found in scan_body(&p.lexed.tokens, f, open, close, &excluded, untrusted, std_allow) {
+        for found in scan_body(&p.lexed.tokens, f, open, close, &excluded, untrusted, &mut std) {
             match found {
                 Found::Construct { line, col, message } => diags.push(Diagnostic {
                     file: p.rel.clone(),
@@ -262,7 +271,7 @@ pub fn analyze(
                     zone: zone.clone(),
                     chain: via.clone(),
                 }),
-                Found::Call(call) => match resolve(&call, f, std_allow, &by_name, &by_type) {
+                Found::Call(call) => match resolve(&call, f, &mut std, &by_name, &by_type) {
                     Resolution::Total => {}
                     Resolution::Workspace(targets) => {
                         for tgt in targets {
@@ -311,7 +320,11 @@ pub fn analyze(
             .any(|a| a.rule == d.rule && crate::allow_covers(&prepared[fi].lexed, a.line, d.line))
     });
 
-    let stats = CertStats { marked_roots, certified_fns: seen.len(), files_with_zones };
+    let mut stale_std_entries: Vec<String> =
+        std_allow.entries.iter().filter(|e| !std.used.contains(e.as_str())).cloned().collect();
+    stale_std_entries.sort();
+    let stats =
+        CertStats { marked_roots, certified_fns: seen.len(), files_with_zones, stale_std_entries };
     (diags, stats)
 }
 
@@ -456,7 +469,7 @@ fn scan_body(
     close: usize,
     excluded: &[(usize, usize)],
     untrusted: bool,
-    std_allow: &StdAllow,
+    std: &mut StdLookup<'_>,
 ) -> Vec<Found> {
     let mut found = Vec::new();
     let locals = local_callables(t, f, open, close);
@@ -483,7 +496,7 @@ fn scan_body(
                          debug asserts are live in the builds the proptests run)"
                     ),
                 });
-            } else if !std_allow.macros.contains(name) {
+            } else if !std.allows(&format!("{name}!")) {
                 found.push(Found::MacroViolation {
                     line: tok.line,
                     col: tok.col,
@@ -681,7 +694,7 @@ enum Resolution {
 fn resolve(
     call: &Call,
     caller: &FnItem,
-    std_allow: &StdAllow,
+    std: &mut StdLookup<'_>,
     by_name: &HashMap<&str, Vec<(usize, usize)>>,
     by_type: &HashMap<(&str, &str), Vec<(usize, usize)>>,
 ) -> Resolution {
@@ -701,9 +714,7 @@ fn resolve(
         if let Some(targets) = by_type.get(&(ty, name)) {
             return Resolution::Workspace(targets.clone());
         }
-        if std_allow.qualified.contains(&(ty.to_string(), name.to_string()))
-            || std_allow.names.contains(name)
-        {
+        if std.allows(&format!("{ty}::{name}")) || std.allows(name) {
             return Resolution::Total;
         }
         // Module-qualified free fn (`io::atomic_write`, `keys::decode_rdata`).
@@ -717,7 +728,7 @@ fn resolve(
     } else if call.method {
         // Methods hit std containers constantly; the allowlist wins by
         // name, then any workspace fn of that name must be certified.
-        if std_allow.names.contains(name) {
+        if std.allows(name) {
             return Resolution::Total;
         }
         if let Some(targets) = by_name.get(name) {
@@ -731,7 +742,7 @@ fn resolve(
         if let Some(targets) = by_name.get(name) {
             return Resolution::Workspace(targets.clone());
         }
-        if std_allow.names.contains(name) {
+        if std.allows(name) {
             return Resolution::Total;
         }
         Resolution::Unresolved(format!(

@@ -29,11 +29,6 @@
 //!   overload field names (`queue_backlog`, `dropped`, `rate_limited`)
 //!   must be under an `if … overload_enabled …` guard so the baseline
 //!   export never grows overload columns.
-//! * `deprecated-api` — `.run_day(` / `.run_day_with_faults(` /
-//!   `.run_day_sharded(` outside `crates/resolver` (including doc-test
-//!   examples). Everything goes through the `ResolverSim::day` builder;
-//!   `pipeline.run_day(…)` / `self.run_day(…)` are the unrelated
-//!   `DailyPipeline` API and stay legal.
 //! * `fs-direct-write` — direct filesystem *mutation* (`fs::write`,
 //!   `fs::rename`, `fs::remove_file`, `File::create`,
 //!   `OpenOptions::new`, …) on a persistence path
@@ -51,7 +46,7 @@
 //! must be able to shred files directly.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{Comment, Lexed, Token, TokenKind};
+use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Every rule id the linter knows (excluding the meta `bad-allow`).
 /// `no-panic` / `no-panic-call` are the certification family implemented
@@ -63,7 +58,6 @@ pub const RULES: &[&str] = &[
     "ambient-rng",
     "merge-cast",
     "export-purity",
-    "deprecated-api",
     "fs-direct-write",
     "no-panic",
     "no-panic-call",
@@ -128,12 +122,11 @@ const PERSISTENCE_PATHS: &[&str] = &["crates/pdns/src/store/", "crates/stream/sr
 const FS_WRITE_HOME: &str = "crates/pdns/src/store/io.rs";
 
 /// Runs every rule over one file. `rel_path` is workspace-relative and
-/// drives path-scoped rules (`deprecated-api`, test-file detection).
+/// drives path-scoped rules (`fs-direct-write`, test-file detection).
 /// Inline `lint:allow` suppression is applied by the caller
 /// ([`crate::lint_source`]), not here.
 pub fn analyze(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let t = &lexed.tokens;
-    let in_resolver = rel_path.starts_with("crates/resolver/");
     let in_lint = rel_path.starts_with("crates/lint/");
     let is_test_file = rel_path.starts_with("tests/") || rel_path.contains("/tests/");
     let on_persistence_path =
@@ -302,40 +295,6 @@ pub fn analyze(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
             }
         }
 
-        // --- deprecated-api (code) ---------------------------------------
-        if !in_resolver && tok.is_punct('.') {
-            if let (Some(name), Some(paren)) = (t.get(i + 1), t.get(i + 2)) {
-                if paren.is_punct('(') {
-                    if name.is_ident("run_day_with_faults") || name.is_ident("run_day_sharded") {
-                        push(
-                            name,
-                            "deprecated-api",
-                            format!(
-                                "`.{}()` is a deprecated entry point; use the \
-                                 `ResolverSim::day(…)` builder (legal only inside \
-                                 crates/resolver)",
-                                name.text
-                            ),
-                        );
-                    } else if name.is_ident("run_day") {
-                        let receiver_ok =
-                            i > 0 && (t[i - 1].is_ident("pipeline") || t[i - 1].is_ident("self"));
-                        if !receiver_ok {
-                            push(
-                                name,
-                                "deprecated-api",
-                                "`ResolverSim::run_day()` is deprecated outside \
-                                 crates/resolver; use the `ResolverSim::day(…)` builder \
-                                 (`pipeline.run_day` / `self.run_day` are the unrelated \
-                                 DailyPipeline API)"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
         // --- merge-cast --------------------------------------------------
         if let Some(fn_name) = current_fn(&stack) {
             if MERGE_FNS.contains(&fn_name.as_str()) {
@@ -428,15 +387,6 @@ pub fn analyze(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                         ),
                     );
                 }
-            }
-        }
-    }
-
-    // --- deprecated-api (doc comments → doctests) ------------------------
-    if !in_resolver && !in_lint {
-        for comment in &lexed.comments {
-            if comment.doc {
-                scan_doc_for_deprecated(rel_path, comment, &mut diags);
             }
         }
     }
@@ -683,46 +633,5 @@ fn for_loop_hash_ident(
             }
         }
         k += 1;
-    }
-}
-
-/// Scans a doc comment (which becomes a compiled doctest) for deprecated
-/// `run_day_*` calls, applying the same receiver exception as the code
-/// rule.
-fn scan_doc_for_deprecated(rel_path: &str, comment: &Comment, diags: &mut Vec<Diagnostic>) {
-    for (off, line) in comment.text.lines().enumerate() {
-        for needle in [".run_day_with_faults(", ".run_day_sharded(", ".run_day("] {
-            let mut from = 0usize;
-            while let Some(pos) = line[from..].find(needle) {
-                let at = from + pos;
-                from = at + needle.len();
-                if needle == ".run_day(" {
-                    let receiver: String = line[..at]
-                        .chars()
-                        .rev()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .rev()
-                        .collect();
-                    if receiver == "pipeline" || receiver == "self" {
-                        continue;
-                    }
-                }
-                diags.push(Diagnostic {
-                    file: rel_path.to_string(),
-                    line: comment.line + off as u32,
-                    col: (at + 1) as u32,
-                    rule: "deprecated-api",
-                    message: format!(
-                        "doc example calls deprecated `{}…)`; doctests compile and run — \
-                         use the `ResolverSim::day(…)` builder",
-                        needle
-                    ),
-                    zone: None,
-                    chain: None,
-                });
-            }
-        }
     }
 }

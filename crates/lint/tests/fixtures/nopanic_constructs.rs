@@ -24,5 +24,5 @@ pub fn decode(bytes: &[u8], n: usize, m: usize) -> usize {
     let body = bytes.len() - 4; // EXPECT no-panic
     let scaled = n * m; // EXPECT no-panic
     let sum = n + usize::from(raw); // EXPECT no-panic
-    quot.max(rem).max(body).max(scaled).max(sum)
+    quot.min(rem).min(body).min(scaled).min(sum)
 }

@@ -91,21 +91,6 @@ fn export_purity_fixture() {
 }
 
 #[test]
-fn deprecated_api_fixture() {
-    let src = include_str!("fixtures/deprecated_api.rs");
-    let diags = lint_fixture("deprecated_api.rs", src);
-    assert_eq!(rules_fired(&diags), ["deprecated-api"]);
-    check_against_markers(src, "deprecated-api", &diags);
-}
-
-#[test]
-fn deprecated_api_is_legal_inside_resolver() {
-    let src = include_str!("fixtures/deprecated_api.rs");
-    let diags = lint_source("crates/resolver/src/anything.rs", src, &[]);
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
 fn fs_direct_write_fixture() {
     let src = include_str!("fixtures/fs_direct_write.rs");
     // On a persistence path every mutation fires…
@@ -182,18 +167,9 @@ fn violations_inside_raw_strings_and_comments_are_inert() {
     let src = "fn f() -> &'static str {\n    \
                // Instant::now() in a comment is prose.\n    \
                /* nested /* block */ with thread_rng() */\n    \
-               r##\"SystemTime::now() and .run_day_sharded(x)\"##\n}\n";
+               r##\"SystemTime::now() and thread_rng()\"##\n}\n";
     let diags = lint_fixture("inert.rs", src);
     assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn doc_comment_doctests_are_scanned() {
-    let src = "/// ```\n/// let r = sim.run_day_sharded(&trace, 4);\n/// ```\nfn f() {}\n";
-    let diags = lint_fixture("doc.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, "deprecated-api");
-    assert_eq!(diags[0].line, 2);
 }
 
 // --- binary end-to-end ---------------------------------------------------
@@ -313,7 +289,7 @@ fn turbofish_in_call_position_resolves_through_the_path_qualifier() {
 fn multi_line_chain_is_scanned_and_an_allow_covers_the_whole_statement() {
     let bad = "// lint:certify(no-panic)\n\
                pub fn pick(v: &[u32]) -> u32 {\n    \
-               v.iter()\n        .copied()\n        .max()\n        .expect(\"nonempty\")\n}\n";
+               v.iter()\n        .copied()\n        .min()\n        .expect(\"nonempty\")\n}\n";
     let diags = lint_nopanic_fixtures(&[("chain.rs", bad)]);
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].rule, "no-panic");
@@ -322,7 +298,7 @@ fn multi_line_chain_is_scanned_and_an_allow_covers_the_whole_statement() {
     let allowed = "// lint:certify(no-panic)\n\
                    pub fn pick(v: &[u32]) -> u32 {\n    \
                    // lint:allow(no-panic): fixture; callers pass nonempty slices\n    \
-                   v.iter()\n        .copied()\n        .max()\n        .expect(\"nonempty\")\n}\n";
+                   v.iter()\n        .copied()\n        .min()\n        .expect(\"nonempty\")\n}\n";
     let diags = lint_nopanic_fixtures(&[("chain_ok.rs", allowed)]);
     assert!(diags.is_empty(), "{diags:#?}");
 }
@@ -338,6 +314,20 @@ fn bogus_or_dangling_certify_markers_are_flagged() {
     let diags = lint_nopanic_fixtures(&[("dangling.rs", dangling)]);
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert!(diags[0].message.contains("dangling certify marker"), "{diags:#?}");
+}
+
+#[test]
+fn std_entries_no_zone_consults_are_reported_stale() {
+    // `first` decides a resolution inside the zone; `last` is only called
+    // outside any zone and `vec!` never — both are dead weight.
+    let src = "// lint:certify(no-panic)\n\
+               pub fn head(v: &[u8]) -> Option<&u8> {\n    v.first()\n}\n\
+               pub fn tail(v: &[u8]) -> Option<&u8> {\n    v.last()\n}\n";
+    let files = [("crates/fake/src/a.rs".to_string(), src.to_string())];
+    let std_allow = dnsnoise_lint::nopanic::parse_std_allow("first\nlast\nvec!\n");
+    let (diags, stats) = dnsnoise_lint::nopanic::analyze(&files, &[], &std_allow);
+    assert!(diags.is_empty(), "{diags:#?}");
+    assert_eq!(stats.stale_std_entries, ["last", "vec!"]);
 }
 
 // --- the workspace holds itself to its own rules --------------------------
@@ -380,4 +370,6 @@ fn committed_allowlist_has_no_stale_entries() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let stale = stale_allowlist_entries(&root).unwrap();
     assert!(stale.is_empty(), "stale allowlist entries must be pruned: {stale:?}");
+    let stale_std = certification_stats(&root).unwrap().stale_std_entries;
+    assert!(stale_std.is_empty(), "stale certified-std entries must be pruned: {stale_std:?}");
 }

@@ -46,7 +46,6 @@ use dnsnoise_dns::{Name, Record, RrKey};
 
 use super::crc::crc32;
 use super::error::StoreError;
-use super::index::DEFAULT_EPSILON;
 use super::io;
 use super::keys::{self, CompositeKey};
 use super::manifest::{Manifest, RunFileMeta};
@@ -61,15 +60,13 @@ pub struct StoreConfig {
     pub memtable_cap: usize,
     /// Size-tier growth factor and per-tier run budget.
     pub fanout: usize,
-    /// Learned-index error bound.
-    pub epsilon: u32,
     /// Directory to mirror run files into (`None` = memory only).
     pub spill: Option<PathBuf>,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { memtable_cap: 4096, fanout: 4, epsilon: DEFAULT_EPSILON, spill: None }
+        StoreConfig { memtable_cap: 4096, fanout: 4, spill: None }
     }
 }
 
@@ -93,12 +90,11 @@ pub struct StoreStats {
     pub flushes: u64,
     /// Compaction merges performed.
     pub compactions: u64,
-    /// Live runs indexed by a learned model (the rest use the classic
-    /// fallback).
+    /// Always 0; kept only because `benchmark/src/storebench.rs` reads it.
     pub learned_runs: usize,
 }
 
-/// The learned-index run store. See the module docs for the design; see
+/// The run store. See the module docs for the design; see
 /// [`PdnsStore`](super::PdnsStore) for the API it shares with
 /// [`RpDns`](crate::RpDns).
 #[derive(Debug)]
@@ -192,7 +188,6 @@ impl RunStore {
             let echo = [
                 ("memtable_cap", m.memtable_cap, store.config.memtable_cap as u64),
                 ("fanout", m.fanout, store.config.fanout as u64),
-                ("epsilon", u64::from(m.epsilon), u64::from(store.config.epsilon)),
             ];
             let diffs: Vec<String> = echo
                 .iter()
@@ -243,7 +238,7 @@ impl RunStore {
             memtable_keys: self.memtable.len(),
             flushes: self.flushes,
             compactions: self.compactions,
-            learned_runs: self.runs.iter().filter(|r| r.index_is_learned()).count(),
+            learned_runs: 0,
         }
     }
 
@@ -393,7 +388,7 @@ impl RunStore {
         }
         let entries: Vec<(CompositeKey, u64)> =
             std::mem::take(&mut self.memtable).into_iter().collect();
-        let run = Run::build(entries, self.config.epsilon);
+        let run = Run::build(entries);
         self.flushes += 1;
         self.push_run(run);
         self.compact();
@@ -439,7 +434,6 @@ impl RunStore {
             seq: self.manifest_seq + 1,
             memtable_cap: self.config.memtable_cap as u64,
             fanout: self.config.fanout as u64,
-            epsilon: self.config.epsilon,
             next_run_id: self.next_run_id,
             observed: self.observed,
             storage_bytes: self.storage_bytes,
@@ -508,7 +502,7 @@ impl RunStore {
             };
             let victims: Vec<usize> = (0..tiers.len()).filter(|&i| tiers[i] == lowest).collect();
             let runs = self.remove_runs(&victims);
-            let merged = merge_runs(runs, self.config.epsilon);
+            let merged = merge_runs(runs);
             self.compactions += 1;
             self.push_run(merged);
         }
@@ -521,7 +515,7 @@ impl RunStore {
         if self.runs.len() > 1 {
             let all: Vec<usize> = (0..self.runs.len()).collect();
             let runs = self.remove_runs(&all);
-            let merged = merge_runs(runs, self.config.epsilon);
+            let merged = merge_runs(runs);
             self.compactions += 1;
             self.push_run(merged);
             self.persist();
@@ -628,7 +622,7 @@ impl RunStore {
             merged.push(next.expect("peeked side is non-empty"));
         }
         if !merged.is_empty() {
-            let run = build_run(merged, self.config.epsilon);
+            let run = Run::build(merged);
             self.compactions += 1;
             self.push_run(run);
         }
@@ -649,24 +643,17 @@ impl Default for RunStore {
     }
 }
 
-/// Builds one run from sorted distinct entries (a free function so the
-/// cast-free body of [`RunStore::merge`] stays within the merge-cast
-/// lint's remit while the columnar packing lives elsewhere).
-fn build_run(entries: Vec<(CompositeKey, u64)>, epsilon: u32) -> Run {
-    Run::build(entries, epsilon)
-}
-
 /// K-way merge of same-store runs into one. Keys are disjoint across a
 /// single store's runs (observe dedups against the whole store before
 /// inserting), so this is a pure interleave; the debug assertion in
 /// [`Run::build`] would catch any violation.
-fn merge_runs(runs: Vec<Run>, epsilon: u32) -> Run {
+fn merge_runs(runs: Vec<Run>) -> Run {
     let mut entries: Vec<(CompositeKey, u64)> = Vec::with_capacity(runs.iter().map(Run::len).sum());
     for run in &runs {
         entries.extend(run.entries());
     }
     entries.sort_unstable();
-    build_run(entries, epsilon)
+    Run::build(entries)
 }
 
 #[cfg(test)]
@@ -767,7 +754,7 @@ mod tests {
         assert!(dir.join(MANIFEST_NAME).exists(), "manifest published");
         // The spilled image round-trips into the identical run.
         let bytes = std::fs::read(&files[0]).unwrap();
-        let reloaded = Run::from_bytes(&bytes, store.config().epsilon).unwrap();
+        let reloaded = Run::from_bytes(&bytes).unwrap();
         assert_eq!(reloaded.len(), store.len());
         std::fs::remove_dir_all(&dir).ok();
     }

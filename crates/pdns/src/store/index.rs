@@ -1,147 +1,60 @@
-//! The per-run hybrid index: greedy piecewise-linear models over the
-//! sorted key space with a bounded error window, falling back to a
-//! classic sparse block index where the model stops paying off.
+//! The per-run sparse index: one `(feature, position)` sample per
+//! sixteen feature groups of the sorted name column.
 //!
 //! Every entry's index feature is a 64-bit big-endian window of its
 //! encoded name, read at the offset where the run's first and last names
 //! stop sharing a prefix (the run-wide LCP). Within one sorted run the
 //! feature is monotone non-decreasing, so equal features form contiguous
-//! *groups*; the index maps a feature to a bounded candidate window
-//! around its group's first entry, and the caller finishes with an exact
-//! binary search over the full composite keys inside that window — a
-//! lookup can therefore never miss, whichever index kind is in force.
+//! *groups*; the index maps a feature to the candidate window between
+//! the sampled group starts that bracket it, and the caller finishes
+//! with an exact binary search over the full composite keys inside that
+//! window. The window's end is the start of a group whose feature
+//! exceeds the probe's, so the probe's whole group lies inside it and a
+//! lookup can never miss.
 //!
-//! Determinism: the build is a pure function of the sorted keys (greedy
-//! shrinking-cone fitting with IEEE-754 arithmetic, then a post-hoc
-//! validation replaying the exact lookup formula against every group).
-//! If any prediction lands outside the ±epsilon window — e.g. when
-//! feature deltas exceed `f64`'s 53-bit mantissa — the run deterministically
-//! falls back to the classic index, so correctness never rests on float
-//! precision.
+//! Determinism: the build is a pure function of the sorted keys.
 
-/// Maximum candidate-window half-width a PLA segment may promise.
-///
-/// A shrinking-cone segment covers `Θ(epsilon²)` keys of near-uniform
-/// (hashed/high-entropy) key space, while the lookup's exact search over
-/// the window costs only `log₂(2·epsilon)` probes — so widening epsilon
-/// trades a couple of extra contiguous probes for quadratically fewer
-/// segments. 32 keeps the window at one cache line's worth of binary
-/// search and lets uniform disposable-label runs clear the payoff rule
-/// below.
-pub const DEFAULT_EPSILON: u32 = 32;
+/// One sample per this many feature groups.
+const SAMPLE_EVERY: usize = 16;
 
-/// One classic sample per this many feature groups.
-const CLASSIC_SAMPLE_EVERY: usize = 16;
-
-/// The PLA must average at least this many feature groups per segment
-/// (as a multiple of epsilon), or the run falls back to the classic
-/// index. A shrinking-cone segment covers ~2·epsilon groups even on the
-/// most hostile monotone data, so a model stuck near that floor has no
-/// lookup-window advantage over the sparse samples — it only pays off
-/// when the key space is locally linear enough (sequential labels,
-/// near-uniform hashed names) for segments to stretch far beyond it.
-const PLA_PAYOFF_EPS_MULTIPLE: usize = 4;
-
-/// One linear segment of the learned model: entries from `start` (the
-/// first entry of the first feature group the segment covers) predicted
-/// by `start + slope * (x - x0)`.
+/// A per-run index over the name-feature space: `(feature, entry
+/// index)` of every [`SAMPLE_EVERY`]-th feature group.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlaSegment {
-    /// Feature of the segment's first group.
-    pub x0: u64,
-    /// Entry index of the segment's first group's first entry.
-    pub start: u32,
-    /// Slope of the fitted line, in entries per feature unit.
-    pub slope: f64,
-}
-
-/// A per-run index over the name-feature space.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunIndex {
-    /// Piecewise-linear model with bounded error `epsilon`.
-    Pla {
-        /// Byte offset into every encoded name where the feature window
-        /// starts (the run-wide longest common prefix).
-        lcp: usize,
-        /// Error bound honoured by every segment.
-        epsilon: u32,
-        /// Fitted segments, ordered by `x0`.
-        segments: Vec<PlaSegment>,
-    },
-    /// Sparse sampled index: `(feature, entry index)` of every
-    /// `CLASSIC_SAMPLE_EVERY`-th feature group.
-    Classic {
-        /// Byte offset into every encoded name where the feature window
-        /// starts.
-        lcp: usize,
-        /// Sampled group starts, ordered by feature.
-        samples: Vec<(u64, u32)>,
-    },
+pub struct RunIndex {
+    /// Byte offset into every encoded name where the feature window
+    /// starts (the run-wide longest common prefix).
+    lcp: usize,
+    /// Sampled group starts, ordered by feature.
+    samples: Vec<(u64, u32)>,
 }
 
 impl RunIndex {
     /// Builds the index for `names`, the run's encoded-name column in
-    /// sorted order. `n` lookups resolve against this column.
-    pub fn build(names: &[&[u8]], epsilon: u32) -> RunIndex {
+    /// sorted order.
+    pub fn build(names: &[&[u8]]) -> RunIndex {
         let lcp = match (names.first(), names.last()) {
             (Some(first), Some(last)) => common_prefix_len(first, last),
             _ => 0,
         };
-        let groups = feature_groups(names, lcp);
-        let payoff = PLA_PAYOFF_EPS_MULTIPLE.saturating_mul(epsilon.max(1) as usize);
-        if let Some(segments) = fit_pla(&groups, epsilon) {
-            if groups.len() >= segments.len().saturating_mul(payoff)
-                && validate_pla(&segments, &groups, epsilon, names.len())
-            {
-                return RunIndex::Pla { lcp, epsilon, segments };
-            }
-        }
-        let samples = groups.iter().step_by(CLASSIC_SAMPLE_EVERY).copied().collect();
-        RunIndex::Classic { lcp, samples }
+        let samples = feature_groups(names, lcp).into_iter().step_by(SAMPLE_EVERY).collect();
+        RunIndex { lcp, samples }
     }
 
-    /// The candidate entry window `[lo, hi)` that is guaranteed to
-    /// contain the first entry of feature group `x`, if any entry of the
-    /// run has feature `x`. `n` is the run length.
+    /// The candidate entry window `[lo, hi)` that contains every entry
+    /// of feature group `x`, if any entry of the run has feature `x`.
+    /// `n` is the run length.
     pub fn window(&self, x: u64, n: usize) -> (usize, usize) {
-        match self {
-            RunIndex::Pla { epsilon, segments, .. } => {
-                let i = segments.partition_point(|s| s.x0 <= x);
-                // When i == 0, x precedes every fitted group: only the
-                // run head could hold it.
-                let Some(seg) = i.checked_sub(1).and_then(|i| segments.get(i)) else {
-                    return (0, 1.min(n));
-                };
-                let seg_end = segments.get(i).map_or(n, |next| next.start as usize);
-                let predicted = predict(seg, x);
-                let eps = *epsilon as usize;
-                let lo = predicted.saturating_sub(eps).clamp(seg.start as usize, seg_end);
-                let hi = (predicted + eps + 1).clamp(seg.start as usize, seg_end);
-                (lo, hi)
-            }
-            RunIndex::Classic { samples, .. } => {
-                let below = samples.partition_point(|&(sx, _)| sx < x);
-                let lo = below
-                    .checked_sub(1)
-                    .and_then(|i| samples.get(i))
-                    .map_or(0, |&(_, p)| p as usize);
-                let at_or_below = samples.partition_point(|&(sx, _)| sx <= x);
-                let hi = samples.get(at_or_below).map_or(n, |&(_, p)| p as usize);
-                (lo, hi)
-            }
-        }
+        let below = self.samples.partition_point(|&(sx, _)| sx < x);
+        let lo =
+            below.checked_sub(1).and_then(|i| self.samples.get(i)).map_or(0, |&(_, p)| p as usize);
+        let at_or_below = self.samples.partition_point(|&(sx, _)| sx <= x);
+        let hi = self.samples.get(at_or_below).map_or(n, |&(_, p)| p as usize);
+        (lo, hi)
     }
 
     /// The feature offset this index reads names at.
     pub fn lcp(&self) -> usize {
-        match self {
-            RunIndex::Pla { lcp, .. } | RunIndex::Classic { lcp, .. } => *lcp,
-        }
-    }
-
-    /// Whether the learned model is in force (vs the classic fallback).
-    pub fn is_learned(&self) -> bool {
-        matches!(self, RunIndex::Pla { .. })
+        self.lcp
     }
 }
 
@@ -179,132 +92,40 @@ fn feature_groups(names: &[&[u8]], lcp: usize) -> Vec<(u64, u32)> {
     groups
 }
 
-fn predict(seg: &PlaSegment, x: u64) -> usize {
-    let delta = (x - seg.x0) as f64;
-    let raw = seg.start as f64 + seg.slope * delta;
-    if raw <= 0.0 {
-        0
-    } else {
-        raw.round() as usize
-    }
-}
-
-/// Greedy shrinking-cone fit of `position = f(feature)` over the group
-/// starts. Returns `None` when there is nothing to fit.
-fn fit_pla(groups: &[(u64, u32)], epsilon: u32) -> Option<Vec<PlaSegment>> {
-    let (&(x0, p0), rest) = groups.split_first()?;
-    let eps = epsilon as f64;
-    let mut segments = Vec::new();
-    let mut origin = (x0, p0);
-    // The admissible slope cone for the open segment.
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-    for &(x, p) in rest {
-        let dx = (x - origin.0) as f64;
-        let dp = p as f64 - origin.1 as f64;
-        // lint:allow(no-panic): f64 division is total, and dx >= 1 — group features strictly increase
-        let point_lo = (dp - eps) / dx;
-        // lint:allow(no-panic): f64 division is total, and dx >= 1 — group features strictly increase
-        let point_hi = (dp + eps) / dx;
-        if point_lo > hi || point_hi < lo {
-            segments.push(close_segment(origin, lo, hi));
-            origin = (x, p);
-            lo = f64::NEG_INFINITY;
-            hi = f64::INFINITY;
-        } else {
-            lo = lo.max(point_lo);
-            hi = hi.min(point_hi);
-        }
-    }
-    segments.push(close_segment(origin, lo, hi));
-    Some(segments)
-}
-
-fn close_segment(origin: (u64, u32), lo: f64, hi: f64) -> PlaSegment {
-    let slope = match (lo.is_finite(), hi.is_finite()) {
-        (true, true) => (lo + hi) / 2.0,
-        (true, false) => lo,
-        (false, true) => hi,
-        // Single-group segment: any slope predicts its one start.
-        (false, false) => 0.0,
-    };
-    PlaSegment { x0: origin.0, start: origin.1, slope }
-}
-
-/// Replays the exact lookup computation against every group start; any
-/// violation of the promised window rejects the model outright.
-fn validate_pla(segments: &[PlaSegment], groups: &[(u64, u32)], epsilon: u32, n: usize) -> bool {
-    let probe = RunIndex::Pla { lcp: 0, epsilon, segments: segments.to_vec() };
-    groups.iter().all(|&(x, p)| {
-        let (lo, hi) = probe.window(x, n);
-        let p = p as usize;
-        lo <= p && p < hi
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn windows_cover_all_groups(names: &[Vec<u8>], index: &RunIndex) {
-        let lcp = index.lcp();
-        for (i, name) in names.iter().enumerate() {
-            let x = feature(name, lcp);
-            // Only group starts are promised; find this feature's start.
-            let start = names.iter().position(|m| feature(m, lcp) == x).unwrap();
-            let (lo, hi) = index.window(x, names.len());
-            assert!(lo <= start && start < hi, "entry {i}: start {start} outside [{lo},{hi})");
-        }
-    }
-
-    #[test]
-    fn linear_keys_learn_a_tiny_model() {
-        // Dense sequential labels in a base-255 byte encoding: the
-        // feature is linear in the position to within half a unit, so
-        // one cone segment stretches across thousands of keys and the
-        // whole run is served by a handful of segments.
-        let names: Vec<Vec<u8>> = (0..4096u32)
-            .map(|i| {
-                let label = [b'd', (i / 255) as u8 + 1, (i % 255) as u8 + 1];
-                let mut name = b"com\0seq\0".to_vec();
-                name.extend_from_slice(&label);
-                name.push(0);
-                name
-            })
-            .collect();
+    /// Every entry — not just its group's first — must sit inside the
+    /// window of its own feature: that is what lets `Run::get` stop at
+    /// the window's end.
+    fn windows_cover_all_entries(names: &[Vec<u8>]) {
         let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-        let index = RunIndex::build(&refs, DEFAULT_EPSILON);
-        assert!(index.is_learned(), "sequential keys must engage the PLA: {index:?}");
-        if let RunIndex::Pla { segments, .. } = &index {
-            assert!(segments.len() <= 4, "{} segments for linear keys", segments.len());
+        let index = RunIndex::build(&refs);
+        for (i, name) in names.iter().enumerate() {
+            let (lo, hi) = index.window(feature(name, index.lcp()), names.len());
+            assert!(lo <= i && i < hi, "entry {i} outside [{lo},{hi})");
         }
-        windows_cover_all_groups(&names, &index);
     }
 
     #[test]
-    fn alternating_gaps_fall_back_to_classic() {
-        // Dense bursts separated by huge gaps: the gaps pin the slope
-        // near zero, and each burst is long enough (> 2·epsilon keys) to
-        // drift past the error bound off that flat line, so every cone
-        // segment dies within a burst or two and the payoff rule rejects
-        // the model in favour of the sparse samples.
-        let burst = 2 * DEFAULT_EPSILON + 2;
+    fn alternating_gaps_keep_the_window_guarantee() {
+        // Dense bursts separated by huge feature gaps: samples land at
+        // arbitrary points inside bursts and across gaps.
+        let burst = 66;
         let names: Vec<Vec<u8>> = (0..2048u32)
             .map(|i| {
                 let v = (i / burst) * (1 << 24) + (i % burst);
                 format!("com\0alt\0{v:08x}\0").into_bytes()
             })
             .collect();
-        let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-        let index = RunIndex::build(&refs, DEFAULT_EPSILON);
-        assert!(!index.is_learned(), "alternating gaps must reject the PLA");
-        windows_cover_all_groups(&names, &index);
+        windows_cover_all_entries(&names);
     }
 
     #[test]
     fn duplicate_features_keep_the_window_guarantee() {
         // Many entries share one feature (same owner name, many RDATAs):
-        // the window must still contain the group start.
+        // the window must still contain the whole group.
         let mut names: Vec<Vec<u8>> = Vec::new();
         for z in 0..64u32 {
             for _ in 0..50 {
@@ -312,18 +133,11 @@ mod tests {
             }
         }
         names.sort();
-        let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-        let index = RunIndex::build(&refs, DEFAULT_EPSILON);
-        windows_cover_all_groups(&names, &index);
+        windows_cover_all_entries(&names);
     }
 
     #[test]
     fn single_name_run_works() {
-        let names: Vec<Vec<u8>> = vec![b"com\0one\0".to_vec()];
-        let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-        let index = RunIndex::build(&refs, DEFAULT_EPSILON);
-        windows_cover_all_groups(&names, &index);
-        let (lo, hi) = index.window(feature(&names[0], index.lcp()), 1);
-        assert!(lo == 0 && hi >= 1);
+        windows_cover_all_entries(&[b"com\0one\0".to_vec()]);
     }
 }

@@ -20,8 +20,10 @@ use super::error::StoreError;
 use super::io;
 use crate::rpdns::DailyNewRrs;
 
-/// Magic + format version leading every serialised manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"dnman01\n";
+/// Magic + format version leading every serialised manifest (format
+/// v2; v1 `dnman01` images carry one more fixed field and are rejected
+/// as unsupported).
+const MANIFEST_MAGIC: &[u8; 8] = b"dnman02\n";
 
 /// The manifest's file name inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
@@ -47,8 +49,6 @@ pub struct Manifest {
     pub memtable_cap: u64,
     /// Config echo: size-tier fanout.
     pub fanout: u64,
-    /// Config echo: learned-index error bound.
-    pub epsilon: u32,
     /// Next spill-file ordinal.
     pub next_run_id: u64,
     /// Observe calls folded in when this manifest was published — the
@@ -77,7 +77,6 @@ impl Manifest {
             self.seq,
             self.memtable_cap,
             self.fanout,
-            u64::from(self.epsilon),
             self.next_run_id,
             self.observed,
             self.storage_bytes,
@@ -123,13 +122,14 @@ impl Manifest {
         if crc32(body) != stored {
             return Err("manifest checksum mismatch".to_string());
         }
+        if body.starts_with(b"dnman01\n") {
+            return Err("unsupported version: dnman01 manifest".to_string());
+        }
         let rest = body.strip_prefix(MANIFEST_MAGIC.as_slice()).ok_or("bad manifest magic")?;
         let mut cur = Cursor { bytes: rest, at: 0 };
         let seq = cur.u64()?;
         let memtable_cap = cur.u64()?;
         let fanout = cur.u64()?;
-        let epsilon_raw = cur.u64()?;
-        let epsilon = u32::try_from(epsilon_raw).map_err(|_| "epsilon out of range".to_string())?;
         let next_run_id = cur.u64()?;
         let observed = cur.u64()?;
         let storage_bytes = cur.u64()?;
@@ -163,7 +163,6 @@ impl Manifest {
             seq,
             memtable_cap,
             fanout,
-            epsilon,
             next_run_id,
             observed,
             storage_bytes,
@@ -251,7 +250,6 @@ mod tests {
             seq: 12,
             memtable_cap: 4096,
             fanout: 4,
-            epsilon: 32,
             next_run_id: 9,
             observed: 123_456,
             storage_bytes: 987_654,
@@ -275,6 +273,23 @@ mod tests {
         let back = Manifest::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn v1_images_are_rejected_as_unsupported() {
+        // A well-formed v1 image: the old magic, one extra u64 after
+        // `fanout`, and a footer that checksums. It must be refused by
+        // version, not parsed with every later field shifted by eight.
+        let v2 = sample().to_bytes();
+        let fixed = MANIFEST_MAGIC.len() + 3 * 8;
+        let mut v1 = b"dnman01\n".to_vec();
+        v1.extend_from_slice(&v2[MANIFEST_MAGIC.len()..fixed]);
+        v1.extend_from_slice(&32u64.to_be_bytes());
+        v1.extend_from_slice(&v2[fixed..v2.len() - 4]);
+        let footer = crc32(&v1);
+        v1.extend_from_slice(&footer.to_be_bytes());
+        let err = Manifest::from_bytes(&v1).unwrap_err();
+        assert!(err.contains("unsupported version"), "{err}");
     }
 
     #[test]

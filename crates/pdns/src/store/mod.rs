@@ -1,4 +1,4 @@
-//! The unified pDNS storage API and the learned-index run-store engine.
+//! The unified pDNS storage API and the run-store engine.
 //!
 //! [`PdnsStore`] is the contract every rpDNS backend honours: observe
 //! deduplicated records with first-seen days, answer point lookups and
@@ -8,8 +8,8 @@
 //!
 //! * [`RpDns`](crate::RpDns) — the original hash-map store (`memory`);
 //! * [`RunStore`] — memtable + immutable columnar sorted runs with
-//!   size-tiered compaction and a per-run hybrid learned/classic index
-//!   (`disk`), optionally mirroring runs to files.
+//!   size-tiered compaction and a per-run sparse index (`disk`),
+//!   optionally mirroring runs to files.
 //!
 //! The two are interchangeable and bit-identical in every counter,
 //! lookup, and scan — pinned by the backend-equivalence property tests —
@@ -166,7 +166,7 @@ pub enum BackendKind {
     /// existing invocations byte-identical.
     #[default]
     Memory,
-    /// The learned-index run store ([`RunStore`]).
+    /// The run store ([`RunStore`]).
     Disk,
 }
 
@@ -199,7 +199,7 @@ impl std::fmt::Display for BackendKind {
 pub enum PdnsBackend {
     /// The in-memory hash-map store.
     Memory(RpDns),
-    /// The learned-index run store.
+    /// The run store.
     Disk(RunStore),
 }
 

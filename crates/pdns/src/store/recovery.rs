@@ -267,7 +267,7 @@ pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, Stor
                 Err(e) => return Err(StoreError::io("read", &path, &e)),
             };
             report.bytes_scanned += bytes.len() as u64;
-            let verdict = verify_run(meta, &bytes, m.epsilon);
+            let verdict = verify_run(meta, &bytes);
             match verdict {
                 Ok(run) => {
                     report.runs_live += 1;
@@ -323,11 +323,7 @@ pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, Stor
 /// then a full parse (which checks footer/section CRCs, layout, and
 /// composite-key order internally).
 // lint:certify(no-panic)
-fn verify_run(
-    meta: &RunFileMeta,
-    bytes: &[u8],
-    epsilon: u32,
-) -> Result<Run, (QuarantineClass, String)> {
+fn verify_run(meta: &RunFileMeta, bytes: &[u8]) -> Result<Run, (QuarantineClass, String)> {
     if bytes.len() as u64 != meta.len {
         return Err((
             QuarantineClass::BadRunChecksum,
@@ -337,7 +333,7 @@ fn verify_run(
     if super::crc::crc32(bytes) != meta.crc {
         return Err((QuarantineClass::BadRunChecksum, "file CRC != manifest CRC".to_string()));
     }
-    Run::from_bytes(bytes, epsilon).map_err(|reason| {
+    Run::from_bytes(bytes).map_err(|reason| {
         let class = if reason.contains("checksum") {
             QuarantineClass::BadRunChecksum
         } else {

@@ -5,7 +5,7 @@
 //! offset-indexed), the qtype column, the rdata byte-buffer
 //! (offset-indexed) and the first-seen-day column. Runs are built once —
 //! from a flushed memtable or a compaction merge — and never mutated;
-//! point lookups go through the per-run hybrid index
+//! point lookups go through the per-run sparse index
 //! ([`RunIndex`](super::index::RunIndex)), range scans binary-search the
 //! name column directly.
 //!
@@ -17,7 +17,7 @@
 //! never panics and never trusts a forged header (all size arithmetic is
 //! checked). The index is *not* serialised — it is a pure function of
 //! the sorted keys and is rebuilt on load, so a run file can never carry
-//! a stale or corrupt model.
+//! a stale or corrupt index.
 
 use dnsnoise_dns::RrKey;
 
@@ -45,14 +45,14 @@ pub struct Run {
     rdata_bytes: Vec<u8>,
     /// First-seen day, one per entry.
     days: Vec<u64>,
-    /// The hybrid learned/classic index over the name column.
+    /// The sparse index over the name column.
     index: RunIndex,
 }
 
 impl Run {
     /// Builds a run from entries already in composite-key order with no
     /// duplicate keys.
-    pub fn build(entries: Vec<(CompositeKey, u64)>, epsilon: u32) -> Run {
+    pub fn build(entries: Vec<(CompositeKey, u64)>) -> Run {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted and distinct");
         let n = entries.len();
         let mut name_offsets = Vec::with_capacity(n + 1);
@@ -72,7 +72,7 @@ impl Run {
             days.push(day);
         }
         let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
-        let index = RunIndex::build(&names, epsilon);
+        let index = RunIndex::build(&names);
         Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }
     }
 
@@ -84,12 +84,6 @@ impl Run {
     /// Whether the run is empty.
     pub fn is_empty(&self) -> bool {
         self.qtypes.is_empty()
-    }
-
-    /// Whether the learned model (vs the classic fallback) indexes this
-    /// run.
-    pub fn index_is_learned(&self) -> bool {
-        self.index.is_learned()
     }
 
     /// The encoded name of entry `i` (empty when `i` is out of range —
@@ -137,8 +131,8 @@ impl Run {
     }
 
     /// Point lookup: the first-seen day of `key`, if stored. Uses the
-    /// hybrid index for a bounded candidate window, then exact binary
-    /// search — never a miss for a stored key, whatever the index kind.
+    /// sparse index for a bounded candidate window, then exact binary
+    /// search — never a miss for a stored key.
     pub fn get(&self, key: &CompositeKey) -> Option<u64> {
         let n = self.len();
         if n == 0 {
@@ -146,20 +140,16 @@ impl Run {
         }
         let x = feature(&key.0, self.index.lcp());
         let (win_lo, win_hi) = self.index.window(x, n);
-        // The window is promised to contain the *first* entry of feature
-        // group `x` (when the group exists), so a stored key can never
-        // sort before it — binary-search the window by full composite
-        // comparison, and gallop past `win_hi` only when a fat group (a
-        // single owner name with many RDATAs) overflows the window.
-        let mut pos = win_lo
+        // The window holds every entry of feature group `x` and ends at
+        // a group with a larger feature, so a stored key lies inside it:
+        // binary-search the window by full composite comparison. A probe
+        // that lands on `win_hi`, or that does not share the run's
+        // common prefix (its feature is then meaningless), compares
+        // unequal below.
+        let pos = win_lo
             + partition_point_idx(win_hi - win_lo, |i| {
                 self.cmp_entry(win_lo + i, key) == std::cmp::Ordering::Less
             });
-        if pos == win_hi && win_hi < n {
-            pos += gallop_point(n - win_hi, |i| {
-                self.cmp_entry(win_hi + i, key) == std::cmp::Ordering::Less
-            });
-        }
         (pos < n && self.cmp_entry(pos, key) == std::cmp::Ordering::Equal).then(|| self.day_at(pos))
     }
 
@@ -259,7 +249,7 @@ impl Run {
     /// Returns a message when the image is not a byte-exact, internally
     /// consistent v2 run.
     // lint:certify(no-panic)
-    pub fn from_bytes(bytes: &[u8], epsilon: u32) -> Result<Run, String> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Run, String> {
         let Some((checked, footer)) = bytes
             .len()
             .checked_sub(4)
@@ -334,7 +324,7 @@ impl Run {
             return Err("inconsistent run offsets".to_string());
         }
         let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
-        let index = RunIndex::build(&names, epsilon);
+        let index = RunIndex::build(&names);
         let run = Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
         if (0..n.saturating_sub(1)).any(|i| run.cmp_entries(i, i + 1) != std::cmp::Ordering::Less) {
             return Err("run entries out of composite-key order".to_string());
@@ -404,26 +394,8 @@ fn partition_point_idx(n: usize, pred: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// [`partition_point_idx`] by exponential search: doubles a probe step
-/// from the front until the predicate flips, then binary-searches the
-/// last gap. `O(log k)` for an answer at position `k`, independent of
-/// `n` — the right shape when the answer is expected near the start.
-fn gallop_point(n: usize, pred: impl Fn(usize) -> bool) -> usize {
-    if n == 0 || !pred(0) {
-        return 0;
-    }
-    let mut step = 1usize;
-    while step < n && pred(step) {
-        step *= 2;
-    }
-    let lo = step / 2 + 1;
-    let hi = step.min(n);
-    lo + partition_point_idx(hi - lo, |i| pred(lo + i))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::index::DEFAULT_EPSILON;
     use super::super::keys::encode_key;
     use super::*;
     use dnsnoise_dns::{Name, QType, RData};
@@ -444,7 +416,7 @@ mod tests {
     #[test]
     fn get_finds_every_stored_key_and_rejects_absent_ones() {
         let e = entries(3000);
-        let run = Run::build(e.clone(), DEFAULT_EPSILON);
+        let run = Run::build(e.clone());
         for (key, day) in &e {
             assert_eq!(run.get(key), Some(*day));
         }
@@ -457,9 +429,23 @@ mod tests {
     }
 
     #[test]
+    fn get_rejects_keys_outside_the_common_prefix() {
+        // Every stored name encodes as `example\0zone…`; these probes do
+        // not, so their index feature is read at a meaningless offset and
+        // the window is arbitrary. They sort wholly before or after the
+        // run and must come back absent, not mislocated.
+        let run = Run::build(entries(3000));
+        for name in ["d000001.zone1.aaa", "d000001.zone1.zzz", "example", "zone1.examplf"] {
+            let probe =
+                encode_key(&name.parse().unwrap(), QType::A, &RData::A(Ipv4Addr::new(10, 0, 0, 1)));
+            assert_eq!(run.get(&probe), None, "{name}");
+        }
+    }
+
+    #[test]
     fn prefix_range_is_exactly_the_subtree() {
         let e = entries(500);
-        let run = Run::build(e, DEFAULT_EPSILON);
+        let run = Run::build(e);
         let zone: Name = "zone3.example".parse().unwrap();
         let prefix = super::super::keys::encode_name(&zone);
         let (lo, hi) = run.prefix_range(&prefix);
@@ -473,34 +459,31 @@ mod tests {
 
     #[test]
     fn serialisation_roundtrips_bit_exactly() {
-        let run = Run::build(entries(700), DEFAULT_EPSILON);
+        let run = Run::build(entries(700));
         let bytes = run.to_bytes();
-        let back = Run::from_bytes(&bytes, DEFAULT_EPSILON).expect("well-formed image");
+        let back = Run::from_bytes(&bytes).expect("well-formed image");
         assert_eq!(back, run, "columns and rebuilt index match");
         assert_eq!(back.to_bytes(), bytes, "re-serialisation is bit-identical");
-        assert!(Run::from_bytes(&bytes[..40], DEFAULT_EPSILON).is_err());
-        assert!(Run::from_bytes(b"junk", DEFAULT_EPSILON).is_err());
+        assert!(Run::from_bytes(&bytes[..40]).is_err());
+        assert!(Run::from_bytes(b"junk").is_err());
     }
 
     #[test]
     fn v1_images_are_rejected_as_unsupported() {
-        let run = Run::build(entries(5), DEFAULT_EPSILON);
+        let run = Run::build(entries(5));
         let mut bytes = run.to_bytes();
         bytes[5] = b'1'; // dnrun02 -> dnrun01
-        assert!(Run::from_bytes(&bytes, DEFAULT_EPSILON).is_err());
+        assert!(Run::from_bytes(&bytes).is_err());
     }
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        let run = Run::build(entries(40), DEFAULT_EPSILON);
+        let run = Run::build(entries(40));
         let bytes = run.to_bytes();
         for byte in (0..bytes.len()).step_by(7) {
             let mut flipped = bytes.clone();
             flipped[byte] ^= 0x04;
-            assert!(
-                Run::from_bytes(&flipped, DEFAULT_EPSILON).is_err(),
-                "flip at byte {byte} accepted"
-            );
+            assert!(Run::from_bytes(&flipped).is_err(), "flip at byte {byte} accepted");
         }
     }
 
@@ -530,22 +513,22 @@ mod tests {
         let names: Vec<&[u8]> = (0..n)
             .map(|i| &name_bytes[name_offsets[i] as usize..name_offsets[i + 1] as usize])
             .collect();
-        let index = RunIndex::build(&names, DEFAULT_EPSILON);
+        let index = RunIndex::build(&names);
         let rogue =
             Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
-        let err = Run::from_bytes(&rogue.to_bytes(), DEFAULT_EPSILON).unwrap_err();
+        let err = Run::from_bytes(&rogue.to_bytes()).unwrap_err();
         assert!(err.contains("order"), "{err}");
     }
 
     #[test]
     fn empty_run_is_well_behaved() {
-        let run = Run::build(Vec::new(), DEFAULT_EPSILON);
+        let run = Run::build(Vec::new());
         assert!(run.is_empty());
         let probe =
             encode_key(&"x.example".parse().unwrap(), QType::A, &RData::A(Ipv4Addr::LOCALHOST));
         assert_eq!(run.get(&probe), None);
         assert_eq!(run.prefix_range(b"\0"), (0, 0));
-        let back = Run::from_bytes(&run.to_bytes(), DEFAULT_EPSILON).unwrap();
+        let back = Run::from_bytes(&run.to_bytes()).unwrap();
         assert!(back.is_empty());
     }
 }

@@ -11,8 +11,6 @@ use dnsnoise_pdns::DailyNewRrs;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-const EPSILON: u32 = 16;
-
 /// Sorted, deduplicated composite-key entries — the invariant the engine
 /// upholds before any run is built.
 fn arb_entries() -> impl Strategy<Value = Vec<(CompositeKey, u64)>> {
@@ -40,7 +38,7 @@ fn arb_entries() -> impl Strategy<Value = Vec<(CompositeKey, u64)>> {
 
 fn arb_manifest() -> impl Strategy<Value = Manifest> {
     (
-        proptest::collection::vec(any::<u64>(), 9..10),
+        proptest::collection::vec(any::<u64>(), 8..9),
         proptest::collection::vec((any::<u64>(), any::<u64>()), 0..5),
         proptest::collection::vec(
             (
@@ -55,12 +53,11 @@ fn arb_manifest() -> impl Strategy<Value = Manifest> {
             seq: f[0],
             memtable_cap: f[1],
             fanout: f[2],
-            epsilon: f[3] as u32,
-            next_run_id: f[4],
-            observed: f[5],
-            storage_bytes: f[6],
-            flushes: f[7],
-            compactions: f[8],
+            next_run_id: f[3],
+            observed: f[4],
+            storage_bytes: f[5],
+            flushes: f[6],
+            compactions: f[7],
             per_day: per_day
                 .into_iter()
                 .map(|(n, r)| DailyNewRrs { new_records: n, repeated_records: r })
@@ -75,15 +72,15 @@ proptest! {
     /// every truncation and every sampled bit flip is rejected.
     #[test]
     fn run_image_roundtrips_and_rejects_every_mutation(entries in arb_entries()) {
-        let run = Run::build(entries, EPSILON);
+        let run = Run::build(entries);
         let bytes = run.to_bytes();
-        let reparsed = Run::from_bytes(&bytes, EPSILON).expect("pristine image parses");
+        let reparsed = Run::from_bytes(&bytes).expect("pristine image parses");
         prop_assert_eq!(reparsed.to_bytes(), bytes.clone(), "round-trip is bit-exact");
         prop_assert_eq!(reparsed.len(), run.len());
 
         for cut in 0..bytes.len() {
             prop_assert!(
-                Run::from_bytes(&bytes[..cut], EPSILON).is_err(),
+                Run::from_bytes(&bytes[..cut]).is_err(),
                 "truncation to {} bytes must be rejected", cut
             );
         }
@@ -91,7 +88,7 @@ proptest! {
             let mut flipped = bytes.clone();
             flipped[at] ^= 0x10;
             prop_assert!(
-                Run::from_bytes(&flipped, EPSILON).is_err(),
+                Run::from_bytes(&flipped).is_err(),
                 "bit flip at byte {} must be rejected", at
             );
         }
@@ -128,14 +125,14 @@ proptest! {
         with_run_magic in any::<bool>(),
         with_manifest_magic in any::<bool>(),
     ) {
-        let _ = Run::from_bytes(&bytes, EPSILON);
+        let _ = Run::from_bytes(&bytes);
         let _ = Manifest::from_bytes(&bytes);
         if with_run_magic && bytes.len() >= 8 {
             bytes[..8].copy_from_slice(b"dnrun02\n");
-            let _ = Run::from_bytes(&bytes, EPSILON);
+            let _ = Run::from_bytes(&bytes);
         }
         if with_manifest_magic && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"dnman01\n");
+            bytes[..8].copy_from_slice(b"dnman02\n");
             let _ = Manifest::from_bytes(&bytes);
         }
     }

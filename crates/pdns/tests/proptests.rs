@@ -65,7 +65,7 @@ fn assert_stores_agree(mem: &RpDns, disk: &RunStore, records: &[Record]) {
 }
 
 proptest! {
-    /// The learned-index engine behind `--store disk` is observationally
+    /// The run-store engine behind `--store disk` is observationally
     /// identical to the in-memory `RpDns` under random interleavings of
     /// observes (with duplicate keys across days) and shard merges:
     /// identical `first_seen`, per-day new/repeated counters, storage
@@ -105,17 +105,15 @@ proptest! {
         assert_stores_agree(&mem, &disk, &records);
     }
 
-    /// Bounded-epsilon guarantee: whatever the key distribution — clumped,
+    /// Window guarantee: whatever the key distribution — clumped,
     /// adversarial, or degenerate — every stored key is found after runs
     /// are built, and every lookup agrees with the memory backend. This
-    /// pins that a learned segment's error window never causes a miss and
-    /// that the classic fallback engages transparently.
+    /// pins that the sparse index's window never causes a miss.
     #[test]
-    fn learned_index_lookups_never_miss(
+    fn sparse_index_lookups_never_miss(
         records in proptest::collection::vec(arb_record(), 1..64),
-        epsilon in 1u32..32,
     ) {
-        let config = StoreConfig { memtable_cap: 4, fanout: 2, epsilon, ..StoreConfig::default() };
+        let config = StoreConfig { memtable_cap: 4, fanout: 2, ..StoreConfig::default() };
         let mut mem = RpDns::new();
         let mut disk = RunStore::with_config(config);
         for (i, record) in records.iter().enumerate() {

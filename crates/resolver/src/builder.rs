@@ -1,6 +1,5 @@
 //! The unified day-run entry point: [`ResolverSim::day`] returns a
-//! [`DayRun`] builder that replaces the historical
-//! `run_day` / `run_day_with_faults` / `run_day_sharded` trio.
+//! [`DayRun`] builder, the one way to replay a day.
 //!
 //! ```
 //! use dnsnoise_resolver::{FaultPlan, MetricsRegistry, ResolverSim, SimConfig};
@@ -99,6 +98,16 @@ impl<'a, O: Observer + ?Sized> DayRun<'a, O> {
 
     /// Injects faults from `plan` during the replay (see
     /// [`FaultPlan`]). An empty plan is equivalent to not setting one.
+    ///
+    /// On a cache miss the resolver attempts the upstream fetch with
+    /// bounded exponential-backoff retries inside a per-query time budget
+    /// (see [`RetryPolicy`](crate::RetryPolicy)); every failed attempt is
+    /// counted as above-traffic so fault amplification is observable. When
+    /// the budget is exhausted the resolver serves a stale entry if
+    /// [`SimConfig::stale_window`](crate::SimConfig::stale_window) allows
+    /// (RFC 8767), and SERVFAIL otherwise. Member crash windows reroute
+    /// traffic onto the surviving caches and restart the member cold
+    /// afterwards.
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.plan = Some(plan);
         self
@@ -167,6 +176,12 @@ impl<'a, O: ShardObserver> DayRun<'a, O> {
     /// shard is requested, and to the single-threaded reference loop
     /// otherwise; both produce bit-identical reports, cluster state, and
     /// metrics.
+    ///
+    /// Each worker collects into a private fork of the observer; forks
+    /// are absorbed in shard order after the join, so observer output is
+    /// deterministic for a fixed shard count (though, unlike the report,
+    /// not necessarily identical *across* shard counts — collectors that
+    /// retain per-event state may order it differently).
     pub fn run(self) -> DayReport {
         let DayRun { sim, trace, ground_truth, plan, overload, threads, observer, metrics } = self;
         match observer {

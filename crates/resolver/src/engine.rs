@@ -1,8 +1,9 @@
 //! The multi-threaded sharded day-simulation engine.
 //!
-//! [`ResolverSim::run_day_sharded`] replays one day of traffic on several
-//! worker threads and produces a [`DayReport`] **bit-identical** to the
-//! single-threaded [`ResolverSim::run_day_with_faults`] for any thread
+//! [`DayRun::run`](crate::DayRun::run) with more than one thread replays
+//! one day of traffic on several worker threads and produces a
+//! [`DayReport`] **bit-identical** to the single-threaded
+//! [`DayRun::run_serial`](crate::DayRun::run_serial) for any thread
 //! count, including under an active [`FaultPlan`]. Three properties make
 //! that possible:
 //!
@@ -107,48 +108,6 @@ impl WorkerMember<'_> {
             self.handles.cache.clear_entries();
             self.handles.negative.clear_entries();
         }
-    }
-}
-
-impl ResolverSim {
-    /// Replays one day of traffic on `threads` worker threads.
-    ///
-    /// **Deprecated**: use the [`ResolverSim::day`] builder instead —
-    /// `sim.day(&trace).ground_truth(gt).faults(&plan).threads(n)
-    /// .observer(&mut o).run()`. This wrapper remains only for source
-    /// compatibility.
-    ///
-    /// The day's events are partitioned by owning cluster member
-    /// (consistent with [`CacheCluster::route`], including failover while
-    /// members are crashed), members are dealt round-robin onto
-    /// `min(threads, members)` shards, each shard replays its streams on
-    /// its own thread, and the per-shard partial reports are merged at a
-    /// barrier. The result — the returned [`DayReport`] *and* the
-    /// cluster's cache state afterwards — is bit-identical to
-    /// [`ResolverSim::run_day_with_faults`] for every `threads` value;
-    /// `threads <= 1` (and a single-member cluster) simply delegates to
-    /// it.
-    ///
-    /// `observer` must be a [`ShardObserver`] so each worker can collect
-    /// into a private fork; forks are absorbed in shard order after the
-    /// join, making observer output deterministic for a fixed shard
-    /// count (though, unlike the report, not necessarily identical
-    /// *across* shard counts — collectors that retain per-event state may
-    /// order it differently).
-    pub fn run_day_sharded<O: ShardObserver>(
-        &mut self,
-        trace: &DayTrace,
-        ground_truth: Option<&GroundTruth>,
-        observer: &mut O,
-        plan: &FaultPlan,
-        threads: usize,
-    ) -> DayReport {
-        self.day(trace)
-            .ground_truth(ground_truth)
-            .faults(plan)
-            .threads(threads)
-            .observer(observer)
-            .run()
     }
 }
 
@@ -349,10 +308,11 @@ mod tests {
         let plan = FaultPlan::default();
         let mut reference = ResolverSim::new(SimConfig::default());
         let expected =
-            reference.run_day_with_faults(&trace, Some(s.ground_truth()), &mut (), &plan);
+            reference.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
         for threads in [2, 3, 4, 8] {
             let mut sim = ResolverSim::new(SimConfig::default());
-            let got = sim.run_day_sharded(&trace, Some(s.ground_truth()), &mut (), &plan, threads);
+            let got =
+                sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).threads(threads).run();
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -364,10 +324,11 @@ mod tests {
         let plan = eventful_plan();
         let mut reference = ResolverSim::new(SimConfig::default());
         let expected =
-            reference.run_day_with_faults(&trace, Some(s.ground_truth()), &mut (), &plan);
+            reference.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
         for threads in [2, 4, 8] {
             let mut sim = ResolverSim::new(SimConfig::default());
-            let got = sim.run_day_sharded(&trace, Some(s.ground_truth()), &mut (), &plan, threads);
+            let got =
+                sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).threads(threads).run();
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -385,13 +346,13 @@ mod tests {
             let config = SimConfig { load_balance: strategy, ..SimConfig::default() };
 
             let mut reference = ResolverSim::new(config.clone());
-            reference.run_day_with_faults(&d0, Some(s.ground_truth()), &mut (), &plan);
+            reference.day(&d0).ground_truth(s.ground_truth()).faults(&plan).run_serial();
             let expected =
-                reference.run_day_with_faults(&d1, Some(s.ground_truth()), &mut (), &plan);
+                reference.day(&d1).ground_truth(s.ground_truth()).faults(&plan).run_serial();
 
             let mut sim = ResolverSim::new(config);
-            sim.run_day_sharded(&d0, Some(s.ground_truth()), &mut (), &plan, 4);
-            let got = sim.run_day_with_faults(&d1, Some(s.ground_truth()), &mut (), &plan);
+            sim.day(&d0).ground_truth(s.ground_truth()).faults(&plan).threads(4).run();
+            let got = sim.day(&d1).ground_truth(s.ground_truth()).faults(&plan).run_serial();
             assert_eq!(got, expected, "strategy={strategy:?}");
         }
     }
@@ -402,8 +363,8 @@ mod tests {
         let trace = s.generate_day(0);
         let mut a = ResolverSim::new(SimConfig::default());
         let mut b = ResolverSim::new(SimConfig::default());
-        let ra = a.run_day_sharded(&trace, None, &mut (), &FaultPlan::default(), 1);
-        let rb = b.run_day(&trace, None, &mut ());
+        let ra = a.day(&trace).threads(1).run();
+        let rb = b.day(&trace).run_serial();
         assert_eq!(ra, rb);
     }
 
@@ -413,9 +374,9 @@ mod tests {
         let trace = s.generate_day(0);
         let config = SimConfig { members: 2, ..SimConfig::default() };
         let mut reference = ResolverSim::new(config.clone());
-        let expected = reference.run_day(&trace, None, &mut ());
+        let expected = reference.day(&trace).run_serial();
         let mut sim = ResolverSim::new(config);
-        let got = sim.run_day_sharded(&trace, None, &mut (), &FaultPlan::default(), 64);
+        let got = sim.day(&trace).threads(64).run();
         assert_eq!(got, expected);
     }
 }

@@ -130,8 +130,8 @@ impl RetryPolicy {
 /// A seeded, replayable schedule of faults for one simulation.
 ///
 /// The all-zero plan ([`FaultPlan::default`]) injects nothing and leaves
-/// [`ResolverSim::run_day`](crate::ResolverSim::run_day) bit-identical to
-/// the fault-free code path.
+/// [`ResolverSim::day`](crate::ResolverSim::day) replays bit-identical
+/// to the fault-free code path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for the packet-loss hash; independent of the workload seed.

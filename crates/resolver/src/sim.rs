@@ -8,7 +8,7 @@ use dnsnoise_cache::{
     CacheCluster, CacheKey, CacheStats, InsertPriority, LoadBalance, Lookup, NegativeCache, TtlLru,
 };
 use dnsnoise_dns::{Name, Record, Timestamp, Ttl};
-use dnsnoise_workload::{DayTrace, GroundTruth, Operator, Outcome, QueryEvent};
+use dnsnoise_workload::{GroundTruth, Operator, Outcome, QueryEvent};
 
 use crate::admission::{Admission, AdmissionState, OverloadConfig, OverloadStats};
 use crate::faults::{FaultKind, FaultPlan, SERVFAIL_LATENCY_MS, UPSTREAM_RTT_MS};
@@ -249,7 +249,7 @@ impl DayReport {
 
 /// The recursive-resolver cluster simulator.
 ///
-/// Cache contents persist across [`ResolverSim::run_day`] calls, so
+/// Cache contents persist across [`ResolverSim::day`] replays, so
 /// multi-day traces behave like a long-lived production cluster.
 #[derive(Debug)]
 pub struct ResolverSim {
@@ -276,51 +276,6 @@ impl ResolverSim {
     /// Read access to the underlying cluster (for inspecting occupancy).
     pub fn cluster(&self) -> &CacheCluster {
         &self.cluster
-    }
-
-    /// Replays one day of traffic with no faults injected.
-    ///
-    /// **Deprecated**: use the [`ResolverSim::day`] builder instead —
-    /// `sim.day(&trace).ground_truth(gt).observer(&mut o).run_serial()`.
-    /// This wrapper remains only for source compatibility.
-    ///
-    /// `ground_truth` (when provided) attributes traffic to the Google /
-    /// Akamai series of Fig. 2; `observer` sees every served response.
-    pub fn run_day(
-        &mut self,
-        trace: &DayTrace,
-        ground_truth: Option<&GroundTruth>,
-        observer: &mut dyn Observer,
-    ) -> DayReport {
-        self.day(trace).ground_truth(ground_truth).observer(observer).run_serial()
-    }
-
-    /// Replays one day of traffic under a [`FaultPlan`].
-    ///
-    /// **Deprecated**: use the [`ResolverSim::day`] builder instead —
-    /// `sim.day(&trace).ground_truth(gt).faults(&plan).observer(&mut o)
-    /// .run_serial()`. This wrapper remains only for source
-    /// compatibility.
-    ///
-    /// On a cache miss the resolver attempts the upstream fetch with
-    /// bounded exponential-backoff retries inside a per-query time budget
-    /// (see [`RetryPolicy`](crate::RetryPolicy)); every failed attempt is
-    /// counted as above-traffic so fault amplification is observable. When
-    /// the budget is exhausted the resolver serves a stale entry if
-    /// [`SimConfig::stale_window`] allows (RFC 8767), and SERVFAIL
-    /// otherwise. Member crash windows reroute traffic onto the surviving
-    /// caches and restart the member cold afterwards.
-    ///
-    /// An all-zero plan produces a report bit-identical to
-    /// [`ResolverSim::run_day`].
-    pub fn run_day_with_faults(
-        &mut self,
-        trace: &DayTrace,
-        ground_truth: Option<&GroundTruth>,
-        observer: &mut dyn Observer,
-        plan: &FaultPlan,
-    ) -> DayReport {
-        self.day(trace).ground_truth(ground_truth).faults(plan).observer(observer).run_serial()
     }
 
     /// Syncs cluster member up/down state with the plan at `now`. A member
@@ -698,7 +653,7 @@ mod tests {
     fn below_exceeds_above() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.run_day(&s.generate_day(0), Some(s.ground_truth()), &mut ());
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
         assert!(report.below_total > report.above_total);
         assert!(report.above_total > 0);
     }
@@ -707,7 +662,7 @@ mod tests {
     fn nxdomain_without_negative_cache_always_goes_above() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.run_day(&s.generate_day(0), None, &mut ());
+        let report = sim.day(&s.generate_day(0)).run_serial();
         // Negative caching disabled: every NXDOMAIN below also appears above.
         assert_eq!(report.nx_below, report.nx_above);
         assert!(report.nx_below > 0);
@@ -718,7 +673,7 @@ mod tests {
         let s = tiny_scenario();
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default().with_negative_ttl(Ttl::from_secs(900)));
-        let report = sim.run_day(&trace, None, &mut ());
+        let report = sim.day(&trace).run_serial();
         // Browser probes repeat the same name 3× within seconds; with
         // RFC 2308 honoured the repeats are served below only.
         assert!(
@@ -739,7 +694,7 @@ mod tests {
             3,
         );
         let mut sim = ResolverSim::new(SimConfig { members: 2, ..SimConfig::default() });
-        let report = sim.run_day(&s.generate_day(0), Some(s.ground_truth()), &mut ());
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
         let share_below = report.nx_below as f64 / report.below_total as f64;
         let share_above = report.nx_above as f64 / report.above_total as f64;
         assert!(share_above > 2.0 * share_below, "above {share_above:.3} below {share_below:.3}");
@@ -750,8 +705,8 @@ mod tests {
     fn warm_cache_reduces_above_traffic_on_day_two() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let r0 = sim.run_day(&s.generate_day(0), None, &mut ());
-        let r1 = sim.run_day(&s.generate_day(1), None, &mut ());
+        let r0 = sim.day(&s.generate_day(0)).run_serial();
+        let r1 = sim.day(&s.generate_day(1)).run_serial();
         // Day-scale TTLs carry over: day 1 misses fewer long-tail records.
         let miss_rate0 = r0.above_total as f64 / r0.below_total as f64;
         let miss_rate1 = r1.above_total as f64 / r1.below_total as f64;
@@ -762,7 +717,7 @@ mod tests {
     fn google_and_akamai_series_are_populated() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.run_day(&s.generate_day(0), Some(s.ground_truth()), &mut ());
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
         assert!(report.traffic.below_total(Series::Google) > 0);
         assert!(report.traffic.below_total(Series::Akamai) > 0);
         // Together they are less than half of all traffic (§III-C1:
@@ -776,7 +731,7 @@ mod tests {
     fn tiny_cache_causes_premature_evictions() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default().with_capacity(50));
-        let report = sim.run_day(&s.generate_day(0), None, &mut ());
+        let report = sim.day(&s.generate_day(0)).run_serial();
         assert!(report.cache.premature_evictions() > 0);
     }
 
@@ -787,7 +742,7 @@ mod tests {
         let trace = s.generate_day(0);
 
         let mut baseline = ResolverSim::new(SimConfig::default().with_capacity(200));
-        let rb = baseline.run_day(&trace, None, &mut ());
+        let rb = baseline.day(&trace).run_serial();
 
         let gt2 = gt.clone();
         let mut mitigated = ResolverSim::new(
@@ -795,7 +750,7 @@ mod tests {
                 .with_capacity(200)
                 .with_low_priority(move |name| gt2.is_disposable_name(name)),
         );
-        let rm = mitigated.run_day(&trace, None, &mut ());
+        let rm = mitigated.day(&trace).run_serial();
 
         // With the mitigation, fewer normal-priority (non-disposable)
         // records are prematurely evicted.
@@ -818,8 +773,8 @@ mod tests {
         let plan = FaultPlan::default();
         // Two days, warm cache carried over — reports must match exactly.
         for day in [&d0, &d1] {
-            let a = plain.run_day(day, Some(s.ground_truth()), &mut ());
-            let b = faulted.run_day_with_faults(day, Some(s.ground_truth()), &mut (), &plan);
+            let a = plain.day(day).ground_truth(s.ground_truth()).run_serial();
+            let b = faulted.day(day).ground_truth(s.ground_truth()).faults(&plan).run_serial();
             assert_eq!(a, b);
             assert_eq!(b.resilience, ResilienceStats::default());
         }
@@ -840,7 +795,7 @@ mod tests {
         let trace = s.generate_day(0);
         let plan = all_day_outage(FaultKind::Timeout);
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.run_day_with_faults(&trace, Some(s.ground_truth()), &mut (), &plan);
+        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
 
         // Nothing ever reaches the upstream successfully: no NXDOMAIN or
         // answers fetched above, only failed attempts.
@@ -875,8 +830,8 @@ mod tests {
                 config = config.with_serve_stale(w);
             }
             let mut sim = ResolverSim::new(config);
-            sim.run_day(&d0, Some(gt), &mut ()); // warm day, no faults
-            sim.run_day_with_faults(&d1, Some(gt), &mut (), &outage)
+            sim.day(&d0).ground_truth(gt).run_serial(); // warm day, no faults
+            sim.day(&d1).ground_truth(gt).faults(&outage).run_serial()
         };
 
         let without = run(None);
@@ -909,14 +864,14 @@ mod tests {
 
         let run = || {
             let mut sim = ResolverSim::new(SimConfig::default());
-            sim.run_day_with_faults(&trace, Some(s.ground_truth()), &mut (), &plan)
+            sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial()
         };
         let first = run();
         let second = run();
         assert_eq!(first, second, "crash absorption must replay identically");
 
         let mut plain = ResolverSim::new(SimConfig::default());
-        let baseline = plain.run_day(&trace, Some(s.ground_truth()), &mut ());
+        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run_serial();
         // The survivors answer everything the crashed member would have:
         // no client loses service, it just gets a different cache.
         assert_eq!(first.below_total, baseline.below_total);
@@ -937,10 +892,10 @@ mod tests {
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
         let plan = FaultPlan::default().with_seed(11).with_packet_loss(0.3);
-        let report = sim.run_day_with_faults(&trace, Some(s.ground_truth()), &mut (), &plan);
+        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
 
         let mut plain = ResolverSim::new(SimConfig::default());
-        let baseline = plain.run_day(&trace, Some(s.ground_truth()), &mut ());
+        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run_serial();
 
         assert!(report.resilience.failed_attempts > 0);
         assert!(report.resilience.retries > 0);
@@ -978,7 +933,7 @@ mod tests {
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
         let mut counter = Counter(0);
-        sim.run_day(&trace, None, &mut counter);
+        sim.day(&trace).observer(&mut counter).run_serial();
         assert_eq!(counter.0, trace.events.len() as u64);
     }
 }

@@ -38,7 +38,7 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(epoch).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut sim = ResolverSim::new(config);
-        let report = sim.run_day(&trace, Some(scenario.ground_truth()), &mut ());
+        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).run_serial();
 
         prop_assert!(report.above_total <= report.below_total);
         prop_assert!(report.nx_above <= report.nx_below);
@@ -69,9 +69,9 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut small_sim = ResolverSim::new(SimConfig { members: 2, capacity_each: 60, ..SimConfig::default() });
-        let small = small_sim.run_day(&trace, None, &mut ());
+        let small = small_sim.day(&trace).run_serial();
         let mut large_sim = ResolverSim::new(SimConfig { members: 2, capacity_each: 50_000, ..SimConfig::default() });
-        let large = large_sim.run_day(&trace, None, &mut ());
+        let large = large_sim.day(&trace).run_serial();
         prop_assert!(large.above_total <= small.above_total,
             "large {} vs small {}", large.above_total, small.above_total);
     }
@@ -117,7 +117,7 @@ proptest! {
             config = config.with_serve_stale(w);
         }
         let mut sim = ResolverSim::new(config);
-        let report = sim.run_day_with_faults(&trace, Some(scenario.ground_truth()), &mut (), &plan);
+        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run_serial();
 
         let r = &report.resilience;
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
@@ -167,10 +167,10 @@ proptest! {
 
         let mut reference = ResolverSim::new(config.clone());
         let expected =
-            reference.run_day_with_faults(&trace, Some(scenario.ground_truth()), &mut (), &plan);
+            reference.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run_serial();
         let mut sim = ResolverSim::new(config);
         let report =
-            sim.run_day_sharded(&trace, Some(scenario.ground_truth()), &mut (), &plan, threads);
+            sim.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).threads(threads).run();
         prop_assert_eq!(&report, &expected, "sharded replay must be bit-identical");
 
         // The merged per-shard partials must still satisfy the
@@ -214,7 +214,7 @@ proptest! {
                     seed + i as u64,
                 );
                 let mut sim = ResolverSim::new(SimConfig::default());
-                sim.run_day_with_faults(&s.generate_day(0), Some(s.ground_truth()), &mut (), &plan)
+                sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).faults(&plan).run_serial()
             })
             .collect();
         let (a, b, c) = (&partials[0], &partials[1], &partials[2]);
@@ -349,8 +349,8 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
-        let first = sim.run_day(&trace, None, &mut ());
-        let second = sim.run_day(&trace, None, &mut ());
+        let first = sim.day(&trace).run_serial();
+        let second = sim.day(&trace).run_serial();
         prop_assert!(second.above_total <= first.above_total,
             "second {} vs first {}", second.above_total, first.above_total);
     }

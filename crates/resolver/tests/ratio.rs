@@ -10,7 +10,7 @@ fn run(scale: f64, epu: f64, members: usize) -> (u64, u64, f64, f64) {
         3,
     );
     let mut sim = ResolverSim::new(SimConfig { members, ..SimConfig::default() });
-    let r = sim.run_day(&s.generate_day(0), Some(s.ground_truth()), &mut ());
+    let r = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
     (
         r.below_total,
         r.above_total,

@@ -245,11 +245,10 @@ impl Checkpoint {
                 ))
             }
             PdnsBackend::Disk(s) => {
-                let epsilon = s.config().epsilon;
                 let mut runs = Vec::with_capacity(self.rpdns_runs.len());
                 for image in &self.rpdns_runs {
                     runs.push(
-                        Run::from_bytes(image, epsilon)
+                        Run::from_bytes(image)
                             .map_err(|detail| corrupt(format!("checkpointed run: {detail}")))?,
                     );
                 }

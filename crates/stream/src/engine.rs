@@ -113,8 +113,6 @@ pub struct RpdnsStoreSummary {
     pub storage_bytes: u64,
     /// Sorted runs at end of day (0 for the memory backend).
     pub runs: u64,
-    /// Runs served by a learned (PLA) index.
-    pub learned_runs: u64,
 }
 
 /// Aggregate pDNS counters collected online.
@@ -686,19 +684,15 @@ impl<'m> StreamMiner<'m> {
         }
         let rpdns_store_error = state.rpdns.io_error().map(StoreError::to_string);
         let rpdns_store = {
-            let (runs, learned_runs) = match &state.rpdns {
-                PdnsBackend::Disk(s) => {
-                    let st = s.stats();
-                    (st.runs as u64, st.learned_runs as u64)
-                }
-                PdnsBackend::Memory(_) => (0, 0),
+            let runs = match &state.rpdns {
+                PdnsBackend::Disk(s) => s.stats().runs as u64,
+                PdnsBackend::Memory(_) => 0,
             };
             RpdnsStoreSummary {
                 backend: state.rpdns.kind(),
                 records: state.rpdns.len() as u64,
                 storage_bytes: PdnsStore::storage_bytes(&state.rpdns),
                 runs,
-                learned_runs,
             }
         };
         let mut tree = state.build_tree();

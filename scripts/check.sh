@@ -6,14 +6,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== dnsnoise-lint (determinism & invariant linter) ==" >&2
-# Replaces the old grep gates (deprecated run_day_* call sites, overload
-# fields in the baseline export) with named, suppressible rules plus
-# determinism checks no grep could express — including the call-graph
-# no-panic certification pass over the durability and wire-decode
-# surfaces. See DESIGN.md §static analysis.
+# Replaces the old grep gates (overload fields in the baseline export)
+# with named, suppressible rules plus determinism checks no grep could
+# express — including the call-graph no-panic certification pass over
+# the durability and wire-decode surfaces. See DESIGN.md §static analysis.
 cargo run -q --release --offline -p dnsnoise-lint
 
-echo "== dnsnoise-lint --check-allowlist (no stale suppressions) ==" >&2
+echo "== dnsnoise-lint --check-allowlist (no stale suppressions or certified-std names) ==" >&2
 cargo run -q --release --offline -p dnsnoise-lint -- --check-allowlist
 grep -q '"bench": "lint"' BENCH_lint.json \
     || { echo "error: BENCH_lint.json missing or malformed" >&2; exit 1; }
@@ -89,7 +88,7 @@ grep -q 'conserved' BENCH_stream.json \
 echo "== pdns store smoke (miner output identical across --store memory|disk) ==" >&2
 # Same day-1 trace and model as the stream smoke: stdout must be
 # byte-identical whichever rpDNS backend dedups behind the miner, and the
-# disk backend's summary (stderr) must report its learned-index runs.
+# disk backend must print its summary line on stderr.
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" --cm-width 1048576 \
     --store memory >"$smoke_dir/sm.txt" 2>/dev/null
@@ -132,6 +131,14 @@ diff "$smoke_dir/s1.txt" "$smoke_dir/sr.txt" >&2 \
          cat "$smoke_dir/fsck.txt" >&2; exit 1; }
 grep -q '"bench": "recovery"' BENCH_recovery.json \
     || { echo "error: BENCH_recovery.json missing or malformed" >&2; exit 1; }
+
+echo "== benchmark smoke (benchmark/ builds against this tree, every gate holds) ==" >&2
+# benchmark/ is a package of its own that no other step compiles: an API
+# change can break it unnoticed until the benchmark driver runs. Sharing
+# the workspace target directory reuses the release build from above.
+CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke >"$smoke_dir/bench.txt" \
+    || { echo "error: benchmark smoke failed" >&2
+         grep 'GATE FAILED' "$smoke_dir/bench.txt" >&2; exit 1; }
 
 echo "== cargo test ==" >&2
 cargo test -q --offline

@@ -762,11 +762,10 @@ fn store_summary_line(store: &PdnsBackend) -> String {
             let st = s.stats();
             format!(
                 "rpdns store: backend=disk records={} storage_bytes={} runs={} \
-                 learned_runs={} flushes={} compactions={}",
+                 flushes={} compactions={}",
                 s.len(),
                 s.storage_bytes(),
                 st.runs,
-                st.learned_runs,
                 st.flushes,
                 st.compactions
             )
@@ -988,8 +987,8 @@ fn finish_stream(stream: dnsnoise::stream::StreamMiner, report_store: bool) -> R
     if report_store {
         let s = &report.rpdns_store;
         eprintln!(
-            "rpdns store: backend={} records={} storage_bytes={} runs={} learned_runs={}",
-            s.backend, s.records, s.storage_bytes, s.runs, s.learned_runs
+            "rpdns store: backend={} records={} storage_bytes={} runs={}",
+            s.backend, s.records, s.storage_bytes, s.runs
         );
     }
     print!("{}", report.render());
