@@ -15,12 +15,10 @@
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
+use dnsnoise_bench::util::{best_of, RUNS};
 use dnsnoise_ingest::{framestream, ingest_bytes, pcap, CaptureFormat, IngestConfig};
 use dnsnoise_workload::{Scenario, ScenarioConfig};
-
-const RUNS: usize = 3;
 
 struct Measurement {
     secs: f64,
@@ -30,17 +28,8 @@ struct Measurement {
 
 fn measure(bytes: &[u8], format: CaptureFormat, threads: usize) -> Measurement {
     let config = IngestConfig { format: Some(format), threads, ..Default::default() };
-    let mut best = f64::INFINITY;
-    let mut events = 0usize;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        let out = ingest_bytes(bytes, &config).expect("clean capture ingests");
-        let elapsed = start.elapsed().as_secs_f64();
-        events = out.trace.events.len();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
+    let (best, events) =
+        best_of(|| ingest_bytes(bytes, &config).expect("clean capture ingests").trace.events.len());
     Measurement {
         secs: best,
         events_per_sec: events as f64 / best,

@@ -26,28 +26,12 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
 
+use dnsnoise_bench::util::{best_of, RUNS};
 use dnsnoise_lint::{
     certification_stats, collect_sources, lint_files, load_std_allow, nopanic,
     stale_allowlist_entries,
 };
-
-const RUNS: usize = 3;
-
-fn best_of(mut run: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut check = 0usize;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        check = run();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    (best, check)
-}
 
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_lint.json");

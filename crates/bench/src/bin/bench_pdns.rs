@@ -29,59 +29,11 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::process::ExitCode;
-use std::time::Instant;
 
-use dnsnoise_dns::{Name, QType, RData, Record, RrKey, Ttl};
+use dnsnoise_bench::util::{make_records, measure, zone_name, DAYS, RUNS, ZONES};
+use dnsnoise_dns::{Name, QType, RData, RrKey};
 use dnsnoise_pdns::store::keys::{self, CompositeKey};
 use dnsnoise_pdns::{RpDns, RunStore};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-const RUNS: usize = 3;
-const ZONES: usize = 40;
-const DAYS: u64 = 30;
-
-struct Measurement {
-    secs: f64,
-    per_sec: f64,
-}
-
-fn best_of(work_items: usize, mut run: impl FnMut() -> u64) -> (Measurement, u64) {
-    let mut best = f64::INFINITY;
-    let mut check = 0u64;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        check = run();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    (Measurement { secs: best, per_sec: work_items as f64 / best }, check)
-}
-
-fn zone_name(zi: usize) -> Name {
-    format!("svc{zi:02}.metrics.example.com").parse().expect("static zone name")
-}
-
-/// One deterministic disposable-style record per index: a unique
-/// high-entropy one-shot label (hashed payload first, as disposable
-/// subdomains encode their measurements) under a vendor zone, an address
-/// derived from the same stream, and a first-seen day inside the window.
-fn make_records(n: usize) -> Vec<(Record, u64)> {
-    let mut rng = StdRng::seed_from_u64(0x9d5f_00d5);
-    let zones: Vec<Name> = (0..ZONES).map(zone_name).collect();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let salt = rng.next_u64();
-        let name_str = format!("{:06x}-{:07x}.{}", salt & 0xff_ffff, i, zones[i % ZONES]);
-        let name: Name = name_str.parse().expect("generated name parses");
-        let ip = std::net::Ipv4Addr::from((salt >> 24) as u32);
-        let record = Record::new(name, QType::A, Ttl::from_secs(60), RData::A(ip));
-        out.push((record, i as u64 % DAYS));
-    }
-    out
-}
 
 /// The composite-key range bounds covering `zone`'s subtree.
 fn zone_bounds(zone: &Name) -> (CompositeKey, Option<CompositeKey>) {
@@ -198,12 +150,15 @@ fn main() -> ExitCode {
 
     eprintln!("measuring point lookups ({} probes incl. {misses} misses) ...", probes.len());
     let (point_store, check_a) =
-        best_of(probes.len(), || probes.iter().filter_map(|k| store.first_seen(k)).sum());
-    let (point_btree, check_b) = best_of(probes.len(), || {
-        probes.iter().filter_map(|k| btree.get(&keys::encode_key(&k.name, k.qtype, &k.rdata))).sum()
+        measure(probes.len(), || probes.iter().filter_map(|k| store.first_seen(k)).sum::<u64>());
+    let (point_btree, check_b) = measure(probes.len(), || {
+        probes
+            .iter()
+            .filter_map(|k| btree.get(&keys::encode_key(&k.name, k.qtype, &k.rdata)))
+            .sum::<u64>()
     });
     let (point_hash, check_c) =
-        best_of(probes.len(), || probes.iter().filter_map(|k| hashmap.get(k)).sum());
+        measure(probes.len(), || probes.iter().filter_map(|k| hashmap.get(k)).sum::<u64>());
     assert_eq!(check_a, check_b);
     assert_eq!(check_b, check_c);
     eprintln!("  run-store {:>12.0} lookups/s", point_store.per_sec);
@@ -211,14 +166,14 @@ fn main() -> ExitCode {
     eprintln!("  hashmap   {:>12.0} lookups/s", point_hash.per_sec);
 
     eprintln!("measuring zone-prefix scans ({ZONES} zones, {scanned_total} entries/sweep) ...");
-    let (scan_store, hits_a) = best_of(scanned_total, || {
-        zones.iter().map(|z| black_box(store.scan_prefix(z)).len() as u64).sum()
+    let (scan_store, hits_a) = measure(scanned_total, || {
+        zones.iter().map(|z| black_box(store.scan_prefix(z)).len() as u64).sum::<u64>()
     });
-    let (scan_btree, hits_b) = best_of(scanned_total, || {
-        zones.iter().map(|z| black_box(btree_scan(&btree, z)).len() as u64).sum()
+    let (scan_btree, hits_b) = measure(scanned_total, || {
+        zones.iter().map(|z| black_box(btree_scan(&btree, z)).len() as u64).sum::<u64>()
     });
-    let (scan_hash, hits_c) = best_of(scanned_total, || {
-        zones.iter().map(|z| black_box(hashmap_scan(&hashmap, z)).len() as u64).sum()
+    let (scan_hash, hits_c) = measure(scanned_total, || {
+        zones.iter().map(|z| black_box(hashmap_scan(&hashmap, z)).len() as u64).sum::<u64>()
     });
     assert_eq!(hits_a, scanned_total as u64);
     assert_eq!(hits_b, hits_a);

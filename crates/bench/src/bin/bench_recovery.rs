@@ -29,56 +29,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use dnsnoise_bench::util::{make_records, measure, DAYS, RUNS, ZONES};
 use dnsnoise_core::{DailyPipeline, MinerConfig};
-use dnsnoise_dns::{Name, QType, RData, Record, Ttl};
 use dnsnoise_pdns::{fsck, BackendKind, PdnsBackend, RunStore, StoreConfig};
 use dnsnoise_stream::{Checkpoint, StreamConfig, StreamMiner};
 use dnsnoise_workload::{Scenario, ScenarioConfig};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
-const RUNS: usize = 3;
-const ZONES: usize = 40;
-const DAYS: u64 = 30;
 const CKPT_ROUNDTRIPS: usize = 32;
-
-struct Measurement {
-    secs: f64,
-    per_sec: f64,
-}
-
-fn best_of(work_items: usize, mut run: impl FnMut() -> u64) -> (Measurement, u64) {
-    let mut best = f64::INFINITY;
-    let mut check = 0u64;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        check = run();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    (Measurement { secs: best, per_sec: work_items as f64 / best }, check)
-}
-
-/// One deterministic disposable-style record per index, in the shape
-/// `bench_pdns` uses: a unique one-shot label under a vendor zone.
-fn make_records(n: usize) -> Vec<(Record, u64)> {
-    let mut rng = StdRng::seed_from_u64(0x9d5f_00d5);
-    let zones: Vec<Name> = (0..ZONES)
-        .map(|zi| format!("svc{zi:02}.metrics.example.com").parse().expect("static zone name"))
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let salt = rng.next_u64();
-        let name_str = format!("{:06x}-{:07x}.{}", salt & 0xff_ffff, i, zones[i % ZONES]);
-        let name: Name = name_str.parse().expect("generated name parses");
-        let ip = std::net::Ipv4Addr::from((salt >> 24) as u32);
-        let record = Record::new(name, QType::A, Ttl::from_secs(60), RData::A(ip));
-        out.push((record, i as u64 % DAYS));
-    }
-    out
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir =
@@ -154,7 +111,7 @@ fn main() -> ExitCode {
     assert_eq!(fsck_report.bytes_scanned, durable_bytes, "fsck must census the same bytes");
 
     eprintln!("measuring cold open ({distinct} records, {durable_bytes} durable bytes) ...");
-    let (open_m, open_check) = best_of(distinct, || {
+    let (open_m, open_check) = measure(distinct, || {
         RunStore::open(&dir, StoreConfig::default()).expect("cold open").len() as u64
     });
     assert_eq!(open_check, distinct as u64);
@@ -162,7 +119,7 @@ fn main() -> ExitCode {
 
     eprintln!("measuring fsck scan ...");
     let (fsck_m, fsck_check) =
-        best_of(durable_bytes as usize, || fsck(&dir, false).expect("fsck runs").bytes_scanned);
+        measure(durable_bytes as usize, || fsck(&dir, false).expect("fsck runs").bytes_scanned);
     assert_eq!(fsck_check, durable_bytes);
     eprintln!(
         "  fsck      {:>9.4}s  {:>12.1} MB/s",
@@ -231,7 +188,7 @@ fn main() -> ExitCode {
     eprintln!(
         "measuring checkpoint save+load round-trips ({ckpt_bytes} bytes, {CKPT_ROUNDTRIPS}/run) ..."
     );
-    let (ckpt_m, ckpt_check) = best_of(CKPT_ROUNDTRIPS, || {
+    let (ckpt_m, ckpt_check) = measure(CKPT_ROUNDTRIPS, || {
         let mut ok = 0u64;
         for _ in 0..CKPT_ROUNDTRIPS {
             ckpt.save(&ckpt_dir).expect("checkpoint save");

@@ -20,38 +20,16 @@
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
+use dnsnoise_bench::util::{measure, RUNS};
 use dnsnoise_core::{DailyPipeline, DomainTree, Finding, Miner, MinerConfig};
 use dnsnoise_dns::SuffixList;
 use dnsnoise_resolver::{DayReport, ResolverSim, SimConfig};
 use dnsnoise_stream::{StreamConfig, StreamMiner, StreamReport};
 use dnsnoise_workload::{trace_io, DayTrace, GroundTruth, Scenario, ScenarioConfig};
 
-const RUNS: usize = 3;
-
 /// Per-entry overhead a hash table pays on top of key + value payload.
 const MAP_ENTRY_OVERHEAD: usize = 48;
-
-struct Measurement {
-    secs: f64,
-    events_per_sec: f64,
-}
-
-fn best_of<T>(trace_len: usize, mut run: impl FnMut() -> T) -> (Measurement, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        let result = run();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-        out = Some(result);
-    }
-    (Measurement { secs: best, events_per_sec: trace_len as f64 / best }, out.expect("RUNS >= 1"))
-}
 
 fn batch_run(trace: &DayTrace, gt: &GroundTruth, miner: &Miner) -> (DayReport, Vec<Finding>) {
     let mut sim = ResolverSim::new(SimConfig::default());
@@ -150,12 +128,12 @@ fn main() -> ExitCode {
     );
 
     eprintln!("measuring batch (replay + tree + mine) ...");
-    let (batch_m, _) = best_of(trace.events.len(), || batch_run(&trace, gt, &miner));
-    eprintln!("  batch   {:>10.0} events/s", batch_m.events_per_sec);
+    let (batch_m, _) = measure(trace.events.len(), || batch_run(&trace, gt, &miner));
+    eprintln!("  batch   {:>10.0} events/s", batch_m.per_sec);
 
     eprintln!("measuring stream (push loop + epoch closes) ...");
-    let (stream_m, report) = best_of(trace.events.len(), || stream_run(&trace, gt, &miner, config));
-    eprintln!("  stream  {:>10.0} events/s", stream_m.events_per_sec);
+    let (stream_m, report) = measure(trace.events.len(), || stream_run(&trace, gt, &miner, config));
+    eprintln!("  stream  {:>10.0} events/s", stream_m.per_sec);
 
     // What batch materialises to mine the same day: the trace text it
     // reads plus the exact per-RR table the tree is built from.
@@ -192,12 +170,12 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"batch\": {{\"secs\": {:.4}, \"events_per_sec\": {:.0}}},",
-        batch_m.secs, batch_m.events_per_sec
+        batch_m.secs, batch_m.per_sec
     );
     let _ = writeln!(
         json,
         "  \"stream\": {{\"secs\": {:.4}, \"events_per_sec\": {:.0}}},",
-        stream_m.secs, stream_m.events_per_sec
+        stream_m.secs, stream_m.per_sec
     );
     let _ = writeln!(
         json,

@@ -350,6 +350,7 @@ fn live_workspace_certified_surfaces_are_declared() {
     for surface in [
         "crates/dns/src/wire.rs",
         "crates/pdns/src/store/crc.rs",
+        "crates/pdns/src/store/frame.rs",
         "crates/pdns/src/store/io.rs",
         "crates/pdns/src/store/manifest.rs",
         "crates/pdns/src/store/run.rs",

@@ -15,14 +15,14 @@
 
 use std::path::Path;
 
-use super::crc::crc32;
 use super::error::StoreError;
+use super::frame::{self, malformed, FrameError, Reader};
 use super::io;
 use crate::rpdns::DailyNewRrs;
 
 /// Magic + format version leading every serialised manifest (format
-/// v2; v1 `dnman01` images carry one more fixed field and are rejected
-/// as unsupported).
+/// v2; v1 `dnman01` images carry one more fixed field and are refused
+/// with [`FrameError::Version`]).
 const MANIFEST_MAGIC: &[u8; 8] = b"dnman02\n";
 
 /// The manifest's file name inside a store directory.
@@ -67,12 +67,11 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serialises the manifest: magic, fixed fields, per-day counters,
-    /// run entries, CRC-32 footer over everything before the footer.
+    /// Serialises the manifest: fixed fields, per-day counters and run
+    /// entries, sealed in the shared frame.
     // lint:certify(no-panic)
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MANIFEST_MAGIC);
+        let mut body = Vec::new();
         for v in [
             self.seq,
             self.memtable_cap,
@@ -85,92 +84,51 @@ impl Manifest {
             self.per_day.len() as u64,
             self.runs.len() as u64,
         ] {
-            out.extend_from_slice(&v.to_be_bytes());
+            frame::put_u64(&mut body, v);
         }
         for day in &self.per_day {
-            out.extend_from_slice(&day.new_records.to_be_bytes());
-            out.extend_from_slice(&day.repeated_records.to_be_bytes());
+            frame::put_u64(&mut body, day.new_records);
+            frame::put_u64(&mut body, day.repeated_records);
         }
         for run in &self.runs {
-            let name = run.name.as_bytes();
-            out.extend_from_slice(&(name.len() as u16).to_be_bytes());
-            out.extend_from_slice(name);
-            out.extend_from_slice(&run.len.to_be_bytes());
-            out.extend_from_slice(&run.crc.to_be_bytes());
+            frame::put_blob16(&mut body, run.name.as_bytes());
+            frame::put_u64(&mut body, run.len);
+            frame::put_u32(&mut body, run.crc);
         }
-        let footer = crc32(&out);
-        out.extend_from_slice(&footer.to_be_bytes());
-        out
+        frame::seal(MANIFEST_MAGIC, &body)
     }
 
     /// Deserialises a manifest image. Total on arbitrary input: any
     /// truncation, bit flip, or forged length is an error, never a
-    /// panic — the footer CRC is checked before any field is trusted.
+    /// panic — the frame's footer CRC is checked before any field is
+    /// trusted.
     // lint:certify(no-panic)
-    pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, String> {
-        let Some((body, footer)) = bytes
-            .len()
-            .checked_sub(4)
-            .filter(|&split| split >= MANIFEST_MAGIC.len())
-            .and_then(|split| bytes.split_at_checked(split))
-        else {
-            return Err("manifest shorter than magic + footer".to_string());
+    pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, FrameError> {
+        let mut r = Reader::open(MANIFEST_MAGIC, bytes)?;
+        let mut m = Manifest {
+            seq: r.u64()?,
+            memtable_cap: r.u64()?,
+            fanout: r.u64()?,
+            next_run_id: r.u64()?,
+            observed: r.u64()?,
+            storage_bytes: r.u64()?,
+            flushes: r.u64()?,
+            compactions: r.u64()?,
+            per_day: Vec::new(),
+            runs: Vec::new(),
         };
-        let footer: [u8; 4] =
-            footer.try_into().map_err(|_| "manifest footer is not 4 bytes".to_string())?;
-        let stored = u32::from_be_bytes(footer);
-        if crc32(body) != stored {
-            return Err("manifest checksum mismatch".to_string());
-        }
-        if body.starts_with(b"dnman01\n") {
-            return Err("unsupported version: dnman01 manifest".to_string());
-        }
-        let rest = body.strip_prefix(MANIFEST_MAGIC.as_slice()).ok_or("bad manifest magic")?;
-        let mut cur = Cursor { bytes: rest, at: 0 };
-        let seq = cur.u64()?;
-        let memtable_cap = cur.u64()?;
-        let fanout = cur.u64()?;
-        let next_run_id = cur.u64()?;
-        let observed = cur.u64()?;
-        let storage_bytes = cur.u64()?;
-        let flushes = cur.u64()?;
-        let compactions = cur.u64()?;
-        let days = cur.len_prefixed_count()?;
-        let run_count = cur.len_prefixed_count()?;
-        let mut per_day = Vec::with_capacity(days);
-        for _ in 0..days {
-            let new_records = cur.u64()?;
-            let repeated_records = cur.u64()?;
-            per_day.push(DailyNewRrs { new_records, repeated_records });
-        }
-        let mut runs = Vec::with_capacity(run_count);
-        for _ in 0..run_count {
-            let name_len = usize::from(cur.u16()?);
-            let name = std::str::from_utf8(cur.take(name_len)?)
-                .map_err(|_| "run file name is not UTF-8".to_string())?
+        let days = r.count()?;
+        let run_count = r.count()?;
+        m.per_day =
+            r.seq(days, |r| Ok(DailyNewRrs { new_records: r.u64()?, repeated_records: r.u64()? }))?;
+        m.runs = r.seq(run_count, |r| {
+            let name = std::str::from_utf8(r.blob16()?)
+                .map_err(|_| malformed("run file name is not UTF-8"))?
                 .to_string();
-            let len = cur.u64()?;
-            let crc = cur.u32()?;
-            runs.push(RunFileMeta { name, len, crc });
-        }
-        if cur.at != cur.bytes.len() {
-            return Err(format!(
-                "{} trailing manifest bytes",
-                cur.bytes.len().saturating_sub(cur.at)
-            ));
-        }
-        Ok(Manifest {
-            seq,
-            memtable_cap,
-            fanout,
-            next_run_id,
-            observed,
-            storage_bytes,
-            flushes,
-            compactions,
-            per_day,
-            runs,
-        })
+            Ok(RunFileMeta { name, len: r.u64()?, crc: r.u32()? })
+        })?;
+        r.end()?;
+        Ok(m)
     }
 
     /// Atomically publishes this manifest as `dir/MANIFEST`.
@@ -181,63 +139,7 @@ impl Manifest {
     /// Loads `dir/MANIFEST`. `Ok(None)` when the file does not exist (a
     /// fresh store); corruption is an error, not a silent reset.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::io("read", &path, &e)),
-        };
-        Manifest::from_bytes(&bytes).map(Some).map_err(|detail| StoreError::corrupt(&path, detail))
-    }
-}
-
-/// A bounds-checked reader over the manifest body — every `take` is
-/// validated, so malformed input surfaces as `Err`, never as a slice
-/// panic.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    // lint:certify(no-panic)
-    fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(len).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err("truncated manifest".to_string());
-        };
-        let s = self.bytes.get(self.at..end).ok_or_else(|| "truncated manifest".to_string())?;
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let chunk: [u8; 8] =
-            self.take(8)?.try_into().map_err(|_| "truncated manifest".to_string())?;
-        Ok(u64::from_be_bytes(chunk))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let chunk: [u8; 4] =
-            self.take(4)?.try_into().map_err(|_| "truncated manifest".to_string())?;
-        Ok(u32::from_be_bytes(chunk))
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let chunk: [u8; 2] =
-            self.take(2)?.try_into().map_err(|_| "truncated manifest".to_string())?;
-        Ok(u16::from_be_bytes(chunk))
-    }
-
-    /// A count field, sanity-bounded by the bytes actually remaining so
-    /// a forged count cannot drive a huge up-front allocation.
-    fn len_prefixed_count(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| "count out of range".to_string())?;
-        if n > self.bytes.len().saturating_sub(self.at) {
-            return Err("count exceeds remaining bytes".to_string());
-        }
-        Ok(n)
+        frame::load(dir, MANIFEST_NAME, Manifest::from_bytes)
     }
 }
 
@@ -282,14 +184,22 @@ mod tests {
         // version, not parsed with every later field shifted by eight.
         let v2 = sample().to_bytes();
         let fixed = MANIFEST_MAGIC.len() + 3 * 8;
-        let mut v1 = b"dnman01\n".to_vec();
-        v1.extend_from_slice(&v2[MANIFEST_MAGIC.len()..fixed]);
-        v1.extend_from_slice(&32u64.to_be_bytes());
-        v1.extend_from_slice(&v2[fixed..v2.len() - 4]);
-        let footer = crc32(&v1);
-        v1.extend_from_slice(&footer.to_be_bytes());
-        let err = Manifest::from_bytes(&v1).unwrap_err();
-        assert!(err.contains("unsupported version"), "{err}");
+        let mut body = v2[MANIFEST_MAGIC.len()..fixed].to_vec();
+        body.extend_from_slice(&32u64.to_be_bytes());
+        body.extend_from_slice(&v2[fixed..v2.len() - 4]);
+        let err = Manifest::from_bytes(&frame::seal(b"dnman01\n", &body)).unwrap_err();
+        assert_eq!(err, FrameError::Version);
+        assert!(err.to_string().contains("unsupported version"), "{err}");
+    }
+
+    /// The on-disk bytes, pinned: the fixture was generated by the last
+    /// build with per-format framing (PR 13), so a `MANIFEST` that
+    /// build wrote opens under this one.
+    #[test]
+    fn image_matches_the_golden_fixture() {
+        let golden = frame::unhex(include_str!("../../tests/golden/manifest_v2.hex"));
+        assert_eq!(sample().to_bytes(), golden);
+        assert_eq!(Manifest::from_bytes(&golden), Ok(sample()));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 pub mod crc;
 pub mod engine;
 pub mod error;
+pub mod frame;
 pub mod index;
 pub mod io;
 pub mod keys;

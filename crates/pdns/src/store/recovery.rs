@@ -20,6 +20,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use super::error::StoreError;
+use super::frame::{self, FrameError};
 use super::io;
 use super::manifest::{Manifest, RunFileMeta, MANIFEST_NAME};
 use super::run::Run;
@@ -255,31 +256,28 @@ pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, Stor
     if let Some(m) = &manifest {
         for meta in &m.runs {
             listed.insert(meta.name.clone());
-            let path = dir.join(&meta.name);
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    report
-                        .class_mut(QuarantineClass::MissingRun)
-                        .record(0, format!("{}: listed in manifest, not on disk", meta.name));
-                    continue;
-                }
-                Err(e) => return Err(StoreError::io("read", &path, &e)),
+            // The parse closure cannot fail: a run that does not verify
+            // is a quarantine verdict, not a load error.
+            let read = frame::load(dir, &meta.name, |bytes| {
+                Ok((bytes.len() as u64, verify_run(meta, bytes)))
+            })?;
+            let Some((len, verdict)) = read else {
+                report
+                    .class_mut(QuarantineClass::MissingRun)
+                    .record(0, format!("{}: listed in manifest, not on disk", meta.name));
+                continue;
             };
-            report.bytes_scanned += bytes.len() as u64;
-            let verdict = verify_run(meta, &bytes);
+            report.bytes_scanned += len;
             match verdict {
                 Ok(run) => {
                     report.runs_live += 1;
-                    report.bytes_live += bytes.len() as u64;
+                    report.bytes_live += len;
                     live.push(ScannedRun { meta: meta.clone(), run });
                 }
                 Err((class, reason)) => {
-                    report.bytes_quarantined += bytes.len() as u64;
-                    report
-                        .class_mut(class)
-                        .record(bytes.len() as u64, format!("{}: {reason}", meta.name));
-                    corrupt_paths.push(path);
+                    report.bytes_quarantined += len;
+                    report.class_mut(class).record(len, format!("{}: {reason}", meta.name));
+                    corrupt_paths.push(dir.join(&meta.name));
                 }
             }
         }
@@ -333,13 +331,15 @@ fn verify_run(meta: &RunFileMeta, bytes: &[u8]) -> Result<Run, (QuarantineClass,
     if super::crc::crc32(bytes) != meta.crc {
         return Err((QuarantineClass::BadRunChecksum, "file CRC != manifest CRC".to_string()));
     }
-    Run::from_bytes(bytes).map_err(|reason| {
-        let class = if reason.contains("checksum") {
-            QuarantineClass::BadRunChecksum
-        } else {
-            QuarantineClass::BadRunLayout
+    Run::from_bytes(bytes).map_err(|e| {
+        let class = match e {
+            FrameError::Checksum => QuarantineClass::BadRunChecksum,
+            FrameError::Short
+            | FrameError::Magic
+            | FrameError::Version
+            | FrameError::Malformed(_) => QuarantineClass::BadRunLayout,
         };
-        (class, reason)
+        (class, e.to_string())
     })
 }
 
@@ -433,6 +433,38 @@ mod tests {
         assert_eq!(report.problems(), 9);
         assert!(report.conserves());
         assert!(report.render().contains("quarantine[orphan-file]: 9 files / 90 bytes"));
+    }
+
+    #[test]
+    fn verify_run_classifies_by_error_type() {
+        use super::super::crc::crc32;
+        use super::super::run::tests::{entries, out_of_order_image};
+
+        // Every image matches its manifest entry in length and whole-file
+        // CRC, so the verdict comes from the parse alone.
+        let class_of = |image: &[u8]| {
+            let meta = RunFileMeta {
+                name: "run-00000001.bin".to_string(),
+                len: image.len() as u64,
+                crc: crc32(image),
+            };
+            verify_run(&meta, image).map(|_| ()).map_err(|(class, _)| class)
+        };
+        let clean = Run::build(entries(40)).to_bytes();
+        assert_eq!(class_of(&clean), Ok(()));
+
+        let mut bad_footer = clean.clone();
+        *bad_footer.last_mut().unwrap() ^= 0x01;
+        assert_eq!(class_of(&bad_footer), Err(QuarantineClass::BadRunChecksum));
+
+        // A flipped day-column byte under a recomputed footer: only the
+        // run's own section CRC can catch it.
+        let (magic, rest) = clean.split_first_chunk::<8>().unwrap();
+        let mut body = rest[..rest.len() - 4].to_vec();
+        *body.last_mut().unwrap() ^= 0x01;
+        assert_eq!(class_of(&frame::seal(magic, &body)), Err(QuarantineClass::BadRunChecksum));
+
+        assert_eq!(class_of(&out_of_order_image()), Err(QuarantineClass::BadRunLayout));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! name column directly.
 //!
 //! [`Run::to_bytes`]/[`Run::from_bytes`] define the on-disk image the
-//! disk backend spills (format v2): magic + version, a fixed header,
-//! a CRC-32 per section (names, qtypes, rdata, days), the raw columns,
-//! and a footer CRC-32 over the whole image. `from_bytes` is *total*: on
+//! disk backend spills (format v2): inside the shared
+//! [`frame`](super::frame), a fixed header, a CRC-32 per section (names,
+//! qtypes, rdata, days) and the raw columns. `from_bytes` is *total*: on
 //! arbitrary, truncated, or bit-flipped input it returns an error — it
 //! never panics and never trusts a forged header (all size arithmetic is
 //! checked). The index is *not* serialised — it is a pure function of
@@ -22,12 +22,13 @@
 use dnsnoise_dns::RrKey;
 
 use super::crc::crc32;
+use super::frame::{self, malformed, FrameError, Reader};
 use super::index::{feature, RunIndex};
 use super::keys::{self, CompositeKey};
 
 /// Magic + version tag leading every serialised run (format v2: the
 /// checksummed layout; v1 `dnrun01` images predate the durability layer
-/// and are rejected as unsupported).
+/// and are refused with [`FrameError::Version`]).
 const RUN_MAGIC: &[u8; 8] = b"dnrun02\n";
 
 /// One immutable sorted run.
@@ -211,28 +212,23 @@ impl Run {
         [names, qtypes, rdata, days]
     }
 
-    /// Serialises the run into its on-disk image (format v2): magic,
-    /// `n`/`name_len`/`rdata_len` header, one CRC-32 per section, the
-    /// four sections, and a footer CRC-32 over everything before it.
+    /// Serialises the run into its on-disk image (format v2): the
+    /// `n`/`name_len`/`rdata_len` header, one CRC-32 per section and the
+    /// four sections, sealed in the shared frame.
     // lint:certify(no-panic)
     pub fn to_bytes(&self) -> Vec<u8> {
         let sections = self.section_bytes();
-        let mut out = Vec::new();
-        out.extend_from_slice(RUN_MAGIC);
-        let push_u64 =
-            |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&(v as u64).to_be_bytes());
-        push_u64(&mut out, self.len());
-        push_u64(&mut out, self.name_bytes.len());
-        push_u64(&mut out, self.rdata_bytes.len());
+        let mut body = Vec::new();
+        frame::put_u64(&mut body, self.len() as u64);
+        frame::put_u64(&mut body, self.name_bytes.len() as u64);
+        frame::put_u64(&mut body, self.rdata_bytes.len() as u64);
         for section in &sections {
-            out.extend_from_slice(&crc32(section).to_be_bytes());
+            frame::put_u32(&mut body, crc32(section));
         }
-        for section in &sections {
-            out.extend_from_slice(section);
+        for section in sections {
+            body.extend_from_slice(&section);
         }
-        let footer = crc32(&out);
-        out.extend_from_slice(&footer.to_be_bytes());
-        out
+        frame::seal(RUN_MAGIC, &body)
     }
 
     /// Deserialises a [`Run::to_bytes`] image, rebuilding the index.
@@ -246,33 +242,16 @@ impl Run {
     ///
     /// # Errors
     ///
-    /// Returns a message when the image is not a byte-exact, internally
-    /// consistent v2 run.
+    /// [`FrameError`] when the image is not a byte-exact, internally
+    /// consistent v2 run; a failed section CRC is
+    /// [`FrameError::Checksum`], like a failed footer.
     // lint:certify(no-panic)
-    pub fn from_bytes(bytes: &[u8]) -> Result<Run, String> {
-        let Some((checked, footer)) = bytes
-            .len()
-            .checked_sub(4)
-            .filter(|&split| split >= RUN_MAGIC.len())
-            .and_then(|split| bytes.split_at_checked(split))
-        else {
-            return Err("run image shorter than magic + footer".to_string());
-        };
-        let footer: [u8; 4] =
-            footer.try_into().map_err(|_| "run footer is not 4 bytes".to_string())?;
-        let stored = u32::from_be_bytes(footer);
-        if crc32(checked) != stored {
-            return Err("run footer checksum mismatch".to_string());
-        }
-        let rest = checked.strip_prefix(RUN_MAGIC.as_slice()).ok_or("bad run magic")?;
-        let Some((header, body)) = rest.split_at_checked(24 + 16) else {
-            return Err("truncated run header".to_string());
-        };
-        let n64 = be_u64(header.get(0..8).unwrap_or(&[]));
-        let name_len64 = be_u64(header.get(8..16).unwrap_or(&[]));
-        let rdata_len64 = be_u64(header.get(16..24).unwrap_or(&[]));
-        let section_crcs: Vec<u32> =
-            header.get(24..40).unwrap_or(&[]).chunks_exact(4).map(be_u32).collect();
+    pub fn from_bytes(bytes: &[u8]) -> Result<Run, FrameError> {
+        let mut r = Reader::open(RUN_MAGIC, bytes)?;
+        let n64 = r.u64()?;
+        let name_len64 = r.u64()?;
+        let rdata_len64 = r.u64()?;
+        let section_crcs = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
         // Checked expected-length arithmetic: a hostile header must not
         // be able to wrap these products and sneak past the length gate.
         let sizes = (|| {
@@ -285,35 +264,30 @@ impl Run {
             Some(([names, qtypes, rdata, days], total))
         })();
         let Some((section_sizes, expect)) = sizes else {
-            return Err("run header sizes overflow".to_string());
+            return Err(malformed("run header sizes overflow"));
         };
-        if body.len() as u64 != expect {
-            return Err(format!("run body is {} bytes, expected {expect}", body.len()));
+        let have = r.remaining();
+        if have as u64 != expect {
+            return Err(malformed(format!("run body is {have} bytes, expected {expect}")));
         }
         // The length gate passed, so every count fits comfortably in
         // memory-backed usize range.
         let n = n64 as usize;
         let name_len = name_len64 as usize;
         let rdata_len = rdata_len64 as usize;
-        let mut at = 0usize;
-        for (section, size) in section_crcs.iter().zip(section_sizes) {
-            let size = usize::try_from(size).map_err(|_| "run section too large".to_string())?;
-            let chunk = take_slice(body, &mut at, size)?;
-            if crc32(chunk) != *section {
-                return Err("run section checksum mismatch".to_string());
+        let mut sections = r.clone();
+        for (stored, size) in section_crcs.into_iter().zip(section_sizes) {
+            let size = usize::try_from(size).map_err(|_| malformed("run section too large"))?;
+            if crc32(sections.take(size)?) != stored {
+                return Err(FrameError::Checksum);
             }
         }
-        let mut at = 0usize;
-        let name_offsets: Vec<u32> =
-            take_slice(body, &mut at, (n + 1) * 4)?.chunks_exact(4).map(be_u32).collect();
-        let name_bytes = take_slice(body, &mut at, name_len)?.to_vec();
-        let qtypes: Vec<u16> =
-            take_slice(body, &mut at, n * 2)?.chunks_exact(2).map(be_u16).collect();
-        let rdata_offsets: Vec<u32> =
-            take_slice(body, &mut at, (n + 1) * 4)?.chunks_exact(4).map(be_u32).collect();
-        let rdata_bytes = take_slice(body, &mut at, rdata_len)?.to_vec();
-        let days: Vec<u64> =
-            take_slice(body, &mut at, n * 8)?.chunks_exact(8).map(be_u64).collect();
+        let name_offsets = r.seq(n + 1, Reader::u32)?;
+        let name_bytes = r.take(name_len)?.to_vec();
+        let qtypes = r.seq(n, Reader::u16)?;
+        let rdata_offsets = r.seq(n + 1, Reader::u32)?;
+        let rdata_bytes = r.take(rdata_len)?.to_vec();
+        let days = r.seq(n, Reader::u64)?;
         if name_offsets.first() != Some(&0)
             || name_offsets.last().copied() != u32::try_from(name_len).ok()
             || rdata_offsets.first() != Some(&0)
@@ -321,13 +295,13 @@ impl Run {
             || !offsets_monotonic(&name_offsets)
             || !offsets_monotonic(&rdata_offsets)
         {
-            return Err("inconsistent run offsets".to_string());
+            return Err(malformed("inconsistent run offsets"));
         }
         let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
         let index = RunIndex::build(&names);
         let run = Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
         if (0..n.saturating_sub(1)).any(|i| run.cmp_entries(i, i + 1) != std::cmp::Ordering::Less) {
-            return Err("run entries out of composite-key order".to_string());
+            return Err(malformed("run entries out of composite-key order"));
         }
         Ok(run)
     }
@@ -350,33 +324,6 @@ fn offsets_monotonic(offsets: &[u32]) -> bool {
     offsets.iter().zip(offsets.iter().skip(1)).all(|(a, b)| a <= b)
 }
 
-/// The next `len` bytes of `body` from `*at`, advancing the position.
-/// Bounds-checked: a forged length surfaces as `Err`, never a slice
-/// panic.
-// lint:certify(no-panic)
-fn take_slice<'b>(body: &'b [u8], at: &mut usize, len: usize) -> Result<&'b [u8], String> {
-    let end = at.checked_add(len).ok_or_else(|| "run body overrun".to_string())?;
-    let s = body.get(*at..end).ok_or_else(|| "run body overrun".to_string())?;
-    *at = end;
-    Ok(s)
-}
-
-/// Decodes a big-endian `u64` chunk; total — a wrong-width chunk (which
-/// `chunks_exact` never yields) decodes as zero.
-fn be_u64(chunk: &[u8]) -> u64 {
-    chunk.try_into().map(u64::from_be_bytes).unwrap_or(0)
-}
-
-/// Decodes a big-endian `u32` chunk; total, zero on wrong width.
-fn be_u32(chunk: &[u8]) -> u32 {
-    chunk.try_into().map(u32::from_be_bytes).unwrap_or(0)
-}
-
-/// Decodes a big-endian `u16` chunk; total, zero on wrong width.
-fn be_u16(chunk: &[u8]) -> u16 {
-    chunk.try_into().map(u16::from_be_bytes).unwrap_or(0)
-}
-
 /// `partition_point` over `0..n` by index predicate (the columns are not
 /// slices of one element type, so the stdlib slice helper does not
 /// apply).
@@ -395,13 +342,13 @@ fn partition_point_idx(n: usize, pred: impl Fn(usize) -> bool) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::keys::encode_key;
     use super::*;
     use dnsnoise_dns::{Name, QType, RData};
     use std::net::Ipv4Addr;
 
-    fn entries(n: u32) -> Vec<(CompositeKey, u64)> {
+    pub(crate) fn entries(n: u32) -> Vec<(CompositeKey, u64)> {
         let mut out: Vec<(CompositeKey, u64)> = (0..n)
             .map(|i| {
                 let name: Name = format!("d{i:06}.zone{}.example", i % 7).parse().unwrap();
@@ -470,10 +417,22 @@ mod tests {
 
     #[test]
     fn v1_images_are_rejected_as_unsupported() {
-        let run = Run::build(entries(5));
-        let mut bytes = run.to_bytes();
-        bytes[5] = b'1'; // dnrun02 -> dnrun01
-        assert!(Run::from_bytes(&bytes).is_err());
+        let v2 = Run::build(entries(5)).to_bytes();
+        let v1 = frame::seal(b"dnrun01\n", &v2[RUN_MAGIC.len()..v2.len() - 4]);
+        let err = Run::from_bytes(&v1).unwrap_err();
+        assert_eq!(err, FrameError::Version);
+        assert!(err.to_string().contains("unsupported version"), "{err}");
+    }
+
+    /// The on-disk bytes, pinned: the fixture was generated by the last
+    /// build with per-format framing (PR 13), so a spill directory that
+    /// build wrote opens under this one.
+    #[test]
+    fn image_matches_the_golden_fixture() {
+        let golden = frame::unhex(include_str!("../../tests/golden/run_v2.hex"));
+        let run = Run::build(entries(40));
+        assert_eq!(run.to_bytes(), golden);
+        assert_eq!(Run::from_bytes(&golden).expect("golden image parses"), run);
     }
 
     #[test]
@@ -487,12 +446,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_order_entries_are_rejected_even_with_valid_checksums() {
-        // Hand-build an image whose sections checksum correctly but whose
-        // entries violate the composite-key sort order: swap two days'
-        // worth of columns by rebuilding from swapped entries via the
-        // private constructor path.
+    /// A hand-built image whose frame and sections checksum correctly
+    /// but whose entries violate the composite-key sort order: two
+    /// entries swapped, assembled through the private fields.
+    pub(crate) fn out_of_order_image() -> Vec<u8> {
         let mut e = entries(10);
         e.swap(2, 7);
         let n = e.len();
@@ -514,10 +471,13 @@ mod tests {
             .map(|i| &name_bytes[name_offsets[i] as usize..name_offsets[i + 1] as usize])
             .collect();
         let index = RunIndex::build(&names);
-        let rogue =
-            Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
-        let err = Run::from_bytes(&rogue.to_bytes()).unwrap_err();
-        assert!(err.contains("order"), "{err}");
+        Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }.to_bytes()
+    }
+
+    #[test]
+    fn out_of_order_entries_are_rejected_even_with_valid_checksums() {
+        let err = Run::from_bytes(&out_of_order_image()).unwrap_err();
+        assert!(err.to_string().contains("order"), "{err}");
     }
 
     #[test]

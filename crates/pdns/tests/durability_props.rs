@@ -1,9 +1,10 @@
-//! Total-parser properties for the durable file formats: run images and
-//! manifests must round-trip bit-exactly, and every truncation, bit
-//! flip, or arbitrary byte string must come back as `Err` — never a
-//! panic, never a silently wrong value.
+//! Total-parser properties for the durable file formats: the shared
+//! frame, run images and manifests must round-trip bit-exactly, and
+//! every truncation, bit flip, or arbitrary byte string must come back
+//! as `Err` — never a panic, never a silently wrong value.
 
 use dnsnoise_dns::{Name, QType, RData};
+use dnsnoise_pdns::store::frame::{self, FrameError, Reader};
 use dnsnoise_pdns::store::keys::{encode_key, CompositeKey};
 use dnsnoise_pdns::store::manifest::{Manifest, RunFileMeta};
 use dnsnoise_pdns::store::run::Run;
@@ -66,7 +67,64 @@ fn arb_manifest() -> impl Strategy<Value = Manifest> {
         })
 }
 
+/// A magic in the shape every durable artifact uses: 1–6 tag letters,
+/// version digits filling the rest, and the closing newline.
+fn arb_magic() -> impl Strategy<Value = [u8; 8]> {
+    (
+        1usize..7,
+        proptest::string::string_regex("[a-z]{6}").unwrap(),
+        proptest::string::string_regex("[0-9]{6}").unwrap(),
+    )
+        .prop_map(|(tag_len, letters, digits)| {
+            let mut magic = [b'\n'; 8];
+            magic[..tag_len].copy_from_slice(&letters.as_bytes()[..tag_len]);
+            magic[tag_len..7].copy_from_slice(&digits.as_bytes()[tag_len - 1..]);
+            magic
+        })
+}
+
 proptest! {
+    /// The frame's guarantees, once, at the frame: `seal` → `open` hands
+    /// back exactly the body; every strict prefix and every single-bit
+    /// flip is rejected; a valid image is `Magic` under a foreign tag
+    /// and `Version` under the same tag with another version digit;
+    /// arbitrary bytes, with or without the magic in front, never panic.
+    #[test]
+    fn frame_roundtrips_and_rejects_every_mutation(
+        magic in arb_magic(),
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let _ = Reader::open(&magic, &body);
+        let _ = Reader::open(&magic, &[&magic[..], &body[..]].concat());
+
+        let image = frame::seal(&magic, &body);
+        let mut r = Reader::open(&magic, &image).expect("pristine frame opens");
+        prop_assert_eq!(r.take(body.len()).expect("whole body"), &body[..]);
+        prop_assert_eq!(r.end(), Ok(()));
+
+        for cut in 0..image.len() {
+            prop_assert!(
+                Reader::open(&magic, &image[..cut]).is_err(),
+                "truncation to {} bytes must be rejected", cut
+            );
+        }
+        for bit in 0..image.len() * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(
+                Reader::open(&magic, &flipped).is_err(),
+                "flip of bit {} must be rejected", bit
+            );
+        }
+
+        let mut foreign = magic;
+        foreign[0] = if magic[0] == b'z' { b'a' } else { magic[0] + 1 };
+        prop_assert_eq!(Reader::open(&foreign, &image).unwrap_err(), FrameError::Magic);
+        let mut other_version = magic;
+        other_version[6] = if magic[6] == b'9' { b'0' } else { magic[6] + 1 };
+        prop_assert_eq!(Reader::open(&other_version, &image).unwrap_err(), FrameError::Version);
+    }
+
     /// `Run::to_bytes` → `Run::from_bytes` is the identity on the wire
     /// image, and no mutation of the image survives the checksum gates:
     /// every truncation and every sampled bit flip is rejected.

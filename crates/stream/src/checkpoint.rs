@@ -14,20 +14,23 @@
 //! replaying the first [`Checkpoint::pushed`] trace events through a
 //! fresh session with a unit observer.
 //!
-//! The on-disk format follows the store's durability conventions
-//! (DESIGN.md §9): a magic + version header, big-endian fixed-width
-//! fields, length-prefixed sequences, and a CRC-32 footer over the whole
-//! image, written via the same atomic staged-rename writer the run
-//! store uses. Parsing is total on arbitrary bytes — truncation, bit
-//! flips, and forged lengths surface as errors, never panics — with the
-//! footer checksum verified before any field is trusted; decoded keys
-//! behind a valid checksum are trusted, as in the run format.
+//! The on-disk format is the store's shared frame (DESIGN.md §9.1,
+//! `dnsnoise_pdns::store::frame`) around big-endian fixed-width fields
+//! and length-prefixed sequences, written via the same atomic
+//! staged-rename writer the run store uses; this module is only the
+//! field encoders and decoders. Parsing is total on arbitrary bytes —
+//! truncation, bit flips, and forged lengths surface as errors, never
+//! panics — with the footer checksum verified before any field is
+//! trusted; decoded keys behind a valid checksum are trusted, as in the
+//! run format.
 
 use std::path::Path;
 
 use dnsnoise_core::Finding;
 use dnsnoise_dns::{Name, QType, Timestamp, Ttl};
-use dnsnoise_pdns::store::crc::crc32;
+use dnsnoise_pdns::store::frame::{
+    self, malformed, put_blob16, put_u16, put_u32, put_u64, FrameError, Reader,
+};
 use dnsnoise_pdns::store::keys::{self, CompositeKey};
 use dnsnoise_pdns::store::{io, PdnsStore};
 use dnsnoise_pdns::{
@@ -279,10 +282,10 @@ impl Checkpoint {
         })
     }
 
-    /// Serialises the checkpoint: magic, fields, CRC-32 footer.
+    /// Serialises the checkpoint: every field, sealed in the shared
+    /// frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(CHECKPOINT_MAGIC);
         put_u64(&mut out, self.epoch_secs);
         put_u64(&mut out, self.cm_width as u64);
         put_u64(&mut out, self.cm_depth as u64);
@@ -340,7 +343,7 @@ impl Checkpoint {
         put_u64(&mut out, self.fpdns.storage_bytes);
         put_u64(&mut out, self.fpdns.wire_roundtrips);
         put_u64(&mut out, self.fpdns.wire_parse_failures);
-        out.extend_from_slice(&self.fpdns.next_txid.to_be_bytes());
+        put_u16(&mut out, self.fpdns.next_txid);
         for hour in self.fpdns.hourly_records.iter().chain(&self.fpdns.hourly_storage_bytes) {
             put_u64(&mut out, *hour);
         }
@@ -349,8 +352,8 @@ impl Checkpoint {
             put_u64(&mut out, r.timestamp.as_secs());
             put_u64(&mut out, r.client);
             put_name(&mut out, &r.name);
-            out.extend_from_slice(&r.qtype.code().to_be_bytes());
-            out.extend_from_slice(&r.ttl.as_secs().to_be_bytes());
+            put_u16(&mut out, r.qtype.code());
+            put_u32(&mut out, r.ttl.as_secs());
             put_blob16(&mut out, &keys::encode_rdata(&r.rdata));
         }
         put_u64(&mut out, self.rpdns_per_day.len() as u64);
@@ -365,7 +368,7 @@ impl Checkpoint {
             put_u64(&mut out, entries.len() as u64);
             for ((name, qtype, rdata), day) in entries {
                 put_blob16(&mut out, name);
-                out.extend_from_slice(&qtype.to_be_bytes());
+                put_u16(&mut out, *qtype);
                 put_blob16(&mut out, rdata);
                 put_u64(&mut out, *day);
             }
@@ -379,32 +382,15 @@ impl Checkpoint {
         put_u64(&mut out, self.nxdomain);
         put_u64(&mut out, self.failed);
         put_u64(&mut out, self.shed);
-        let footer = crc32(&out);
-        out.extend_from_slice(&footer.to_be_bytes());
-        out
+        frame::seal(CHECKPOINT_MAGIC, &out)
     }
 
     /// Deserialises a checkpoint image. Total on arbitrary input: any
     /// truncation, bit flip, or forged length is an error, never a
     /// panic — the footer CRC is checked before any field is trusted.
     // lint:certify(no-panic)
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, String> {
-        let Some((body, footer)) = bytes
-            .len()
-            .checked_sub(4)
-            .filter(|&split| split >= CHECKPOINT_MAGIC.len())
-            .and_then(|split| bytes.split_at_checked(split))
-        else {
-            return Err("checkpoint shorter than magic + footer".to_string());
-        };
-        let footer: [u8; 4] =
-            footer.try_into().map_err(|_| "checkpoint footer is not 4 bytes".to_string())?;
-        let stored = u32::from_be_bytes(footer);
-        if crc32(body) != stored {
-            return Err("checkpoint checksum mismatch".to_string());
-        }
-        let rest = body.strip_prefix(CHECKPOINT_MAGIC.as_slice()).ok_or("bad checkpoint magic")?;
-        let mut cur = Cursor { bytes: rest, at: 0 };
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, FrameError> {
+        let mut cur = Reader::open(CHECKPOINT_MAGIC, bytes)?;
         let epoch_secs = cur.u64()?;
         let cm_width = cur.usize()?;
         let cm_depth = cur.usize()?;
@@ -413,69 +399,41 @@ impl Checkpoint {
         let backend = match cur.u8()? {
             0 => BackendKind::Memory,
             1 => BackendKind::Disk,
-            other => return Err(format!("unknown store backend tag {other}")),
+            other => return Err(malformed(format!("unknown store backend tag {other}"))),
         };
         let day = cur.u64()?;
         let pushed = cur.u64()?;
-        let has_current = cur.u8()?;
+        let has_current = cur.bool()?;
         let current_raw = cur.u64()?;
-        let current_epoch = match has_current {
-            0 => None,
-            1 => Some(current_raw),
-            other => return Err(format!("bad current-epoch flag {other}")),
-        };
+        let current_epoch = has_current.then_some(current_raw);
         let peak_state_bytes = cur.usize()?;
-        let epoch_count = cur.count()?;
-        let mut epochs = Vec::with_capacity(epoch_count);
-        for _ in 0..epoch_count {
-            let epoch = cur.u64()?;
-            let end_secs = cur.u64()?;
-            let events = cur.u64()?;
-            let distinct_names = cur.u64()?;
-            let distinct_names_est = cur.u64()?;
-            let distinct_clients_est = cur.u64()?;
-            let state_bytes = cur.usize()?;
-            let finding_count = cur.count()?;
-            let mut findings = Vec::with_capacity(finding_count);
-            for _ in 0..finding_count {
-                findings.push(cur.finding()?);
-            }
-            epochs.push(EpochSummary {
-                epoch,
-                end_secs,
-                events,
-                findings,
-                distinct_names,
-                distinct_names_est,
-                distinct_clients_est,
-                state_bytes,
-            });
-        }
-        let name_count = cur.count()?;
-        let mut names = Vec::with_capacity(name_count);
-        for _ in 0..name_count {
-            let name = cur.name()?;
-            let fp_count = cur.count()?;
-            let mut fps = Vec::with_capacity(fp_count);
-            for _ in 0..fp_count {
-                fps.push(cur.u64()?);
-            }
-            names.push((name, fps));
-        }
+        let n = cur.count()?;
+        let epochs = cur.seq(n, |r| {
+            Ok(EpochSummary {
+                epoch: r.u64()?,
+                end_secs: r.u64()?,
+                events: r.u64()?,
+                distinct_names: r.u64()?,
+                distinct_names_est: r.u64()?,
+                distinct_clients_est: r.u64()?,
+                state_bytes: r.usize()?,
+                findings: {
+                    let n = r.count()?;
+                    r.seq(n, read_finding)?
+                },
+            })
+        })?;
+        let n = cur.count()?;
+        let names = cur.seq(n, |r| {
+            let name = read_name(r)?;
+            let n = r.count()?;
+            Ok((name, r.seq(n, Reader::u64)?))
+        })?;
         let registry_bytes = cur.u64()?;
-        let mut cm_rows = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let cells = cur.count()?;
-            let mut rows = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                rows.push(cur.u64()?);
-            }
-            cm_rows.push(rows);
-        }
-        let (cm_misses_rows, cm_queries_rows) = match (cm_rows.pop(), cm_rows.pop()) {
-            (Some(misses), Some(queries)) => (misses, queries),
-            _ => return Err("sketch row sets missing".to_string()),
-        };
+        let n = cur.count()?;
+        let cm_queries_rows = cur.seq(n, Reader::u64)?;
+        let n = cur.count()?;
+        let cm_misses_rows = cur.seq(n, Reader::u64)?;
         let cm_queries_total = cur.u64()?;
         let cm_misses_total = cur.u64()?;
         let regs = cur.count()?;
@@ -498,23 +456,22 @@ impl Checkpoint {
             }
         }
         let [hourly_records, hourly_storage_bytes] = hourly;
-        let retained_count = cur.count()?;
-        let mut retained = Vec::with_capacity(retained_count);
-        for _ in 0..retained_count {
-            let timestamp = Timestamp::from_secs(cur.u64()?);
-            let client = cur.u64()?;
-            let name = cur.name()?;
-            let qtype_code = cur.u16()?;
+        let n = cur.count()?;
+        let retained = cur.seq(n, |r| {
+            let timestamp = Timestamp::from_secs(r.u64()?);
+            let client = r.u64()?;
+            let name = read_name(r)?;
+            let qtype_code = r.u16()?;
             let qtype = QType::from_code(qtype_code)
-                .ok_or_else(|| format!("unknown qtype code {qtype_code}"))?;
-            let ttl = Ttl::from_secs(cur.u32()?);
-            let rdata_bytes = cur.blob16()?;
+                .ok_or_else(|| malformed(format!("unknown qtype code {qtype_code}")))?;
+            let ttl = Ttl::from_secs(r.u32()?);
+            let rdata_bytes = r.blob16()?;
             if rdata_bytes.is_empty() {
-                return Err("empty rdata encoding".to_string());
+                return Err(malformed("empty rdata encoding"));
             }
-            let rdata = keys::decode_rdata(rdata_bytes)?;
-            retained.push(FpDnsRecord { timestamp, client, name, qtype, ttl, rdata });
-        }
+            let rdata = keys::decode_rdata(rdata_bytes).map_err(malformed)?;
+            Ok(FpDnsRecord { timestamp, client, name, qtype, ttl, rdata })
+        })?;
         let fpdns = FpDnsLogParts {
             retain,
             exercise_wire,
@@ -529,49 +486,29 @@ impl Checkpoint {
             hourly_records,
             hourly_storage_bytes,
         };
-        let day_count = cur.count()?;
-        let mut rpdns_per_day = Vec::with_capacity(day_count);
-        for _ in 0..day_count {
-            let new_records = cur.u64()?;
-            let repeated_records = cur.u64()?;
-            rpdns_per_day.push(DailyNewRrs { new_records, repeated_records });
-        }
+        let n = cur.count()?;
+        let rpdns_per_day =
+            cur.seq(n, |r| Ok(DailyNewRrs { new_records: r.u64()?, repeated_records: r.u64()? }))?;
         let rpdns_storage_bytes = cur.u64()?;
         let rpdns_flushes = cur.u64()?;
         let rpdns_compactions = cur.u64()?;
-        let mut keyed = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let entry_count = cur.count()?;
-            let mut entries: Vec<(CompositeKey, u64)> = Vec::with_capacity(entry_count);
-            for _ in 0..entry_count {
-                let name = cur.blob16()?.to_vec();
-                let qtype = cur.u16()?;
-                let rdata = cur.blob16()?.to_vec();
-                let entry_day = cur.u64()?;
-                entries.push(((name, qtype, rdata), entry_day));
-            }
-            keyed.push(entries);
-        }
-        let (rpdns_memtable, rpdns_memory) = match (keyed.pop(), keyed.pop()) {
-            (Some(memtable), Some(memory)) => (memtable, memory),
-            _ => return Err("keyed entry sets missing".to_string()),
+        let keyed = |r: &mut Reader<'_>| -> Result<(CompositeKey, u64), FrameError> {
+            Ok(((r.blob16()?.to_vec(), r.u16()?, r.blob16()?.to_vec()), r.u64()?))
         };
-        let run_count = cur.count()?;
-        let mut rpdns_runs = Vec::with_capacity(run_count);
-        for _ in 0..run_count {
-            let len = cur.count()?;
-            rpdns_runs.push(cur.take(len)?.to_vec());
-        }
+        let n = cur.count()?;
+        let rpdns_memory = cur.seq(n, keyed)?;
+        let n = cur.count()?;
+        let rpdns_memtable = cur.seq(n, keyed)?;
+        let n = cur.count()?;
+        let rpdns_runs = cur.seq(n, |r| {
+            let len = r.count()?;
+            Ok(r.take(len)?.to_vec())
+        })?;
         let answered = cur.u64()?;
         let nxdomain = cur.u64()?;
         let failed = cur.u64()?;
         let shed = cur.u64()?;
-        if cur.at != cur.bytes.len() {
-            return Err(format!(
-                "{} trailing checkpoint bytes",
-                cur.bytes.len().saturating_sub(cur.at)
-            ));
-        }
+        cur.end()?;
         Ok(Checkpoint {
             epoch_secs,
             cm_width,
@@ -618,28 +555,8 @@ impl Checkpoint {
     /// exist (a fresh start); corruption is an error, not a silent
     /// restart from zero.
     pub fn load(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
-        let path = dir.join(CHECKPOINT_NAME);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::io("read", &path, &e)),
-        };
-        Checkpoint::from_bytes(&bytes)
-            .map(Some)
-            .map_err(|detail| StoreError::corrupt(&path, detail))
+        frame::load(dir, CHECKPOINT_NAME, Checkpoint::from_bytes)
     }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// A `u16`-length-prefixed short blob (names, keys, rdata — all bounded
-/// well below 64 KiB by the DNS wire format).
-fn put_blob16(out: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= usize::from(u16::MAX));
-    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-    out.extend_from_slice(bytes);
 }
 
 fn put_name(out: &mut Vec<u8>, name: &Name) {
@@ -653,88 +570,22 @@ fn put_finding(out: &mut Vec<u8>, f: &Finding) {
     put_u64(out, f.members as u64);
 }
 
-/// A bounds-checked reader over the checkpoint body — every `take` is
-/// validated, so malformed input surfaces as `Err`, never as a slice
-/// panic.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
+// lint:certify(no-panic)
+fn read_name(r: &mut Reader<'_>) -> Result<Name, FrameError> {
+    let text = std::str::from_utf8(r.blob16()?).map_err(|_| malformed("name is not UTF-8"))?;
+    text.parse::<Name>().map_err(|e| malformed(format!("bad name `{text}`: {e}")))
 }
 
-impl<'a> Cursor<'a> {
-    // lint:certify(no-panic)
-    fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(len).ok_or_else(|| "truncated checkpoint".to_string())?;
-        let s = self.bytes.get(self.at..end).ok_or_else(|| "truncated checkpoint".to_string())?;
-        self.at = end;
-        Ok(s)
+// lint:certify(no-panic)
+fn read_finding(r: &mut Reader<'_>) -> Result<Finding, FrameError> {
+    let zone = read_name(r)?;
+    let depth = r.usize()?;
+    let confidence = f64::from_bits(r.u64()?);
+    let members = r.usize()?;
+    if !confidence.is_finite() {
+        return Err(malformed("finding confidence is not finite"));
     }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        self.take(1)?.first().copied().ok_or_else(|| "truncated checkpoint".to_string())
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("bad boolean byte {other}")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let chunk: [u8; 2] =
-            self.take(2)?.try_into().map_err(|_| "truncated checkpoint".to_string())?;
-        Ok(u16::from_be_bytes(chunk))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let chunk: [u8; 4] =
-            self.take(4)?.try_into().map_err(|_| "truncated checkpoint".to_string())?;
-        Ok(u32::from_be_bytes(chunk))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let chunk: [u8; 8] =
-            self.take(8)?.try_into().map_err(|_| "truncated checkpoint".to_string())?;
-        Ok(u64::from_be_bytes(chunk))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|_| "value out of range".to_string())
-    }
-
-    /// A count field, sanity-bounded by the bytes actually remaining so
-    /// a forged count cannot drive a huge up-front allocation.
-    fn count(&mut self) -> Result<usize, String> {
-        let n = self.usize()?;
-        if n > self.bytes.len().saturating_sub(self.at) {
-            return Err("count exceeds remaining bytes".to_string());
-        }
-        Ok(n)
-    }
-
-    fn blob16(&mut self) -> Result<&'a [u8], String> {
-        let len = usize::from(self.u16()?);
-        self.take(len)
-    }
-
-    fn name(&mut self) -> Result<Name, String> {
-        let text =
-            std::str::from_utf8(self.blob16()?).map_err(|_| "name is not UTF-8".to_string())?;
-        text.parse::<Name>().map_err(|e| format!("bad name `{text}`: {e}"))
-    }
-
-    fn finding(&mut self) -> Result<Finding, String> {
-        let zone = self.name()?;
-        let depth = self.usize()?;
-        let confidence = f64::from_bits(self.u64()?);
-        let members = self.usize()?;
-        if !confidence.is_finite() {
-            return Err("finding confidence is not finite".to_string());
-        }
-        Ok(Finding { zone, depth, confidence, members })
-    }
+    Ok(Finding { zone, depth, confidence, members })
 }
 
 #[cfg(test)]
@@ -823,6 +674,33 @@ mod tests {
         let bytes = ckpt.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    /// The on-disk bytes, pinned: the fixture was generated by the last
+    /// build with per-format framing (PR 13), so a `checkpoint.bin` that
+    /// build wrote opens under this one.
+    #[test]
+    fn image_matches_the_golden_fixture() {
+        let digits: Vec<u8> = include_str!("../tests/golden/checkpoint_v1.hex")
+            .bytes()
+            .filter(u8::is_ascii_hexdigit)
+            .collect();
+        let golden: Vec<u8> = digits
+            .chunks_exact(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        assert_eq!(sample().to_bytes(), golden);
+        let back = Checkpoint::from_bytes(&golden).expect("golden image parses");
+        assert_eq!(back.to_bytes(), golden);
+    }
+
+    #[test]
+    fn other_versions_are_rejected_as_unsupported() {
+        let v1 = sample().to_bytes();
+        let v0 = frame::seal(b"dnckpt0\n", &v1[CHECKPOINT_MAGIC.len()..v1.len() - 4]);
+        let err = Checkpoint::from_bytes(&v0).unwrap_err();
+        assert_eq!(err, FrameError::Version);
+        assert!(err.to_string().contains("unsupported version"), "{err}");
     }
 
     #[test]

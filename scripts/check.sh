@@ -143,8 +143,8 @@ CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke >"$smoke_dir/bench.
 echo "== cargo test ==" >&2
 cargo test -q --offline
 
-echo "== cargo clippy -D warnings ==" >&2
-cargo clippy --workspace --offline -- -D warnings
+echo "== cargo clippy --all-targets -D warnings ==" >&2
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo fmt --check ==" >&2
 cargo fmt --check
