@@ -9,14 +9,15 @@
 //!
 //! Two figures matter here. Throughput: events/sec for the batch replay
 //! (materialise the day, then build the tree and mine) versus the
-//! streaming push loop (sketch updates per event plus periodic epoch
-//! closes). Memory: the streaming miner's peak resident state — sketches
-//! plus the name registry — versus what the batch path must materialise:
-//! the full trace text plus the exact per-RR statistics table.
+//! streaming push loop (registry and HyperLogLog updates per event plus
+//! periodic epoch closes). Memory: the streaming miner's peak resident
+//! state — the name registry plus two HyperLogLogs — versus what the
+//! batch path must materialise: the full trace text plus the exact
+//! per-RR statistics table.
 //!
 //! As in the other benches, correctness is gated before the stopwatch:
-//! two streaming runs must render byte-identically, and a run with
-//! oversized sketches must reproduce the batch findings exactly.
+//! two streaming runs must render byte-identically, and the measured
+//! configuration must reproduce the batch findings exactly.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -116,15 +117,13 @@ fn main() -> ExitCode {
     assert_eq!(first.render(), again.render(), "streaming run is not deterministic");
     assert!(first.conserves(), "{}", first.conservation_line());
 
-    // Second: with sketches sized above the distinct-record count the
-    // estimates are exact and the findings must equal batch mining.
+    // Second: the registry's counters are exact, so the findings of the
+    // run being measured must equal batch mining.
     let (batch_report, batch_findings) = batch_run(&trace, gt, &miner);
-    let oversized = StreamConfig { cm_width: 1 << 20, ..config };
-    let exact = stream_run(&trace, gt, &miner, oversized);
     assert_eq!(
-        sorted_findings(exact.final_findings),
+        sorted_findings(first.final_findings),
         sorted_findings(batch_findings.clone()),
-        "oversized sketches must reproduce batch findings"
+        "streamed findings must equal batch findings"
     );
 
     eprintln!("measuring batch (replay + tree + mine) ...");
@@ -162,11 +161,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(json, "  \"epoch_secs\": {epoch_secs},");
     let _ = writeln!(json, "  \"epochs_closed\": {},", report.epochs.len());
-    let _ = writeln!(
-        json,
-        "  \"sketches\": {{\"cm_width\": {}, \"cm_depth\": {}, \"hll_precision\": {}}},",
-        config.cm_width, config.cm_depth, config.hll_precision
-    );
+    let _ = writeln!(json, "  \"sketches\": {{\"hll_precision\": {}}},", config.hll_precision);
     let _ = writeln!(
         json,
         "  \"batch\": {{\"secs\": {:.4}, \"events_per_sec\": {:.0}}},",

@@ -4,12 +4,12 @@
 //! byte-identical to an uninterrupted run.
 //!
 //! A [`Checkpoint`] captures everything the miner owns — the name
-//! registry, both count-min sketches, both HyperLogLogs, the fpDNS and
-//! rpDNS datasets (including the disk backend's exact memtable and run
-//! layout, so its subsequent compaction decisions are identical), the
-//! epoch summaries closed so far, and the served-class tallies. What it
-//! deliberately does *not* capture is the resolver session: its caches
-//! are a pure function of the event prefix, so
+//! registry with its exact per-record counters, both HyperLogLogs, the
+//! fpDNS and rpDNS datasets (including the disk backend's exact memtable
+//! and run layout, so its subsequent compaction decisions are
+//! identical), the epoch summaries closed so far, and the served-class
+//! tallies. What it deliberately does *not* capture is the resolver
+//! session: its caches are a pure function of the event prefix, so
 //! [`StreamMiner::resume`](crate::StreamMiner::resume) rebuilds them by
 //! replaying the first [`Checkpoint::pushed`] trace events through a
 //! fresh session with a unit observer.
@@ -38,13 +38,13 @@ use dnsnoise_pdns::{
     RunStore, StoreError,
 };
 
-use crate::engine::{
-    EpochSummary, StreamConfig, StreamState, CM_MISSES_SEED_XOR, HLL_NAMES_SEED_XOR,
-};
-use crate::sketch::{CountMinSketch, HyperLogLog};
+use crate::engine::{EpochSummary, RecordCount, StreamConfig, StreamState, HLL_NAMES_SEED_XOR};
+use crate::sketch::HyperLogLog;
 
-/// Magic + format version leading every serialised checkpoint.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt1\n";
+/// Magic + format version leading every serialised checkpoint. Version 1
+/// (sketch tables in place of the registry's counters) is refused as
+/// `FrameError::Version`.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt2\n";
 
 /// The checkpoint's file name inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
@@ -56,8 +56,6 @@ pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
 pub struct Checkpoint {
     // -- configuration echo, verified on resume --
     pub(crate) epoch_secs: u64,
-    pub(crate) cm_width: usize,
-    pub(crate) cm_depth: usize,
     pub(crate) hll_precision: u8,
     pub(crate) seed: u64,
     pub(crate) backend: BackendKind,
@@ -72,13 +70,9 @@ pub struct Checkpoint {
     pub(crate) peak_state_bytes: usize,
     pub(crate) epochs: Vec<EpochSummary>,
     // -- name registry --
-    pub(crate) names: Vec<(Name, Vec<u64>)>,
+    pub(crate) names: Vec<(Name, Vec<RecordCount>)>,
     pub(crate) registry_bytes: u64,
-    // -- sketches --
-    pub(crate) cm_queries_rows: Vec<u64>,
-    pub(crate) cm_queries_total: u64,
-    pub(crate) cm_misses_rows: Vec<u64>,
-    pub(crate) cm_misses_total: u64,
+    // -- cardinality estimators --
     pub(crate) hll_clients_regs: Vec<u8>,
     pub(crate) hll_names_regs: Vec<u8>,
     // -- pDNS datasets --
@@ -133,8 +127,6 @@ impl Checkpoint {
             };
         Checkpoint {
             epoch_secs: config.epoch_secs,
-            cm_width: config.cm_width,
-            cm_depth: config.cm_depth,
             hll_precision: config.hll_precision,
             seed: config.seed,
             backend: state.rpdns.kind(),
@@ -143,12 +135,8 @@ impl Checkpoint {
             current_epoch,
             peak_state_bytes,
             epochs: epochs.to_vec(),
-            names: state.names.iter().map(|(n, fps)| (n.clone(), fps.clone())).collect(),
+            names: state.names.iter().map(|(n, rs)| (n.clone(), rs.clone())).collect(),
             registry_bytes: state.registry_bytes as u64,
-            cm_queries_rows: state.cm_queries.rows().to_vec(),
-            cm_queries_total: state.cm_queries.total(),
-            cm_misses_rows: state.cm_misses.rows().to_vec(),
-            cm_misses_total: state.cm_misses.total(),
             hll_clients_regs: state.hll_clients.registers().to_vec(),
             hll_names_regs: state.hll_names.registers().to_vec(),
             fpdns: state.pdns.to_parts(),
@@ -175,8 +163,6 @@ impl Checkpoint {
     pub fn verify(&self, config: &StreamConfig, backend: BackendKind) -> Result<(), StoreError> {
         let echo = [
             ("epoch_secs", self.epoch_secs, config.epoch_secs),
-            ("cm_width", self.cm_width as u64, config.cm_width as u64),
-            ("cm_depth", self.cm_depth as u64, config.cm_depth as u64),
             ("hll_precision", u64::from(self.hll_precision), u64::from(config.hll_precision)),
             ("seed", self.seed, config.seed),
         ];
@@ -205,22 +191,6 @@ impl Checkpoint {
         backend: &PdnsBackend,
     ) -> Result<StreamState, StoreError> {
         let corrupt = |detail: String| StoreError::corrupt(Path::new(CHECKPOINT_NAME), detail);
-        let cm_queries = CountMinSketch::from_parts(
-            config.cm_width,
-            config.cm_depth,
-            config.seed,
-            self.cm_queries_rows.clone(),
-            self.cm_queries_total,
-        )
-        .ok_or_else(|| corrupt("query-sketch cell count does not match geometry".to_string()))?;
-        let cm_misses = CountMinSketch::from_parts(
-            config.cm_width,
-            config.cm_depth,
-            config.seed ^ CM_MISSES_SEED_XOR,
-            self.cm_misses_rows.clone(),
-            self.cm_misses_total,
-        )
-        .ok_or_else(|| corrupt("miss-sketch cell count does not match geometry".to_string()))?;
         let hll_clients = HyperLogLog::from_parts(
             config.hll_precision,
             config.seed,
@@ -268,8 +238,6 @@ impl Checkpoint {
         };
         Ok(StreamState {
             names: self.names.iter().cloned().collect(),
-            cm_queries,
-            cm_misses,
             hll_clients,
             hll_names,
             pdns: FpDnsLog::from_parts(self.fpdns.clone()),
@@ -287,8 +255,6 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u64(&mut out, self.epoch_secs);
-        put_u64(&mut out, self.cm_width as u64);
-        put_u64(&mut out, self.cm_depth as u64);
         out.push(self.hll_precision);
         put_u64(&mut out, self.seed);
         out.push(match self.backend {
@@ -315,22 +281,16 @@ impl Checkpoint {
             }
         }
         put_u64(&mut out, self.names.len() as u64);
-        for (name, fps) in &self.names {
+        for (name, records) in &self.names {
             put_name(&mut out, name);
-            put_u64(&mut out, fps.len() as u64);
-            for &fp in fps {
-                put_u64(&mut out, fp);
+            put_u64(&mut out, records.len() as u64);
+            for r in records {
+                put_u64(&mut out, r.fp);
+                put_u32(&mut out, r.queries);
+                put_u32(&mut out, r.misses);
             }
         }
         put_u64(&mut out, self.registry_bytes);
-        for rows in [&self.cm_queries_rows, &self.cm_misses_rows] {
-            put_u64(&mut out, rows.len() as u64);
-            for &cell in rows {
-                put_u64(&mut out, cell);
-            }
-        }
-        put_u64(&mut out, self.cm_queries_total);
-        put_u64(&mut out, self.cm_misses_total);
         for regs in [&self.hll_clients_regs, &self.hll_names_regs] {
             put_u64(&mut out, regs.len() as u64);
             out.extend_from_slice(regs);
@@ -392,8 +352,6 @@ impl Checkpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, FrameError> {
         let mut cur = Reader::open(CHECKPOINT_MAGIC, bytes)?;
         let epoch_secs = cur.u64()?;
-        let cm_width = cur.usize()?;
-        let cm_depth = cur.usize()?;
         let hll_precision = cur.u8()?;
         let seed = cur.u64()?;
         let backend = match cur.u8()? {
@@ -427,15 +385,9 @@ impl Checkpoint {
         let names = cur.seq(n, |r| {
             let name = read_name(r)?;
             let n = r.count()?;
-            Ok((name, r.seq(n, Reader::u64)?))
+            Ok((name, r.seq(n, read_record_count)?))
         })?;
         let registry_bytes = cur.u64()?;
-        let n = cur.count()?;
-        let cm_queries_rows = cur.seq(n, Reader::u64)?;
-        let n = cur.count()?;
-        let cm_misses_rows = cur.seq(n, Reader::u64)?;
-        let cm_queries_total = cur.u64()?;
-        let cm_misses_total = cur.u64()?;
         let regs = cur.count()?;
         let hll_clients_regs = cur.take(regs)?.to_vec();
         let regs = cur.count()?;
@@ -511,8 +463,6 @@ impl Checkpoint {
         cur.end()?;
         Ok(Checkpoint {
             epoch_secs,
-            cm_width,
-            cm_depth,
             hll_precision,
             seed,
             backend,
@@ -523,10 +473,6 @@ impl Checkpoint {
             epochs,
             names,
             registry_bytes,
-            cm_queries_rows,
-            cm_queries_total,
-            cm_misses_rows,
-            cm_misses_total,
             hll_clients_regs,
             hll_names_regs,
             fpdns,
@@ -576,6 +522,21 @@ fn read_name(r: &mut Reader<'_>) -> Result<Name, FrameError> {
     text.parse::<Name>().map_err(|e| malformed(format!("bad name `{text}`: {e}")))
 }
 
+/// One registry row. `1 ≤ queries` and `misses ≤ queries` hold for every
+/// row the miner writes, and the Eq. 1 fold at epoch close relies on
+/// both, so a row that breaks them is rejected here.
+// lint:certify(no-panic)
+fn read_record_count(r: &mut Reader<'_>) -> Result<RecordCount, FrameError> {
+    let row = RecordCount { fp: r.u64()?, queries: r.u32()?, misses: r.u32()? };
+    if row.queries == 0 || row.misses > row.queries {
+        return Err(malformed(format!(
+            "record counters out of range: queries={} misses={}",
+            row.queries, row.misses
+        )));
+    }
+    Ok(row)
+}
+
 // lint:certify(no-panic)
 fn read_finding(r: &mut Reader<'_>) -> Result<Finding, FrameError> {
     let zone = read_name(r)?;
@@ -595,8 +556,6 @@ mod tests {
     fn sample() -> Checkpoint {
         Checkpoint {
             epoch_secs: 21_600,
-            cm_width: 8,
-            cm_depth: 2,
             hll_precision: 4,
             seed: 7,
             backend: BackendKind::Memory,
@@ -620,14 +579,19 @@ mod tests {
                 state_bytes: 2048,
             }],
             names: vec![
-                ("a.example.com".parse().unwrap(), vec![11, 22]),
-                ("b.example.com".parse().unwrap(), vec![33]),
+                (
+                    "a.example.com".parse().unwrap(),
+                    vec![
+                        RecordCount { fp: 11, queries: 90, misses: 40 },
+                        RecordCount { fp: 22, queries: 5, misses: 5 },
+                    ],
+                ),
+                (
+                    "b.example.com".parse().unwrap(),
+                    vec![RecordCount { fp: 33, queries: 25, misses: 10 }],
+                ),
             ],
             registry_bytes: 321,
-            cm_queries_rows: (0..16).collect(),
-            cm_queries_total: 120,
-            cm_misses_rows: (100..116).collect(),
-            cm_misses_total: 55,
             hll_clients_regs: vec![1; 16],
             hll_names_regs: vec![2; 16],
             fpdns: FpDnsLogParts {
@@ -676,31 +640,43 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
     }
 
-    /// The on-disk bytes, pinned: the fixture was generated by the last
-    /// build with per-format framing (PR 13), so a `checkpoint.bin` that
-    /// build wrote opens under this one.
-    #[test]
-    fn image_matches_the_golden_fixture() {
-        let digits: Vec<u8> = include_str!("../tests/golden/checkpoint_v1.hex")
-            .bytes()
-            .filter(u8::is_ascii_hexdigit)
-            .collect();
-        let golden: Vec<u8> = digits
+    fn unhex(text: &str) -> Vec<u8> {
+        let digits: Vec<u8> = text.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
             .chunks_exact(2)
             .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-            .collect();
+            .collect()
+    }
+
+    /// The on-disk bytes, pinned.
+    #[test]
+    fn image_matches_the_golden_fixture() {
+        let golden = unhex(include_str!("../tests/golden/checkpoint_v2.hex"));
         assert_eq!(sample().to_bytes(), golden);
         let back = Checkpoint::from_bytes(&golden).expect("golden image parses");
         assert_eq!(back.to_bytes(), golden);
     }
 
+    /// A `checkpoint.bin` written before the registry carried the
+    /// counters (two sketch tables in the body) is intact but unreadable:
+    /// resume must refuse it by name, not restart from zero.
     #[test]
-    fn other_versions_are_rejected_as_unsupported() {
-        let v1 = sample().to_bytes();
-        let v0 = frame::seal(b"dnckpt0\n", &v1[CHECKPOINT_MAGIC.len()..v1.len() - 4]);
-        let err = Checkpoint::from_bytes(&v0).unwrap_err();
+    fn v1_images_are_rejected_as_unsupported_version() {
+        let v1 = unhex(include_str!("../tests/golden/checkpoint_v1.hex"));
+        assert!(v1.starts_with(b"dnckpt1\n"));
+        let err = Checkpoint::from_bytes(&v1).unwrap_err();
         assert_eq!(err, FrameError::Version);
         assert!(err.to_string().contains("unsupported version"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_record_counters_are_rejected() {
+        for (queries, misses) in [(0, 0), (3, 4)] {
+            let mut ckpt = sample();
+            ckpt.names[0].1[0] = RecordCount { fp: 11, queries, misses };
+            let err = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap_err();
+            assert!(err.to_string().contains("record counters out of range"), "{err}");
+        }
     }
 
     #[test]
@@ -734,18 +710,21 @@ mod tests {
     #[test]
     fn verify_rejects_mismatched_tuning_and_backend() {
         let ckpt = sample();
-        let good = StreamConfig {
-            epoch_secs: 21_600,
-            cm_width: 8,
-            cm_depth: 2,
-            hll_precision: 4,
-            seed: 7,
-        };
+        let good = StreamConfig { epoch_secs: 21_600, hll_precision: 4, seed: 7 };
         ckpt.verify(&good, BackendKind::Memory).unwrap();
         let err = ckpt.verify(&StreamConfig { seed: 8, ..good }, BackendKind::Disk).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("seed"), "{text}");
         assert!(text.contains("store backend"), "{text}");
         assert!(ckpt.verify(&good, BackendKind::Disk).is_err());
+        // Every echoed field disagrees: the three knobs are all a
+        // checkpoint can name, and no sketch geometry is among them.
+        let all = StreamConfig { epoch_secs: 3600, hll_precision: 5, seed: 8 };
+        let text = ckpt.verify(&all, BackendKind::Memory).unwrap_err().to_string();
+        for field in ["epoch_secs", "hll_precision", "seed"] {
+            assert!(text.contains(field), "{text}");
+        }
+        assert_eq!(text.matches("checkpoint=").count(), 3, "{text}");
+        assert!(!text.contains("cm_"), "{text}");
     }
 }

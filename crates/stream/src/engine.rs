@@ -1,24 +1,23 @@
-//! The incremental miner: one event in, bounded state, classifications
-//! out at every epoch close.
+//! The incremental miner: one event in, classifications out at every
+//! epoch close.
 //!
-//! A [`StreamMiner`] drives three online structures from a single
+//! A [`StreamMiner`] drives two online structures from a single
 //! [`EventSession`] replay:
 //!
 //! * the **name registry** — a `BTreeMap` from each observed owner name
-//!   to the 8-byte fingerprints of its resource records. This is the only
-//!   per-name state; unlike the batch path's `HashMap<RrKey, RrStat>`,
-//!   each name is stored once instead of once per `(name, qtype, rdata)`
-//!   triple, and per-record counters live in the fixed-size sketches;
-//! * two **count-min sketches** — below-the-recursives query counts and
-//!   above-the-recursives miss counts per record fingerprint, from which
-//!   the paper's domain hit rate (Eq. 1) is recovered at epoch close;
+//!   to one [`RecordCount`] per resource record: an 8-byte fingerprint
+//!   and the exact below-the-recursives query count and
+//!   above-the-recursives miss count, from which the paper's domain hit
+//!   rate (Eq. 1) is computed at epoch close. This is the only per-name
+//!   state; unlike the batch path's `HashMap<RrKey, RrStat>`, each name
+//!   is stored once instead of once per `(name, qtype, rdata)` triple;
 //! * two **HyperLogLogs** — distinct clients and distinct owner names.
 //!
 //! At each epoch boundary (and at [`StreamMiner::finish`]) the registry
-//! and sketches are folded into a fresh [`DomainTree`] snapshot and the
-//! trained classifier runs Algorithm 1 over it. Snapshots are
-//! non-destructive: closing an epoch mid-stream and resuming is
-//! indistinguishable from an uninterrupted run.
+//! is folded into a fresh [`DomainTree`] snapshot and the trained
+//! classifier runs Algorithm 1 over it. Snapshots are non-destructive:
+//! closing an epoch mid-stream and resuming is indistinguishable from an
+//! uninterrupted run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -31,50 +30,38 @@ use dnsnoise_resolver::{DayReport, EventSession, Observer, ResolverSim, Served, 
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
 use crate::checkpoint::Checkpoint;
-use crate::sketch::{fnv1a, CountMinSketch, HyperLogLog};
+use crate::sketch::{fnv1a, HyperLogLog};
 
 /// How many fpDNS records the streaming collector retains as samples.
 /// Aggregate pDNS counters are exact regardless.
 pub const PDNS_RETAIN: usize = 512;
 
 /// Modeled per-name overhead of one registry entry beyond the name text
-/// and its fingerprint vector: tree-map node bookkeeping plus the vector
+/// and its record vector: tree-map node bookkeeping plus the vector
 /// header.
 const REGISTRY_NODE_BYTES: usize = 72;
 
-/// Seed decorrelators for the second count-min sketch and the name HLL;
-/// shared with checkpoint restore so a resumed miner rebuilds the exact
-/// sketches.
-pub(crate) const CM_MISSES_SEED_XOR: u64 = 0x517c_c1b7_2722_0a95;
+/// Seed decorrelator for the name HLL; shared with checkpoint restore so
+/// a resumed miner rebuilds the exact estimator.
 pub(crate) const HLL_NAMES_SEED_XOR: u64 = 0x2545_f491_4f6c_dd1d;
 
-/// Streaming miner knobs. All sketch parameters trade memory for
-/// accuracy; the defaults keep the seeded reference day collision-free
-/// (see DESIGN.md §streaming-miner).
+/// Streaming miner knobs (see DESIGN.md §streaming-miner). Per-record
+/// counts are exact and need none; the HyperLogLog precision trades
+/// memory for cardinality accuracy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Seconds per classification epoch (default 21 600 — four mid-day
     /// closes per day).
     pub epoch_secs: u64,
-    /// Count-min row width (default 16 384 counters).
-    pub cm_width: usize,
-    /// Count-min rows (default 4).
-    pub cm_depth: usize,
     /// HyperLogLog precision `p`; `2^p` registers (default 12).
     pub hll_precision: u8,
-    /// Hash seed for every sketch.
+    /// Hash seed for both HyperLogLogs.
     pub seed: u64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig {
-            epoch_secs: 21_600,
-            cm_width: 16_384,
-            cm_depth: 4,
-            hll_precision: 12,
-            seed: 7,
-        }
+        StreamConfig { epoch_secs: 21_600, hll_precision: 12, seed: 7 }
     }
 }
 
@@ -135,18 +122,14 @@ pub struct StreamReport {
     pub day: u64,
     /// Epoch length used.
     pub epoch_secs: u64,
-    /// Count-min geometry, for the report header.
-    pub cm_width: usize,
-    /// Count-min rows.
-    pub cm_depth: usize,
     /// HyperLogLog precision.
     pub hll_precision: u8,
     /// Mid-day classification snapshots, in close order.
     pub epochs: Vec<EpochSummary>,
     /// End-of-day Algorithm 1 findings.
     pub final_findings: Vec<Finding>,
-    /// The resolver-side day report (traffic, cache, per-RR exact stats
-    /// are *not* kept — that is the point of the sketches).
+    /// The resolver-side day report, exactly as the batch replay of the
+    /// same events produces it.
     pub day_report: DayReport,
     /// Ground-truth evaluation of the final findings, when ground truth
     /// was attached.
@@ -216,7 +199,6 @@ impl StreamReport {
         };
         line(format!("day = {}", self.day));
         line(format!("epoch_secs = {}", self.epoch_secs));
-        line(format!("cm = {}x{}", self.cm_width, self.cm_depth));
         line(format!("hll_precision = {}", self.hll_precision));
         for e in &self.epochs {
             line(format!("-- epoch {} (close @ {}s, {} events) --", e.epoch, e.end_secs, e.events));
@@ -280,21 +262,34 @@ fn render_finding(f: &Finding) -> String {
     )
 }
 
+/// One resource record's row in the name registry: the streaming
+/// counterpart of the batch path's `RrStat`, keyed by fingerprint under
+/// its owner name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordCount {
+    /// `fnv1a` of the record key's presentation form.
+    pub(crate) fp: u64,
+    /// Answers containing this record observed below the recursives;
+    /// at least 1, since the first such answer creates the row.
+    pub(crate) queries: u32,
+    /// Of those, the answers that went above (cache misses); never more
+    /// than `queries`.
+    pub(crate) misses: u32,
+}
+
 /// The online statistics the observer accumulates: name registry,
-/// sketches, pDNS counters, and the served-class tallies behind the
-/// conservation line.
+/// cardinality estimators, pDNS counters, and the served-class tallies
+/// behind the conservation line.
 #[derive(Debug)]
 pub(crate) struct StreamState {
-    /// Owner name → fingerprints of its records, in first-seen order.
-    pub(crate) names: BTreeMap<Name, Vec<u64>>,
-    pub(crate) cm_queries: CountMinSketch,
-    pub(crate) cm_misses: CountMinSketch,
+    /// Owner name → its records' exact counters, in first-seen order.
+    pub(crate) names: BTreeMap<Name, Vec<RecordCount>>,
     pub(crate) hll_clients: HyperLogLog,
     pub(crate) hll_names: HyperLogLog,
     pub(crate) pdns: FpDnsLog,
     /// The deduplicating rpDNS store behind the `--store` flag. Excluded
     /// from [`StreamState::state_bytes`]: the paper's streaming-state
-    /// budget covers the registry and sketches, and the store's own
+    /// budget covers the registry and estimators, and the store's own
     /// footprint is reported separately as rpDNS storage bytes.
     pub(crate) rpdns: PdnsBackend,
     pub(crate) answered: u64,
@@ -302,7 +297,7 @@ pub(crate) struct StreamState {
     pub(crate) failed: u64,
     pub(crate) shed: u64,
     /// Incrementally-maintained registry footprint (names + overhead +
-    /// fingerprints), excluding the fixed-size sketches.
+    /// record rows), excluding the fixed-size HyperLogLogs.
     pub(crate) registry_bytes: usize,
 }
 
@@ -310,12 +305,6 @@ impl StreamState {
     fn new(config: &StreamConfig) -> StreamState {
         StreamState {
             names: BTreeMap::new(),
-            cm_queries: CountMinSketch::new(config.cm_width, config.cm_depth, config.seed),
-            cm_misses: CountMinSketch::new(
-                config.cm_width,
-                config.cm_depth,
-                config.seed ^ CM_MISSES_SEED_XOR,
-            ),
             hll_clients: HyperLogLog::new(config.hll_precision, config.seed),
             hll_names: HyperLogLog::new(config.hll_precision, config.seed ^ HLL_NAMES_SEED_XOR),
             pdns: FpDnsLog::new(PDNS_RETAIN, false),
@@ -328,29 +317,22 @@ impl StreamState {
         }
     }
 
-    /// Total resident streaming state in bytes: registry + all sketches.
+    /// Total resident streaming state in bytes: registry + both
+    /// HyperLogLogs.
     pub(crate) fn state_bytes(&self) -> usize {
-        self.registry_bytes
-            + self.cm_queries.state_bytes()
-            + self.cm_misses.state_bytes()
-            + self.hll_clients.state_bytes()
-            + self.hll_names.state_bytes()
+        self.registry_bytes + self.hll_clients.state_bytes() + self.hll_names.state_bytes()
     }
 
-    /// Folds the registry and sketches into a fresh domain tree — the
-    /// streaming stand-in for `DomainTree::from_day_stats`. With sketches
-    /// sized above the distinct-record count the estimates are exact and
-    /// the resulting classifications equal the batch miner's.
+    /// Folds the registry into a fresh domain tree — the streaming
+    /// stand-in for `DomainTree::from_day_stats`, fed the same per-record
+    /// numbers (Eq. 1's domain hit rate and the miss count), so the
+    /// resulting classifications equal the batch miner's.
     fn build_tree(&self) -> DomainTree {
         let mut tree = DomainTree::new();
-        for (name, fps) in &self.names {
-            for &fp in fps {
-                let q = self.cm_queries.estimate(fp).max(1);
-                // Both counters overestimate independently; a record is
-                // never seen above more often than below, so clamp.
-                let m = self.cm_misses.estimate(fp).min(q);
-                let dhr = (q - m) as f64 / q as f64;
-                tree.observe(name, dhr, u32::try_from(m).unwrap_or(u32::MAX));
+        for (name, records) in &self.names {
+            for r in records {
+                let dhr = f64::from(r.queries - r.misses) / f64::from(r.queries);
+                tree.observe(name, dhr, r.misses);
             }
         }
         tree
@@ -381,21 +363,26 @@ impl Observer for StreamState {
         for rr in answers {
             self.rpdns.observe(rr, day);
             let fp = fnv1a(rr.key().to_string().as_bytes());
-            let fps = match self.names.get_mut(&rr.name) {
-                Some(fps) => fps,
+            let records = match self.names.get_mut(&rr.name) {
+                Some(records) => records,
                 None => {
                     self.registry_bytes += rr.name.presentation_len() + REGISTRY_NODE_BYTES;
                     self.hll_names.insert(fnv1a(rr.name.to_string().as_bytes()));
                     self.names.entry(rr.name.clone()).or_default()
                 }
             };
-            if !fps.contains(&fp) {
-                fps.push(fp);
-                self.registry_bytes += std::mem::size_of::<u64>();
-            }
-            self.cm_queries.add(fp, 1);
+            let at = match records.iter().position(|r| r.fp == fp) {
+                Some(at) => at,
+                None => {
+                    records.push(RecordCount { fp, queries: 0, misses: 0 });
+                    self.registry_bytes += std::mem::size_of::<RecordCount>();
+                    records.len() - 1
+                }
+            };
+            let record = &mut records[at];
+            record.queries = record.queries.saturating_add(1);
             if above {
-                self.cm_misses.add(fp, 1);
+                record.misses = record.misses.saturating_add(1);
             }
         }
     }
@@ -585,9 +572,9 @@ impl<'m> StreamMiner<'m> {
     /// Restores a freshly-built miner to the exact point `ckpt` was
     /// written: the first `ckpt.pushed` events of the day's trace
     /// (`warmup`) are replayed through the resolver session to rebuild
-    /// its caches, and every online structure — registry, sketches, pDNS
-    /// logs, epoch summaries, the rpDNS backend — is restored from the
-    /// checkpoint. Pushing the remaining events and finishing then
+    /// its caches, and every online structure — registry, HyperLogLogs,
+    /// pDNS logs, epoch summaries, the rpDNS backend — is restored from
+    /// the checkpoint. Pushing the remaining events and finishing then
     /// produces a report byte-identical to an uninterrupted run.
     ///
     /// Call on a miner built with the same configuration, store backend,
@@ -714,8 +701,6 @@ impl<'m> StreamMiner<'m> {
         let report = StreamReport {
             day: day_report.day,
             epoch_secs: config.epoch_secs,
-            cm_width: config.cm_width,
-            cm_depth: config.cm_depth,
             hll_precision: config.hll_precision,
             epochs,
             final_findings,
@@ -810,31 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn oversized_sketches_reproduce_batch_findings_exactly() {
-        let s = scenario(21);
+    fn cache_state_carries_across_days() {
+        let s = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.03), 17);
         let miner = trained_miner(&s);
-        let trace = s.generate_day(1);
-
-        // Batch reference for the same day-1 trace on a fresh cluster.
-        let mut sim = ResolverSim::new(SimConfig::default());
-        let batch_report = sim.day(&trace).ground_truth(s.ground_truth()).run();
-        let mut batch_tree = DomainTree::from_day_stats(&batch_report.rr_stats);
-        let batch_findings = miner.mine(&mut batch_tree, &SuffixList::builtin());
-
-        // Width far above the distinct-record count: estimates are exact.
-        let config = StreamConfig { cm_width: 1 << 20, ..StreamConfig::default() };
-        let mut stream = StreamMiner::new(config, &miner).ground_truth(s.ground_truth());
-        for event in &trace.events {
-            stream.push(event);
-        }
-        let (report, _) = stream.finish();
-
-        let mut batch_sorted = batch_findings;
-        let mut stream_sorted = report.final_findings.clone();
-        let by_zone = |a: &Finding, b: &Finding| a.zone.cmp(&b.zone).then(a.depth.cmp(&b.depth));
-        batch_sorted.sort_by(by_zone);
-        stream_sorted.sort_by(by_zone);
-        assert_eq!(stream_sorted, batch_sorted);
+        let run_day = |sim: ResolverSim, day: u64| {
+            let mut stream = StreamMiner::with_sim(StreamConfig::default(), &miner, sim, day)
+                .ground_truth(s.ground_truth());
+            for event in &s.generate_day(day).events {
+                stream.push(event);
+            }
+            stream.finish()
+        };
+        let (day1, sim) = run_day(ResolverSim::new(SimConfig::default()), 1);
+        let (day2, _) = run_day(sim, 2);
+        assert!(day1.conserves() && day2.conserves());
+        assert_eq!(day1.day, 1);
+        assert_eq!(day2.day, 2);
+        // Warm caches on day 2: repeat queries hit below without going above.
+        assert!(day2.day_report.above_total < day2.day_report.below_total);
     }
 
     #[test]
@@ -882,28 +860,66 @@ mod tests {
     }
 
     #[test]
-    fn state_stays_bounded_by_sketches_plus_registry() {
+    fn state_bytes_is_the_registry_model_plus_both_hlls() {
         let s = scenario(9);
         let miner = trained_miner(&s);
         let trace = s.generate_day(0);
-        let config = StreamConfig {
-            cm_width: 1024,
-            cm_depth: 3,
-            hll_precision: 8,
-            seed: 7,
-            epoch_secs: 21_600,
-        };
-        let fixed = 2 * (1024 * 3 * 8) + 2 * 256;
+        let config = StreamConfig { hll_precision: 8, ..StreamConfig::default() };
         let mut stream = StreamMiner::new(config, &miner);
         for event in &trace.events {
             stream.push(event);
         }
-        let per_name_ceiling = 300; // name text + node overhead + a few fingerprints
-        assert!(
-            stream.peak_state_bytes() <= fixed + stream.state.names.len() * per_name_ceiling,
-            "peak {} for {} names",
-            stream.peak_state_bytes(),
-            stream.state.names.len()
-        );
+        let registry: usize = stream
+            .state
+            .names
+            .iter()
+            .map(|(name, records)| {
+                name.presentation_len()
+                    + REGISTRY_NODE_BYTES
+                    + records.len() * std::mem::size_of::<RecordCount>()
+            })
+            .sum();
+        assert_eq!(std::mem::size_of::<RecordCount>(), 16);
+        assert_eq!(stream.state_bytes(), registry + 2 * 256);
+        // The registry only grows, so the peak is the final state.
+        assert_eq!(stream.peak_state_bytes(), stream.state_bytes());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Exactness where it lives: after any prefix of any small trace,
+        /// the registry holds one row per record of the batch replay's
+        /// `rr_stats`, with the same `queries` and `misses`, and no others.
+        #[test]
+        fn registry_counts_equal_batch_rr_stats(
+            seed in 0u64..500,
+            epoch in 0.0f64..=1.0,
+            day in 0u64..3,
+            keep in 0.0f64..=1.0,
+        ) {
+            let s = Scenario::new(ScenarioConfig::paper_epoch(epoch).with_scale(0.01), seed);
+            let mut trace = s.generate_day(day);
+            trace.events.truncate((trace.events.len() as f64 * keep) as usize);
+
+            let mut state = StreamState::new(&StreamConfig::default());
+            let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), day);
+            for event in &trace.events {
+                session.push(event, None, &mut state);
+            }
+            let batch = ResolverSim::new(SimConfig::default()).day(&trace).run_serial();
+
+            for (key, stat) in batch.rr_stats.iter() {
+                let fp = fnv1a(key.to_string().as_bytes());
+                let row = state.names.get(&key.name).and_then(|rs| rs.iter().find(|r| r.fp == fp));
+                proptest::prop_assert_eq!(
+                    row.map(|r| (r.queries, r.misses)),
+                    Some((stat.queries, stat.misses)),
+                    "{}", key
+                );
+            }
+            let rows: usize = state.names.values().map(Vec::len).sum();
+            proptest::prop_assert_eq!(rows, batch.rr_stats.len());
+        }
     }
 }

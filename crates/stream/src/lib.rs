@@ -3,15 +3,15 @@
 //! The batch pipeline materialises a whole day of per-record statistics
 //! before mining. This crate replays the *same* per-event resolver logic
 //! incrementally — one [`QueryEvent`](dnsnoise_workload::QueryEvent) at a
-//! time — while keeping per-record counters in bounded-memory sketches:
-//! a seeded [`CountMinSketch`] per volume counter and a [`HyperLogLog`]
-//! per cardinality. Periodic epoch closes emit mid-day classifications;
-//! [`StreamMiner::finish`] emits the end-of-day report.
+//! time — keeping exact per-record query and miss counters in a name
+//! registry (each owner name stored once, 16 bytes per record under it)
+//! and a seeded [`HyperLogLog`] per cardinality. Periodic epoch closes
+//! emit mid-day classifications; [`StreamMiner::finish`] emits the
+//! end-of-day report.
 //!
 //! Everything is deterministic: hashes are seeded, iteration orders are
-//! sorted, and with sketches sized above the distinct-record count the
-//! streaming classifications equal the batch miner's exactly (a property
-//! the fidelity test suite pins).
+//! sorted, and the streaming classifications equal the batch miner's
+//! exactly (a property the fidelity test suite pins).
 //!
 //! # Examples
 //!
@@ -27,7 +27,7 @@
 //!
 //! let mut stream = StreamMiner::new(StreamConfig::default(), &miner);
 //! for event in &s.generate_day(1).events {
-//!     stream.push(event); // one event at a time, bounded state
+//!     stream.push(event); // one event at a time
 //! }
 //! let (report, _sim) = stream.finish();
 //! assert!(report.conserves());
@@ -38,7 +38,6 @@
 
 mod checkpoint;
 mod engine;
-mod pipeline;
 mod sketch;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_NAME};
@@ -46,5 +45,4 @@ pub use engine::{
     EpochSummary, PdnsSummary, RpdnsStoreSummary, StreamConfig, StreamMiner, StreamReport,
     PDNS_RETAIN,
 };
-pub use pipeline::StreamPipeline;
-pub use sketch::{CountMinSketch, HyperLogLog};
+pub use sketch::HyperLogLog;

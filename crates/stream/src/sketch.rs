@@ -1,22 +1,16 @@
-//! Bounded-memory frequency and cardinality sketches.
+//! The bounded-memory cardinality sketch and the record fingerprint.
 //!
-//! Both sketches are *seeded and deterministic*: every hash is a pure
-//! function of `(seed, key)`, so two runs with the same seed touch the
-//! same cells in the same order and the streaming miner's output is a
-//! pure function of the trace and its configuration — the same contract
-//! the batch replay honours.
-//!
-//! * [`CountMinSketch`] — per-key counters with one-sided error: an
-//!   estimate is never below the true count, and exceeds it by more than
-//!   `ε·N` (`ε = e / width`, `N` = total increments) with probability at
-//!   most `e^(−depth)` (Cormode & Muthukrishnan's bound).
-//! * [`HyperLogLog`] — distinct-count estimation with relative standard
-//!   error `≈ 1.04 / √2^precision`, using linear counting in the small
-//!   range where raw HLL is biased.
+//! [`HyperLogLog`] estimates distinct counts with relative standard
+//! error `≈ 1.04 / √2^precision`, using linear counting in the small
+//! range where raw HLL is biased. It is *seeded and deterministic*: every
+//! hash is a pure function of `(seed, key)`, so two runs with the same
+//! seed touch the same registers in the same order and the streaming
+//! miner's output is a pure function of the trace and its configuration —
+//! the same contract the batch replay honours.
 
 /// The 64-bit SplitMix64 finaliser — the same mixer the resolver's
 /// per-record client sketch uses. Full-avalanche, so sequential keys
-/// scatter uniformly across sketch cells.
+/// scatter uniformly across registers.
 fn mix64(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -25,13 +19,13 @@ fn mix64(mut h: u64) -> u64 {
 }
 
 /// Seeded 64-bit hash of `key`: mixing the seed first decorrelates the
-/// row hash functions from the key distribution.
-pub(crate) fn seeded_hash(seed: u64, key: u64) -> u64 {
+/// register assignment from the key distribution.
+fn seeded_hash(seed: u64, key: u64) -> u64 {
     mix64(key ^ mix64(seed))
 }
 
-/// Seedless FNV-1a over a byte string — the stable fingerprint used to
-/// key sketches by resource record.
+/// Seedless FNV-1a over a byte string — the stable fingerprint that keys
+/// a resource record's row in the name registry.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -39,110 +33,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// A seeded count-min sketch over `u64` keys.
-///
-/// # Examples
-///
-/// ```
-/// use dnsnoise_stream::CountMinSketch;
-///
-/// let mut cm = CountMinSketch::new(1024, 4, 7);
-/// cm.add(42, 3);
-/// cm.add(42, 2);
-/// assert!(cm.estimate(42) >= 5); // never underestimates
-/// assert_eq!(cm.total(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMinSketch {
-    width: usize,
-    depth: usize,
-    seed: u64,
-    /// `depth` rows of `width` counters, row-major.
-    rows: Vec<u64>,
-    /// Total of all increments (the `N` in the `ε·N` error bound).
-    total: u64,
-}
-
-impl CountMinSketch {
-    /// Creates a sketch of `depth` rows × `width` counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `depth` is zero.
-    pub fn new(width: usize, depth: usize, seed: u64) -> CountMinSketch {
-        assert!(width > 0, "count-min width must be positive");
-        assert!(depth > 0, "count-min depth must be positive");
-        CountMinSketch { width, depth, seed, rows: vec![0; width * depth], total: 0 }
-    }
-
-    /// The cell `key` maps to in `row`.
-    fn cell(&self, row: usize, key: u64) -> usize {
-        let h = seeded_hash(self.seed ^ (row as u64).wrapping_mul(0xa076_1d64_78bd_642f), key);
-        row * self.width + (h % self.width as u64) as usize
-    }
-
-    /// Adds `count` occurrences of `key`.
-    pub fn add(&mut self, key: u64, count: u64) {
-        for row in 0..self.depth {
-            let cell = self.cell(row, key);
-            self.rows[cell] += count;
-        }
-        self.total += count;
-    }
-
-    /// The count-min estimate for `key`: the minimum over rows. Never
-    /// below the true count; above it by more than [`Self::epsilon`]`·`
-    /// [`Self::total`] with probability at most `e^(−depth)`.
-    pub fn estimate(&self, key: u64) -> u64 {
-        (0..self.depth).map(|row| self.rows[self.cell(row, key)]).min().unwrap_or(0)
-    }
-
-    /// Total increments folded in so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Row width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The per-estimate error factor `ε = e / width`.
-    pub fn epsilon(&self) -> f64 {
-        std::f64::consts::E / self.width as f64
-    }
-
-    /// Resident counter storage in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<u64>()
-    }
-
-    /// The raw row-major counter cells, for checkpoint serialisation.
-    pub(crate) fn rows(&self) -> &[u64] {
-        &self.rows
-    }
-
-    /// Rebuilds a sketch from checkpointed parts. Returns `None` when
-    /// the cell count does not match `width × depth`.
-    pub(crate) fn from_parts(
-        width: usize,
-        depth: usize,
-        seed: u64,
-        rows: Vec<u64>,
-        total: u64,
-    ) -> Option<CountMinSketch> {
-        if width == 0 || depth == 0 || rows.len() != width * depth {
-            return None;
-        }
-        Some(CountMinSketch { width, depth, seed, rows, total })
-    }
 }
 
 /// A seeded HyperLogLog cardinality estimator over `u64` keys.
@@ -271,46 +161,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn count_min_is_exact_without_collisions() {
-        // 16 distinct keys in a 4096-wide sketch: collision-free for this
-        // seed, so every estimate is exact.
-        let mut cm = CountMinSketch::new(4096, 4, 7);
-        for key in 0..16u64 {
-            cm.add(key, key + 1);
-        }
-        for key in 0..16u64 {
-            assert_eq!(cm.estimate(key), key + 1);
-        }
-        assert_eq!(cm.total(), (1..=16).sum::<u64>());
-    }
-
-    #[test]
-    fn count_min_never_underestimates_under_heavy_collision() {
-        // Width 2: everything collides; estimates may only inflate.
-        let mut cm = CountMinSketch::new(2, 2, 3);
-        for key in 0..100u64 {
-            cm.add(key, 1);
-        }
-        for key in 0..100u64 {
-            assert!(cm.estimate(key) >= 1);
-        }
-    }
-
-    #[test]
-    fn count_min_is_deterministic_for_a_seed_and_seed_sensitive() {
-        let mut a = CountMinSketch::new(64, 3, 11);
-        let mut b = CountMinSketch::new(64, 3, 11);
-        let mut c = CountMinSketch::new(64, 3, 12);
-        for key in 0..500u64 {
-            a.add(key, 1);
-            b.add(key, 1);
-            c.add(key, 1);
-        }
-        assert_eq!(a, b);
-        assert_ne!(a.rows, c.rows, "different seeds must permute cells");
-    }
-
-    #[test]
     fn hll_estimates_within_bound_on_sequential_keys() {
         for precision in [8, 12, 14] {
             let mut hll = HyperLogLog::new(precision, 7);
@@ -356,11 +206,5 @@ mod tests {
     #[should_panic(expected = "precision")]
     fn hll_rejects_out_of_range_precision() {
         let _ = HyperLogLog::new(3, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "width")]
-    fn count_min_rejects_zero_width() {
-        let _ = CountMinSketch::new(0, 4, 7);
     }
 }

@@ -1,75 +1,11 @@
-//! Property tests for the bounded-memory sketches: the count-min error
-//! guarantee (one-sided, within ε·N except with probability e^-depth per
-//! key), the HyperLogLog precision-implied relative error, and strict
-//! determinism for a fixed seed — no ambient randomness anywhere.
+//! Property tests for the cardinality sketch: the HyperLogLog
+//! precision-implied relative error, and strict determinism for a fixed
+//! seed — no ambient randomness anywhere.
 
-use std::collections::BTreeMap;
-
-use dnsnoise_stream::{CountMinSketch, HyperLogLog};
+use dnsnoise_stream::HyperLogLog;
 use proptest::prelude::*;
 
 proptest! {
-    /// A count-min estimate never undercounts, and overshoots past the
-    /// ε·N budget on at most a small fraction of keys. The per-key
-    /// failure probability is e^-depth, so across K keys we allow a
-    /// generous 8·K·e^-depth + 2 violations — far above any plausible
-    /// honest run, far below a broken hash.
-    #[test]
-    fn cm_is_one_sided_and_respects_epsilon_n(
-        entries in proptest::collection::vec((any::<u64>(), 1u64..100), 1..200),
-        width_pow in 8u32..12,
-        depth in 2usize..6,
-        seed in any::<u64>(),
-    ) {
-        let width = 1usize << width_pow;
-        let mut cm = CountMinSketch::new(width, depth, seed);
-        let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
-        for (key, count) in &entries {
-            cm.add(*key, *count);
-            *truth.entry(*key).or_insert(0) += count;
-        }
-        let total: u64 = truth.values().sum();
-        prop_assert_eq!(cm.total(), total);
-
-        let budget = (cm.epsilon() * total as f64).ceil() as u64;
-        let mut violations = 0usize;
-        for (key, true_count) in &truth {
-            let est = cm.estimate(*key);
-            prop_assert!(est >= *true_count, "underestimate: {est} < {true_count}");
-            if est - true_count > budget {
-                violations += 1;
-            }
-        }
-        let allowed = 8.0 * truth.len() as f64 * (-(depth as f64)).exp() + 2.0;
-        prop_assert!(
-            (violations as f64) <= allowed,
-            "{violations} of {} keys exceed eps*N={budget} (allowed {allowed:.1})",
-            truth.len()
-        );
-    }
-
-    /// Identical seed and multiset of additions — in any order — must
-    /// produce identical estimates: the sketch has no ambient RNG and
-    /// its updates commute.
-    #[test]
-    fn cm_is_deterministic_and_order_free(
-        entries in proptest::collection::vec((any::<u64>(), 1u64..50), 1..100),
-        seed in any::<u64>(),
-    ) {
-        let mut forward = CountMinSketch::new(512, 4, seed);
-        for (key, count) in &entries {
-            forward.add(*key, *count);
-        }
-        let mut backward = CountMinSketch::new(512, 4, seed);
-        for (key, count) in entries.iter().rev() {
-            backward.add(*key, *count);
-        }
-        prop_assert_eq!(forward.total(), backward.total());
-        for (key, _) in &entries {
-            prop_assert_eq!(forward.estimate(*key), backward.estimate(*key));
-        }
-    }
-
     /// The HLL estimate of n distinct keys stays within a 6-sigma band
     /// of the precision-implied relative error (1.04/sqrt(2^p)), with a
     /// small absolute floor for the tiny-n linear-counting regime.

@@ -64,12 +64,12 @@ echo "== stream smoke (batch-vs-stream agreement, conservation, determinism) =="
 ./target/release/dnsnoise train --scale 0.02 --seed 3 --out "$smoke_dir/model.txt" 2>/dev/null
 ./target/release/dnsnoise generate --scale 0.02 --seed 3 --day 1 \
     --out "$smoke_dir/day1.trace" 2>/dev/null
-# Oversized sketches: the streaming findings must match batch mining
+# Default configuration: the streaming findings must match batch mining
 # zone for zone on the same trace and model.
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 >"$smoke_dir/s1.txt"
+    --model "$smoke_dir/model.txt" >"$smoke_dir/s1.txt"
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 >"$smoke_dir/s2.txt"
+    --model "$smoke_dir/model.txt" >"$smoke_dir/s2.txt"
 diff "$smoke_dir/s1.txt" "$smoke_dir/s2.txt" >&2
 grep -q '(conserved)' "$smoke_dir/s1.txt" \
     || { echo "error: stream smoke did not conserve events" >&2; exit 1; }
@@ -90,10 +90,10 @@ echo "== pdns store smoke (miner output identical across --store memory|disk) ==
 # byte-identical whichever rpDNS backend dedups behind the miner, and the
 # disk backend must print its summary line on stderr.
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 \
+    --model "$smoke_dir/model.txt" \
     --store memory >"$smoke_dir/sm.txt" 2>/dev/null
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 \
+    --model "$smoke_dir/model.txt" \
     --store disk --store-path "$smoke_dir/pdns" \
     >"$smoke_dir/sd.txt" 2>"$smoke_dir/sd.log"
 diff "$smoke_dir/s1.txt" "$smoke_dir/sm.txt" >&2
@@ -112,14 +112,14 @@ echo "== crash/resume smoke (kill mid-day, resume from checkpoint, fsck) ==" >&2
 # fsck — the CLI face of the crash-at-every-IO-point recovery tests.
 events=$(grep -cv '^#' "$smoke_dir/day1.trace")
 if ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 \
+    --model "$smoke_dir/model.txt" \
     --store disk --store-path "$smoke_dir/pdns-crash" \
     --checkpoint "$smoke_dir/ckpt" --die-after $((events / 2)) \
     >/dev/null 2>/dev/null; then
     echo "error: --die-after $((events / 2)) did not kill the stream" >&2; exit 1
 fi
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
-    --model "$smoke_dir/model.txt" --cm-width 1048576 \
+    --model "$smoke_dir/model.txt" \
     --store disk --store-path "$smoke_dir/pdns-crash" \
     --checkpoint "$smoke_dir/ckpt" >"$smoke_dir/sr.txt" 2>"$smoke_dir/sr.log"
 grep -q 'resuming from checkpoint' "$smoke_dir/sr.log" \

@@ -158,8 +158,6 @@ struct StreamOpts {
     theta: f64,
     min_group: usize,
     epoch_secs: u64,
-    cm_width: usize,
-    cm_depth: usize,
     hll_precision: u8,
     /// `None` = the default memory backend with no summary printed.
     store: Option<BackendKind>,
@@ -182,8 +180,6 @@ impl Default for StreamOpts {
             theta: 0.9,
             min_group: 10,
             epoch_secs: defaults.epoch_secs,
-            cm_width: defaults.cm_width,
-            cm_depth: defaults.cm_depth,
             hll_precision: defaults.hll_precision,
             store: None,
             store_path: None,
@@ -468,8 +464,6 @@ fn parse_stream(args: &[String]) -> Result<ParseOutcome<StreamOpts>, String> {
             "--epoch-secs" => {
                 opts.epoch_secs = parsed(values.take("--epoch-secs")?, "--epoch-secs")?
             }
-            "--cm-width" => opts.cm_width = parsed(values.take("--cm-width")?, "--cm-width")?,
-            "--cm-depth" => opts.cm_depth = parsed(values.take("--cm-depth")?, "--cm-depth")?,
             "--hll-precision" => {
                 opts.hll_precision = parsed(values.take("--hll-precision")?, "--hll-precision")?
             }
@@ -491,9 +485,6 @@ fn parse_stream(args: &[String]) -> Result<ParseOutcome<StreamOpts>, String> {
         }
         if opts.die_after == Some(0) {
             return Err("--die-after must be at least 1".into());
-        }
-        if opts.cm_width == 0 || opts.cm_depth == 0 {
-            return Err("--cm-width and --cm-depth must be at least 1".into());
         }
         let (lo, hi) = (
             dnsnoise::stream::HyperLogLog::MIN_PRECISION,
@@ -877,8 +868,6 @@ fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
     let miner = load_or_train_miner(opts.model.as_deref(), &opts.common, miner_config)?;
     let config = dnsnoise::stream::StreamConfig {
         epoch_secs: opts.epoch_secs,
-        cm_width: opts.cm_width,
-        cm_depth: opts.cm_depth,
         hll_precision: opts.hll_precision,
         seed: opts.common.seed,
     };
@@ -932,10 +921,11 @@ fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
             if ckpt.pushed == 0 {
                 stream = stream.resume(&ckpt, &[]).map_err(|e| e.to_string())?;
             } else {
-                let warmup = Vec::with_capacity(ckpt.pushed as usize);
+                // `pushed` is outside input: never size an allocation
+                // from it; a short trace must reach the error below.
                 let mut feeder = Feeder {
                     stream: Some(stream),
-                    pending: Some((ckpt, warmup)),
+                    pending: Some((ckpt, Vec::new())),
                     die_after: opts.die_after,
                     fed: 0,
                 };
@@ -1031,7 +1021,7 @@ fn usage() -> String {
          ingest:    parse a pcap/dnstap capture into a day trace\n\
          simulate:  replay a day through the resolver cluster\n\
          mine:      mine a day for disposable zones\n\
-         stream:    mine a day incrementally with bounded-memory sketches\n\
+         stream:    mine a day incrementally, one event at a time\n\
          train:     train and persist the classifier\n\
          fsck:      check (and repair) an on-disk pDNS store directory\n"
     )
@@ -1092,8 +1082,6 @@ fn subcommand_usage(cmd: &str) -> String {
              \x20 --theta <f64>        confidence threshold (default: 0.9)\n\
              \x20 --min-group <n>      minimal group size (default: 10)\n\
              \x20 --epoch-secs <n>     seconds per classification epoch (default: 21600)\n\
-             \x20 --cm-width <n>       count-min row width (default: 16384)\n\
-             \x20 --cm-depth <n>       count-min rows (default: 4)\n\
              \x20 --hll-precision <p>  HyperLogLog precision, 4..=16 (default: 12)\n\
              \x20 --store <kind>       pDNS collector backend: memory or disk (default:\n\
              \x20                      memory; the report is bit-identical either way)\n\
@@ -1336,15 +1324,13 @@ mod tests {
     fn stream_flags_parse() {
         assert_eq!(stream("").unwrap(), StreamOpts::default());
         let o = stream(
-            "--trace t.txt --model m.txt --epoch-secs 3600 --cm-width 1024 --cm-depth 2 \
-             --hll-precision 8 --theta 0.8 --min-group 5 --seed 11",
+            "--trace t.txt --model m.txt --epoch-secs 3600 --hll-precision 8 --theta 0.8 \
+             --min-group 5 --seed 11",
         )
         .unwrap();
         assert_eq!(o.trace.as_deref(), Some("t.txt"));
         assert_eq!(o.model.as_deref(), Some("m.txt"));
         assert_eq!(o.epoch_secs, 3600);
-        assert_eq!(o.cm_width, 1024);
-        assert_eq!(o.cm_depth, 2);
         assert_eq!(o.hll_precision, 8);
         assert_eq!(o.theta, 0.8);
         assert_eq!(o.min_group, 5);
@@ -1383,8 +1369,6 @@ mod tests {
     #[test]
     fn stream_rejects_degenerate_values() {
         assert!(stream("--epoch-secs 0").is_err());
-        assert!(stream("--cm-width 0").is_err());
-        assert!(stream("--cm-depth 0").is_err());
         assert!(stream("--hll-precision 3").is_err());
         assert!(stream("--hll-precision 17").is_err());
         assert!(stream("--members 4").is_err(), "no simulate flags");

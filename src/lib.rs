@@ -57,7 +57,7 @@ pub use dnsnoise_ml as ml;
 /// The disposable zone miner (domain tree, features, Algorithm 1).
 pub use dnsnoise_core as core;
 
-/// The streaming online miner: sketch-backed statistics, epoch closes.
+/// The streaming online miner: exact per-record counters, epoch closes.
 pub use dnsnoise_stream as stream;
 
 /// The DNSSEC validation cost model.

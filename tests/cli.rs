@@ -342,3 +342,44 @@ fn simulate_exports_metrics_identically_across_threads() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A checkpoint's `pushed` is outside input behind only a CRC: a
+/// well-formed image claiming more events than the trace holds must end
+/// in the named error, not in an allocation sized from the claim.
+#[test]
+fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
+    use dnsnoise::stream::Checkpoint;
+
+    let dir = tempdir_named("ckpt-outrun");
+    let trace = dir.join("day0.trace");
+    let ckpt_dir = dir.join("ck");
+    let out = bin()
+        .args(["generate", "--scale", "0.02", "--seed", "11", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let stream = || {
+        let mut cmd = bin();
+        cmd.args(["stream", "--scale", "0.02", "--seed", "11", "--trace"])
+            .arg(&trace)
+            .arg("--checkpoint")
+            .arg(&ckpt_dir);
+        cmd.output().expect("run stream")
+    };
+    let out = stream();
+    assert!(out.status.success(), "stream failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let mut ckpt = Checkpoint::load(&ckpt_dir).expect("readable").expect("a boundary was crossed");
+    assert!(ckpt.pushed > 0);
+    ckpt.pushed = u64::MAX;
+    ckpt.save(&ckpt_dir).expect("save forged checkpoint");
+
+    let out = stream();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("checkpoint covers more events than the trace supplies"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,13 +4,17 @@
 //! snapshot.
 //!
 //! The snapshot pins the full `StreamReport::render()` text — every
-//! epoch close, sketch estimate, finding line, pDNS counter, and the
-//! conservation line — so any drift in the sketches, the epoch
+//! epoch close, HyperLogLog estimate, finding line, pDNS counter, and
+//! the conservation line — so any drift in the registry, the epoch
 //! schedule, or the event accounting shows up as a line diff. To
 //! intentionally rebless after a semantic change:
-//! `UPDATE_GOLDEN=1 cargo test --test golden_stream`.
+//! `UPDATE_GOLDEN=1 cargo test --test golden_stream`. The snapshot's
+//! final findings are also checked against the batch miner's, so a
+//! rebless cannot pin a wrong answer.
 
-use dnsnoise::core::{DailyPipeline, MinerConfig};
+use dnsnoise::core::{DailyPipeline, DomainTree, Miner, MinerConfig};
+use dnsnoise::dns::SuffixList;
+use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::{StreamConfig, StreamMiner};
 use dnsnoise::workload::{Scenario, ScenarioConfig};
 
@@ -20,11 +24,15 @@ fn scenario() -> Scenario {
     Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.02), 20140622)
 }
 
+fn trained_miner(s: &Scenario) -> Miner {
+    let mut pipeline = DailyPipeline::new(MinerConfig::default());
+    let _ = pipeline.run_day(s, 0);
+    pipeline.into_miner().expect("day 0 trains the model")
+}
+
 fn rendered() -> String {
     let s = scenario();
-    let mut pipeline = DailyPipeline::new(MinerConfig::default());
-    let _ = pipeline.run_day(&s, 0);
-    let miner = pipeline.into_miner().expect("day 0 trains the model");
+    let miner = trained_miner(&s);
 
     let trace = s.generate_day(0);
     let mut stream =
@@ -60,4 +68,33 @@ fn stream_report_matches_committed_snapshot() {
 #[test]
 fn repeat_run_matches_the_same_snapshot() {
     assert_eq!(rendered(), rendered());
+}
+
+/// The committed snapshot's end-of-day `finding = ` lines are exactly
+/// what the batch miner finds on the same trace with the same model.
+#[test]
+fn snapshot_final_findings_equal_the_batch_miners() {
+    let s = scenario();
+    let miner = trained_miner(&s);
+    let day = ResolverSim::new(SimConfig::default()).day(&s.generate_day(0)).run();
+    let mut tree = DomainTree::from_day_stats(&day.rr_stats);
+    let mut batch: Vec<String> = miner
+        .mine(&mut tree, &SuffixList::builtin())
+        .iter()
+        .map(|f| {
+            format!(
+                "finding = {} depth={} confidence={:.6} members={}",
+                f.zone, f.depth, f.confidence, f.members
+            )
+        })
+        .collect();
+    batch.sort();
+    assert!(!batch.is_empty(), "fixture must find something");
+
+    let snapshot = std::fs::read_to_string(SNAPSHOT_PATH).expect("snapshot is committed");
+    let (_, final_section) = snapshot.split_once("-- final --\n").expect("final section");
+    let mut pinned: Vec<&str> =
+        final_section.lines().filter(|l| l.starts_with("finding = ")).collect();
+    pinned.sort_unstable();
+    assert_eq!(pinned, batch);
 }
