@@ -1,5 +1,8 @@
 //! The unified day-run entry point: [`ResolverSim::day`] returns a
-//! [`DayRun`] builder, the one way to replay a day.
+//! [`DayRun`] builder, the one way to replay a day. It dispatches to one
+//! of the two drivers of `process_event`: the serial reference loop
+//! (`DayState`, also what an [`EventSession`](crate::EventSession) steps)
+//! or the sharded engine.
 //!
 //! ```
 //! use dnsnoise_resolver::{FaultPlan, MetricsRegistry, ResolverSim, SimConfig};
@@ -22,16 +25,14 @@
 //! # Ok::<(), dnsnoise_resolver::FaultSpecError>(())
 //! ```
 
-use dnsnoise_cache::CacheKey;
-use dnsnoise_dns::Ttl;
 use dnsnoise_workload::{DayTrace, GroundTruth};
 
-use crate::admission::{AdmissionState, OverloadConfig};
+use crate::admission::OverloadConfig;
 use crate::engine::{run_sharded, ShardObserver};
 use crate::faults::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::observer::Observer;
-use crate::sim::{diff_stats, process_event, DayReport, EventCtx, ResolverSim};
+use crate::sim::{DayReport, DayState, ResolverSim};
 
 /// A configured-but-not-yet-run day replay, built by
 /// [`ResolverSim::day`].
@@ -212,8 +213,8 @@ fn run_dispatch<O: ShardObserver>(
     }
 }
 
-/// The single-threaded reference replay: the loop every other execution
-/// mode must reproduce bit for bit.
+/// The single-threaded reference replay, the loop every other execution
+/// mode must reproduce bit for bit: one [`DayState`] stepped over the trace.
 pub(crate) fn run_serial_impl<Obs: Observer + ?Sized>(
     sim: &mut ResolverSim,
     trace: &DayTrace,
@@ -223,65 +224,14 @@ pub(crate) fn run_serial_impl<Obs: Observer + ?Sized>(
     observer: &mut Obs,
     mut metrics: Option<&mut MetricsRegistry>,
 ) -> DayReport {
-    let default_plan;
-    let plan = match plan {
-        Some(p) => p,
-        None => {
-            default_plan = FaultPlan::default();
-            &default_plan
-        }
-    };
-    if let Some(m) = metrics.as_deref_mut() {
-        m.set_overload_enabled(overload.is_some());
-        m.begin_day(trace.day, sim.cluster.members());
-    }
+    let mut day = DayState::begin(sim, trace.day, plan, overload, metrics.as_deref_mut());
     // lint:allow(wall-clock): feeds PhaseTimings, which is excluded from deterministic exports
     let replay_start = std::time::Instant::now();
-
-    let mut report = DayReport { day: trace.day, ..DayReport::default() };
-    let stats_before = sim.cluster.total_stats();
-    let drive_members = !plan.member_outages.is_empty() || sim.cluster.any_member_down();
-    let ctx = EventCtx {
-        plan,
-        day: trace.day,
-        stale_window: sim.config.stale_window.unwrap_or(Ttl::ZERO),
-        low_priority: sim.config.low_priority.clone(),
-        faults_active: !plan.is_empty(),
-        overload,
-    };
-    // One admission queue per cluster member, fresh at day start — the
-    // same lifecycle the sharded engine reproduces per owned member.
-    let mut admission: Vec<AdmissionState> =
-        (0..sim.cluster.members()).map(|_| AdmissionState::default()).collect();
-
-    for (index, event) in trace.events.iter().enumerate() {
-        if drive_members {
-            sim.apply_member_faults(plan, event.time);
-        }
-        let member =
-            sim.cluster.route(event.client, &CacheKey::new(event.name.clone(), event.qtype));
-        let shard = sim.cluster.member_mut(member);
-        process_event(
-            &ctx,
-            index as u64,
-            member,
-            event,
-            ground_truth,
-            shard.cache,
-            shard.negative,
-            &mut report,
-            observer,
-            metrics.as_deref_mut(),
-            if overload.is_some() { Some(&mut admission[member]) } else { None },
-        );
+    for event in &trace.events {
+        day.step(sim, event, ground_truth, observer, metrics.as_deref_mut());
     }
-
-    let stats_after = sim.cluster.total_stats();
-    report.cache = diff_stats(&stats_before, &stats_after);
-
-    if let Some(m) = metrics {
+    if let Some(m) = metrics.as_deref_mut() {
         m.phases_mut().add_replay(replay_start.elapsed());
-        m.set_day_end(&sim.cluster.member_occupancy(), &sim.cluster.down_flags(), &report.cache);
     }
-    report
+    day.finish(sim, metrics)
 }

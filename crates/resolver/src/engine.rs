@@ -4,8 +4,10 @@
 //! one day of traffic on several worker threads and produces a
 //! [`DayReport`] **bit-identical** to the single-threaded
 //! [`DayRun::run_serial`](crate::DayRun::run_serial) for any thread
-//! count, including under an active [`FaultPlan`]. Three properties make
-//! that possible:
+//! count, including under an active [`FaultPlan`]. It is the second of
+//! the two drivers of `process_event`: the day opens and closes through
+//! the serial loop's `DayState::{begin, finish}`, and only the stepping
+//! in between is sharded. Three properties make that possible:
 //!
 //! 1. **Pure routing.** [`CacheCluster::route_hash`] +
 //!    [`CacheCluster::member_for_hash`] compute, without advancing any
@@ -41,14 +43,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use dnsnoise_cache::{CacheCluster, CacheKey, LoadBalance, MemberShard};
-use dnsnoise_dns::Ttl;
 use dnsnoise_workload::{DayTrace, GroundTruth, ShardedTrace};
 
 use crate::admission::{AdmissionState, OverloadConfig};
 use crate::faults::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::observer::Observer;
-use crate::sim::{diff_stats, process_event, DayReport, EventCtx, ResolverSim};
+use crate::sim::{process_event, DayReport, DayState, ResolverSim};
 
 /// An [`Observer`] that can be split across shard workers and merged
 /// back.
@@ -125,29 +126,10 @@ pub(crate) fn run_sharded<O: ShardObserver>(
     observer: &mut O,
     mut metrics: Option<&mut MetricsRegistry>,
 ) -> DayReport {
-    let default_plan;
-    let plan = match plan {
-        Some(p) => p,
-        None => {
-            default_plan = FaultPlan::default();
-            &default_plan
-        }
-    };
+    let mut day = DayState::begin(sim, trace.day, plan, overload, metrics.as_deref_mut());
+    let (ctx, drive_members) = (&day.ctx, day.drive_members);
+    let plan = &ctx.plan;
     let members = sim.cluster.members();
-    if let Some(m) = metrics.as_deref_mut() {
-        m.set_overload_enabled(overload.is_some());
-        m.begin_day(trace.day, members);
-    }
-
-    let stats_before = sim.cluster.total_stats();
-    let ctx = EventCtx {
-        plan,
-        day: trace.day,
-        stale_window: sim.config.stale_window.unwrap_or(Ttl::ZERO),
-        low_priority: sim.config.low_priority.clone(),
-        faults_active: !plan.is_empty(),
-        overload,
-    };
 
     // Partition pass: replay the routing decisions (and the member
     // crash schedule they depend on) purely, without touching cache
@@ -155,7 +137,6 @@ pub(crate) fn run_sharded<O: ShardObserver>(
     // lint:allow(wall-clock): feeds PhaseTimings, which is excluded from deterministic exports
     let partition_start = Instant::now();
     let rr0 = sim.cluster.rr_cursor();
-    let drive_members = !plan.member_outages.is_empty() || sim.cluster.any_member_down();
     let mut down = sim.cluster.down_flags();
     let mut restarts: Vec<Vec<u64>> = vec![Vec::new(); members];
     let cluster = &sim.cluster;
@@ -205,7 +186,6 @@ pub(crate) fn run_sharded<O: ShardObserver>(
             .enumerate()
             .map(|(s, (mut owned, (mut fork, mut metric_fork)))| {
                 let stream = sharded.shard(s);
-                let ctx = &ctx;
                 scope.spawn(move || {
                     let mut partial = DayReport { day: ctx.day, ..DayReport::default() };
                     for routed in stream {
@@ -248,7 +228,7 @@ pub(crate) fn run_sharded<O: ShardObserver>(
             m.absorb(shard_metrics);
         }
     }
-    let mut report = DayReport::merge_partials(trace.day, &shard_reports);
+    day.report = DayReport::merge_partials(trace.day, &shard_reports);
     let merge_elapsed = merge_start.elapsed();
 
     // Sync the cluster state the workers bypassed: the round-robin
@@ -261,15 +241,12 @@ pub(crate) fn run_sharded<O: ShardObserver>(
         sim.cluster.set_member_flag(m, flag);
     }
 
-    report.cache = diff_stats(&stats_before, &sim.cluster.total_stats());
-
-    if let Some(m) = metrics {
+    if let Some(m) = metrics.as_deref_mut() {
         m.phases_mut().add_partition(partition_elapsed);
         m.phases_mut().add_replay(replay_elapsed);
         m.phases_mut().add_merge(merge_elapsed);
-        m.set_day_end(&sim.cluster.member_occupancy(), &sim.cluster.down_flags(), &report.cache);
     }
-    report
+    day.finish(sim, metrics)
 }
 
 #[cfg(test)]

@@ -1,20 +1,18 @@
-//! Incremental event-at-a-time replay: the streaming counterpart of the
+//! Incremental event-at-a-time replay: the streaming face of the
 //! [`ResolverSim::day`](crate::ResolverSim::day) builder.
 //!
-//! An [`EventSession`] owns a [`ResolverSim`] and feeds it one
-//! [`QueryEvent`] per [`EventSession::push`] call, running the *same*
-//! per-event logic (`process_event`) as the single-threaded reference
-//! replay. Because every push goes through the identical routing, cache,
-//! and accounting code path, a session fed the events of a [`DayTrace`]
-//! in order produces a [`DayReport`] bit-identical to
-//! `sim.day(&trace).run()` for the fault-free, overload-free
-//! configuration the streaming miner uses.
+//! An [`EventSession`] owns a [`ResolverSim`] plus the day-scoped replay
+//! state, and every [`EventSession::push`] is one step of the
+//! single-threaded reference loop: the very loop
+//! [`DayRun::run_serial`](crate::DayRun::run_serial) runs over a
+//! [`DayTrace`](dnsnoise_workload::DayTrace), here stepped by the caller.
+//! A session fed a day's events in order therefore returns the
+//! [`DayReport`] and the simulator `sim.day(&trace).run()` would have,
+//! including over a cluster a previous day left with a member down
+//! (it restarts cold at the first event).
 //!
-//! The session is deliberately narrower than the batch builder: no fault
-//! plan, no admission control, no metrics registry. Those knobs model
-//! infrastructure failure drills, which are batch-replay experiments;
-//! the streaming path models the steady-state deployment of the paper's
-//! miner at a production monitoring point.
+//! [`EventSession::new`] starts a fault-free day without admission
+//! control, which is what the streaming miner replays.
 //!
 //! # Examples
 //!
@@ -36,13 +34,10 @@
 //! assert_eq!(report, expected);
 //! ```
 
-use dnsnoise_cache::{CacheKey, CacheStats};
-use dnsnoise_dns::Ttl;
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
-use crate::faults::FaultPlan;
 use crate::observer::Observer;
-use crate::sim::{diff_stats, process_event, DayReport, EventCtx, ResolverSim};
+use crate::sim::{DayReport, DayState, ResolverSim};
 
 /// An in-progress incremental replay of one day of traffic.
 ///
@@ -53,13 +48,7 @@ use crate::sim::{diff_stats, process_event, DayReport, EventCtx, ResolverSim};
 #[derive(Debug)]
 pub struct EventSession {
     sim: ResolverSim,
-    /// The always-empty plan: streaming replays are fault-free, and an
-    /// empty plan makes `process_event` behave exactly like the batch
-    /// default-plan fallback.
-    plan: FaultPlan,
-    report: DayReport,
-    stats_before: CacheStats,
-    index: u64,
+    day: DayState,
 }
 
 impl EventSession {
@@ -67,14 +56,8 @@ impl EventSession {
     /// the cluster's cache counters so [`EventSession::finish`] can report
     /// this day's deltas.
     pub fn new(sim: ResolverSim, day: u64) -> EventSession {
-        let stats_before = sim.cluster.total_stats();
-        EventSession {
-            sim,
-            plan: FaultPlan::default(),
-            report: DayReport { day, ..DayReport::default() },
-            stats_before,
-            index: 0,
-        }
+        let day = DayState::begin(&sim, day, None, None, None);
+        EventSession { sim, day }
     }
 
     /// Serves one event, updating the cluster caches and the running
@@ -88,71 +71,46 @@ impl EventSession {
         ground_truth: Option<&GroundTruth>,
         observer: &mut Obs,
     ) {
-        let ctx = EventCtx {
-            plan: &self.plan,
-            day: self.report.day,
-            stale_window: self.sim.config.stale_window.unwrap_or(Ttl::ZERO),
-            low_priority: self.sim.config.low_priority.clone(),
-            faults_active: false,
-            overload: None,
-        };
-        let member =
-            self.sim.cluster.route(event.client, &CacheKey::new(event.name.clone(), event.qtype));
-        let shard = self.sim.cluster.member_mut(member);
-        process_event(
-            &ctx,
-            self.index,
-            member,
-            event,
-            ground_truth,
-            shard.cache,
-            shard.negative,
-            &mut self.report,
-            observer,
-            None,
-            None,
-        );
-        self.index += 1;
+        self.day.step(&mut self.sim, event, ground_truth, observer, None);
     }
 
     /// Re-labels the simulated day. Only meaningful before the first
     /// push: callers that learn the day from the stream itself (e.g. a
     /// miner fed from stdin) set it when the first event arrives.
     pub fn set_day(&mut self, day: u64) {
-        self.report.day = day;
-    }
-
-    /// Events pushed so far.
-    pub fn events_pushed(&self) -> u64 {
-        self.index
-    }
-
-    /// Read-only view of the running report. The `cache` delta is only
-    /// folded in by [`EventSession::finish`]; every other counter is
-    /// current as of the last push.
-    pub fn report_so_far(&self) -> &DayReport {
-        &self.report
+        self.day.ctx.day = day;
     }
 
     /// Closes the day: folds the cache-counter delta into the report and
     /// returns it together with the simulator for reuse on the next day.
     pub fn finish(self) -> (DayReport, ResolverSim) {
-        let EventSession { sim, plan: _, mut report, stats_before, index: _ } = self;
-        let stats_after = sim.cluster.total_stats();
-        report.cache = diff_stats(&stats_before, &stats_after);
-        (report, sim)
+        let report = self.day.finish(&self.sim, None);
+        (report, self.sim)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::sim::SimConfig;
-    use dnsnoise_workload::{Scenario, ScenarioConfig};
+    use dnsnoise_dns::Timestamp;
+    use dnsnoise_workload::{DayTrace, Scenario, ScenarioConfig};
 
     fn scenario(seed: u64) -> Scenario {
         Scenario::new(ScenarioConfig::paper_epoch(0.6).with_scale(0.02), seed)
     }
+
+    fn push_all(mut session: EventSession, trace: &DayTrace, s: &Scenario) -> EventSession {
+        for event in &trace.events {
+            session.push(event, Some(s.ground_truth()), &mut ());
+        }
+        session
+    }
+
+    // The expected side of the next two tests is the sharded engine: it
+    // shares only `process_event` with the loop a session steps, so
+    // session ≡ serial ≡ sharded is one chain with an independent end.
 
     #[test]
     fn incremental_replay_matches_batch_exactly() {
@@ -161,13 +119,10 @@ mod tests {
             let trace = s.generate_day(0);
 
             let mut batch = ResolverSim::new(SimConfig::default());
-            let expected = batch.day(&trace).ground_truth(s.ground_truth()).run();
+            let expected = batch.day(&trace).ground_truth(s.ground_truth()).threads(4).run();
 
-            let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
-            for event in &trace.events {
-                session.push(event, Some(s.ground_truth()), &mut ());
-            }
-            let (report, _) = session.finish();
+            let session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
+            let (report, _) = push_all(session, &trace, &s).finish();
             assert_eq!(report, expected, "seed {seed}");
         }
     }
@@ -179,27 +134,62 @@ mod tests {
         let mut streamed = ResolverSim::new(SimConfig::default());
         for day in 0..2 {
             let trace = s.generate_day(day);
-            let expected = batch.day(&trace).ground_truth(s.ground_truth()).run();
-            let mut session = EventSession::new(streamed, trace.day);
-            for event in &trace.events {
-                session.push(event, Some(s.ground_truth()), &mut ());
-            }
-            let (report, sim) = session.finish();
+            let expected = batch.day(&trace).ground_truth(s.ground_truth()).threads(4).run();
+            let session = EventSession::new(streamed, trace.day);
+            let (report, sim) = push_all(session, &trace, &s).finish();
             streamed = sim;
             assert_eq!(report, expected, "day {day}");
         }
     }
 
     #[test]
-    fn report_so_far_tracks_pushes() {
-        let s = scenario(9);
-        let trace = s.generate_day(0);
-        let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
-        assert_eq!(session.events_pushed(), 0);
-        for event in trace.events.iter().take(100) {
-            session.push(event, None, &mut ());
+    fn session_over_a_cluster_left_with_a_member_down_equals_batch() {
+        // Day 0's crash window outlasts the day, so both simulators enter
+        // day 1 with member 1 down; the fault-free day 1 must restart it
+        // cold at its first event on either path.
+        let s = scenario(7);
+        let (d0, d1) = (s.generate_day(0), s.generate_day(1));
+        let crash = FaultPlan::default().with_member_outage(
+            1,
+            Timestamp::from_secs(20 * 3_600),
+            Timestamp::from_secs(30 * 3_600),
+        );
+        let mut batch = ResolverSim::new(SimConfig::default());
+        let mut streamed = ResolverSim::new(SimConfig::default());
+        for sim in [&mut batch, &mut streamed] {
+            sim.day(&d0).ground_truth(s.ground_truth()).faults(&crash).run_serial();
+            assert!(sim.cluster().any_member_down());
         }
-        assert_eq!(session.events_pushed(), 100);
-        assert!(session.report_so_far().below_total > 0);
+
+        let expected = batch.day(&d1).ground_truth(s.ground_truth()).run_serial();
+        let (report, streamed) = push_all(EventSession::new(streamed, d1.day), &d1, &s).finish();
+        assert_eq!(report, expected);
+        assert!(!batch.cluster().any_member_down());
+        assert!(!streamed.cluster().any_member_down());
+    }
+
+    #[test]
+    fn set_day_before_the_first_push_equals_constructing_with_the_day() {
+        // Packet-loss sampling is keyed on the day, so a re-label that
+        // reached the report but not the hoisted context would diverge.
+        let s = scenario(9);
+        let trace = s.generate_day(3);
+        let lossy = FaultPlan::default().with_seed(5).with_packet_loss(0.3);
+        let begin = |day| {
+            let sim = ResolverSim::new(SimConfig::default());
+            let day = DayState::begin(&sim, day, Some(&lossy), None, None);
+            EventSession { sim, day }
+        };
+
+        let (expected, _) = push_all(begin(trace.day), &trace, &s).finish();
+        assert!(expected.resilience.failed_attempts > 0);
+
+        let mut relabelled = begin(0);
+        relabelled.set_day(trace.day);
+        let (report, _) = push_all(relabelled, &trace, &s).finish();
+        assert_eq!(report, expected);
+
+        let (unlabelled, _) = push_all(begin(0), &trace, &s).finish();
+        assert_ne!(unlabelled.resilience, expected.resilience, "the day must matter");
     }
 }

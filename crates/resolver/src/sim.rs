@@ -297,25 +297,137 @@ impl ResolverSim {
 
 /// Per-day context shared by every event of a run: the fault plan, the
 /// day coordinate fault sampling is keyed on, and the config knobs the
-/// per-event logic needs. Cloning the [`PriorityPredicate`] `Arc` here
-/// (once per day) lets the context cross thread boundaries without
-/// borrowing the simulator.
-pub(crate) struct EventCtx<'a> {
-    pub(crate) plan: &'a FaultPlan,
+/// per-event logic needs. Owning the plan and a clone of the
+/// [`PriorityPredicate`] `Arc` (both made once per day) lets it cross
+/// thread boundaries and live inside an `EventSession` borrowing nothing.
+pub(crate) struct EventCtx {
+    pub(crate) plan: FaultPlan,
     pub(crate) day: u64,
     pub(crate) stale_window: Ttl,
     pub(crate) low_priority: Option<PriorityPredicate>,
     pub(crate) faults_active: bool,
     /// Admission-control knobs; `None` compiles the overload stage out of
     /// the replay entirely (bit-identical to an overload-free build).
-    pub(crate) overload: Option<&'a OverloadConfig>,
+    pub(crate) overload: Option<OverloadConfig>,
+}
+
+/// The day-scoped state of a replay. `begin` / `step` per event / `finish`
+/// *is* the single-threaded reference loop; the simulator is an argument
+/// because a `DayRun` borrows it and an `EventSession` owns it. The
+/// sharded engine shares `begin` and `finish` and replaces the stepping.
+pub(crate) struct DayState {
+    pub(crate) ctx: EventCtx,
+    /// Sync member crash windows per event: the plan schedules some, or a
+    /// previous day left a member down (it restarts cold at event one).
+    pub(crate) drive_members: bool,
+    /// One admission queue per cluster member, fresh at day start; empty
+    /// without an [`OverloadConfig`]. Shard workers keep their own.
+    admission: Vec<AdmissionState>,
+    /// The running report; `finish` stamps its `day` from the context.
+    pub(crate) report: DayReport,
+    stats_before: CacheStats,
+    index: u64,
+}
+
+// Manual impl: the context's `PriorityPredicate` is not `Debug`.
+impl std::fmt::Debug for DayState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DayState")
+            .field("day", &self.ctx.day)
+            .field("index", &self.index)
+            .finish_non_exhaustive()
+    }
+}
+
+impl DayState {
+    /// Opens `day` over `sim`: an absent plan becomes the empty one, the
+    /// cache counters are snapshotted and `metrics` learns the day.
+    pub(crate) fn begin(
+        sim: &ResolverSim,
+        day: u64,
+        plan: Option<&FaultPlan>,
+        overload: Option<&OverloadConfig>,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> DayState {
+        let plan = plan.cloned().unwrap_or_default();
+        let members = sim.cluster.members();
+        if let Some(m) = metrics {
+            m.set_overload_enabled(overload.is_some());
+            m.begin_day(day, members);
+        }
+        DayState {
+            drive_members: !plan.member_outages.is_empty() || sim.cluster.any_member_down(),
+            admission: overload.map_or_else(Vec::new, |_| vec![AdmissionState::default(); members]),
+            report: DayReport::default(),
+            stats_before: sim.cluster.total_stats(),
+            index: 0,
+            ctx: EventCtx {
+                day,
+                stale_window: sim.config.stale_window.unwrap_or(Ttl::ZERO),
+                low_priority: sim.config.low_priority.clone(),
+                faults_active: !plan.is_empty(),
+                overload: overload.copied(),
+                plan,
+            },
+        }
+    }
+
+    /// Serves the next event of the day: syncs member crash windows,
+    /// routes, and runs [`process_event`] on the owning member.
+    pub(crate) fn step<Obs: Observer + ?Sized>(
+        &mut self,
+        sim: &mut ResolverSim,
+        event: &QueryEvent,
+        ground_truth: Option<&GroundTruth>,
+        observer: &mut Obs,
+        metrics: Option<&mut MetricsRegistry>,
+    ) {
+        if self.drive_members {
+            sim.apply_member_faults(&self.ctx.plan, event.time);
+        }
+        let member =
+            sim.cluster.route(event.client, &CacheKey::new(event.name.clone(), event.qtype));
+        let shard = sim.cluster.member_mut(member);
+        process_event(
+            &self.ctx,
+            self.index,
+            member,
+            event,
+            ground_truth,
+            shard.cache,
+            shard.negative,
+            &mut self.report,
+            observer,
+            metrics,
+            self.admission.get_mut(member),
+        );
+        self.index += 1;
+    }
+
+    /// Closes the day: stamps the report with the day and the cache-counter
+    /// delta, and hands the day-end cluster state to `metrics`.
+    pub(crate) fn finish(
+        mut self,
+        sim: &ResolverSim,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> DayReport {
+        let cluster = &sim.cluster;
+        self.report.day = self.ctx.day;
+        self.report.cache = diff_stats(&self.stats_before, &cluster.total_stats());
+        if let Some(m) = metrics {
+            m.set_day_end(&cluster.member_occupancy(), &cluster.down_flags(), &self.report.cache);
+        }
+        self.report
+    }
 }
 
 /// Serves one query event against one member's caches and folds the
 /// outcome into `report`.
 ///
 /// This is the entire per-event logic of the simulation, shared verbatim
-/// by the single-threaded loop and the sharded engine. Everything it
+/// by its two drivers: [`DayState::step`] (the serial loop, which a
+/// `DayRun` runs over a trace and an `EventSession` steps per push) and
+/// the shard worker in `engine::run_sharded`. Everything it
 /// touches is either the owning member's private cache state or a
 /// commutative counter in `report` (sums and key-wise counter merges),
 /// and the only randomness — fault loss sampling — is a pure function of
@@ -324,7 +436,7 @@ pub(crate) struct EventCtx<'a> {
 /// back into a bit-identical [`DayReport`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_event<Obs: Observer + ?Sized>(
-    ctx: &EventCtx<'_>,
+    ctx: &EventCtx,
     index: u64,
     member: usize,
     event: &QueryEvent,
@@ -358,7 +470,7 @@ pub(crate) fn process_event<Obs: Observer + ?Sized>(
                     Admission::Drop => Served::Dropped,
                     Admission::RateLimit => Served::RateLimited,
                     Admission::Admit => {
-                        let fetch = fetch_upstream(ctx.plan, ctx.day, index, event, operator);
+                        let fetch = fetch_upstream(&ctx.plan, ctx.day, index, event, operator);
                         tally_fetch(report, &fetch, hour, operator);
                         fetch_sample = Some(fetch);
                         if fetch.success {
@@ -405,7 +517,7 @@ pub(crate) fn process_event<Obs: Observer + ?Sized>(
                         &mut backlog_sample,
                     ) {
                         Admission::Admit => {
-                            let fetch = fetch_upstream(ctx.plan, ctx.day, index, event, operator);
+                            let fetch = fetch_upstream(&ctx.plan, ctx.day, index, event, operator);
                             tally_fetch(report, &fetch, hour, operator);
                             fetch_sample = Some(fetch);
                             if fetch.success {
@@ -518,14 +630,14 @@ pub(crate) fn process_event<Obs: Observer + ?Sized>(
 /// [`OverloadConfig`] is attached; folds the member's queue peak into the
 /// report and samples the post-decision backlog for metrics.
 fn admission_gate(
-    ctx: &EventCtx<'_>,
+    ctx: &EventCtx,
     admission: &mut Option<&mut AdmissionState>,
     report: &mut DayReport,
     event: &QueryEvent,
     is_nxdomain: bool,
     backlog_sample: &mut Option<u64>,
 ) -> Admission {
-    let (Some(cfg), Some(adm)) = (ctx.overload, admission.as_deref_mut()) else {
+    let (Some(cfg), Some(adm)) = (&ctx.overload, admission.as_deref_mut()) else {
         return Admission::Admit;
     };
     let decision = adm.admit(cfg, event.client, &event.name, event.time.as_secs(), is_nxdomain);
@@ -625,7 +737,7 @@ fn tally_fetch(
     report.resilience.upstream_servfails += fetch.upstream_servfails;
 }
 
-pub(crate) fn diff_stats(before: &CacheStats, after: &CacheStats) -> CacheStats {
+fn diff_stats(before: &CacheStats, after: &CacheStats) -> CacheStats {
     CacheStats {
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,

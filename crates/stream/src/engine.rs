@@ -427,7 +427,8 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Creates a miner over an existing cluster (whose caches carry prior
-    /// days' state) for simulated day `day`.
+    /// days' state) for simulated day `day`. A member a previous day's
+    /// crash window left down restarts cold at the first event, as in batch.
     pub fn with_sim(
         config: StreamConfig,
         miner: &'m Miner,

@@ -91,7 +91,7 @@ echo "== pdns store smoke (miner output identical across --store memory|disk) ==
 # disk backend must print its summary line on stderr.
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" \
-    --store memory >"$smoke_dir/sm.txt" 2>/dev/null
+    --store memory >"$smoke_dir/sm.txt" 2>"$smoke_dir/sm.log"
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" \
     --store disk --store-path "$smoke_dir/pdns" \
@@ -102,6 +102,19 @@ grep -q 'rpdns store: backend=disk' "$smoke_dir/sd.log" \
     || { echo "error: disk store summary missing from stream stderr" >&2; exit 1; }
 ls "$smoke_dir/pdns" | grep -q 'run-.*\.bin' \
     || { echo "error: disk store spilled no run files" >&2; exit 1; }
+# Two subcommands, one replay loop: `simulate` (DayRun) and `stream`
+# (EventSession) over the same trace must count the same records at the
+# monitoring point and feed the memory store the same bytes.
+./target/release/dnsnoise simulate --trace "$smoke_dir/day1.trace" \
+    --store memory >"$smoke_dir/sim.txt" 2>"$smoke_dir/sim.log"
+sim_taps=$(awk '/^below records:/{b=$NF} /^above records:/{a=$NF} END{print b, a}' "$smoke_dir/sim.txt")
+stream_taps=$(awk '/^below_total =/{b=$NF} /^above_total =/{a=$NF} END{print b, a}' "$smoke_dir/sm.txt")
+[[ "$sim_taps" =~ ^[0-9]+\ [0-9]+$ && "$sim_taps" == "$stream_taps" ]] \
+    || { echo "error: simulate taps ($sim_taps) != stream taps ($stream_taps)" >&2; exit 1; }
+store_tokens='rpdns store: backend=memory records=[0-9]* storage_bytes=[0-9]*'
+sim_store=$(grep -o "$store_tokens" "$smoke_dir/sim.log") \
+    && [ "$sim_store" = "$(grep -o "$store_tokens" "$smoke_dir/sm.log")" ] \
+    || { echo "error: simulate and stream filled the memory store differently" >&2; exit 1; }
 grep -q '"bench": "pdns"' BENCH_pdns.json \
     || { echo "error: BENCH_pdns.json missing or malformed" >&2; exit 1; }
 

@@ -10,7 +10,7 @@ use dnsnoise::core::{DailyPipeline, DomainTree, Finding, Miner, MinerConfig, Min
 use dnsnoise::dns::SuffixList;
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::{StreamConfig, StreamMiner};
-use dnsnoise::workload::{Scenario, ScenarioConfig};
+use dnsnoise::workload::{AttackPlan, DayTrace, Scenario, ScenarioConfig};
 
 fn scenario(scale: f64, seed: u64) -> Scenario {
     Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(scale), seed)
@@ -26,15 +26,14 @@ fn trained_miner(s: &Scenario) -> Miner {
 
 /// Batch reference for one trace on a fresh cluster: replay, build the
 /// exact tree, mine, evaluate against ground truth.
-fn batch_reference(s: &Scenario, miner: &Miner, day: u64) -> MiningReport {
-    let trace = s.generate_day(day);
+fn batch_reference(s: &Scenario, miner: &Miner, trace: &DayTrace) -> MiningReport {
     let mut sim = ResolverSim::new(SimConfig::default());
-    let report = sim.day(&trace).ground_truth(s.ground_truth()).run();
+    let report = sim.day(trace).ground_truth(s.ground_truth()).run();
     let mut tree = DomainTree::from_day_stats(&report.rr_stats);
     let found = miner.mine(&mut tree, &SuffixList::builtin());
     let eval_tree = DomainTree::from_day_stats(&report.rr_stats);
     MiningReport::evaluate(
-        day,
+        trace.day,
         found,
         &eval_tree,
         s.ground_truth(),
@@ -43,8 +42,7 @@ fn batch_reference(s: &Scenario, miner: &Miner, day: u64) -> MiningReport {
     )
 }
 
-fn stream_mining(s: &Scenario, miner: &Miner, day: u64) -> MiningReport {
-    let trace = s.generate_day(day);
+fn stream_mining(s: &Scenario, miner: &Miner, trace: &DayTrace) -> MiningReport {
     let mut stream =
         StreamMiner::new(StreamConfig::default(), miner).ground_truth(s.ground_truth());
     for event in &trace.events {
@@ -60,22 +58,40 @@ fn sorted(mut findings: Vec<Finding>) -> Vec<Finding> {
     findings
 }
 
+/// The random-subdomain flood `DailyPipeline`'s flooded-day test injects:
+/// one-time-use names under two victim zones, six times the day's load.
+const FLOOD: &str =
+    "seed=4; victim=flood-a.example; victim=flood-b.example; labellen=16; surge=0,86400,6";
+
 /// Default configuration, a day the model never trained on: findings
 /// and evaluation agree with batch bit for bit, across seeds at the smoke
-/// scale and on a scale-0.2 day four times larger, where the count-min
-/// sketches this miner once used found 21 of batch's 22 zones.
+/// scale, on a scale-0.2 day four times larger (where the count-min
+/// sketches this miner once used found 21 of batch's 22 zones), and on a
+/// flooded day without admission control.
 #[test]
 fn stream_agrees_with_batch_exactly() {
-    for (scale, seed) in [(0.05, 21), (0.05, 87), (0.05, 1009), (0.2, 3)] {
+    for (scale, seed, attack) in [
+        (0.05, 21, None),
+        (0.05, 87, None),
+        (0.05, 1009, None),
+        (0.2, 3, None),
+        (0.05, 21, Some(FLOOD)),
+    ] {
         let s = scenario(scale, seed);
         let miner = trained_miner(&s);
-        let batch = batch_reference(&s, &miner, 1);
+        let mut trace = s.generate_day(1);
+        if let Some(spec) = attack {
+            let clean = trace.events.len();
+            spec.parse::<AttackPlan>().expect("static attack spec").inject(&mut trace);
+            assert!(trace.events.len() > 5 * clean, "seed {seed}: the flood is missing");
+        }
+        let batch = batch_reference(&s, &miner, &trace);
         // The fixture must be non-vacuous: disposable zones exist and the
         // batch miner actually finds things.
         assert!(batch.eligible_disposable > 0, "seed {seed}: no eligible zones");
         assert!(!batch.found.is_empty(), "seed {seed}: batch found nothing");
 
-        let streamed = stream_mining(&s, &miner, 1);
+        let streamed = stream_mining(&s, &miner, &trace);
 
         assert_eq!(
             sorted(streamed.found.clone()),
