@@ -9,11 +9,12 @@
 //!
 //! Two figures matter here. Throughput: events/sec for the batch replay
 //! (materialise the day, then build the tree and mine) versus the
-//! streaming push loop (registry and HyperLogLog updates per event plus
-//! periodic epoch closes). Memory: the streaming miner's peak resident
-//! state — the name registry plus two HyperLogLogs — versus what the
-//! batch path must materialise: the full trace text plus the exact
-//! per-RR statistics table.
+//! streaming push loop (the same replay step plus HyperLogLog and pDNS
+//! updates per event and periodic epoch closes). Memory: the streaming
+//! miner's peak resident state — the replay session's per-RR statistics
+//! table plus two HyperLogLogs — versus what the batch path must
+//! materialise: the full trace text plus that same table, both sides
+//! sized by the one model (`RrDayStats::state_bytes`).
 //!
 //! As in the other benches, correctness is gated before the stopwatch:
 //! two streaming runs must render byte-identically, and the measured
@@ -28,9 +29,6 @@ use dnsnoise_dns::SuffixList;
 use dnsnoise_resolver::{DayReport, ResolverSim, SimConfig};
 use dnsnoise_stream::{StreamConfig, StreamMiner, StreamReport};
 use dnsnoise_workload::{trace_io, DayTrace, GroundTruth, Scenario, ScenarioConfig};
-
-/// Per-entry overhead a hash table pays on top of key + value payload.
-const MAP_ENTRY_OVERHEAD: usize = 48;
 
 fn batch_run(trace: &DayTrace, gt: &GroundTruth, miner: &Miner) -> (DayReport, Vec<Finding>) {
     let mut sim = ResolverSim::new(SimConfig::default());
@@ -51,20 +49,6 @@ fn stream_run(
         stream.push(event);
     }
     stream.finish().0
-}
-
-/// Bytes the batch path keeps live to mine a day: the exact per-RR
-/// statistics table (key text + stat + hash-table overhead per entry).
-fn rr_stats_bytes(report: &DayReport) -> usize {
-    report
-        .rr_stats
-        .iter()
-        .map(|(key, _)| {
-            key.to_string().len()
-                + std::mem::size_of::<dnsnoise_resolver::RrStat>()
-                + MAP_ENTRY_OVERHEAD
-        })
-        .sum()
 }
 
 fn sorted_findings(mut findings: Vec<Finding>) -> Vec<Finding> {
@@ -117,8 +101,8 @@ fn main() -> ExitCode {
     assert_eq!(first.render(), again.render(), "streaming run is not deterministic");
     assert!(first.conserves(), "{}", first.conservation_line());
 
-    // Second: the registry's counters are exact, so the findings of the
-    // run being measured must equal batch mining.
+    // Second: the stream mines the session's exact table, so the findings
+    // of the run being measured must equal batch mining.
     let (batch_report, batch_findings) = batch_run(&trace, gt, &miner);
     assert_eq!(
         sorted_findings(first.final_findings),
@@ -138,7 +122,7 @@ fn main() -> ExitCode {
     // reads plus the exact per-RR table the tree is built from.
     let mut trace_text = Vec::new();
     trace_io::write_trace(&trace, &mut trace_text).expect("serialize trace");
-    let rr_bytes = rr_stats_bytes(&batch_report);
+    let rr_bytes = batch_report.rr_stats.state_bytes();
     let materialized = trace_text.len() + rr_bytes;
     let peak = report.peak_state_bytes;
     eprintln!(

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dnsnoise_dns::Timestamp;
+use dnsnoise_dns::{fnv1a, Timestamp};
 
 use crate::lru::{CacheKey, CacheStats, TtlLru};
 use crate::negative::NegativeCache;
@@ -69,15 +69,6 @@ pub struct CacheCluster {
     /// Crash state per member: a downed member receives no routes; its
     /// keyspace rehashes onto the survivors until it restarts cold.
     down: Vec<bool>,
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer, used to re-randomize a routing hash when its
@@ -162,7 +153,7 @@ impl CacheCluster {
         match self.strategy {
             LoadBalance::HashClient => fnv1a(client.to_le_bytes()),
             LoadBalance::RoundRobin => seq % self.caches.len() as u64,
-            LoadBalance::HashName => fnv1a(key.name.to_string().bytes()),
+            LoadBalance::HashName => fnv1a(key.name.presentation_bytes()),
         }
     }
 

@@ -241,11 +241,33 @@ impl Name {
         }
     }
 
+    /// The bytes of the presentation form — exactly what `Display` writes —
+    /// without allocating: labels joined by `b'.'`, `b"."` for the root.
+    pub fn presentation_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let root = self.labels.is_empty().then_some(b'.');
+        let labels = self.labels.iter().enumerate().flat_map(|(i, label)| {
+            (i > 0).then_some(b'.').into_iter().chain(label.as_str().bytes())
+        });
+        root.into_iter().chain(labels)
+    }
+
     /// Number of `.` separators in the presentation form. The paper reports
     /// "on average, there are 7 periods in disposable domains".
     pub fn period_count(&self) -> usize {
         self.labels.len().saturating_sub(1)
     }
+}
+
+/// Seedless 64-bit FNV-1a over a byte stream: the stable hash behind
+/// name-based cache routing and the streaming miner's name cardinality.
+/// Feed it [`Name::presentation_bytes`] to hash a name without formatting it.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 impl FromStr for Name {
@@ -355,5 +377,20 @@ mod tests {
         assert_eq!(d.period_count(), 11); // as stated in §IV-A for avqs.mcafee.com
         assert_eq!(d.presentation_len(), d.to_string().len());
         assert_eq!(Name::root().presentation_len(), 1);
+    }
+
+    #[test]
+    fn presentation_bytes_hash_like_the_formatted_name() {
+        // Routing, HLL registers and every golden were pinned while the
+        // callers hashed `to_string()`; the walk must feed the same bytes.
+        for name in [n("a.b.c.example.co.uk"), n("com"), Name::root()] {
+            let text = name.to_string();
+            assert!(name.presentation_bytes().eq(text.bytes()), "{text}");
+            assert_eq!(name.presentation_bytes().count(), name.presentation_len());
+            assert_eq!(fnv1a(name.presentation_bytes()), fnv1a(text.bytes()), "{text}");
+        }
+        // The FNV-1a offset basis and one published vector.
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

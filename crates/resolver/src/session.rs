@@ -38,6 +38,7 @@ use dnsnoise_workload::{GroundTruth, QueryEvent};
 
 use crate::observer::Observer;
 use crate::sim::{DayReport, DayState, ResolverSim};
+use crate::stats::RrDayStats;
 
 /// An in-progress incremental replay of one day of traffic.
 ///
@@ -81,6 +82,13 @@ impl EventSession {
         self.day.ctx.day = day;
     }
 
+    /// The exact per-record query/miss table of the events pushed so far
+    /// — what [`DayReport::rr_stats`] will hold after
+    /// [`EventSession::finish`], readable mid-day.
+    pub fn rr_stats(&self) -> &RrDayStats {
+        &self.day.report.rr_stats
+    }
+
     /// Closes the day: folds the cache-counter delta into the report and
     /// returns it together with the simulator for reuse on the next day.
     pub fn finish(self) -> (DayReport, ResolverSim) {
@@ -121,8 +129,20 @@ mod tests {
             let mut batch = ResolverSim::new(SimConfig::default());
             let expected = batch.day(&trace).ground_truth(s.ground_truth()).threads(4).run();
 
+            // Half-way, the running table is already the batch table of
+            // the truncated day: the streaming miner's epoch closes read it.
+            let mut half = trace.clone();
+            half.events.truncate(trace.events.len() / 2);
             let session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
-            let (report, _) = push_all(session, &trace, &s).finish();
+            let mut session = push_all(session, &half, &s);
+            let truncated = ResolverSim::new(SimConfig::default()).day(&half).run_serial();
+            assert!(!truncated.rr_stats.is_empty());
+            assert_eq!(session.rr_stats(), &truncated.rr_stats, "seed {seed}: half-way table");
+
+            for event in &trace.events[half.events.len()..] {
+                session.push(event, Some(s.ground_truth()), &mut ());
+            }
+            let (report, _) = session.finish();
             assert_eq!(report, expected, "seed {seed}");
         }
     }

@@ -89,22 +89,33 @@ impl RrDayStats {
         RrDayStats::default()
     }
 
+    /// Applies `update` to the row for `key`, creating it on first sight.
+    /// Most updates hit an existing row, so the key is cloned only when
+    /// it is inserted.
+    fn update(&mut self, key: &RrKey, update: impl FnOnce(&mut RrStat)) {
+        match self.stats.get_mut(key) {
+            Some(stat) => update(stat),
+            None => update(self.stats.entry(key.clone()).or_default()),
+        }
+    }
+
     /// Counts one below-the-recursives observation of `key`.
     pub fn record_below(&mut self, key: &RrKey) {
-        self.stats.entry(key.clone()).or_default().queries += 1;
+        self.update(key, |stat| stat.queries += 1);
     }
 
     /// Counts one below-the-recursives observation of `key` by `client`,
     /// updating the distinct-client sketch.
     pub fn record_below_by(&mut self, key: &RrKey, client: u64) {
-        let stat = self.stats.entry(key.clone()).or_default();
-        stat.queries += 1;
-        stat.observe_client(client);
+        self.update(key, |stat| {
+            stat.queries += 1;
+            stat.observe_client(client);
+        });
     }
 
     /// Counts one above-the-recursives observation of `key`.
     pub fn record_above(&mut self, key: &RrKey) {
-        self.stats.entry(key.clone()).or_default().misses += 1;
+        self.update(key, |stat| stat.misses += 1);
     }
 
     /// The stat for a record, if observed.
@@ -120,6 +131,13 @@ impl RrDayStats {
     /// Returns `true` if nothing was observed.
     pub fn is_empty(&self) -> bool {
         self.stats.is_empty()
+    }
+
+    /// Modeled resident size of the table in bytes: per row, the key's
+    /// [`RrKey::storage_bytes`] plus one [`RrStat`]. The size model the
+    /// streaming report and `bench_stream` share.
+    pub fn state_bytes(&self) -> usize {
+        self.stats.keys().map(|key| key.storage_bytes() + std::mem::size_of::<RrStat>()).sum()
     }
 
     /// Iterates over `(record key, stat)` pairs.

@@ -3,13 +3,13 @@
 //! killed-and-restarted process resumes mid-day and produces a report
 //! byte-identical to an uninterrupted run.
 //!
-//! A [`Checkpoint`] captures everything the miner owns — the name
-//! registry with its exact per-record counters, both HyperLogLogs, the
-//! fpDNS and rpDNS datasets (including the disk backend's exact memtable
-//! and run layout, so its subsequent compaction decisions are
-//! identical), the epoch summaries closed so far, and the served-class
-//! tallies. What it deliberately does *not* capture is the resolver
-//! session: its caches are a pure function of the event prefix, so
+//! A [`Checkpoint`] captures everything the miner's observer owns — both
+//! HyperLogLogs, the fpDNS and rpDNS datasets (including the disk
+//! backend's exact memtable and run layout, so its subsequent compaction
+//! decisions are identical), the epoch summaries closed so far, and the
+//! served-class tallies. What it deliberately does *not* capture is the
+//! resolver session: its caches *and* its per-record query/miss table
+//! (the miner's input) are a pure function of the event prefix, so
 //! [`StreamMiner::resume`](crate::StreamMiner::resume) rebuilds them by
 //! replaying the first [`Checkpoint::pushed`] trace events through a
 //! fresh session with a unit observer.
@@ -38,13 +38,13 @@ use dnsnoise_pdns::{
     RunStore, StoreError,
 };
 
-use crate::engine::{EpochSummary, RecordCount, StreamConfig, StreamState, HLL_NAMES_SEED_XOR};
+use crate::engine::{EpochSummary, StreamConfig, StreamState, HLL_NAMES_SEED_XOR};
 use crate::sketch::HyperLogLog;
 
-/// Magic + format version leading every serialised checkpoint. Version 1
-/// (sketch tables in place of the registry's counters) is refused as
-/// `FrameError::Version`.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt2\n";
+/// Magic + format version leading every serialised checkpoint. Versions
+/// 1 and 2 (which carried per-record counters in the body: sketch tables,
+/// then registry rows) are refused as `FrameError::Version`.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt3\n";
 
 /// The checkpoint's file name inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
@@ -67,11 +67,7 @@ pub struct Checkpoint {
     /// the rest.
     pub pushed: u64,
     pub(crate) current_epoch: Option<u64>,
-    pub(crate) peak_state_bytes: usize,
     pub(crate) epochs: Vec<EpochSummary>,
-    // -- name registry --
-    pub(crate) names: Vec<(Name, Vec<RecordCount>)>,
-    pub(crate) registry_bytes: u64,
     // -- cardinality estimators --
     pub(crate) hll_clients_regs: Vec<u8>,
     pub(crate) hll_names_regs: Vec<u8>,
@@ -104,7 +100,6 @@ impl Checkpoint {
         day: u64,
         pushed: u64,
         current_epoch: Option<u64>,
-        peak_state_bytes: usize,
         epochs: &[EpochSummary],
         state: &StreamState,
     ) -> Checkpoint {
@@ -133,10 +128,7 @@ impl Checkpoint {
             day,
             pushed,
             current_epoch,
-            peak_state_bytes,
             epochs: epochs.to_vec(),
-            names: state.names.iter().map(|(n, rs)| (n.clone(), rs.clone())).collect(),
-            registry_bytes: state.registry_bytes as u64,
             hll_clients_regs: state.hll_clients.registers().to_vec(),
             hll_names_regs: state.hll_names.registers().to_vec(),
             fpdns: state.pdns.to_parts(),
@@ -237,7 +229,6 @@ impl Checkpoint {
             }
         };
         Ok(StreamState {
-            names: self.names.iter().cloned().collect(),
             hll_clients,
             hll_names,
             pdns: FpDnsLog::from_parts(self.fpdns.clone()),
@@ -246,7 +237,6 @@ impl Checkpoint {
             nxdomain: self.nxdomain,
             failed: self.failed,
             shed: self.shed,
-            registry_bytes: self.registry_bytes as usize,
         })
     }
 
@@ -265,7 +255,6 @@ impl Checkpoint {
         put_u64(&mut out, self.pushed);
         out.push(u8::from(self.current_epoch.is_some()));
         put_u64(&mut out, self.current_epoch.unwrap_or(0));
-        put_u64(&mut out, self.peak_state_bytes as u64);
         put_u64(&mut out, self.epochs.len() as u64);
         for e in &self.epochs {
             put_u64(&mut out, e.epoch);
@@ -280,17 +269,6 @@ impl Checkpoint {
                 put_finding(&mut out, f);
             }
         }
-        put_u64(&mut out, self.names.len() as u64);
-        for (name, records) in &self.names {
-            put_name(&mut out, name);
-            put_u64(&mut out, records.len() as u64);
-            for r in records {
-                put_u64(&mut out, r.fp);
-                put_u32(&mut out, r.queries);
-                put_u32(&mut out, r.misses);
-            }
-        }
-        put_u64(&mut out, self.registry_bytes);
         for regs in [&self.hll_clients_regs, &self.hll_names_regs] {
             put_u64(&mut out, regs.len() as u64);
             out.extend_from_slice(regs);
@@ -364,7 +342,6 @@ impl Checkpoint {
         let has_current = cur.bool()?;
         let current_raw = cur.u64()?;
         let current_epoch = has_current.then_some(current_raw);
-        let peak_state_bytes = cur.usize()?;
         let n = cur.count()?;
         let epochs = cur.seq(n, |r| {
             Ok(EpochSummary {
@@ -381,13 +358,6 @@ impl Checkpoint {
                 },
             })
         })?;
-        let n = cur.count()?;
-        let names = cur.seq(n, |r| {
-            let name = read_name(r)?;
-            let n = r.count()?;
-            Ok((name, r.seq(n, read_record_count)?))
-        })?;
-        let registry_bytes = cur.u64()?;
         let regs = cur.count()?;
         let hll_clients_regs = cur.take(regs)?.to_vec();
         let regs = cur.count()?;
@@ -469,10 +439,7 @@ impl Checkpoint {
             day,
             pushed,
             current_epoch,
-            peak_state_bytes,
             epochs,
-            names,
-            registry_bytes,
             hll_clients_regs,
             hll_names_regs,
             fpdns,
@@ -522,21 +489,6 @@ fn read_name(r: &mut Reader<'_>) -> Result<Name, FrameError> {
     text.parse::<Name>().map_err(|e| malformed(format!("bad name `{text}`: {e}")))
 }
 
-/// One registry row. `1 ≤ queries` and `misses ≤ queries` hold for every
-/// row the miner writes, and the Eq. 1 fold at epoch close relies on
-/// both, so a row that breaks them is rejected here.
-// lint:certify(no-panic)
-fn read_record_count(r: &mut Reader<'_>) -> Result<RecordCount, FrameError> {
-    let row = RecordCount { fp: r.u64()?, queries: r.u32()?, misses: r.u32()? };
-    if row.queries == 0 || row.misses > row.queries {
-        return Err(malformed(format!(
-            "record counters out of range: queries={} misses={}",
-            row.queries, row.misses
-        )));
-    }
-    Ok(row)
-}
-
 // lint:certify(no-panic)
 fn read_finding(r: &mut Reader<'_>) -> Result<Finding, FrameError> {
     let zone = read_name(r)?;
@@ -562,7 +514,6 @@ mod tests {
             day: 3,
             pushed: 1234,
             current_epoch: Some(2),
-            peak_state_bytes: 4096,
             epochs: vec![EpochSummary {
                 epoch: 0,
                 end_secs: 21_600,
@@ -578,20 +529,6 @@ mod tests {
                 distinct_clients_est: 9,
                 state_bytes: 2048,
             }],
-            names: vec![
-                (
-                    "a.example.com".parse().unwrap(),
-                    vec![
-                        RecordCount { fp: 11, queries: 90, misses: 40 },
-                        RecordCount { fp: 22, queries: 5, misses: 5 },
-                    ],
-                ),
-                (
-                    "b.example.com".parse().unwrap(),
-                    vec![RecordCount { fp: 33, queries: 25, misses: 10 }],
-                ),
-            ],
-            registry_bytes: 321,
             hll_clients_regs: vec![1; 16],
             hll_names_regs: vec![2; 16],
             fpdns: FpDnsLogParts {
@@ -651,31 +588,26 @@ mod tests {
     /// The on-disk bytes, pinned.
     #[test]
     fn image_matches_the_golden_fixture() {
-        let golden = unhex(include_str!("../tests/golden/checkpoint_v2.hex"));
+        let golden = unhex(include_str!("../tests/golden/checkpoint_v3.hex"));
         assert_eq!(sample().to_bytes(), golden);
         let back = Checkpoint::from_bytes(&golden).expect("golden image parses");
         assert_eq!(back.to_bytes(), golden);
     }
 
-    /// A `checkpoint.bin` written before the registry carried the
-    /// counters (two sketch tables in the body) is intact but unreadable:
-    /// resume must refuse it by name, not restart from zero.
+    /// A `checkpoint.bin` written while the body still carried per-record
+    /// counters (v1: two sketch tables, v2: registry rows) is intact but
+    /// unreadable: resume must refuse it by name, not restart from zero.
     #[test]
-    fn v1_images_are_rejected_as_unsupported_version() {
-        let v1 = unhex(include_str!("../tests/golden/checkpoint_v1.hex"));
-        assert!(v1.starts_with(b"dnckpt1\n"));
-        let err = Checkpoint::from_bytes(&v1).unwrap_err();
-        assert_eq!(err, FrameError::Version);
-        assert!(err.to_string().contains("unsupported version"), "{err}");
-    }
-
-    #[test]
-    fn out_of_range_record_counters_are_rejected() {
-        for (queries, misses) in [(0, 0), (3, 4)] {
-            let mut ckpt = sample();
-            ckpt.names[0].1[0] = RecordCount { fp: 11, queries, misses };
-            let err = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap_err();
-            assert!(err.to_string().contains("record counters out of range"), "{err}");
+    fn older_versions_are_rejected_as_unsupported_version() {
+        for (magic, hex) in [
+            (b"dnckpt1\n", include_str!("../tests/golden/checkpoint_v1.hex")),
+            (b"dnckpt2\n", include_str!("../tests/golden/checkpoint_v2.hex")),
+        ] {
+            let image = unhex(hex);
+            assert!(image.starts_with(magic));
+            let err = Checkpoint::from_bytes(&image).unwrap_err();
+            assert_eq!(err, FrameError::Version);
+            assert!(err.to_string().contains("unsupported version"), "{err}");
         }
     }
 

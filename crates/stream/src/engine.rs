@@ -1,45 +1,43 @@
 //! The incremental miner: one event in, classifications out at every
 //! epoch close.
 //!
-//! A [`StreamMiner`] drives two online structures from a single
-//! [`EventSession`] replay:
+//! A [`StreamMiner`] steps one [`EventSession`] replay and reads the
+//! miner's input straight from it:
 //!
-//! * the **name registry** — a `BTreeMap` from each observed owner name
-//!   to one [`RecordCount`] per resource record: an 8-byte fingerprint
-//!   and the exact below-the-recursives query count and
-//!   above-the-recursives miss count, from which the paper's domain hit
-//!   rate (Eq. 1) is computed at epoch close. This is the only per-name
-//!   state; unlike the batch path's `HashMap<RrKey, RrStat>`, each name
-//!   is stored once instead of once per `(name, qtype, rdata)` triple;
-//! * two **HyperLogLogs** — distinct clients and distinct owner names.
+//! * the **per-record table** is the session's own
+//!   [`EventSession::rr_stats`] — the exact below-the-recursives query
+//!   count and above-the-recursives miss count per resource record that
+//!   every replay keeps, and the very table the batch miner reads after
+//!   the day. The stream path holds no second copy of it;
+//! * the observer adds only what no other structure holds: two
+//!   **HyperLogLogs** (distinct clients, distinct owner names), the pDNS
+//!   datasets and the served-class tallies.
 //!
-//! At each epoch boundary (and at [`StreamMiner::finish`]) the registry
-//! is folded into a fresh [`DomainTree`] snapshot and the trained
-//! classifier runs Algorithm 1 over it. Snapshots are non-destructive:
-//! closing an epoch mid-stream and resuming is indistinguishable from an
+//! At each epoch boundary (and at [`StreamMiner::finish`]) the table is
+//! folded into a fresh [`DomainTree`] with
+//! [`DomainTree::from_day_stats`] — the function the batch pipeline calls
+//! — and the trained classifier runs Algorithm 1 over it, so stream ≡
+//! batch holds by construction. Snapshots are non-destructive: closing an
+//! epoch mid-stream and resuming is indistinguishable from an
 //! uninterrupted run.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
-use dnsnoise_dns::{Name, Record, SuffixList};
+use dnsnoise_dns::{fnv1a, Record, SuffixList};
 use dnsnoise_pdns::store::io;
 use dnsnoise_pdns::{BackendKind, FpDnsLog, PdnsBackend, PdnsStore, StoreError};
-use dnsnoise_resolver::{DayReport, EventSession, Observer, ResolverSim, Served, SimConfig};
+use dnsnoise_resolver::{
+    DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
+};
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
 use crate::checkpoint::Checkpoint;
-use crate::sketch::{fnv1a, HyperLogLog};
+use crate::sketch::HyperLogLog;
 
 /// How many fpDNS records the streaming collector retains as samples.
 /// Aggregate pDNS counters are exact regardless.
 pub const PDNS_RETAIN: usize = 512;
-
-/// Modeled per-name overhead of one registry entry beyond the name text
-/// and its record vector: tree-map node bookkeeping plus the vector
-/// header.
-const REGISTRY_NODE_BYTES: usize = 72;
 
 /// Seed decorrelator for the name HLL; shared with checkpoint restore so
 /// a resumed miner rebuilds the exact estimator.
@@ -76,13 +74,16 @@ pub struct EpochSummary {
     pub events: u64,
     /// Algorithm 1 findings over the day-so-far tree.
     pub findings: Vec<Finding>,
-    /// Exact distinct owner names in the registry.
+    /// Exact distinct owner names: the close-time tree's black nodes,
+    /// counted before Algorithm 1 decolors any.
     pub distinct_names: u64,
     /// HyperLogLog estimate of distinct owner names.
     pub distinct_names_est: u64,
     /// HyperLogLog estimate of distinct clients.
     pub distinct_clients_est: u64,
-    /// Resident streaming state at close, in bytes.
+    /// Resident streaming state at close, in bytes: the session's
+    /// per-record table ([`RrDayStats::state_bytes`]) plus both
+    /// HyperLogLogs.
     pub state_bytes: usize,
 }
 
@@ -161,7 +162,8 @@ pub struct StreamReport {
     pub distinct_names_est: u64,
     /// HLL estimate of distinct clients.
     pub distinct_clients_est: u64,
-    /// Largest resident state observed at any point of the day.
+    /// Largest resident state of the day. The per-record table only
+    /// grows within a day, so this is the end-of-day state.
     pub peak_state_bytes: usize,
 }
 
@@ -234,25 +236,6 @@ impl StreamReport {
         out.push('\n');
         out
     }
-
-    /// The final findings as the same TSV body `dnsnoise mine` prints,
-    /// sorted by confidence descending (ties by zone), so batch and
-    /// stream outputs can be diffed directly.
-    pub fn findings_tsv(&self) -> String {
-        let mut rows: Vec<&Finding> = self.final_findings.iter().collect();
-        rows.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .expect("confidence is finite")
-                .then_with(|| a.zone.cmp(&b.zone))
-                .then(a.depth.cmp(&b.depth))
-        });
-        let mut out = String::new();
-        for f in rows {
-            out.push_str(&format!("{}\t{}\t{:.4}\t{}\n", f.zone, f.depth, f.confidence, f.members));
-        }
-        out
-    }
 }
 
 fn render_finding(f: &Finding) -> String {
@@ -262,49 +245,28 @@ fn render_finding(f: &Finding) -> String {
     )
 }
 
-/// One resource record's row in the name registry: the streaming
-/// counterpart of the batch path's `RrStat`, keyed by fingerprint under
-/// its owner name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RecordCount {
-    /// `fnv1a` of the record key's presentation form.
-    pub(crate) fp: u64,
-    /// Answers containing this record observed below the recursives;
-    /// at least 1, since the first such answer creates the row.
-    pub(crate) queries: u32,
-    /// Of those, the answers that went above (cache misses); never more
-    /// than `queries`.
-    pub(crate) misses: u32,
-}
-
-/// The online statistics the observer accumulates: name registry,
-/// cardinality estimators, pDNS counters, and the served-class tallies
-/// behind the conservation line.
+/// The online statistics the observer accumulates — what the replay
+/// session does not already hold: cardinality estimators, pDNS datasets,
+/// and the served-class tallies behind the conservation line.
 #[derive(Debug)]
 pub(crate) struct StreamState {
-    /// Owner name → its records' exact counters, in first-seen order.
-    pub(crate) names: BTreeMap<Name, Vec<RecordCount>>,
     pub(crate) hll_clients: HyperLogLog,
     pub(crate) hll_names: HyperLogLog,
     pub(crate) pdns: FpDnsLog,
     /// The deduplicating rpDNS store behind the `--store` flag. Excluded
     /// from [`StreamState::state_bytes`]: the paper's streaming-state
-    /// budget covers the registry and estimators, and the store's own
-    /// footprint is reported separately as rpDNS storage bytes.
+    /// budget covers the per-record table and estimators, and the store's
+    /// own footprint is reported separately as rpDNS storage bytes.
     pub(crate) rpdns: PdnsBackend,
     pub(crate) answered: u64,
     pub(crate) nxdomain: u64,
     pub(crate) failed: u64,
     pub(crate) shed: u64,
-    /// Incrementally-maintained registry footprint (names + overhead +
-    /// record rows), excluding the fixed-size HyperLogLogs.
-    pub(crate) registry_bytes: usize,
 }
 
 impl StreamState {
     fn new(config: &StreamConfig) -> StreamState {
         StreamState {
-            names: BTreeMap::new(),
             hll_clients: HyperLogLog::new(config.hll_precision, config.seed),
             hll_names: HyperLogLog::new(config.hll_precision, config.seed ^ HLL_NAMES_SEED_XOR),
             pdns: FpDnsLog::new(PDNS_RETAIN, false),
@@ -313,29 +275,13 @@ impl StreamState {
             nxdomain: 0,
             failed: 0,
             shed: 0,
-            registry_bytes: 0,
         }
     }
 
-    /// Total resident streaming state in bytes: registry + both
-    /// HyperLogLogs.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.registry_bytes + self.hll_clients.state_bytes() + self.hll_names.state_bytes()
-    }
-
-    /// Folds the registry into a fresh domain tree — the streaming
-    /// stand-in for `DomainTree::from_day_stats`, fed the same per-record
-    /// numbers (Eq. 1's domain hit rate and the miss count), so the
-    /// resulting classifications equal the batch miner's.
-    fn build_tree(&self) -> DomainTree {
-        let mut tree = DomainTree::new();
-        for (name, records) in &self.names {
-            for r in records {
-                let dhr = f64::from(r.queries - r.misses) / f64::from(r.queries);
-                tree.observe(name, dhr, r.misses);
-            }
-        }
-        tree
+    /// Total resident streaming state in bytes: the session's per-record
+    /// `table` + both HyperLogLogs.
+    fn state_bytes(&self, table: &RrDayStats) -> usize {
+        table.state_bytes() + self.hll_clients.state_bytes() + self.hll_names.state_bytes()
     }
 }
 
@@ -359,33 +305,23 @@ impl Observer for StreamState {
         self.answered += 1;
         self.pdns.collect(event.time, event.client, &event.name, event.qtype, answers);
         let day = event.time.day();
-        let above = served.went_above();
         for rr in answers {
             self.rpdns.observe(rr, day);
-            let fp = fnv1a(rr.key().to_string().as_bytes());
-            let records = match self.names.get_mut(&rr.name) {
-                Some(records) => records,
-                None => {
-                    self.registry_bytes += rr.name.presentation_len() + REGISTRY_NODE_BYTES;
-                    self.hll_names.insert(fnv1a(rr.name.to_string().as_bytes()));
-                    self.names.entry(rr.name.clone()).or_default()
-                }
-            };
-            let at = match records.iter().position(|r| r.fp == fp) {
-                Some(at) => at,
-                None => {
-                    records.push(RecordCount { fp, queries: 0, misses: 0 });
-                    self.registry_bytes += std::mem::size_of::<RecordCount>();
-                    records.len() - 1
-                }
-            };
-            let record = &mut records[at];
-            record.queries = record.queries.saturating_add(1);
-            if above {
-                record.misses = record.misses.saturating_add(1);
-            }
+            // Idempotent, so repeat sightings leave the registers as the
+            // first one set them.
+            self.hll_names.insert(fnv1a(rr.name.presentation_bytes()));
         }
     }
+}
+
+/// One classification of the day so far: the batch miner's tree build
+/// and Algorithm 1 over `table`. Returns the tree's distinct owner names
+/// — counted before Algorithm 1 decolors the zones it classifies — and
+/// the findings.
+fn classify(miner: &Miner, psl: &SuffixList, table: &RrDayStats) -> (u64, Vec<Finding>) {
+    let mut tree = DomainTree::from_day_stats(table);
+    let distinct_names = tree.black_count() as u64;
+    (distinct_names, miner.mine(&mut tree, psl))
 }
 
 /// The streaming online miner: feed it one [`QueryEvent`] at a time with
@@ -406,7 +342,6 @@ pub struct StreamMiner<'m> {
     state: StreamState,
     current_epoch: Option<u64>,
     epochs: Vec<EpochSummary>,
-    peak_state_bytes: usize,
     pushed: u64,
     /// The day the session streams; updated from the first event.
     day: u64,
@@ -436,18 +371,15 @@ impl<'m> StreamMiner<'m> {
         day: u64,
     ) -> StreamMiner<'m> {
         assert!(config.epoch_secs > 0, "epoch length must be positive");
-        let state = StreamState::new(&config);
-        let peak = state.state_bytes();
         StreamMiner {
             config,
             miner,
             psl: SuffixList::builtin(),
             ground_truth: None,
             session: EventSession::new(sim, day),
-            state,
+            state: StreamState::new(&config),
             current_epoch: None,
             epochs: Vec::new(),
-            peak_state_bytes: peak,
             pushed: 0,
             day,
             session_started: false,
@@ -475,8 +407,8 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Enables epoch-boundary checkpointing under `dir` (the CLI's
-    /// `stream --checkpoint` flag): each time an epoch closes, the full
-    /// miner state is serialised and atomically swapped into
+    /// `stream --checkpoint` flag): each time an epoch closes, the
+    /// observer's state is serialised and atomically swapped into
     /// `dir/checkpoint.bin`, so a killed process can [`StreamMiner::resume`]
     /// from the last boundary instead of the start of the day. Write
     /// failures latch into [`StreamMiner::checkpoint_error`]; the stream
@@ -517,25 +449,11 @@ impl<'m> StreamMiner<'m> {
         self.current_epoch = Some(epoch.max(self.current_epoch.unwrap_or(0)));
         self.pushed += 1;
         self.session.push(event, self.ground_truth, &mut self.state);
-        let resident = self.state.state_bytes();
-        if resident > self.peak_state_bytes {
-            self.peak_state_bytes = resident;
-        }
     }
 
     /// Events streamed so far.
     pub fn events_pushed(&self) -> u64 {
         self.pushed
-    }
-
-    /// Current resident streaming state in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.state.state_bytes()
-    }
-
-    /// Largest resident state observed so far.
-    pub fn peak_state_bytes(&self) -> usize {
-        self.peak_state_bytes
     }
 
     /// The first checkpoint-write failure, if any. Once set, no further
@@ -561,7 +479,6 @@ impl<'m> StreamMiner<'m> {
             self.day,
             self.pushed,
             self.current_epoch,
-            self.peak_state_bytes,
             &self.epochs,
             &self.state,
         );
@@ -573,10 +490,11 @@ impl<'m> StreamMiner<'m> {
     /// Restores a freshly-built miner to the exact point `ckpt` was
     /// written: the first `ckpt.pushed` events of the day's trace
     /// (`warmup`) are replayed through the resolver session to rebuild
-    /// its caches, and every online structure — registry, HyperLogLogs,
-    /// pDNS logs, epoch summaries, the rpDNS backend — is restored from
-    /// the checkpoint. Pushing the remaining events and finishing then
-    /// produces a report byte-identical to an uninterrupted run.
+    /// its caches and its per-record table, and every online structure —
+    /// HyperLogLogs, pDNS logs, epoch summaries, the rpDNS backend — is
+    /// restored from the checkpoint. Pushing the remaining events and
+    /// finishing then produces a report byte-identical to an
+    /// uninterrupted run.
     ///
     /// Call on a miner built with the same configuration, store backend,
     /// and (for fresh-day streams) the same simulator seed as the
@@ -608,16 +526,15 @@ impl<'m> StreamMiner<'m> {
         self.day = ckpt.day;
         self.session_started = true;
         self.session.set_day(ckpt.day);
-        // Rebuild the resolver session's caches exactly as the
-        // interrupted process built them; the unit observer keeps the
-        // restored online state untouched.
+        // Rebuild the resolver session — caches and per-record table —
+        // exactly as the interrupted process built it; the unit observer
+        // keeps the restored online state untouched.
         for event in warmup {
             self.session.push(event, self.ground_truth, &mut ());
         }
         self.epochs = ckpt.epochs.clone();
         self.pushed = ckpt.pushed;
         self.current_epoch = ckpt.current_epoch;
-        self.peak_state_bytes = ckpt.peak_state_bytes;
         Ok(self)
     }
 
@@ -631,17 +548,17 @@ impl<'m> StreamMiner<'m> {
     }
 
     fn close_epoch(&mut self, epoch: u64) {
-        let mut tree = self.state.build_tree();
-        let findings = self.miner.mine(&mut tree, &self.psl);
+        let table = self.session.rr_stats();
+        let (distinct_names, findings) = classify(self.miner, &self.psl, table);
         self.epochs.push(EpochSummary {
             epoch,
             end_secs: (epoch + 1) * self.config.epoch_secs,
             events: self.pushed,
             findings,
-            distinct_names: self.state.names.len() as u64,
+            distinct_names,
             distinct_names_est: self.state.hll_names.estimate_rounded(),
             distinct_clients_est: self.state.hll_clients.estimate_rounded(),
-            state_bytes: self.state.state_bytes(),
+            state_bytes: self.state.state_bytes(table),
         });
     }
 
@@ -658,7 +575,6 @@ impl<'m> StreamMiner<'m> {
             mut state,
             current_epoch: _,
             epochs,
-            peak_state_bytes,
             pushed,
             day: _,
             session_started: _,
@@ -683,13 +599,12 @@ impl<'m> StreamMiner<'m> {
                 runs,
             }
         };
-        let mut tree = state.build_tree();
-        let final_findings = miner.mine(&mut tree, &psl);
         let (day_report, sim) = session.finish();
+        let (distinct_names, final_findings) = classify(miner, &psl, &day_report.rr_stats);
         let mining = ground_truth.map(|gt| {
             // Eligibility bookkeeping needs the pristine (un-decolored)
             // tree, exactly as the batch pipeline rebuilds one.
-            let eval_tree = state.build_tree();
+            let eval_tree = DomainTree::from_day_stats(&day_report.rr_stats);
             MiningReport::evaluate(
                 day_report.day,
                 final_findings.clone(),
@@ -719,10 +634,10 @@ impl<'m> StreamMiner<'m> {
             events_nxdomain: state.nxdomain,
             events_failed: state.failed,
             events_shed: state.shed,
-            distinct_names: state.names.len() as u64,
+            distinct_names,
             distinct_names_est: state.hll_names.estimate_rounded(),
             distinct_clients_est: state.hll_clients.estimate_rounded(),
-            peak_state_bytes,
+            peak_state_bytes: state.state_bytes(&day_report.rr_stats),
             day_report,
         };
         (report, sim)
@@ -786,7 +701,7 @@ mod tests {
         }
         // The rendered report and findings never depend on the backend…
         assert_eq!(reports[0].render(), reports[1].render());
-        assert_eq!(reports[0].findings_tsv(), reports[1].findings_tsv());
+        assert_eq!(reports[0].final_findings, reports[1].final_findings);
         // …and the stores themselves agree on the dedup counters.
         assert_eq!(reports[0].rpdns_store.records, reports[1].rpdns_store.records);
         assert_eq!(reports[0].rpdns_store.storage_bytes, reports[1].rpdns_store.storage_bytes);
@@ -858,69 +773,5 @@ mod tests {
             stream.finish().0.render()
         };
         assert_eq!(render(), render());
-    }
-
-    #[test]
-    fn state_bytes_is_the_registry_model_plus_both_hlls() {
-        let s = scenario(9);
-        let miner = trained_miner(&s);
-        let trace = s.generate_day(0);
-        let config = StreamConfig { hll_precision: 8, ..StreamConfig::default() };
-        let mut stream = StreamMiner::new(config, &miner);
-        for event in &trace.events {
-            stream.push(event);
-        }
-        let registry: usize = stream
-            .state
-            .names
-            .iter()
-            .map(|(name, records)| {
-                name.presentation_len()
-                    + REGISTRY_NODE_BYTES
-                    + records.len() * std::mem::size_of::<RecordCount>()
-            })
-            .sum();
-        assert_eq!(std::mem::size_of::<RecordCount>(), 16);
-        assert_eq!(stream.state_bytes(), registry + 2 * 256);
-        // The registry only grows, so the peak is the final state.
-        assert_eq!(stream.peak_state_bytes(), stream.state_bytes());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
-
-        /// Exactness where it lives: after any prefix of any small trace,
-        /// the registry holds one row per record of the batch replay's
-        /// `rr_stats`, with the same `queries` and `misses`, and no others.
-        #[test]
-        fn registry_counts_equal_batch_rr_stats(
-            seed in 0u64..500,
-            epoch in 0.0f64..=1.0,
-            day in 0u64..3,
-            keep in 0.0f64..=1.0,
-        ) {
-            let s = Scenario::new(ScenarioConfig::paper_epoch(epoch).with_scale(0.01), seed);
-            let mut trace = s.generate_day(day);
-            trace.events.truncate((trace.events.len() as f64 * keep) as usize);
-
-            let mut state = StreamState::new(&StreamConfig::default());
-            let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), day);
-            for event in &trace.events {
-                session.push(event, None, &mut state);
-            }
-            let batch = ResolverSim::new(SimConfig::default()).day(&trace).run_serial();
-
-            for (key, stat) in batch.rr_stats.iter() {
-                let fp = fnv1a(key.to_string().as_bytes());
-                let row = state.names.get(&key.name).and_then(|rs| rs.iter().find(|r| r.fp == fp));
-                proptest::prop_assert_eq!(
-                    row.map(|r| (r.queries, r.misses)),
-                    Some((stat.queries, stat.misses)),
-                    "{}", key
-                );
-            }
-            let rows: usize = state.names.values().map(Vec::len).sum();
-            proptest::prop_assert_eq!(rows, batch.rr_stats.len());
-        }
     }
 }

@@ -1,17 +1,19 @@
 //! Streaming online miner for disposable-domain detection.
 //!
-//! The batch pipeline materialises a whole day of per-record statistics
-//! before mining. This crate replays the *same* per-event resolver logic
+//! The batch pipeline replays a whole day, then mines the per-record
+//! statistics the replay left behind. This crate steps the *same* replay
 //! incrementally — one [`QueryEvent`](dnsnoise_workload::QueryEvent) at a
-//! time — keeping exact per-record query and miss counters in a name
-//! registry (each owner name stored once, 16 bytes per record under it)
-//! and a seeded [`HyperLogLog`] per cardinality. Periodic epoch closes
-//! emit mid-day classifications; [`StreamMiner::finish`] emits the
-//! end-of-day report.
+//! time — and mines the replay session's own exact per-record query/miss
+//! table ([`EventSession::rr_stats`](dnsnoise_resolver::EventSession::rr_stats))
+//! whenever an epoch closes, adding only a seeded [`HyperLogLog`] per
+//! cardinality and the pDNS datasets. Periodic epoch closes emit mid-day
+//! classifications; [`StreamMiner::finish`] emits the end-of-day report.
 //!
-//! Everything is deterministic: hashes are seeded, iteration orders are
-//! sorted, and the streaming classifications equal the batch miner's
-//! exactly (a property the fidelity test suite pins).
+//! Everything is deterministic: hashes are seeded, the miner's output
+//! does not depend on table iteration order, and the streaming
+//! classifications equal the batch miner's exactly — both build their
+//! tree from the same table with the same function (a property the
+//! fidelity test suite pins all the same).
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! The bounded-memory cardinality sketch and the record fingerprint.
+//! The bounded-memory cardinality sketch.
 //!
 //! [`HyperLogLog`] estimates distinct counts with relative standard
 //! error `≈ 1.04 / √2^precision`, using linear counting in the small
@@ -22,17 +22,6 @@ fn mix64(mut h: u64) -> u64 {
 /// register assignment from the key distribution.
 fn seeded_hash(seed: u64, key: u64) -> u64 {
     mix64(key ^ mix64(seed))
-}
-
-/// Seedless FNV-1a over a byte string — the stable fingerprint that keys
-/// a resource record's row in the name registry.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A seeded HyperLogLog cardinality estimator over `u64` keys.

@@ -1,6 +1,6 @@
 //! Kill/resume fidelity: a stream killed mid-day and resumed from its
 //! last epoch-boundary checkpoint must produce a report byte-identical
-//! to an uninterrupted run — same render, same findings TSV, same day
+//! to an uninterrupted run — same render, same findings, same day
 //! report — for both rpDNS backends.
 
 use dnsnoise_core::{DailyPipeline, Miner, MinerConfig};
@@ -83,7 +83,7 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
         let (report, _) = resumed.finish();
 
         assert_eq!(report.render(), expected.render(), "{kind}: render diverged");
-        assert_eq!(report.findings_tsv(), expected.findings_tsv(), "{kind}: findings diverged");
+        assert_eq!(report.final_findings, expected.final_findings, "{kind}: findings diverged");
         assert_eq!(report.day_report, expected.day_report, "{kind}: day report diverged");
         assert_eq!(
             report.rpdns_store.records, expected.rpdns_store.records,
@@ -141,7 +141,7 @@ fn mid_epoch_forced_checkpoint_resumes_identically() {
     }
     let (report, _) = resumed.finish();
     assert_eq!(report.render(), expected.render());
-    assert_eq!(report.findings_tsv(), expected.findings_tsv());
+    assert_eq!(report.final_findings, expected.final_findings);
 
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }

@@ -345,7 +345,8 @@ fn simulate_exports_metrics_identically_across_threads() {
 
 /// A checkpoint's `pushed` is outside input behind only a CRC: a
 /// well-formed image claiming more events than the trace holds must end
-/// in the named error, not in an allocation sized from the claim.
+/// in the named error, not in an allocation sized from the claim. So is
+/// its format version: the committed `dnckpt2` image is refused as such.
 #[test]
 fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     use dnsnoise::stream::Checkpoint;
@@ -380,6 +381,20 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("checkpoint covers more events than the trace supplies"), "{stderr}");
+
+    // An intact image of the previous format (per-record counters in the
+    // body) is refused by name, never misparsed or restarted from zero.
+    let v2: Vec<u8> = include_str!("../crates/stream/tests/golden/checkpoint_v2.hex")
+        .split_whitespace()
+        .flat_map(|line| line.as_bytes().chunks_exact(2))
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect();
+    assert!(v2.starts_with(b"dnckpt2\n"));
+    std::fs::write(ckpt_dir.join(dnsnoise::stream::CHECKPOINT_NAME), v2).expect("plant v2 image");
+    let out = stream();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unsupported version"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,15 +1,17 @@
 //! Batch-vs-stream fidelity harness: the same seeded day replayed
 //! through the batch pipeline and the streaming miner.
 //!
-//! The streaming miner's name registry keeps the same exact per-record
-//! query and miss counts the batch path's `RrDayStats` does, so at its
-//! default configuration the streamed findings and the evaluated TPR/FPR
-//! must equal batch *bit for bit* — there is no tolerance band.
+//! The streaming miner reads the replay session's own `RrDayStats` — the
+//! table the batch path mines — so at every epoch close and at end of
+//! day the streamed findings and the evaluated TPR/FPR must equal batch
+//! *bit for bit* — there is no tolerance band.
+
+use std::collections::BTreeSet;
 
 use dnsnoise::core::{DailyPipeline, DomainTree, Finding, Miner, MinerConfig, MiningReport};
 use dnsnoise::dns::SuffixList;
 use dnsnoise::resolver::{ResolverSim, SimConfig};
-use dnsnoise::stream::{StreamConfig, StreamMiner};
+use dnsnoise::stream::{StreamConfig, StreamMiner, StreamReport};
 use dnsnoise::workload::{AttackPlan, DayTrace, Scenario, ScenarioConfig};
 
 fn scenario(scale: f64, seed: u64) -> Scenario {
@@ -42,7 +44,7 @@ fn batch_reference(s: &Scenario, miner: &Miner, trace: &DayTrace) -> MiningRepor
     )
 }
 
-fn stream_mining(s: &Scenario, miner: &Miner, trace: &DayTrace) -> MiningReport {
+fn stream_report(s: &Scenario, miner: &Miner, trace: &DayTrace) -> StreamReport {
     let mut stream =
         StreamMiner::new(StreamConfig::default(), miner).ground_truth(s.ground_truth());
     for event in &trace.events {
@@ -50,7 +52,29 @@ fn stream_mining(s: &Scenario, miner: &Miner, trace: &DayTrace) -> MiningReport 
     }
     let (report, _) = stream.finish();
     assert!(report.conserves(), "{}", report.conservation_line());
-    report.mining.expect("ground truth was attached")
+    report
+}
+
+/// Every mid-day close of `report` against batch mining of the same
+/// event prefix on a fresh cluster, and the state-size bookkeeping.
+fn assert_mid_day_closes_equal_batch(miner: &Miner, trace: &DayTrace, report: &StreamReport) {
+    assert!(report.epochs.len() >= 2, "the fixture must close epochs mid-day");
+    let hll_bytes = 2 * (1usize << report.hll_precision);
+    for e in &report.epochs {
+        let mut prefix = trace.clone();
+        prefix.events.truncate(e.events as usize);
+        let batch = ResolverSim::new(SimConfig::default()).day(&prefix).run();
+        let mut tree = DomainTree::from_day_stats(&batch.rr_stats);
+        let found = miner.mine(&mut tree, &SuffixList::builtin());
+        assert_eq!(sorted(e.findings.clone()), sorted(found), "epoch {}", e.epoch);
+
+        let owners: BTreeSet<_> = batch.rr_stats.iter().map(|(key, _)| &key.name).collect();
+        assert_eq!(e.distinct_names, owners.len() as u64, "epoch {}", e.epoch);
+        assert_eq!(e.state_bytes, batch.rr_stats.state_bytes() + hll_bytes, "epoch {}", e.epoch);
+        assert!(e.state_bytes <= report.peak_state_bytes, "epoch {}", e.epoch);
+    }
+    // The table only grows within a day, so the peak is the final state.
+    assert_eq!(report.peak_state_bytes, report.day_report.rr_stats.state_bytes() + hll_bytes);
 }
 
 fn sorted(mut findings: Vec<Finding>) -> Vec<Finding> {
@@ -67,16 +91,20 @@ const FLOOD: &str =
 /// and evaluation agree with batch bit for bit, across seeds at the smoke
 /// scale, on a scale-0.2 day four times larger (where the count-min
 /// sketches this miner once used found 21 of batch's 22 zones), and on a
-/// flooded day without admission control.
+/// flooded day without admission control. On the first input every
+/// mid-day close is compared with batch mining of its event prefix too.
 #[test]
 fn stream_agrees_with_batch_exactly() {
-    for (scale, seed, attack) in [
+    for (i, (scale, seed, attack)) in [
         (0.05, 21, None),
         (0.05, 87, None),
         (0.05, 1009, None),
         (0.2, 3, None),
         (0.05, 21, Some(FLOOD)),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let s = scenario(scale, seed);
         let miner = trained_miner(&s);
         let mut trace = s.generate_day(1);
@@ -91,7 +119,11 @@ fn stream_agrees_with_batch_exactly() {
         assert!(batch.eligible_disposable > 0, "seed {seed}: no eligible zones");
         assert!(!batch.found.is_empty(), "seed {seed}: batch found nothing");
 
-        let streamed = stream_mining(&s, &miner, &trace);
+        let report = stream_report(&s, &miner, &trace);
+        if i == 0 {
+            assert_mid_day_closes_equal_batch(&miner, &trace, &report);
+        }
+        let streamed = report.mining.expect("ground truth was attached");
 
         assert_eq!(
             sorted(streamed.found.clone()),
