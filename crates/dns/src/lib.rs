@@ -43,6 +43,6 @@ pub mod wire;
 pub use label::{Label, LabelParseError, MAX_LABEL_LEN};
 pub use message::{Message, Opcode, Question, Rcode};
 pub use name::{fnv1a, Name, NameParseError, MAX_NAME_LEN};
-pub use record::{QType, RData, Record, RrKey};
+pub use record::{QType, RData, Record, RrKey, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{Timestamp, Ttl, SECS_PER_DAY};

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -109,6 +110,40 @@ impl fmt::Display for QType {
             QType::Dnskey => "DNSKEY",
         };
         f.write_str(s)
+    }
+}
+
+/// The mnemonic was none of the eleven [`QType::all`] renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownQType;
+
+impl fmt::Display for UnknownQType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("unknown query type mnemonic")
+    }
+}
+
+impl std::error::Error for UnknownQType {}
+
+/// The inverse of `Display`: exact, case-sensitive mnemonics.
+impl FromStr for QType {
+    type Err = UnknownQType;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Ok(match s {
+            "A" => QType::A,
+            "NS" => QType::Ns,
+            "CNAME" => QType::Cname,
+            "SOA" => QType::Soa,
+            "PTR" => QType::Ptr,
+            "MX" => QType::Mx,
+            "TXT" => QType::Txt,
+            "AAAA" => QType::Aaaa,
+            "DS" => QType::Ds,
+            "RRSIG" => QType::Rrsig,
+            "DNSKEY" => QType::Dnskey,
+            _ => return Err(UnknownQType),
+        })
     }
 }
 
@@ -303,6 +338,15 @@ mod tests {
         }
         assert_eq!(QType::from_code(0), None);
         assert_eq!(QType::from_code(9999), None);
+    }
+
+    #[test]
+    fn qtype_mnemonics_roundtrip() {
+        for &qt in QType::all() {
+            assert_eq!(qt.to_string().parse(), Ok(qt));
+        }
+        assert_eq!("SRV".parse::<QType>(), Err(UnknownQType));
+        assert_eq!("a".parse::<QType>(), Err(UnknownQType), "mnemonics are case-sensitive");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Per-frame payload decoding — the expensive phase, sharded over scoped
-//! threads in chunk order so the merged result is bit-identical to a
-//! serial decode.
+//! Per-frame payload decoding — the expensive phase, sharded batch by
+//! batch over scoped threads in chunk order so the merged result is
+//! bit-identical to a serial decode.
 
 use dnsnoise_dns::{wire, Message, Name, Question, Rcode, Record, Timestamp};
 use dnsnoise_workload::trace_io::MAX_ANSWER_RECORDS;
@@ -10,20 +10,25 @@ use crate::report::QuarantineClass;
 use crate::scan::{chunk_ranges, RawFrame};
 use crate::CaptureFormat;
 
-/// What one frame decoded to. Ordering in the output vector equals frame
-/// ordering in the scan, regardless of thread count.
+/// Why a frame did not decode to an event: its quarantine class and a
+/// description for the ledger's samples.
+pub(crate) type DecodeFailure = (QuarantineClass, String);
+
+/// What one frame decoded to, still carrying its frame accounting.
+/// Ordering in the output vector equals frame ordering in the scan,
+/// regardless of thread count.
 #[derive(Debug)]
-pub(crate) enum Decoded {
-    /// A usable event, still carrying its frame accounting.
-    Event { event: QueryEvent, frame_bytes: u64, index: u64, offset: u64 },
-    /// A frame that must be quarantined.
-    Quarantine { class: QuarantineClass, reason: String, frame_bytes: u64, index: u64, offset: u64 },
+pub(crate) struct Decoded {
+    pub outcome: Result<QueryEvent, DecodeFailure>,
+    pub frame_bytes: u64,
+    pub index: u64,
+    pub offset: u64,
 }
 
-/// Decodes all frames, sharded `threads` wide over contiguous chunks of
-/// the extent list. Chunk boundaries depend only on the frame count, and
-/// chunks are concatenated in order, so the result is independent of the
-/// thread count and of scheduling.
+/// Decodes one batch of frames, sharded `threads` wide over contiguous
+/// chunks of its extent list. Chunk boundaries depend only on the frame
+/// count, and chunks are concatenated in order, so the result is
+/// independent of the thread count and of scheduling.
 pub(crate) fn decode_frames(
     capture: &[u8],
     frames: &[RawFrame],
@@ -60,24 +65,13 @@ fn decode_frame(capture: &[u8], frame: &RawFrame, format: CaptureFormat) -> Deco
             decode_dns_payload(payload, frame.ts_secs, frame.client.unwrap_or(0))
         }
     };
-    match outcome {
-        Ok(event) => Decoded::Event {
-            event,
-            frame_bytes: frame.frame_bytes as u64,
-            index: frame.index,
-            offset: frame.offset as u64,
-        },
-        Err((class, reason)) => Decoded::Quarantine {
-            class,
-            reason,
-            frame_bytes: frame.frame_bytes as u64,
-            index: frame.index,
-            offset: frame.offset as u64,
-        },
+    Decoded {
+        outcome,
+        frame_bytes: frame.frame_bytes as u64,
+        index: frame.index,
+        offset: frame.offset as u64,
     }
 }
-
-type DecodeFailure = (QuarantineClass, String);
 
 /// Peels Ethernet → IPv4 → UDP/53 off a pcap frame and decodes the DNS
 /// payload. Every rejection is typed: envelope problems are

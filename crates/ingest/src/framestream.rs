@@ -119,11 +119,11 @@ fn confirmed_boundary(bytes: &[u8], pos: usize) -> bool {
 }
 
 /// A resumable frame-at-a-time scanner over a Frame Streams byte stream:
-/// the iterator form of [`scan`], for consumers (like the streaming
-/// miner) that want one frame per call instead of a materialised extent
-/// list. [`scan`] is implemented on top of it, so the two agree exactly —
-/// same frames, same ledger accounting — a property the regression tests
-/// pin.
+/// the iterator form of [`scan`], for consumers (like
+/// [`EventStream`](crate::EventStream)) that want one frame per call
+/// instead of a materialised extent list. [`scan`] is implemented on top
+/// of it, so the two agree exactly — same frames, same ledger accounting —
+/// a property the regression tests pin.
 #[derive(Debug)]
 pub struct FrameScanner<'a> {
     bytes: &'a [u8],
@@ -243,7 +243,9 @@ impl<'a> FrameScanner<'a> {
     }
 }
 
-/// Scans a Frame Streams byte stream into data-frame extents.
+/// Scans a whole Frame Streams byte stream into data-frame extents. For
+/// tools that want the extent list itself; ingestion pulls from
+/// [`FrameScanner`] a batch at a time instead.
 pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanError> {
     let mut scanner = FrameScanner::new(bytes)?;
     let mut frames = Vec::new();

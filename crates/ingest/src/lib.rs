@@ -1,10 +1,16 @@
 //! Fault-tolerant capture ingestion.
 //!
 //! This crate turns on-disk DNS captures — classic libpcap files and
-//! dnstap-style Frame Streams — into the canonical [`DayTrace`] the rest
-//! of the pipeline consumes, under the assumption that real captures are
-//! *hostile*: truncated mid-frame, bit-flipped in bursts, spliced by ring
-//! buffers, and interleaved with traffic that is not DNS at all.
+//! dnstap-style Frame Streams — into the canonical [`QueryEvent`]s the
+//! rest of the pipeline consumes, under the assumption that real captures
+//! are *hostile*: truncated mid-frame, bit-flipped in bursts, spliced by
+//! ring buffers, and interleaved with traffic that is not DNS at all.
+//!
+//! Ingestion is one pull pipeline, [`EventStream`]: scan → decode →
+//! timestamp filter, a batch of frames at a time. A consumer that renders
+//! or replays each event as it arrives holds the capture bytes, one batch
+//! and the filter's two-event lookahead — never the day. [`ingest_bytes`]
+//! is that stream collected into a [`DayTrace`].
 //!
 //! The design is graceful degradation with receipts:
 //!
@@ -18,12 +24,15 @@
 //!    `bytes_total = bytes_parsed + bytes_quarantined + bytes_skipped`
 //!    holds on every input.
 //! 3. **Per-source error budget.** When the malformed fraction exceeds
-//!    [`IngestConfig::max_error_rate`], ingestion fails with a diagnostic
-//!    carrying the full ledger rather than silently emitting a sliver of
-//!    a ruined source.
-//! 4. **Deterministic sharding.** Frame extents are fixed serially before
-//!    payload decoding fans out over contiguous chunks, and chunks merge
-//!    in order — so output is bit-identical across thread counts and runs.
+//!    [`IngestConfig::max_error_rate`], [`EventStream::finish`] fails with
+//!    a diagnostic carrying the full ledger. The verdict exists only at
+//!    end of capture, so a consumer that must not emit a sliver of a
+//!    ruined source withholds its output until then.
+//! 4. **Deterministic sharding.** Each batch's frame extents are fixed
+//!    serially before its payload decoding fans out over contiguous
+//!    chunks, chunks merge in order, and the filter runs serially over the
+//!    merged sequence — so output is bit-identical across thread counts,
+//!    batch sizes and runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +44,11 @@ pub mod pcap;
 pub mod report;
 mod scan;
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use dnsnoise_dns::SECS_PER_DAY;
-use dnsnoise_workload::DayTrace;
+use dnsnoise_workload::{DayTrace, QueryEvent};
 
 pub use report::{
     ClassStats, IngestReport, QuarantineClass, QuarantineSample, MAX_QUARANTINE_SAMPLES,
@@ -164,7 +174,17 @@ pub struct IngestOutput {
 /// real gap).
 const MAX_TS_DEVIATION_SECS: u64 = SECS_PER_DAY;
 
-/// Ingests one capture held in memory.
+/// Decoded events the timestamp filter consults on either side of the one
+/// it judges.
+const TS_NEIGHBORS: usize = 2;
+
+/// Frames scanned and decoded per pull. It bounds what the pipeline holds
+/// beyond the capture itself, and is wide enough that a decode thread's
+/// start-up vanishes against its share of the batch.
+const BATCH_FRAMES: usize = 8192;
+
+/// Ingests one capture held in memory: collects an [`EventStream`], then
+/// takes its verdict.
 ///
 /// # Errors
 ///
@@ -173,53 +193,11 @@ const MAX_TS_DEVIATION_SECS: u64 = SECS_PER_DAY;
 /// budget ([`IngestError::ErrorBudgetExceeded`]). Everything else is
 /// degradation, reported in the returned ledger.
 pub fn ingest_bytes(bytes: &[u8], config: &IngestConfig) -> Result<IngestOutput, IngestError> {
-    let format = match config.format {
-        Some(f) => f,
-        None => detect_format(bytes)?,
-    };
-    let mut report = IngestReport { bytes_total: bytes.len() as u64, ..Default::default() };
-    let scanned = match format {
-        CaptureFormat::Pcap => pcap::scan(bytes, &mut report),
-        CaptureFormat::Dnstap => framestream::scan(bytes, &mut report),
-    }
-    .map_err(|ScanError::BadCapture(why)| IngestError::BadCapture(why))?;
-
-    let decoded = decode::decode_frames(bytes, &scanned.frames, format, config.threads.max(1));
-
-    // Serial merge: chunk order equals capture order, so cross-frame state
-    // (the timestamp plausibility filter) sees frames exactly as a serial
-    // decode would.
-    let mut events = Vec::with_capacity(decoded.len());
-    for item in decoded {
-        match item {
-            Decoded::Event { event, frame_bytes, index, offset } => {
-                events.push((event, frame_bytes, index, offset));
-            }
-            Decoded::Quarantine { class, reason, frame_bytes, index, offset } => {
-                report.quarantine(
-                    class,
-                    frame_bytes,
-                    Sample { frame_index: index, offset, reason },
-                );
-            }
-        }
-    }
-
-    let accepted = timestamp_filter(events, &mut report);
-    report.events = accepted.len() as u64;
-
-    debug_assert!(report.conserves(), "ledger must conserve: {report}");
-    let rate = report.error_rate();
-    if rate > config.max_error_rate {
-        return Err(IngestError::ErrorBudgetExceeded {
-            rate,
-            limit: config.max_error_rate,
-            report: Box::new(report),
-        });
-    }
-
-    let day = accepted.first().map(|e| e.time.day()).unwrap_or(0);
-    Ok(IngestOutput { trace: DayTrace { day, events: accepted }, report })
+    let mut stream = EventStream::new(bytes, config)?;
+    let events: Vec<QueryEvent> = stream.by_ref().collect();
+    let report = stream.finish()?;
+    let day = events.first().map_or(0, |e| e.time.day());
+    Ok(IngestOutput { trace: DayTrace { day, events }, report })
 }
 
 /// Sniffs the container format from the leading bytes.
@@ -236,33 +214,184 @@ pub fn detect_format(bytes: &[u8]) -> Result<CaptureFormat, IngestError> {
     }
 }
 
-type PendingEvent = (dnsnoise_workload::QueryEvent, u64, u64, u64);
+/// The frame-at-a-time scanner of whichever format the capture is in.
+#[derive(Debug)]
+enum Scanner<'a> {
+    Pcap(pcap::PcapScanner<'a>),
+    Dnstap(framestream::FrameScanner<'a>),
+}
 
-/// Drops events whose timestamps fall implausibly far from the stream
-/// around them.
+impl Scanner<'_> {
+    fn next_frame(&mut self, report: &mut IngestReport) -> Option<RawFrame> {
+        match self {
+            Scanner::Pcap(scanner) => scanner.next_frame(report),
+            Scanner::Dnstap(scanner) => scanner.next_frame(report),
+        }
+    }
+}
+
+/// A decoded event the timestamp filter has yet to judge, with the frame
+/// accounting its verdict books.
+#[derive(Debug)]
+struct Held {
+    event: QueryEvent,
+    frame_bytes: u64,
+    index: u64,
+    offset: u64,
+}
+
+/// The recovered events of one capture, pulled in capture order: the
+/// iterator form of [`ingest_bytes`], for consumers that render or replay
+/// each event as it arrives instead of holding the day.
 ///
-/// Each event is judged against the *median* timestamp of its up-to-five
-/// nearest neighbors (itself included), so a single flipped timestamp
-/// byte cannot shift the reference, and — unlike a high-water-mark
-/// ratchet — one corrupted-but-plausible forward jump cannot poison the
-/// acceptance of everything after it. Decisions are per-event over the
-/// decoded sequence, independent of each other, hence trivially
-/// deterministic.
-fn timestamp_filter(
-    events: Vec<PendingEvent>,
-    report: &mut IngestReport,
-) -> Vec<dnsnoise_workload::QueryEvent> {
-    let stamps: Vec<u64> = events.iter().map(|(e, ..)| e.time.as_secs()).collect();
-    let mut accepted = Vec::with_capacity(events.len());
-    for (i, (event, frame_bytes, index, offset)) in events.into_iter().enumerate() {
-        let lo = i.saturating_sub(2);
-        let hi = (i + 3).min(stamps.len());
-        let mut window: Vec<u64> = stamps[lo..hi].to_vec();
-        window.sort_unstable();
-        let median = window[window.len() / 2];
-        let ts = stamps[i];
+/// Each pull that finds the pipeline dry scans the next fixed-size batch of
+/// frame extents, decodes them [`IngestConfig::threads`] wide, and feeds
+/// the timestamp filter — so beyond the capture bytes the stream holds one
+/// batch and the filter's lookahead, whatever the capture's length. The
+/// ledger and the error-budget verdict exist only once the capture is
+/// exhausted: [`EventStream::finish`] returns them, and a consumer that
+/// must not act on a ruined source holds its output back until then.
+///
+/// # Examples
+///
+/// ```
+/// use dnsnoise_ingest::{pcap, EventStream, IngestConfig};
+/// use dnsnoise_workload::{Scenario, ScenarioConfig};
+///
+/// let day = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.002), 7).generate_day(0);
+/// let capture = pcap::write_pcap(&day).unwrap();
+///
+/// let mut stream = EventStream::new(&capture, &IngestConfig::default()).unwrap();
+/// let recovered = stream.by_ref().count();
+/// let report = stream.finish().unwrap();
+/// assert_eq!(recovered, day.events.len());
+/// assert_eq!(report.events, recovered as u64);
+/// assert!(report.conserves());
+/// ```
+#[derive(Debug)]
+pub struct EventStream<'a> {
+    bytes: &'a [u8],
+    format: CaptureFormat,
+    threads: usize,
+    max_error_rate: f64,
+    batch_frames: usize,
+    scanner: Scanner<'a>,
+    report: IngestReport,
+    /// The current batch's frame extents (the allocation is reused).
+    frames: Vec<RawFrame>,
+    /// What is left of the current batch's decode output.
+    decoded: std::vec::IntoIter<Decoded>,
+    /// Stamps of the last decoded events before `held`, accepted or not:
+    /// the window's left half.
+    before: VecDeque<u64>,
+    /// The event up for judgment and its successors: the window's right
+    /// half.
+    held: VecDeque<Held>,
+}
+
+impl<'a> EventStream<'a> {
+    /// Opens a stream over `bytes`, detecting the format unless `config`
+    /// forces one.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::BadCapture`] when the capture is not recognizably of
+    /// any (or of the forced) format.
+    pub fn new(bytes: &'a [u8], config: &IngestConfig) -> Result<EventStream<'a>, IngestError> {
+        EventStream::with_batch_frames(bytes, config, BATCH_FRAMES)
+    }
+
+    fn with_batch_frames(
+        bytes: &'a [u8],
+        config: &IngestConfig,
+        batch_frames: usize,
+    ) -> Result<EventStream<'a>, IngestError> {
+        let format = match config.format {
+            Some(f) => f,
+            None => detect_format(bytes)?,
+        };
+        let mut report = IngestReport { bytes_total: bytes.len() as u64, ..Default::default() };
+        let scanner = match format {
+            CaptureFormat::Pcap => pcap::PcapScanner::new(bytes, &mut report).map(Scanner::Pcap),
+            CaptureFormat::Dnstap => framestream::FrameScanner::new(bytes).map(Scanner::Dnstap),
+        }
+        .map_err(|ScanError::BadCapture(why)| IngestError::BadCapture(why))?;
+        Ok(EventStream {
+            bytes,
+            format,
+            threads: config.threads.max(1),
+            max_error_rate: config.max_error_rate,
+            batch_frames,
+            scanner,
+            report,
+            frames: Vec::new(),
+            decoded: Vec::new().into_iter(),
+            before: VecDeque::with_capacity(TS_NEIGHBORS),
+            held: VecDeque::with_capacity(TS_NEIGHBORS + 1),
+        })
+    }
+
+    /// The next frame that decoded to an event, in capture order;
+    /// everything else met on the way is booked in the ledger. `None` once
+    /// the capture is exhausted, and on every call after that.
+    fn next_decoded(&mut self) -> Option<Held> {
+        loop {
+            for Decoded { outcome, frame_bytes, index, offset } in self.decoded.by_ref() {
+                match outcome {
+                    Ok(event) => return Some(Held { event, frame_bytes, index, offset }),
+                    Err((class, reason)) => self.report.quarantine(
+                        class,
+                        frame_bytes,
+                        Sample { frame_index: index, offset, reason },
+                    ),
+                }
+            }
+            self.frames.clear();
+            while self.frames.len() < self.batch_frames {
+                match self.scanner.next_frame(&mut self.report) {
+                    Some(frame) => self.frames.push(frame),
+                    None => break,
+                }
+            }
+            if self.frames.is_empty() {
+                return None;
+            }
+            self.decoded =
+                decode::decode_frames(self.bytes, &self.frames, self.format, self.threads)
+                    .into_iter();
+        }
+    }
+
+    /// The timestamp plausibility filter's verdict on `candidate`, the
+    /// event just popped from the front of `held`.
+    ///
+    /// It is judged against the *median* stamp of its up-to-five nearest
+    /// decoded neighbors (itself included), so a single flipped timestamp
+    /// byte cannot shift the reference, and — unlike a high-water-mark
+    /// ratchet — one corrupted-but-plausible forward jump cannot poison
+    /// the acceptance of everything after it. The window is a position in
+    /// the decoded sequence, never a position in a batch, so verdicts do
+    /// not depend on where batches end.
+    fn judge(&mut self, candidate: Held) -> Option<QueryEvent> {
+        let ts = candidate.event.time.as_secs();
+        let after = self.held.iter().map(|h| h.event.time.as_secs());
+        let mut window = [0u64; 2 * TS_NEIGHBORS + 1];
+        let mut len = 0;
+        for stamp in self.before.iter().copied().chain([ts]).chain(after) {
+            window[len] = stamp;
+            len += 1;
+        }
+        window[..len].sort_unstable();
+        let median = window[len / 2];
+
+        if self.before.len() == TS_NEIGHBORS {
+            self.before.pop_front();
+        }
+        self.before.push_back(ts);
+
+        let Held { event, frame_bytes, index, offset } = candidate;
         if ts + MAX_TS_DEVIATION_SECS < median || ts > median + MAX_TS_DEVIATION_SECS {
-            report.quarantine(
+            self.report.quarantine(
                 QuarantineClass::OutOfOrderTimestamp,
                 frame_bytes,
                 Sample {
@@ -271,12 +400,57 @@ fn timestamp_filter(
                     reason: format!("timestamp {ts}s deviates from the {median}s around it"),
                 },
             );
-            continue;
+            return None;
         }
-        report.bytes_parsed += frame_bytes;
-        accepted.push(event);
+        self.report.bytes_parsed += frame_bytes;
+        self.report.events += 1;
+        Some(event)
     }
-    accepted
+
+    /// Closes the stream: the full ledger, or the refusal that carries it.
+    /// Events not yet pulled are scanned, booked and dropped first, so the
+    /// ledger always covers the whole capture.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::ErrorBudgetExceeded`] when the quarantined and
+    /// skipped share of the capture's bytes is above
+    /// [`IngestConfig::max_error_rate`].
+    pub fn finish(mut self) -> Result<IngestReport, IngestError> {
+        self.by_ref().for_each(drop);
+        let report = self.report;
+        debug_assert!(report.conserves(), "ledger must conserve: {report}");
+        let rate = report.error_rate();
+        if rate > self.max_error_rate {
+            return Err(IngestError::ErrorBudgetExceeded {
+                rate,
+                limit: self.max_error_rate,
+                report: Box::new(report),
+            });
+        }
+        Ok(report)
+    }
+}
+
+impl Iterator for EventStream<'_> {
+    type Item = QueryEvent;
+
+    fn next(&mut self) -> Option<QueryEvent> {
+        loop {
+            // An event is judged once its successors have decoded or the
+            // capture has ended.
+            while self.held.len() <= TS_NEIGHBORS {
+                match self.next_decoded() {
+                    Some(held) => self.held.push_back(held),
+                    None => break,
+                }
+            }
+            let candidate = self.held.pop_front()?;
+            if let Some(event) = self.judge(candidate) {
+                return Some(event);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -374,6 +548,146 @@ mod tests {
         assert_eq!(out.trace.events.len(), 9, "{}", out.report);
         assert_eq!(out.report.class(QuarantineClass::OutOfOrderTimestamp).frames, 1);
         assert!(out.report.conserves(), "{}", out.report);
+    }
+
+    /// Collects a stream opened with the given batch size.
+    fn ingest_batched(
+        capture: &[u8],
+        config: &IngestConfig,
+        batch_frames: usize,
+    ) -> (Vec<QueryEvent>, IngestReport) {
+        let mut stream = EventStream::with_batch_frames(capture, config, batch_frames).unwrap();
+        let events: Vec<QueryEvent> = stream.by_ref().collect();
+        (events, stream.finish().unwrap())
+    }
+
+    /// Overwrites the top byte of dnstap data frame `frame`'s timestamp,
+    /// in a capture whose frames are all `stride` bytes long.
+    fn poison_dnstap_stamp(capture: &mut [u8], frame: usize, stride: usize) {
+        // START control frame (12 bytes), then per frame a 4-byte length
+        // and the version byte before the timestamp.
+        capture[12 + frame * stride + 4 + 1] = 0xff;
+    }
+
+    /// A dnstap capture of `n` same-length frames and that length.
+    fn uniform_dnstap(n: u64) -> (Vec<u8>, usize) {
+        let events = (0..n).map(|i| event(1000 + i, i % 7, "host.example.com")).collect();
+        let capture = framestream::write_dnstap(&DayTrace { day: 0, events }).unwrap();
+        // START is 12 bytes and STOP 12 more; the rest is the frames.
+        let stride = (capture.len() - 24) / n as usize;
+        assert_eq!(12 + n as usize * stride + 12, capture.len());
+        (capture, stride)
+    }
+
+    #[test]
+    fn batch_size_does_not_change_the_output() {
+        let trace = sample_trace(200);
+        for format in [CaptureFormat::Pcap, CaptureFormat::Dnstap] {
+            let mut capture = match format {
+                CaptureFormat::Pcap => pcap::write_pcap(&trace).unwrap(),
+                CaptureFormat::Dnstap => framestream::write_dnstap(&trace).unwrap(),
+            };
+            corrupt::flip_bursts(&mut capture[24..], 0.02, 5);
+            for threads in [1, 3] {
+                let config = IngestConfig { format: Some(format), threads, ..Default::default() };
+                let whole = ingest_batched(&capture, &config, BATCH_FRAMES);
+                assert!(whole.1.quarantined_frames() > 0 && whole.1.resyncs > 0, "{}", whole.1);
+                for batch_frames in [1, 2, 7] {
+                    let batched = ingest_batched(&capture, &config, batch_frames);
+                    assert_eq!(batched, whole, "{format} batch={batch_frames} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_timestamp_is_dropped_wherever_batches_end() {
+        // The filter's window is five decoded events wide; a filter that
+        // judged within a batch, or forgot its two-stamp history at a batch
+        // edge, would see too few neighbors at some of these positions to
+        // outvote the poisoned stamp.
+        let n = 12;
+        let (clean, stride) = uniform_dnstap(n);
+        for poisoned in 0..n as usize {
+            let mut capture = clean.clone();
+            poison_dnstap_stamp(&mut capture, poisoned, stride);
+            for batch_frames in [1, 2, 3, 4, 5, BATCH_FRAMES] {
+                let (events, report) =
+                    ingest_batched(&capture, &IngestConfig::default(), batch_frames);
+                let what = format!("poisoned={poisoned} batch={batch_frames}: {report}");
+                assert_eq!(events.len(), n as usize - 1, "{what}");
+                assert!(events.iter().all(|e| e.time.as_secs() < 2000), "{what}");
+                let dropped = report.class(QuarantineClass::OutOfOrderTimestamp);
+                assert_eq!(dropped.frames, 1, "{what}");
+                assert_eq!(dropped.samples[0].frame_index, poisoned as u64, "{what}");
+                assert!(report.conserves(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn captures_shorter_than_the_window_stream_whole() {
+        for n in 1..=4 {
+            let (capture, stride) = uniform_dnstap(n);
+            let (events, report) = ingest_batched(&capture, &IngestConfig::default(), 2);
+            assert_eq!(events.len(), n as usize, "{report}");
+            assert_eq!(report.events, n, "{report}");
+            assert_eq!(report.bytes_parsed, report.bytes_total, "{report}");
+
+            // With three or more events the median outvotes one poisoned
+            // stamp at either end; with two it is the larger stamp, so the
+            // sound event is the outlier; alone, an event is its own median.
+            for poisoned in [0, n as usize - 1] {
+                let mut capture = capture.clone();
+                poison_dnstap_stamp(&mut capture, poisoned, stride);
+                let (events, report) = ingest_batched(&capture, &IngestConfig::default(), 2);
+                let kept_poison = events.iter().filter(|e| e.time.as_secs() > 2000).count();
+                let expected = if n <= 2 { (1, 1) } else { (n as usize - 1, 0) };
+                assert_eq!((events.len(), kept_poison), expected, "n={n} at {poisoned}: {report}");
+                assert!(report.conserves(), "{report}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_filter_is_the_windowed_median_over_decoded_stamps() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..40 {
+            let n: usize = rng.gen_range(1..40);
+            let stamps: Vec<u64> = (0..n as u64)
+                .map(|i| if rng.gen_bool(0.3) { rng.gen_range(0..10_000_000) } else { 1000 + i })
+                .collect();
+            let events = stamps.iter().map(|&s| event(s, 1, "host.example.com")).collect();
+            let capture = framestream::write_dnstap(&DayTrace { day: 0, events }).unwrap();
+
+            // The whole-sequence form: event i against stamps[i-2..i+3].
+            let plausible = |i: &usize| {
+                let mut window = stamps[i.saturating_sub(2)..(i + 3).min(n)].to_vec();
+                window.sort_unstable();
+                let median = window[window.len() / 2];
+                stamps[*i] + MAX_TS_DEVIATION_SECS >= median
+                    && stamps[*i] <= median + MAX_TS_DEVIATION_SECS
+            };
+            let expected: Vec<u64> = (0..n).filter(plausible).map(|i| stamps[i]).collect();
+
+            let config = IngestConfig { max_error_rate: 1.0, ..Default::default() };
+            for batch_frames in [1, 3, BATCH_FRAMES] {
+                let (events, _) = ingest_batched(&capture, &config, batch_frames);
+                let kept: Vec<u64> = events.iter().map(|e| e.time.as_secs()).collect();
+                assert_eq!(kept, expected, "stamps={stamps:?} batch={batch_frames}");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_accounts_for_events_never_pulled() {
+        let capture = pcap::write_pcap(&sample_trace(30)).unwrap();
+        let whole = ingest_bytes(&capture, &IngestConfig::default()).unwrap();
+        let mut stream =
+            EventStream::with_batch_frames(&capture, &IngestConfig::default(), 4).unwrap();
+        assert_eq!(stream.next().as_ref(), whole.trace.events.first());
+        assert_eq!(stream.finish().unwrap(), whole.report);
     }
 
     #[test]

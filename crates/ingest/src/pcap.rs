@@ -288,9 +288,10 @@ impl<'a> PcapScanner<'a> {
     }
 }
 
-/// Scans a pcap byte stream into frame extents, performing resync
+/// Scans a whole pcap byte stream into frame extents, performing resync
 /// skip-scans over corrupt regions. Serial and cheap: it reads only
-/// record headers, leaving payload decoding to the sharded phase.
+/// record headers. For tools that want the extent list itself; ingestion
+/// pulls from [`PcapScanner`] a batch at a time instead.
 pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanError> {
     let mut scanner = PcapScanner::new(bytes, report)?;
     let mut frames = Vec::new();

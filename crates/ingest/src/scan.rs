@@ -1,11 +1,11 @@
 //! Shared vocabulary of the serial scan phase.
 //!
 //! Both capture formats are scanned the same way: a cheap serial pass
-//! delimits frame extents (reading only headers, resyncing over garbage),
-//! and the expensive per-frame payload decoding then runs sharded over
-//! contiguous chunks of the extent list. Because the extent list is fixed
-//! before any thread starts, the merged decode output is bit-identical to
-//! the serial one for every thread count.
+//! delimits frame extents (reading only headers, resyncing over garbage)
+//! a batch at a time, and the expensive per-frame payload decoding then
+//! runs sharded over contiguous chunks of the batch's extent list. Because
+//! that list is fixed before any thread starts, the merged decode output
+//! is bit-identical to the serial one for every thread count.
 
 use std::fmt;
 use std::ops::Range;

@@ -1,14 +1,22 @@
 //! Plain-text trace serialization.
 //!
-//! A `DayTrace` round-trips through a line-oriented, tab-separated format
-//! (in the spirit of `dnstap`/`dnstop` text output, §II-B1) so traces can
-//! be generated once and replayed by external tooling or the CLI:
+//! A day of events round-trips through a line-oriented, tab-separated
+//! format (in the spirit of `dnstap`/`dnstop` text output, §II-B1) so
+//! traces can be generated once and replayed by external tooling or the
+//! CLI:
 //!
 //! ```text
 //! <secs>\t<client>\t<qname>\t<qtype>\tNXDOMAIN
 //! <secs>\t<client>\t<qname>\t<qtype>\t<name>,<type>,<ttl>,<rdata>[;<record>...]
 //! ```
+//!
+//! Both directions work an event at a time: [`write_events`] renders any
+//! event iterator through one reused line buffer, allocating nothing per
+//! event, and [`EventReader`] parses lines through a bounded window. [`write_trace`] and [`read_trace`] are the
+//! whole-[`DayTrace`] forms over them, so a pipeline stage that forwards
+//! events holds a line, not the day.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read as _, Write};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -87,8 +95,7 @@ impl From<std::io::Error> for TraceIoError {
 /// separators, `%` itself) plus ASCII control bytes. The inverse is
 /// [`unescape_txt`]; together they make TXT payloads round-trip losslessly
 /// where the format previously flattened them to `_`.
-fn escape_txt(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+fn escape_txt(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '%' | '\t' | '\n' | '\r' | ';' | ',' => {
@@ -100,7 +107,6 @@ fn escape_txt(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn unescape_txt(s: &str) -> Result<String, String> {
@@ -124,24 +130,53 @@ fn unescape_txt(s: &str) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| "TXT %-escapes decode to invalid utf-8".to_owned())
 }
 
-fn render_rdata(rdata: &RData) -> String {
+/// Appends the presentation form of `name` — exactly what its `Display`
+/// writes — label by label, bypassing the formatter.
+fn append_name(name: &Name, line: &mut String) {
+    if name.is_root() {
+        line.push('.');
+    }
+    for (i, label) in name.labels().iter().enumerate() {
+        if i > 0 {
+            line.push('.');
+        }
+        line.push_str(label.as_str());
+    }
+}
+
+fn append_rdata(rdata: &RData, line: &mut String) {
+    let mut tagged_name = |tag: &str, name: &Name| {
+        line.push_str(tag);
+        append_name(name, line);
+    };
     match rdata {
-        RData::A(a) => format!("A:{a}"),
-        RData::Aaaa(a) => format!("AAAA:{a}"),
-        RData::Cname(n) => format!("CNAME:{n}"),
-        RData::Ns(n) => format!("NS:{n}"),
-        RData::Ptr(n) => format!("PTR:{n}"),
-        RData::Txt(s) => format!("TXT:{}", escape_txt(s)),
-        RData::Mx { preference, exchange } => format!("MX:{preference}:{exchange}"),
+        RData::A(a) => {
+            let _ = write!(line, "A:{a}");
+        }
+        RData::Aaaa(a) => {
+            let _ = write!(line, "AAAA:{a}");
+        }
+        RData::Cname(n) => tagged_name("CNAME:", n),
+        RData::Ns(n) => tagged_name("NS:", n),
+        RData::Ptr(n) => tagged_name("PTR:", n),
+        RData::Txt(s) => {
+            line.push_str("TXT:");
+            escape_txt(s, line);
+        }
+        RData::Mx { preference, exchange } => {
+            let _ = write!(line, "MX:{preference}:");
+            append_name(exchange, line);
+        }
         RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
-            format!("SOA:{mname}:{rname}:{serial}:{refresh}:{retry}:{expire}:{minimum}")
+            tagged_name("SOA:", mname);
+            tagged_name(":", rname);
+            let _ = write!(line, ":{serial}:{refresh}:{retry}:{expire}:{minimum}");
         }
         RData::Opaque(b) => {
-            let mut hex = String::with_capacity(b.len() * 2);
+            line.push_str("OPAQUE:");
             for byte in b {
-                let _ = write!(hex, "{byte:02x}");
+                let _ = write!(line, "{byte:02x}");
             }
-            format!("OPAQUE:{hex}")
         }
     }
 }
@@ -198,29 +233,36 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
 }
 
 fn parse_qtype(s: &str) -> Result<QType, String> {
-    QType::all()
-        .iter()
-        .copied()
-        .find(|q| q.to_string() == s)
-        .ok_or_else(|| format!("unknown qtype {s}"))
+    s.parse().map_err(|_| format!("unknown qtype {s}"))
+}
+
+/// Appends one event's trace line (without the newline) to `line`,
+/// allocating nothing beyond the buffer's own growth: a writer that
+/// clears and reuses one buffer renders a whole day without touching the
+/// heap per event. Every renderer here is a wrapper over it.
+fn append_event(event: &QueryEvent, line: &mut String) {
+    let _ = write!(line, "{}\t{}\t", event.time.as_secs(), event.client);
+    append_name(&event.name, line);
+    let _ = write!(line, "\t{}\t", event.qtype);
+    match &event.outcome {
+        Outcome::NxDomain => line.push_str("NXDOMAIN"),
+        Outcome::Answer(records) => {
+            for (i, r) in records.iter().enumerate() {
+                if i > 0 {
+                    line.push(';');
+                }
+                append_name(&r.name, line);
+                let _ = write!(line, ",{},{},", r.qtype, r.ttl.as_secs());
+                append_rdata(&r.rdata, line);
+            }
+        }
+    }
 }
 
 /// Serializes one event as a trace line (without the newline).
 pub fn render_event(event: &QueryEvent) -> String {
-    let mut line =
-        format!("{}\t{}\t{}\t{}\t", event.time.as_secs(), event.client, event.name, event.qtype);
-    match &event.outcome {
-        Outcome::NxDomain => line.push_str("NXDOMAIN"),
-        Outcome::Answer(records) => {
-            let rendered: Vec<String> = records
-                .iter()
-                .map(|r| {
-                    format!("{},{},{},{}", r.name, r.qtype, r.ttl.as_secs(), render_rdata(&r.rdata))
-                })
-                .collect();
-            line.push_str(&rendered.join(";"));
-        }
-    }
+    let mut line = String::new();
+    append_event(event, &mut line);
     line
 }
 
@@ -287,16 +329,36 @@ pub fn parse_event(line: &str) -> Result<QueryEvent, String> {
     })
 }
 
+/// Writes `events` to `out`, one per line, through one reused line buffer,
+/// and flushes: the writing half of [`EventReader`], for producers that
+/// hand events over one by one instead of materialising a [`DayTrace`].
+///
+/// # Errors
+///
+/// Propagates write failures.
+pub fn write_events<I, W>(events: I, mut out: W) -> Result<(), TraceIoError>
+where
+    I: IntoIterator,
+    I::Item: Borrow<QueryEvent>,
+    W: Write,
+{
+    let mut line = String::new();
+    for event in events {
+        line.clear();
+        append_event(event.borrow(), &mut line);
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
+    }
+    Ok(out.flush()?)
+}
+
 /// Writes a trace to `out`, one event per line.
 ///
 /// # Errors
 ///
 /// Propagates write failures.
-pub fn write_trace<W: Write>(trace: &DayTrace, mut out: W) -> Result<(), TraceIoError> {
-    for event in &trace.events {
-        writeln!(out, "{}", render_event(event))?;
-    }
-    Ok(())
+pub fn write_trace<W: Write>(trace: &DayTrace, out: W) -> Result<(), TraceIoError> {
+    write_events(&trace.events, out)
 }
 
 /// A resumable event-at-a-time trace reader: the iterator form of
@@ -443,6 +505,12 @@ mod tests {
     use super::*;
     use crate::scenario::{Scenario, ScenarioConfig};
 
+    fn render_rdata(rdata: &RData) -> String {
+        let mut out = String::new();
+        append_rdata(rdata, &mut out);
+        out
+    }
+
     #[test]
     fn generated_trace_roundtrips() {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.8).with_scale(0.01), 5);
@@ -458,6 +526,16 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.qtype, b.qtype);
             assert_eq!(a.outcome, b.outcome);
+        }
+    }
+
+    #[test]
+    fn names_append_exactly_as_they_display() {
+        for text in ["a.b.example.com", "com", "."] {
+            let name: Name = text.parse().unwrap();
+            let mut line = String::from("x\t");
+            append_name(&name, &mut line);
+            assert_eq!(line, format!("x\t{name}"));
         }
     }
 

@@ -55,6 +55,15 @@ echo "== ingest corruption smoke (1% damage, byte-identical across --threads) ==
 diff "$smoke_dir/i1.trace" "$smoke_dir/i4.trace" >&2
 grep -q 'conserved' "$smoke_dir/ledger.txt" \
     || { echo "error: ingest ledger did not conserve bytes" >&2; exit 1; }
+# A source over its error budget is refused whole: non-zero exit, and
+# neither the destination nor the temp sibling it is renamed from.
+if ./target/release/dnsnoise ingest "$smoke_dir/day.pcap" --max-error-rate 0.0001 \
+    -o "$smoke_dir/refused.trace" 2>/dev/null; then
+    echo "error: ingest accepted a source over its error budget" >&2; exit 1
+fi
+if compgen -G "$smoke_dir/refused.trace*" >/dev/null; then
+    echo "error: a refused ingest left output behind" >&2; exit 1
+fi
 total=$(./target/release/dnsnoise generate --scale 0.01 --seed 3 --out /dev/stdout 2>/dev/null | grep -cv '^#') || total=0
 kept=$(grep -cv '^#' "$smoke_dir/i1.trace") || kept=0
 [ "$kept" -ge $((total * 95 / 100)) ] \

@@ -22,11 +22,13 @@ use std::process::ExitCode;
 
 use dnsnoise::core::{DailyPipeline, DomainTree, Miner, MinerConfig, TrainingSetBuilder};
 use dnsnoise::dns::{SuffixList, Ttl};
-use dnsnoise::ingest::{corrupt, framestream, pcap, CaptureFormat, IngestConfig};
+use dnsnoise::ingest::{
+    corrupt, framestream, pcap, CaptureFormat, EventStream, IngestConfig, IngestError, IngestReport,
+};
 use dnsnoise::pdns::{BackendKind, PdnsBackend, PdnsStore};
 use dnsnoise::resolver::{
-    FaultPlan, MetricsRegistry, OverloadConfig, PdnsCollector, ResolverSim, SimConfig,
-    DEFAULT_TIMELINE_BUCKETS,
+    EventSession, FaultPlan, MetricsRegistry, OverloadConfig, PdnsCollector, ResolverSim,
+    SimConfig, DEFAULT_TIMELINE_BUCKETS,
 };
 use dnsnoise::workload::{trace_io, AttackPlan, DayTrace, Scenario, ScenarioConfig};
 
@@ -585,33 +587,70 @@ fn cmd_ingest(opts: &IngestOpts) -> Result<(), String> {
         threads: opts.threads,
         max_error_rate: opts.max_error_rate,
     };
-    let out = match dnsnoise::ingest::ingest_bytes(&bytes, &config) {
-        Ok(out) => out,
-        Err(dnsnoise::ingest::IngestError::ErrorBudgetExceeded { rate, limit, report }) => {
+    let mut stream = EventStream::new(&bytes, &config).map_err(|e| format!("{path}: {e}"))?;
+
+    // Each event is rendered as it leaves the filter, but the error-budget
+    // verdict exists only at end of capture and a refused source must emit
+    // nothing. So the text goes to a sibling of the destination that is
+    // renamed over it after the verdict — or, with nothing a rename may
+    // replace (stdout; a `-o /dev/stdout`, pipe or symlink that has to be
+    // written through), is held back until then.
+    let renamed_over = opts
+        .out
+        .as_deref()
+        .filter(|dest| std::fs::symlink_metadata(dest).map_or(true, |m| m.is_file()));
+    let Some(dest) = renamed_over else {
+        let mut text = Vec::new();
+        trace_io::write_events(stream.by_ref(), &mut text).map_err(|e| e.to_string())?;
+        let report = ingest_verdict(stream, path)?;
+        return match &opts.out {
+            Some(dest) => {
+                std::fs::write(dest, &text).map_err(|e| format!("cannot write {dest}: {e}"))?;
+                eprintln!("wrote {} events to {dest}", report.events);
+                Ok(())
+            }
+            None => std::io::stdout().lock().write_all(&text).map_err(|e| e.to_string()),
+        };
+    };
+    let sibling = format!("{dest}.tmp{}", std::process::id());
+    let publish = || -> Result<u64, String> {
+        let file = File::create(&sibling).map_err(|e| format!("cannot create {dest}: {e}"))?;
+        trace_io::write_events(stream.by_ref(), BufWriter::new(file))
+            .map_err(|e| format!("cannot write {dest}: {e}"))?;
+        let report = ingest_verdict(stream, path)?;
+        std::fs::rename(&sibling, dest).map_err(|e| format!("cannot create {dest}: {e}"))?;
+        Ok(report.events)
+    };
+    match publish() {
+        Ok(events) => {
+            eprintln!("wrote {events} events to {dest}");
+            Ok(())
+        }
+        Err(e) => {
+            let _ = std::fs::remove_file(&sibling);
+            Err(e)
+        }
+    }
+}
+
+/// Closes an ingest stream and prints its ledger — to stderr, so the trace
+/// can go to stdout — whether the source passed its error budget or not.
+fn ingest_verdict(stream: EventStream, path: &str) -> Result<IngestReport, String> {
+    match stream.finish() {
+        Ok(report) => {
             eprint!("{report}");
-            return Err(format!(
+            Ok(report)
+        }
+        Err(IngestError::ErrorBudgetExceeded { rate, limit, report }) => {
+            eprint!("{report}");
+            Err(format!(
                 "{path}: error rate {:.1}% exceeds the {:.1}% budget",
                 rate * 100.0,
                 limit * 100.0
-            ));
+            ))
         }
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    // The ledger goes to stderr so the trace can stream to stdout.
-    eprint!("{}", out.report);
-    match &opts.out {
-        Some(dest) => {
-            let file = File::create(dest).map_err(|e| format!("cannot create {dest}: {e}"))?;
-            trace_io::write_trace(&out.trace, BufWriter::new(file)).map_err(|e| e.to_string())?;
-            eprintln!("wrote {} events to {dest}", out.trace.events.len());
-        }
-        None => {
-            let stdout = std::io::stdout();
-            trace_io::write_trace(&out.trace, BufWriter::new(stdout.lock()))
-                .map_err(|e| e.to_string())?;
-        }
+        Err(e) => Err(format!("{path}: {e}")),
     }
-    Ok(())
 }
 
 fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
@@ -824,12 +863,22 @@ fn cmd_mine(opts: &MineOpts) -> Result<(), String> {
     let miner_config =
         MinerConfig { theta: opts.theta, min_group_size: opts.min_group, ..Default::default() };
     match &opts.trace {
-        Some(path) => {
-            let trace = load_trace(path)?;
+        Some(_) => {
+            // The day is replayed straight off the reader, as `stream`
+            // does, and only its per-record table outlives the loop.
+            let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), 0);
+            let mut day_known = false;
+            feed_trace(&opts.trace, &mut |event| {
+                if !day_known {
+                    session.set_day(event.time.day());
+                    day_known = true;
+                }
+                session.push(&event, None, &mut ());
+                Ok(())
+            })?;
+            let (report, _sim) = session.finish();
             let miner = load_or_train_miner(opts.model.as_deref(), &opts.common, miner_config)?;
 
-            let mut sim = ResolverSim::new(SimConfig::default());
-            let report = sim.day(&trace).run();
             let mut tree = DomainTree::from_day_stats(&report.rr_stats);
             let mut findings = miner.mine(&mut tree, &SuffixList::builtin());
             findings.sort_by(|a, b| b.confidence.partial_cmp(&a.confidence).expect("finite"));

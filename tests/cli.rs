@@ -279,6 +279,105 @@ fn ingest_survives_corruption_and_stays_thread_invariant() {
 }
 
 #[test]
+fn ingest_refusal_emits_nothing_and_leaves_nothing_behind() {
+    let dir = tempdir_named("ingest-refusal");
+    let capture = dir.join("bad.pcap");
+    let out = bin()
+        .args(["generate", "--scale", "0.01", "--seed", "4", "--capture", "pcap"])
+        .args(["--corrupt", "0.01", "--corrupt-seed", "2", "--out"])
+        .arg(&capture)
+        .output()
+        .expect("run generate --corrupt");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let files = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list temp dir")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        names.sort();
+        names
+    };
+
+    // A good run publishes `dest` and nothing else.
+    let dest = dir.join("day.trace");
+    let out = bin().args(["ingest"]).arg(&capture).arg("-o").arg(&dest).output().expect("ingest");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(files(), ["bad.pcap", "day.trace"]);
+    let published = std::fs::read(&dest).expect("trace written");
+    assert!(!published.is_empty());
+
+    // Over budget: the ledger on stderr, nothing on stdout, and neither a
+    // fresh destination nor a temp sibling; an earlier good `dest` stays.
+    for target in [Some("day.trace"), Some("fresh.trace"), None] {
+        let mut cmd = bin();
+        cmd.args(["ingest"]).arg(&capture).args(["--max-error-rate", "0.0001"]);
+        if let Some(name) = target {
+            cmd.arg("-o").arg(dir.join(name));
+        }
+        let out = cmd.output().expect("run ingest");
+        assert!(!out.status.success(), "{target:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bytes: ") && stderr.contains("(conserved)"), "{stderr}");
+        assert!(stderr.contains("frames: ") && stderr.contains("exceeds"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{target:?}: refused source reached stdout");
+        assert_eq!(files(), ["bad.pcap", "day.trace"], "{target:?}");
+        assert_eq!(std::fs::read(&dest).expect("still there"), published, "{target:?}");
+    }
+
+    // A destination that is not a regular file is written through, not
+    // renamed over: `-o /dev/stdout` behaves like stdout.
+    let out =
+        bin().args(["ingest"]).arg(&capture).args(["-o", "/dev/stdout"]).output().expect("ingest");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.stdout, published);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("events to /dev/stdout"), "{stderr}");
+    let out = bin().args(["ingest"]).arg(&capture).output().expect("ingest");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.stdout, published);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mine_replays_empty_and_malformed_traces_like_a_loaded_day() {
+    let dir = tempdir_named("mine-edges");
+    let model = dir.join("model.txt");
+    let out = bin()
+        .args(["train", "--scale", "0.02", "--seed", "3", "--out"])
+        .arg(&model)
+        .output()
+        .expect("run train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mine = |trace: &std::path::Path| {
+        bin()
+            .args(["mine", "--trace"])
+            .arg(trace)
+            .arg("--model")
+            .arg(&model)
+            .output()
+            .expect("run mine")
+    };
+
+    let empty = dir.join("empty.trace");
+    std::fs::write(&empty, "").expect("write empty trace");
+    let out = mine(&empty);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "# zone\tdepth\tconfidence\tnames\n");
+
+    let malformed = dir.join("malformed.trace");
+    std::fs::write(&malformed, "10\t7\twww.example.com\tA\tNXDOMAIN\nnot a line\n")
+        .expect("write malformed trace");
+    let out = mine(&malformed);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no findings from a trace that does not parse");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn ingest_rejects_garbage_cleanly() {
     let dir = tempdir_named("ingest-garbage");
     let junk = dir.join("junk.bin");
