@@ -1,6 +1,6 @@
 //! TTL-aware LRU record cache with priority classes and eviction accounting.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -115,29 +115,65 @@ pub enum Lookup {
     Absent,
 }
 
+/// "No slot": the end of a recency list or of the free chain.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Entry {
+    key: CacheKey,
     answers: Arc<[Record]>,
     expires: Timestamp,
     priority: InsertPriority,
-    /// Recency stamp; larger is more recently used.
-    stamp: u64,
+}
+
+/// One slab cell: a cached entry linked into its priority's recency list,
+/// or a vacant cell (`entry` is `None`) chained through `next` into the
+/// free chain.
+#[derive(Debug)]
+struct Slot {
+    entry: Option<Entry>,
+    prev: u32,
+    next: u32,
+}
+
+/// One recency list: `head` is the least recently used slot (the next
+/// eviction victim), `tail` the most recently used.
+#[derive(Debug, Clone, Copy)]
+struct RecencyList {
+    head: u32,
+    tail: u32,
+}
+
+impl RecencyList {
+    const EMPTY: RecencyList = RecencyList { head: NIL, tail: NIL };
 }
 
 /// A TTL-aware LRU cache of DNS answer sets with a fixed entry capacity.
 ///
-/// Two recency indexes are kept — one per [`InsertPriority`] — so that
-/// low-priority entries are always the first victims under capacity
-/// pressure. Lookups on expired entries remove them and count as misses
-/// ([`CacheStats::expired`]), matching resolver behaviour.
+/// Entries live in a slab; `index` maps a key to its slot, and every
+/// occupied slot sits on one of two doubly linked recency lists — one per
+/// [`InsertPriority`] — threaded through the slab by slot number. An
+/// insert or a live hit moves the slot to its list's tail, so each list
+/// is always in least-to-most-recently-used order and its head is the
+/// eviction victim: a hit costs one hash probe and a constant number of
+/// link updates. Low-priority entries are always the first victims under
+/// capacity pressure. Lookups on expired entries remove them and count as
+/// misses ([`CacheStats::expired`]), matching resolver behaviour.
 #[derive(Debug)]
 pub struct TtlLru {
     capacity: usize,
-    map: HashMap<CacheKey, Entry>,
-    /// Recency index per priority: ordered set of `(stamp, key)`.
-    recency: [BTreeSet<(u64, CacheKey)>; 2],
-    next_stamp: u64,
+    index: HashMap<CacheKey, u32>,
+    slots: Vec<Slot>,
+    /// First vacant slot, chained through `Slot::next`.
+    free: u32,
+    /// Recency list per priority, indexed by [`prio_idx`].
+    recency: [RecencyList; 2],
     stats: CacheStats,
+}
+
+/// The entry in slot `id`, which the index or a recency list named.
+fn occupied(slots: &[Slot], id: u32) -> &Entry {
+    slots[id as usize].entry.as_ref().expect("an indexed or listed slot is occupied")
 }
 
 fn prio_idx(p: InsertPriority) -> usize {
@@ -152,14 +188,16 @@ impl TtlLru {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero, or too large for 32-bit slot numbers.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        assert!(capacity < NIL as usize, "cache capacity must fit 32-bit slot numbers");
         TtlLru {
             capacity,
-            map: HashMap::with_capacity(capacity),
-            recency: [BTreeSet::new(), BTreeSet::new()],
-            next_stamp: 0,
+            index: HashMap::with_capacity(capacity),
+            slots: Vec::new(),
+            free: NIL,
+            recency: [RecencyList::EMPTY; 2],
             stats: CacheStats::default(),
         }
     }
@@ -171,12 +209,12 @@ impl TtlLru {
 
     /// Current number of cached entries (live or not-yet-collected expired).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Returns `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Accumulated counters.
@@ -211,10 +249,11 @@ impl TtlLru {
     /// `stale_window` reproduces [`TtlLru::get`] exactly — state and
     /// counters included.
     pub fn lookup(&mut self, key: &CacheKey, now: Timestamp, stale_window: Ttl) -> Lookup {
-        let Some(entry) = self.map.get(key) else {
+        let Some(&id) = self.index.get(key) else {
             self.stats.misses += 1;
             return Lookup::Absent;
         };
+        let entry = occupied(&self.slots, id);
         if entry.expires <= now {
             self.stats.expired += 1;
             if !stale_window.is_zero() && entry.expires + stale_window > now {
@@ -222,24 +261,23 @@ impl TtlLru {
                 // a stale entry stays a likely eviction victim).
                 return Lookup::Stale(Arc::clone(&entry.answers));
             }
-            let entry = self.map.remove(key).expect("entry just observed");
-            self.recency[prio_idx(entry.priority)].remove(&(entry.stamp, key.clone()));
+            self.remove_slot(id);
             return Lookup::Absent;
         }
         self.stats.hits += 1;
-        let stamp = self.bump_stamp();
-        let entry = self.map.get_mut(key).expect("entry just observed");
-        self.recency[prio_idx(entry.priority)].remove(&(entry.stamp, key.clone()));
-        entry.stamp = stamp;
-        self.recency[prio_idx(entry.priority)].insert((stamp, key.clone()));
-        Lookup::Fresh(Arc::clone(&entry.answers))
+        let (answers, priority) = (Arc::clone(&entry.answers), entry.priority);
+        self.unlink(id, priority);
+        self.push_tail(id, priority);
+        Lookup::Fresh(answers)
     }
 
     /// Drops every entry while keeping the accumulated counters — a
     /// member process restarting with a cold cache after a crash.
     pub fn clear_entries(&mut self) {
-        self.map.clear();
-        self.recency = [BTreeSet::new(), BTreeSet::new()];
+        self.index.clear();
+        self.slots.clear();
+        self.free = NIL;
+        self.recency = [RecencyList::EMPTY; 2];
     }
 
     /// Inserts an answer set. The TTL of the entry is the minimum TTL of
@@ -259,46 +297,42 @@ impl TtlLru {
             return Vec::new();
         }
         self.stats.inserts += 1;
-        // Replace an existing entry in place.
-        if let Some(old) = self.map.remove(&key) {
-            self.recency[prio_idx(old.priority)].remove(&(old.stamp, key.clone()));
+        // Replace an existing entry: its slot is vacated first, so the
+        // cache is below capacity and the loop below evicts nothing.
+        if let Some(&old) = self.index.get(&key) {
+            self.remove_slot(old);
         }
         let mut evicted = Vec::new();
-        while self.map.len() >= self.capacity {
+        while self.index.len() >= self.capacity {
             match self.evict_one(now) {
                 Some(e) => evicted.push(e),
                 None => break,
             }
         }
-        let stamp = self.bump_stamp();
-        self.recency[prio_idx(priority)].insert((stamp, key.clone()));
-        self.map
-            .insert(key, Entry { answers: answers.into(), expires: now + ttl, priority, stamp });
+        let entry =
+            Entry { key: key.clone(), answers: answers.into(), expires: now + ttl, priority };
+        let id = self.occupy(entry);
+        self.index.insert(key, id);
+        self.push_tail(id, priority);
         evicted
     }
 
     /// Evicts the least recently used entry, preferring the low-priority
     /// class, and classifies the eviction.
     fn evict_one(&mut self, now: Timestamp) -> Option<(CacheKey, EvictionKind)> {
-        for idx in 0..2 {
-            let Some((stamp, key)) = self.recency[idx].iter().next().cloned() else {
-                continue;
-            };
-            self.recency[idx].remove(&(stamp, key.clone()));
-            let entry = self.map.remove(&key).expect("recency and map in sync");
-            let kind = if entry.expires > now {
-                match entry.priority {
-                    InsertPriority::Normal => self.stats.premature_evictions_normal += 1,
-                    InsertPriority::Low => self.stats.premature_evictions_low += 1,
-                }
-                EvictionKind::Premature
-            } else {
-                self.stats.expired_evictions += 1;
-                EvictionKind::Expired
-            };
-            return Some((key, kind));
-        }
-        None
+        let victim = self.recency.iter().map(|list| list.head).find(|&head| head != NIL)?;
+        let entry = self.remove_slot(victim);
+        let kind = if entry.expires > now {
+            match entry.priority {
+                InsertPriority::Normal => self.stats.premature_evictions_normal += 1,
+                InsertPriority::Low => self.stats.premature_evictions_low += 1,
+            }
+            EvictionKind::Premature
+        } else {
+            self.stats.expired_evictions += 1;
+            EvictionKind::Expired
+        };
+        Some((entry.key, kind))
     }
 
     /// Drops every entry whose TTL has lapsed at `now`; returns how many
@@ -307,20 +341,62 @@ impl TtlLru {
     ///
     /// [`len`]: TtlLru::len
     pub fn purge_expired(&mut self, now: Timestamp) -> usize {
-        // lint:allow(hash-iter): removal set; each key is removed independently, so order is moot
-        let dead: Vec<CacheKey> =
-            self.map.iter().filter(|(_, e)| e.expires <= now).map(|(k, _)| k.clone()).collect();
-        for key in &dead {
-            let entry = self.map.remove(key).expect("key collected above");
-            self.recency[prio_idx(entry.priority)].remove(&(entry.stamp, key.clone()));
+        let before = self.index.len();
+        for id in 0..self.slots.len() as u32 {
+            if self.slots[id as usize].entry.as_ref().is_some_and(|e| e.expires <= now) {
+                self.remove_slot(id);
+            }
         }
-        dead.len()
+        before - self.index.len()
     }
 
-    fn bump_stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
+    /// Stores `entry` in a vacant slot (or a new one), not yet on a list.
+    fn occupy(&mut self, entry: Entry) -> u32 {
+        let slot = Slot { entry: Some(entry), prev: NIL, next: NIL };
+        if self.free == NIL {
+            self.slots.push(slot);
+            return (self.slots.len() - 1) as u32;
+        }
+        let id = self.free;
+        self.free = std::mem::replace(&mut self.slots[id as usize], slot).next;
+        id
+    }
+
+    /// Takes the entry out of slot `id`: off its list, out of the index,
+    /// the slot onto the free chain.
+    fn remove_slot(&mut self, id: u32) -> Entry {
+        let entry =
+            self.slots[id as usize].entry.take().expect("an indexed or listed slot is occupied");
+        self.unlink(id, entry.priority);
+        self.slots[id as usize].next = self.free;
+        self.free = id;
+        self.index.remove(&entry.key);
+        entry
+    }
+
+    fn unlink(&mut self, id: u32, priority: InsertPriority) {
+        let Slot { prev, next, .. } = self.slots[id as usize];
+        let list = &mut self.recency[prio_idx(priority)];
+        match prev {
+            NIL => list.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => list.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_tail(&mut self, id: u32, priority: InsertPriority) {
+        let list = &mut self.recency[prio_idx(priority)];
+        let old_tail = std::mem::replace(&mut list.tail, id);
+        match old_tail {
+            NIL => list.head = id,
+            t => self.slots[t as usize].next = id,
+        }
+        let slot = &mut self.slots[id as usize];
+        slot.prev = old_tail;
+        slot.next = NIL;
     }
 }
 

@@ -58,7 +58,7 @@ pub struct NegativeCache {
     capacity: usize,
     entries: HashMap<Name, Slot>,
     /// `(stamp, name)` pairs ordered oldest-first; the LRU victim is the
-    /// smallest element. Mirrors [`crate::TtlLru`]'s recency index.
+    /// smallest element.
     recency: BTreeSet<(u64, Name)>,
     next_stamp: u64,
     hits: u64,

@@ -112,13 +112,14 @@ impl DomainTree {
                 Some(&child) => child,
                 None => {
                     let id = self.arena.len();
+                    let label = Label::new(label).expect("a name's labels are valid");
                     self.arena.push(TreeNode {
                         label: Some(label.clone()),
                         children: BTreeMap::new(),
                         black: false,
                         rr_chr: Vec::new(),
                     });
-                    self.arena[node].children.insert(label.clone(), id);
+                    self.arena[node].children.insert(label, id);
                     id
                 }
             };

@@ -1,5 +1,6 @@
 //! Single DNS labels.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -8,7 +9,12 @@ use serde::{Deserialize, Serialize};
 /// Maximum length of a single DNS label in bytes (RFC 1035 §2.3.4).
 pub const MAX_LABEL_LEN: usize = 63;
 
-/// One dot-separated component of a domain name.
+/// One dot-separated component of a domain name, owned and validated.
+///
+/// A [`crate::Name`] stores its labels as one flat text and hands them out
+/// as `&str`; `Label` is the owned form builders pass to
+/// [`crate::Name::child`] and [`crate::Name::from_labels`], and the key type
+/// of the domain tree's child maps.
 ///
 /// Labels are case-insensitive in DNS; this type normalises to ASCII
 /// lowercase on construction so that equality and hashing behave like the
@@ -59,7 +65,7 @@ impl fmt::Display for LabelParseError {
 
 impl std::error::Error for LabelParseError {}
 
-fn byte_ok(b: u8) -> bool {
+pub(crate) fn byte_ok(b: u8) -> bool {
     // Printable ASCII except '.', space and control characters.
     (0x21..=0x7e).contains(&b) && b != b'.'
 }
@@ -157,6 +163,15 @@ impl fmt::Debug for Label {
 
 impl AsRef<str> for Label {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// A label hashes, compares and orders exactly as its text, so a map keyed
+/// by `Label` can be probed with the `&str` labels of a [`crate::Name`]
+/// without building a `Label` first.
+impl Borrow<str> for Label {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }

@@ -1,5 +1,28 @@
 //! Fully qualified domain names.
+//!
+//! A [`Name`] is one heap block: its lower-case presentation text behind an
+//! [`Arc<str>`], no trailing dot, `""` for the root. Every per-event
+//! operation — parse, clone, drop, hash, equality — touches that block and
+//! nothing else, however many labels the name has; the disposable names the
+//! paper studies average seven periods (§IV-A), so a label-per-allocation
+//! layout would pay eight or more heap blocks for each of them.
+//!
+//! Labels are not stored: [`Name::labels`] splits the text on demand, and
+//! [`Label`] survives as the owned, validated form builders hand to
+//! [`Name::child`] and [`Name::from_labels`].
+//!
+//! **Ordering.** `Ord` is the order of the label sequences, leftmost label
+//! first (`["a", "b"] < ["a-b"]` because `"a" < "a-b"`), which is what every
+//! sorted render was pinned under. On the flat text that is the byte order
+//! with `.` ranked below every label byte: at the first differing byte
+//! either both bytes sit in the same label (the labels compare as those
+//! bytes do) or one name's label has ended there, making it a strict prefix
+//! of the other's, hence smaller; with no differing byte the shorter text is
+//! a label-wise prefix. Plain byte order would get `a.b` vs `a-b` wrong
+//! (`-` is `0x2d`, `.` is `0x2e`), so `Ord` is written out rather than
+//! derived, and `Name` deliberately does not implement `Borrow<str>`.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -7,20 +30,22 @@ use std::sync::Arc;
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::label::{Label, LabelParseError};
+use crate::label::{byte_ok, Label, LabelParseError, MAX_LABEL_LEN};
 
-/// Maximum length of a full domain name in presentation format
-/// (RFC 1035 §2.3.4 allows 255 octets of wire format; the presentation
-/// limit of 253 characters is the commonly enforced bound).
+/// Maximum length of a full domain name in presentation format.
+/// RFC 1035 §2.3.4 allows 255 octets of wire format, root octet included:
+/// one length octet per label replaces the dots and adds one, so a name
+/// fits the wire exactly when its presentation form has at most 253
+/// characters.
 pub const MAX_NAME_LEN: usize = 253;
 
 /// A validated, case-normalised, fully qualified domain name.
 ///
-/// Labels are stored in presentation order (leftmost / deepest first), so
-/// `www.example.com` is `["www", "example", "com"]`. The root name (zero
+/// `www.example.com` has the labels `["www", "example", "com"]` in
+/// presentation order (leftmost / deepest first). The root name (zero
 /// labels) is representable and prints as `.`.
 ///
-/// Cloning is cheap: the label storage is shared behind an [`Arc`], which
+/// Cloning is a reference-count bump and the handle is 16 bytes, which
 /// matters because simulation statistics key millions of map entries by
 /// name.
 ///
@@ -31,15 +56,32 @@ pub const MAX_NAME_LEN: usize = 253;
 ///
 /// let d: Name = "a.example.com".parse()?;
 /// assert_eq!(d.depth(), 3);
-/// assert_eq!(d.tld().unwrap().to_string(), "com");
+/// assert_eq!(d.tld(), Some("com"));
 /// assert_eq!(d.nld(2).unwrap().to_string(), "example.com");
 /// assert_eq!(d.parent().unwrap().to_string(), "example.com");
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
-    /// Labels in presentation order: `labels[0]` is the leftmost label.
-    labels: Arc<[Label]>,
+    /// Lower-case presentation form without a trailing dot; `""` is the root.
+    text: Arc<str>,
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
+        match a.iter().zip(b).find(|(x, y)| x != y) {
+            // A label that ends (`.`) is a strict prefix of one that goes on.
+            Some((&x, &y)) => (x != b'.', x).cmp(&(y != b'.', y)),
+            None => a.len().cmp(&b.len()),
+        }
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Serialize for Name {
@@ -93,10 +135,134 @@ impl From<LabelParseError> for NameParseError {
     }
 }
 
+/// Builds a [`Name`] from labels that arrive from outside the process —
+/// wire messages, store keys, text — leftmost label first.
+///
+/// Every label is validated and lower-cased straight into one stack buffer,
+/// and [`NameBuilder::to_name`] copies that buffer into the name's single
+/// heap block: one allocation per name, none per label. This is the one
+/// place the RFC 1035 length limits are enforced for decoded names.
+///
+/// # Examples
+///
+/// ```
+/// use dnsnoise_dns::NameBuilder;
+///
+/// let mut b = NameBuilder::new();
+/// b.push_label(b"WWW")?;
+/// b.push_label(b"example")?;
+/// b.push_label(b"com")?;
+/// assert_eq!(b.to_name()?.to_string(), "www.example.com");
+/// assert!(b.push_label(b"a.b").is_err());
+/// # Ok::<(), dnsnoise_dns::NameParseError>(())
+/// ```
+#[derive(Debug)]
+pub struct NameBuilder {
+    buf: [u8; MAX_NAME_LEN],
+    len: usize,
+}
+
+impl Default for NameBuilder {
+    fn default() -> Self {
+        NameBuilder::new()
+    }
+}
+
+impl NameBuilder {
+    /// An empty builder; [`NameBuilder::to_name`] on it yields the root.
+    pub fn new() -> Self {
+        NameBuilder { buf: [0; MAX_NAME_LEN], len: 0 }
+    }
+
+    /// Appends one label to the right of those already pushed.
+    ///
+    /// # Errors
+    ///
+    /// The label's own defect first — empty, longer than
+    /// [`MAX_LABEL_LEN`], its first byte outside the accepted alphabet —
+    /// then [`NameParseError::TooLong`] with the length the name would
+    /// have reached. A failed push leaves the builder as it was.
+    pub fn push_label(&mut self, label: &[u8]) -> Result<(), NameParseError> {
+        if label.is_empty() {
+            return Err(LabelParseError::Empty.into());
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(LabelParseError::TooLong(label.len()).into());
+        }
+        if let Some(&b) = label.iter().find(|&&b| !byte_ok(b)) {
+            return Err(LabelParseError::InvalidByte(b).into());
+        }
+        // A separator goes before every label but the first.
+        let start = if self.len == 0 { 0 } else { self.len.saturating_add(1) };
+        let end = start.saturating_add(label.len());
+        let Some(slot) = self.buf.get_mut(start..end) else {
+            return Err(NameParseError::TooLong(end));
+        };
+        for (dst, src) in slot.iter_mut().zip(label) {
+            *dst = src.to_ascii_lowercase();
+        }
+        if start > 0 {
+            if let Some(dot) = self.buf.get_mut(self.len) {
+                *dot = b'.';
+            }
+        }
+        self.len = end;
+        Ok(())
+    }
+
+    /// The name of the labels pushed so far (the root if none).
+    ///
+    /// # Errors
+    ///
+    /// None in practice: every pushed byte was checked to be printable
+    /// ASCII. The conversion to text is still the checked one, so a defect
+    /// here would surface as an invalid-byte error, not a malformed name.
+    pub fn to_name(&self) -> Result<Name, NameParseError> {
+        let bytes = self.buf.get(..self.len).unwrap_or(&[]);
+        match std::str::from_utf8(bytes) {
+            Ok(text) => Ok(Name { text: Arc::from(text) }),
+            Err(_) => Err(LabelParseError::InvalidByte(
+                bytes.iter().copied().find(|&b| b > 0x7e).unwrap_or(0),
+            )
+            .into()),
+        }
+    }
+}
+
+/// The labels of a [`Name`], borrowed from its text: what
+/// [`Name::labels`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct Labels<'a> {
+    text: &'a str,
+}
+
+impl<'a> Labels<'a> {
+    /// The labels in presentation order (leftmost first); `.rev()` walks
+    /// from the TLD down.
+    pub fn iter(&self) -> std::str::SplitTerminator<'a, char> {
+        // `split_terminator` yields nothing for the root's empty text.
+        self.text.split_terminator('.')
+    }
+
+    /// Number of labels.
+    pub fn len(&self) -> usize {
+        if self.text.is_empty() {
+            0
+        } else {
+            1 + self.text.bytes().filter(|&b| b == b'.').count()
+        }
+    }
+
+    /// Returns `true` for the root's (empty) label sequence.
+    pub fn is_empty(&self) -> bool {
+        self.text.is_empty()
+    }
+}
+
 impl Name {
     /// The DNS root (the empty name, printed as `.`).
     pub fn root() -> Self {
-        Name { labels: Arc::from(Vec::new()) }
+        Name { text: Arc::from("") }
     }
 
     /// Builds a name from labels in presentation order (leftmost first).
@@ -104,7 +270,14 @@ impl Name {
     where
         I: IntoIterator<Item = Label>,
     {
-        Name { labels: labels.into_iter().collect::<Vec<_>>().into() }
+        let mut text = String::new();
+        for label in labels {
+            if !text.is_empty() {
+                text.push('.');
+            }
+            text.push_str(label.as_str());
+        }
+        Name { text: text.into() }
     }
 
     /// Parses a name from presentation format (`www.example.com`).
@@ -124,43 +297,68 @@ impl Name {
         if s.len() > MAX_NAME_LEN {
             return Err(NameParseError::TooLong(s.len()));
         }
-        let mut labels = Vec::new();
+        let mut name = NameBuilder::new();
         for part in s.split('.') {
             if part.is_empty() {
                 return Err(NameParseError::EmptyLabel);
             }
-            labels.push(Label::new(part)?);
+            name.push_label(part.as_bytes())?;
         }
-        Ok(Name { labels: labels.into() })
+        name.to_name()
+    }
+
+    /// The presentation form — exactly what `Display` writes: the labels
+    /// joined by `.`, and `.` alone for the root.
+    pub fn as_str(&self) -> &str {
+        if self.text.is_empty() {
+            "."
+        } else {
+            &self.text
+        }
     }
 
     /// Number of labels, which the paper calls the *depth* of the tree node
     /// (`www.example.com` has depth 3; the root has depth 0).
     pub fn depth(&self) -> usize {
-        self.labels.len()
+        self.labels().len()
     }
 
     /// Returns `true` for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.text.is_empty()
     }
 
-    /// Labels in presentation order (leftmost first).
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
+    /// Labels in presentation order (leftmost first), borrowed from the
+    /// name's text.
+    pub fn labels(&self) -> Labels<'_> {
+        Labels { text: &self.text }
     }
 
     /// The leftmost (deepest) label, if any.
-    pub fn leftmost(&self) -> Option<&Label> {
-        self.labels.first()
+    pub fn leftmost(&self) -> Option<&str> {
+        self.labels().iter().next()
     }
 
     /// The rightmost label — the lexical TLD (`com` for `www.example.com`).
     ///
     /// Note that the *effective* TLD of the paper (which treats `co.uk` as
     /// a TLD) is provided by [`crate::SuffixList`], not here.
-    pub fn tld(&self) -> Option<&Label> {
-        self.labels.last()
+    pub fn tld(&self) -> Option<&str> {
+        self.labels().iter().next_back()
+    }
+
+    /// The text of the `n` rightmost labels; `None` if there are fewer.
+    fn suffix(&self, n: usize) -> Option<&str> {
+        if n == 0 {
+            return Some("");
+        }
+        // The suffix starts after the n-th dot from the right, or at the
+        // start of a name of exactly n labels.
+        let mut dots = self.text.rmatch_indices('.');
+        match dots.nth(n - 1) {
+            Some((dot, _)) => self.text.get(dot + 1..),
+            None => (self.depth() == n).then_some(&*self.text),
+        }
     }
 
     /// The `N`-th level domain: the `n` rightmost labels, as in the paper's
@@ -178,19 +376,16 @@ impl Name {
     /// # Ok::<(), dnsnoise_dns::NameParseError>(())
     /// ```
     pub fn nld(&self, n: usize) -> Option<Name> {
-        if n > self.labels.len() {
-            return None;
-        }
-        Some(Name { labels: self.labels[self.labels.len() - n..].to_vec().into() })
+        self.suffix(n).map(|text| Name { text: Arc::from(text) })
     }
 
     /// The parent zone (all labels but the leftmost); `None` for the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name { labels: self.labels[1..].to_vec().into() })
+        if self.is_root() {
+            return None;
         }
+        let rest = self.text.split_once('.').map_or("", |(_, rest)| rest);
+        Some(Name { text: Arc::from(rest) })
     }
 
     /// Prepends a label, producing a child name.
@@ -205,10 +400,14 @@ impl Name {
     /// # Ok::<(), dnsnoise_dns::NameParseError>(())
     /// ```
     pub fn child(&self, label: Label) -> Name {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label);
-        labels.extend_from_slice(&self.labels);
-        Name { labels: labels.into() }
+        if self.is_root() {
+            return Name { text: Arc::from(label.as_str()) };
+        }
+        let mut text = String::with_capacity(label.len() + 1 + self.text.len());
+        text.push_str(label.as_str());
+        text.push('.');
+        text.push_str(&self.text);
+        Name { text: text.into() }
     }
 
     /// Returns `true` if `self` equals `ancestor` or is a descendant of it
@@ -225,36 +424,29 @@ impl Name {
     /// # Ok::<(), dnsnoise_dns::NameParseError>(())
     /// ```
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let n = ancestor.labels.len();
-        if n > self.labels.len() {
-            return false;
+        match self.text.strip_suffix(&*ancestor.text) {
+            // A string suffix is a label suffix when it starts the name,
+            // follows a dot, or is the root's empty text.
+            Some(rest) => rest.is_empty() || rest.ends_with('.') || ancestor.is_root(),
+            None => false,
         }
-        self.labels[self.labels.len() - n..] == ancestor.labels[..]
     }
 
     /// Total length of the presentation form in characters (dots included).
     pub fn presentation_len(&self) -> usize {
-        if self.labels.is_empty() {
-            1
-        } else {
-            self.labels.iter().map(Label::len).sum::<usize>() + self.labels.len() - 1
-        }
+        self.as_str().len()
     }
 
-    /// The bytes of the presentation form — exactly what `Display` writes —
-    /// without allocating: labels joined by `b'.'`, `b"."` for the root.
+    /// The bytes of the presentation form — exactly what `Display` writes:
+    /// labels joined by `b'.'`, `b"."` for the root.
     pub fn presentation_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        let root = self.labels.is_empty().then_some(b'.');
-        let labels = self.labels.iter().enumerate().flat_map(|(i, label)| {
-            (i > 0).then_some(b'.').into_iter().chain(label.as_str().bytes())
-        });
-        root.into_iter().chain(labels)
+        self.as_str().bytes()
     }
 
     /// Number of `.` separators in the presentation form. The paper reports
     /// "on average, there are 7 periods in disposable domains".
     pub fn period_count(&self) -> usize {
-        self.labels.len().saturating_sub(1)
+        self.depth().saturating_sub(1)
     }
 }
 
@@ -280,16 +472,7 @@ impl FromStr for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return f.write_str(".");
-        }
-        for (i, label) in self.labels.iter().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
-            }
-            write!(f, "{label}")?;
-        }
-        Ok(())
+        f.write_str(self.as_str())
     }
 }
 

@@ -32,9 +32,8 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::label::Label;
 use crate::message::{Message, Opcode, Question, Rcode};
-use crate::name::Name;
+use crate::name::{Name, NameBuilder, NameParseError};
 use crate::record::{QType, RData, Record};
 use crate::time::Ttl;
 
@@ -143,10 +142,10 @@ pub fn encode(msg: &Message) -> Result<Bytes, WireError> {
     Ok(buf.freeze())
 }
 
-fn encode_record(
+fn encode_record<'m>(
     buf: &mut BytesMut,
-    compressor: &mut Compressor,
-    rr: &Record,
+    compressor: &mut Compressor<'m>,
+    rr: &'m Record,
 ) -> Result<(), WireError> {
     compressor.encode_name(buf, &rr.name);
     buf.put_u16(rr.qtype.code());
@@ -188,31 +187,32 @@ fn encode_record(
 }
 
 /// Tracks previously written name suffixes so later occurrences can be
-/// replaced by 14-bit compression pointers.
-struct Compressor {
-    offsets: HashMap<Name, u16>,
+/// replaced by 14-bit compression pointers. A suffix of a name is a
+/// suffix of its text, so the table borrows from the message's names.
+struct Compressor<'m> {
+    offsets: HashMap<&'m str, u16>,
 }
 
-impl Compressor {
+impl<'m> Compressor<'m> {
     fn new() -> Self {
         Compressor { offsets: HashMap::new() }
     }
 
-    fn encode_name(&mut self, buf: &mut BytesMut, name: &Name) {
-        let depth = name.depth();
-        for i in 0..depth {
-            let suffix = name.nld(depth - i).expect("suffix within depth");
-            if let Some(&off) = self.offsets.get(&suffix) {
+    fn encode_name(&mut self, buf: &mut BytesMut, name: &'m Name) {
+        let mut suffix = if name.is_root() { "" } else { name.as_str() };
+        while !suffix.is_empty() {
+            if let Some(&off) = self.offsets.get(suffix) {
                 buf.put_u16(0xc000 | off);
                 return;
             }
             // Pointers can only address the first 16 KiB minus the 2 tag bits.
             if buf.len() <= 0x3fff {
-                self.offsets.insert(suffix.clone(), buf.len() as u16);
+                self.offsets.insert(suffix, buf.len() as u16);
             }
-            let label = &name.labels()[i];
+            let (label, rest) = suffix.split_once('.').unwrap_or((suffix, ""));
             buf.put_u8(label.len() as u8);
-            buf.put_slice(label.as_str().as_bytes());
+            buf.put_slice(label.as_bytes());
+            suffix = rest;
         }
         buf.put_u8(0);
     }
@@ -311,13 +311,12 @@ impl<'a> Cursor<'a> {
 
     /// Decodes a possibly compressed name starting at the current position.
     fn name(&mut self) -> Result<Name, WireError> {
-        let mut labels = Vec::new();
+        let mut name = NameBuilder::new();
         let mut pos = self.pos;
         // After the first pointer the cursor no longer advances; remember
         // where the inline portion ended.
         let mut end_after: Option<usize> = None;
         let mut hops = 0usize;
-        let mut total_len = 0usize;
         loop {
             let len_byte = *self.bytes.get(pos).ok_or(WireError::Truncated)?;
             if len_byte & POINTER_MASK == POINTER_MASK {
@@ -347,17 +346,17 @@ impl<'a> Cursor<'a> {
             }
             let len = usize::from(len_byte);
             let start = pos + 1;
-            let bytes = self.bytes.get(start..start + len).ok_or(WireError::Truncated)?;
-            let text = std::str::from_utf8(bytes).map_err(|_| WireError::BadLabel)?;
-            labels.push(Label::new(text).map_err(|_| WireError::BadLabel)?);
-            total_len += len + 1;
-            if total_len > 255 {
-                return Err(WireError::NameTooLong);
-            }
+            let label = self.bytes.get(start..start + len).ok_or(WireError::Truncated)?;
+            // The builder holds the RFC 1035 limit: 255 octets on the wire,
+            // root octet included, is `MAX_NAME_LEN` presentation characters.
+            name.push_label(label).map_err(|e| match e {
+                NameParseError::TooLong(_) => WireError::NameTooLong,
+                NameParseError::Label(_) | NameParseError::EmptyLabel => WireError::BadLabel,
+            })?;
             pos = start + len;
         }
         self.pos = end_after.unwrap_or(pos);
-        Ok(Name::from_labels(labels))
+        name.to_name().map_err(|_| WireError::BadLabel)
     }
 
     fn read_record(&mut self) -> Result<Record, WireError> {
@@ -662,6 +661,31 @@ mod tests {
         b.extend_from_slice(&(0xc000 | u16::try_from(top).unwrap()).to_be_bytes());
         b.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 192, 0, 2, 1]);
         assert!(matches!(decode(&b), Err(WireError::PointerChainTooLong(_))), "{:?}", decode(&b));
+    }
+
+    #[test]
+    fn name_limit_is_255_octets_with_the_root() {
+        // 63/63/63/61 is 255 octets on the wire, root included (253
+        // characters): the longest legal name. One more byte is over — the
+        // decoder once let it through by not counting the root octet.
+        let question = |last: usize| {
+            let mut b = vec![0u8; 12];
+            b[4..6].copy_from_slice(&1u16.to_be_bytes());
+            for len in [63, 63, 63, last] {
+                b.push(len as u8);
+                b.extend(std::iter::repeat_n(b'x', len));
+            }
+            b.extend_from_slice(&[0, 0, 1, 0, 1]); // root, QTYPE A, QCLASS IN
+            b
+        };
+        let longest = decode(&question(61)).unwrap().question.name;
+        assert_eq!(longest.presentation_len(), crate::MAX_NAME_LEN);
+        assert_eq!(longest.to_string().parse::<Name>().unwrap(), longest);
+        assert_eq!(decode(&question(62)), Err(WireError::NameTooLong));
+        // The label that overflows is still vetted first.
+        let mut bad = question(62);
+        bad[12 + 3 * 64 + 1] = b' ';
+        assert_eq!(decode(&bad), Err(WireError::BadLabel));
     }
 
     #[test]

@@ -148,11 +148,11 @@ fn decode_dns_payload(dns: &[u8], ts_secs: u64, client: u64) -> Result<QueryEven
         }
         other => return Err(bad(format!("rcode {other} has no trace representation"))),
     };
-    if msg.question.name.depth() == 0 {
+    if msg.question.name.is_root() {
         return Err(bad("root query name has no trace representation".into()));
     }
     for rr in outcome.records() {
-        if rr.name.depth() == 0 || rdata_name_depth_zero(rr) {
+        if rr.name.is_root() || rdata_name_depth_zero(rr) {
             return Err(bad("root record name has no trace representation".into()));
         }
     }
@@ -170,7 +170,7 @@ fn decode_dns_payload(dns: &[u8], ts_secs: u64, client: u64) -> Result<QueryEven
 
 fn rdata_name_depth_zero(rr: &Record) -> bool {
     use dnsnoise_dns::RData;
-    let zero = |n: &Name| n.depth() == 0;
+    let zero = |n: &Name| n.is_root();
     match &rr.rdata {
         RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => zero(n),
         RData::Mx { exchange, .. } => zero(exchange),

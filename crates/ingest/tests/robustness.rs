@@ -86,6 +86,47 @@ fn emitted_events_roundtrip_through_trace_text() {
     }
 }
 
+/// RFC 1035 caps a name at 255 octets on the wire, root octet included —
+/// 253 presentation characters, which is what the trace reader enforces.
+/// The decoder used to count without the root octet, so labels of
+/// 63/63/63/62 bytes (254 characters) passed `ingest` and aborted the next
+/// stage with `bad qname`. The frame must be quarantined as a decode
+/// failure, and the longest legal name must survive the whole text path.
+#[test]
+fn names_over_the_wire_limit_are_quarantined_not_forwarded() {
+    use dnsnoise_dns::{Label, Name};
+    use dnsnoise_ingest::QuarantineClass;
+
+    let name_of = |lens: [usize; 4]| {
+        Name::from_labels(lens.map(|n| "x".repeat(n).parse::<Label>().expect("valid label")))
+    };
+    for format in FORMATS {
+        for (lens, legal) in [([63, 63, 63, 62], false), ([63, 63, 63, 61], true)] {
+            // Enough frames that one quarantined name stays within the budget.
+            let mut trace = common::trace(40);
+            trace.events[2].name = name_of(lens);
+            let bytes = common::capture(&trace, format);
+            let out = ingest_bytes(&bytes, &IngestConfig::default()).unwrap();
+            assert!(out.report.conserves(), "{format} {lens:?}: {}", out.report);
+            let bad_wire = out.report.class(QuarantineClass::BadWireMessage);
+            if legal {
+                assert_eq!(out.report.quarantined_frames(), 0, "{format}: {}", out.report);
+                assert_eq!(out.trace.events[2].name.presentation_len(), 253);
+            } else {
+                assert_eq!(out.trace.events.len(), 39, "{format}: {}", out.report);
+                assert_eq!(bad_wire.frames, 1, "{format}: {}", out.report);
+                assert_eq!(bad_wire.samples[0].frame_index, 2);
+                assert!(bad_wire.samples[0].reason.contains("exceeds length limit"));
+            }
+            // Whatever was forwarded is a line the next stage accepts.
+            for event in &out.trace.events {
+                let line = trace_io::render_event(event);
+                assert_eq!(&trace_io::parse_event(&line).expect("forwarded line parses"), event);
+            }
+        }
+    }
+}
+
 /// Splice and truncation damage must degrade, not destroy.
 #[test]
 fn splices_and_truncation_degrade_gracefully() {

@@ -21,7 +21,7 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use dnsnoise_dns::{Label, Name, QType, RData, RrKey};
+use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey};
 
 /// The composite key the memtable sorts on. Rust's derived tuple `Ord`
 /// is component-lexicographic, which matches the run layout's
@@ -32,7 +32,7 @@ pub type CompositeKey = (Vec<u8>, u16, Vec<u8>);
 pub fn encode_name(name: &Name) -> Vec<u8> {
     let mut out = Vec::with_capacity(name.presentation_len() + 1);
     for label in name.labels().iter().rev() {
-        out.extend_from_slice(label.as_str().as_bytes());
+        out.extend_from_slice(label.as_bytes());
         out.push(0);
     }
     out
@@ -50,13 +50,16 @@ pub fn decode_name(bytes: &[u8]) -> Result<Name, String> {
     let body = bytes
         .strip_suffix(b"\x00")
         .ok_or_else(|| "name encoding missing trailing separator".to_string())?;
-    let mut labels = Vec::new();
-    for seg in body.split(|&b| b == 0) {
+    // The key holds the labels TLD first; the name wants them leftmost first.
+    let mut name = NameBuilder::new();
+    for seg in body.rsplit(|&b| b == 0) {
         let text = std::str::from_utf8(seg).map_err(|_| "label is not UTF-8".to_string())?;
-        labels.push(Label::new(text).map_err(|_| format!("invalid label {text:?}"))?);
+        name.push_label(seg).map_err(|e| match e {
+            NameParseError::TooLong(_) => e.to_string(),
+            _ => format!("invalid label {text:?}"),
+        })?;
     }
-    labels.reverse();
-    Ok(Name::from_labels(labels))
+    name.to_name().map_err(|e| e.to_string())
 }
 
 /// The half-open upper bound of `prefix`'s subtree range: the prefix with

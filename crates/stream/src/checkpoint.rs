@@ -473,7 +473,7 @@ impl Checkpoint {
 }
 
 fn put_name(out: &mut Vec<u8>, name: &Name) {
-    put_blob16(out, name.to_string().as_bytes());
+    put_blob16(out, name.as_str().as_bytes());
 }
 
 fn put_finding(out: &mut Vec<u8>, f: &Finding) {

@@ -143,8 +143,8 @@ mod tests {
         for ev in generate(&fleet) {
             assert_eq!(ev.name.depth(), info.child_depth.unwrap());
             // The four leading labels are decimal octets.
-            for l in &ev.name.labels()[..4] {
-                let v: u32 = l.as_str().parse().expect("octet label");
+            for l in ev.name.labels().iter().take(4) {
+                let v: u32 = l.parse().expect("octet label");
                 assert!(v <= 255);
             }
         }

@@ -212,11 +212,11 @@ mod tests {
     fn names_match_published_structure() {
         let model = Ipv6Experiment::new(50, 0.02, TtlModel::fixed(300), 4);
         for ev in generate(&model, 0) {
-            let labels = ev.name.labels();
+            let labels: Vec<&str> = ev.name.labels().iter().collect();
             assert_eq!(labels.len(), 10, "{}", ev.name);
-            assert_eq!(labels[0].as_str(), "p2");
-            assert!(["i1", "i2", "s1"].contains(&labels[4].as_str()));
-            assert!(["ds", "v4"].contains(&labels[5].as_str()));
+            assert_eq!(labels[0], "p2");
+            assert!(["i1", "i2", "s1"].contains(&labels[4]));
+            assert!(["ds", "v4"].contains(&labels[5]));
             assert!(ev.name.to_string().ends_with("ipv6-exp.l.google.com"));
         }
     }
