@@ -42,21 +42,9 @@ impl DayMeasurement {
 
 /// Runs one scenario day through `sim` and computes the measurement.
 pub fn measure_day(scenario: &Scenario, sim: &mut ResolverSim, day: u64) -> DayMeasurement {
-    measure_day_threaded(scenario, sim, day, 1)
-}
-
-/// [`measure_day`] on the sharded engine with `threads` worker threads.
-/// The report — and therefore the whole measurement — is bit-identical
-/// for every thread count; only wall-clock time changes.
-pub fn measure_day_threaded(
-    scenario: &Scenario,
-    sim: &mut ResolverSim,
-    day: u64,
-    threads: usize,
-) -> DayMeasurement {
     let trace = scenario.generate_day(day);
     let gt = scenario.ground_truth();
-    let report = sim.day(&trace).ground_truth(gt).threads(threads).run();
+    let report = sim.day(&trace).ground_truth(gt).run();
 
     let mut queried: HashSet<&Name> = HashSet::new();
     let mut resolved: HashSet<&Name> = HashSet::new();

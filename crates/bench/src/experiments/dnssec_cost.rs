@@ -117,7 +117,7 @@ pub fn run(scale_factor: f64) -> DnssecResult {
         let mut sim = ResolverSim::new(SimConfig::default());
         let mut obs =
             ValidationObserver { model: DnssecCostModel::new(config), gt, skip_disposable: skip };
-        let _ = sim.day(&trace).ground_truth(gt).observer(&mut obs).run_serial();
+        let _ = sim.day(&trace).ground_truth(gt).observer(&mut obs).run();
         let stats = *obs.model.stats();
         result.points.push(DnssecPoint {
             label: label.to_owned(),

@@ -57,19 +57,11 @@ impl Fig13Result {
 
 /// Measures the six paper days.
 pub fn run(scale_factor: f64) -> Fig13Result {
-    run_threaded(scale_factor, 1)
-}
-
-/// [`run`] on the sharded engine: each day's replay is spread over
-/// `threads` worker threads. The result is bit-identical to the
-/// single-threaded sweep — this is the experiment used to measure the
-/// sharded engine's wall-clock speedup.
-pub fn run_threaded(scale_factor: f64, threads: usize) -> Fig13Result {
     let mut points = Vec::new();
     for (label, epoch) in ScenarioConfig::paper_days() {
         let s = scenario(epoch, 0.25 * scale_factor, 40.0, 81);
         let mut sim = common::default_sim();
-        let m = common::measure_day_threaded(&s, &mut sim, 0, threads);
+        let m = common::measure_day(&s, &mut sim, 0);
         points.push(GrowthPoint {
             label: label.to_owned(),
             of_queried: m.disposable_of_queried(),
@@ -98,14 +90,5 @@ mod tests {
         // RR share exceeds the name share (multi-record disposable answers).
         assert!(last.of_rrs > last.of_resolved);
         assert!(!r.render().is_empty());
-    }
-
-    #[test]
-    fn threaded_sweep_is_bit_identical() {
-        let single = run(0.12);
-        let sharded = run_threaded(0.12, 4);
-        // Exact f64 equality: the sharded engine must not perturb a
-        // single share by even one ULP.
-        assert_eq!(format!("{single:?}"), format!("{sharded:?}"));
     }
 }

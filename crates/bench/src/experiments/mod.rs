@@ -139,18 +139,10 @@ impl FromStr for ExperimentId {
 /// Runs one experiment at `scale_factor` (1.0 = report scale; tests use
 /// much smaller) and returns its rendered report.
 pub fn run_experiment(id: ExperimentId, scale_factor: f64) -> String {
-    run_experiment_threaded(id, scale_factor, 1)
+    run_experiment_with_store(id, scale_factor, dnsnoise_pdns::BackendKind::Memory, None)
 }
 
-/// [`run_experiment`] with the day-simulation loops spread over
-/// `threads` worker threads (the sharded engine). Reports are
-/// bit-identical to `threads = 1`; experiments whose cost is not
-/// dominated by day replay simply ignore the knob.
-pub fn run_experiment_threaded(id: ExperimentId, scale_factor: f64, threads: usize) -> String {
-    run_experiment_with_store(id, scale_factor, threads, dnsnoise_pdns::BackendKind::Memory, None)
-}
-
-/// [`run_experiment_threaded`] with the pDNS-backed experiments (Fig. 5,
+/// [`run_experiment`] with the pDNS-backed experiments (Fig. 5,
 /// Fig. 15, §VI-C) collecting into the chosen [`BackendKind`]
 /// (`--store`); reports are bit-identical across backends. `store_path`
 /// mirrors the disk backend's runs under the given directory.
@@ -158,7 +150,6 @@ pub fn run_experiment_threaded(id: ExperimentId, scale_factor: f64, threads: usi
 pub fn run_experiment_with_store(
     id: ExperimentId,
     scale_factor: f64,
-    threads: usize,
     store: dnsnoise_pdns::BackendKind,
     store_path: Option<&std::path::Path>,
 ) -> String {
@@ -172,7 +163,7 @@ pub fn run_experiment_with_store(
         ExperimentId::Fig7 => fig7::run(scale_factor).render(),
         ExperimentId::Fig11 => fig11::run(scale_factor).render(),
         ExperimentId::Fig12 => fig12::run(scale_factor).render(),
-        ExperimentId::Fig13 => fig13::run_threaded(scale_factor, threads).render(),
+        ExperimentId::Fig13 => fig13::run(scale_factor).render(),
         ExperimentId::Fig14 => fig14::run(scale_factor).render(),
         ExperimentId::Fig15 => fig15::run_with_store(scale_factor, &mut backend).render(),
         ExperimentId::Tab1 => tables::run_tab1(scale_factor).render(),
@@ -180,10 +171,10 @@ pub fn run_experiment_with_store(
         ExperimentId::Cache => cache_pressure::run(scale_factor).render(),
         ExperimentId::Dnssec => dnssec_cost::run(scale_factor).render(),
         ExperimentId::PdnsDb => pdnsdb::run_with_store(scale_factor, &mut backend).render(),
-        ExperimentId::Phases => phases::run_threaded(scale_factor, threads).render(),
+        ExperimentId::Phases => phases::run(scale_factor).render(),
         ExperimentId::Ablation => ablation::run(scale_factor).render(),
-        ExperimentId::Resilience => resilience::run_threaded(scale_factor, threads).render(),
-        ExperimentId::Overload => overload::run_threaded(scale_factor, threads).render(),
+        ExperimentId::Resilience => resilience::run(scale_factor).render(),
+        ExperimentId::Overload => overload::run(scale_factor).render(),
     }
 }
 
@@ -195,8 +186,8 @@ mod tests {
     fn pdns_experiments_render_identically_across_backends() {
         use dnsnoise_pdns::BackendKind;
         for id in [ExperimentId::Fig15, ExperimentId::PdnsDb] {
-            let memory = run_experiment_with_store(id, 0.1, 1, BackendKind::Memory, None);
-            let disk = run_experiment_with_store(id, 0.1, 1, BackendKind::Disk, None);
+            let memory = run_experiment_with_store(id, 0.1, BackendKind::Memory, None);
+            let disk = run_experiment_with_store(id, 0.1, BackendKind::Disk, None);
             assert_eq!(memory, disk, "{id} diverges across store backends");
         }
     }

@@ -120,12 +120,6 @@ fn flood(mult: u64) -> AttackPlan {
 
 /// Runs the sweep: two epochs × {none, x10 open, x10, x40 open, x40}.
 pub fn run(scale_factor: f64) -> OverloadResult {
-    run_threaded(scale_factor, 1)
-}
-
-/// [`run`] on the sharded engine with `threads` worker threads per day
-/// replay; bit-identical to the single-threaded sweep, floods included.
-pub fn run_threaded(scale_factor: f64, threads: usize) -> OverloadResult {
     let rows: [(&str, u64, bool); 5] = [
         ("none", 0, false),
         ("x10+open", 10, true),
@@ -148,8 +142,8 @@ pub fn run_threaded(scale_factor: f64, threads: usize) -> OverloadResult {
             }
             let cfg = if open_mode { open() } else { guarded() };
             let mut sim = ResolverSim::new(SimConfig { members: 2, ..SimConfig::default() });
-            sim.day(&warm).ground_truth(gt).threads(threads).run();
-            let report = sim.day(&day1).ground_truth(gt).overload(&cfg).threads(threads).run();
+            sim.day(&warm).ground_truth(gt).run();
+            let report = sim.day(&day1).ground_truth(gt).overload(&cfg).run();
             let o = &report.overload;
             result.points.push(OverloadPoint {
                 epoch,

@@ -94,13 +94,6 @@ fn day1_outage() -> FaultPlan {
 
 /// Runs the sweep: three epochs × {none, 20% loss, outage±serve-stale}.
 pub fn run(scale_factor: f64) -> ResilienceResult {
-    run_threaded(scale_factor, 1)
-}
-
-/// [`run`] on the sharded engine with `threads` worker threads per day
-/// replay; bit-identical to the single-threaded sweep, fault plans
-/// included.
-pub fn run_threaded(scale_factor: f64, threads: usize) -> ResilienceResult {
     let severities: [(&str, FaultPlan, bool); 4] = [
         ("none", FaultPlan::default(), false),
         ("loss-20%", FaultPlan::default().with_seed(17).with_packet_loss(0.2), false),
@@ -120,8 +113,8 @@ pub fn run_threaded(scale_factor: f64, threads: usize) -> ResilienceResult {
                 config = config.with_serve_stale(Ttl::from_secs(DAY as u32));
             }
             let mut sim = ResolverSim::new(config);
-            sim.day(&warm).ground_truth(gt).threads(threads).run();
-            let report = sim.day(&day1).ground_truth(gt).faults(plan).threads(threads).run();
+            sim.day(&warm).ground_truth(gt).run();
+            let report = sim.day(&day1).ground_truth(gt).faults(plan).run();
             let r = &report.resilience;
             result.points.push(ResiliencePoint {
                 epoch,

@@ -13,6 +13,4 @@
 pub mod experiments;
 pub mod util;
 
-pub use experiments::{
-    run_experiment, run_experiment_threaded, run_experiment_with_store, ExperimentId,
-};
+pub use experiments::{run_experiment, run_experiment_with_store, ExperimentId};

@@ -28,9 +28,8 @@ pub enum LoadBalance {
     HashName,
 }
 
-/// Disjoint mutable access to one cluster member's caches, handed to a
-/// shard worker by [`CacheCluster::member_shards`]. Each member is owned
-/// by exactly one shard, so workers never contend on cache state.
+/// Mutable access to one cluster member's positive and negative caches
+/// at once, from [`CacheCluster::member_mut`].
 #[derive(Debug)]
 pub struct MemberShard<'a> {
     /// The member's positive record cache.
@@ -141,15 +140,10 @@ impl CacheCluster {
         Self::member_for_hash(h, &self.down)
     }
 
-    /// The pure routing value for `(client, key)` under this cluster's
-    /// strategy, with no state advanced. For [`LoadBalance::RoundRobin`]
-    /// the caller supplies the sequence number `seq` (the value of
-    /// [`CacheCluster::rr_cursor`] plus the event's position in the
-    /// stream); hash strategies ignore it. Feeding the result to
-    /// [`CacheCluster::member_for_hash`] reproduces [`CacheCluster::route`]
-    /// exactly, which is what lets a sharded engine partition a day's
-    /// events by owner without replaying them through the cluster.
-    pub fn route_hash(&self, client: u64, key: &CacheKey, seq: u64) -> u64 {
+    /// The routing value for `(client, key)` under this cluster's
+    /// strategy; `seq` is the round-robin sequence number, which the hash
+    /// strategies ignore.
+    fn route_hash(&self, client: u64, key: &CacheKey, seq: u64) -> u64 {
         match self.strategy {
             LoadBalance::HashClient => fnv1a(client.to_le_bytes()),
             LoadBalance::RoundRobin => seq % self.caches.len() as u64,
@@ -157,15 +151,10 @@ impl CacheCluster {
         }
     }
 
-    /// Resolves a routing value from [`CacheCluster::route_hash`] to the
-    /// serving member under the given crash flags (one per member): the
-    /// primary member when it is up, otherwise a deterministic remix onto
-    /// the survivors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every member is down.
-    pub fn member_for_hash(h: u64, down: &[bool]) -> usize {
+    /// Resolves a routing value to the serving member under the given
+    /// crash flags (one per member): the primary member when it is up,
+    /// otherwise a deterministic remix onto the survivors.
+    fn member_for_hash(h: u64, down: &[bool]) -> usize {
         let n = down.len();
         let primary = (h % n as u64) as usize;
         if !down[primary] {
@@ -178,39 +167,9 @@ impl CacheCluster {
         alive[(mix64(h) % alive.len() as u64) as usize]
     }
 
-    /// The round-robin cursor: the sequence number the next
-    /// [`CacheCluster::route`] call would consume. Meaningful only under
-    /// [`LoadBalance::RoundRobin`].
-    pub fn rr_cursor(&self) -> u64 {
-        self.round_robin as u64
-    }
-
-    /// Advances the round-robin cursor by `events` routes, as if that many
-    /// [`CacheCluster::route`] calls had been made — used by engines that
-    /// compute routes out-of-band via [`CacheCluster::route_hash`].
-    pub fn advance_rr_cursor(&mut self, events: u64) {
-        let n = self.caches.len() as u64;
-        self.round_robin = ((self.round_robin as u64 + events % n) % n) as usize;
-    }
-
     /// A snapshot of the per-member crash flags.
     pub fn down_flags(&self) -> Vec<bool> {
         self.down.clone()
-    }
-
-    /// Sets member `idx`'s crash flag without touching its entries.
-    ///
-    /// This is for engines that replay crash/restart schedules themselves
-    /// (clearing entries at the replayed restart instants); everyone else
-    /// should use [`CacheCluster::set_member_down`] /
-    /// [`CacheCluster::restart_member_cold`], which keep the flag and the
-    /// cache contents consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_member_flag(&mut self, idx: usize, down: bool) {
-        self.down[idx] = down;
     }
 
     /// Mutable access to one member's positive and negative caches at
@@ -221,17 +180,6 @@ impl CacheCluster {
     /// Panics if `idx` is out of range.
     pub fn member_mut(&mut self, idx: usize) -> MemberShard<'_> {
         MemberShard { cache: &mut self.caches[idx], negative: &mut self.negatives[idx] }
-    }
-
-    /// Splits the cluster into per-member mutable handles, one per member
-    /// in index order. The handles borrow disjoint state, so a sharded
-    /// engine can hand each to a different worker thread.
-    pub fn member_shards(&mut self) -> Vec<MemberShard<'_>> {
-        self.caches
-            .iter_mut()
-            .zip(self.negatives.iter_mut())
-            .map(|(cache, negative)| MemberShard { cache, negative })
-            .collect()
     }
 
     /// Marks member `idx` as crashed: it receives no routes until

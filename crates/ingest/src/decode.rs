@@ -1,75 +1,29 @@
-//! Per-frame payload decoding — the expensive phase, sharded batch by
-//! batch over scoped threads in chunk order so the merged result is
-//! bit-identical to a serial decode.
+//! Per-frame payload decoding — the expensive phase of ingestion.
 
 use dnsnoise_dns::{wire, Message, Name, Question, Rcode, Record, Timestamp};
 use dnsnoise_workload::trace_io::MAX_ANSWER_RECORDS;
 use dnsnoise_workload::{Outcome, QueryEvent};
 
 use crate::report::QuarantineClass;
-use crate::scan::{chunk_ranges, RawFrame};
+use crate::scan::RawFrame;
 use crate::CaptureFormat;
 
 /// Why a frame did not decode to an event: its quarantine class and a
 /// description for the ledger's samples.
 pub(crate) type DecodeFailure = (QuarantineClass, String);
 
-/// What one frame decoded to, still carrying its frame accounting.
-/// Ordering in the output vector equals frame ordering in the scan,
-/// regardless of thread count.
-#[derive(Debug)]
-pub(crate) struct Decoded {
-    pub outcome: Result<QueryEvent, DecodeFailure>,
-    pub frame_bytes: u64,
-    pub index: u64,
-    pub offset: u64,
-}
-
-/// Decodes one batch of frames, sharded `threads` wide over contiguous
-/// chunks of its extent list. Chunk boundaries depend only on the frame
-/// count, and chunks are concatenated in order, so the result is
-/// independent of the thread count and of scheduling.
-pub(crate) fn decode_frames(
+/// Decodes the frame `frame` delimits within `capture`.
+pub(crate) fn decode_frame(
     capture: &[u8],
-    frames: &[RawFrame],
+    frame: &RawFrame,
     format: CaptureFormat,
-    threads: usize,
-) -> Vec<Decoded> {
-    let ranges = chunk_ranges(frames.len(), threads);
-    if ranges.len() <= 1 {
-        return frames.iter().map(|f| decode_frame(capture, f, format)).collect();
-    }
-    let mut chunks: Vec<Vec<Decoded>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let slice = &frames[range];
-                scope.spawn(move || {
-                    slice.iter().map(|f| decode_frame(capture, f, format)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            chunks.push(handle.join().expect("decode worker panicked"));
-        }
-    });
-    chunks.into_iter().flatten().collect()
-}
-
-fn decode_frame(capture: &[u8], frame: &RawFrame, format: CaptureFormat) -> Decoded {
+) -> Result<QueryEvent, DecodeFailure> {
     let payload = &capture[frame.payload.clone()];
-    let outcome = match format {
+    match format {
         CaptureFormat::Pcap => decode_pcap_frame(payload, frame),
         CaptureFormat::Dnstap => {
             decode_dns_payload(payload, frame.ts_secs, frame.client.unwrap_or(0))
         }
-    };
-    Decoded {
-        outcome,
-        frame_bytes: frame.frame_bytes as u64,
-        index: frame.index,
-        offset: frame.offset as u64,
     }
 }
 

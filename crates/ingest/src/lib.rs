@@ -6,11 +6,11 @@
 //! are *hostile*: truncated mid-frame, bit-flipped in bursts, spliced by
 //! ring buffers, and interleaved with traffic that is not DNS at all.
 //!
-//! Ingestion is one pull pipeline, [`EventStream`]: scan → decode →
-//! timestamp filter, a batch of frames at a time. A consumer that renders
-//! or replays each event as it arrives holds the capture bytes, one batch
-//! and the filter's two-event lookahead — never the day. [`ingest_bytes`]
-//! is that stream collected into a [`DayTrace`].
+//! Ingestion is one serial pull pipeline, [`EventStream`]: scan → decode
+//! → timestamp filter, one frame at a time. A consumer that renders or
+//! replays each event as it arrives holds the capture bytes and the
+//! filter's two-event lookahead — never the day. [`ingest_bytes`] is that
+//! stream collected into a [`DayTrace`].
 //!
 //! The design is graceful degradation with receipts:
 //!
@@ -28,11 +28,10 @@
 //!    a diagnostic carrying the full ledger. The verdict exists only at
 //!    end of capture, so a consumer that must not emit a sliver of a
 //!    ruined source withholds its output until then.
-//! 4. **Deterministic sharding.** Each batch's frame extents are fixed
-//!    serially before its payload decoding fans out over contiguous
-//!    chunks, chunks merge in order, and the filter runs serially over the
-//!    merged sequence — so output is bit-identical across thread counts,
-//!    batch sizes and runs.
+//! 4. **One thread, one order.** Each frame is decoded as the scanner
+//!    delimits it and judged by the filter in capture order, so output is
+//!    bit-identical across runs by construction (DESIGN, "Why replay and
+//!    decode are serial").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +52,8 @@ use dnsnoise_workload::{DayTrace, QueryEvent};
 pub use report::{
     ClassStats, IngestReport, QuarantineClass, QuarantineSample, MAX_QUARANTINE_SAMPLES,
 };
-pub use scan::{chunk_ranges, RawFrame, ScanError, Scanned};
+pub use scan::{RawFrame, ScanError, Scanned};
 
-use decode::Decoded;
 use report::QuarantineSample as Sample;
 
 /// The capture container formats ingestion understands.
@@ -110,8 +108,11 @@ impl std::error::Error for CaptureWriteError {}
 pub struct IngestConfig {
     /// Capture format; `None` auto-detects from the leading bytes.
     pub format: Option<CaptureFormat>,
-    /// Decode threads. `1` is fully serial; larger values shard the
-    /// payload-decode phase without changing the output.
+    /// Shim: ignored. Decoding is serial; the field survives only because
+    /// `benchmark/src/layers.rs` sets it and no ordinary PR may edit that
+    /// directory. Nothing reads it, and it goes once the next
+    /// `[benchmark]` PR has dropped that caller (ROADMAP).
+    #[doc(hidden)]
     pub threads: usize,
     /// Maximum tolerated error rate — the fraction of input bytes that
     /// were quarantined or skipped — before the source is rejected
@@ -178,11 +179,6 @@ const MAX_TS_DEVIATION_SECS: u64 = SECS_PER_DAY;
 /// it judges.
 const TS_NEIGHBORS: usize = 2;
 
-/// Frames scanned and decoded per pull. It bounds what the pipeline holds
-/// beyond the capture itself, and is wide enough that a decode thread's
-/// start-up vanishes against its share of the batch.
-const BATCH_FRAMES: usize = 8192;
-
 /// Ingests one capture held in memory: collects an [`EventStream`], then
 /// takes its verdict.
 ///
@@ -244,11 +240,10 @@ struct Held {
 /// iterator form of [`ingest_bytes`], for consumers that render or replay
 /// each event as it arrives instead of holding the day.
 ///
-/// Each pull that finds the pipeline dry scans the next fixed-size batch of
-/// frame extents, decodes them [`IngestConfig::threads`] wide, and feeds
-/// the timestamp filter — so beyond the capture bytes the stream holds one
-/// batch and the filter's lookahead, whatever the capture's length. The
-/// ledger and the error-budget verdict exist only once the capture is
+/// Each pull scans and decodes frames one at a time until the timestamp
+/// filter has its lookahead — so beyond the capture bytes the stream holds
+/// only that lookahead, whatever the capture's length. The ledger and the
+/// error-budget verdict exist only once the capture is
 /// exhausted: [`EventStream::finish`] returns them, and a consumer that
 /// must not act on a ruined source holds its output back until then.
 ///
@@ -272,15 +267,9 @@ struct Held {
 pub struct EventStream<'a> {
     bytes: &'a [u8],
     format: CaptureFormat,
-    threads: usize,
     max_error_rate: f64,
-    batch_frames: usize,
     scanner: Scanner<'a>,
     report: IngestReport,
-    /// The current batch's frame extents (the allocation is reused).
-    frames: Vec<RawFrame>,
-    /// What is left of the current batch's decode output.
-    decoded: std::vec::IntoIter<Decoded>,
     /// Stamps of the last decoded events before `held`, accepted or not:
     /// the window's left half.
     before: VecDeque<u64>,
@@ -298,14 +287,6 @@ impl<'a> EventStream<'a> {
     /// [`IngestError::BadCapture`] when the capture is not recognizably of
     /// any (or of the forced) format.
     pub fn new(bytes: &'a [u8], config: &IngestConfig) -> Result<EventStream<'a>, IngestError> {
-        EventStream::with_batch_frames(bytes, config, BATCH_FRAMES)
-    }
-
-    fn with_batch_frames(
-        bytes: &'a [u8],
-        config: &IngestConfig,
-        batch_frames: usize,
-    ) -> Result<EventStream<'a>, IngestError> {
         let format = match config.format {
             Some(f) => f,
             None => detect_format(bytes)?,
@@ -319,13 +300,9 @@ impl<'a> EventStream<'a> {
         Ok(EventStream {
             bytes,
             format,
-            threads: config.threads.max(1),
             max_error_rate: config.max_error_rate,
-            batch_frames,
             scanner,
             report,
-            frames: Vec::new(),
-            decoded: Vec::new().into_iter(),
             before: VecDeque::with_capacity(TS_NEIGHBORS),
             held: VecDeque::with_capacity(TS_NEIGHBORS + 1),
         })
@@ -336,29 +313,17 @@ impl<'a> EventStream<'a> {
     /// the capture is exhausted, and on every call after that.
     fn next_decoded(&mut self) -> Option<Held> {
         loop {
-            for Decoded { outcome, frame_bytes, index, offset } in self.decoded.by_ref() {
-                match outcome {
-                    Ok(event) => return Some(Held { event, frame_bytes, index, offset }),
-                    Err((class, reason)) => self.report.quarantine(
-                        class,
-                        frame_bytes,
-                        Sample { frame_index: index, offset, reason },
-                    ),
-                }
+            let frame = self.scanner.next_frame(&mut self.report)?;
+            let (frame_bytes, index, offset) =
+                (frame.frame_bytes as u64, frame.index, frame.offset as u64);
+            match decode::decode_frame(self.bytes, &frame, self.format) {
+                Ok(event) => return Some(Held { event, frame_bytes, index, offset }),
+                Err((class, reason)) => self.report.quarantine(
+                    class,
+                    frame_bytes,
+                    Sample { frame_index: index, offset, reason },
+                ),
             }
-            self.frames.clear();
-            while self.frames.len() < self.batch_frames {
-                match self.scanner.next_frame(&mut self.report) {
-                    Some(frame) => self.frames.push(frame),
-                    None => break,
-                }
-            }
-            if self.frames.is_empty() {
-                return None;
-            }
-            self.decoded =
-                decode::decode_frames(self.bytes, &self.frames, self.format, self.threads)
-                    .into_iter();
         }
     }
 
@@ -369,9 +334,7 @@ impl<'a> EventStream<'a> {
     /// decoded neighbors (itself included), so a single flipped timestamp
     /// byte cannot shift the reference, and — unlike a high-water-mark
     /// ratchet — one corrupted-but-plausible forward jump cannot poison
-    /// the acceptance of everything after it. The window is a position in
-    /// the decoded sequence, never a position in a batch, so verdicts do
-    /// not depend on where batches end.
+    /// the acceptance of everything after it.
     fn judge(&mut self, candidate: Held) -> Option<QueryEvent> {
         let ts = candidate.event.time.as_secs();
         let after = self.held.iter().map(|h| h.event.time.as_secs());
@@ -550,13 +513,9 @@ mod tests {
         assert!(out.report.conserves(), "{}", out.report);
     }
 
-    /// Collects a stream opened with the given batch size.
-    fn ingest_batched(
-        capture: &[u8],
-        config: &IngestConfig,
-        batch_frames: usize,
-    ) -> (Vec<QueryEvent>, IngestReport) {
-        let mut stream = EventStream::with_batch_frames(capture, config, batch_frames).unwrap();
+    /// Collects a stream and its ledger.
+    fn ingest_streamed(capture: &[u8], config: &IngestConfig) -> (Vec<QueryEvent>, IngestReport) {
+        let mut stream = EventStream::new(capture, config).unwrap();
         let events: Vec<QueryEvent> = stream.by_ref().collect();
         (events, stream.finish().unwrap())
     }
@@ -580,48 +539,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_the_output() {
-        let trace = sample_trace(200);
-        for format in [CaptureFormat::Pcap, CaptureFormat::Dnstap] {
-            let mut capture = match format {
-                CaptureFormat::Pcap => pcap::write_pcap(&trace).unwrap(),
-                CaptureFormat::Dnstap => framestream::write_dnstap(&trace).unwrap(),
-            };
-            corrupt::flip_bursts(&mut capture[24..], 0.02, 5);
-            for threads in [1, 3] {
-                let config = IngestConfig { format: Some(format), threads, ..Default::default() };
-                let whole = ingest_batched(&capture, &config, BATCH_FRAMES);
-                assert!(whole.1.quarantined_frames() > 0 && whole.1.resyncs > 0, "{}", whole.1);
-                for batch_frames in [1, 2, 7] {
-                    let batched = ingest_batched(&capture, &config, batch_frames);
-                    assert_eq!(batched, whole, "{format} batch={batch_frames} threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_poisoned_timestamp_is_dropped_wherever_batches_end() {
+    fn a_poisoned_timestamp_is_dropped_at_every_position() {
         // The filter's window is five decoded events wide; a filter that
-        // judged within a batch, or forgot its two-stamp history at a batch
-        // edge, would see too few neighbors at some of these positions to
-        // outvote the poisoned stamp.
+        // forgot its two-stamp history, or judged before its lookahead had
+        // filled, would see too few neighbors at some of these positions
+        // to outvote the poisoned stamp.
         let n = 12;
         let (clean, stride) = uniform_dnstap(n);
         for poisoned in 0..n as usize {
             let mut capture = clean.clone();
             poison_dnstap_stamp(&mut capture, poisoned, stride);
-            for batch_frames in [1, 2, 3, 4, 5, BATCH_FRAMES] {
-                let (events, report) =
-                    ingest_batched(&capture, &IngestConfig::default(), batch_frames);
-                let what = format!("poisoned={poisoned} batch={batch_frames}: {report}");
-                assert_eq!(events.len(), n as usize - 1, "{what}");
-                assert!(events.iter().all(|e| e.time.as_secs() < 2000), "{what}");
-                let dropped = report.class(QuarantineClass::OutOfOrderTimestamp);
-                assert_eq!(dropped.frames, 1, "{what}");
-                assert_eq!(dropped.samples[0].frame_index, poisoned as u64, "{what}");
-                assert!(report.conserves(), "{what}");
-            }
+            let (events, report) = ingest_streamed(&capture, &IngestConfig::default());
+            let what = format!("poisoned={poisoned}: {report}");
+            assert_eq!(events.len(), n as usize - 1, "{what}");
+            assert!(events.iter().all(|e| e.time.as_secs() < 2000), "{what}");
+            let dropped = report.class(QuarantineClass::OutOfOrderTimestamp);
+            assert_eq!(dropped.frames, 1, "{what}");
+            assert_eq!(dropped.samples[0].frame_index, poisoned as u64, "{what}");
+            assert!(report.conserves(), "{what}");
         }
     }
 
@@ -629,7 +564,7 @@ mod tests {
     fn captures_shorter_than_the_window_stream_whole() {
         for n in 1..=4 {
             let (capture, stride) = uniform_dnstap(n);
-            let (events, report) = ingest_batched(&capture, &IngestConfig::default(), 2);
+            let (events, report) = ingest_streamed(&capture, &IngestConfig::default());
             assert_eq!(events.len(), n as usize, "{report}");
             assert_eq!(report.events, n, "{report}");
             assert_eq!(report.bytes_parsed, report.bytes_total, "{report}");
@@ -640,7 +575,7 @@ mod tests {
             for poisoned in [0, n as usize - 1] {
                 let mut capture = capture.clone();
                 poison_dnstap_stamp(&mut capture, poisoned, stride);
-                let (events, report) = ingest_batched(&capture, &IngestConfig::default(), 2);
+                let (events, report) = ingest_streamed(&capture, &IngestConfig::default());
                 let kept_poison = events.iter().filter(|e| e.time.as_secs() > 2000).count();
                 let expected = if n <= 2 { (1, 1) } else { (n as usize - 1, 0) };
                 assert_eq!((events.len(), kept_poison), expected, "n={n} at {poisoned}: {report}");
@@ -672,11 +607,9 @@ mod tests {
             let expected: Vec<u64> = (0..n).filter(plausible).map(|i| stamps[i]).collect();
 
             let config = IngestConfig { max_error_rate: 1.0, ..Default::default() };
-            for batch_frames in [1, 3, BATCH_FRAMES] {
-                let (events, _) = ingest_batched(&capture, &config, batch_frames);
-                let kept: Vec<u64> = events.iter().map(|e| e.time.as_secs()).collect();
-                assert_eq!(kept, expected, "stamps={stamps:?} batch={batch_frames}");
-            }
+            let (events, _) = ingest_streamed(&capture, &config);
+            let kept: Vec<u64> = events.iter().map(|e| e.time.as_secs()).collect();
+            assert_eq!(kept, expected, "stamps={stamps:?}");
         }
     }
 
@@ -684,23 +617,8 @@ mod tests {
     fn finish_accounts_for_events_never_pulled() {
         let capture = pcap::write_pcap(&sample_trace(30)).unwrap();
         let whole = ingest_bytes(&capture, &IngestConfig::default()).unwrap();
-        let mut stream =
-            EventStream::with_batch_frames(&capture, &IngestConfig::default(), 4).unwrap();
+        let mut stream = EventStream::new(&capture, &IngestConfig::default()).unwrap();
         assert_eq!(stream.next().as_ref(), whole.trace.events.first());
         assert_eq!(stream.finish().unwrap(), whole.report);
-    }
-
-    #[test]
-    fn threads_do_not_change_the_output() {
-        let trace = sample_trace(200);
-        let mut capture = pcap::write_pcap(&trace).unwrap();
-        corrupt::flip_bursts(&mut capture[24..], 0.01, 5);
-        let serial = ingest_bytes(&capture, &IngestConfig::default()).unwrap();
-        for threads in [2, 4, 7] {
-            let config = IngestConfig { threads, ..Default::default() };
-            let sharded = ingest_bytes(&capture, &config).unwrap();
-            assert_eq!(sharded.trace.events, serial.trace.events, "threads={threads}");
-            assert_eq!(sharded.report, serial.report, "threads={threads}");
-        }
     }
 }

@@ -1,11 +1,9 @@
-//! Shared vocabulary of the serial scan phase.
+//! Shared vocabulary of the scan phase.
 //!
-//! Both capture formats are scanned the same way: a cheap serial pass
-//! delimits frame extents (reading only headers, resyncing over garbage)
-//! a batch at a time, and the expensive per-frame payload decoding then
-//! runs sharded over contiguous chunks of the batch's extent list. Because
-//! that list is fixed before any thread starts, the merged decode output
-//! is bit-identical to the serial one for every thread count.
+//! Both capture formats are scanned the same way: a cheap pass delimits
+//! one frame extent at a time (reading only headers, resyncing over
+//! garbage), and the expensive payload decoding runs on each extent as it
+//! is delimited.
 
 use std::fmt;
 use std::ops::Range;
@@ -52,47 +50,3 @@ impl fmt::Display for ScanError {
 }
 
 impl std::error::Error for ScanError {}
-
-/// Splits `n` items into `threads` contiguous chunks (the last chunks may
-/// be one shorter). Chunk boundaries depend only on `n` and `threads`,
-/// never on content — the cornerstone of the sharded parse's determinism.
-pub fn chunk_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
-    let threads = threads.max(1).min(n.max(1));
-    let base = n / threads;
-    let extra = n % threads;
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0;
-    for i in 0..threads {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunks_cover_exactly_once_in_order() {
-        for n in [0usize, 1, 7, 100, 101] {
-            for threads in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(n, threads);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "n={n} threads={threads}");
-                    next = r.end;
-                }
-                assert_eq!(next, n, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunking_is_balanced() {
-        let ranges = chunk_ranges(10, 3);
-        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(lens, vec![4, 3, 3]);
-    }
-}

@@ -30,9 +30,9 @@ fn capture(format: CaptureFormat, corrupted: bool) -> Vec<u8> {
 }
 
 /// The ledger as `dnsnoise ingest` prints it, then the trace's identity.
-fn rendered(bytes: &[u8], threads: usize) -> String {
-    let config = IngestConfig { threads, ..Default::default() };
-    let out = ingest_bytes(bytes, &config).expect("within the default error budget");
+fn rendered(bytes: &[u8]) -> String {
+    let out =
+        ingest_bytes(bytes, &IngestConfig::default()).expect("within the default error budget");
     let mut text = Vec::new();
     trace_io::write_trace(&out.trace, &mut text).unwrap();
     format!(
@@ -53,12 +53,6 @@ fn ingest_matches_the_parent_pinned_fixtures() {
     ];
     for (format, corrupted, golden) in fixtures {
         let bytes = capture(format, corrupted);
-        for threads in [1, 4] {
-            assert_eq!(
-                rendered(&bytes, threads),
-                golden,
-                "{format} corrupted={corrupted} threads={threads}"
-            );
-        }
+        assert_eq!(rendered(&bytes), golden, "{format} corrupted={corrupted}");
     }
 }

@@ -5,7 +5,7 @@
 //! live in `scripts/check.sh` grep gates and reviewer folklore: no
 //! unordered hash iteration on replay/merge/export paths, no wall-clock
 //! or ambient randomness in replay code, exact (cast-free, float-free)
-//! shard merges, and overload-gated exports. See [`rules`] for the rule
+//! counter merges, and overload-gated exports. See [`rules`] for the rule
 //! catalogue and DESIGN.md §static analysis for rationale.
 //!
 //! Violations are suppressible two ways, both auditable in review:

@@ -20,11 +20,11 @@
 //!   only feed `PhaseTimings` (excluded from exports) and must say so.
 //! * `ambient-rng` — `thread_rng`, `from_entropy`, `OsRng`,
 //!   `rand::random`: randomness that does not come from a seed.
-//! * `merge-cast` — inside `fn merge` / `fn absorb` /
-//!   `fn merge_partials` / `fn merge_runs`: casts to narrow integer or
-//!   float types, or `f32`/`f64` accumulation. Shard merges and pDNS run
-//!   compactions must be exact; floats and narrowing casts silently
-//!   break the bit-identical invariant.
+//! * `merge-cast` — inside `fn merge` / `fn merge_runs`: casts to narrow
+//!   integer or float types, or `f32`/`f64` accumulation. The counter
+//!   merges behind multi-day figures and cluster totals, and pDNS run
+//!   compactions, must be exact; floats and narrowing casts silently
+//!   make a total depend on the order it was folded in.
 //! * `export-purity` — inside `fn to_json` / `fn timeline_csv`: the
 //!   overload field names (`queue_backlog`, `dropped`, `rate_limited`)
 //!   must be under an `if … overload_enabled …` guard so the baseline
@@ -92,7 +92,7 @@ const ORDER_FREE: &[&str] = &[
     "product",
 ];
 
-const MERGE_FNS: &[&str] = &["merge", "absorb", "merge_partials", "merge_runs"];
+const MERGE_FNS: &[&str] = &["merge", "merge_runs"];
 const EXPORT_FNS: &[&str] = &["to_json", "timeline_csv"];
 const OVERLOAD_FIELDS: &[&str] = &["queue_backlog", "dropped", "rate_limited"];
 /// Cast targets that can lose information (narrow integers and floats).
@@ -305,9 +305,8 @@ pub fn analyze(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                                 ty,
                                 "merge-cast",
                                 format!(
-                                    "`as {}` in `fn {}` can lose information; shard merges \
-                                     must be exact to keep reports bit-identical across \
-                                     thread counts",
+                                    "`as {}` in `fn {}` can lose information; counter merges \
+                                     and run compactions must be exact",
                                     ty.text, fn_name
                                 ),
                             );
@@ -321,7 +320,7 @@ pub fn analyze(rel_path: &str, lexed: &Lexed) -> Vec<Diagnostic> {
                         "merge-cast",
                         format!(
                             "`{}` in `fn {}`: float accumulation is not associative, so \
-                             shard merge order would leak into results",
+                             merge order would leak into results",
                             tok.text, fn_name
                         ),
                     );

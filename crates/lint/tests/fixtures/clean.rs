@@ -29,7 +29,7 @@ impl Day {
 /// A doc example using the blessed builder API:
 ///
 /// ```
-/// sim.day(&trace).threads(4).run();
+/// sim.day(&trace).metrics(&mut registry).run();
 /// ```
 fn builder_style() {}
 

@@ -173,36 +173,6 @@ impl FpDnsLog {
         }
     }
 
-    /// Folds a collector of the same configuration into this one: every
-    /// counter is summed and the retained sample is topped up from
-    /// `other`'s (in `other`'s order) until the retention cap.
-    ///
-    /// The sharded simulation engine forks one collector per shard and
-    /// absorbs them in shard order, so every count (responses, records,
-    /// storage bytes, wire round-trips and failures) matches a
-    /// single-threaded run exactly; only *which* tuples happen to be
-    /// retained under the cap can differ, since retention is a
-    /// first-come sample.
-    pub fn merge(&mut self, other: FpDnsLog) {
-        self.total_records += other.total_records;
-        self.total_responses += other.total_responses;
-        self.nx_responses += other.nx_responses;
-        self.storage_bytes += other.storage_bytes;
-        self.wire_roundtrips += other.wire_roundtrips;
-        self.wire_parse_failures += other.wire_parse_failures;
-        for (mine, theirs) in self.hourly_records.iter_mut().zip(other.hourly_records) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.hourly_storage_bytes.iter_mut().zip(other.hourly_storage_bytes) {
-            *mine += theirs;
-        }
-        let room = self.retain.saturating_sub(self.retained.len());
-        self.retained.extend(other.retained.into_iter().take(room));
-        // Keep the single-threaded invariant txid = roundtrips + 1.
-        // lint:allow(merge-cast): txid is a 16-bit wire field; wrapping is the DNS invariant
-        self.next_txid = (self.wire_roundtrips as u16).wrapping_add(1);
-    }
-
     /// The complete internal state, for checkpoint serialisation.
     pub fn to_parts(&self) -> FpDnsLogParts {
         FpDnsLogParts {
@@ -377,33 +347,6 @@ mod tests {
         log.collect(Timestamp::ZERO, 1, &n, QType::A, &[]);
         assert_eq!(log.wire_roundtrips(), 51);
         assert_eq!(log.wire_parse_failures(), 0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_caps_retention() {
-        let n: dnsnoise_dns::Name = "a.example.com".parse().unwrap();
-        let mut whole = FpDnsLog::new(3, true);
-        let mut left = FpDnsLog::new(3, true);
-        let mut right = FpDnsLog::new(3, true);
-        for i in 0..4u8 {
-            let answers = [rr("a.example.com", i)];
-            let t = Timestamp::from_secs(u64::from(i));
-            whole.collect(t, 1, &n, QType::A, &answers);
-            if i % 2 == 0 { &mut left } else { &mut right }.collect(t, 1, &n, QType::A, &answers);
-        }
-        whole.collect(Timestamp::from_secs(9), 2, &n, QType::A, &[]);
-        right.collect(Timestamp::from_secs(9), 2, &n, QType::A, &[]);
-
-        left.merge(right);
-        assert_eq!(left.total_records(), whole.total_records());
-        assert_eq!(left.total_responses(), whole.total_responses());
-        assert_eq!(left.nx_responses(), whole.nx_responses());
-        assert_eq!(left.storage_bytes(), whole.storage_bytes());
-        assert_eq!(left.wire_roundtrips(), whole.wire_roundtrips());
-        assert_eq!(left.wire_parse_failures(), 0);
-        assert_eq!(left.retained().len(), 3, "retention cap holds across merges");
-        assert_eq!(left.hourly_records(), whole.hourly_records());
-        assert_eq!(left.hourly_storage_bytes(), whole.hourly_storage_bytes());
     }
 
     #[test]

@@ -96,45 +96,6 @@ impl RpDns {
         RpDns { records: map, per_day, storage_bytes }
     }
 
-    /// Folds another store into this one, as if every observation behind
-    /// `other` had been made against `self`.
-    ///
-    /// Distinct records add up; a record known to both keeps its earliest
-    /// first-seen day, and the redundant "new" observation on the later
-    /// day is reclassified as repeated (with its storage contribution
-    /// dropped), so daily new/repeated totals and the storage footprint
-    /// match a single merged collection exactly. When both days are
-    /// equal — per-shard stores of the same simulated day — the result is
-    /// bit-identical to single-threaded collection.
-    pub fn merge(&mut self, other: RpDns) {
-        if self.per_day.len() < other.per_day.len() {
-            self.per_day.resize(other.per_day.len(), DailyNewRrs::default());
-        }
-        for (slot, theirs) in self.per_day.iter_mut().zip(&other.per_day) {
-            slot.new_records += theirs.new_records;
-            slot.repeated_records += theirs.repeated_records;
-        }
-        self.storage_bytes += other.storage_bytes;
-        // lint:allow(hash-iter): entry-wise union; the merged map is the same whatever the order
-        for (key, day) in other.records {
-            match self.records.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(day);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let dup_day = (*e.get()).max(day);
-                    if day < *e.get() {
-                        e.insert(day);
-                    }
-                    self.storage_bytes -= e.key().storage_bytes() as u64;
-                    let d = &mut self.per_day[dup_day as usize];
-                    d.new_records -= 1;
-                    d.repeated_records += 1;
-                }
-            }
-        }
-    }
-
     /// Number of distinct records stored.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -245,50 +206,6 @@ mod tests {
         store.observe(&rr("www.site.com", 1), 0);
         let trackers = store.count_matching(|k| k.name.to_string().ends_with("tracker.com"));
         assert_eq!(trackers, 1);
-    }
-
-    #[test]
-    fn merge_matches_sequential_observation() {
-        // Observing a stream through two shard-split stores then merging
-        // must equal observing the whole stream through one store.
-        let stream = [
-            (rr("a.com", 1), 0u64),
-            (rr("b.com", 1), 0),
-            (rr("a.com", 1), 0),
-            (rr("c.com", 1), 1),
-            (rr("b.com", 1), 1),
-            (rr("b.com", 2), 2),
-        ];
-        let mut whole = RpDns::new();
-        let mut left = RpDns::new();
-        let mut right = RpDns::new();
-        for (i, (record, day)) in stream.iter().enumerate() {
-            whole.observe(record, *day);
-            if i % 2 == 0 { &mut left } else { &mut right }.observe(record, *day);
-        }
-        left.merge(right);
-        assert_eq!(left.len(), whole.len());
-        assert_eq!(left.per_day(), whole.per_day());
-        assert_eq!(left.storage_bytes(), whole.storage_bytes());
-        for (key, day) in whole.iter() {
-            assert_eq!(left.first_seen(key), Some(day));
-        }
-    }
-
-    #[test]
-    fn merge_keeps_earliest_first_seen_across_days() {
-        let mut early = RpDns::new();
-        let mut late = RpDns::new();
-        let r = rr("x.com", 1);
-        late.observe(&r, 5);
-        early.observe(&r, 2);
-        let bytes_one = early.storage_bytes();
-        early.merge(late);
-        assert_eq!(early.first_seen(&r.key()), Some(2));
-        assert_eq!(early.storage_bytes(), bytes_one, "duplicate costs nothing");
-        // The day-5 "new" observation is reclassified as repeated.
-        assert_eq!(early.new_on_day(5), 0);
-        assert_eq!(early.per_day()[5].repeated_records, 1);
     }
 
     #[test]

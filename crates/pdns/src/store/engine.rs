@@ -11,9 +11,8 @@
 //!
 //! The engine maintains the same aggregate accounting as
 //! [`RpDns`](crate::RpDns) — per-day new/repeated counters and modelled
-//! storage bytes — and its [`merge`](RunStore::merge) applies the exact
-//! earliest-first-seen-wins counter adjustments of `RpDns::merge`, so
-//! the two backends are interchangeable and bit-identical in output.
+//! storage bytes — so the two backends are interchangeable and
+//! bit-identical in output.
 //!
 //! # Durability
 //!
@@ -23,8 +22,8 @@
 //! directory fsynced. The in-memory byte buffers remain the serving
 //! copy; the spill is the on-disk image of exactly the live run set.
 //!
-//! The crash protocol is *manifest-before-delete*: every flush,
-//! compaction, and merge ends by atomically swapping a new checksummed
+//! The crash protocol is *manifest-before-delete*: every flush and
+//! compaction ends by atomically swapping a new checksummed
 //! [`Manifest`] naming the live run set, and only **after** that swap
 //! succeeds are superseded run files unlinked (they queue in
 //! `pending_deletes` until then). A crash at any IO point therefore
@@ -554,86 +553,6 @@ impl RunStore {
                 (keys::decode_key_parts(name, qtype, rdata).expect("validated key decodes"), day)
             })
             .collect()
-    }
-
-    /// Every stored entry in canonical order, drained for rebuilds.
-    fn drain_entries(&mut self) -> Vec<(CompositeKey, u64)> {
-        let mut entries: Vec<(CompositeKey, u64)> =
-            std::mem::take(&mut self.memtable).into_iter().collect();
-        let old: Vec<usize> = (0..self.runs.len()).collect();
-        for run in self.remove_runs(&old) {
-            entries.extend(run.entries());
-        }
-        entries.sort_unstable();
-        entries
-    }
-
-    /// Merges another run store into this one with the exact
-    /// earliest-first-seen-wins semantics of
-    /// [`RpDns::merge`](crate::RpDns::merge): per-day counters add, a
-    /// record present on both sides keeps its earliest day, its later
-    /// sighting is re-classified as repeated on the later day, and the
-    /// duplicate's storage is refunded. The merged store is rebuilt as a
-    /// single run and published. `other` is consumed; if it owned a
-    /// spill directory of its own, that directory is abandoned as-is
-    /// (nothing there is deleted, so no crash window loses data).
-    pub fn merge(&mut self, other: RunStore) {
-        let mut other = other;
-        self.observed += other.observed;
-        if self.per_day.len() < other.per_day.len() {
-            self.per_day.resize(other.per_day.len(), DailyNewRrs::default());
-        }
-        for (slot, theirs) in self.per_day.iter_mut().zip(&other.per_day) {
-            slot.new_records += theirs.new_records;
-            slot.repeated_records += theirs.repeated_records;
-        }
-        self.storage_bytes += other.storage_bytes;
-
-        let mine = self.drain_entries();
-        let theirs = other.drain_entries();
-        let mut merged: Vec<(CompositeKey, u64)> = Vec::with_capacity(mine.len() + theirs.len());
-        let mut a = mine.into_iter().peekable();
-        let mut b = theirs.into_iter().peekable();
-        loop {
-            let take_from_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.0 == y.0 {
-                        // Cross-store duplicate: earliest first-seen
-                        // wins, the later sighting becomes a repeat and
-                        // its storage is refunded.
-                        let (key, day_a) = a.next().expect("peeked");
-                        let (_, day_b) = b.next().expect("peeked");
-                        let dup_day = day_a.max(day_b);
-                        let d = &mut self.per_day[dup_day as usize];
-                        d.new_records -= 1;
-                        d.repeated_records += 1;
-                        let dup = keys::decode_key(&key).expect("validated key decodes");
-                        self.storage_bytes -= dup.storage_bytes() as u64;
-                        merged.push((key, day_a.min(day_b)));
-                        continue;
-                    }
-                    x.0 < y.0
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let next = if take_from_a { a.next() } else { b.next() };
-            merged.push(next.expect("peeked side is non-empty"));
-        }
-        if !merged.is_empty() {
-            let run = Run::build(merged);
-            self.compactions += 1;
-            self.push_run(run);
-        }
-        self.persist();
-    }
-
-    /// An empty store with this store's tuning, for per-shard
-    /// collection. The fork never spills — shard-local state is merged
-    /// back into the (spilling) parent, so only the parent owns files.
-    pub fn fork(&self) -> RunStore {
-        RunStore::with_config(StoreConfig { spill: None, ..self.config.clone() })
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! [`PdnsStore`] is the contract every rpDNS backend honours: observe
 //! deduplicated records with first-seen days, answer point lookups and
-//! zone-subtree scans, expose the daily new/repeated counters and the
-//! modelled storage footprint, and merge shard-local stores with
-//! earliest-first-seen-wins semantics. Two backends implement it:
+//! zone-subtree scans, and expose the daily new/repeated counters and
+//! the modelled storage footprint. Two backends implement it:
 //!
 //! * [`RpDns`](crate::RpDns) — the original hash-map store (`memory`);
 //! * [`RunStore`] — memtable + immutable columnar sorted runs with
@@ -67,20 +66,6 @@ pub trait PdnsStore {
     /// order — identical across backends. `Name::root()` scans the whole
     /// store.
     fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)>;
-
-    /// Merges a shard-local store collected from disjoint traffic:
-    /// per-day counters add; a record seen by both sides keeps the
-    /// earliest first-seen day, has its later sighting re-classified as
-    /// repeated on the later day, and its duplicate storage refunded.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
-
-    /// An empty store configured like this one, for per-shard
-    /// collection ahead of [`merge`](PdnsStore::merge).
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
 }
 
 impl PdnsStore for RpDns {
@@ -115,14 +100,6 @@ impl PdnsStore for RpDns {
         hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         hits.into_iter().map(|(_, key, day)| (key, day)).collect()
     }
-
-    fn merge(&mut self, other: Self) {
-        RpDns::merge(self, other)
-    }
-
-    fn fork(&self) -> Self {
-        RpDns::new()
-    }
 }
 
 impl PdnsStore for RunStore {
@@ -148,14 +125,6 @@ impl PdnsStore for RunStore {
 
     fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)> {
         RunStore::scan_prefix(self, zone)
-    }
-
-    fn merge(&mut self, other: Self) {
-        RunStore::merge(self, other)
-    }
-
-    fn fork(&self) -> Self {
-        RunStore::fork(self)
     }
 }
 
@@ -288,25 +257,6 @@ impl PdnsStore for PdnsBackend {
             PdnsBackend::Disk(s) => s.scan_prefix(zone),
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        match (self, other) {
-            (PdnsBackend::Memory(mine), PdnsBackend::Memory(theirs)) => mine.merge(theirs),
-            (PdnsBackend::Disk(mine), PdnsBackend::Disk(theirs)) => mine.merge(theirs),
-            (mine, theirs) => panic!(
-                "cannot merge pDNS backends of different kinds ({} vs {})",
-                mine.kind(),
-                theirs.kind()
-            ),
-        }
-    }
-
-    fn fork(&self) -> Self {
-        match self {
-            PdnsBackend::Memory(s) => PdnsBackend::Memory(PdnsStore::fork(s)),
-            PdnsBackend::Disk(s) => PdnsBackend::Disk(s.fork()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -360,44 +310,5 @@ mod tests {
         }
         assert_eq!(summaries[0], summaries[1], "memory and disk disagree");
         assert!(!summaries[0].3.is_empty(), "zone scan found nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "different kinds")]
-    fn mixed_backend_merge_panics() {
-        let mut memory = PdnsBackend::create(BackendKind::Memory, None);
-        let disk = PdnsBackend::create(BackendKind::Disk, None);
-        memory.merge(disk);
-    }
-
-    #[test]
-    fn fork_and_merge_match_sequential_observation() {
-        for kind in [BackendKind::Memory, BackendKind::Disk] {
-            let mut sequential = PdnsBackend::create(kind, None);
-            let mut parent = PdnsBackend::create(kind, None);
-            let mut shard = parent.fork();
-            for i in 0..40u8 {
-                let r = rr(&format!("f{i}.example"), i);
-                sequential.observe(&r, 0);
-                if i % 2 == 0 {
-                    parent.observe(&r, 0)
-                } else {
-                    shard.observe(&r, 0)
-                };
-            }
-            // One record seen by both shards: merge must dedup it.
-            let dup = rr("f0.example", 0);
-            sequential.observe(&dup, 1);
-            shard.observe(&dup, 1);
-            parent.merge(shard);
-            assert_eq!(parent.len(), sequential.len(), "{kind}");
-            assert_eq!(parent.storage_bytes(), sequential.storage_bytes(), "{kind}");
-            assert_eq!(parent.daily_stats(), sequential.daily_stats(), "{kind}");
-            assert_eq!(
-                parent.scan_prefix(&Name::root()),
-                sequential.scan_prefix(&Name::root()),
-                "{kind}"
-            );
-        }
     }
 }

@@ -13,11 +13,10 @@
 //! # Determinism contract
 //!
 //! Every decision here is a pure function of the owning member's private
-//! [`AdmissionState`] and the event being processed. State advances in
-//! member-stream order — the same order in the single-threaded loop and
-//! in the sharded engine (each member is owned by exactly one shard) — so
-//! an attacked day replays bit-identically for any thread count, exactly
-//! like the fault engine. No wall clock, no scheduling, no randomness.
+//! [`AdmissionState`] and the event being processed, and state advances
+//! in member-stream order, so an attacked day replays bit-identically,
+//! exactly like the fault engine. No wall clock, no scheduling, no
+//! randomness.
 
 use std::collections::HashMap;
 
@@ -108,8 +107,7 @@ struct RrlWindow {
 }
 
 /// One member's admission bookkeeping: queue backlog, per-client token
-/// buckets, and per-zone RRL windows. Owned by whichever shard owns the
-/// member, mutated only in member-stream order.
+/// buckets, and per-zone RRL windows, mutated only in member-stream order.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionState {
     backlog: u64,
@@ -252,21 +250,6 @@ impl OverloadStats {
             self.shed() as f64 / self.offered as f64
         }
     }
-
-    /// Folds another day's (or shard's) counters into this one. Sums
-    /// except `queue_peak`, which is a max — commutative and associative,
-    /// and equal to the serial global maximum because every member's
-    /// backlog sequence is identical across thread counts.
-    pub fn merge(&mut self, other: &OverloadStats) {
-        self.offered += other.offered;
-        self.admitted += other.admitted;
-        self.dropped += other.dropped;
-        self.rate_limited += other.rate_limited;
-        self.shed_attack += other.shed_attack;
-        self.shed_legit += other.shed_legit;
-        self.stale_under_pressure += other.stale_under_pressure;
-        self.queue_peak = self.queue_peak.max(other.queue_peak);
-    }
 }
 
 #[cfg(test)]
@@ -366,25 +349,17 @@ mod tests {
     }
 
     #[test]
-    fn overload_stats_merge_sums_and_maxes() {
-        let mut a = OverloadStats {
-            offered: 10,
-            admitted: 8,
+    fn shed_fraction_is_shed_over_offered() {
+        let a = OverloadStats {
+            offered: 14,
+            admitted: 12,
             dropped: 1,
             rate_limited: 1,
-            shed_attack: 2,
-            shed_legit: 0,
-            stale_under_pressure: 1,
-            queue_peak: 5,
+            ..OverloadStats::default()
         };
-        let b =
-            OverloadStats { offered: 4, admitted: 4, queue_peak: 9, ..OverloadStats::default() };
-        a.merge(&b);
-        assert_eq!(a.offered, 14);
-        assert_eq!(a.admitted, 12);
-        assert_eq!(a.queue_peak, 9);
         assert_eq!(a.shed(), 2);
         assert!((a.shed_fraction() - 2.0 / 14.0).abs() < 1e-12);
+        assert_eq!(OverloadStats::default().shed_fraction(), 0.0);
     }
 
     #[test]

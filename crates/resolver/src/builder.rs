@@ -1,8 +1,9 @@
 //! The unified day-run entry point: [`ResolverSim::day`] returns a
-//! [`DayRun`] builder, the one way to replay a day. It dispatches to one
-//! of the two drivers of `process_event`: the serial reference loop
-//! (`DayState`, also what an [`EventSession`](crate::EventSession) steps)
-//! or the sharded engine.
+//! [`DayRun`] builder, the one way to replay a whole day. It runs the
+//! serial replay loop (`DayState`, also what an
+//! [`EventSession`](crate::EventSession) steps per push) over the trace
+//! on the calling thread; there is no other engine (DESIGN, "Why replay
+//! and decode are serial").
 //!
 //! ```
 //! use dnsnoise_resolver::{FaultPlan, MetricsRegistry, ResolverSim, SimConfig};
@@ -18,7 +19,6 @@
 //!     .day(&trace)
 //!     .ground_truth(s.ground_truth())
 //!     .faults(&plan)
-//!     .threads(4)
 //!     .metrics(&mut reg)
 //!     .run();
 //! assert_eq!(reg.counters().records_below, report.below_total);
@@ -28,7 +28,6 @@
 use dnsnoise_workload::{DayTrace, GroundTruth};
 
 use crate::admission::OverloadConfig;
-use crate::engine::{run_sharded, ShardObserver};
 use crate::faults::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::observer::Observer;
@@ -38,18 +37,15 @@ use crate::sim::{DayReport, DayState, ResolverSim};
 /// [`ResolverSim::day`].
 ///
 /// Every knob is optional: with none set, [`DayRun::run`] is the plain
-/// single-threaded fault-free replay. The observer is a type parameter
-/// (starting at `()`) so the sharded path can fork it; call
-/// [`DayRun::observer`] to attach one, and [`DayRun::run_serial`] to run
-/// with an observer that is not a [`ShardObserver`] (e.g. `&mut dyn
-/// Observer`).
+/// fault-free replay. The observer is a type parameter (starting at
+/// `()`); call [`DayRun::observer`] to attach any [`Observer`], `dyn`
+/// included.
 pub struct DayRun<'a, O: Observer + ?Sized = ()> {
     sim: &'a mut ResolverSim,
     trace: &'a DayTrace,
     ground_truth: Option<&'a GroundTruth>,
     plan: Option<&'a FaultPlan>,
     overload: Option<&'a OverloadConfig>,
-    threads: usize,
     observer: Option<&'a mut O>,
     metrics: Option<&'a mut MetricsRegistry>,
 }
@@ -65,7 +61,6 @@ impl<O: Observer + ?Sized> std::fmt::Debug for DayRun<'_, O> {
             .field("ground_truth", &self.ground_truth.is_some())
             .field("faults", &self.plan.is_some())
             .field("overload", &self.overload.is_some())
-            .field("threads", &self.threads)
             .field("observer", &self.observer.is_some())
             .field("metrics", &self.metrics.is_some())
             .finish_non_exhaustive()
@@ -81,7 +76,6 @@ impl ResolverSim {
             ground_truth: None,
             plan: None,
             overload: None,
-            threads: 1,
             observer: None,
             metrics: None,
         }
@@ -124,12 +118,13 @@ impl<'a, O: Observer + ?Sized> DayRun<'a, O> {
         self
     }
 
-    /// Replays on up to `n` worker threads (clamped to the member count;
-    /// `0` and `1` both mean single-threaded). The report, the cluster
-    /// state, and any attached [`MetricsRegistry`] are bit-identical for
-    /// every value.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    /// Shim: ignored. The replay is serial; the name survives only
+    /// because `benchmark/src/layers.rs` compiles against it and no
+    /// ordinary PR may edit that directory. In the workspace only the
+    /// tests that pin it inert call it, and it goes once the next
+    /// `[benchmark]` PR has dropped that caller (ROADMAP).
+    #[doc(hidden)]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -141,9 +136,7 @@ impl<'a, O: Observer + ?Sized> DayRun<'a, O> {
     }
 
     /// Attaches an observer that sees every served response. Rebinds the
-    /// builder's observer type: use a [`ShardObserver`] to keep
-    /// [`DayRun::run`] available, or any `Observer` (including `dyn`)
-    /// with [`DayRun::run_serial`].
+    /// builder's observer type to any `Observer`, `dyn` included.
     pub fn observer<O2: Observer + ?Sized>(self, observer: &'a mut O2) -> DayRun<'a, O2> {
         DayRun {
             sim: self.sim,
@@ -151,71 +144,33 @@ impl<'a, O: Observer + ?Sized> DayRun<'a, O> {
             ground_truth: self.ground_truth,
             plan: self.plan,
             overload: self.overload,
-            threads: self.threads,
             observer: Some(observer),
             metrics: self.metrics,
         }
     }
 
-    /// Runs the replay on the calling thread, ignoring
-    /// [`DayRun::threads`]. This is the entry for observers that cannot
-    /// be forked across shards; prefer [`DayRun::run`] otherwise.
-    pub fn run_serial(self) -> DayReport {
-        let DayRun { sim, trace, ground_truth, plan, overload, threads: _, observer, metrics } =
-            self;
-        match observer {
-            Some(o) => run_serial_impl(sim, trace, ground_truth, plan, overload, o, metrics),
-            None => run_serial_impl(sim, trace, ground_truth, plan, overload, &mut (), metrics),
-        }
-    }
-}
-
-impl<'a, O: ShardObserver> DayRun<'a, O> {
-    /// Runs the configured replay and returns its [`DayReport`].
-    ///
-    /// Dispatches to the sharded engine when more than one effective
-    /// shard is requested, and to the single-threaded reference loop
-    /// otherwise; both produce bit-identical reports, cluster state, and
-    /// metrics.
-    ///
-    /// Each worker collects into a private fork of the observer; forks
-    /// are absorbed in shard order after the join, so observer output is
-    /// deterministic for a fixed shard count (though, unlike the report,
-    /// not necessarily identical *across* shard counts — collectors that
-    /// retain per-event state may order it differently).
+    /// Runs the configured replay on the calling thread and returns its
+    /// [`DayReport`].
     pub fn run(self) -> DayReport {
-        let DayRun { sim, trace, ground_truth, plan, overload, threads, observer, metrics } = self;
+        let DayRun { sim, trace, ground_truth, plan, overload, observer, metrics } = self;
         match observer {
-            Some(o) => run_dispatch(sim, trace, ground_truth, plan, overload, threads, o, metrics),
-            None => {
-                run_dispatch(sim, trace, ground_truth, plan, overload, threads, &mut (), metrics)
-            }
+            Some(o) => replay(sim, trace, ground_truth, plan, overload, o, metrics),
+            None => replay(sim, trace, ground_truth, plan, overload, &mut (), metrics),
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn run_dispatch<O: ShardObserver>(
-    sim: &mut ResolverSim,
-    trace: &DayTrace,
-    ground_truth: Option<&GroundTruth>,
-    plan: Option<&FaultPlan>,
-    overload: Option<&OverloadConfig>,
-    threads: usize,
-    observer: &mut O,
-    metrics: Option<&mut MetricsRegistry>,
-) -> DayReport {
-    let shards = threads.min(sim.cluster.members()).max(1);
-    if shards <= 1 || trace.events.is_empty() {
-        run_serial_impl(sim, trace, ground_truth, plan, overload, observer, metrics)
-    } else {
-        run_sharded(sim, trace, ground_truth, plan, overload, shards, observer, metrics)
+    /// Shim: identical to [`DayRun::run`]. Kept, like
+    /// [`DayRun::threads`], only for `benchmark/src/layers.rs`, and it
+    /// goes with it.
+    #[doc(hidden)]
+    pub fn run_serial(self) -> DayReport {
+        self.run()
     }
 }
 
-/// The single-threaded reference replay, the loop every other execution
-/// mode must reproduce bit for bit: one [`DayState`] stepped over the trace.
-pub(crate) fn run_serial_impl<Obs: Observer + ?Sized>(
+/// The replay loop: one [`DayState`] stepped over the trace, the same
+/// steps an [`EventSession`](crate::EventSession) takes per push.
+fn replay<Obs: Observer + ?Sized>(
     sim: &mut ResolverSim,
     trace: &DayTrace,
     ground_truth: Option<&GroundTruth>,

@@ -7,20 +7,11 @@
 //! database below the recursives. Shed queries and SERVFAILs carry no
 //! records below and are skipped; NXDOMAINs pass an empty answer section
 //! and contribute nothing.
-//!
-//! The collector shards: [`ShardObserver::fork`] opens an empty store of
-//! the same configuration per worker and [`ShardObserver::absorb`] merges
-//! it back with the backend's earliest-first-seen-wins semantics. Within
-//! one simulated day every observation carries the same day number, so a
-//! record seen by two shards is re-classified as repeated on that same
-//! day during the merge — the counters end up identical to a
-//! single-threaded replay regardless of the shard count.
 
 use dnsnoise_dns::Record;
 use dnsnoise_pdns::PdnsStore;
 use dnsnoise_workload::QueryEvent;
 
-use crate::engine::ShardObserver;
 use crate::observer::{Observer, Served};
 
 /// Collects the reduced passive-DNS dataset through a [`PdnsStore`]
@@ -74,18 +65,6 @@ impl<S: PdnsStore> Observer for PdnsCollector<S> {
     }
 }
 
-impl<S: PdnsStore + Send> ShardObserver for PdnsCollector<S> {
-    fn fork(&self) -> Self {
-        PdnsCollector { store: self.store.fork(), responses: 0, records: 0 }
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        self.responses += shard.responses;
-        self.records += shard.records;
-        self.store.merge(shard.store);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,24 +112,5 @@ mod tests {
         }
         assert_eq!(c.responses(), 0);
         assert!(c.store().is_empty());
-    }
-
-    #[test]
-    fn fork_absorb_matches_sequential_collection() {
-        let mut sequential = PdnsCollector::new(RpDns::new());
-        let mut parent = PdnsCollector::new(RpDns::new());
-        let mut shard = parent.fork();
-        for i in 0..20u8 {
-            let ev = event(u64::from(i));
-            let ans = [answer(i % 5)];
-            sequential.observe(&ev, Served::CacheMiss, &ans);
-            if i % 2 == 0 { &mut parent } else { &mut shard }.observe(&ev, Served::CacheMiss, &ans);
-        }
-        parent.absorb(shard);
-        assert_eq!(parent.responses(), sequential.responses());
-        assert_eq!(parent.records(), sequential.records());
-        assert_eq!(parent.store().len(), sequential.store().len());
-        assert_eq!(parent.store().per_day(), sequential.store().per_day());
-        assert_eq!(parent.store().storage_bytes(), sequential.store().storage_bytes());
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Runs are configured through the [`ResolverSim::day`] builder; the
 //! observability layer ([`MetricsRegistry`], [`TimelineRecorder`]) hangs
-//! off the same builder and stays bit-identical across thread counts.
+//! off the same builder and is derived from simulated events only.
 //!
 //! # Examples
 //!
@@ -36,7 +36,6 @@
 mod admission;
 mod builder;
 mod collector;
-mod engine;
 mod faults;
 mod metrics;
 mod observer;
@@ -48,7 +47,6 @@ mod traffic;
 pub use admission::{AdmissionState, OverloadConfig, OverloadStats};
 pub use builder::DayRun;
 pub use collector::PdnsCollector;
-pub use engine::ShardObserver;
 pub use faults::{
     FaultKind, FaultPlan, FaultSpecError, MemberOutage, OutageScope, OutageWindow, RetryPolicy,
     SERVFAIL_LATENCY_MS, UPSTREAM_RTT_MS,

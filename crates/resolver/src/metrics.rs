@@ -2,22 +2,17 @@
 //! registry plus a time-bucketed intra-day timeline recorder.
 //!
 //! Everything in a [`MetricsRegistry`] except [`PhaseTimings`] is derived
-//! purely from simulated events, so a registry filled by an N-thread
-//! sharded replay is **bit-identical** to one filled by the
-//! single-threaded reference: every counter is an additive `u64`, every
-//! histogram bucket is an additive `u64` under compile-time-constant
-//! bounds, and every timeline slot is keyed by simulated time — never by
-//! scheduling. The sharded engine gives each worker a
-//! [`MetricsRegistry::fork`] and folds the forks back with
-//! [`MetricsRegistry::absorb`] in shard order, exactly like
-//! [`ShardObserver`](crate::ShardObserver).
+//! purely from simulated events: every counter and histogram bucket is a
+//! `u64` under compile-time-constant bounds, and every timeline slot is
+//! keyed by simulated time, so the same replay always fills the same
+//! registry.
 //!
-//! Wall-clock phase timing (generate / partition / replay / merge) is the
-//! one non-deterministic ingredient, so it lives in a separate
+//! Wall-clock phase timing (generate / replay) is the one
+//! non-deterministic ingredient, so it lives in a separate
 //! [`PhaseTimings`] struct that is deliberately **excluded** from
 //! [`MetricsRegistry::to_json`] and [`MetricsRegistry::timeline_csv`]:
-//! exported artifacts stay byte-identical across thread counts and
-//! machines while the phase table remains printable for humans.
+//! exported artifacts stay byte-identical across runs and machines while
+//! the phase table remains printable for humans.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -30,7 +25,7 @@ use crate::sim::FetchOutcome;
 
 /// Upper-inclusive bucket bounds (simulated milliseconds) for the lookup
 /// latency histogram. Compile-time constants: bucket boundaries never
-/// depend on `--scale`, trace size, or thread count.
+/// depend on `--scale` or trace size.
 pub const LATENCY_BOUNDS_MS: &[u64] = &[0, 10, 30, 50, 100, 250, 500, 1_000, 2_000, 4_000];
 
 /// Upper-inclusive bucket bounds for upstream attempts per fetch (a
@@ -53,7 +48,7 @@ const SECS_PER_DAY: u64 = 86_400;
 /// A bounded histogram over `u64` samples: `counts[i]` tallies samples
 /// `<= bounds[i]` (and greater than the previous bound); the final slot
 /// is the overflow bucket. Bounds are `'static` constants, so two
-/// histograms built from the same metric always merge and compare
+/// histograms built from the same metric always compare
 /// bucket-for-bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -104,20 +99,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Folds another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms were built over different bounds.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds must match to merge");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -233,9 +214,7 @@ pub fn served_index(served: Served) -> usize {
     }
 }
 
-/// Monotonic counters over one run (or the merge of its shards). Every
-/// field is a plain sum, so shard-order merging reproduces the
-/// single-threaded values exactly.
+/// Monotonic counters over one run; every field is a plain sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCounters {
     /// Query events processed.
@@ -272,28 +251,6 @@ pub struct QueryCounters {
     pub rate_limited: u64,
 }
 
-impl QueryCounters {
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &QueryCounters) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.negative_hits += other.negative_hits;
-        self.nx_misses += other.nx_misses;
-        self.stale_serves += other.stale_serves;
-        self.servfails += other.servfails;
-        self.records_below += other.records_below;
-        self.records_above += other.records_above;
-        self.upstream_fetches += other.upstream_fetches;
-        self.failed_attempts += other.failed_attempts;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.upstream_servfails += other.upstream_servfails;
-        self.dropped += other.dropped;
-        self.rate_limited += other.rate_limited;
-    }
-}
-
 /// One time bucket of the intra-day timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSlot {
@@ -324,23 +281,6 @@ impl TimeSlot {
     pub fn total(&self) -> u64 {
         self.served.iter().sum()
     }
-
-    fn merge(&mut self, other: &TimeSlot) {
-        for (mine, theirs) in self.served.iter_mut().zip(&other.served) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.classes.iter_mut().zip(&other.classes) {
-            *mine += theirs;
-        }
-        if self.member_load.len() < other.member_load.len() {
-            self.member_load.resize(other.member_load.len(), 0);
-        }
-        for (m, load) in other.member_load.iter().enumerate() {
-            self.member_load[m] += load;
-        }
-        self.records_below += other.records_below;
-        self.records_above += other.records_above;
-    }
 }
 
 /// Records time-bucketed intra-day snapshots: hit/miss/stale/SERVFAIL
@@ -348,7 +288,7 @@ impl TimeSlot {
 ///
 /// Bucketing is by *simulated* seconds-into-day, so the recorder is as
 /// deterministic as the counters: the slot an event lands in depends only
-/// on the event, never on which thread replayed it.
+/// on the event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineRecorder {
     slots: Vec<TimeSlot>,
@@ -402,33 +342,17 @@ impl TimelineRecorder {
         slot.records_below += records_below;
         slot.records_above += records_above;
     }
-
-    /// Folds another recorder into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket counts differ.
-    pub fn merge(&mut self, other: &TimelineRecorder) {
-        assert_eq!(self.slots.len(), other.slots.len(), "timeline bucket counts must match");
-        for (mine, theirs) in self.slots.iter_mut().zip(&other.slots) {
-            mine.merge(theirs);
-        }
-    }
 }
 
-/// Wall-clock timing of the engine's phases. Collected *outside* the
+/// Wall-clock timing of a run's phases. Collected *outside* the
 /// simulated-time metrics so measurement never perturbs results, and
 /// excluded from the deterministic exports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Workload generation (trace synthesis), when the caller timed it.
     pub generate_ns: u128,
-    /// The sequential partition pass of the sharded engine.
-    pub partition_ns: u128,
-    /// Event replay (worker wall time; the longest-running phase).
+    /// Event replay (the longest-running phase).
     pub replay_ns: u128,
-    /// Shard-order merge of partial reports, observers, and registries.
-    pub merge_ns: u128,
 }
 
 impl PhaseTimings {
@@ -437,44 +361,21 @@ impl PhaseTimings {
         self.generate_ns += d.as_nanos();
     }
 
-    /// Adds to the partition phase.
-    pub fn add_partition(&mut self, d: Duration) {
-        self.partition_ns += d.as_nanos();
-    }
-
     /// Adds to the replay phase.
     pub fn add_replay(&mut self, d: Duration) {
         self.replay_ns += d.as_nanos();
     }
 
-    /// Adds to the merge phase.
-    pub fn add_merge(&mut self, d: Duration) {
-        self.merge_ns += d.as_nanos();
-    }
-
-    /// Folds another timing set into this one.
-    pub fn merge(&mut self, other: &PhaseTimings) {
-        self.generate_ns += other.generate_ns;
-        self.partition_ns += other.partition_ns;
-        self.replay_ns += other.replay_ns;
-        self.merge_ns += other.merge_ns;
-    }
-
     /// Total wall time across all phases.
     pub fn total_ns(&self) -> u128 {
-        self.generate_ns + self.partition_ns + self.replay_ns + self.merge_ns
+        self.generate_ns + self.replay_ns
     }
 
     /// Renders the phase-timing table the bench experiments print.
     pub fn render_table(&self) -> String {
         let total = self.total_ns().max(1);
         let mut out = String::from("phase      wall_ms   share\n");
-        for (name, ns) in [
-            ("generate", self.generate_ns),
-            ("partition", self.partition_ns),
-            ("replay", self.replay_ns),
-            ("merge", self.merge_ns),
-        ] {
+        for (name, ns) in [("generate", self.generate_ns), ("replay", self.replay_ns)] {
             let ms = ns as f64 / 1e6;
             let share = ns as f64 * 100.0 / total as f64;
             writeln!(out, "{name:<9} {ms:>9.3} {share:>6.1}%").expect("string write");
@@ -551,7 +452,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Called by the engine at the start of a run: pins the day index and
+    /// Called by the replay loop at the start of a run: pins the day index and
     /// sizes the per-member gauges.
     pub fn begin_day(&mut self, day: u64, members: usize) {
         self.day = day;
@@ -616,10 +517,9 @@ impl MetricsRegistry {
         self.timeline.record(secs_in_day, member, served, class, records_below, records_above);
     }
 
-    /// Called by the engine after the replay: samples the day-end gauges
+    /// Called by the replay loop at day end: samples the day-end gauges
     /// (per-member occupancy and down-state) and the day's cache counter
-    /// deltas. Cluster state is identical across thread counts, so the
-    /// gauges are too.
+    /// deltas.
     pub fn set_day_end(&mut self, occupancy: &[usize], down: &[bool], cache: &CacheStats) {
         self.member_occupancy = occupancy.iter().map(|&n| n as u64).collect();
         self.member_down = down.to_vec();
@@ -628,18 +528,8 @@ impl MetricsRegistry {
         self.cache = delta;
     }
 
-    /// Creates an empty registry of the same configuration (timeline
-    /// bucket count, histogram bounds) to run on one shard — the metrics
-    /// analogue of [`ShardObserver::fork`](crate::ShardObserver::fork).
-    pub fn fork(&self) -> MetricsRegistry {
-        let mut fork = MetricsRegistry::with_buckets(self.timeline.buckets());
-        fork.day = self.day;
-        fork.overload_enabled = self.overload_enabled;
-        fork
-    }
-
     /// Marks whether admission control is active for this run: the
-    /// engines call this before [`MetricsRegistry::begin_day`]. Gates the
+    /// replay loop calls this before [`MetricsRegistry::begin_day`]. Gates the
     /// export of the shed columns, the dropped/rate-limited counters, and
     /// the queue-backlog histogram so a run without an
     /// [`OverloadConfig`](crate::OverloadConfig) exports byte-identical
@@ -668,25 +558,6 @@ impl MetricsRegistry {
     /// (empty unless admission control is enabled).
     pub fn queue_backlog(&self) -> &Histogram {
         &self.queue_backlog
-    }
-
-    /// Folds a shard's registry back into this one. Called in shard
-    /// order; all constituents are additive, so the merged registry is
-    /// bit-identical to a single-threaded one.
-    pub fn absorb(&mut self, shard: MetricsRegistry) {
-        self.counters.merge(&shard.counters);
-        self.latency_ms.merge(&shard.latency_ms);
-        self.upstream_attempts.merge(&shard.upstream_attempts);
-        self.retries_per_fetch.merge(&shard.retries_per_fetch);
-        self.queue_backlog.merge(&shard.queue_backlog);
-        self.timeline.merge(&shard.timeline);
-        if self.member_load.len() < shard.member_load.len() {
-            self.member_load.resize(shard.member_load.len(), 0);
-        }
-        for (m, load) in shard.member_load.iter().enumerate() {
-            self.member_load[m] += load;
-        }
-        self.phases.merge(&shard.phases);
     }
 
     /// The day index the registry last recorded.
@@ -745,7 +616,7 @@ impl MetricsRegistry {
         &self.phases
     }
 
-    /// Mutable access for engines and harnesses that time phases.
+    /// Mutable access for the replay loop and harnesses that time phases.
     pub fn phases_mut(&mut self) -> &mut PhaseTimings {
         &mut self.phases
     }
@@ -754,7 +625,7 @@ impl MetricsRegistry {
     ///
     /// Hand-rendered (integers only, fixed key order, no whitespace
     /// variation) so the same simulated run always produces the same
-    /// bytes, regardless of thread count or platform.
+    /// bytes on every platform.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
@@ -929,18 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_additive() {
-        let mut a = Histogram::new(LATENCY_BOUNDS_MS);
-        let mut b = Histogram::new(LATENCY_BOUNDS_MS);
-        a.record(3);
-        b.record(3_000);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(*a.counts().last().expect("overflow bucket"), 1);
-    }
-
-    #[test]
     fn timeline_buckets_by_simulated_time() {
         let mut t = TimelineRecorder::new(24);
         t.record(0, 0, Served::CacheHit, QueryClass::Unknown, 1, 0);
@@ -952,29 +811,6 @@ mod tests {
         assert_eq!(t.slots()[23].total(), 1);
         assert_eq!(t.slots()[0].member_load, vec![1, 1]);
         assert_eq!(t.slot_start_secs(1), 3_600);
-    }
-
-    #[test]
-    fn fork_absorb_reproduces_direct_recording() {
-        let mut direct = MetricsRegistry::with_buckets(12);
-        direct.begin_day(3, 2);
-        let mut parent = direct.clone();
-        let mut f0 = parent.fork();
-        let mut f1 = parent.fork();
-        let events = [
-            (100, 0, Served::CacheHit, QueryClass::Popular, 2, 0),
-            (50_000, 1, Served::StaleHit, QueryClass::Disposable, 1, 0),
-            (80_000, 0, Served::ServFail, QueryClass::LongTail, 1, 0),
-        ];
-        for (i, &(secs, member, served, class, below, above)) in events.iter().enumerate() {
-            direct.record_event(secs, member, served, class, below, above, None, None);
-            let fork = if i % 2 == 0 { &mut f0 } else { &mut f1 };
-            fork.record_event(secs, member, served, class, below, above, None, None);
-        }
-        parent.absorb(f0);
-        parent.absorb(f1);
-        assert_eq!(parent.to_json(), direct.to_json());
-        assert_eq!(parent.timeline_csv(), direct.timeline_csv());
     }
 
     #[test]
@@ -1023,18 +859,18 @@ mod tests {
         assert!(json.contains("\"queue_backlog\""));
         let csv = reg.timeline_csv();
         assert!(csv.contains(",dropped,rate_limited"));
-        // The flag survives forking, so shard workers tally the same way.
-        assert!(reg.fork().overload_enabled());
     }
 
     #[test]
     fn phase_table_lists_every_phase() {
         let mut p = PhaseTimings::default();
         p.add_replay(Duration::from_millis(12));
-        p.add_merge(Duration::from_micros(300));
         let table = p.render_table();
-        for phase in ["generate", "partition", "replay", "merge", "total"] {
+        for phase in ["generate", "replay", "total"] {
             assert!(table.contains(phase), "missing {phase} in:\n{table}");
+        }
+        for gone in ["partition", "merge"] {
+            assert!(!table.contains(gone), "{gone} is no phase of a serial replay:\n{table}");
         }
     }
 }

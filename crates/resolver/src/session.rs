@@ -2,9 +2,8 @@
 //! [`ResolverSim::day`](crate::ResolverSim::day) builder.
 //!
 //! An [`EventSession`] owns a [`ResolverSim`] plus the day-scoped replay
-//! state, and every [`EventSession::push`] is one step of the
-//! single-threaded reference loop: the very loop
-//! [`DayRun::run_serial`](crate::DayRun::run_serial) runs over a
+//! state, and every [`EventSession::push`] is one step of the replay
+//! loop: the very loop [`DayRun::run`](crate::DayRun::run) runs over a
 //! [`DayTrace`](dnsnoise_workload::DayTrace), here stepped by the caller.
 //! A session fed a day's events in order therefore returns the
 //! [`DayReport`] and the simulator `sim.day(&trace).run()` would have,
@@ -12,7 +11,9 @@
 //! (it restarts cold at the first event).
 //!
 //! [`EventSession::new`] starts a fault-free day without admission
-//! control, which is what the streaming miner replays.
+//! control, which is what the streaming miner replays;
+//! [`EventSession::begin`] takes the knobs a [`DayRun`](crate::DayRun)
+//! takes, so the two drivers can be held equal under all of them.
 //!
 //! # Examples
 //!
@@ -36,6 +37,9 @@
 
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
+use crate::admission::OverloadConfig;
+use crate::faults::FaultPlan;
+use crate::metrics::MetricsRegistry;
 use crate::observer::Observer;
 use crate::sim::{DayReport, DayState, ResolverSim};
 use crate::stats::RrDayStats;
@@ -50,6 +54,7 @@ use crate::stats::RrDayStats;
 pub struct EventSession {
     sim: ResolverSim,
     day: DayState,
+    metrics: Option<MetricsRegistry>,
 }
 
 impl EventSession {
@@ -57,8 +62,21 @@ impl EventSession {
     /// the cluster's cache counters so [`EventSession::finish`] can report
     /// this day's deltas.
     pub fn new(sim: ResolverSim, day: u64) -> EventSession {
-        let day = DayState::begin(&sim, day, None, None, None);
-        EventSession { sim, day }
+        EventSession::begin(sim, day, None, None, None)
+    }
+
+    /// [`EventSession::new`] with the knobs of a [`DayRun`](crate::DayRun):
+    /// a fault plan, admission control, and a registry the session fills
+    /// and [`EventSession::finish_with_metrics`] hands back.
+    pub fn begin(
+        sim: ResolverSim,
+        day: u64,
+        plan: Option<&FaultPlan>,
+        overload: Option<&OverloadConfig>,
+        mut metrics: Option<MetricsRegistry>,
+    ) -> EventSession {
+        let day = DayState::begin(&sim, day, plan, overload, metrics.as_mut());
+        EventSession { sim, day, metrics }
     }
 
     /// Serves one event, updating the cluster caches and the running
@@ -72,7 +90,7 @@ impl EventSession {
         ground_truth: Option<&GroundTruth>,
         observer: &mut Obs,
     ) {
-        self.day.step(&mut self.sim, event, ground_truth, observer, None);
+        self.day.step(&mut self.sim, event, ground_truth, observer, self.metrics.as_mut());
     }
 
     /// Re-labels the simulated day. Only meaningful before the first
@@ -92,8 +110,15 @@ impl EventSession {
     /// Closes the day: folds the cache-counter delta into the report and
     /// returns it together with the simulator for reuse on the next day.
     pub fn finish(self) -> (DayReport, ResolverSim) {
-        let report = self.day.finish(&self.sim, None);
-        (report, self.sim)
+        let (report, sim, _) = self.finish_with_metrics();
+        (report, sim)
+    }
+
+    /// [`EventSession::finish`], also returning the registry
+    /// [`EventSession::begin`] was given, with the day-end gauges sampled.
+    pub fn finish_with_metrics(mut self) -> (DayReport, ResolverSim, Option<MetricsRegistry>) {
+        let report = self.day.finish(&self.sim, self.metrics.as_mut());
+        (report, self.sim, self.metrics)
     }
 }
 
@@ -116,10 +141,6 @@ mod tests {
         session
     }
 
-    // The expected side of the next two tests is the sharded engine: it
-    // shares only `process_event` with the loop a session steps, so
-    // session ≡ serial ≡ sharded is one chain with an independent end.
-
     #[test]
     fn incremental_replay_matches_batch_exactly() {
         for seed in [7, 301] {
@@ -127,7 +148,7 @@ mod tests {
             let trace = s.generate_day(0);
 
             let mut batch = ResolverSim::new(SimConfig::default());
-            let expected = batch.day(&trace).ground_truth(s.ground_truth()).threads(4).run();
+            let expected = batch.day(&trace).ground_truth(s.ground_truth()).run();
 
             // Half-way, the running table is already the batch table of
             // the truncated day: the streaming miner's epoch closes read it.
@@ -135,7 +156,7 @@ mod tests {
             half.events.truncate(trace.events.len() / 2);
             let session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
             let mut session = push_all(session, &half, &s);
-            let truncated = ResolverSim::new(SimConfig::default()).day(&half).run_serial();
+            let truncated = ResolverSim::new(SimConfig::default()).day(&half).run();
             assert!(!truncated.rr_stats.is_empty());
             assert_eq!(session.rr_stats(), &truncated.rr_stats, "seed {seed}: half-way table");
 
@@ -154,7 +175,7 @@ mod tests {
         let mut streamed = ResolverSim::new(SimConfig::default());
         for day in 0..2 {
             let trace = s.generate_day(day);
-            let expected = batch.day(&trace).ground_truth(s.ground_truth()).threads(4).run();
+            let expected = batch.day(&trace).ground_truth(s.ground_truth()).run();
             let session = EventSession::new(streamed, trace.day);
             let (report, sim) = push_all(session, &trace, &s).finish();
             streamed = sim;
@@ -177,11 +198,11 @@ mod tests {
         let mut batch = ResolverSim::new(SimConfig::default());
         let mut streamed = ResolverSim::new(SimConfig::default());
         for sim in [&mut batch, &mut streamed] {
-            sim.day(&d0).ground_truth(s.ground_truth()).faults(&crash).run_serial();
+            sim.day(&d0).ground_truth(s.ground_truth()).faults(&crash).run();
             assert!(sim.cluster().any_member_down());
         }
 
-        let expected = batch.day(&d1).ground_truth(s.ground_truth()).run_serial();
+        let expected = batch.day(&d1).ground_truth(s.ground_truth()).run();
         let (report, streamed) = push_all(EventSession::new(streamed, d1.day), &d1, &s).finish();
         assert_eq!(report, expected);
         assert!(!batch.cluster().any_member_down());
@@ -197,8 +218,7 @@ mod tests {
         let lossy = FaultPlan::default().with_seed(5).with_packet_loss(0.3);
         let begin = |day| {
             let sim = ResolverSim::new(SimConfig::default());
-            let day = DayState::begin(&sim, day, Some(&lossy), None, None);
-            EventSession { sim, day }
+            EventSession::begin(sim, day, Some(&lossy), None, None)
         };
 
         let (expected, _) = push_all(begin(trace.day), &trace, &s).finish();

@@ -123,13 +123,6 @@ impl Availability {
             self.answered as f64 / total as f64
         }
     }
-
-    /// Folds another tally into this one.
-    pub fn merge(&mut self, other: &Availability) {
-        self.answered += other.answered;
-        self.failed += other.failed;
-        self.shed += other.shed;
-    }
 }
 
 /// Resilience accounting for one simulated day under a
@@ -171,19 +164,6 @@ impl ResilienceStats {
             shed: self.disposable.shed + self.nondisposable.shed,
         }
     }
-
-    /// Folds another day's (or shard's) counters into this one. Every
-    /// field is a sum, so merging in any order yields the same result.
-    pub fn merge(&mut self, other: &ResilienceStats) {
-        self.retries += other.retries;
-        self.failed_attempts += other.failed_attempts;
-        self.timeouts += other.timeouts;
-        self.upstream_servfails += other.upstream_servfails;
-        self.servfails_below += other.servfails_below;
-        self.stale_serves += other.stale_serves;
-        self.disposable.merge(&other.disposable);
-        self.nondisposable.merge(&other.nondisposable);
-    }
 }
 
 /// Everything the monitoring point learned from one simulated day.
@@ -210,41 +190,6 @@ pub struct DayReport {
     /// Admission-control accounting; all-zero without an
     /// [`OverloadConfig`](crate::OverloadConfig).
     pub overload: OverloadStats,
-}
-
-impl DayReport {
-    /// Folds another report into this one. Every constituent is a sum or
-    /// a key-wise counter merge, so per-shard partial reports merged in
-    /// any order reproduce the single-threaded report bit for bit. The
-    /// `day` field is kept from `self`.
-    pub fn merge(&mut self, other: &DayReport) {
-        self.rr_stats.merge(&other.rr_stats);
-        self.traffic.merge(&other.traffic);
-        self.cache.merge(&other.cache);
-        self.below_total += other.below_total;
-        self.above_total += other.above_total;
-        self.nx_below += other.nx_below;
-        self.nx_above += other.nx_above;
-        self.resilience.merge(&other.resilience);
-        self.overload.merge(&other.overload);
-    }
-
-    /// Folds a sequence of per-shard partial reports into one report for
-    /// `day`. This is the *only* merge path the sharded engine uses, so
-    /// every merge rule lives on the report types themselves and is
-    /// exercised identically by tests and production runs. `merge` is
-    /// associative (each constituent is a sum or key-wise counter merge),
-    /// so any grouping of the same partials yields the same report.
-    pub fn merge_partials<'a>(
-        day: u64,
-        partials: impl IntoIterator<Item = &'a DayReport>,
-    ) -> DayReport {
-        let mut report = DayReport { day, ..DayReport::default() };
-        for partial in partials {
-            report.merge(partial);
-        }
-        report
-    }
 }
 
 /// The recursive-resolver cluster simulator.
@@ -298,8 +243,8 @@ impl ResolverSim {
 /// Per-day context shared by every event of a run: the fault plan, the
 /// day coordinate fault sampling is keyed on, and the config knobs the
 /// per-event logic needs. Owning the plan and a clone of the
-/// [`PriorityPredicate`] `Arc` (both made once per day) lets it cross
-/// thread boundaries and live inside an `EventSession` borrowing nothing.
+/// [`PriorityPredicate`] `Arc` (both made once per day) lets it live
+/// inside an `EventSession` borrowing nothing.
 pub(crate) struct EventCtx {
     pub(crate) plan: FaultPlan,
     pub(crate) day: u64,
@@ -312,16 +257,15 @@ pub(crate) struct EventCtx {
 }
 
 /// The day-scoped state of a replay. `begin` / `step` per event / `finish`
-/// *is* the single-threaded reference loop; the simulator is an argument
-/// because a `DayRun` borrows it and an `EventSession` owns it. The
-/// sharded engine shares `begin` and `finish` and replaces the stepping.
+/// *is* the replay loop; the simulator is an argument because a `DayRun`
+/// borrows it and an `EventSession` owns it.
 pub(crate) struct DayState {
     pub(crate) ctx: EventCtx,
     /// Sync member crash windows per event: the plan schedules some, or a
     /// previous day left a member down (it restarts cold at event one).
-    pub(crate) drive_members: bool,
+    drive_members: bool,
     /// One admission queue per cluster member, fresh at day start; empty
-    /// without an [`OverloadConfig`]. Shard workers keep their own.
+    /// without an [`OverloadConfig`].
     admission: Vec<AdmissionState>,
     /// The running report; `finish` stamps its `day` from the context.
     pub(crate) report: DayReport,
@@ -424,18 +368,13 @@ impl DayState {
 /// Serves one query event against one member's caches and folds the
 /// outcome into `report`.
 ///
-/// This is the entire per-event logic of the simulation, shared verbatim
-/// by its two drivers: [`DayState::step`] (the serial loop, which a
-/// `DayRun` runs over a trace and an `EventSession` steps per push) and
-/// the shard worker in `engine::run_sharded`. Everything it
-/// touches is either the owning member's private cache state or a
-/// commutative counter in `report` (sums and key-wise counter merges),
-/// and the only randomness — fault loss sampling — is a pure function of
-/// `(plan seed, day, global event index, attempt)`. Those three facts
-/// together are why per-member replay on any thread interleaving merges
-/// back into a bit-identical [`DayReport`].
+/// This is the entire per-event logic of the simulation, reached only
+/// through [`DayState::step`] (which a `DayRun` runs over a trace and an
+/// `EventSession` steps per push). The only randomness — fault loss
+/// sampling — is a pure function of `(plan seed, day, event index,
+/// attempt)`, so a replay never depends on anything but its inputs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_event<Obs: Observer + ?Sized>(
+fn process_event<Obs: Observer + ?Sized>(
     ctx: &EventCtx,
     index: u64,
     member: usize,
@@ -765,7 +704,7 @@ mod tests {
     fn below_exceeds_above() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run();
         assert!(report.below_total > report.above_total);
         assert!(report.above_total > 0);
     }
@@ -774,7 +713,7 @@ mod tests {
     fn nxdomain_without_negative_cache_always_goes_above() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.day(&s.generate_day(0)).run_serial();
+        let report = sim.day(&s.generate_day(0)).run();
         // Negative caching disabled: every NXDOMAIN below also appears above.
         assert_eq!(report.nx_below, report.nx_above);
         assert!(report.nx_below > 0);
@@ -785,7 +724,7 @@ mod tests {
         let s = tiny_scenario();
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default().with_negative_ttl(Ttl::from_secs(900)));
-        let report = sim.day(&trace).run_serial();
+        let report = sim.day(&trace).run();
         // Browser probes repeat the same name 3× within seconds; with
         // RFC 2308 honoured the repeats are served below only.
         assert!(
@@ -806,7 +745,7 @@ mod tests {
             3,
         );
         let mut sim = ResolverSim::new(SimConfig { members: 2, ..SimConfig::default() });
-        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run();
         let share_below = report.nx_below as f64 / report.below_total as f64;
         let share_above = report.nx_above as f64 / report.above_total as f64;
         assert!(share_above > 2.0 * share_below, "above {share_above:.3} below {share_below:.3}");
@@ -817,8 +756,8 @@ mod tests {
     fn warm_cache_reduces_above_traffic_on_day_two() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let r0 = sim.day(&s.generate_day(0)).run_serial();
-        let r1 = sim.day(&s.generate_day(1)).run_serial();
+        let r0 = sim.day(&s.generate_day(0)).run();
+        let r1 = sim.day(&s.generate_day(1)).run();
         // Day-scale TTLs carry over: day 1 misses fewer long-tail records.
         let miss_rate0 = r0.above_total as f64 / r0.below_total as f64;
         let miss_rate1 = r1.above_total as f64 / r1.below_total as f64;
@@ -829,7 +768,7 @@ mod tests {
     fn google_and_akamai_series_are_populated() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
+        let report = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run();
         assert!(report.traffic.below_total(Series::Google) > 0);
         assert!(report.traffic.below_total(Series::Akamai) > 0);
         // Together they are less than half of all traffic (§III-C1:
@@ -843,7 +782,7 @@ mod tests {
     fn tiny_cache_causes_premature_evictions() {
         let s = tiny_scenario();
         let mut sim = ResolverSim::new(SimConfig::default().with_capacity(50));
-        let report = sim.day(&s.generate_day(0)).run_serial();
+        let report = sim.day(&s.generate_day(0)).run();
         assert!(report.cache.premature_evictions() > 0);
     }
 
@@ -854,7 +793,7 @@ mod tests {
         let trace = s.generate_day(0);
 
         let mut baseline = ResolverSim::new(SimConfig::default().with_capacity(200));
-        let rb = baseline.day(&trace).run_serial();
+        let rb = baseline.day(&trace).run();
 
         let gt2 = gt.clone();
         let mut mitigated = ResolverSim::new(
@@ -862,7 +801,7 @@ mod tests {
                 .with_capacity(200)
                 .with_low_priority(move |name| gt2.is_disposable_name(name)),
         );
-        let rm = mitigated.day(&trace).run_serial();
+        let rm = mitigated.day(&trace).run();
 
         // With the mitigation, fewer normal-priority (non-disposable)
         // records are prematurely evicted.
@@ -885,8 +824,8 @@ mod tests {
         let plan = FaultPlan::default();
         // Two days, warm cache carried over — reports must match exactly.
         for day in [&d0, &d1] {
-            let a = plain.day(day).ground_truth(s.ground_truth()).run_serial();
-            let b = faulted.day(day).ground_truth(s.ground_truth()).faults(&plan).run_serial();
+            let a = plain.day(day).ground_truth(s.ground_truth()).run();
+            let b = faulted.day(day).ground_truth(s.ground_truth()).faults(&plan).run();
             assert_eq!(a, b);
             assert_eq!(b.resilience, ResilienceStats::default());
         }
@@ -907,7 +846,7 @@ mod tests {
         let trace = s.generate_day(0);
         let plan = all_day_outage(FaultKind::Timeout);
         let mut sim = ResolverSim::new(SimConfig::default());
-        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
+        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
 
         // Nothing ever reaches the upstream successfully: no NXDOMAIN or
         // answers fetched above, only failed attempts.
@@ -942,8 +881,8 @@ mod tests {
                 config = config.with_serve_stale(w);
             }
             let mut sim = ResolverSim::new(config);
-            sim.day(&d0).ground_truth(gt).run_serial(); // warm day, no faults
-            sim.day(&d1).ground_truth(gt).faults(&outage).run_serial()
+            sim.day(&d0).ground_truth(gt).run(); // warm day, no faults
+            sim.day(&d1).ground_truth(gt).faults(&outage).run()
         };
 
         let without = run(None);
@@ -976,14 +915,14 @@ mod tests {
 
         let run = || {
             let mut sim = ResolverSim::new(SimConfig::default());
-            sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial()
+            sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run()
         };
         let first = run();
         let second = run();
         assert_eq!(first, second, "crash absorption must replay identically");
 
         let mut plain = ResolverSim::new(SimConfig::default());
-        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run_serial();
+        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run();
         // The survivors answer everything the crashed member would have:
         // no client loses service, it just gets a different cache.
         assert_eq!(first.below_total, baseline.below_total);
@@ -1004,10 +943,10 @@ mod tests {
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
         let plan = FaultPlan::default().with_seed(11).with_packet_loss(0.3);
-        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
+        let report = sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
 
         let mut plain = ResolverSim::new(SimConfig::default());
-        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run_serial();
+        let baseline = plain.day(&trace).ground_truth(s.ground_truth()).run();
 
         assert!(report.resilience.failed_attempts > 0);
         assert!(report.resilience.retries > 0);
@@ -1045,7 +984,7 @@ mod tests {
         let trace = s.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
         let mut counter = Counter(0);
-        sim.day(&trace).observer(&mut counter).run_serial();
+        sim.day(&trace).observer(&mut counter).run();
         assert_eq!(counter.0, trace.events.len() as u64);
     }
 }

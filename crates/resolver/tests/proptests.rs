@@ -3,7 +3,7 @@
 use dnsnoise_cache::LoadBalance;
 use dnsnoise_dns::{Timestamp, Ttl};
 use dnsnoise_resolver::{
-    FaultKind, FaultPlan, OutageScope, OverloadConfig, ResolverSim, SimConfig,
+    EventSession, FaultKind, FaultPlan, OutageScope, OverloadConfig, ResolverSim, SimConfig,
 };
 use dnsnoise_workload::{AttackPlan, Scenario, ScenarioConfig};
 use proptest::prelude::*;
@@ -38,7 +38,7 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(epoch).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut sim = ResolverSim::new(config);
-        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).run_serial();
+        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).run();
 
         prop_assert!(report.above_total <= report.below_total);
         prop_assert!(report.nx_above <= report.nx_below);
@@ -69,9 +69,9 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut small_sim = ResolverSim::new(SimConfig { members: 2, capacity_each: 60, ..SimConfig::default() });
-        let small = small_sim.day(&trace).run_serial();
+        let small = small_sim.day(&trace).run();
         let mut large_sim = ResolverSim::new(SimConfig { members: 2, capacity_each: 50_000, ..SimConfig::default() });
-        let large = large_sim.day(&trace).run_serial();
+        let large = large_sim.day(&trace).run();
         prop_assert!(large.above_total <= small.above_total,
             "large {} vs small {}", large.above_total, small.above_total);
     }
@@ -117,7 +117,7 @@ proptest! {
             config = config.with_serve_stale(w);
         }
         let mut sim = ResolverSim::new(config);
-        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run_serial();
+        let report = sim.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run();
 
         let r = &report.resilience;
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
@@ -137,18 +137,17 @@ proptest! {
         prop_assert!(r.timeouts + r.upstream_servfails == r.failed_attempts);
     }
 
-    /// Merge conservation: replaying a day on the sharded engine with an
-    /// arbitrary shard count (arbitrary splits of members over workers)
-    /// yields a merged report that is bit-identical to the reference and
-    /// therefore satisfies every conservation invariant above. Checked
-    /// under a fault plan so the resilience counters merge too.
+    /// Driver equality under arbitrary cluster shapes: an `EventSession`
+    /// pushed event by event yields the report of `DayRun::run()` for any
+    /// member count, capacity and strategy, under a fault plan with an
+    /// optional member crash — and that report satisfies every
+    /// conservation invariant above.
     #[test]
-    fn sharded_merge_conserves_accounting(
+    fn session_equals_day_run_and_conserves_accounting(
         config in arb_config(),
         seed in 0u64..200,
         fault_seed in 0u64..1_000,
         loss in 0.0f64..0.4,
-        threads in 1usize..9,
         member_fault in any::<bool>(),
     ) {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.01), seed);
@@ -167,14 +166,15 @@ proptest! {
 
         let mut reference = ResolverSim::new(config.clone());
         let expected =
-            reference.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run_serial();
-        let mut sim = ResolverSim::new(config);
-        let report =
-            sim.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).threads(threads).run();
-        prop_assert_eq!(&report, &expected, "sharded replay must be bit-identical");
+            reference.day(&trace).ground_truth(scenario.ground_truth()).faults(&plan).run();
+        let mut session =
+            EventSession::begin(ResolverSim::new(config), trace.day, Some(&plan), None, None);
+        for event in &trace.events {
+            session.push(event, Some(scenario.ground_truth()), &mut ());
+        }
+        let (report, _) = session.finish();
+        prop_assert_eq!(&report, &expected, "session replay must be bit-identical");
 
-        // The merged per-shard partials must still satisfy the
-        // conservation laws — not just equality with the reference.
         let r = &report.resilience;
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
         let sum_misses: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.misses)).sum();
@@ -192,59 +192,12 @@ proptest! {
         prop_assert_eq!(r.timeouts + r.upstream_servfails, r.failed_attempts);
     }
 
-    /// `DayReport::merge` is associative: folding the same partial
-    /// reports under any grouping — i.e. any split of the event stream
-    /// over shards, merged in any tree shape — yields the same report.
-    /// The partials are real single-day reports (different seeds and
-    /// epochs) so every constituent (rr stats, traffic, cache counters,
-    /// resilience slices) is populated.
-    #[test]
-    fn merge_is_associative_over_arbitrary_shard_splits(
-        seed in 0u64..100,
-        epochs in proptest::collection::vec(0.0f64..=1.0, 3..4),
-        loss in 0.0f64..0.3,
-    ) {
-        let plan = FaultPlan::default().with_seed(seed).with_packet_loss(loss);
-        let partials: Vec<_> = epochs
-            .iter()
-            .enumerate()
-            .map(|(i, &epoch)| {
-                let s = Scenario::new(
-                    ScenarioConfig::paper_epoch(epoch).with_scale(0.005),
-                    seed + i as u64,
-                );
-                let mut sim = ResolverSim::new(SimConfig::default());
-                sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).faults(&plan).run_serial()
-            })
-            .collect();
-        let (a, b, c) = (&partials[0], &partials[1], &partials[2]);
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(b);
-        left.merge(c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right, "merge must be associative");
-
-        // The canonical fold the engine uses agrees with both groupings,
-        // and merging an empty (identity) report is a no-op.
-        let folded = dnsnoise_resolver::DayReport::merge_partials(a.day, &partials);
-        prop_assert_eq!(&folded, &left);
-        let mut with_identity = left.clone();
-        with_identity.merge(&dnsnoise_resolver::DayReport::default());
-        prop_assert_eq!(&with_identity, &left);
-    }
-
     /// Query accounting under admission control: every offered query is
     /// either admitted or shed (`offered = admitted + dropped +
     /// rate_limited`), the shed split by ground truth covers the shed
     /// total, and every trace event still lands in exactly one
     /// availability bucket (`answered + failed + shed = events`) — for
-    /// any flood intensity, queue depth, RRL setting, and thread count.
+    /// any flood intensity, queue depth and RRL setting.
     #[test]
     fn overload_accounting_is_conserved(
         seed in 0u64..100,
@@ -253,7 +206,6 @@ proptest! {
         mult in 2u64..40,
         depth in 4u64..64,
         rrl in any::<bool>(),
-        threads in 1usize..5,
     ) {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.005), seed);
         let mut trace = scenario.generate_day(0);
@@ -278,7 +230,6 @@ proptest! {
             .day(&trace)
             .ground_truth(scenario.ground_truth())
             .overload(&cfg)
-            .threads(threads)
             .run();
 
         let o = &report.overload;
@@ -349,8 +300,8 @@ proptest! {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.01), seed);
         let trace = scenario.generate_day(0);
         let mut sim = ResolverSim::new(SimConfig::default());
-        let first = sim.day(&trace).run_serial();
-        let second = sim.day(&trace).run_serial();
+        let first = sim.day(&trace).run();
+        let second = sim.day(&trace).run();
         prop_assert!(second.above_total <= first.above_total,
             "second {} vs first {}", second.above_total, first.above_total);
     }

@@ -278,7 +278,7 @@ impl AttackPlan {
         }
         // Surge windows may overlap or be listed out of order; emit in
         // the same canonical order `inject` restores on the full trace.
-        events.sort_by_key(|e| (e.time, e.client, e.name.to_string().len()));
+        events.sort_by_key(|e| (e.time, e.client, e.name.presentation_len()));
         events
     }
 
@@ -294,7 +294,7 @@ impl AttackPlan {
         let baseline_qps = trace.events.len() as f64 / 86_400.0;
         let flood = self.flood_events(trace.day, baseline_qps);
         trace.events.extend(flood);
-        trace.events.sort_by_key(|e| (e.time, e.client, e.name.to_string().len()));
+        trace.events.sort_by_key(|e| (e.time, e.client, e.name.presentation_len()));
     }
 }
 
@@ -390,8 +390,8 @@ mod tests {
         plan("seed=2;victim=flood.example.org;surge=3600,7200,6").inject(&mut trace);
         assert!(trace.events.len() > legit);
         assert!(trace.events.windows(2).all(|w| {
-            let a = (w[0].time, w[0].client, w[0].name.to_string().len());
-            let b = (w[1].time, w[1].client, w[1].name.to_string().len());
+            let a = (w[0].time, w[0].client, w[0].name.presentation_len());
+            let b = (w[1].time, w[1].client, w[1].name.presentation_len());
             a <= b
         }));
     }

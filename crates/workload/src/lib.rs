@@ -36,7 +36,6 @@ mod diurnal;
 mod event;
 mod namegen;
 mod scenario;
-mod shard;
 pub mod trace_io;
 mod ttl;
 mod zipf;
@@ -50,7 +49,6 @@ pub use diurnal::DiurnalCurve;
 pub use event::{Outcome, QueryEvent};
 pub use namegen::{label_alnum, label_base32, label_hex, mix64, NameForge};
 pub use scenario::{DayTrace, GroundTruth, Scenario, ScenarioConfig, ZoneInfo};
-pub use shard::{RoutedEvent, ShardedTrace};
 pub use ttl::TtlModel;
 pub use zipf::ZipfSampler;
 pub use zone::{Category, DayCtx, Operator, ZoneModel};

@@ -414,7 +414,7 @@ impl Scenario {
             handles.into_iter().map(|h| h.join().expect("zone model panicked")).collect()
         });
         let mut events: Vec<QueryEvent> = per_model.into_iter().flatten().collect();
-        events.sort_by_key(|e| (e.time, e.client, e.name.to_string().len()));
+        events.sort_by_key(|e| (e.time, e.client, e.name.presentation_len()));
         DayTrace { day, events }
     }
 }

@@ -20,39 +20,34 @@ grep -q '"bench": "lint"' BENCH_lint.json \
 echo "== cargo build --release ==" >&2
 cargo build --release --offline
 
-echo "== simulate --metrics smoke (byte-identical across --threads) ==" >&2
+echo "== simulate --metrics smoke (registry export, phase table on stderr only) ==" >&2
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/dnsnoise generate --scale 0.01 --seed 3 --out "$smoke_dir/day.trace" 2>/dev/null
 ./target/release/dnsnoise simulate --trace "$smoke_dir/day.trace" \
-    --threads 1 --buckets 8 --metrics "$smoke_dir/m1.json" >/dev/null 2>&1
-./target/release/dnsnoise simulate --trace "$smoke_dir/day.trace" \
-    --threads 4 --buckets 8 --metrics "$smoke_dir/m4.json" >/dev/null 2>&1
-diff "$smoke_dir/m1.json" "$smoke_dir/m4.json" >&2
+    --buckets 8 --metrics "$smoke_dir/m1.json" >/dev/null 2>"$smoke_dir/m1.log"
+grep -q '"queries":' "$smoke_dir/m1.json" \
+    || { echo "error: metrics export carries no counters" >&2; exit 1; }
+grep -q '^replay ' "$smoke_dir/m1.log" && ! grep -q 'replay\|wall' "$smoke_dir/m1.json" \
+    || { echo "error: the phase table belongs on stderr, never in the export" >&2; exit 1; }
 
-echo "== simulate --attack smoke (admission control, byte-identical across --threads) ==" >&2
+echo "== simulate --attack smoke (admission control sheds the flood) ==" >&2
 attack='seed=9; victim=flood.example; labellen=16; clients=300; surge=0,86400,25'
 ./target/release/dnsnoise simulate --trace "$smoke_dir/day.trace" --members 2 \
     --attack "$attack" --rrl --queue-depth 16 --service-rate 1 \
-    --threads 1 --buckets 8 --metrics "$smoke_dir/a1.json" >"$smoke_dir/a1.txt" 2>/dev/null
-./target/release/dnsnoise simulate --trace "$smoke_dir/day.trace" --members 2 \
-    --attack "$attack" --rrl --queue-depth 16 --service-rate 1 \
-    --threads 4 --buckets 8 --metrics "$smoke_dir/a4.json" >"$smoke_dir/a4.txt" 2>/dev/null
-diff "$smoke_dir/a1.json" "$smoke_dir/a4.json" >&2
-diff "$smoke_dir/a1.txt" "$smoke_dir/a4.txt" >&2
+    --buckets 8 --metrics "$smoke_dir/a1.json" >"$smoke_dir/a1.txt" 2>/dev/null
+grep -q '"rate_limited":' "$smoke_dir/a1.json" \
+    || { echo "error: overload columns missing from the attack smoke's export" >&2; exit 1; }
 grep -q -- '-- overload --' "$smoke_dir/a1.txt" \
     || { echo "error: overload section missing from attack smoke" >&2; exit 1; }
 grep -Eq 'shed attack/legit: [1-9]' "$smoke_dir/a1.txt" \
     || { echo "error: attack smoke shed nothing" >&2; exit 1; }
 
-echo "== ingest corruption smoke (1% damage, byte-identical across --threads) ==" >&2
+echo "== ingest corruption smoke (1% damage: ledger conserves, >= 95% recovered) ==" >&2
 ./target/release/dnsnoise generate --scale 0.01 --seed 3 --capture pcap \
     --corrupt 0.01 --corrupt-seed 7 --out "$smoke_dir/day.pcap" 2>/dev/null
-./target/release/dnsnoise ingest "$smoke_dir/day.pcap" --threads 1 \
+./target/release/dnsnoise ingest "$smoke_dir/day.pcap" \
     -o "$smoke_dir/i1.trace" 2>"$smoke_dir/ledger.txt"
-./target/release/dnsnoise ingest "$smoke_dir/day.pcap" --threads 4 \
-    -o "$smoke_dir/i4.trace" 2>/dev/null
-diff "$smoke_dir/i1.trace" "$smoke_dir/i4.trace" >&2
 grep -q 'conserved' "$smoke_dir/ledger.txt" \
     || { echo "error: ingest ledger did not conserve bytes" >&2; exit 1; }
 # A source over its error budget is refused whole: non-zero exit, and

@@ -65,19 +65,16 @@ struct IngestOpts {
     capture: Option<String>,
     format: Option<CaptureFormat>,
     out: Option<String>,
-    threads: usize,
     max_error_rate: f64,
 }
 
 impl Default for IngestOpts {
     fn default() -> Self {
-        let defaults = IngestConfig::default();
         IngestOpts {
             capture: None,
             format: None,
             out: None,
-            threads: defaults.threads,
-            max_error_rate: defaults.max_error_rate,
+            max_error_rate: IngestConfig::default().max_error_rate,
         }
     }
 }
@@ -89,7 +86,6 @@ struct SimulateOpts {
     trace: Option<String>,
     members: usize,
     capacity: usize,
-    threads: usize,
     faults: Option<String>,
     stale: Option<u32>,
     metrics: Option<String>,
@@ -111,7 +107,6 @@ impl Default for SimulateOpts {
             trace: None,
             members: 4,
             capacity: 50_000,
-            threads: 1,
             faults: None,
             stale: None,
             metrics: None,
@@ -336,7 +331,6 @@ fn parse_ingest(args: &[String]) -> Result<ParseOutcome<IngestOpts>, String> {
             "--help" | "-h" => return Ok(ParseOutcome::Help),
             "--format" => opts.format = Some(parse_format(values.take("--format")?)?),
             "-o" | "--out" => opts.out = Some(values.take("--out")?.to_owned()),
-            "--threads" => opts.threads = parsed(values.take("--threads")?, "--threads")?,
             "--max-error-rate" => {
                 opts.max_error_rate = parsed(values.take("--max-error-rate")?, "--max-error-rate")?
             }
@@ -348,9 +342,6 @@ fn parse_ingest(args: &[String]) -> Result<ParseOutcome<IngestOpts>, String> {
                 opts.capture = Some(path.to_owned());
             }
         }
-    }
-    if opts.threads == 0 {
-        return Err("--threads must be at least 1".into());
     }
     if !(0.0..=1.0).contains(&opts.max_error_rate) {
         return Err("--max-error-rate must be in [0, 1]".into());
@@ -392,7 +383,6 @@ fn parse_simulate(args: &[String]) -> Result<ParseOutcome<SimulateOpts>, String>
             "--trace" => opts.trace = Some(values.take("--trace")?.to_owned()),
             "--members" => opts.members = parsed(values.take("--members")?, "--members")?,
             "--capacity" => opts.capacity = parsed(values.take("--capacity")?, "--capacity")?,
-            "--threads" => opts.threads = parsed(values.take("--threads")?, "--threads")?,
             "--faults" => opts.faults = Some(values.take("--faults")?.to_owned()),
             "--stale" => opts.stale = Some(parsed(values.take("--stale")?, "--stale")?),
             "--metrics" => opts.metrics = Some(values.take("--metrics")?.to_owned()),
@@ -414,9 +404,6 @@ fn parse_simulate(args: &[String]) -> Result<ParseOutcome<SimulateOpts>, String>
     opts.common = common;
     if let ParseOutcome::Parsed(()) = outcome {
         validate_store(opts.store, &opts.store_path)?;
-        if opts.threads == 0 {
-            return Err("--threads must be at least 1".into());
-        }
         if opts.members == 0 {
             return Err("--members must be at least 1".into());
         }
@@ -584,8 +571,8 @@ fn cmd_ingest(opts: &IngestOpts) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let config = IngestConfig {
         format: opts.format,
-        threads: opts.threads,
         max_error_rate: opts.max_error_rate,
+        ..IngestConfig::default()
     };
     let mut stream = EventStream::new(&bytes, &config).map_err(|e| format!("{path}: {e}"))?;
 
@@ -711,14 +698,7 @@ fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
         opts.store_path.as_deref().map(std::path::Path::new),
     );
     let mut collector = PdnsCollector::new(backend);
-    // The builder replay is bit-identical for any `--threads` count —
-    // registry exports included.
-    let mut run = sim
-        .day(&trace)
-        .faults(&plan)
-        .threads(opts.threads)
-        .metrics(&mut registry)
-        .observer(&mut collector);
+    let mut run = sim.day(&trace).faults(&plan).metrics(&mut registry).observer(&mut collector);
     if let Some(gt) = ground_truth {
         run = run.ground_truth(gt);
     }
@@ -780,7 +760,7 @@ fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
 }
 
 /// One-line `--store` summary. Goes to stderr so stdout stays
-/// byte-identical across backends (and across thread counts).
+/// byte-identical across backends.
 fn store_summary_line(store: &PdnsBackend) -> String {
     match store {
         PdnsBackend::Memory(_) => format!(
@@ -1089,7 +1069,6 @@ fn subcommand_usage(cmd: &str) -> String {
                  \n\
                  \x20 --format <fmt>         force pcap or dnstap (default: auto-detect)\n\
                  \x20 -o, --out <file>       trace destination (default: stdout)\n\
-                 \x20 --threads <n>          decode threads, bit-identical results (default: 1)\n\
                  \x20 --max-error-rate <r>   reject sources losing more than this byte\n\
                  \x20                        fraction (default: 0.5)\n\
                  \n\
@@ -1100,7 +1079,6 @@ fn subcommand_usage(cmd: &str) -> String {
             "  --trace <file>     replay this trace (default: synthesize one)\n\
              \x20 --members <n>      cluster size (default: 4)\n\
              \x20 --capacity <n>     per-member cache capacity (default: 50000)\n\
-             \x20 --threads <n>      worker threads, bit-identical results (default: 1)\n\
              \x20 --faults <spec>    e.g. 'seed=7; loss=0.1; outage=all,timeout,28800,57600;\n\
              \x20                    member=0,3600,7200; retries=2; timeout=1500; backoff=200;\n\
              \x20                    budget=4000'\n\
@@ -1272,23 +1250,19 @@ mod tests {
 
     #[test]
     fn simulate_flags_parse() {
-        let o = simulate(
-            "--trace t.txt --members 2 --capacity 100 --threads 4 --metrics m.json --buckets 96",
-        )
-        .unwrap();
+        let o = simulate("--trace t.txt --members 2 --capacity 100 --metrics m.json --buckets 96")
+            .unwrap();
         assert_eq!(o.trace.as_deref(), Some("t.txt"));
         assert_eq!(o.members, 2);
         assert_eq!(o.capacity, 100);
-        assert_eq!(o.threads, 4);
         assert_eq!(o.metrics.as_deref(), Some("m.json"));
         assert_eq!(o.buckets, 96);
     }
 
     #[test]
     fn simulate_rejects_degenerate_values() {
-        assert!(simulate("--threads 0").is_err());
-        assert!(simulate("--threads many").is_err());
         assert!(simulate("--members 0").is_err());
+        assert!(simulate("--members many").is_err());
         assert!(simulate("--buckets 0").is_err());
         assert!(simulate("--epoch 2.0").is_err());
         assert!(simulate("--scale -1").is_err());
@@ -1338,6 +1312,15 @@ mod tests {
         assert!(err.contains("mine"), "{err}");
         assert!(simulate("--theta 0.5").is_err());
         assert!(simulate("--bogus 1").is_err());
+        // The thread knobs are deleted, not aliased: replay and decode
+        // are serial, so the flag is as foreign as any other.
+        for (cmd, err) in [
+            ("simulate", simulate("--threads 4").unwrap_err()),
+            ("ingest", ingest("x --threads 4").unwrap_err()),
+        ] {
+            assert!(err.contains("unknown flag --threads"), "{cmd}: {err}");
+            assert!(!subcommand_usage(cmd).contains("--threads"), "{cmd} usage");
+        }
         match parse_generate(&args("--metrics m.json")) {
             Err(e) => assert!(e.contains("unknown flag"), "{e}"),
             Ok(_) => panic!("generate must not accept --metrics"),
@@ -1483,17 +1466,15 @@ mod tests {
 
     #[test]
     fn ingest_flags_parse() {
-        let o =
-            ingest("cap.pcap --format pcap -o out.trace --threads 4 --max-error-rate 0.2").unwrap();
+        let o = ingest("cap.pcap --format pcap -o out.trace --max-error-rate 0.2").unwrap();
         assert_eq!(o.capture.as_deref(), Some("cap.pcap"));
         assert_eq!(o.format, Some(CaptureFormat::Pcap));
         assert_eq!(o.out.as_deref(), Some("out.trace"));
-        assert_eq!(o.threads, 4);
         assert_eq!(o.max_error_rate, 0.2);
 
         // The positional path can come after flags, and the format can be
         // left to auto-detection.
-        let o = ingest("--threads 2 cap.bin").unwrap();
+        let o = ingest("--max-error-rate 0.2 cap.bin").unwrap();
         assert_eq!(o.capture.as_deref(), Some("cap.bin"));
         assert_eq!(o.format, None);
     }
@@ -1503,7 +1484,6 @@ mod tests {
         assert!(ingest("").is_err(), "needs a capture path");
         assert!(ingest("a.pcap b.pcap").is_err(), "one path only");
         assert!(ingest("a.pcap --format pcapng").is_err(), "unknown format");
-        assert!(ingest("a.pcap --threads 0").is_err());
         assert!(ingest("a.pcap --max-error-rate 1.5").is_err());
         assert!(ingest("a.pcap --epoch 0.5").is_err(), "no scenario flags");
         match parse_ingest(&args("--help")) {

@@ -78,6 +78,16 @@ fn bad_arguments_fail_cleanly() {
     let out = bin().args(["frobnicate"]).output().expect("run");
     assert!(!out.status.success());
 
+    // The thread knobs are deleted, not aliased: an unknown flag, then usage.
+    for args in [["simulate", "--threads", "4"], ["ingest", "x.pcap", "--threads"]] {
+        let out = bin().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --threads"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: dnsnoise"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+
     let out = bin().args(["help"]).output().expect("run");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
@@ -103,38 +113,16 @@ fn subcommands_own_their_flags() {
 #[test]
 fn simulate_attack_flags_drive_admission_control() {
     // A flood plus admission control prints the overload section and
-    // actually sheds; the replay stays bit-identical across --threads.
-    // The tiny synthetic day idles well below 1 qps, so the budget must
-    // be proportionally tight for the surge to saturate it.
+    // actually sheds. The tiny synthetic day idles well below 1 qps, so
+    // the budget must be proportionally tight for the surge to saturate it.
     let spec = "seed=9; victim=flood.example; labellen=16; clients=300; surge=0,86400,25";
-    let mut reports = Vec::new();
-    for threads in ["1", "4"] {
-        let out = bin()
-            .args([
-                "simulate",
-                "--scale",
-                "0.01",
-                "--seed",
-                "5",
-                "--members",
-                "2",
-                "--attack",
-                spec,
-                "--rrl",
-                "--queue-depth",
-                "16",
-                "--service-rate",
-                "1",
-                "--threads",
-                threads,
-            ])
-            .output()
-            .expect("run simulate");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        reports.push(String::from_utf8_lossy(&out.stdout).into_owned());
-    }
-    assert_eq!(reports[0], reports[1], "overload replay must not depend on --threads");
-    let stdout = &reports[0];
+    let out = bin()
+        .args(["simulate", "--scale", "0.01", "--seed", "5", "--members", "2", "--attack", spec])
+        .args(["--rrl", "--queue-depth", "16", "--service-rate", "1"])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("-- overload --"), "{stdout}");
     let shed = stdout
         .lines()
@@ -224,7 +212,7 @@ fn capture_ingest_pipeline_roundtrips() {
 }
 
 #[test]
-fn ingest_survives_corruption_and_stays_thread_invariant() {
+fn ingest_survives_corruption_and_repeats_byte_for_byte() {
     let dir = tempdir_named("ingest-corrupt");
     let capture = dir.join("bad.pcap");
     let out = bin()
@@ -248,21 +236,20 @@ fn ingest_survives_corruption_and_stays_thread_invariant() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let mut traces = Vec::new();
-    for threads in ["1", "4"] {
-        let path = dir.join(format!("t{threads}.trace"));
-        let out = bin()
-            .args(["ingest"])
-            .arg(&capture)
-            .args(["--threads", threads, "-o"])
-            .arg(&path)
-            .output()
-            .expect("run ingest");
+    for run in ["a", "b"] {
+        let path = dir.join(format!("{run}.trace"));
+        let out =
+            bin().args(["ingest"]).arg(&capture).arg("-o").arg(&path).output().expect("run ingest");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("conserved"), "{stderr}");
-        traces.push(std::fs::read(&path).expect("trace written"));
+        // The ledger, less the line naming this run's destination.
+        let ledger = String::from_utf8_lossy(&out.stderr).replace(&*path.to_string_lossy(), "-");
+        assert!(ledger.contains("conserved"), "{ledger}");
+        assert!(ledger.contains("resyncs"), "the corruption must bite: {ledger}");
+        traces.push((std::fs::read(&path).expect("trace written"), ledger));
     }
-    assert_eq!(traces[0], traces[1], "ingest output must not depend on --threads");
+    assert!(traces[0].0.len() > 1_000, "most of the day survives");
+    assert!(traces[0].0 == traces[1].0, "a repeated ingest must not move a trace byte");
+    assert_eq!(traces[0].1, traces[1].1, "nor a ledger byte");
 
     // A ruined capture is rejected with the ledger, not half-emitted.
     let out = bin()
@@ -397,7 +384,7 @@ fn ingest_rejects_garbage_cleanly() {
 }
 
 #[test]
-fn simulate_exports_metrics_identically_across_threads() {
+fn simulate_exports_metrics_identically_across_runs() {
     let dir = tempdir_named("metrics");
     let trace = dir.join("metrics-day.trace");
     let out = bin()
@@ -408,22 +395,26 @@ fn simulate_exports_metrics_identically_across_threads() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let mut payloads = Vec::new();
-    for (threads, name) in [("1", "m1.json"), ("4", "m4.json")] {
+    for name in ["a.json", "b.json"] {
         let path = dir.join(name);
         let out = bin()
             .args(["simulate", "--trace"])
             .arg(&trace)
-            .args(["--threads", threads, "--buckets", "8", "--metrics"])
+            .args(["--buckets", "8", "--metrics"])
             .arg(&path)
             .output()
             .expect("run simulate");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        // The wall-clock phase table goes to stderr, never into the export.
-        assert!(String::from_utf8_lossy(&out.stderr).contains("phase"));
+        // The wall-clock phase table (generate / replay / total) goes to
+        // stderr, never into the export.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("phase") && stderr.contains("replay"), "{stderr}");
+        assert!(!stderr.contains("partition") && !stderr.contains("merge"), "{stderr}");
         payloads.push(std::fs::read_to_string(&path).expect("metrics written"));
     }
-    assert_eq!(payloads[0], payloads[1], "metrics must not depend on --threads");
+    assert_eq!(payloads[0], payloads[1], "wall-clock must not leak into the export");
     assert!(payloads[0].starts_with("{"), "JSON export");
+    assert!(!payloads[0].contains("phase") && !payloads[0].contains("wall"), "{}", payloads[0]);
 
     // The CSV form is selected by extension.
     let csv_path = dir.join("timeline.csv");
@@ -438,6 +429,57 @@ fn simulate_exports_metrics_identically_across_threads() {
     let csv = std::fs::read_to_string(&csv_path).expect("csv written");
     assert!(csv.starts_with("bucket,start_secs"), "{csv}");
     assert_eq!(csv.lines().count(), 9, "header + 8 buckets");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `simulate --store disk` is a function of the trace: two runs leave the
+/// same bytes under `--store-path` (run ids and MANIFEST included) and
+/// print the same summary line.
+#[test]
+fn simulate_disk_store_repeats_byte_for_byte() {
+    let dir = tempdir_named("store-repeat");
+    let trace = dir.join("day.trace");
+    let out = bin()
+        .args(["generate", "--scale", "0.02", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let run = |name: &str| {
+        let store = dir.join(name);
+        let out = bin()
+            .args(["simulate", "--trace"])
+            .arg(&trace)
+            .args(["--store", "disk", "--store-path"])
+            .arg(&store)
+            .output()
+            .expect("run simulate");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let summary = stderr.lines().find(|l| l.starts_with("rpdns store:")).map(str::to_owned);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&store)
+            .expect("store directory written")
+            .map(|e| e.expect("dir entry").path())
+            .map(|p| {
+                let name = p.file_name().expect("file name").to_string_lossy().into_owned();
+                (name, std::fs::read(&p).expect("store file"))
+            })
+            .collect();
+        files.sort();
+        (out.stdout, summary.expect("summary line on stderr"), files)
+    };
+    let (a, b) = (run("pd-a"), run("pd-b"));
+    assert!(a.1.contains("backend=disk") && a.1.contains("flushes="), "{}", a.1);
+    let names: Vec<&str> = a.2.iter().map(|(name, _)| name.as_str()).collect();
+    assert!(
+        names.contains(&"MANIFEST") && names.iter().any(|n| n.starts_with("run-")),
+        "{names:?}"
+    );
+    assert_eq!(a.0, b.0, "stdout");
+    assert_eq!(a.1, b.1, "summary line");
+    assert!(a.2 == b.2, "store directories differ: {names:?}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

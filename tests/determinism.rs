@@ -1,18 +1,19 @@
-//! Determinism matrix for the sharded engine: for every thread count,
-//! every load-balance strategy, several seeds, with and without a
-//! non-trivial fault plan, the sharded day replay must produce a
-//! `DayReport` bit-identical to the single-threaded reference — and a
-//! sharded passive-DNS collector must reproduce the single-threaded
-//! collection counts.
+//! Determinism matrix for the replay's two drivers: for every
+//! load-balance strategy, several seeds, with and without a non-trivial
+//! fault plan, under attack with admission control, and across days, an
+//! `EventSession` pushed event by event must produce the `DayReport`,
+//! the metric exports and the collector counts of `DayRun::run()` on a
+//! fresh simulator — plus the streaming matrix, and the one test that
+//! pins the benchmark's thread shims as inert.
 
 use dnsnoise::cache::LoadBalance;
 use dnsnoise::core::{DailyPipeline, Miner, MinerConfig};
 use dnsnoise::dns::Record;
-use dnsnoise::ingest::{framestream, ingest_bytes, IngestConfig};
+use dnsnoise::ingest::{framestream, ingest_bytes, pcap, IngestConfig};
 use dnsnoise::pdns::FpDnsLog;
 use dnsnoise::resolver::{
-    FaultPlan, MetricsRegistry, Observer, OverloadConfig, ResolverSim, Served, ShardObserver,
-    SimConfig,
+    DayReport, EventSession, FaultPlan, MetricsRegistry, Observer, OverloadConfig, ResolverSim,
+    Served, SimConfig,
 };
 use dnsnoise::stream::{StreamConfig, StreamMiner};
 use dnsnoise::workload::{AttackPlan, DayTrace, QueryEvent, Scenario, ScenarioConfig};
@@ -27,38 +28,71 @@ fn eventful_plan() -> FaultPlan {
         .expect("static fault spec")
 }
 
+/// Replays `trace` through an [`EventSession`] over `sim`, one push per
+/// event, and returns the report with the simulator for the next day.
+fn session_day(
+    sim: ResolverSim,
+    trace: &DayTrace,
+    s: &Scenario,
+    plan: &FaultPlan,
+) -> (DayReport, ResolverSim) {
+    let mut session = EventSession::begin(sim, trace.day, Some(plan), None, None);
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), &mut ());
+    }
+    session.finish()
+}
+
+/// The benchmark's two sharded-equals-serial gates, on the shims it
+/// compiles against: `DayRun::threads` and `IngestConfig::threads` are
+/// ignored and `DayRun::run_serial` is `run`, so every "thread count"
+/// yields the one serial output. Goes with the shims.
 #[test]
 fn thread_matrix_is_bit_identical() {
+    let s = scenario(11);
+    let trace = s.generate_day(0);
+    let plan = eventful_plan();
+    let sim = || ResolverSim::new(SimConfig::default());
+    let expected = sim().day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
+    assert!(expected.resilience.failed_attempts > 0, "the plan must bite");
+    for threads in [1, 2, 4, 8] {
+        let got =
+            sim().day(&trace).ground_truth(s.ground_truth()).faults(&plan).threads(threads).run();
+        assert_eq!(got, expected, "threads {threads}");
+    }
+    let got = sim().day(&trace).ground_truth(s.ground_truth()).faults(&plan).run_serial();
+    assert_eq!(got, expected, "run_serial");
+
+    let capture = pcap::write_pcap(&trace).expect("serialize capture");
+    let ingest = |threads| {
+        ingest_bytes(&capture, &IngestConfig { threads, ..IngestConfig::default() })
+            .expect("clean capture")
+    };
+    let (one, seven) = (ingest(1), ingest(7));
+    assert_eq!(seven.trace.events, one.trace.events);
+    assert_eq!(seven.report, one.report);
+    assert_eq!(one.report.events, trace.events.len() as u64);
+}
+
+#[test]
+fn driver_matrix_holds_across_seeds_and_fault_plans() {
     for seed in [11, 3021] {
         let s = scenario(seed);
         let trace = s.generate_day(0);
         for plan in [FaultPlan::default(), eventful_plan()] {
             let mut reference = ResolverSim::new(SimConfig::default());
             let expected = reference.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
-            for threads in [1, 2, 4, 8] {
-                let mut sim = ResolverSim::new(SimConfig::default());
-                let got = sim
-                    .day(&trace)
-                    .ground_truth(s.ground_truth())
-                    .faults(&plan)
-                    .threads(threads)
-                    .run();
-                assert_eq!(
-                    got,
-                    expected,
-                    "seed {seed}, threads {threads}, faults={}",
-                    !plan.is_empty()
-                );
-            }
+            let (got, _) = session_day(ResolverSim::new(SimConfig::default()), &trace, &s, &plan);
+            assert_eq!(got, expected, "seed {seed}, faults={}", !plan.is_empty());
         }
     }
 }
 
 #[test]
-fn overloaded_attack_replay_is_bit_identical_across_threads() {
+fn overloaded_attack_replay_is_bit_identical_across_drivers() {
     // A random-subdomain flood with admission control active: the shed
-    // outcomes, overload counters, and exported metrics must all stay
-    // bit-identical across thread counts, exactly like the fault matrix.
+    // outcomes, overload counters, and exported metrics of a session
+    // must equal the day run's, exactly like the fault matrix.
     let s = scenario(55);
     let mut trace = s.generate_day(0);
     let attack: AttackPlan = "seed=9; victim=victim-zone.example; victim=burst.test; \
@@ -83,25 +117,21 @@ fn overloaded_attack_replay_is_bit_identical_across_threads() {
     assert!(expected.overload.shed() > 0, "flood must trigger shedding");
     assert!(expected.overload.shed_attack > 0, "attack traffic must be shed");
 
-    for threads in [2, 4, 8] {
-        let mut sim = ResolverSim::new(SimConfig::default());
-        let mut metrics = MetricsRegistry::new();
-        let got = sim
-            .day(&trace)
-            .ground_truth(s.ground_truth())
-            .faults(&plan)
-            .overload(&overload)
-            .threads(threads)
-            .metrics(&mut metrics)
-            .run();
-        assert_eq!(got, expected, "threads {threads}");
-        assert_eq!(metrics.to_json(), reference_metrics.to_json(), "json, threads {threads}");
-        assert_eq!(
-            metrics.timeline_csv(),
-            reference_metrics.timeline_csv(),
-            "csv, threads {threads}"
-        );
+    let mut session = EventSession::begin(
+        ResolverSim::new(SimConfig::default()),
+        trace.day,
+        Some(&plan),
+        Some(&overload),
+        Some(MetricsRegistry::new()),
+    );
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), &mut ());
     }
+    let (got, _, metrics) = session.finish_with_metrics();
+    let metrics = metrics.expect("the session was given a registry");
+    assert_eq!(got, expected);
+    assert_eq!(metrics.to_json(), reference_metrics.to_json());
+    assert_eq!(metrics.timeline_csv(), reference_metrics.timeline_csv());
 }
 
 #[test]
@@ -113,35 +143,39 @@ fn matrix_holds_for_every_load_balance_strategy() {
         let config = SimConfig { load_balance: strategy, ..SimConfig::default() };
         let mut reference = ResolverSim::new(config.clone());
         let expected = reference.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
-        for threads in [2, 8] {
-            let mut sim = ResolverSim::new(config.clone());
-            let got =
-                sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).threads(threads).run();
-            assert_eq!(got, expected, "strategy {strategy:?}, threads {threads}");
-        }
+        assert!(expected.resilience.failed_attempts > 0, "strategy {strategy:?}");
+        let (got, _) = session_day(ResolverSim::new(config), &trace, &s, &plan);
+        assert_eq!(got, expected, "strategy {strategy:?}");
     }
 }
 
 #[test]
 fn multi_day_carryover_is_bit_identical() {
-    // Warm cache, rr cursor, and crash flags all carry across days; three
-    // sharded days must replay exactly like three single-threaded ones.
+    // Warm cache, rr cursor, and crash flags all carry across days (member
+    // 0's window ends past the last event of a day, so each next day opens
+    // with it down); three session days must replay exactly like three day
+    // runs, and leave the cluster a fourth day run cannot tell apart.
     let s = scenario(40);
-    let plan = eventful_plan();
+    let plan: FaultPlan =
+        "seed=5; loss=0.2; member=0,72000,90000; member=2,3600,7200".parse().expect("static spec");
     let config =
         SimConfig { load_balance: LoadBalance::RoundRobin, members: 5, ..SimConfig::default() };
     let mut reference = ResolverSim::new(config.clone());
-    let mut sharded = ResolverSim::new(config);
+    let mut streamed = ResolverSim::new(config);
     for day in 0..3 {
         let trace = s.generate_day(day);
         let expected = reference.day(&trace).ground_truth(s.ground_truth()).faults(&plan).run();
-        let got = sharded.day(&trace).ground_truth(s.ground_truth()).faults(&plan).threads(4).run();
+        let (got, sim) = session_day(streamed, &trace, &s, &plan);
+        streamed = sim;
         assert_eq!(got, expected, "day {day}");
+        assert_eq!(streamed.cluster().any_member_down(), reference.cluster().any_member_down());
     }
+    let trace = s.generate_day(3);
+    let run = |sim: &mut ResolverSim| sim.day(&trace).ground_truth(s.ground_truth()).run();
+    assert_eq!(run(&mut streamed), run(&mut reference), "day 3 over the carried state");
 }
 
-/// A passive-DNS collector that shards by forking empty logs and
-/// absorbing the per-shard counts.
+/// A passive-DNS collector over the full-fidelity log.
 struct Collector {
     log: FpDnsLog,
 }
@@ -149,16 +183,6 @@ struct Collector {
 impl Observer for Collector {
     fn observe(&mut self, event: &QueryEvent, _served: Served, answers: &[Record]) {
         self.log.collect(event.time, event.client, &event.name, event.qtype, answers);
-    }
-}
-
-impl ShardObserver for Collector {
-    fn fork(&self) -> Self {
-        Collector { log: FpDnsLog::new(200, false) }
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        self.log.merge(shard.log);
     }
 }
 
@@ -243,21 +267,27 @@ fn mid_stream_epoch_close_and_resume_equals_uninterrupted_run() {
 }
 
 #[test]
-fn sharded_pdns_collection_counts_match_single_thread() {
+fn session_pdns_collection_counts_match_day_run() {
     let s = scenario(90);
     let trace = s.generate_day(0);
 
-    let mut single = Collector { log: FpDnsLog::new(200, false) };
+    let mut batch = Collector { log: FpDnsLog::new(200, false) };
     let mut reference = ResolverSim::new(SimConfig::default());
-    reference.day(&trace).ground_truth(s.ground_truth()).observer(&mut single).run();
+    reference.day(&trace).ground_truth(s.ground_truth()).observer(&mut batch).run();
 
-    let mut merged = Collector { log: FpDnsLog::new(200, false) };
-    let mut sim = ResolverSim::new(SimConfig::default());
-    sim.day(&trace).ground_truth(s.ground_truth()).observer(&mut merged).threads(4).run();
+    // A `dyn` observer, which the one `run()` and `push` both take.
+    let mut streamed = Collector { log: FpDnsLog::new(200, false) };
+    let observer: &mut dyn Observer = &mut streamed;
+    let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), observer);
+    }
+    session.finish();
 
-    assert_eq!(merged.log.total_responses(), single.log.total_responses());
-    assert_eq!(merged.log.total_records(), single.log.total_records());
-    assert_eq!(merged.log.nx_responses(), single.log.nx_responses());
-    assert_eq!(merged.log.storage_bytes(), single.log.storage_bytes());
-    assert_eq!(merged.log.retained().len(), single.log.retained().len());
+    assert!(batch.log.total_records() > 0);
+    assert_eq!(streamed.log.total_responses(), batch.log.total_responses());
+    assert_eq!(streamed.log.total_records(), batch.log.total_records());
+    assert_eq!(streamed.log.nx_responses(), batch.log.nx_responses());
+    assert_eq!(streamed.log.storage_bytes(), batch.log.storage_bytes());
+    assert_eq!(streamed.log.retained(), batch.log.retained());
 }

@@ -1,18 +1,18 @@
 //! Golden-trace regression harness: a small fixed-seed scenario replayed
 //! through the cluster (faults included) must serialize to exactly the
-//! committed snapshot, on one thread and on four.
+//! committed snapshot, from a day run and from an event session.
 //!
 //! The snapshot pins every counter the simulation produces — traffic
 //! totals, cache counters, resilience accounting, and an order-free
 //! digest of the per-record stats — so any behavioural drift in the
-//! workload generator, the cache, the fault engine, or the sharded
-//! engine shows up as a one-line diff. To intentionally rebless after a
+//! workload generator, the cache, the fault engine, or the replay loop
+//! shows up as a one-line diff. To intentionally rebless after a
 //! semantic change: `UPDATE_GOLDEN=1 cargo test --test golden_trace`.
 
 use std::fmt::Write as _;
 
 use dnsnoise::dns::Timestamp;
-use dnsnoise::resolver::{DayReport, FaultPlan, ResolverSim, Series, SimConfig};
+use dnsnoise::resolver::{DayReport, EventSession, FaultPlan, ResolverSim, Series, SimConfig};
 use dnsnoise::workload::{Scenario, ScenarioConfig};
 
 const SNAPSHOT_PATH: &str = "tests/golden/day0.snapshot";
@@ -30,13 +30,16 @@ fn fault_plan() -> FaultPlan {
         .expect("static fault spec")
 }
 
-fn run(threads: usize) -> DayReport {
-    let s = scenario();
-    let trace = s.generate_day(0);
+fn sim() -> ResolverSim {
     let config = SimConfig { members: 3, ..SimConfig::default() }
         .with_serve_stale(dnsnoise::dns::Ttl::from_secs(43_200));
-    let mut sim = ResolverSim::new(config);
-    sim.day(&trace).ground_truth(s.ground_truth()).faults(&fault_plan()).threads(threads).run()
+    ResolverSim::new(config)
+}
+
+fn run() -> DayReport {
+    let s = scenario();
+    let trace = s.generate_day(0);
+    sim().day(&trace).ground_truth(s.ground_truth()).faults(&fault_plan()).run()
 }
 
 /// FNV-1a over the sorted per-record stat lines: order-free, float-free,
@@ -94,7 +97,7 @@ fn render(report: &DayReport) -> String {
 
 #[test]
 fn day_report_matches_committed_snapshot() {
-    let report = run(1);
+    let report = run();
     // Sanity: the fixture is non-trivial — faults fired, stale entries
     // served, every traffic series populated.
     assert!(report.resilience.failed_attempts > 0, "fixture must exercise faults");
@@ -117,8 +120,14 @@ fn day_report_matches_committed_snapshot() {
 }
 
 #[test]
-fn sharded_replay_matches_the_same_snapshot() {
-    // The sharded engine must serialize to the identical snapshot — not
-    // merely an equal struct — for a multi-thread run.
-    assert_eq!(render(&run(4)), render(&run(1)));
+fn session_replay_matches_the_same_snapshot() {
+    // The replay's other driver must serialize to the identical snapshot
+    // — not merely an equal struct — when the day is pushed event by event.
+    let s = scenario();
+    let trace = s.generate_day(0);
+    let mut session = EventSession::begin(sim(), trace.day, Some(&fault_plan()), None, None);
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), &mut ());
+    }
+    assert_eq!(render(&session.finish().0), render(&run()));
 }

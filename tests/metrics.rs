@@ -1,15 +1,15 @@
 //! Observability-layer guarantees, end to end: the metrics registry and
-//! timeline a run exports must be bit-identical for every thread count
-//! (fork/absorb merging is exact, like the `DayReport` itself), and the
-//! histogram bucket boundaries must be compile-time stable — independent
+//! timeline a run exports must be bit-identical whichever driver replayed
+//! the day (and for every value of the benchmark's inert thread shim), and
+//! the histogram bucket boundaries must be compile-time stable — independent
 //! of `--scale`, seed, or trace size — so exported histograms stay
 //! comparable across runs.
 
 use dnsnoise::resolver::{
-    FaultPlan, MetricsRegistry, ResolverSim, SimConfig, ATTEMPT_BOUNDS, LATENCY_BOUNDS_MS,
-    RETRY_BOUNDS,
+    EventSession, FaultPlan, MetricsRegistry, ResolverSim, SimConfig, ATTEMPT_BOUNDS,
+    LATENCY_BOUNDS_MS, RETRY_BOUNDS,
 };
-use dnsnoise::workload::{Scenario, ScenarioConfig};
+use dnsnoise::workload::{DayTrace, Scenario, ScenarioConfig};
 
 /// The golden-trace fault plan: packet loss (retries), an upstream
 /// timeout outage (stale serves), and a member crash (failover).
@@ -19,43 +19,62 @@ fn fault_plan() -> FaultPlan {
         .expect("static fault spec")
 }
 
-fn run_with_metrics(threads: usize, buckets: usize) -> MetricsRegistry {
+fn fixture() -> (Scenario, DayTrace, ResolverSim) {
     let s = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.02), 20140622);
     let trace = s.generate_day(0);
     let config = SimConfig { members: 3, ..SimConfig::default() }
         .with_serve_stale(dnsnoise::dns::Ttl::from_secs(43_200));
-    let mut sim = ResolverSim::new(config);
+    (s, trace, ResolverSim::new(config))
+}
+
+fn run_with_metrics(buckets: usize) -> MetricsRegistry {
+    let (s, trace, mut sim) = fixture();
     let mut registry = MetricsRegistry::with_buckets(buckets);
     let plan = fault_plan();
-    sim.day(&trace)
-        .ground_truth(s.ground_truth())
-        .faults(&plan)
-        .threads(threads)
-        .metrics(&mut registry)
-        .run();
+    sim.day(&trace).ground_truth(s.ground_truth()).faults(&plan).metrics(&mut registry).run();
     registry
 }
 
 #[test]
 fn registry_exports_are_bit_identical_across_thread_counts() {
-    let reference = run_with_metrics(1, 24);
+    let reference = run_with_metrics(24);
     let json = reference.to_json();
     let csv = reference.timeline_csv();
     assert!(json.contains("\"queries\":"), "{json}");
     assert!(reference.counters().queries > 0);
     assert!(reference.counters().stale_serves > 0, "outage must trigger stale serves");
 
-    for threads in [2, 4, 8] {
-        let sharded = run_with_metrics(threads, 24);
-        assert_eq!(sharded.to_json(), json, "JSON export drifted at {threads} threads");
-        assert_eq!(sharded.timeline_csv(), csv, "timeline drifted at {threads} threads");
+    // `DayRun::threads` is the shim the benchmark compiles against: inert.
+    let plan = fault_plan();
+    for threads in [2, 8] {
+        let (s, trace, mut sim) = fixture();
+        let mut shimmed = MetricsRegistry::new();
+        sim.day(&trace)
+            .ground_truth(s.ground_truth())
+            .faults(&plan)
+            .threads(threads)
+            .metrics(&mut shimmed)
+            .run();
+        assert_eq!(shimmed.to_json(), json, "JSON export drifted at {threads} threads");
+        assert_eq!(shimmed.timeline_csv(), csv, "timeline drifted at {threads} threads");
     }
+
+    // The other driver: the same day pushed through a session.
+    let (s, trace, sim) = fixture();
+    let mut session =
+        EventSession::begin(sim, trace.day, Some(&plan), None, Some(MetricsRegistry::new()));
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), &mut ());
+    }
+    let streamed = session.finish_with_metrics().2.expect("the session was given a registry");
+    assert_eq!(streamed.to_json(), json, "JSON export drifted in a session");
+    assert_eq!(streamed.timeline_csv(), csv, "timeline drifted in a session");
 }
 
 #[test]
 fn timeline_respects_the_requested_bucket_count() {
     for buckets in [8, 96] {
-        let reg = run_with_metrics(4, buckets);
+        let reg = run_with_metrics(buckets);
         let csv = reg.timeline_csv();
         assert_eq!(csv.lines().count(), buckets + 1, "header + {buckets} rows");
         // Every recorded query lands in exactly one slot.

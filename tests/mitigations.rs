@@ -107,7 +107,7 @@ fn check_wildcard_signing(scale: f64) {
     let run = |config: DnssecConfig| {
         let mut sim = ResolverSim::new(SimConfig::default());
         let mut obs = Validator { model: DnssecCostModel::new(config), gt };
-        let _ = sim.day(&trace).ground_truth(gt).observer(&mut obs).run_serial();
+        let _ = sim.day(&trace).ground_truth(gt).observer(&mut obs).run();
         (obs.model.stats().signature_validations, obs.model.signature_cache_bytes())
     };
 

@@ -23,8 +23,7 @@ fn collector_parses_every_packet_and_counts_match() {
     let trace = s.generate_day(0);
     let mut sim = ResolverSim::new(SimConfig::default());
     let mut collector = Collector { log: FpDnsLog::new(1000, true) };
-    let report =
-        sim.day(&trace).ground_truth(s.ground_truth()).observer(&mut collector).run_serial();
+    let report = sim.day(&trace).ground_truth(s.ground_truth()).observer(&mut collector).run();
 
     // Every response round-tripped the RFC 1035 codec without loss.
     assert_eq!(collector.log.wire_roundtrips(), trace.events.len() as u64);
@@ -54,7 +53,7 @@ fn fpdns_storage_dwarfs_rpdns_storage() {
     let trace = s.generate_day(0);
     let mut sim = ResolverSim::new(SimConfig::default());
     let mut collector = Collector { log: FpDnsLog::new(0, false) };
-    let report = sim.day(&trace).observer(&mut collector).run_serial();
+    let report = sim.day(&trace).observer(&mut collector).run();
 
     let mut store = dnsnoise::pdns::RpDns::new();
     for (key, _) in report.rr_stats.iter() {
