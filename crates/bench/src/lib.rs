@@ -4,8 +4,7 @@
 //!
 //! Each experiment is a pure function returning a structured result plus a
 //! `render()` producing the rows/series the paper reports; the
-//! `experiments` binary dispatches on experiment id. Criterion benches in
-//! `benches/` wrap the hot kernels.
+//! `experiments` binary dispatches on experiment id.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -344,7 +344,8 @@ fn live_workspace_certified_surfaces_are_declared() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let stats = certification_stats(&root).unwrap();
     assert!(stats.marked_roots >= 8, "{stats:?}");
-    assert!(stats.certified_fns >= stats.marked_roots, "{stats:?}");
+    // Non-trivial: the call graph pulls in more fns than were marked.
+    assert!(stats.certified_fns > stats.marked_roots, "{stats:?}");
     // The surfaces DESIGN.md §8 names must each declare a zone root; a
     // dropped marker would silently shrink the certified set.
     for surface in [

@@ -28,11 +28,16 @@ impl FpDnsRecord {
     /// Approximate storage footprint in bytes (name + fixed fields +
     /// rdata), used by the §VI-C storage model.
     pub fn storage_bytes(&self) -> usize {
-        // The shared per-record accounting (name + type/ttl + rdata, see
-        // `RrKey::storage_bytes`) plus the fpDNS-only timestamp (8) and
-        // client id (8).
-        RrKey::storage_bytes_of(&self.name, &self.rdata) + 16
+        tuple_bytes(&self.name, &self.rdata)
     }
+}
+
+/// The shared per-record accounting (name + type/ttl + rdata, see
+/// `RrKey::storage_bytes`) plus the fpDNS-only timestamp (8) and client
+/// id (8), from borrowed fields: the collector sizes every answer record
+/// and keeps only the first `retain` of them as tuples.
+fn tuple_bytes(name: &dnsnoise_dns::Name, rdata: &RData) -> usize {
+    RrKey::storage_bytes_of(name, rdata) + 16
 }
 
 /// The fpDNS collector: accumulates answer-section tuples and storage
@@ -117,20 +122,19 @@ impl FpDnsLog {
         let hour = (timestamp.hour_of_day() as usize).min(23);
         for rr in answers {
             self.total_records += 1;
-            let tuple = FpDnsRecord {
-                timestamp,
-                client,
-                name: rr.name.clone(),
-                qtype: rr.qtype,
-                ttl: rr.ttl,
-                rdata: rr.rdata.clone(),
-            };
-            let bytes = tuple.storage_bytes() as u64;
+            let bytes = tuple_bytes(&rr.name, &rr.rdata) as u64;
             self.storage_bytes += bytes;
             self.hourly_records[hour] += 1;
             self.hourly_storage_bytes[hour] += bytes;
             if self.retained.len() < self.retain {
-                self.retained.push(tuple);
+                self.retained.push(FpDnsRecord {
+                    timestamp,
+                    client,
+                    name: rr.name.clone(),
+                    qtype: rr.qtype,
+                    ttl: rr.ttl,
+                    rdata: rr.rdata.clone(),
+                });
             }
         }
     }

@@ -63,6 +63,19 @@ fn every_io_site_crash_recovers_to_the_uninterrupted_state() {
     // Reference: the uninterrupted run.
     let ref_dir = temp_dir("reference");
     let reference = observation(&run_workload(&ref_dir, &events));
+
+    // The trivial cell of the matrix, no crash at all: a cold open of the
+    // cleanly shut down directory restores the builder's exact state and
+    // its replay-resume index, and fsck censuses the bytes open verified.
+    let reopened = RunStore::open(&ref_dir, tiny_config()).expect("cold open");
+    let scan = reopened.recovery().expect("open records its scan").clone();
+    assert!(scan.is_clean(), "a clean shutdown must reopen clean:\n{}", scan.render());
+    assert_eq!(observation(&reopened), reference, "cold open must restore every record");
+    assert_eq!(reopened.observed(), events.len() as u64, "the resume index must survive");
+    drop(reopened);
+    let check = fsck(&ref_dir, false).expect("fsck runs");
+    assert!(check.is_clean(), "fsck disagrees with open:\n{}", check.render());
+    assert_eq!(check.bytes_scanned, scan.bytes_scanned, "fsck must census the same bytes");
     std::fs::remove_dir_all(&ref_dir).ok();
 
     // Count the IO sites the workload visits without tripping any —

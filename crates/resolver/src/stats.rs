@@ -134,8 +134,8 @@ impl RrDayStats {
     }
 
     /// Modeled resident size of the table in bytes: per row, the key's
-    /// [`RrKey::storage_bytes`] plus one [`RrStat`]. The size model the
-    /// streaming report and `bench_stream` share.
+    /// [`RrKey::storage_bytes`] plus one [`RrStat`]. The size model
+    /// behind the streaming report's `state_bytes`.
     pub fn state_bytes(&self) -> usize {
         self.stats.keys().map(|key| key.storage_bytes() + std::mem::size_of::<RrStat>()).sum()
     }

@@ -38,7 +38,7 @@ use dnsnoise_pdns::{
     RunStore, StoreError,
 };
 
-use crate::engine::{EpochSummary, StreamConfig, StreamState, HLL_NAMES_SEED_XOR};
+use crate::engine::{EpochSummary, StreamConfig, StreamState, HLL_NAMES_SEED_XOR, HLL_PRECISION};
 use crate::sketch::HyperLogLog;
 
 /// Magic + format version leading every serialised checkpoint. Versions
@@ -122,7 +122,7 @@ impl Checkpoint {
             };
         Checkpoint {
             epoch_secs: config.epoch_secs,
-            hll_precision: config.hll_precision,
+            hll_precision: HLL_PRECISION,
             seed: config.seed,
             backend: state.rpdns.kind(),
             day,
@@ -155,7 +155,7 @@ impl Checkpoint {
     pub fn verify(&self, config: &StreamConfig, backend: BackendKind) -> Result<(), StoreError> {
         let echo = [
             ("epoch_secs", self.epoch_secs, config.epoch_secs),
-            ("hll_precision", u64::from(self.hll_precision), u64::from(config.hll_precision)),
+            ("hll_precision", u64::from(self.hll_precision), u64::from(HLL_PRECISION)),
             ("seed", self.seed, config.seed),
         ];
         let mut diffs: Vec<String> = echo
@@ -183,14 +183,13 @@ impl Checkpoint {
         backend: &PdnsBackend,
     ) -> Result<StreamState, StoreError> {
         let corrupt = |detail: String| StoreError::corrupt(Path::new(CHECKPOINT_NAME), detail);
-        let hll_clients = HyperLogLog::from_parts(
-            config.hll_precision,
-            config.seed,
-            self.hll_clients_regs.clone(),
-        )
-        .ok_or_else(|| corrupt("client-HLL register count does not match precision".to_string()))?;
+        let hll_clients =
+            HyperLogLog::from_parts(HLL_PRECISION, config.seed, self.hll_clients_regs.clone())
+                .ok_or_else(|| {
+                    corrupt("client-HLL register count does not match precision".to_string())
+                })?;
         let hll_names = HyperLogLog::from_parts(
-            config.hll_precision,
+            HLL_PRECISION,
             config.seed ^ HLL_NAMES_SEED_XOR,
             self.hll_names_regs.clone(),
         )
@@ -641,22 +640,27 @@ mod tests {
 
     #[test]
     fn verify_rejects_mismatched_tuning_and_backend() {
-        let ckpt = sample();
-        let good = StreamConfig { epoch_secs: 21_600, hll_precision: 4, seed: 7 };
+        let ckpt = Checkpoint { hll_precision: HLL_PRECISION, ..sample() };
+        let good = StreamConfig { epoch_secs: 21_600, seed: 7 };
         ckpt.verify(&good, BackendKind::Memory).unwrap();
         let err = ckpt.verify(&StreamConfig { seed: 8, ..good }, BackendKind::Disk).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("seed"), "{text}");
         assert!(text.contains("store backend"), "{text}");
         assert!(ckpt.verify(&good, BackendKind::Disk).is_err());
-        // Every echoed field disagrees: the three knobs are all a
-        // checkpoint can name, and no sketch geometry is among them.
-        let all = StreamConfig { epoch_secs: 3600, hll_precision: 5, seed: 8 };
-        let text = ckpt.verify(&all, BackendKind::Memory).unwrap_err().to_string();
+        // Every echoed field disagrees (the sample image was written at
+        // precision 4, which is not the constant): the three values are
+        // all a checkpoint can name, and no sketch geometry is among them.
+        let all = StreamConfig { epoch_secs: 3600, seed: 8 };
+        let text = sample().verify(&all, BackendKind::Memory).unwrap_err().to_string();
         for field in ["epoch_secs", "hll_precision", "seed"] {
             assert!(text.contains(field), "{text}");
         }
         assert_eq!(text.matches("checkpoint=").count(), 3, "{text}");
         assert!(!text.contains("cm_"), "{text}");
+        // The precision alone is enough to refuse an image.
+        let text = sample().verify(&good, BackendKind::Memory).unwrap_err().to_string();
+        assert_eq!(text.matches("checkpoint=").count(), 1, "{text}");
+        assert!(text.contains("hll_precision: checkpoint=4 config=12"), "{text}");
     }
 }

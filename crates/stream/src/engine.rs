@@ -43,23 +43,25 @@ pub const PDNS_RETAIN: usize = 512;
 /// a resumed miner rebuilds the exact estimator.
 pub(crate) const HLL_NAMES_SEED_XOR: u64 = 0x2545_f491_4f6c_dd1d;
 
+/// HyperLogLog precision `p` of both estimators: `2^p` = 4096 one-byte
+/// registers each, ≈ 1.6 % standard error. Echoed in every checkpoint,
+/// so an image written at another precision is refused on resume.
+pub(crate) const HLL_PRECISION: u8 = 12;
+
 /// Streaming miner knobs (see DESIGN.md §streaming-miner). Per-record
-/// counts are exact and need none; the HyperLogLog precision trades
-/// memory for cardinality accuracy.
+/// counts are exact and need none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Seconds per classification epoch (default 21 600 — four mid-day
     /// closes per day).
     pub epoch_secs: u64,
-    /// HyperLogLog precision `p`; `2^p` registers (default 12).
-    pub hll_precision: u8,
     /// Hash seed for both HyperLogLogs.
     pub seed: u64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig { epoch_secs: 21_600, hll_precision: 12, seed: 7 }
+        StreamConfig { epoch_secs: 21_600, seed: 7 }
     }
 }
 
@@ -267,8 +269,8 @@ pub(crate) struct StreamState {
 impl StreamState {
     fn new(config: &StreamConfig) -> StreamState {
         StreamState {
-            hll_clients: HyperLogLog::new(config.hll_precision, config.seed),
-            hll_names: HyperLogLog::new(config.hll_precision, config.seed ^ HLL_NAMES_SEED_XOR),
+            hll_clients: HyperLogLog::new(HLL_PRECISION, config.seed),
+            hll_names: HyperLogLog::new(HLL_PRECISION, config.seed ^ HLL_NAMES_SEED_XOR),
             pdns: FpDnsLog::new(PDNS_RETAIN, false),
             rpdns: PdnsBackend::default(),
             answered: 0,
@@ -617,7 +619,7 @@ impl<'m> StreamMiner<'m> {
         let report = StreamReport {
             day: day_report.day,
             epoch_secs: config.epoch_secs,
-            hll_precision: config.hll_precision,
+            hll_precision: HLL_PRECISION,
             epochs,
             final_findings,
             mining,

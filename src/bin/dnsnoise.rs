@@ -155,7 +155,6 @@ struct StreamOpts {
     theta: f64,
     min_group: usize,
     epoch_secs: u64,
-    hll_precision: u8,
     /// `None` = the default memory backend with no summary printed.
     store: Option<BackendKind>,
     store_path: Option<String>,
@@ -169,15 +168,13 @@ struct StreamOpts {
 
 impl Default for StreamOpts {
     fn default() -> Self {
-        let defaults = dnsnoise::stream::StreamConfig::default();
         StreamOpts {
             common: CommonOpts::default(),
             trace: None,
             model: None,
             theta: 0.9,
             min_group: 10,
-            epoch_secs: defaults.epoch_secs,
-            hll_precision: defaults.hll_precision,
+            epoch_secs: dnsnoise::stream::StreamConfig::default().epoch_secs,
             store: None,
             store_path: None,
             checkpoint: None,
@@ -453,9 +450,6 @@ fn parse_stream(args: &[String]) -> Result<ParseOutcome<StreamOpts>, String> {
             "--epoch-secs" => {
                 opts.epoch_secs = parsed(values.take("--epoch-secs")?, "--epoch-secs")?
             }
-            "--hll-precision" => {
-                opts.hll_precision = parsed(values.take("--hll-precision")?, "--hll-precision")?
-            }
             "--store" => opts.store = Some(values.take("--store")?.parse()?),
             "--store-path" => opts.store_path = Some(values.take("--store-path")?.to_owned()),
             "--checkpoint" => opts.checkpoint = Some(values.take("--checkpoint")?.to_owned()),
@@ -474,13 +468,6 @@ fn parse_stream(args: &[String]) -> Result<ParseOutcome<StreamOpts>, String> {
         }
         if opts.die_after == Some(0) {
             return Err("--die-after must be at least 1".into());
-        }
-        let (lo, hi) = (
-            dnsnoise::stream::HyperLogLog::MIN_PRECISION,
-            dnsnoise::stream::HyperLogLog::MAX_PRECISION,
-        );
-        if !(lo..=hi).contains(&opts.hll_precision) {
-            return Err(format!("--hll-precision must be in {lo}..={hi}"));
         }
         return Ok(ParseOutcome::Parsed(opts));
     }
@@ -895,11 +882,8 @@ fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
     let miner_config =
         MinerConfig { theta: opts.theta, min_group_size: opts.min_group, ..Default::default() };
     let miner = load_or_train_miner(opts.model.as_deref(), &opts.common, miner_config)?;
-    let config = dnsnoise::stream::StreamConfig {
-        epoch_secs: opts.epoch_secs,
-        hll_precision: opts.hll_precision,
-        seed: opts.common.seed,
-    };
+    let config =
+        dnsnoise::stream::StreamConfig { epoch_secs: opts.epoch_secs, seed: opts.common.seed };
     let report_store = opts.store.is_some() || opts.store_path.is_some();
     let backend = PdnsBackend::create(
         opts.store.unwrap_or_default(),
@@ -1109,7 +1093,6 @@ fn subcommand_usage(cmd: &str) -> String {
              \x20 --theta <f64>        confidence threshold (default: 0.9)\n\
              \x20 --min-group <n>      minimal group size (default: 10)\n\
              \x20 --epoch-secs <n>     seconds per classification epoch (default: 21600)\n\
-             \x20 --hll-precision <p>  HyperLogLog precision, 4..=16 (default: 12)\n\
              \x20 --store <kind>       pDNS collector backend: memory or disk (default:\n\
              \x20                      memory; the report is bit-identical either way)\n\
              \x20 --store-path <dir>   mirror the disk backend's sorted runs under this\n\
@@ -1321,6 +1304,11 @@ mod tests {
             assert!(err.contains("unknown flag --threads"), "{cmd}: {err}");
             assert!(!subcommand_usage(cmd).contains("--threads"), "{cmd} usage");
         }
+        // So is the HyperLogLog precision: one value was ever in use, and
+        // it is a constant of the stream crate now.
+        let err = stream("--hll-precision 12").unwrap_err();
+        assert!(err.contains("unknown flag --hll-precision for `stream`"), "{err}");
+        assert!(!subcommand_usage("stream").contains("--hll-precision"));
         match parse_generate(&args("--metrics m.json")) {
             Err(e) => assert!(e.contains("unknown flag"), "{e}"),
             Ok(_) => panic!("generate must not accept --metrics"),
@@ -1356,14 +1344,12 @@ mod tests {
     fn stream_flags_parse() {
         assert_eq!(stream("").unwrap(), StreamOpts::default());
         let o = stream(
-            "--trace t.txt --model m.txt --epoch-secs 3600 --hll-precision 8 --theta 0.8 \
-             --min-group 5 --seed 11",
+            "--trace t.txt --model m.txt --epoch-secs 3600 --theta 0.8 --min-group 5 --seed 11",
         )
         .unwrap();
         assert_eq!(o.trace.as_deref(), Some("t.txt"));
         assert_eq!(o.model.as_deref(), Some("m.txt"));
         assert_eq!(o.epoch_secs, 3600);
-        assert_eq!(o.hll_precision, 8);
         assert_eq!(o.theta, 0.8);
         assert_eq!(o.min_group, 5);
         assert_eq!(o.common.seed, 11);
@@ -1401,8 +1387,6 @@ mod tests {
     #[test]
     fn stream_rejects_degenerate_values() {
         assert!(stream("--epoch-secs 0").is_err());
-        assert!(stream("--hll-precision 3").is_err());
-        assert!(stream("--hll-precision 17").is_err());
         assert!(stream("--members 4").is_err(), "no simulate flags");
         assert!(subcommand_usage("stream").contains("--epoch-secs"));
         match parse_stream(&args("--help")) {
