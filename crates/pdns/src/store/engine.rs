@@ -46,10 +46,10 @@ use dnsnoise_dns::{Name, Record, RrKey};
 use super::crc::crc32;
 use super::error::StoreError;
 use super::io;
-use super::keys::{self, CompositeKey};
+use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 use super::manifest::{Manifest, RunFileMeta};
 use super::recovery::{self, RecoveryReport, QUARANTINE_LEDGER};
-use super::run::Run;
+use super::run::{Run, RunWriter};
 use crate::rpdns::DailyNewRrs;
 
 /// Tuning and placement knobs for a [`RunStore`].
@@ -91,6 +91,10 @@ pub struct StoreStats {
     pub compactions: u64,
     /// Always 0; kept only because `benchmark/src/storebench.rs` reads it.
     pub learned_runs: usize,
+    /// Run-image and manifest bytes this store has published through
+    /// [`io::atomic_write`] since it was built or opened — the numerator
+    /// of write amplification.
+    pub bytes_written: u64,
 }
 
 /// The run store. See the module docs for the design; see
@@ -116,6 +120,8 @@ pub struct RunStore {
     storage_bytes: u64,
     flushes: u64,
     compactions: u64,
+    /// Bytes this store has published through the atomic writer.
+    bytes_written: u64,
     /// First IO failure, latched; the store is memory-only from then on.
     io_error: Option<StoreError>,
     /// What [`RunStore::open`] found, for diagnostics.
@@ -145,6 +151,7 @@ impl RunStore {
             storage_bytes: 0,
             flushes: 0,
             compactions: 0,
+            bytes_written: 0,
             io_error: None,
             recovery: None,
         };
@@ -238,6 +245,7 @@ impl RunStore {
             flushes: self.flushes,
             compactions: self.compactions,
             learned_runs: 0,
+            bytes_written: self.bytes_written,
         }
     }
 
@@ -342,13 +350,13 @@ impl RunStore {
         }
     }
 
-    fn get_encoded(&self, key: &CompositeKey) -> Option<u64> {
+    fn get_encoded(&self, key: KeyRef<'_>) -> Option<u64> {
         // Every key lives in exactly one place (observe dedups before
         // inserting), so probe order is immaterial; memtable first is
         // simply cheapest. After `optimize` the memtable is empty and
         // lookups go straight to the single run.
         if !self.memtable.is_empty() {
-            if let Some(&day) = self.memtable.get(key) {
+            if let Some(&day) = self.memtable.get(&key as &dyn KeyColumns) {
                 return Some(day);
             }
         }
@@ -360,11 +368,15 @@ impl RunStore {
     pub fn observe(&mut self, record: &Record, day: u64) -> bool {
         self.observed += 1;
         self.ensure_day(day);
-        let key = keys::encode_key(&record.name, record.qtype, &record.rdata);
-        if self.get_encoded(&key).is_some() {
+        // The probe borrows the thread's key buffers; only a record the
+        // store has never seen gets an owned key.
+        let fresh = keys::with_probe(&record.name, record.qtype, &record.rdata, |key| {
+            self.get_encoded(key).is_none().then(|| key.to_owned_key())
+        });
+        let Some(key) = fresh else {
             self.per_day[day as usize].repeated_records += 1;
             return false;
-        }
+        };
         self.storage_bytes += RrKey::storage_bytes_of(&record.name, &record.rdata) as u64;
         self.per_day[day as usize].new_records += 1;
         self.memtable.insert(key, day);
@@ -376,7 +388,7 @@ impl RunStore {
 
     /// The day `key` was first seen, if stored.
     pub fn first_seen(&self, key: &RrKey) -> Option<u64> {
-        self.get_encoded(&keys::encode_key(&key.name, key.qtype, &key.rdata))
+        keys::with_probe(&key.name, key.qtype, &key.rdata, |key| self.get_encoded(key))
     }
 
     /// Flushes the memtable into a new immutable run, compacts, and
@@ -412,7 +424,10 @@ impl RunStore {
         let bytes = run.to_bytes();
         let meta = RunFileMeta { name: name.clone(), len: bytes.len() as u64, crc: crc32(&bytes) };
         match io::atomic_write(&dir, &name, &bytes) {
-            Ok(()) => Some(meta),
+            Ok(()) => {
+                self.bytes_written += meta.len;
+                Some(meta)
+            }
             Err(e) => {
                 self.io_error = Some(e);
                 None
@@ -442,7 +457,8 @@ impl RunStore {
             runs: self.run_files.iter().flatten().cloned().collect(),
         };
         match manifest.publish(&dir) {
-            Ok(()) => {
+            Ok(len) => {
+                self.bytes_written += len;
                 self.manifest_seq += 1;
                 // Deletion is best-effort: a failure here strands the
                 // file as an orphan the next open garbage-collects.
@@ -501,7 +517,7 @@ impl RunStore {
             };
             let victims: Vec<usize> = (0..tiers.len()).filter(|&i| tiers[i] == lowest).collect();
             let runs = self.remove_runs(&victims);
-            let merged = merge_runs(runs);
+            let merged = merge_runs(&runs);
             self.compactions += 1;
             self.push_run(merged);
         }
@@ -514,7 +530,7 @@ impl RunStore {
         if self.runs.len() > 1 {
             let all: Vec<usize> = (0..self.runs.len()).collect();
             let runs = self.remove_runs(&all);
-            let merged = merge_runs(runs);
+            let merged = merge_runs(&runs);
             self.compactions += 1;
             self.push_run(merged);
             self.persist();
@@ -562,17 +578,32 @@ impl Default for RunStore {
     }
 }
 
-/// K-way merge of same-store runs into one. Keys are disjoint across a
-/// single store's runs (observe dedups against the whole store before
-/// inserting), so this is a pure interleave; the debug assertion in
-/// [`Run::build`] would catch any violation.
-fn merge_runs(runs: Vec<Run>) -> Run {
-    let mut entries: Vec<(CompositeKey, u64)> = Vec::with_capacity(runs.iter().map(Run::len).sum());
-    for run in &runs {
-        entries.extend(run.entries());
+/// K-way merge of runs into one, column to column: each step writes the
+/// smallest head key among the runs straight into the new run's buffers,
+/// so no entry is decoded into an owned key and nothing is sorted. A
+/// single store's runs hold disjoint keys (observe dedups against the
+/// whole store before inserting); should two runs share one — only a
+/// forged checkpoint can make them — the merged run keeps it once, with
+/// the earlier day.
+fn merge_runs(runs: &[Run]) -> Run {
+    let mut out = RunWriter::with_capacity(
+        runs.iter().map(Run::len).sum(),
+        runs.iter().map(Run::name_bytes_len).sum(),
+        runs.iter().map(Run::rdata_bytes_len).sum(),
+    );
+    // `(head key, run, position)` of every run not yet drained.
+    let mut heads: Vec<(KeyRef<'_>, &Run, usize)> =
+        runs.iter().filter(|run| !run.is_empty()).map(|run| (run.key_ref_at(0), run, 0)).collect();
+    while let Some(min) = (0..heads.len()).min_by(|&a, &b| heads[a].0.cmp(&heads[b].0)) {
+        let (key, run, pos) = heads[min];
+        out.push(key, run.day_at(pos));
+        if pos + 1 < run.len() {
+            heads[min] = (run.key_ref_at(pos + 1), run, pos + 1);
+        } else {
+            heads.swap_remove(min);
+        }
     }
-    entries.sort_unstable();
-    Run::build(entries)
+    out.finish()
 }
 
 #[cfg(test)]
@@ -580,7 +611,8 @@ mod tests {
     use super::super::manifest::MANIFEST_NAME;
     use super::*;
     use dnsnoise_dns::{QType, RData, Ttl};
-    use std::net::Ipv4Addr;
+    use proptest::prelude::*;
+    use std::net::{Ipv4Addr, Ipv6Addr};
 
     fn rr(name: &str, ip: u8) -> Record {
         Record::new(
@@ -657,6 +689,72 @@ mod tests {
         assert_eq!(store.stats().runs, 1);
         assert_eq!(store.stats().memtable_keys, 0);
         assert_eq!(store.scan_prefix(&Name::root()), before);
+    }
+
+    /// A key of one of three shapes (A, AAAA, CNAME rdata) for `id`.
+    fn merge_key(id: u32, shape: u8) -> CompositeKey {
+        let name: Name = format!("h{id}.z{}.example", id % 7).parse().unwrap();
+        let (qtype, rdata) = match shape {
+            0 => (QType::A, RData::A(Ipv4Addr::from(id))),
+            1 => (QType::Aaaa, RData::Aaaa(Ipv6Addr::from(u128::from(id)))),
+            _ => (QType::Cname, RData::Cname(format!("e{id}.cdn.example").parse().unwrap())),
+        };
+        keys::encode_key(&name, qtype, &rdata)
+    }
+
+    proptest! {
+        /// Disjoint runs — with few entries over six runs, many are empty
+        /// or hold one entry — merge to exactly the run built from their
+        /// sorted union.
+        #[test]
+        fn merge_equals_building_the_sorted_union(
+            raw in proptest::collection::vec((0u32..400, 0u8..3, 0u64..20, 0usize..6), 0..80),
+        ) {
+            let mut owner: BTreeMap<CompositeKey, (u64, usize)> = BTreeMap::new();
+            for (id, shape, day, run) in raw {
+                owner.entry(merge_key(id, shape)).or_insert((day, run));
+            }
+            let mut parts: Vec<Vec<(CompositeKey, u64)>> = vec![Vec::new(); 6];
+            for (key, &(day, run)) in &owner {
+                parts[run].push((key.clone(), day));
+            }
+            let runs: Vec<Run> = parts.into_iter().map(Run::build).collect();
+            let union: Vec<(CompositeKey, u64)> =
+                owner.into_iter().map(|(key, (day, _))| (key, day)).collect();
+            prop_assert_eq!(merge_runs(&runs).to_bytes(), Run::build(union).to_bytes());
+        }
+    }
+
+    #[test]
+    fn merge_keeps_a_shared_key_once_with_its_earliest_day() {
+        let (a, b, c) = (merge_key(1, 0), merge_key(2, 0), merge_key(3, 0));
+        let runs = [
+            Run::build(vec![(a.clone(), 4), (b.clone(), 9)]),
+            Run::build(vec![(b.clone(), 2), (c.clone(), 1)]),
+            Run::build(vec![(b.clone(), 5)]),
+        ];
+        let merged = merge_runs(&runs);
+        assert_eq!(merged.to_bytes(), Run::build(vec![(a, 4), (b, 2), (c, 1)]).to_bytes());
+    }
+
+    #[test]
+    fn bytes_written_counts_every_published_image() {
+        let dir = tmp_dir("written");
+        let mut store = RunStore::with_config(tiny_config().with_spill(&dir));
+        assert_eq!(store.stats().bytes_written, 0);
+        for i in 0..100u8 {
+            store.observe(&rr(&format!("w{i}.example"), i), 0);
+        }
+        store.optimize();
+        let live: u64 =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum();
+        // Every flush and compaction rewrote runs and the manifest, so
+        // more was written than survives.
+        assert!(store.stats().bytes_written > live, "{} <= {live}", store.stats().bytes_written);
+        assert_eq!(RunStore::with_config(tiny_config()).stats().bytes_written, 0, "memory only");
+        let reopened = RunStore::open(&dir, tiny_config()).unwrap();
+        assert_eq!(reopened.stats().bytes_written, 0, "counted per process");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

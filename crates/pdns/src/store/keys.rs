@@ -19,6 +19,9 @@
 //! Every encoding round-trips losslessly (names are case-normalised at
 //! construction, so re-encoding a decoded key is byte-identical).
 
+use std::borrow::Borrow;
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey};
@@ -28,14 +31,106 @@ use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey};
 /// `(name column, qtype column, rdata column)` comparison exactly.
 pub type CompositeKey = (Vec<u8>, u16, Vec<u8>);
 
+/// A composite key over borrowed columns: an encoded probe, a memtable
+/// key or a run entry. The derived field-order `Ord` is [`CompositeKey`]'s
+/// tuple order, so the three compare with one another directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct KeyRef<'a> {
+    pub(crate) name: &'a [u8],
+    pub(crate) qtype: u16,
+    pub(crate) rdata: &'a [u8],
+}
+
+impl KeyRef<'_> {
+    /// The owned key — built only for a record the store is inserting.
+    pub(crate) fn to_owned_key(self) -> CompositeKey {
+        (self.name.to_vec(), self.qtype, self.rdata.to_vec())
+    }
+}
+
+/// A key readable as [`KeyRef`] columns. The memtable's
+/// `BTreeMap<CompositeKey, _>` is probed through
+/// `Borrow<dyn KeyColumns>`, so a lookup needs no owned tuple.
+pub(crate) trait KeyColumns {
+    fn columns(&self) -> KeyRef<'_>;
+}
+
+impl KeyColumns for CompositeKey {
+    fn columns(&self) -> KeyRef<'_> {
+        KeyRef { name: &self.0, qtype: self.1, rdata: &self.2 }
+    }
+}
+
+impl KeyColumns for KeyRef<'_> {
+    fn columns(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyColumns + 'a> for CompositeKey {
+    fn borrow(&self) -> &(dyn KeyColumns + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyColumns + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.columns() == other.columns()
+    }
+}
+
+impl Eq for dyn KeyColumns + '_ {}
+
+impl PartialOrd for dyn KeyColumns + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyColumns + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.columns().cmp(&other.columns())
+    }
+}
+
+thread_local! {
+    /// The name and rdata buffers [`with_probe`] encodes into, reused by
+    /// every probe on this thread.
+    static PROBE: RefCell<(Vec<u8>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Calls `f` with `(name, qtype, rdata)` encoded into this thread's
+/// reused probe buffers: once they have grown to the longest key seen, a
+/// store lookup allocates nothing. `f` must not probe again (it runs
+/// while the buffers are borrowed).
+pub(crate) fn with_probe<R>(
+    name: &Name,
+    qtype: QType,
+    rdata: &RData,
+    f: impl FnOnce(KeyRef<'_>) -> R,
+) -> R {
+    PROBE.with_borrow_mut(|(name_buf, rdata_buf)| {
+        name_buf.clear();
+        encode_name_into(name, name_buf);
+        rdata_buf.clear();
+        encode_rdata_into(rdata, rdata_buf);
+        f(KeyRef { name: name_buf, qtype: qtype.code(), rdata: rdata_buf })
+    })
+}
+
 /// Encodes an owner name in reverse-label order with `0x00` separators.
 pub fn encode_name(name: &Name) -> Vec<u8> {
     let mut out = Vec::with_capacity(name.presentation_len() + 1);
+    encode_name_into(name, &mut out);
+    out
+}
+
+/// [`encode_name`], appended to `out`.
+fn encode_name_into(name: &Name, out: &mut Vec<u8>) {
     for label in name.labels().iter().rev() {
         out.extend_from_slice(label.as_bytes());
         out.push(0);
     }
-    out
 }
 
 /// Decodes [`encode_name`] output. Total: bytes the encoder cannot
@@ -85,10 +180,11 @@ const TAG_SOA: u8 = 8;
 const TAG_OPAQUE: u8 = 9;
 
 fn push_prefixed_name(out: &mut Vec<u8>, name: &Name) {
-    let enc = encode_name(name);
-    let len = u16::try_from(enc.len()).expect("names are under 64 KiB");
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(&enc);
+    let at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    encode_name_into(name, out);
+    let len = u16::try_from(out.len() - at - 2).expect("names are under 64 KiB");
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
 }
 
 fn take_prefixed_name(bytes: &[u8]) -> Result<(Name, &[u8]), String> {
@@ -105,6 +201,12 @@ fn take_prefixed_name(bytes: &[u8]) -> Result<(Name, &[u8]), String> {
 /// Encodes RDATA as a tag byte plus a deterministic payload.
 pub fn encode_rdata(rdata: &RData) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_rdata_into(rdata, &mut out);
+    out
+}
+
+/// [`encode_rdata`], appended to `out`.
+fn encode_rdata_into(rdata: &RData, out: &mut Vec<u8>) {
     match rdata {
         RData::A(a) => {
             out.push(TAG_A);
@@ -116,15 +218,15 @@ pub fn encode_rdata(rdata: &RData) -> Vec<u8> {
         }
         RData::Cname(n) => {
             out.push(TAG_CNAME);
-            out.extend_from_slice(&encode_name(n));
+            encode_name_into(n, out);
         }
         RData::Ns(n) => {
             out.push(TAG_NS);
-            out.extend_from_slice(&encode_name(n));
+            encode_name_into(n, out);
         }
         RData::Ptr(n) => {
             out.push(TAG_PTR);
-            out.extend_from_slice(&encode_name(n));
+            encode_name_into(n, out);
         }
         RData::Txt(s) => {
             out.push(TAG_TXT);
@@ -133,12 +235,12 @@ pub fn encode_rdata(rdata: &RData) -> Vec<u8> {
         RData::Mx { preference, exchange } => {
             out.push(TAG_MX);
             out.extend_from_slice(&preference.to_be_bytes());
-            out.extend_from_slice(&encode_name(exchange));
+            encode_name_into(exchange, out);
         }
         RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
             out.push(TAG_SOA);
-            push_prefixed_name(&mut out, mname);
-            push_prefixed_name(&mut out, rname);
+            push_prefixed_name(out, mname);
+            push_prefixed_name(out, rname);
             for v in [serial, refresh, retry, expire, minimum] {
                 out.extend_from_slice(&v.to_be_bytes());
             }
@@ -148,7 +250,6 @@ pub fn encode_rdata(rdata: &RData) -> Vec<u8> {
             out.extend_from_slice(b);
         }
     }
-    out
 }
 
 /// Decodes [`encode_rdata`] output. Total: unknown tags and malformed

@@ -131,9 +131,12 @@ impl Manifest {
         Ok(m)
     }
 
-    /// Atomically publishes this manifest as `dir/MANIFEST`.
-    pub fn publish(&self, dir: &Path) -> Result<(), StoreError> {
-        io::atomic_write(dir, MANIFEST_NAME, &self.to_bytes())
+    /// Atomically publishes this manifest as `dir/MANIFEST`; returns the
+    /// image's length in bytes.
+    pub fn publish(&self, dir: &Path) -> Result<u64, StoreError> {
+        let bytes = self.to_bytes();
+        io::atomic_write(dir, MANIFEST_NAME, &bytes)?;
+        Ok(bytes.len() as u64)
     }
 
     /// Loads `dir/MANIFEST`. `Ok(None)` when the file does not exist (a

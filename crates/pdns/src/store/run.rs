@@ -19,12 +19,14 @@
 //! the sorted keys and is rebuilt on load, so a run file can never carry
 //! a stale or corrupt index.
 
+use std::cmp::Ordering;
+
 use dnsnoise_dns::RrKey;
 
 use super::crc::crc32;
 use super::frame::{self, malformed, FrameError, Reader};
 use super::index::{feature, RunIndex};
-use super::keys::{self, CompositeKey};
+use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 
 /// Magic + version tag leading every serialised run (format v2: the
 /// checksummed layout; v1 `dnrun01` images predate the durability layer
@@ -55,26 +57,14 @@ impl Run {
     /// duplicate keys.
     pub fn build(entries: Vec<(CompositeKey, u64)>) -> Run {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted and distinct");
-        let n = entries.len();
-        let mut name_offsets = Vec::with_capacity(n + 1);
-        let mut name_bytes = Vec::new();
-        let mut qtypes = Vec::with_capacity(n);
-        let mut rdata_offsets = Vec::with_capacity(n + 1);
-        let mut rdata_bytes = Vec::new();
-        let mut days = Vec::with_capacity(n);
-        name_offsets.push(0);
-        rdata_offsets.push(0);
-        for ((name, qtype, rdata), day) in entries {
-            name_bytes.extend_from_slice(&name);
-            name_offsets.push(u32::try_from(name_bytes.len()).expect("name column < 4 GiB"));
-            qtypes.push(qtype);
-            rdata_bytes.extend_from_slice(&rdata);
-            rdata_offsets.push(u32::try_from(rdata_bytes.len()).expect("rdata column < 4 GiB"));
-            days.push(day);
+        let (name_len, rdata_len) = entries
+            .iter()
+            .fold((0, 0), |(n, r), ((name, _, rdata), _)| (n + name.len(), r + rdata.len()));
+        let mut out = RunWriter::with_capacity(entries.len(), name_len, rdata_len);
+        for (key, day) in &entries {
+            out.push(key.columns(), *day);
         }
-        let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
-        let index = RunIndex::build(&names);
-        Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }
+        out.finish()
     }
 
     /// Number of entries.
@@ -85,6 +75,16 @@ impl Run {
     /// Whether the run is empty.
     pub fn is_empty(&self) -> bool {
         self.qtypes.is_empty()
+    }
+
+    /// Bytes in the name column's buffer.
+    pub(crate) fn name_bytes_len(&self) -> usize {
+        self.name_bytes.len()
+    }
+
+    /// Bytes in the rdata column's buffer.
+    pub(crate) fn rdata_bytes_len(&self) -> usize {
+        self.rdata_bytes.len()
     }
 
     /// The encoded name of entry `i` (empty when `i` is out of range —
@@ -113,33 +113,32 @@ impl Run {
         self.days.get(i).copied().unwrap_or(0)
     }
 
-    /// Composite-key comparison of entry `i` against a probe key,
-    /// column by column — no per-entry allocation.
-    fn cmp_entry(&self, i: usize, key: &CompositeKey) -> std::cmp::Ordering {
-        self.name_at(i)
-            .cmp(key.0.as_slice())
-            .then_with(|| self.qtype_at(i).cmp(&key.1))
-            .then_with(|| self.rdata_at(i).cmp(key.2.as_slice()))
+    /// Entry `i`'s borrowed key columns (empty columns when `i` is out
+    /// of range, as for the single-column accessors).
+    // lint:certify(no-panic)
+    pub(crate) fn key_ref_at(&self, i: usize) -> KeyRef<'_> {
+        KeyRef { name: self.name_at(i), qtype: self.qtype_at(i), rdata: self.rdata_at(i) }
     }
 
-    /// Composite-key comparison of entry `i` against entry `j`, used to
-    /// validate the strict sort order of a deserialised image.
-    fn cmp_entries(&self, i: usize, j: usize) -> std::cmp::Ordering {
+    /// Entry `i` against `key`, column by column: the qtype and rdata
+    /// columns are read only when the names tie.
+    fn cmp_at(&self, i: usize, key: KeyRef<'_>) -> Ordering {
         self.name_at(i)
-            .cmp(self.name_at(j))
-            .then_with(|| self.qtype_at(i).cmp(&self.qtype_at(j)))
-            .then_with(|| self.rdata_at(i).cmp(self.rdata_at(j)))
+            .cmp(key.name)
+            .then_with(|| self.qtype_at(i).cmp(&key.qtype))
+            .then_with(|| self.rdata_at(i).cmp(key.rdata))
     }
 
     /// Point lookup: the first-seen day of `key`, if stored. Uses the
     /// sparse index for a bounded candidate window, then exact binary
-    /// search — never a miss for a stored key.
-    pub fn get(&self, key: &CompositeKey) -> Option<u64> {
+    /// search — never a miss for a stored key. `key` is borrowed: a probe
+    /// allocates nothing.
+    pub(crate) fn get(&self, key: KeyRef<'_>) -> Option<u64> {
         let n = self.len();
         if n == 0 {
             return None;
         }
-        let x = feature(&key.0, self.index.lcp());
+        let x = feature(key.name, self.index.lcp());
         let (win_lo, win_hi) = self.index.window(x, n);
         // The window holds every entry of feature group `x` and ends at
         // a group with a larger feature, so a stored key lies inside it:
@@ -149,9 +148,9 @@ impl Run {
         // unequal below.
         let pos = win_lo
             + partition_point_idx(win_hi - win_lo, |i| {
-                self.cmp_entry(win_lo + i, key) == std::cmp::Ordering::Less
+                self.cmp_at(win_lo + i, key) == Ordering::Less
             });
-        (pos < n && self.cmp_entry(pos, key) == std::cmp::Ordering::Equal).then(|| self.day_at(pos))
+        (pos < n && self.cmp_at(pos, key) == Ordering::Equal).then(|| self.day_at(pos))
     }
 
     /// The contiguous entry range `[lo, hi)` of names starting with
@@ -166,22 +165,12 @@ impl Run {
         (lo, hi)
     }
 
-    /// Decodes entry `i` into its owned composite key.
-    pub fn key_at(&self, i: usize) -> CompositeKey {
-        (self.name_at(i).to_vec(), self.qtype_at(i), self.rdata_at(i).to_vec())
-    }
-
     /// Decodes entry `i` into an [`RrKey`]. `Err` reports a key the
     /// encoders cannot produce (possible only via a checksum collision
     /// or an upstream logic bug).
     // lint:certify(no-panic)
     pub fn rr_key_at(&self, i: usize) -> Result<RrKey, String> {
-        keys::decode_key(&self.key_at(i))
-    }
-
-    /// Iterates every entry as `(owned composite key, day)` in key order.
-    pub fn entries(&self) -> impl Iterator<Item = (CompositeKey, u64)> + '_ {
-        (0..self.len()).map(|i| (self.key_at(i), self.day_at(i)))
+        keys::decode_key_parts(self.name_at(i), self.qtype_at(i), self.rdata_at(i))
     }
 
     /// The four section byte-images, in on-disk order: names (offsets +
@@ -300,10 +289,76 @@ impl Run {
         let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
         let index = RunIndex::build(&names);
         let run = Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
-        if (0..n.saturating_sub(1)).any(|i| run.cmp_entries(i, i + 1) != std::cmp::Ordering::Less) {
+        if (0..n.saturating_sub(1)).any(|i| run.key_ref_at(i) >= run.key_ref_at(i + 1)) {
             return Err(malformed("run entries out of composite-key order"));
         }
         Ok(run)
+    }
+}
+
+/// The column buffers of a run being written in key order: [`Run::build`]
+/// fills one from owned entries, compaction's merge straight from other
+/// runs' borrowed columns.
+#[derive(Debug)]
+pub(crate) struct RunWriter {
+    name_offsets: Vec<u32>,
+    name_bytes: Vec<u8>,
+    qtypes: Vec<u16>,
+    rdata_offsets: Vec<u32>,
+    rdata_bytes: Vec<u8>,
+    days: Vec<u64>,
+}
+
+impl RunWriter {
+    /// An empty run sized for `n` entries and the given column bytes.
+    pub(crate) fn with_capacity(n: usize, name_len: usize, rdata_len: usize) -> RunWriter {
+        let mut name_offsets = Vec::with_capacity(n + 1);
+        let mut rdata_offsets = Vec::with_capacity(n + 1);
+        name_offsets.push(0);
+        rdata_offsets.push(0);
+        RunWriter {
+            name_offsets,
+            name_bytes: Vec::with_capacity(name_len),
+            qtypes: Vec::with_capacity(n),
+            rdata_offsets,
+            rdata_bytes: Vec::with_capacity(rdata_len),
+            days: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends `key`, which must not sort before the last key written. A
+    /// key equal to the last one is not written twice: that entry keeps
+    /// the earlier of the two days.
+    pub(crate) fn push(&mut self, key: KeyRef<'_>, day: u64) {
+        let n = self.qtypes.len();
+        if let Some(last) = n.checked_sub(1) {
+            let prev = KeyRef {
+                name: column_at(&self.name_bytes, &self.name_offsets, last),
+                qtype: self.qtypes[last],
+                rdata: column_at(&self.rdata_bytes, &self.rdata_offsets, last),
+            };
+            debug_assert!(prev <= key, "run entries written in key order");
+            if prev == key {
+                self.days[last] = self.days[last].min(day);
+                return;
+            }
+        }
+        self.name_bytes.extend_from_slice(key.name);
+        self.name_offsets.push(u32::try_from(self.name_bytes.len()).expect("name column < 4 GiB"));
+        self.qtypes.push(key.qtype);
+        self.rdata_bytes.extend_from_slice(key.rdata);
+        self.rdata_offsets
+            .push(u32::try_from(self.rdata_bytes.len()).expect("rdata column < 4 GiB"));
+        self.days.push(day);
+    }
+
+    /// The finished run, with its index built over the name column.
+    pub(crate) fn finish(self) -> Run {
+        let RunWriter { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days } = self;
+        let names: Vec<&[u8]> =
+            (0..qtypes.len()).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
+        let index = RunIndex::build(&names);
+        Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }
     }
 }
 
@@ -365,14 +420,14 @@ pub(crate) mod tests {
         let e = entries(3000);
         let run = Run::build(e.clone());
         for (key, day) in &e {
-            assert_eq!(run.get(key), Some(*day));
+            assert_eq!(run.get(key.columns()), Some(*day));
         }
         let absent = encode_key(
             &"nope.zone9.example".parse().unwrap(),
             QType::A,
             &RData::A(Ipv4Addr::LOCALHOST),
         );
-        assert_eq!(run.get(&absent), None);
+        assert_eq!(run.get(absent.columns()), None);
     }
 
     #[test]
@@ -385,7 +440,7 @@ pub(crate) mod tests {
         for name in ["d000001.zone1.aaa", "d000001.zone1.zzz", "example", "zone1.examplf"] {
             let probe =
                 encode_key(&name.parse().unwrap(), QType::A, &RData::A(Ipv4Addr::new(10, 0, 0, 1)));
-            assert_eq!(run.get(&probe), None, "{name}");
+            assert_eq!(run.get(probe.columns()), None, "{name}");
         }
     }
 
@@ -486,7 +541,7 @@ pub(crate) mod tests {
         assert!(run.is_empty());
         let probe =
             encode_key(&"x.example".parse().unwrap(), QType::A, &RData::A(Ipv4Addr::LOCALHOST));
-        assert_eq!(run.get(&probe), None);
+        assert_eq!(run.get(probe.columns()), None);
         assert_eq!(run.prefix_range(b"\0"), (0, 0));
         let back = Run::from_bytes(&run.to_bytes()).unwrap();
         assert!(back.is_empty());

@@ -1,0 +1,83 @@
+//! A store probe is allocation-free: `observe` of a record the store
+//! already holds and `first_seen` — hit or miss, memtable or run — encode
+//! their key into reused buffers and compare borrowed columns. Only a new
+//! record is given an owned key.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+use dnsnoise_dns::{QType, RData, Record, Ttl};
+use dnsnoise_pdns::{RunStore, StoreConfig};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness has others).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter, which neither allocates nor
+// has a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let value = f();
+    (value, ALLOCS.with(Cell::get) - before)
+}
+
+fn rr(i: u32) -> Record {
+    Record::new(
+        format!("h{i}.zone{}.example", i % 3).parse().unwrap(),
+        QType::A,
+        Ttl::from_secs(60),
+        RData::A(Ipv4Addr::from(0x0a00_0000 + i)),
+    )
+}
+
+#[test]
+fn repeated_observes_and_first_seen_probes_allocate_nothing() {
+    let mut store =
+        RunStore::with_config(StoreConfig { memtable_cap: 8, ..StoreConfig::default() });
+    for i in 0..20 {
+        assert!(store.observe(&rr(i), 0));
+    }
+    let stats = store.stats();
+    assert!(stats.runs >= 2 && stats.memtable_keys > 0, "{stats:?}");
+
+    // Entry 0 sits in the oldest run, entry 19 in the memtable; entry 99
+    // is nowhere.
+    let (in_run, in_memtable, absent) = (rr(0), rr(19), rr(99));
+    let keys = [in_run.key(), in_memtable.key(), absent.key()];
+    // Warm-up: the first probe on this thread sizes the key buffers.
+    assert_eq!(store.first_seen(&keys[0]), Some(0));
+
+    for record in [&in_run, &in_memtable] {
+        let (fresh, n) = allocations(|| store.observe(record, 0));
+        assert_eq!((fresh, n), (false, 0), "repeat observe of {}", record.name);
+    }
+    for (key, want) in keys.iter().zip([Some(0), Some(0), None]) {
+        let (got, n) = allocations(|| store.first_seen(key));
+        assert_eq!((got, n), (want, 0), "first_seen {}", key.name);
+    }
+
+    // A new record is the one probe that builds an owned key.
+    let (fresh, n) = allocations(|| store.observe(&absent, 0));
+    assert!(fresh && n > 0, "a new record must be stored ({n} allocations)");
+}

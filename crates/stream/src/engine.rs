@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
 use dnsnoise_dns::{fnv1a, Record, SuffixList};
 use dnsnoise_pdns::store::io;
-use dnsnoise_pdns::{BackendKind, FpDnsLog, PdnsBackend, PdnsStore, StoreError};
+use dnsnoise_pdns::{BackendKind, FpDnsLog, PdnsBackend, PdnsStore, StoreError, StoreStats};
 use dnsnoise_resolver::{
     DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
 };
@@ -101,8 +101,23 @@ pub struct RpdnsStoreSummary {
     pub records: u64,
     /// Modeled rpDNS storage bytes.
     pub storage_bytes: u64,
-    /// Sorted runs at end of day (0 for the memory backend).
-    pub runs: u64,
+    /// The run store's shape and write counters (`None` for the memory
+    /// backend).
+    pub stats: Option<StoreStats>,
+}
+
+impl From<&PdnsBackend> for RpdnsStoreSummary {
+    fn from(store: &PdnsBackend) -> Self {
+        RpdnsStoreSummary {
+            backend: store.kind(),
+            records: store.len() as u64,
+            storage_bytes: PdnsStore::storage_bytes(store),
+            stats: match store {
+                PdnsBackend::Disk(s) => Some(s.stats()),
+                PdnsBackend::Memory(_) => None,
+            },
+        }
+    }
 }
 
 /// Aggregate pDNS counters collected online.
@@ -589,18 +604,7 @@ impl<'m> StreamMiner<'m> {
             s.optimize();
         }
         let rpdns_store_error = state.rpdns.io_error().map(StoreError::to_string);
-        let rpdns_store = {
-            let runs = match &state.rpdns {
-                PdnsBackend::Disk(s) => s.stats().runs as u64,
-                PdnsBackend::Memory(_) => 0,
-            };
-            RpdnsStoreSummary {
-                backend: state.rpdns.kind(),
-                records: state.rpdns.len() as u64,
-                storage_bytes: PdnsStore::storage_bytes(&state.rpdns),
-                runs,
-            }
-        };
+        let rpdns_store = RpdnsStoreSummary::from(&state.rpdns);
         let (day_report, sim) = session.finish();
         let (distinct_names, final_findings) = classify(miner, &psl, &day_report.rr_stats);
         let mining = ground_truth.map(|gt| {
@@ -708,7 +712,9 @@ mod tests {
         assert_eq!(reports[0].rpdns_store.records, reports[1].rpdns_store.records);
         assert_eq!(reports[0].rpdns_store.storage_bytes, reports[1].rpdns_store.storage_bytes);
         assert_eq!(reports[1].rpdns_store.backend, BackendKind::Disk);
-        assert_eq!(reports[1].rpdns_store.runs, 1, "finish() optimizes to one run");
+        let stats = reports[1].rpdns_store.stats.expect("the disk backend reports its shape");
+        assert_eq!(stats.runs, 1, "finish() optimizes to one run");
+        assert_eq!(reports[0].rpdns_store.stats, None);
         assert!(reports[0].rpdns_store.records > 0);
     }
 

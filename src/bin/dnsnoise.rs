@@ -25,11 +25,13 @@ use dnsnoise::dns::{SuffixList, Ttl};
 use dnsnoise::ingest::{
     corrupt, framestream, pcap, CaptureFormat, EventStream, IngestConfig, IngestError, IngestReport,
 };
-use dnsnoise::pdns::{BackendKind, PdnsBackend, PdnsStore};
+use dnsnoise::pdns::store::manifest::MANIFEST_NAME;
+use dnsnoise::pdns::{BackendKind, PdnsBackend};
 use dnsnoise::resolver::{
     EventSession, FaultPlan, MetricsRegistry, OverloadConfig, PdnsCollector, ResolverSim,
     SimConfig, DEFAULT_TIMELINE_BUCKETS,
 };
+use dnsnoise::stream::RpdnsStoreSummary;
 use dnsnoise::workload::{trace_io, AttackPlan, DayTrace, Scenario, ScenarioConfig};
 
 /// Scenario flags shared by every subcommand.
@@ -628,6 +630,7 @@ fn ingest_verdict(stream: EventStream, path: &str) -> Result<IngestReport, Strin
 }
 
 fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
+    refuse_existing_store(opts.store_path.as_deref())?;
     let plan: FaultPlan = match &opts.faults {
         Some(spec) => {
             spec.parse().map_err(|e: dnsnoise::resolver::FaultSpecError| e.to_string())?
@@ -700,7 +703,7 @@ fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
             // single-run image of the day.
             s.optimize();
         }
-        eprintln!("{}", store_summary_line(&store));
+        eprintln!("{}", store_summary_line(&RpdnsStoreSummary::from(&store)));
     }
     println!("events:            {}", trace.events.len());
     println!("below records:     {}", report.below_total);
@@ -746,28 +749,20 @@ fn cmd_simulate(opts: &SimulateOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// One-line `--store` summary. Goes to stderr so stdout stays
-/// byte-identical across backends.
-fn store_summary_line(store: &PdnsBackend) -> String {
-    match store {
-        PdnsBackend::Memory(_) => format!(
-            "rpdns store: backend=memory records={} storage_bytes={}",
-            store.len(),
-            store.storage_bytes()
-        ),
-        PdnsBackend::Disk(s) => {
-            let st = s.stats();
-            format!(
-                "rpdns store: backend=disk records={} storage_bytes={} runs={} \
-                 flushes={} compactions={}",
-                s.len(),
-                s.storage_bytes(),
-                st.runs,
-                st.flushes,
-                st.compactions
-            )
-        }
+/// The one-line `--store` summary `simulate` and `stream` both print.
+/// Goes to stderr so stdout stays byte-identical across backends.
+fn store_summary_line(s: &RpdnsStoreSummary) -> String {
+    let mut line = format!(
+        "rpdns store: backend={} records={} storage_bytes={}",
+        s.backend, s.records, s.storage_bytes
+    );
+    if let Some(st) = s.stats {
+        line.push_str(&format!(
+            " runs={} flushes={} compactions={} bytes_written={}",
+            st.runs, st.flushes, st.compactions, st.bytes_written
+        ));
     }
+    line
 }
 
 /// Builds a labeled training set from a synthetic day.
@@ -881,6 +876,15 @@ fn cmd_mine(opts: &MineOpts) -> Result<(), String> {
 fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
     let miner_config =
         MinerConfig { theta: opts.theta, min_group_size: opts.min_group, ..Default::default() };
+    let resume_from = match &opts.checkpoint {
+        Some(dir) => dnsnoise::stream::Checkpoint::load(std::path::Path::new(dir))
+            .map_err(|e| e.to_string())?,
+        None => None,
+    };
+    // A resume takes its store directory over; a fresh run must not.
+    if resume_from.is_none() {
+        refuse_existing_store(opts.store_path.as_deref())?;
+    }
     let miner = load_or_train_miner(opts.model.as_deref(), &opts.common, miner_config)?;
     let config =
         dnsnoise::stream::StreamConfig { epoch_secs: opts.epoch_secs, seed: opts.common.seed };
@@ -927,9 +931,8 @@ fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
     }
 
     if let Some(dir) = &opts.checkpoint {
-        let dir = std::path::Path::new(dir);
-        stream = stream.with_checkpoint(dir);
-        if let Some(ckpt) = dnsnoise::stream::Checkpoint::load(dir).map_err(|e| e.to_string())? {
+        stream = stream.with_checkpoint(std::path::Path::new(dir));
+        if let Some(ckpt) = resume_from {
             eprintln!("resuming from checkpoint: day={} events={}", ckpt.day, ckpt.pushed);
             if ckpt.pushed == 0 {
                 stream = stream.resume(&ckpt, &[]).map_err(|e| e.to_string())?;
@@ -954,6 +957,27 @@ fn cmd_stream(opts: &StreamOpts) -> Result<(), String> {
         Feeder { stream: Some(stream), pending: None, die_after: opts.die_after, fed: 0 };
     feed_trace(&opts.trace, &mut |e| feeder.feed(e))?;
     finish_stream(feeder.stream.take().expect("never resumes"), report_store)
+}
+
+/// Refuses a `--store-path` that already holds a store (a `MANIFEST` or a
+/// `run-*.bin`). A run that is not resuming numbers its runs and its
+/// MANIFEST from zero, so it would rename fresh images over files the old
+/// MANIFEST still lists.
+fn refuse_existing_store(path: Option<&str>) -> Result<(), String> {
+    let Some(dir) = path else { return Ok(()) };
+    let Ok(entries) = std::fs::read_dir(dir) else { return Ok(()) };
+    let holds_store = entries.flatten().any(|entry| {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        name == MANIFEST_NAME || (name.starts_with("run-") && name.ends_with(".bin"))
+    });
+    if holds_store {
+        return Err(format!(
+            "--store-path {dir} already holds a pDNS store; pass an empty directory \
+             (only a --checkpoint resume takes an existing store over)"
+        ));
+    }
+    Ok(())
 }
 
 /// Streams every event of `trace` (or stdin) into `feed`.
@@ -988,11 +1012,7 @@ fn finish_stream(stream: dnsnoise::stream::StreamMiner, report_store: bool) -> R
     let checkpoint_error = stream.checkpoint_error().map(ToString::to_string);
     let (report, _sim) = stream.finish();
     if report_store {
-        let s = &report.rpdns_store;
-        eprintln!(
-            "rpdns store: backend={} records={} storage_bytes={} runs={}",
-            s.backend, s.records, s.storage_bytes, s.runs
-        );
+        eprintln!("{}", store_summary_line(&report.rpdns_store));
     }
     print!("{}", report.render());
     if !report.conserves() {

@@ -539,3 +539,115 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A run that is not resuming must not start a second store on top of an
+/// existing one (MANIFEST seq back at 1, fresh images renamed over files
+/// the old MANIFEST lists): it is refused, naming the directory, before
+/// any event is read. An empty directory is accepted.
+#[test]
+fn a_fresh_run_refuses_a_store_path_that_holds_a_store() {
+    let dir = tempdir_named("store-reuse");
+    let trace = dir.join("day.trace");
+    let out = bin()
+        .args(["generate", "--scale", "0.01", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let store = dir.join("pd");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).expect("create empty store dir");
+    let simulate = |path: &std::path::Path| {
+        bin()
+            .args(["simulate", "--trace"])
+            .arg(&trace)
+            .args(["--store", "disk", "--store-path"])
+            .arg(path)
+            .output()
+            .expect("run simulate")
+    };
+    for path in [&store, &empty] {
+        let out = simulate(path);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let before = std::fs::read(store.join("MANIFEST")).expect("manifest published");
+
+    let stream = bin()
+        .args(["stream", "--trace"])
+        .arg(&trace)
+        .args(["--store", "disk", "--store-path"])
+        .arg(&store)
+        .output()
+        .expect("run stream");
+    for out in [simulate(&store), stream] {
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty(), "refused before any event is read");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.contains(&*store.to_string_lossy()) && first.contains("already holds"),
+            "{stderr}"
+        );
+    }
+    assert_eq!(std::fs::read(store.join("MANIFEST")).expect("still there"), before);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `fsck` through the binary: a flipped byte in a run image is reported
+/// (exit 1), `--repair` quarantines it (exit 0), and the store then
+/// checks clean.
+#[test]
+fn fsck_flags_a_flipped_run_byte_and_repair_clears_it() {
+    let dir = tempdir_named("fsck-flip");
+    let trace = dir.join("day.trace");
+    let store = dir.join("pd");
+    let out = bin()
+        .args(["generate", "--scale", "0.02", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["stream", "--scale", "0.02", "--seed", "3", "--trace"])
+        .arg(&trace)
+        .args(["--store", "disk", "--store-path"])
+        .arg(&store)
+        .output()
+        .expect("run stream");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let run = std::fs::read_dir(&store)
+        .expect("store written")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| {
+            let name = p.file_name().expect("file name").to_string_lossy().into_owned();
+            name.starts_with("run-") && name.ends_with(".bin")
+        })
+        .expect("a run file");
+    let mut bytes = std::fs::read(&run).expect("run image");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&run, &bytes).expect("flip a byte");
+
+    let fsck = |repair: bool| {
+        let mut cmd = bin();
+        cmd.arg("fsck").arg(&store);
+        if repair {
+            cmd.arg("--repair");
+        }
+        let out = cmd.output().expect("run fsck");
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let (code, report) = fsck(false);
+    assert_eq!(code, Some(1), "{report}");
+    assert!(report.contains("quarantine[bad-run-checksum]: 1 files"), "{report}");
+    let (code, report) = fsck(true);
+    assert_eq!(code, Some(0), "{report}");
+    let (code, report) = fsck(false);
+    assert_eq!(code, Some(0), "{report}");
+    assert!(report.contains("status: clean"), "{report}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
