@@ -21,6 +21,7 @@
 //! epoch mid-stream and resuming is indistinguishable from an
 //! uninterrupted run.
 
+use std::borrow::Borrow;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
@@ -424,10 +425,11 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Enables epoch-boundary checkpointing under `dir` (the CLI's
-    /// `stream --checkpoint` flag): each time an epoch closes, the
-    /// observer's state is serialised and atomically swapped into
-    /// `dir/checkpoint.bin`, so a killed process can [`StreamMiner::resume`]
-    /// from the last boundary instead of the start of the day. Write
+    /// `stream --checkpoint` flag): when the first event names the day
+    /// and each time an epoch closes, the observer's state is serialised
+    /// and atomically swapped into `dir/checkpoint.bin`, so a killed
+    /// process can [`StreamMiner::resume`] from the last boundary (or the
+    /// start of the day) instead of starting over. Write
     /// failures latch into [`StreamMiner::checkpoint_error`]; the stream
     /// itself is never perturbed.
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>) -> StreamMiner<'m> {
@@ -450,6 +452,11 @@ impl<'m> StreamMiner<'m> {
             self.session_started = true;
             self.day = event.time.day();
             self.session.set_day(self.day);
+            // The day's first checkpoint, before its first event counts:
+            // a process killed before the first boundary may already have
+            // flushed to the store directory, so its rerun must resume
+            // (and take the directory over), not start fresh.
+            self.write_checkpoint();
         }
         let epoch = event.time.second_of_day() / self.config.epoch_secs;
         if let Some(current) = self.current_epoch {
@@ -505,13 +512,17 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Restores a freshly-built miner to the exact point `ckpt` was
-    /// written: the first `ckpt.pushed` events of the day's trace
-    /// (`warmup`) are replayed through the resolver session to rebuild
-    /// its caches and its per-record table, and every online structure —
-    /// HyperLogLogs, pDNS logs, epoch summaries, the rpDNS backend — is
-    /// restored from the checkpoint. Pushing the remaining events and
-    /// finishing then produces a report byte-identical to an
+    /// written: the first `ckpt.pushed` events of the day's trace are
+    /// pulled from `warmup` and replayed through the resolver session to
+    /// rebuild its caches and its per-record table, and every online
+    /// structure — HyperLogLogs, pDNS logs, epoch summaries, the rpDNS
+    /// backend — is restored from the checkpoint. Pushing the remaining
+    /// events and finishing then produces a report byte-identical to an
     /// uninterrupted run.
+    ///
+    /// `warmup` may be the whole trace: exactly `ckpt.pushed` events are
+    /// taken from it and nothing is buffered, so a reader handed over
+    /// with `by_ref()` is left positioned at the first event to push.
     ///
     /// Call on a miner built with the same configuration, store backend,
     /// and (for fresh-day streams) the same simulator seed as the
@@ -520,35 +531,41 @@ impl<'m> StreamMiner<'m> {
     /// # Errors
     ///
     /// [`StoreError::ConfigMismatch`] when the checkpoint's configuration
-    /// echo contradicts this miner's configuration or backend kind, or
-    /// when `warmup` does not cover exactly the checkpointed prefix;
-    /// [`StoreError::Corrupt`] when the checkpoint's payload is
-    /// internally inconsistent.
-    pub fn resume(
+    /// echo contradicts this miner's configuration or backend kind (found
+    /// before any event is read), or when `warmup` ends before the
+    /// checkpointed prefix does; [`StoreError::Corrupt`] when the
+    /// checkpoint's payload is internally inconsistent.
+    pub fn resume<E: Borrow<QueryEvent>>(
         mut self,
         ckpt: &Checkpoint,
-        warmup: &[QueryEvent],
+        warmup: impl IntoIterator<Item = E>,
     ) -> Result<StreamMiner<'m>, StoreError> {
         ckpt.verify(&self.config, self.state.rpdns.kind())?;
-        if warmup.len() as u64 != ckpt.pushed {
-            return Err(StoreError::ConfigMismatch {
-                detail: format!(
-                    "checkpoint replay prefix: checkpoint consumed {} events but {} were supplied",
-                    ckpt.pushed,
-                    warmup.len()
-                ),
-            });
-        }
-        self.state = ckpt.restore_state(&self.config, &self.state.rpdns)?;
-        self.day = ckpt.day;
-        self.session_started = true;
         self.session.set_day(ckpt.day);
         // Rebuild the resolver session — caches and per-record table —
         // exactly as the interrupted process built it; the unit observer
-        // keeps the restored online state untouched.
-        for event in warmup {
-            self.session.push(event, self.ground_truth, &mut ());
+        // leaves the online state to the checkpoint. The count bounds the
+        // pull, so a forged `pushed` sizes nothing.
+        let mut warmup = warmup.into_iter();
+        let mut supplied = 0;
+        while supplied < ckpt.pushed {
+            let Some(event) = warmup.next() else { break };
+            self.session.push(event.borrow(), self.ground_truth, &mut ());
+            supplied += 1;
         }
+        if supplied != ckpt.pushed {
+            return Err(StoreError::ConfigMismatch {
+                detail: format!(
+                    "checkpoint replay prefix: checkpoint consumed {} events but {supplied} were \
+                     supplied",
+                    ckpt.pushed
+                ),
+            });
+        }
+        // Only a complete prefix takes the store directory over.
+        self.state = ckpt.restore_state(&self.config, &self.state.rpdns)?;
+        self.day = ckpt.day;
+        self.session_started = true;
         self.epochs = ckpt.epochs.clone();
         self.pushed = ckpt.pushed;
         self.current_epoch = ckpt.current_epoch;

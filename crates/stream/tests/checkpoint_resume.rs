@@ -1,7 +1,7 @@
 //! Kill/resume fidelity: a stream killed mid-day and resumed from its
-//! last epoch-boundary checkpoint must produce a report byte-identical
-//! to an uninterrupted run — same render, same findings, same day
-//! report — for both rpDNS backends.
+//! last checkpoint (an epoch boundary, or the day start) must produce a
+//! report byte-identical to an uninterrupted run — same render, same
+//! findings, same day report — for both rpDNS backends.
 
 use dnsnoise_core::{DailyPipeline, Miner, MinerConfig};
 use dnsnoise_pdns::{fsck, BackendKind, PdnsBackend};
@@ -35,13 +35,8 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
     let s = scenario(21);
     let miner = trained_miner(&s);
     let trace = s.generate_day(1);
-    let kill_at = trace.events.len() * 3 / 5;
 
     for kind in [BackendKind::Memory, BackendKind::Disk] {
-        let store_dir = temp_dir(&format!("ckpt-store-{kind}"));
-        let ckpt_dir = temp_dir(&format!("ckpt-resume-{kind}"));
-        let spill = (kind == BackendKind::Disk).then(|| store_dir.clone());
-
         // Reference: the same trace streamed without interruption.
         let mut reference = StreamMiner::new(config(), &miner)
             .ground_truth(s.ground_truth())
@@ -51,55 +46,63 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
         }
         let (expected, _) = reference.finish();
 
-        // "Process one": checkpoints enabled, killed mid-day (dropped
-        // without finish, exactly what abort() leaves behind).
-        let mut victim = StreamMiner::new(config(), &miner)
-            .ground_truth(s.ground_truth())
-            .with_store(PdnsBackend::create(kind, spill.as_deref()))
-            .with_checkpoint(&ckpt_dir);
-        for event in &trace.events[..kill_at] {
-            victim.push(event);
+        // Killed after the first event (only the day-start checkpoint
+        // exists) and mid-day (past several boundaries).
+        for kill_at in [1, trace.events.len() * 3 / 5] {
+            let store_dir = temp_dir(&format!("ckpt-store-{kind}-{kill_at}"));
+            let ckpt_dir = temp_dir(&format!("ckpt-resume-{kind}-{kill_at}"));
+            let spill = (kind == BackendKind::Disk).then(|| store_dir.clone());
+
+            // "Process one": checkpoints enabled, killed (dropped without
+            // finish, exactly what abort() leaves behind).
+            let mut victim = StreamMiner::new(config(), &miner)
+                .ground_truth(s.ground_truth())
+                .with_store(PdnsBackend::create(kind, spill.as_deref()))
+                .with_checkpoint(&ckpt_dir);
+            for event in &trace.events[..kill_at] {
+                victim.push(event);
+            }
+            assert!(victim.checkpoint_error().is_none(), "{kind}: checkpointing failed");
+            drop(victim);
+
+            // "Process two": load the checkpoint and hand `resume` the
+            // whole trace; it pulls exactly the consumed prefix as
+            // warm-up, and the rest is pushed from the same iterator.
+            let ckpt = Checkpoint::load(&ckpt_dir)
+                .expect("checkpoint readable")
+                .expect("the first event writes a checkpoint");
+            assert_eq!(ckpt.pushed == 0, kill_at == 1, "{kind}: {} at {kill_at}", ckpt.pushed);
+            assert!(ckpt.pushed < kill_at as u64);
+            let mut events = trace.events.iter();
+            let mut resumed = StreamMiner::new(config(), &miner)
+                .ground_truth(s.ground_truth())
+                .with_store(PdnsBackend::create(kind, spill.as_deref()))
+                .with_checkpoint(&ckpt_dir)
+                .resume(&ckpt, events.by_ref())
+                .expect("checkpoint matches the miner's configuration");
+            assert_eq!(events.len() as u64, trace.events.len() as u64 - ckpt.pushed);
+            for event in events {
+                resumed.push(event);
+            }
+            assert!(resumed.checkpoint_error().is_none(), "{kind}: checkpointing failed");
+            let (report, _) = resumed.finish();
+
+            assert_eq!(report.render(), expected.render(), "{kind}: render diverged");
+            assert_eq!(report.final_findings, expected.final_findings, "{kind}: findings");
+            assert_eq!(report.day_report, expected.day_report, "{kind}: day report diverged");
+            assert_eq!(report.rpdns_store.records, expected.rpdns_store.records, "{kind}: rpDNS");
+
+            // The disk backend's spill directory must also be consistent:
+            // the resumed store republished its manifest and finish()
+            // optimised it, so fsck reports zero problems.
+            if kind == BackendKind::Disk {
+                let check = fsck(&store_dir, false).expect("fsck runs");
+                assert!(check.is_clean(), "{kind}: fsck found problems:\n{}", check.render());
+            }
+
+            std::fs::remove_dir_all(&store_dir).ok();
+            std::fs::remove_dir_all(&ckpt_dir).ok();
         }
-        assert!(victim.checkpoint_error().is_none(), "{kind}: checkpointing failed");
-        drop(victim);
-
-        // "Process two": load the checkpoint, replay the consumed prefix
-        // as warmup, push the rest of the trace.
-        let ckpt = Checkpoint::load(&ckpt_dir)
-            .expect("checkpoint readable")
-            .expect("a boundary checkpoint was written before the kill");
-        assert!(ckpt.pushed > 0 && ckpt.pushed < kill_at as u64, "kill point past a boundary");
-        let resumed = StreamMiner::new(config(), &miner)
-            .ground_truth(s.ground_truth())
-            .with_store(PdnsBackend::create(kind, spill.as_deref()))
-            .with_checkpoint(&ckpt_dir)
-            .resume(&ckpt, &trace.events[..ckpt.pushed as usize])
-            .expect("checkpoint matches the miner's configuration");
-        let mut resumed = resumed;
-        for event in &trace.events[ckpt.pushed as usize..] {
-            resumed.push(event);
-        }
-        assert!(resumed.checkpoint_error().is_none(), "{kind}: checkpointing failed");
-        let (report, _) = resumed.finish();
-
-        assert_eq!(report.render(), expected.render(), "{kind}: render diverged");
-        assert_eq!(report.final_findings, expected.final_findings, "{kind}: findings diverged");
-        assert_eq!(report.day_report, expected.day_report, "{kind}: day report diverged");
-        assert_eq!(
-            report.rpdns_store.records, expected.rpdns_store.records,
-            "{kind}: rpDNS diverged"
-        );
-
-        // The disk backend's spill directory must also be consistent:
-        // the resumed store republished its manifest and finish()
-        // optimised it, so fsck reports zero problems.
-        if kind == BackendKind::Disk {
-            let check = fsck(&store_dir, false).expect("fsck runs");
-            assert!(check.is_clean(), "{kind}: fsck found problems:\n{}", check.render());
-        }
-
-        std::fs::remove_dir_all(&store_dir).ok();
-        std::fs::remove_dir_all(&ckpt_dir).ok();
     }
 }
 

@@ -116,7 +116,7 @@ sim_store=$(grep -o "$store_tokens" "$smoke_dir/sim.log") \
     && [ "$sim_store" = "$(grep -o "$store_tokens" "$smoke_dir/sm.log")" ] \
     || { echo "error: simulate and stream filled the memory store differently" >&2; exit 1; }
 
-echo "== crash/resume smoke (kill mid-day, resume from checkpoint, fsck) ==" >&2
+echo "== crash/resume smoke (kill mid-day and before the first boundary, resume, fsck) ==" >&2
 # A stream killed mid-day by --die-after (simulating SIGKILL) and resumed
 # from its on-disk checkpoint must print the exact bytes of the
 # uninterrupted run, and the crashed spill directory must heal to a clean
@@ -140,6 +140,33 @@ diff "$smoke_dir/s1.txt" "$smoke_dir/sr.txt" >&2 \
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-crash" >"$smoke_dir/fsck.txt" \
     || { echo "error: fsck found problems after crash+resume" >&2
          cat "$smoke_dir/fsck.txt" >&2; exit 1; }
+# Killed before its first epoch boundary (one epoch per day), once a flush
+# has published the store: the day-start checkpoint makes the identical
+# rerun a resume that takes the store over, not a refusal.
+./target/release/dnsnoise generate --scale 0.08 --seed 3 --day 1 \
+    --out "$smoke_dir/day1-big.trace" 2>/dev/null
+pre=(stream --trace "$smoke_dir/day1-big.trace" --model "$smoke_dir/model.txt" --epoch-secs 86400)
+durable=(--store disk --store-path "$smoke_dir/pdns-pre" --checkpoint "$smoke_dir/ckpt-pre")
+./target/release/dnsnoise "${pre[@]}" >"$smoke_dir/pre-ref.txt"
+events=$(grep -cv '^#' "$smoke_dir/day1-big.trace")
+if ./target/release/dnsnoise "${pre[@]}" "${durable[@]}" --die-after $((events * 9 / 10)) \
+    >/dev/null 2>/dev/null; then
+    echo "error: --die-after $((events * 9 / 10)) did not kill the stream" >&2; exit 1
+fi
+[ -e "$smoke_dir/pdns-pre/MANIFEST" ] \
+    || { echo "error: the pre-boundary kill left no published store to take over" >&2; exit 1; }
+./target/release/dnsnoise "${pre[@]}" "${durable[@]}" >"$smoke_dir/pre-res.txt" \
+    2>"$smoke_dir/pre-res.log" \
+    || { echo "error: the rerun of a stream killed before its first boundary failed" >&2
+         cat "$smoke_dir/pre-res.log" >&2; exit 1; }
+grep -q 'resuming from checkpoint: day=1 events=0' "$smoke_dir/pre-res.log" \
+    || { echo "error: the pre-boundary rerun did not resume from the day-start checkpoint" >&2
+         exit 1; }
+diff "$smoke_dir/pre-ref.txt" "$smoke_dir/pre-res.txt" >&2 \
+    || { echo "error: the pre-boundary resume diverged from the uninterrupted run" >&2; exit 1; }
+./target/release/dnsnoise fsck "$smoke_dir/pdns-pre" >"$smoke_dir/fsck-pre.txt" \
+    || { echo "error: fsck found problems after the pre-boundary resume" >&2
+         cat "$smoke_dir/fsck-pre.txt" >&2; exit 1; }
 
 echo "== benchmark smoke (benchmark/ builds against this tree, every gate holds, counts are exact) ==" >&2
 # benchmark/ is a package of its own that no other step compiles: an API

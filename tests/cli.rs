@@ -93,6 +93,75 @@ fn bad_arguments_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage"));
 }
 
+/// argv is outside input: values that once panicked (`--scale nan` at
+/// the scenario constructor, `--scale inf` as a capacity overflow,
+/// `--capacity 0` in the cluster) or aborted on a 608 GB allocation
+/// (`--buckets 4000000000`), and a `--theta` outside [0, 1] that mined
+/// nothing, are refused up front: exit 1, the flag named on one line.
+#[test]
+fn hostile_flag_values_are_refused_without_a_panic() {
+    let cases: [&[&str]; 10] = [
+        &["generate", "--scale", "nan"],
+        &["generate", "--scale", "inf"],
+        &["simulate", "--capacity", "0"],
+        &["simulate", "--buckets", "4000000000"],
+        &["mine", "--theta", "7"],
+        &["stream", "--theta", "7"],
+        &["train", "--theta", "7"],
+        &["mine", "--theta", "nan"],
+        &["stream", "--theta", "nan"],
+        &["train", "--theta", "nan"],
+    ];
+    for args in cases {
+        let out = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.starts_with(args[1]) && first.contains("must be"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// Usage follows an argument error only: a run that fails prints its one
+/// error line, so a caller's last stderr line is the error.
+#[test]
+fn runtime_errors_print_one_line_without_usage() {
+    for args in [&["fsck", "/nonexistent/dir"][..], &["simulate", "--faults", "loss=2"]] {
+        let out = bin().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage"), "{args:?}: {stderr}");
+    }
+}
+
+/// Every usage text, generated from the flag tables, pinned: a new flag
+/// or a changed help line is one reviewed diff of `tests/golden/usage.txt`.
+/// To rebless after an intended change: `UPDATE_GOLDEN=1 cargo test --test
+/// cli usage`.
+#[test]
+fn usage_texts_match_the_golden_file() {
+    let help = |args: &[&str]| {
+        let out = bin().args(args).output().expect("run");
+        assert!(out.status.success(), "{args:?}");
+        format!("$ dnsnoise {}\n{}", args.join(" "), String::from_utf8_lossy(&out.stdout))
+    };
+    let top = help(&["help"]);
+    let names = top.split_once('<').and_then(|(_, rest)| rest.split_once('>')).expect("<cmds>").0;
+    let mut rendered = top.clone();
+    for name in names.split('|') {
+        rendered += &help(&[name, "--help"]);
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/usage.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).expect("write golden usage");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("golden usage (UPDATE_GOLDEN=1)");
+    assert_eq!(rendered, expected, "usage drifted; rebless with UPDATE_GOLDEN=1 if intended");
+}
+
 #[test]
 fn subcommands_own_their_flags() {
     // A simulate-only flag is an error under mine (it used to parse
@@ -536,6 +605,49 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("unsupported version"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stream killed before its first epoch boundary has already published a
+/// store (a flush wrote `MANIFEST` and a run). The day-start checkpoint
+/// makes the identical rerun a resume that takes the store over: its
+/// render equals the uninterrupted run's, and the store checks clean.
+#[test]
+fn a_stream_killed_before_its_first_boundary_restarts() {
+    let dir = tempdir_named("ckpt-day-start");
+    let (trace, model) = (dir.join("day.trace"), dir.join("model.txt"));
+    let out = bin()
+        .args(["generate", "--scale", "0.08", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin().args(["train", "--scale", "0.02", "--seed", "3", "--out"]).arg(&model).output();
+    assert!(out.expect("run train").status.success());
+    let stream = |store: &str, die_after: Option<&str>| {
+        let mut cmd = bin();
+        cmd.args(["stream", "--seed", "3", "--epoch-secs", "86400", "--trace"]).arg(&trace);
+        cmd.arg("--model").arg(&model).args(["--store", "disk", "--store-path"]);
+        cmd.arg(dir.join(store)).arg("--checkpoint").arg(dir.join(format!("{store}.ckpt")));
+        if let Some(n) = die_after {
+            cmd.args(["--die-after", n]);
+        }
+        cmd.output().expect("run stream")
+    };
+
+    let reference = stream("whole", None);
+    assert!(reference.status.success(), "{}", String::from_utf8_lossy(&reference.stderr));
+    let killed = stream("killed", Some("90000"));
+    assert!(!killed.status.success(), "--die-after must abort");
+    assert!(dir.join("killed/MANIFEST").exists(), "a flush published the store before the kill");
+    let resumed = stream("killed", None);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{stderr}");
+    assert!(stderr.contains("resuming from checkpoint: day=0 events=0"), "{stderr}");
+    assert_eq!(resumed.stdout, reference.stdout, "the resumed render diverged");
+    let fsck = bin().arg("fsck").arg(dir.join("killed")).output().expect("run fsck");
+    assert!(fsck.status.success(), "{}", String::from_utf8_lossy(&fsck.stdout));
 
     std::fs::remove_dir_all(&dir).ok();
 }
