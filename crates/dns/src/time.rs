@@ -84,17 +84,19 @@ impl fmt::Display for Timestamp {
     }
 }
 
+/// Saturating: a trace stamp within a TTL of `u64::MAX` is outside
+/// input, and its expiry pins at the end of time instead of overflowing.
 impl Add<Ttl> for Timestamp {
     type Output = Timestamp;
 
     fn add(self, ttl: Ttl) -> Timestamp {
-        Timestamp(self.0 + u64::from(ttl.as_secs()))
+        Timestamp(self.0.saturating_add(u64::from(ttl.as_secs())))
     }
 }
 
 impl AddAssign<Ttl> for Timestamp {
     fn add_assign(&mut self, ttl: Ttl) {
-        self.0 += u64::from(ttl.as_secs());
+        *self = *self + ttl;
     }
 }
 

@@ -28,16 +28,17 @@ impl FpDnsRecord {
     /// Approximate storage footprint in bytes (name + fixed fields +
     /// rdata), used by the §VI-C storage model.
     pub fn storage_bytes(&self) -> usize {
-        tuple_bytes(&self.name, &self.rdata)
+        FpDnsRecord::storage_bytes_of(&self.name, &self.rdata)
     }
-}
 
-/// The shared per-record accounting (name + type/ttl + rdata, see
-/// `RrKey::storage_bytes`) plus the fpDNS-only timestamp (8) and client
-/// id (8), from borrowed fields: the collector sizes every answer record
-/// and keeps only the first `retain` of them as tuples.
-fn tuple_bytes(name: &dnsnoise_dns::Name, rdata: &RData) -> usize {
-    RrKey::storage_bytes_of(name, rdata) + 16
+    /// The footprint of a tuple carrying `name` and `rdata`, from
+    /// borrowed fields: the shared per-record accounting (name +
+    /// type/ttl + rdata, see `RrKey::storage_bytes`) plus the fpDNS-only
+    /// timestamp (8) and client id (8). Collectors size every answer
+    /// record with it without building the tuple.
+    pub fn storage_bytes_of(name: &dnsnoise_dns::Name, rdata: &RData) -> usize {
+        RrKey::storage_bytes_of(name, rdata) + 16
+    }
 }
 
 /// The fpDNS collector: accumulates answer-section tuples and storage
@@ -122,7 +123,7 @@ impl FpDnsLog {
         let hour = (timestamp.hour_of_day() as usize).min(23);
         for rr in answers {
             self.total_records += 1;
-            let bytes = tuple_bytes(&rr.name, &rr.rdata) as u64;
+            let bytes = FpDnsRecord::storage_bytes_of(&rr.name, &rr.rdata) as u64;
             self.storage_bytes += bytes;
             self.hourly_records[hour] += 1;
             self.hourly_storage_bytes[hour] += bytes;
@@ -177,45 +178,6 @@ impl FpDnsLog {
         }
     }
 
-    /// The complete internal state, for checkpoint serialisation.
-    pub fn to_parts(&self) -> FpDnsLogParts {
-        FpDnsLogParts {
-            retain: self.retain,
-            exercise_wire: self.exercise_wire,
-            retained: self.retained.clone(),
-            total_records: self.total_records,
-            total_responses: self.total_responses,
-            nx_responses: self.nx_responses,
-            storage_bytes: self.storage_bytes,
-            wire_roundtrips: self.wire_roundtrips,
-            wire_parse_failures: self.wire_parse_failures,
-            next_txid: self.next_txid,
-            hourly_records: self.hourly_records,
-            hourly_storage_bytes: self.hourly_storage_bytes,
-        }
-    }
-
-    /// Rebuilds a collector from checkpointed parts; the inverse of
-    /// [`FpDnsLog::to_parts`], bit-exact including the wire transaction
-    /// id, so a resumed collector continues exactly where the
-    /// checkpointed one stopped.
-    pub fn from_parts(parts: FpDnsLogParts) -> FpDnsLog {
-        FpDnsLog {
-            retain: parts.retain,
-            exercise_wire: parts.exercise_wire,
-            retained: parts.retained,
-            total_records: parts.total_records,
-            total_responses: parts.total_responses,
-            nx_responses: parts.nx_responses,
-            storage_bytes: parts.storage_bytes,
-            wire_roundtrips: parts.wire_roundtrips,
-            wire_parse_failures: parts.wire_parse_failures,
-            next_txid: parts.next_txid,
-            hourly_records: parts.hourly_records,
-            hourly_storage_bytes: parts.hourly_storage_bytes,
-        }
-    }
-
     /// The retained tuple sample (up to the retention cap).
     pub fn retained(&self) -> &[FpDnsRecord] {
         &self.retained
@@ -260,37 +222,6 @@ impl FpDnsLog {
     pub fn hourly_storage_bytes(&self) -> &[u64; 24] {
         &self.hourly_storage_bytes
     }
-}
-
-/// The complete internal state of an [`FpDnsLog`], exposed field by
-/// field so process-level checkpoints can serialise and restore the
-/// collector bit-exactly (see [`FpDnsLog::to_parts`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FpDnsLogParts {
-    /// Retention cap.
-    pub retain: usize,
-    /// Whether responses are round-tripped through the wire codec.
-    pub exercise_wire: bool,
-    /// The retained tuple sample.
-    pub retained: Vec<FpDnsRecord>,
-    /// Total answer-section records observed.
-    pub total_records: u64,
-    /// Total responses observed.
-    pub total_responses: u64,
-    /// NXDOMAIN responses observed.
-    pub nx_responses: u64,
-    /// Modelled storage footprint.
-    pub storage_bytes: u64,
-    /// Wire round-trips performed.
-    pub wire_roundtrips: u64,
-    /// Failed wire round-trips.
-    pub wire_parse_failures: u64,
-    /// Next wire transaction id.
-    pub next_txid: u16,
-    /// Tuples appended per hour of day.
-    pub hourly_records: [u64; 24],
-    /// Storage bytes added per hour of day.
-    pub hourly_storage_bytes: [u64; 24],
 }
 
 #[cfg(test)]

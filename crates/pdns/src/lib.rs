@@ -23,7 +23,7 @@ mod rpdns;
 pub mod store;
 mod wildcard;
 
-pub use fpdns::{FpDnsLog, FpDnsLogParts, FpDnsRecord};
+pub use fpdns::{FpDnsLog, FpDnsRecord};
 pub use rpdns::{DailyNewRrs, RpDns};
 pub use store::{
     fsck, BackendKind, PdnsBackend, PdnsStore, RecoveryReport, Run, RunStore, StoreConfig,

@@ -2,9 +2,11 @@
 //!
 //! [`PdnsCollector`] adapts any [`PdnsStore`] backend to the simulator's
 //! [`Observer`] hook: every answered response's answer-section records
-//! are observed into the store with the event's day as the first-seen
+//! are observed into the store with the replayed day as the first-seen
 //! candidate, exactly how the paper's collector builds the reduced pDNS
-//! database below the recursives. Shed queries and SERVFAILs carry no
+//! database below the recursives. The day is the collector's, not the
+//! event's: one hostile timestamp in a trace must not size the store's
+//! per-day table. Shed queries and SERVFAILs carry no
 //! records below and are skipped; NXDOMAINs pass an empty answer section
 //! and contribute nothing.
 
@@ -19,14 +21,16 @@ use crate::observer::{Observer, Served};
 #[derive(Debug, Default)]
 pub struct PdnsCollector<S> {
     store: S,
+    day: u64,
     responses: u64,
     records: u64,
 }
 
 impl<S: PdnsStore> PdnsCollector<S> {
-    /// Wraps `store`; observations accumulate into it.
-    pub fn new(store: S) -> Self {
-        PdnsCollector { store, responses: 0, records: 0 }
+    /// Wraps `store`; observations accumulate into it as first seen on
+    /// `day` (the replayed trace's [`DayTrace::day`](dnsnoise_workload::DayTrace)).
+    pub fn new(store: S, day: u64) -> Self {
+        PdnsCollector { store, day, responses: 0, records: 0 }
     }
 
     /// The wrapped store.
@@ -52,15 +56,14 @@ impl<S: PdnsStore> PdnsCollector<S> {
 }
 
 impl<S: PdnsStore> Observer for PdnsCollector<S> {
-    fn observe(&mut self, event: &QueryEvent, served: Served, answers: &[Record]) {
+    fn observe(&mut self, _event: &QueryEvent, served: Served, answers: &[Record]) {
         if served.is_shed() || served.is_failure() {
             return;
         }
         self.responses += 1;
-        let day = event.time.day();
         for record in answers {
             self.records += 1;
-            self.store.observe(record, day);
+            self.store.observe(record, self.day);
         }
     }
 }
@@ -95,7 +98,7 @@ mod tests {
 
     #[test]
     fn answered_records_land_in_the_store_once() {
-        let mut c = PdnsCollector::new(RpDns::new());
+        let mut c = PdnsCollector::new(RpDns::new(), 0);
         c.observe(&event(10), Served::CacheMiss, &[answer(1), answer(2)]);
         c.observe(&event(20), Served::CacheHit, &[answer(1)]);
         c.observe(&event(30), Served::NegativeHit, &[]);
@@ -106,7 +109,7 @@ mod tests {
 
     #[test]
     fn shed_and_failed_responses_are_invisible() {
-        let mut c = PdnsCollector::new(RpDns::new());
+        let mut c = PdnsCollector::new(RpDns::new(), 0);
         for served in [Served::ServFail, Served::Dropped, Served::RateLimited] {
             c.observe(&event(10), served, &[]);
         }

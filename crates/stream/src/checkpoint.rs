@@ -3,11 +3,11 @@
 //! killed-and-restarted process resumes mid-day and produces a report
 //! byte-identical to an uninterrupted run.
 //!
-//! A [`Checkpoint`] captures everything the miner's observer owns — both
-//! HyperLogLogs, the fpDNS and rpDNS datasets (including the disk
-//! backend's exact memtable and run layout, so its subsequent compaction
-//! decisions are identical), the epoch summaries closed so far, and the
-//! served-class tallies. What it deliberately does *not* capture is the
+//! A [`Checkpoint`] captures everything the miner's observer owns — the
+//! client HyperLogLog, the four fpDNS counters, the rpDNS dataset
+//! (including the disk backend's exact memtable and run layout, so its
+//! subsequent compaction decisions are identical), the epoch summaries
+//! closed so far, and the served-class tallies. What it deliberately does *not* capture is the
 //! resolver session: its caches *and* its per-record query/miss table
 //! (the miner's input) are a pure function of the event prefix, so
 //! [`StreamMiner::resume`](crate::StreamMiner::resume) rebuilds them by
@@ -27,24 +27,22 @@
 use std::path::Path;
 
 use dnsnoise_core::Finding;
-use dnsnoise_dns::{Name, QType, Timestamp, Ttl};
+use dnsnoise_dns::Name;
 use dnsnoise_pdns::store::frame::{
-    self, malformed, put_blob16, put_u16, put_u32, put_u64, FrameError, Reader,
+    self, malformed, put_blob16, put_u16, put_u64, FrameError, Reader,
 };
 use dnsnoise_pdns::store::keys::{self, CompositeKey};
 use dnsnoise_pdns::store::{io, PdnsStore};
-use dnsnoise_pdns::{
-    BackendKind, DailyNewRrs, FpDnsLog, FpDnsLogParts, FpDnsRecord, PdnsBackend, RpDns, Run,
-    RunStore, StoreError,
-};
+use dnsnoise_pdns::{BackendKind, DailyNewRrs, PdnsBackend, RpDns, Run, RunStore, StoreError};
 
-use crate::engine::{EpochSummary, StreamConfig, StreamState, HLL_NAMES_SEED_XOR, HLL_PRECISION};
+use crate::engine::{EpochSummary, PdnsSummary, StreamConfig, StreamState, HLL_PRECISION};
 use crate::sketch::HyperLogLog;
 
 /// Magic + format version leading every serialised checkpoint. Versions
 /// 1 and 2 (which carried per-record counters in the body: sketch tables,
-/// then registry rows) are refused as `FrameError::Version`.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt3\n";
+/// then registry rows) and 3 (a name HyperLogLog and a whole fpDNS log)
+/// are refused as `FrameError::Version`.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt4\n";
 
 /// The checkpoint's file name inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
@@ -68,11 +66,10 @@ pub struct Checkpoint {
     pub pushed: u64,
     pub(crate) current_epoch: Option<u64>,
     pub(crate) epochs: Vec<EpochSummary>,
-    // -- cardinality estimators --
+    // -- cardinality estimator --
     pub(crate) hll_clients_regs: Vec<u8>,
-    pub(crate) hll_names_regs: Vec<u8>,
     // -- pDNS datasets --
-    pub(crate) fpdns: FpDnsLogParts,
+    pub(crate) pdns: PdnsSummary,
     pub(crate) rpdns_per_day: Vec<DailyNewRrs>,
     pub(crate) rpdns_storage_bytes: u64,
     /// Memory backend: every `(composite key, first-seen day)`, sorted
@@ -97,7 +94,6 @@ impl Checkpoint {
     /// mutated, nothing touches disk.
     pub(crate) fn capture(
         config: &StreamConfig,
-        day: u64,
         pushed: u64,
         current_epoch: Option<u64>,
         epochs: &[EpochSummary],
@@ -125,13 +121,12 @@ impl Checkpoint {
             hll_precision: HLL_PRECISION,
             seed: config.seed,
             backend: state.rpdns.kind(),
-            day,
+            day: state.day,
             pushed,
             current_epoch,
             epochs: epochs.to_vec(),
             hll_clients_regs: state.hll_clients.registers().to_vec(),
-            hll_names_regs: state.hll_names.registers().to_vec(),
-            fpdns: state.pdns.to_parts(),
+            pdns: state.pdns,
             rpdns_per_day: state.rpdns.daily_stats().to_vec(),
             rpdns_storage_bytes: PdnsStore::storage_bytes(&state.rpdns),
             rpdns_memory,
@@ -188,12 +183,6 @@ impl Checkpoint {
                 .ok_or_else(|| {
                     corrupt("client-HLL register count does not match precision".to_string())
                 })?;
-        let hll_names = HyperLogLog::from_parts(
-            HLL_PRECISION,
-            config.seed ^ HLL_NAMES_SEED_XOR,
-            self.hll_names_regs.clone(),
-        )
-        .ok_or_else(|| corrupt("name-HLL register count does not match precision".to_string()))?;
         let rpdns = match backend {
             PdnsBackend::Memory(_) => {
                 let records = self
@@ -229,9 +218,9 @@ impl Checkpoint {
         };
         Ok(StreamState {
             hll_clients,
-            hll_names,
-            pdns: FpDnsLog::from_parts(self.fpdns.clone()),
+            pdns: self.pdns,
             rpdns,
+            day: self.day,
             answered: self.answered,
             nxdomain: self.nxdomain,
             failed: self.failed,
@@ -260,7 +249,6 @@ impl Checkpoint {
             put_u64(&mut out, e.end_secs);
             put_u64(&mut out, e.events);
             put_u64(&mut out, e.distinct_names);
-            put_u64(&mut out, e.distinct_names_est);
             put_u64(&mut out, e.distinct_clients_est);
             put_u64(&mut out, e.state_bytes as u64);
             put_u64(&mut out, e.findings.len() as u64);
@@ -268,31 +256,12 @@ impl Checkpoint {
                 put_finding(&mut out, f);
             }
         }
-        for regs in [&self.hll_clients_regs, &self.hll_names_regs] {
-            put_u64(&mut out, regs.len() as u64);
-            out.extend_from_slice(regs);
-        }
-        put_u64(&mut out, self.fpdns.retain as u64);
-        out.push(u8::from(self.fpdns.exercise_wire));
-        put_u64(&mut out, self.fpdns.total_records);
-        put_u64(&mut out, self.fpdns.total_responses);
-        put_u64(&mut out, self.fpdns.nx_responses);
-        put_u64(&mut out, self.fpdns.storage_bytes);
-        put_u64(&mut out, self.fpdns.wire_roundtrips);
-        put_u64(&mut out, self.fpdns.wire_parse_failures);
-        put_u16(&mut out, self.fpdns.next_txid);
-        for hour in self.fpdns.hourly_records.iter().chain(&self.fpdns.hourly_storage_bytes) {
-            put_u64(&mut out, *hour);
-        }
-        put_u64(&mut out, self.fpdns.retained.len() as u64);
-        for r in &self.fpdns.retained {
-            put_u64(&mut out, r.timestamp.as_secs());
-            put_u64(&mut out, r.client);
-            put_name(&mut out, &r.name);
-            put_u16(&mut out, r.qtype.code());
-            put_u32(&mut out, r.ttl.as_secs());
-            put_blob16(&mut out, &keys::encode_rdata(&r.rdata));
-        }
+        put_u64(&mut out, self.hll_clients_regs.len() as u64);
+        out.extend_from_slice(&self.hll_clients_regs);
+        put_u64(&mut out, self.pdns.total_records);
+        put_u64(&mut out, self.pdns.total_responses);
+        put_u64(&mut out, self.pdns.nx_responses);
+        put_u64(&mut out, self.pdns.storage_bytes);
         put_u64(&mut out, self.rpdns_per_day.len() as u64);
         for day in &self.rpdns_per_day {
             put_u64(&mut out, day.new_records);
@@ -348,7 +317,6 @@ impl Checkpoint {
                 end_secs: r.u64()?,
                 events: r.u64()?,
                 distinct_names: r.u64()?,
-                distinct_names_est: r.u64()?,
                 distinct_clients_est: r.u64()?,
                 state_bytes: r.usize()?,
                 findings: {
@@ -359,53 +327,11 @@ impl Checkpoint {
         })?;
         let regs = cur.count()?;
         let hll_clients_regs = cur.take(regs)?.to_vec();
-        let regs = cur.count()?;
-        let hll_names_regs = cur.take(regs)?.to_vec();
-        let retain = cur.usize()?;
-        let exercise_wire = cur.bool()?;
-        let total_records = cur.u64()?;
-        let total_responses = cur.u64()?;
-        let nx_responses = cur.u64()?;
-        let storage_bytes = cur.u64()?;
-        let wire_roundtrips = cur.u64()?;
-        let wire_parse_failures = cur.u64()?;
-        let next_txid = cur.u16()?;
-        let mut hourly = [[0u64; 24]; 2];
-        for half in &mut hourly {
-            for slot in half.iter_mut() {
-                *slot = cur.u64()?;
-            }
-        }
-        let [hourly_records, hourly_storage_bytes] = hourly;
-        let n = cur.count()?;
-        let retained = cur.seq(n, |r| {
-            let timestamp = Timestamp::from_secs(r.u64()?);
-            let client = r.u64()?;
-            let name = read_name(r)?;
-            let qtype_code = r.u16()?;
-            let qtype = QType::from_code(qtype_code)
-                .ok_or_else(|| malformed(format!("unknown qtype code {qtype_code}")))?;
-            let ttl = Ttl::from_secs(r.u32()?);
-            let rdata_bytes = r.blob16()?;
-            if rdata_bytes.is_empty() {
-                return Err(malformed("empty rdata encoding"));
-            }
-            let rdata = keys::decode_rdata(rdata_bytes).map_err(malformed)?;
-            Ok(FpDnsRecord { timestamp, client, name, qtype, ttl, rdata })
-        })?;
-        let fpdns = FpDnsLogParts {
-            retain,
-            exercise_wire,
-            retained,
-            total_records,
-            total_responses,
-            nx_responses,
-            storage_bytes,
-            wire_roundtrips,
-            wire_parse_failures,
-            next_txid,
-            hourly_records,
-            hourly_storage_bytes,
+        let pdns = PdnsSummary {
+            total_records: cur.u64()?,
+            total_responses: cur.u64()?,
+            nx_responses: cur.u64()?,
+            storage_bytes: cur.u64()?,
         };
         let n = cur.count()?;
         let rpdns_per_day =
@@ -440,8 +366,7 @@ impl Checkpoint {
             current_epoch,
             epochs,
             hll_clients_regs,
-            hll_names_regs,
-            fpdns,
+            pdns,
             rpdns_per_day,
             rpdns_storage_bytes,
             rpdns_memory,
@@ -524,35 +449,15 @@ mod tests {
                     members: 40,
                 }],
                 distinct_names: 17,
-                distinct_names_est: 17,
                 distinct_clients_est: 9,
                 state_bytes: 2048,
             }],
             hll_clients_regs: vec![1; 16],
-            hll_names_regs: vec![2; 16],
-            fpdns: FpDnsLogParts {
-                retain: 4,
-                exercise_wire: false,
-                retained: vec![FpDnsRecord {
-                    timestamp: Timestamp::from_secs(86_400 * 3 + 42),
-                    client: 77,
-                    name: "a.example.com".parse().unwrap(),
-                    qtype: QType::A,
-                    ttl: Ttl::from_secs(60),
-                    rdata: keys::decode_rdata(&keys::encode_rdata(&dnsnoise_dns::RData::A(
-                        std::net::Ipv4Addr::new(192, 0, 2, 1),
-                    )))
-                    .unwrap(),
-                }],
-                total_records: 9,
+            pdns: PdnsSummary {
                 total_responses: 8,
+                total_records: 9,
                 nx_responses: 1,
                 storage_bytes: 512,
-                wire_roundtrips: 0,
-                wire_parse_failures: 0,
-                next_txid: 10,
-                hourly_records: [3; 24],
-                hourly_storage_bytes: [7; 24],
             },
             rpdns_per_day: vec![DailyNewRrs { new_records: 5, repeated_records: 2 }],
             rpdns_storage_bytes: 640,
@@ -587,20 +492,22 @@ mod tests {
     /// The on-disk bytes, pinned.
     #[test]
     fn image_matches_the_golden_fixture() {
-        let golden = unhex(include_str!("../tests/golden/checkpoint_v3.hex"));
+        let golden = unhex(include_str!("../tests/golden/checkpoint_v4.hex"));
         assert_eq!(sample().to_bytes(), golden);
         let back = Checkpoint::from_bytes(&golden).expect("golden image parses");
         assert_eq!(back.to_bytes(), golden);
     }
 
     /// A `checkpoint.bin` written while the body still carried per-record
-    /// counters (v1: two sketch tables, v2: registry rows) is intact but
-    /// unreadable: resume must refuse it by name, not restart from zero.
+    /// counters (v1: two sketch tables, v2: registry rows) or a name
+    /// HyperLogLog and a whole fpDNS log (v3) is intact but unreadable:
+    /// resume must refuse it by name, not restart from zero.
     #[test]
     fn older_versions_are_rejected_as_unsupported_version() {
         for (magic, hex) in [
             (b"dnckpt1\n", include_str!("../tests/golden/checkpoint_v1.hex")),
             (b"dnckpt2\n", include_str!("../tests/golden/checkpoint_v2.hex")),
+            (b"dnckpt3\n", include_str!("../tests/golden/checkpoint_v3.hex")),
         ] {
             let image = unhex(hex);
             assert!(image.starts_with(magic));

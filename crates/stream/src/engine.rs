@@ -9,9 +9,11 @@
 //!   count and above-the-recursives miss count per resource record that
 //!   every replay keeps, and the very table the batch miner reads after
 //!   the day. The stream path holds no second copy of it;
-//! * the observer adds only what no other structure holds: two
-//!   **HyperLogLogs** (distinct clients, distinct owner names), the pDNS
-//!   datasets and the served-class tallies.
+//! * the observer adds only what no other structure holds: one
+//!   **HyperLogLog** of distinct clients, the four fpDNS counters the
+//!   report prints, the rpDNS store and the served-class tallies. The
+//!   distinct owner-name count needs no estimator: it is the close-time
+//!   tree's exact black-node count.
 //!
 //! At each epoch boundary (and at [`StreamMiner::finish`]) the table is
 //! folded into a fresh [`DomainTree`] with
@@ -25,9 +27,9 @@ use std::borrow::Borrow;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
-use dnsnoise_dns::{fnv1a, Record, SuffixList};
+use dnsnoise_dns::{Record, SuffixList};
 use dnsnoise_pdns::store::io;
-use dnsnoise_pdns::{BackendKind, FpDnsLog, PdnsBackend, PdnsStore, StoreError, StoreStats};
+use dnsnoise_pdns::{BackendKind, FpDnsRecord, PdnsBackend, PdnsStore, StoreError, StoreStats};
 use dnsnoise_resolver::{
     DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
 };
@@ -36,16 +38,8 @@ use dnsnoise_workload::{GroundTruth, QueryEvent};
 use crate::checkpoint::Checkpoint;
 use crate::sketch::HyperLogLog;
 
-/// How many fpDNS records the streaming collector retains as samples.
-/// Aggregate pDNS counters are exact regardless.
-pub const PDNS_RETAIN: usize = 512;
-
-/// Seed decorrelator for the name HLL; shared with checkpoint restore so
-/// a resumed miner rebuilds the exact estimator.
-pub(crate) const HLL_NAMES_SEED_XOR: u64 = 0x2545_f491_4f6c_dd1d;
-
-/// HyperLogLog precision `p` of both estimators: `2^p` = 4096 one-byte
-/// registers each, ≈ 1.6 % standard error. Echoed in every checkpoint,
+/// HyperLogLog precision `p` of the client estimator: `2^p` = 4096
+/// one-byte registers, ≈ 1.6 % standard error. Echoed in every checkpoint,
 /// so an image written at another precision is refused on resume.
 pub(crate) const HLL_PRECISION: u8 = 12;
 
@@ -56,7 +50,7 @@ pub struct StreamConfig {
     /// Seconds per classification epoch (default 21 600 — four mid-day
     /// closes per day).
     pub epoch_secs: u64,
-    /// Hash seed for both HyperLogLogs.
+    /// Hash seed for the client HyperLogLog.
     pub seed: u64,
 }
 
@@ -80,13 +74,11 @@ pub struct EpochSummary {
     /// Exact distinct owner names: the close-time tree's black nodes,
     /// counted before Algorithm 1 decolors any.
     pub distinct_names: u64,
-    /// HyperLogLog estimate of distinct owner names.
-    pub distinct_names_est: u64,
     /// HyperLogLog estimate of distinct clients.
     pub distinct_clients_est: u64,
     /// Resident streaming state at close, in bytes: the session's
-    /// per-record table ([`RrDayStats::state_bytes`]) plus both
-    /// HyperLogLogs.
+    /// per-record table ([`RrDayStats::state_bytes`]) plus the client
+    /// HyperLogLog.
     pub state_bytes: usize,
 }
 
@@ -121,17 +113,34 @@ impl From<&PdnsBackend> for RpdnsStoreSummary {
     }
 }
 
-/// Aggregate pDNS counters collected online.
+/// Aggregate pDNS counters collected online: the totals an
+/// [`FpDnsLog`](dnsnoise_pdns::FpDnsLog) keeps over the same responses,
+/// without the log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PdnsSummary {
     /// Responses collected (answers and NXDOMAINs).
     pub total_responses: u64,
     /// Resource records across those responses.
     pub total_records: u64,
-    /// NXDOMAIN responses.
+    /// Responses with an empty answer section (NXDOMAIN, and NODATA).
     pub nx_responses: u64,
     /// Modeled storage the full fpDNS log would occupy.
     pub storage_bytes: u64,
+}
+
+impl PdnsSummary {
+    /// Counts one response's answer section (empty = NXDOMAIN), exactly
+    /// as [`FpDnsLog::collect`](dnsnoise_pdns::FpDnsLog::collect) does.
+    fn collect(&mut self, answers: &[Record]) {
+        self.total_responses += 1;
+        if answers.is_empty() {
+            self.nx_responses += 1;
+        }
+        for rr in answers {
+            self.total_records += 1;
+            self.storage_bytes += FpDnsRecord::storage_bytes_of(&rr.name, &rr.rdata) as u64;
+        }
+    }
 }
 
 /// The end-of-day output of a [`StreamMiner`].
@@ -176,8 +185,6 @@ pub struct StreamReport {
     pub events_shed: u64,
     /// Exact distinct owner names at end of day.
     pub distinct_names: u64,
-    /// HLL estimate of distinct owner names.
-    pub distinct_names_est: u64,
     /// HLL estimate of distinct clients.
     pub distinct_clients_est: u64,
     /// Largest resident state of the day. The per-record table only
@@ -223,7 +230,7 @@ impl StreamReport {
         for e in &self.epochs {
             line(format!("-- epoch {} (close @ {}s, {} events) --", e.epoch, e.end_secs, e.events));
             line(format!("state_bytes = {}", e.state_bytes));
-            line(format!("distinct_names = {} (hll {})", e.distinct_names, e.distinct_names_est));
+            line(format!("distinct_names = {}", e.distinct_names));
             line(format!("distinct_clients_hll = {}", e.distinct_clients_est));
             line(format!("findings = {}", e.findings.len()));
             for f in &e.findings {
@@ -232,7 +239,7 @@ impl StreamReport {
         }
         line("-- final --".to_string());
         line(format!("events = {}", self.events_pushed));
-        line(format!("distinct_names = {} (hll {})", self.distinct_names, self.distinct_names_est));
+        line(format!("distinct_names = {}", self.distinct_names));
         line(format!("distinct_clients_hll = {}", self.distinct_clients_est));
         line(format!("peak_state_bytes = {}", self.peak_state_bytes));
         line(format!(
@@ -264,18 +271,22 @@ fn render_finding(f: &Finding) -> String {
 }
 
 /// The online statistics the observer accumulates — what the replay
-/// session does not already hold: cardinality estimators, pDNS datasets,
-/// and the served-class tallies behind the conservation line.
+/// session does not already hold: the client estimator, the pDNS
+/// counters and store, and the served-class tallies behind the
+/// conservation line.
 #[derive(Debug)]
 pub(crate) struct StreamState {
     pub(crate) hll_clients: HyperLogLog,
-    pub(crate) hll_names: HyperLogLog,
-    pub(crate) pdns: FpDnsLog,
+    pub(crate) pdns: PdnsSummary,
     /// The deduplicating rpDNS store behind the `--store` flag. Excluded
     /// from [`StreamState::state_bytes`]: the paper's streaming-state
     /// budget covers the per-record table and estimators, and the store's
     /// own footprint is reported separately as rpDNS storage bytes.
     pub(crate) rpdns: PdnsBackend,
+    /// The day being streamed, named by its first event: every answer is
+    /// observed into `rpdns` under it, whatever its own timestamp says,
+    /// so one hostile stamp cannot size the store's per-day table.
+    pub(crate) day: u64,
     pub(crate) answered: u64,
     pub(crate) nxdomain: u64,
     pub(crate) failed: u64,
@@ -283,12 +294,12 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    fn new(config: &StreamConfig) -> StreamState {
+    fn new(config: &StreamConfig, day: u64) -> StreamState {
         StreamState {
             hll_clients: HyperLogLog::new(HLL_PRECISION, config.seed),
-            hll_names: HyperLogLog::new(HLL_PRECISION, config.seed ^ HLL_NAMES_SEED_XOR),
-            pdns: FpDnsLog::new(PDNS_RETAIN, false),
+            pdns: PdnsSummary::default(),
             rpdns: PdnsBackend::default(),
+            day,
             answered: 0,
             nxdomain: 0,
             failed: 0,
@@ -297,9 +308,9 @@ impl StreamState {
     }
 
     /// Total resident streaming state in bytes: the session's per-record
-    /// `table` + both HyperLogLogs.
+    /// `table` + the client HyperLogLog.
     fn state_bytes(&self, table: &RrDayStats) -> usize {
-        table.state_bytes() + self.hll_clients.state_bytes() + self.hll_names.state_bytes()
+        table.state_bytes() + self.hll_clients.state_bytes()
     }
 }
 
@@ -317,17 +328,13 @@ impl Observer for StreamState {
         if served.is_nxdomain() {
             self.nxdomain += 1;
             // Empty answer section marks the response NXDOMAIN in fpDNS.
-            self.pdns.collect(event.time, event.client, &event.name, event.qtype, &[]);
+            self.pdns.collect(&[]);
             return;
         }
         self.answered += 1;
-        self.pdns.collect(event.time, event.client, &event.name, event.qtype, answers);
-        let day = event.time.day();
+        self.pdns.collect(answers);
         for rr in answers {
-            self.rpdns.observe(rr, day);
-            // Idempotent, so repeat sightings leave the registers as the
-            // first one set them.
-            self.hll_names.insert(fnv1a(rr.name.presentation_bytes()));
+            self.rpdns.observe(rr, self.day);
         }
     }
 }
@@ -361,8 +368,6 @@ pub struct StreamMiner<'m> {
     current_epoch: Option<u64>,
     epochs: Vec<EpochSummary>,
     pushed: u64,
-    /// The day the session streams; updated from the first event.
-    day: u64,
     /// Whether the first event has named the day yet ([`StreamMiner::push`]
     /// for a fresh session, [`StreamMiner::resume`] for a restored one).
     session_started: bool,
@@ -395,11 +400,10 @@ impl<'m> StreamMiner<'m> {
             psl: SuffixList::builtin(),
             ground_truth: None,
             session: EventSession::new(sim, day),
-            state: StreamState::new(&config),
+            state: StreamState::new(&config, day),
             current_epoch: None,
             epochs: Vec::new(),
             pushed: 0,
-            day,
             session_started: false,
             checkpoint_dir: None,
             checkpoint_error: None,
@@ -450,8 +454,8 @@ impl<'m> StreamMiner<'m> {
             // know it up front); for well-formed traces this agrees with
             // the day passed to `with_sim`.
             self.session_started = true;
-            self.day = event.time.day();
-            self.session.set_day(self.day);
+            self.state.day = event.time.day();
+            self.session.set_day(self.state.day);
             // The day's first checkpoint, before its first event counts:
             // a process killed before the first boundary may already have
             // flushed to the store directory, so its rerun must resume
@@ -500,7 +504,6 @@ impl<'m> StreamMiner<'m> {
         let Some(dir) = self.checkpoint_dir.clone() else { return };
         let ckpt = Checkpoint::capture(
             &self.config,
-            self.day,
             self.pushed,
             self.current_epoch,
             &self.epochs,
@@ -515,8 +518,8 @@ impl<'m> StreamMiner<'m> {
     /// written: the first `ckpt.pushed` events of the day's trace are
     /// pulled from `warmup` and replayed through the resolver session to
     /// rebuild its caches and its per-record table, and every online
-    /// structure — HyperLogLogs, pDNS logs, epoch summaries, the rpDNS
-    /// backend — is restored from the checkpoint. Pushing the remaining
+    /// structure — the client HyperLogLog, the pDNS counters, epoch
+    /// summaries, the rpDNS backend — is restored from the checkpoint. Pushing the remaining
     /// events and finishing then produces a report byte-identical to an
     /// uninterrupted run.
     ///
@@ -564,7 +567,6 @@ impl<'m> StreamMiner<'m> {
         }
         // Only a complete prefix takes the store directory over.
         self.state = ckpt.restore_state(&self.config, &self.state.rpdns)?;
-        self.day = ckpt.day;
         self.session_started = true;
         self.epochs = ckpt.epochs.clone();
         self.pushed = ckpt.pushed;
@@ -590,7 +592,6 @@ impl<'m> StreamMiner<'m> {
             events: self.pushed,
             findings,
             distinct_names,
-            distinct_names_est: self.state.hll_names.estimate_rounded(),
             distinct_clients_est: self.state.hll_clients.estimate_rounded(),
             state_bytes: self.state.state_bytes(table),
         });
@@ -610,7 +611,6 @@ impl<'m> StreamMiner<'m> {
             current_epoch: _,
             epochs,
             pushed,
-            day: _,
             session_started: _,
             checkpoint_dir: _,
             checkpoint_error: _,
@@ -644,12 +644,7 @@ impl<'m> StreamMiner<'m> {
             epochs,
             final_findings,
             mining,
-            pdns: PdnsSummary {
-                total_responses: state.pdns.total_responses(),
-                total_records: state.pdns.total_records(),
-                nx_responses: state.pdns.nx_responses(),
-                storage_bytes: state.pdns.storage_bytes(),
-            },
+            pdns: state.pdns,
             rpdns_store,
             rpdns_store_error,
             events_pushed: pushed,
@@ -658,7 +653,6 @@ impl<'m> StreamMiner<'m> {
             events_failed: state.failed,
             events_shed: state.shed,
             distinct_names,
-            distinct_names_est: state.hll_names.estimate_rounded(),
             distinct_clients_est: state.hll_clients.estimate_rounded(),
             peak_state_bytes: state.state_bytes(&day_report.rr_stats),
             day_report,
@@ -780,6 +774,57 @@ mod tests {
         assert_eq!(resumed.conservation_line(), uninterrupted.conservation_line());
         // The forced close adds exactly one epoch entry and nothing else.
         assert_eq!(resumed.epochs.len(), uninterrupted.epochs.len() + 1);
+    }
+
+    /// The observer's four counters are `FpDnsLog::collect`'s totals:
+    /// an answered NODATA counts as `nx` like an NXDOMAIN, a SERVFAIL
+    /// not at all. Answers land in the store under the streamed day,
+    /// whatever the event's own stamp says.
+    #[test]
+    fn observer_counts_like_the_fpdns_log_under_the_streamed_day() {
+        use dnsnoise_dns::{QType, RData, Timestamp, Ttl};
+        use dnsnoise_pdns::FpDnsLog;
+        use dnsnoise_workload::Outcome;
+
+        let name: dnsnoise_dns::Name = "www.example.com".parse().unwrap();
+        let rr = |ip: u8| {
+            let ip = std::net::Ipv4Addr::new(192, 0, 2, ip);
+            Record::new(name.clone(), QType::A, Ttl::from_secs(60), RData::A(ip))
+        };
+        let event = |secs: u64| QueryEvent {
+            time: Timestamp::from_secs(secs),
+            client: 1,
+            name: name.clone(),
+            qtype: QType::A,
+            outcome: Outcome::NxDomain,
+            zone_tag: u32::MAX,
+        };
+        let answered = [rr(1), rr(2)];
+        let responses: [(u64, Served, &[Record]); 5] = [
+            (86_400 + 10, Served::CacheMiss, &answered),
+            (86_400 + 20, Served::CacheHit, &[]),
+            (86_400 + 30, Served::NxMiss, &[]),
+            (86_400 + 40, Served::ServFail, &[]),
+            (u64::MAX, Served::CacheHit, &answered[..1]),
+        ];
+        let mut state = StreamState::new(&StreamConfig::default(), 1);
+        let mut log = FpDnsLog::new(0, false);
+        for (secs, served, answers) in responses {
+            let e = event(secs);
+            state.observe(&e, served, answers);
+            if !served.is_failure() {
+                log.collect(e.time, e.client, &e.name, e.qtype, answers);
+            }
+        }
+        let expected = PdnsSummary {
+            total_responses: log.total_responses(),
+            total_records: log.total_records(),
+            nx_responses: log.nx_responses(),
+            storage_bytes: log.storage_bytes(),
+        };
+        assert_eq!(state.pdns, expected);
+        assert_eq!((expected.total_responses, expected.nx_responses), (4, 2));
+        assert_eq!(state.rpdns.daily_stats().len(), 2, "days 0 and 1 only");
     }
 
     #[test]

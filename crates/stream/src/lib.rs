@@ -5,9 +5,11 @@
 //! incrementally — one [`QueryEvent`](dnsnoise_workload::QueryEvent) at a
 //! time — and mines the replay session's own exact per-record query/miss
 //! table ([`EventSession::rr_stats`](dnsnoise_resolver::EventSession::rr_stats))
-//! whenever an epoch closes, adding only a seeded [`HyperLogLog`] per
-//! cardinality and the pDNS datasets. Periodic epoch closes emit mid-day
-//! classifications; [`StreamMiner::finish`] emits the end-of-day report.
+//! whenever an epoch closes, adding only a seeded [`HyperLogLog`] of
+//! distinct clients, four fpDNS counters and the rpDNS store (the
+//! distinct-name count is the close-time tree's, exact). Periodic epoch
+//! closes emit mid-day classifications; [`StreamMiner::finish`] emits the
+//! end-of-day report.
 //!
 //! Everything is deterministic: hashes are seeded, the miner's output
 //! does not depend on table iteration order, and the streaming
@@ -45,6 +47,5 @@ mod sketch;
 pub use checkpoint::{Checkpoint, CHECKPOINT_NAME};
 pub use engine::{
     EpochSummary, PdnsSummary, RpdnsStoreSummary, StreamConfig, StreamMiner, StreamReport,
-    PDNS_RETAIN,
 };
 pub use sketch::HyperLogLog;

@@ -165,7 +165,7 @@ fn resume_rejects_wrong_config_backend_and_prefix() {
     let ckpt = Checkpoint::load(&ckpt_dir).unwrap().expect("checkpoint exists");
     let warmup = &trace.events[..ckpt.pushed as usize];
 
-    // Different hash seed: the restored HyperLogLogs would be garbage.
+    // Different hash seed: the restored HyperLogLog would be garbage.
     let other = StreamConfig { seed: 99, ..config() };
     let err = StreamMiner::new(other, &miner).resume(&ckpt, warmup).unwrap_err();
     assert!(err.to_string().contains("seed"), "{err}");

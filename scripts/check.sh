@@ -85,6 +85,20 @@ diff "$smoke_dir/zones.batch" "$smoke_dir/zones.stream" >&2 \
 [ -s "$smoke_dir/zones.batch" ] \
     || { echo "error: stream smoke found no zones to compare" >&2; exit 1; }
 
+echo "== hostile-timestamp smoke (one absurd stamp never aborts stream or simulate) ==" >&2
+# Answers are observed under the replayed day, not the event's own: a
+# u64::MAX stamp used to size the store's per-day table and abort (134).
+awk 'NR == 1000 {print; printf "18446744073709551615\t40\tshop.lhm4twt.com\tA\tshop.lhm4twt.com,A,900,A:40.191.241.20\n"; next} 1' \
+    "$smoke_dir/day1.trace" >"$smoke_dir/hostile.trace"
+for run in "simulate" "stream --model $smoke_dir/model.txt" \
+    "stream --model $smoke_dir/model.txt --store disk --store-path $smoke_dir/pdns-hostile"; do
+    status=0
+    # shellcheck disable=SC2086 # $run is a word list on purpose
+    ./target/release/dnsnoise $run --trace "$smoke_dir/hostile.trace" >/dev/null 2>&1 || status=$?
+    [ "$status" -lt 128 ] \
+        || { echo "error: '$run' on a hostile timestamp died with status $status" >&2; exit 1; }
+done
+
 echo "== pdns store smoke (miner output identical across --store memory|disk) ==" >&2
 # Same day-1 trace and model as the stream smoke: stdout must be
 # byte-identical whichever rpDNS backend dedups behind the miner, and the

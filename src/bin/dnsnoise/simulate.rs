@@ -95,7 +95,7 @@ fn run(o: &Opts) -> Result<(), String> {
     });
     // The pDNS collector rides along on every replay; without the
     // store flags it stays on the silent in-memory backend.
-    let mut collector = PdnsCollector::new(o.store_backend());
+    let mut collector = PdnsCollector::new(o.store_backend(), trace.day);
     let mut run = sim.day(&trace).faults(&plan).metrics(&mut registry).observer(&mut collector);
     if let Some(gt) = &ground_truth {
         run = run.ground_truth(gt);

@@ -556,7 +556,8 @@ fn simulate_disk_store_repeats_byte_for_byte() {
 /// A checkpoint's `pushed` is outside input behind only a CRC: a
 /// well-formed image claiming more events than the trace holds must end
 /// in the named error, not in an allocation sized from the claim. So is
-/// its format version: the committed `dnckpt2` image is refused as such.
+/// its format version: the committed `dnckpt2` and `dnckpt3` images are
+/// refused as such.
 #[test]
 fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     use dnsnoise::stream::Checkpoint;
@@ -592,19 +593,75 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("checkpoint covers more events than the trace supplies"), "{stderr}");
 
-    // An intact image of the previous format (per-record counters in the
-    // body) is refused by name, never misparsed or restarted from zero.
-    let v2: Vec<u8> = include_str!("../crates/stream/tests/golden/checkpoint_v2.hex")
-        .split_whitespace()
-        .flat_map(|line| line.as_bytes().chunks_exact(2))
-        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-        .collect();
-    assert!(v2.starts_with(b"dnckpt2\n"));
-    std::fs::write(ckpt_dir.join(dnsnoise::stream::CHECKPOINT_NAME), v2).expect("plant v2 image");
-    let out = stream();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("unsupported version"), "{stderr}");
+    // Intact images of earlier formats (per-record counters in the body,
+    // then a name HyperLogLog and a whole fpDNS log) are refused by name,
+    // never misparsed or restarted from zero.
+    for (magic, hex) in [
+        (b"dnckpt2\n", include_str!("../crates/stream/tests/golden/checkpoint_v2.hex")),
+        (b"dnckpt3\n", include_str!("../crates/stream/tests/golden/checkpoint_v3.hex")),
+    ] {
+        let image: Vec<u8> = hex
+            .split_whitespace()
+            .flat_map(|line| line.as_bytes().chunks_exact(2))
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        assert!(image.starts_with(magic));
+        std::fs::write(ckpt_dir.join(dnsnoise::stream::CHECKPOINT_NAME), image)
+            .expect("plant an old image");
+        let out = stream();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("unsupported version"), "{stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One trace line with an absurd timestamp is outside input like any
+/// other: `stream` (either store) and `simulate` observe its answers under
+/// the replayed day, so the run ends normally instead of aborting on an
+/// allocation sized by the stamp's day, and a day-10⁷ stamp leaves no
+/// ten-million-entry per-day table in the MANIFEST or the checkpoint.
+#[test]
+fn a_hostile_trace_timestamp_sizes_nothing() {
+    let dir = tempdir_named("hostile-stamp");
+    let clean = dir.join("day.trace");
+    let out = bin()
+        .args(["generate", "--scale", "0.02", "--seed", "7", "--out"])
+        .arg(&clean)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&clean).expect("trace written");
+    let answer = "shop.lhm4twt.com\tA\tshop.lhm4twt.com,A,900,A:40.191.241.20";
+    for stamp in ["18446744073709551615", "864000000000"] {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let hostile = format!("{stamp}\t40\t{answer}");
+        lines.insert(1000, &hostile);
+        let trace = dir.join(format!("{stamp}.trace"));
+        std::fs::write(&trace, lines.join("\n") + "\n").expect("write hostile trace");
+        let runs: [(&str, &[&str]); 3] = [
+            ("simulate", &[]),
+            ("stream", &["--store", "memory"]),
+            ("stream", &["--store", "disk", "--store-path", "pd", "--checkpoint", "ck"]),
+        ];
+        for (sub, flags) in runs {
+            let _ = std::fs::remove_dir_all(dir.join("pd"));
+            let _ = std::fs::remove_dir_all(dir.join("ck"));
+            let mut cmd = bin();
+            cmd.current_dir(&dir).arg(sub).arg("--trace").arg(&trace).args(flags);
+            if sub == "stream" {
+                cmd.args(["--scale", "0.02", "--seed", "7"]);
+            }
+            let out = cmd.output().expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(matches!(out.status.code(), Some(0 | 1)), "{sub} {flags:?} @{stamp}: {stderr}");
+            for file in ["pd/MANIFEST", "ck/checkpoint.bin"] {
+                let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+                assert!(len < 1 << 20, "{sub} @{stamp}: {file} holds {len} B");
+            }
+        }
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -290,4 +290,18 @@ fn session_pdns_collection_counts_match_day_run() {
     assert_eq!(streamed.log.nx_responses(), batch.log.nx_responses());
     assert_eq!(streamed.log.storage_bytes(), batch.log.storage_bytes());
     assert_eq!(streamed.log.retained(), batch.log.retained());
+
+    // The stream keeps only the four counters, folded in place: they must
+    // be the log's own totals over the same responses.
+    let miner = stream_trained_miner(&s);
+    let mut stream =
+        StreamMiner::new(StreamConfig::default(), &miner).ground_truth(s.ground_truth());
+    for event in &trace.events {
+        stream.push(event);
+    }
+    let pdns = stream.finish().0.pdns;
+    assert_eq!(pdns.total_responses, batch.log.total_responses());
+    assert_eq!(pdns.total_records, batch.log.total_records());
+    assert_eq!(pdns.nx_responses, batch.log.nx_responses());
+    assert_eq!(pdns.storage_bytes, batch.log.storage_bytes());
 }

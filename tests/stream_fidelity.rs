@@ -59,7 +59,7 @@ fn stream_report(s: &Scenario, miner: &Miner, trace: &DayTrace) -> StreamReport 
 /// event prefix on a fresh cluster, and the state-size bookkeeping.
 fn assert_mid_day_closes_equal_batch(miner: &Miner, trace: &DayTrace, report: &StreamReport) {
     assert!(report.epochs.len() >= 2, "the fixture must close epochs mid-day");
-    let hll_bytes = 2 * (1usize << report.hll_precision);
+    let hll_bytes = 1usize << report.hll_precision;
     for e in &report.epochs {
         let mut prefix = trace.clone();
         prefix.events.truncate(e.events as usize);
