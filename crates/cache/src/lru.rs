@@ -282,16 +282,18 @@ impl TtlLru {
 
     /// Inserts an answer set. The TTL of the entry is the minimum TTL of
     /// the supplied records (resolver semantics). Zero-TTL answers are not
-    /// cached at all.
+    /// cached at all. A shared `Arc<[Record]>` is stored as is, so a
+    /// caller that also hands the answers on copies none of them.
     ///
     /// Returns the evictions this insert caused, if any.
     pub fn insert(
         &mut self,
         key: CacheKey,
-        answers: Vec<Record>,
+        answers: impl Into<Arc<[Record]>>,
         now: Timestamp,
         priority: InsertPriority,
     ) -> Vec<(CacheKey, EvictionKind)> {
+        let answers: Arc<[Record]> = answers.into();
         let ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(Ttl::ZERO);
         if ttl.is_zero() {
             return Vec::new();
@@ -309,8 +311,7 @@ impl TtlLru {
                 None => break,
             }
         }
-        let entry =
-            Entry { key: key.clone(), answers: answers.into(), expires: now + ttl, priority };
+        let entry = Entry { key: key.clone(), answers, expires: now + ttl, priority };
         let id = self.occupy(entry);
         self.index.insert(key, id);
         self.push_tail(id, priority);

@@ -45,6 +45,7 @@ use dnsnoise_dns::{Name, Record, RrKey};
 
 use super::crc::crc32;
 use super::error::StoreError;
+use super::index;
 use super::io;
 use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 use super::manifest::{Manifest, RunFileMeta};
@@ -354,13 +355,18 @@ impl RunStore {
         // Every key lives in exactly one place (observe dedups before
         // inserting), so probe order is immaterial; memtable first is
         // simply cheapest. After `optimize` the memtable is empty and
-        // lookups go straight to the single run.
+        // lookups go straight to the single run. The key is hashed once
+        // for every run's table.
         if !self.memtable.is_empty() {
             if let Some(&day) = self.memtable.get(&key as &dyn KeyColumns) {
                 return Some(day);
             }
         }
-        self.runs.iter().find_map(|run| run.get(key))
+        if self.runs.is_empty() {
+            return None;
+        }
+        let hash = index::key_hash(key);
+        self.runs.iter().find_map(|run| run.get(key, hash))
     }
 
     /// Records one observation of `record` on `day`. Returns `true` when

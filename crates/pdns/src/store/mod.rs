@@ -7,8 +7,10 @@
 //!
 //! * [`RpDns`](crate::RpDns) — the original hash-map store (`memory`);
 //! * [`RunStore`] — memtable + immutable columnar sorted runs with
-//!   size-tiered compaction and a per-run sparse index (`disk`),
-//!   optionally mirroring runs to files.
+//!   size-tiered compaction and a per-run hash index built on each run's
+//!   first probe (`disk`), optionally mirroring runs to files. A probe
+//!   hashes its key once (`index::key_hash`) and reads a few slots of
+//!   each run's table.
 //!
 //! The two are interchangeable and bit-identical in every counter,
 //! lookup, and scan — pinned by the backend-equivalence property tests —

@@ -4,10 +4,11 @@
 //! into four columns: the name byte-buffer (reverse-label encodings,
 //! offset-indexed), the qtype column, the rdata byte-buffer
 //! (offset-indexed) and the first-seen-day column. Runs are built once —
-//! from a flushed memtable or a compaction merge — and never mutated;
-//! point lookups go through the per-run sparse index
-//! ([`RunIndex`](super::index::RunIndex)), range scans binary-search the
-//! name column directly.
+//! from a flushed memtable or a compaction merge — and never mutated.
+//! Point lookups go through the run's hash index
+//! ([`HashIndex`](super::index::HashIndex)), built on the run's first
+//! probe; range scans, merges and images read the sorted columns, which
+//! stay the only source of truth.
 //!
 //! [`Run::to_bytes`]/[`Run::from_bytes`] define the on-disk image the
 //! disk backend spills (format v2): inside the shared
@@ -16,16 +17,18 @@
 //! arbitrary, truncated, or bit-flipped input it returns an error — it
 //! never panics and never trusts a forged header (all size arithmetic is
 //! checked). The index is *not* serialised — it is a pure function of
-//! the sorted keys and is rebuilt on load, so a run file can never carry
-//! a stale or corrupt index.
+//! the sorted keys, built lazily by the first lookup, so a run file can
+//! never carry a stale or corrupt index, and loading or verifying a run
+//! (open, fsck, checkpoint load) builds none.
 
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use dnsnoise_dns::RrKey;
 
 use super::crc::crc32;
 use super::frame::{self, malformed, FrameError, Reader};
-use super::index::{feature, RunIndex};
+use super::index::{key_hash, HashIndex, Probe};
 use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 
 /// Magic + version tag leading every serialised run (format v2: the
@@ -33,8 +36,9 @@ use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 /// and are refused with [`FrameError::Version`]).
 const RUN_MAGIC: &[u8; 8] = b"dnrun02\n";
 
-/// One immutable sorted run.
-#[derive(Debug, Clone, PartialEq)]
+/// One immutable sorted run. Two runs are equal when their columns are:
+/// whether either has built its index yet does not matter.
+#[derive(Debug, Clone)]
 pub struct Run {
     /// `n + 1` offsets into `name_bytes`.
     name_offsets: Vec<u32>,
@@ -48,8 +52,19 @@ pub struct Run {
     rdata_bytes: Vec<u8>,
     /// First-seen day, one per entry.
     days: Vec<u64>,
-    /// The sparse index over the name column.
-    index: RunIndex,
+    /// The hash index over the composite keys, built on first probe.
+    index: OnceLock<HashIndex>,
+}
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.name_offsets == other.name_offsets
+            && self.name_bytes == other.name_bytes
+            && self.qtypes == other.qtypes
+            && self.rdata_offsets == other.rdata_offsets
+            && self.rdata_bytes == other.rdata_bytes
+            && self.days == other.days
+    }
 }
 
 impl Run {
@@ -129,28 +144,29 @@ impl Run {
             .then_with(|| self.rdata_at(i).cmp(key.rdata))
     }
 
-    /// Point lookup: the first-seen day of `key`, if stored. Uses the
-    /// sparse index for a bounded candidate window, then exact binary
-    /// search — never a miss for a stored key. `key` is borrowed: a probe
+    /// Point lookup: the first-seen day of `key`, whose [`key_hash`] is
+    /// `hash`, if stored. The first lookup builds the run's hash index;
+    /// every lookup then reads a few table slots and makes one exact
+    /// compare per fingerprint match. Only when the table spilled an
+    /// entry and the probe's window is full does it binary-search the
+    /// sorted columns. `key` is borrowed: after the build, a probe
     /// allocates nothing.
-    pub(crate) fn get(&self, key: KeyRef<'_>) -> Option<u64> {
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        let x = feature(key.name, self.index.lcp());
-        let (win_lo, win_hi) = self.index.window(x, n);
-        // The window holds every entry of feature group `x` and ends at
-        // a group with a larger feature, so a stored key lies inside it:
-        // binary-search the window by full composite comparison. A probe
-        // that lands on `win_hi`, or that does not share the run's
-        // common prefix (its feature is then meaningless), compares
-        // unequal below.
-        let pos = win_lo
-            + partition_point_idx(win_hi - win_lo, |i| {
-                self.cmp_at(win_lo + i, key) == Ordering::Less
-            });
-        (pos < n && self.cmp_at(pos, key) == Ordering::Equal).then(|| self.day_at(pos))
+    pub(crate) fn get(&self, key: KeyRef<'_>, hash: u64) -> Option<u64> {
+        let index = self
+            .index
+            .get_or_init(|| HashIndex::build(self.len(), |i| key_hash(self.key_ref_at(i))));
+        let pos = match index.find(hash, |i| self.cmp_at(i, key).is_eq()) {
+            Probe::Found(pos) => pos,
+            Probe::Absent => return None,
+            Probe::Unsure => {
+                let pos = partition_point_idx(self.len(), |i| self.cmp_at(i, key).is_lt());
+                if pos == self.len() || self.cmp_at(pos, key).is_ne() {
+                    return None;
+                }
+                pos
+            }
+        };
+        Some(self.day_at(pos))
     }
 
     /// The contiguous entry range `[lo, hi)` of names starting with
@@ -286,8 +302,7 @@ impl Run {
         {
             return Err(malformed("inconsistent run offsets"));
         }
-        let names: Vec<&[u8]> = (0..n).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
-        let index = RunIndex::build(&names);
+        let index = OnceLock::new();
         let run = Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index };
         if (0..n.saturating_sub(1)).any(|i| run.key_ref_at(i) >= run.key_ref_at(i + 1)) {
             return Err(malformed("run entries out of composite-key order"));
@@ -352,12 +367,10 @@ impl RunWriter {
         self.days.push(day);
     }
 
-    /// The finished run, with its index built over the name column.
+    /// The finished run; its index is built by its first lookup.
     pub(crate) fn finish(self) -> Run {
         let RunWriter { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days } = self;
-        let names: Vec<&[u8]> =
-            (0..qtypes.len()).map(|i| column_at(&name_bytes, &name_offsets, i)).collect();
-        let index = RunIndex::build(&names);
+        let index = OnceLock::new();
         Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }
     }
 }
@@ -415,33 +428,89 @@ pub(crate) mod tests {
         out
     }
 
+    /// `run.get` with the store's own hash of `key`.
+    fn lookup(run: &Run, key: &CompositeKey) -> Option<u64> {
+        run.get(key.columns(), key_hash(key.columns()))
+    }
+
     #[test]
     fn get_finds_every_stored_key_and_rejects_absent_ones() {
         let e = entries(3000);
         let run = Run::build(e.clone());
+        assert!(run.index.get().is_none(), "a built run has no index before its first probe");
         for (key, day) in &e {
-            assert_eq!(run.get(key.columns()), Some(*day));
+            assert_eq!(lookup(&run, key), Some(*day));
         }
         let absent = encode_key(
             &"nope.zone9.example".parse().unwrap(),
             QType::A,
             &RData::A(Ipv4Addr::LOCALHOST),
         );
-        assert_eq!(run.get(absent.columns()), None);
+        assert_eq!(lookup(&run, &absent), None);
     }
 
     #[test]
     fn get_rejects_keys_outside_the_common_prefix() {
         // Every stored name encodes as `example\0zone…`; these probes do
-        // not, so their index feature is read at a meaningless offset and
-        // the window is arbitrary. They sort wholly before or after the
-        // run and must come back absent, not mislocated.
+        // not. They sort wholly before or after the run and must come back
+        // absent, not mislocated.
         let run = Run::build(entries(3000));
         for name in ["d000001.zone1.aaa", "d000001.zone1.zzz", "example", "zone1.examplf"] {
             let probe =
                 encode_key(&name.parse().unwrap(), QType::A, &RData::A(Ipv4Addr::new(10, 0, 0, 1)));
-            assert_eq!(run.get(probe.columns()), None, "{name}");
+            assert_eq!(lookup(&run, &probe), None, "{name}");
         }
+    }
+
+    /// Hostile keys: a hash that sends every key of a run to one home slot
+    /// with one fingerprint (or to one of three) fills the probe window
+    /// and spills the rest of the run. Lookups must still find every
+    /// stored key and refuse absent ones, through the sorted-column
+    /// fallback, and the probe of a spilled table stays exact.
+    #[test]
+    fn colliding_hashes_fall_back_to_the_sorted_columns() {
+        let e = entries(500);
+        let absent: Vec<CompositeKey> = (0..50)
+            .map(|i| {
+                let name = format!("x{i}.zone{}.example", i % 7);
+                encode_key(&name.parse().unwrap(), QType::A, &RData::A(Ipv4Addr::new(10, 9, 9, i)))
+            })
+            .collect();
+        let hostile: [fn(KeyRef<'_>) -> u64; 2] = [
+            |_| 0x5eed_0000_0000_0001,
+            |k| 0x5eed_0000_0000_0000 | u64::from(k.name.len() % 3 == 0),
+        ];
+        for hash in hostile {
+            let run = Run::build(e.clone());
+            let index = HashIndex::build(run.len(), |i| hash(run.key_ref_at(i)));
+            assert_eq!(index.find(hash(e[499].0.columns()), |_| false), Probe::Unsure);
+            run.index.set(index).expect("index not built yet");
+            for (key, day) in &e {
+                assert_eq!(run.get(key.columns(), hash(key.columns())), Some(*day));
+            }
+            for key in &absent {
+                assert_eq!(run.get(key.columns(), hash(key.columns())), None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_entry_run_finds_its_key_and_nothing_else() {
+        let e = entries(1);
+        let run = Run::build(e.clone());
+        assert_eq!(lookup(&run, &e[0].0), Some(e[0].1));
+        assert_eq!(lookup(&run, &entries(2)[1].0), None);
+    }
+
+    #[test]
+    fn loading_an_image_builds_no_index() {
+        let e = entries(100);
+        let run = Run::build(e.clone());
+        assert_eq!(lookup(&run, &e[5].0), Some(e[5].1));
+        assert!(run.index.get().is_some(), "the first probe builds the index");
+        let back = Run::from_bytes(&run.to_bytes()).unwrap();
+        assert!(back.index.get().is_none(), "from_bytes builds nothing");
+        assert_eq!(back, run, "equality ignores the index");
     }
 
     #[test]
@@ -507,7 +576,6 @@ pub(crate) mod tests {
     pub(crate) fn out_of_order_image() -> Vec<u8> {
         let mut e = entries(10);
         e.swap(2, 7);
-        let n = e.len();
         let mut name_offsets = vec![0u32];
         let mut name_bytes = Vec::new();
         let mut qtypes = Vec::new();
@@ -522,10 +590,7 @@ pub(crate) mod tests {
             rdata_offsets.push(rdata_bytes.len() as u32);
             days.push(day);
         }
-        let names: Vec<&[u8]> = (0..n)
-            .map(|i| &name_bytes[name_offsets[i] as usize..name_offsets[i + 1] as usize])
-            .collect();
-        let index = RunIndex::build(&names);
+        let index = OnceLock::new();
         Run { name_offsets, name_bytes, qtypes, rdata_offsets, rdata_bytes, days, index }.to_bytes()
     }
 
@@ -541,7 +606,7 @@ pub(crate) mod tests {
         assert!(run.is_empty());
         let probe =
             encode_key(&"x.example".parse().unwrap(), QType::A, &RData::A(Ipv4Addr::LOCALHOST));
-        assert_eq!(run.get(probe.columns()), None);
+        assert_eq!(lookup(&run, &probe), None);
         assert_eq!(run.prefix_range(b"\0"), (0, 0));
         let back = Run::from_bytes(&run.to_bytes()).unwrap();
         assert!(back.is_empty());

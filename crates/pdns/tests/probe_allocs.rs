@@ -1,14 +1,16 @@
 //! A store probe is allocation-free: `observe` of a record the store
 //! already holds and `first_seen` — hit or miss, memtable or run — encode
-//! their key into reused buffers and compare borrowed columns. Only a new
-//! record is given an owned key.
+//! their key into reused buffers, read each run's hash table and compare
+//! borrowed columns. The tables themselves are built lazily: a run's
+//! first probe allocates its table, once. Only a new record is given an
+//! owned key.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use dnsnoise_dns::{QType, RData, Record, Ttl};
-use dnsnoise_pdns::{RunStore, StoreConfig};
+use dnsnoise_pdns::{Run, RunStore, StoreConfig};
 
 thread_local! {
     /// Allocations made by this thread (the test harness has others).
@@ -53,20 +55,39 @@ fn rr(i: u32) -> Record {
 
 #[test]
 fn repeated_observes_and_first_seen_probes_allocate_nothing() {
-    let mut store =
-        RunStore::with_config(StoreConfig { memtable_cap: 8, ..StoreConfig::default() });
+    let config = StoreConfig { memtable_cap: 8, ..StoreConfig::default() };
+    let mut built = RunStore::with_config(config.clone());
     for i in 0..20 {
-        assert!(store.observe(&rr(i), 0));
+        assert!(built.observe(&rr(i), 0));
     }
-    let stats = store.stats();
+    // The same store as a checkpoint restores it: every run reloaded from
+    // its image, so no run has built its table yet.
+    let runs: Vec<Run> =
+        built.runs().iter().map(|run| Run::from_bytes(&run.to_bytes()).unwrap()).collect();
+    let memtable = built.memtable_entries().map(|(key, day)| (key.clone(), day)).collect();
+    let stats = built.stats();
+    let per_day = built.per_day().to_vec();
+    let mut store = RunStore::from_parts(
+        config,
+        memtable,
+        runs,
+        per_day,
+        built.storage_bytes(),
+        stats.flushes,
+        stats.compactions,
+    );
     assert!(stats.runs >= 2 && stats.memtable_keys > 0, "{stats:?}");
 
     // Entry 0 sits in the oldest run, entry 19 in the memtable; entry 99
     // is nowhere.
     let (in_run, in_memtable, absent) = (rr(0), rr(19), rr(99));
     let keys = [in_run.key(), in_memtable.key(), absent.key()];
-    // Warm-up: the first probe on this thread sizes the key buffers.
-    assert_eq!(store.first_seen(&keys[0]), Some(0));
+    // Warm-up: the first probe on this thread sizes the key buffers (a
+    // memtable hit reads no run), and the first miss probes every run,
+    // allocating each run's table once.
+    assert_eq!(store.first_seen(&keys[1]), Some(0));
+    let (got, n) = allocations(|| store.first_seen(&keys[2]));
+    assert_eq!((got, n), (None, stats.runs as u64), "one allocation per run's table");
 
     for record in [&in_run, &in_memtable] {
         let (fresh, n) = allocations(|| store.observe(record, 0));

@@ -443,9 +443,12 @@ fn process_event<Obs: Observer + ?Sized>(
         Outcome::Answer(auth_answers) => {
             let key = CacheKey::new(event.name.clone(), event.qtype);
             let looked = cache.lookup(&key, event.time, ctx.stale_window);
-            let (served, answers): (Served, Vec<Record>) = match looked {
+            // Served answers are the cache's shared block (`None` when
+            // nothing was served): a hit copies no record, and a miss
+            // builds the one block the cache and the observer share.
+            let (served, answers): (Served, Option<Arc<[Record]>>) = match looked {
                 // Cache-hit fast path: protected, never queued or shed.
-                Lookup::Fresh(records) => (Served::CacheHit, records.to_vec()),
+                Lookup::Fresh(records) => (Served::CacheHit, Some(records)),
                 not_fresh => {
                     match admission_gate(
                         ctx,
@@ -464,12 +467,13 @@ fn process_event<Obs: Observer + ?Sized>(
                                     Some(pred) if pred(&event.name) => InsertPriority::Low,
                                     _ => InsertPriority::Normal,
                                 };
-                                cache.insert(key, auth_answers.clone(), event.time, priority);
-                                (Served::CacheMiss, auth_answers.clone())
+                                let answers: Arc<[Record]> = auth_answers.as_slice().into();
+                                cache.insert(key, Arc::clone(&answers), event.time, priority);
+                                (Served::CacheMiss, Some(answers))
                             } else {
                                 match not_fresh {
-                                    Lookup::Stale(records) => (Served::StaleHit, records.to_vec()),
-                                    _ => (Served::ServFail, Vec::new()),
+                                    Lookup::Stale(records) => (Served::StaleHit, Some(records)),
+                                    _ => (Served::ServFail, None),
                                 }
                             }
                         }
@@ -478,17 +482,18 @@ fn process_event<Obs: Observer + ?Sized>(
                             // entry rather than shed, when RFC 8767 allows.
                             if let Lookup::Stale(records) = not_fresh {
                                 report.overload.stale_under_pressure += 1;
-                                (Served::StaleHit, records.to_vec())
+                                (Served::StaleHit, Some(records))
                             } else {
                                 match decision {
-                                    Admission::Drop => (Served::Dropped, Vec::new()),
-                                    _ => (Served::RateLimited, Vec::new()),
+                                    Admission::Drop => (Served::Dropped, None),
+                                    _ => (Served::RateLimited, None),
                                 }
                             }
                         }
                     }
                 }
             };
+            let answers: &[Record] = answers.as_deref().unwrap_or_default();
 
             if served.is_shed() {
                 // No response delivered: no below/above traffic, no
@@ -507,7 +512,7 @@ fn process_event<Obs: Observer + ?Sized>(
                     report.above_total += n;
                 }
                 report.traffic.record(hour, operator, false, n, served.went_above());
-                for rr in &answers {
+                for rr in answers {
                     let rr_key = rr.key();
                     report.rr_stats.record_below_by(&rr_key, event.client);
                     if served.went_above() {
@@ -515,7 +520,7 @@ fn process_event<Obs: Observer + ?Sized>(
                     }
                 }
             }
-            observer.observe(event, served, &answers);
+            observer.observe(event, served, answers);
             served
         }
     };

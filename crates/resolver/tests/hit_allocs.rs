@@ -1,0 +1,89 @@
+//! A cache hit is served from the cache's shared answer block: replaying
+//! an event that hits allocates nothing, whatever the observer does with
+//! the answers it is handed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+use dnsnoise_dns::{QType, RData, Record, Timestamp, Ttl};
+use dnsnoise_resolver::{EventSession, Observer, ResolverSim, Served, SimConfig};
+use dnsnoise_workload::{Outcome, QueryEvent};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness has others).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter, which neither allocates nor
+// has a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let value = f();
+    (value, ALLOCS.with(Cell::get) - before)
+}
+
+/// Remembers what it was last served and counts the answers it saw.
+#[derive(Default)]
+struct Tally {
+    last: Option<Served>,
+    answers: usize,
+}
+
+impl Observer for Tally {
+    fn observe(&mut self, _event: &QueryEvent, served: Served, answers: &[Record]) {
+        self.last = Some(served);
+        self.answers += answers.len();
+    }
+}
+
+fn event(secs: u64, client: u64) -> QueryEvent {
+    let name = "www.example.com".parse().unwrap();
+    let answer = Record::new(
+        "www.example.com".parse().unwrap(),
+        QType::A,
+        Ttl::from_secs(300),
+        RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+    );
+    QueryEvent {
+        time: Timestamp::from_secs(secs),
+        client,
+        name,
+        qtype: QType::A,
+        outcome: Outcome::Answer(vec![answer]),
+        zone_tag: 0,
+    }
+}
+
+#[test]
+fn an_event_that_hits_the_cache_allocates_nothing() {
+    let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), 0);
+    let mut tally = Tally::default();
+    let (first, again) = (event(100, 7), event(160, 7));
+
+    session.push(&first, None, &mut tally);
+    assert_eq!(tally.last, Some(Served::CacheMiss));
+
+    let ((), n) = allocations(|| session.push(&again, None, &mut tally));
+    assert_eq!((tally.last, tally.answers), (Some(Served::CacheHit), 2));
+    assert_eq!(n, 0, "a cache hit allocated {n} times");
+}

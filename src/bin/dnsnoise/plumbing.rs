@@ -3,7 +3,7 @@
 //! and model helpers.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use dnsnoise::core::{DomainTree, LabeledZones, Miner, MinerConfig, TrainingSetBuilder};
@@ -192,12 +192,35 @@ pub fn capture_format(raw: &str) -> Result<CaptureFormat, String> {
 
 pub type TraceEvent = Result<QueryEvent, trace_io::TraceIoError>;
 
+/// The last day a trace's first event may name. That event's day is the
+/// replayed day, and the store's per-day tables (`RpDns`, `RunStore`, the
+/// `MANIFEST`) are dense up to it, so a hostile first stamp would size
+/// them. 65,536 admits every Unix-epoch capture day (≈ 20,000 today) and
+/// keeps a `MANIFEST` under 1 MiB.
+pub const MAX_TRACE_DAY: u64 = 65_536;
+
 /// The events of the trace at `path` (stdin when `None`), read one at a
-/// time: the day is never held.
+/// time: the day is never held. A first event dated past
+/// [`MAX_TRACE_DAY`] is a parse error on its line.
 pub fn trace_events(path: &Option<String>) -> Result<Box<dyn Iterator<Item = TraceEvent>>, String> {
     let Some(path) = path else {
-        return Ok(Box::new(trace_io::EventReader::new(std::io::stdin().lock())));
+        return Ok(first_day_bounded(trace_io::EventReader::new(std::io::stdin().lock())));
     };
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    Ok(Box::new(trace_io::EventReader::new(BufReader::new(file))))
+    Ok(first_day_bounded(trace_io::EventReader::new(BufReader::new(file))))
+}
+
+fn first_day_bounded(
+    mut reader: trace_io::EventReader<impl BufRead + 'static>,
+) -> Box<dyn Iterator<Item = TraceEvent>> {
+    let mut first = true;
+    Box::new(std::iter::from_fn(move || {
+        let event = reader.next()?;
+        let day = event.as_ref().map_or(0, |e| e.time.day());
+        if std::mem::take(&mut first) && day > MAX_TRACE_DAY {
+            let message = format!("the first event is on day {day}, past day {MAX_TRACE_DAY}");
+            return Some(Err(trace_io::TraceIoError::Parse { line: reader.lines_read(), message }));
+        }
+        Some(event)
+    }))
 }

@@ -1,17 +1,14 @@
 //! `dnsnoise simulate`: replay a day through the resolver cluster.
 
-use std::fs::File;
-use std::io::BufReader;
-
 use dnsnoise::dns::{Ttl, SECS_PER_DAY};
 use dnsnoise::pdns::PdnsBackend;
 use dnsnoise::resolver::{FaultPlan, FaultSpecError, MetricsRegistry, OverloadConfig};
 use dnsnoise::resolver::{PdnsCollector, ResolverSim, SimConfig};
 use dnsnoise::stream::RpdnsStoreSummary;
-use dnsnoise::workload::{trace_io, AttackPlan, AttackSpecError};
+use dnsnoise::workload::{AttackPlan, AttackSpecError, DayTrace};
 
 use crate::cli::{ensure, flag, some, to, Kind::Switch, Kind::Value, Subcommand, Table};
-use crate::plumbing::{store_summary_line, Opts, SCENARIO, STORE, TRACE};
+use crate::plumbing::{store_summary_line, trace_events, Opts, SCENARIO, STORE, TRACE};
 
 #[rustfmt::skip]
 pub const SIMULATE: Subcommand = Subcommand {
@@ -69,9 +66,10 @@ fn run(o: &Opts) -> Result<(), String> {
     let mut registry = MetricsRegistry::with_buckets(o.buckets);
     let mut ground_truth = None;
     let mut trace = match &o.trace {
-        Some(path) => {
-            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            trace_io::read_trace(BufReader::new(file)).map_err(|e| e.to_string())?
+        Some(_) => {
+            let events = trace_events(&o.trace)?.collect::<Result<Vec<_>, _>>();
+            let events = events.map_err(|e| e.to_string())?;
+            DayTrace { day: events.first().map_or(0, |e| e.time.day()), events }
         }
         None => {
             let scenario = o.scenario();

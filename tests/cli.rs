@@ -621,7 +621,10 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
 /// other: `stream` (either store) and `simulate` observe its answers under
 /// the replayed day, so the run ends normally instead of aborting on an
 /// allocation sized by the stamp's day, and a day-10⁷ stamp leaves no
-/// ten-million-entry per-day table in the MANIFEST or the checkpoint.
+/// ten-million-entry per-day table in the MANIFEST or the checkpoint. On
+/// the trace's first line the stamp would name the replayed day itself:
+/// both subcommands refuse it by line and day (exit 1) before sizing
+/// anything.
 #[test]
 fn a_hostile_trace_timestamp_sizes_nothing() {
     let dir = tempdir_named("hostile-stamp");
@@ -634,11 +637,14 @@ fn a_hostile_trace_timestamp_sizes_nothing() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&clean).expect("trace written");
     let answer = "shop.lhm4twt.com\tA\tshop.lhm4twt.com,A,900,A:40.191.241.20";
-    for stamp in ["18446744073709551615", "864000000000"] {
+    let first_lines = [("18446744073709551615", 1000), ("864000000000", 1000)];
+    let first_lines =
+        first_lines.into_iter().chain([("18446744073709551615", 0), ("864000000000", 0)]);
+    for (stamp, at) in first_lines {
         let mut lines: Vec<&str> = text.lines().collect();
         let hostile = format!("{stamp}\t40\t{answer}");
-        lines.insert(1000, &hostile);
-        let trace = dir.join(format!("{stamp}.trace"));
+        lines.insert(at, &hostile);
+        let trace = dir.join(format!("{stamp}-{at}.trace"));
         std::fs::write(&trace, lines.join("\n") + "\n").expect("write hostile trace");
         let runs: [(&str, &[&str]); 3] = [
             ("simulate", &[]),
@@ -656,6 +662,12 @@ fn a_hostile_trace_timestamp_sizes_nothing() {
             let out = cmd.output().expect("run");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(matches!(out.status.code(), Some(0 | 1)), "{sub} {flags:?} @{stamp}: {stderr}");
+            if at == 0 {
+                let day = stamp.parse::<u64>().unwrap() / 86_400;
+                assert_eq!(out.status.code(), Some(1), "{sub} {flags:?} @{stamp}: {stderr}");
+                let refusal = format!("line 1: the first event is on day {day}, past day 65536");
+                assert_eq!(stderr.trim_end(), refusal, "{sub} {flags:?}");
+            }
             for file in ["pd/MANIFEST", "ck/checkpoint.bin"] {
                 let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
                 assert!(len < 1 << 20, "{sub} @{stamp}: {file} holds {len} B");
