@@ -70,32 +70,6 @@ impl RpDns {
         true
     }
 
-    /// Rebuilds a store from checkpointed parts: the `(key, first-seen
-    /// day)` map entries, the per-day counters, and the modelled storage
-    /// footprint. The inverse of draining [`RpDns::iter`] /
-    /// [`RpDns::per_day`] / [`RpDns::storage_bytes`]; duplicate keys keep
-    /// the earliest day.
-    pub fn from_parts(
-        entries: Vec<(RrKey, u64)>,
-        per_day: Vec<DailyNewRrs>,
-        storage_bytes: u64,
-    ) -> RpDns {
-        let mut map: HashMap<RrKey, u64> = HashMap::with_capacity(entries.len());
-        for (key, day) in entries {
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(day);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if day < *e.get() {
-                        e.insert(day);
-                    }
-                }
-            }
-        }
-        RpDns { records: map, per_day, storage_bytes }
-    }
-
     /// Number of distinct records stored.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -49,7 +49,7 @@ use super::index;
 use super::io;
 use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
 use super::manifest::{Manifest, RunFileMeta};
-use super::recovery::{self, RecoveryReport, QUARANTINE_LEDGER};
+use super::recovery::{self, RecoveryReport};
 use super::run::{Run, RunWriter};
 use crate::rpdns::DailyNewRrs;
 
@@ -289,59 +289,6 @@ impl RunStore {
     /// Modelled storage footprint in bytes.
     pub fn storage_bytes(&self) -> u64 {
         self.storage_bytes
-    }
-
-    /// The live runs, oldest first — checkpoint serialisation input.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
-    }
-
-    /// The buffered memtable entries in key order — checkpoint
-    /// serialisation input.
-    pub fn memtable_entries(&self) -> impl Iterator<Item = (&CompositeKey, u64)> + '_ {
-        self.memtable.iter().map(|(k, &day)| (k, day))
-    }
-
-    /// Rebuilds a store from checkpointed parts: the exact memtable,
-    /// run layout, and counters of the checkpointed store, so its
-    /// subsequent evolution (flushes, compaction decisions, stats) is
-    /// identical to the store that never stopped. With a spill
-    /// directory, stale files from the interrupted process are swept
-    /// and the restored layout is spilled and published fresh.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        config: StoreConfig,
-        memtable: Vec<(CompositeKey, u64)>,
-        runs: Vec<Run>,
-        per_day: Vec<DailyNewRrs>,
-        storage_bytes: u64,
-        flushes: u64,
-        compactions: u64,
-    ) -> RunStore {
-        let mut store = RunStore::with_config(config);
-        if let Some(dir) = store.config.spill.clone() {
-            // The interrupted process's spill state is superseded by the
-            // checkpoint: sweep every artifact and republish below.
-            if let Ok(entries) = std::fs::read_dir(&dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    if name != QUARANTINE_LEDGER && entry.path().is_file() {
-                        let _ = io::remove_file(&entry.path());
-                    }
-                }
-            }
-        }
-        store.memtable = memtable.into_iter().collect();
-        store.per_day = per_day;
-        store.storage_bytes = storage_bytes;
-        store.flushes = flushes;
-        store.compactions = compactions;
-        store.observed = store.per_day.iter().map(|d| d.new_records + d.repeated_records).sum();
-        for run in runs {
-            store.push_run(run);
-        }
-        store.persist();
-        store
     }
 
     fn ensure_day(&mut self, day: u64) {
@@ -588,9 +535,8 @@ impl Default for RunStore {
 /// smallest head key among the runs straight into the new run's buffers,
 /// so no entry is decoded into an owned key and nothing is sorted. A
 /// single store's runs hold disjoint keys (observe dedups against the
-/// whole store before inserting); should two runs share one — only a
-/// forged checkpoint can make them — the merged run keeps it once, with
-/// the earlier day.
+/// whole store before inserting); should two runs share one, the merged
+/// run keeps it once, with the earlier day.
 fn merge_runs(runs: &[Run]) -> Run {
     let mut out = RunWriter::with_capacity(
         runs.iter().map(Run::len).sum(),
@@ -615,6 +561,7 @@ fn merge_runs(runs: &[Run]) -> Run {
 #[cfg(test)]
 mod tests {
     use super::super::manifest::MANIFEST_NAME;
+    use super::super::recovery::QUARANTINE_LEDGER;
     use super::*;
     use dnsnoise_dns::{QType, RData, Ttl};
     use proptest::prelude::*;
@@ -848,38 +795,5 @@ mod tests {
         let other = StoreConfig { memtable_cap: 16, fanout: 2, ..StoreConfig::default() };
         assert!(matches!(RunStore::open(&dir, other), Err(StoreError::ConfigMismatch { .. })));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn from_parts_reproduces_the_exact_shape() {
-        let mut store = RunStore::with_config(tiny_config());
-        for i in 0..120u8 {
-            store.observe(&rr(&format!("fp{i}.example"), i), u64::from(i % 2));
-        }
-        let memtable: Vec<(CompositeKey, u64)> =
-            store.memtable_entries().map(|(k, d)| (k.clone(), d)).collect();
-        let runs = store.runs().to_vec();
-        let mut restored = RunStore::from_parts(
-            tiny_config(),
-            memtable,
-            runs,
-            store.per_day().to_vec(),
-            store.storage_bytes(),
-            store.stats().flushes,
-            store.stats().compactions,
-        );
-        assert_eq!(restored.stats(), store.stats());
-        assert_eq!(restored.len(), store.len());
-        assert_eq!(restored.observed(), store.observed());
-        // Continued evolution is identical: same flush and compaction
-        // decisions, same layout, same answers.
-        for i in 0..80u8 {
-            let r = rr(&format!("cont{i}.example"), i);
-            store.observe(&r, 2);
-            restored.observe(&r, 2);
-        }
-        assert_eq!(restored.stats(), store.stats());
-        assert_eq!(restored.per_day(), store.per_day());
-        assert_eq!(restored.scan_prefix(&Name::root()), store.scan_prefix(&Name::root()));
     }
 }

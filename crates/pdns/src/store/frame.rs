@@ -13,8 +13,8 @@
 //! publishing is [`io::atomic_write`](super::io::atomic_write).
 //!
 //! The accessors are `#[inline]`: the checkpoint codec in `crates/stream`
-//! makes ~130k `u64` reads and writes per image across the crate
-//! boundary, and the release profile has no LTO.
+//! calls them across the crate boundary, and the release profile has no
+//! LTO.
 
 use std::fmt;
 use std::path::Path;

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use dnsnoise_dns::{QType, RData, Record, Ttl};
-use dnsnoise_pdns::{Run, RunStore, StoreConfig};
+use dnsnoise_pdns::{RunStore, StoreConfig};
 
 thread_local! {
     /// Allocations made by this thread (the test harness has others).
@@ -55,40 +55,36 @@ fn rr(i: u32) -> Record {
 
 #[test]
 fn repeated_observes_and_first_seen_probes_allocate_nothing() {
-    let config = StoreConfig { memtable_cap: 8, ..StoreConfig::default() };
+    let dir = std::env::temp_dir().join(format!("dnsnoise-probe-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig { memtable_cap: 8, ..StoreConfig::default() }.with_spill(&dir);
     let mut built = RunStore::with_config(config.clone());
     for i in 0..20 {
         assert!(built.observe(&rr(i), 0));
     }
-    // The same store as a checkpoint restores it: every run reloaded from
-    // its image, so no run has built its table yet.
-    let runs: Vec<Run> =
-        built.runs().iter().map(|run| Run::from_bytes(&run.to_bytes()).unwrap()).collect();
-    let memtable = built.memtable_entries().map(|(key, day)| (key.clone(), day)).collect();
-    let stats = built.stats();
-    let per_day = built.per_day().to_vec();
-    let mut store = RunStore::from_parts(
-        config,
-        memtable,
-        runs,
-        per_day,
-        built.storage_bytes(),
-        stats.flushes,
-        stats.compactions,
-    );
-    assert!(stats.runs >= 2 && stats.memtable_keys > 0, "{stats:?}");
+    drop(built);
+    // The same store as a crashed process leaves it: every run reloaded
+    // from its spilled image, so no run has built its table yet, and the
+    // unflushed memtable is gone.
+    let mut store = RunStore::open(&dir, config).expect("clean open");
+    let stats = store.stats();
+    assert!(stats.runs >= 2 && stats.memtable_keys == 0, "{stats:?}");
+
+    // The first miss probes every run, allocating each run's table once
+    // (the key buffers were sized on this thread while building).
+    let absent = rr(99);
+    let (got, n) = allocations(|| store.first_seen(&absent.key()));
+    assert_eq!((got, n), (None, stats.runs as u64), "one allocation per run's table");
+    // Replaying from the durable prefix refills the memtable.
+    for i in store.observed()..20 {
+        assert!(store.observe(&rr(i as u32), 0));
+    }
+    assert!(store.stats().memtable_keys > 0);
 
     // Entry 0 sits in the oldest run, entry 19 in the memtable; entry 99
     // is nowhere.
-    let (in_run, in_memtable, absent) = (rr(0), rr(19), rr(99));
+    let (in_run, in_memtable) = (rr(0), rr(19));
     let keys = [in_run.key(), in_memtable.key(), absent.key()];
-    // Warm-up: the first probe on this thread sizes the key buffers (a
-    // memtable hit reads no run), and the first miss probes every run,
-    // allocating each run's table once.
-    assert_eq!(store.first_seen(&keys[1]), Some(0));
-    let (got, n) = allocations(|| store.first_seen(&keys[2]));
-    assert_eq!((got, n), (None, stats.runs as u64), "one allocation per run's table");
-
     for record in [&in_run, &in_memtable] {
         let (fresh, n) = allocations(|| store.observe(record, 0));
         assert_eq!((fresh, n), (false, 0), "repeat observe of {}", record.name);
@@ -101,4 +97,5 @@ fn repeated_observes_and_first_seen_probes_allocate_nothing() {
     // A new record is the one probe that builds an owned key.
     let (fresh, n) = allocations(|| store.observe(&absent, 0));
     assert!(fresh && n > 0, "a new record must be stored ({n} allocations)");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -29,7 +29,9 @@ use std::path::PathBuf;
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
 use dnsnoise_dns::{Record, SuffixList};
 use dnsnoise_pdns::store::io;
-use dnsnoise_pdns::{BackendKind, FpDnsRecord, PdnsBackend, PdnsStore, StoreError, StoreStats};
+use dnsnoise_pdns::{
+    BackendKind, FpDnsRecord, PdnsBackend, PdnsStore, RunStore, StoreError, StoreStats,
+};
 use dnsnoise_resolver::{
     DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
 };
@@ -283,6 +285,11 @@ pub(crate) struct StreamState {
     /// budget covers the per-record table and estimators, and the store's
     /// own footprint is reported separately as rpDNS storage bytes.
     pub(crate) rpdns: PdnsBackend,
+    /// Answer records still to withhold from `rpdns` because it already
+    /// holds them: a store reopened on resume has folded in the day's
+    /// first [`RunStore::observed`] records, and the warm-up replay counts
+    /// them down instead of observing them twice.
+    pub(crate) store_skip: u64,
     /// The day being streamed, named by its first event: every answer is
     /// observed into `rpdns` under it, whatever its own timestamp says,
     /// so one hostile stamp cannot size the store's per-day table.
@@ -299,6 +306,7 @@ impl StreamState {
             hll_clients: HyperLogLog::new(HLL_PRECISION, config.seed),
             pdns: PdnsSummary::default(),
             rpdns: PdnsBackend::default(),
+            store_skip: 0,
             day,
             answered: 0,
             nxdomain: 0,
@@ -334,7 +342,11 @@ impl Observer for StreamState {
         self.answered += 1;
         self.pdns.collect(answers);
         for rr in answers {
-            self.rpdns.observe(rr, self.day);
+            if self.store_skip > 0 {
+                self.store_skip -= 1;
+            } else {
+                self.rpdns.observe(rr, self.day);
+            }
         }
     }
 }
@@ -430,8 +442,8 @@ impl<'m> StreamMiner<'m> {
 
     /// Enables epoch-boundary checkpointing under `dir` (the CLI's
     /// `stream --checkpoint` flag): when the first event names the day
-    /// and each time an epoch closes, the observer's state is serialised
-    /// and atomically swapped into `dir/checkpoint.bin`, so a killed
+    /// and each time an epoch closes, the stream position and the closed
+    /// epochs are atomically swapped into `dir/checkpoint.bin`, so a killed
     /// process can [`StreamMiner::resume`] from the last boundary (or the
     /// start of the day) instead of starting over. Write
     /// failures latch into [`StreamMiner::checkpoint_error`]; the stream
@@ -504,10 +516,10 @@ impl<'m> StreamMiner<'m> {
         let Some(dir) = self.checkpoint_dir.clone() else { return };
         let ckpt = Checkpoint::capture(
             &self.config,
+            self.state.day,
             self.pushed,
             self.current_epoch,
             &self.epochs,
-            &self.state,
         );
         if let Err(e) = ckpt.save(&dir) {
             self.checkpoint_error = Some(e);
@@ -516,44 +528,54 @@ impl<'m> StreamMiner<'m> {
 
     /// Restores a freshly-built miner to the exact point `ckpt` was
     /// written: the first `ckpt.pushed` events of the day's trace are
-    /// pulled from `warmup` and replayed through the resolver session to
-    /// rebuild its caches and its per-record table, and every online
-    /// structure — the client HyperLogLog, the pDNS counters, epoch
-    /// summaries, the rpDNS backend — is restored from the checkpoint. Pushing the remaining
-    /// events and finishing then produces a report byte-identical to an
-    /// uninterrupted run.
+    /// pulled from `warmup` and replayed through the resolver session and
+    /// the live observer, so the code that built the interrupted process's
+    /// state — caches, per-record table, client HyperLogLog, pDNS counters,
+    /// served-class tallies and rpDNS store — rebuilds it; only the closed
+    /// epochs come from the checkpoint. Pushing the remaining events and
+    /// finishing then produces a report byte-identical to an uninterrupted
+    /// run.
+    ///
+    /// A disk store with a spill directory is reopened with
+    /// [`RunStore::open`] (orphans collected, corrupt runs quarantined)
+    /// rather than rebuilt: its `MANIFEST` records how many answer records
+    /// it holds, and the replay feeds it only the ones after those, whether
+    /// that count is behind the checkpoint or ahead of it.
     ///
     /// `warmup` may be the whole trace: exactly `ckpt.pushed` events are
     /// taken from it and nothing is buffered, so a reader handed over
     /// with `by_ref()` is left positioned at the first event to push.
     ///
-    /// Call on a miner built with the same configuration, store backend,
-    /// and (for fresh-day streams) the same simulator seed as the
-    /// interrupted process, before any events are pushed.
+    /// Call on a miner built with the same configuration and (for
+    /// fresh-day streams) the same simulator seed as the interrupted
+    /// process, before any events are pushed. The store backend may
+    /// differ: the checkpoint holds none of it.
     ///
     /// # Errors
     ///
     /// [`StoreError::ConfigMismatch`] when the checkpoint's configuration
-    /// echo contradicts this miner's configuration or backend kind (found
-    /// before any event is read), or when `warmup` ends before the
-    /// checkpointed prefix does; [`StoreError::Corrupt`] when the
-    /// checkpoint's payload is internally inconsistent.
+    /// echo contradicts this miner's configuration, when the store
+    /// directory holds observations of another day (both found before
+    /// any event is read), or when `warmup` ends before the checkpointed
+    /// prefix does; [`StoreError::Corrupt`] when reopening the store
+    /// directory lost a run its `MANIFEST` lists, or the `MANIFEST`
+    /// itself.
     pub fn resume<E: Borrow<QueryEvent>>(
         mut self,
         ckpt: &Checkpoint,
         warmup: impl IntoIterator<Item = E>,
     ) -> Result<StreamMiner<'m>, StoreError> {
-        ckpt.verify(&self.config, self.state.rpdns.kind())?;
+        ckpt.verify(&self.config)?;
+        self.reopen_store(ckpt.day)?;
+        self.session_started = true;
+        self.state.day = ckpt.day;
         self.session.set_day(ckpt.day);
-        // Rebuild the resolver session — caches and per-record table —
-        // exactly as the interrupted process built it; the unit observer
-        // leaves the online state to the checkpoint. The count bounds the
-        // pull, so a forged `pushed` sizes nothing.
+        // The count bounds the pull, so a forged `pushed` sizes nothing.
         let mut warmup = warmup.into_iter();
         let mut supplied = 0;
         while supplied < ckpt.pushed {
             let Some(event) = warmup.next() else { break };
-            self.session.push(event.borrow(), self.ground_truth, &mut ());
+            self.session.push(event.borrow(), self.ground_truth, &mut self.state);
             supplied += 1;
         }
         if supplied != ckpt.pushed {
@@ -565,13 +587,48 @@ impl<'m> StreamMiner<'m> {
                 ),
             });
         }
-        // Only a complete prefix takes the store directory over.
-        self.state = ckpt.restore_state(&self.config, &self.state.rpdns)?;
-        self.session_started = true;
         self.epochs = ckpt.epochs.clone();
         self.pushed = ckpt.pushed;
         self.current_epoch = ckpt.current_epoch;
         Ok(self)
+    }
+
+    /// Takes over the spill directory of a disk backend, if it has one:
+    /// reopens it and arms the observer to skip the answer records it
+    /// already holds. Refuses a directory whose recovery lost a
+    /// manifest-listed run (the store would silently miss records) or
+    /// that holds observations of a day other than `day`.
+    fn reopen_store(&mut self, day: u64) -> Result<(), StoreError> {
+        let PdnsBackend::Disk(fresh) = &self.state.rpdns else { return Ok(()) };
+        let Some(dir) = fresh.config().spill.clone() else { return Ok(()) };
+        let store = RunStore::open(&dir, fresh.config().clone())?;
+        if let Some(report) = store.recovery() {
+            let lost = report.missing.files + report.bad_checksum.files + report.bad_layout.files;
+            if lost > 0 {
+                return Err(StoreError::corrupt(
+                    &dir,
+                    format!(
+                        "recovery lost {lost} run(s) the MANIFEST lists, kept as *.quarantined; \
+                         delete the directory to rebuild the store from the trace"
+                    ),
+                ));
+            }
+        }
+        let other_day = store.per_day().iter().enumerate().find(|(d, counts)| {
+            *d as u64 != day && counts.new_records + counts.repeated_records > 0
+        });
+        if let Some((other, _)) = other_day {
+            return Err(StoreError::ConfigMismatch {
+                detail: format!(
+                    "store directory {} holds observations of day {other}, the checkpoint's \
+                     day is {day}",
+                    dir.display()
+                ),
+            });
+        }
+        self.state.store_skip = store.observed();
+        self.state.rpdns = PdnsBackend::Disk(store);
+        Ok(())
     }
 
     /// Forces an epoch close now, mid-stream: snapshots the day-so-far

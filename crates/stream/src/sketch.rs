@@ -126,23 +126,6 @@ impl HyperLogLog {
     pub fn state_bytes(&self) -> usize {
         self.registers.len()
     }
-
-    /// The raw max-rank registers, for checkpoint serialisation.
-    pub(crate) fn registers(&self) -> &[u8] {
-        &self.registers
-    }
-
-    /// Rebuilds an estimator from checkpointed parts. Returns `None`
-    /// when the register count does not match `2^precision` or the
-    /// precision is out of range.
-    pub(crate) fn from_parts(precision: u8, seed: u64, registers: Vec<u8>) -> Option<HyperLogLog> {
-        if !(Self::MIN_PRECISION..=Self::MAX_PRECISION).contains(&precision)
-            || registers.len() != 1usize << precision
-        {
-            return None;
-        }
-        Some(HyperLogLog { precision, seed, registers })
-    }
 }
 
 #[cfg(test)]

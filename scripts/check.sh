@@ -130,11 +130,22 @@ sim_store=$(grep -o "$store_tokens" "$smoke_dir/sim.log") \
     && [ "$sim_store" = "$(grep -o "$store_tokens" "$smoke_dir/sm.log")" ] \
     || { echo "error: simulate and stream filled the memory store differently" >&2; exit 1; }
 
-echo "== crash/resume smoke (kill mid-day and before the first boundary, resume, fsck) ==" >&2
+echo "== crash/resume smoke (kill mid-day and before the first boundary, resume, cmp, fsck) ==" >&2
 # A stream killed mid-day by --die-after (simulating SIGKILL) and resumed
 # from its on-disk checkpoint must print the exact bytes of the
-# uninterrupted run, and the crashed spill directory must heal to a clean
-# fsck — the CLI face of the crash-at-every-IO-point recovery tests.
+# uninterrupted run; the reopened spill directory must end holding the
+# uninterrupted run's MANIFEST and run files, byte for byte, and check
+# clean — the CLI face of the crash-at-every-IO-point recovery tests.
+# quarantine.log is not compared: a resume that collected orphans appends
+# to it.
+same_store() {
+    [ "$(cd "$1" && ls run-*.bin)" = "$(cd "$2" && ls run-*.bin)" ] \
+        || { echo "error: $2 holds other run files than $1" >&2; return 1; }
+    local name
+    for name in MANIFEST $(cd "$1" && ls run-*.bin); do
+        cmp "$1/$name" "$2/$name" >&2 || return 1
+    done
+}
 events=$(grep -cv '^#' "$smoke_dir/day1.trace")
 if ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" \
@@ -151,6 +162,8 @@ grep -q 'resuming from checkpoint' "$smoke_dir/sr.log" \
     || { echo "error: resumed stream did not load the checkpoint" >&2; exit 1; }
 diff "$smoke_dir/s1.txt" "$smoke_dir/sr.txt" >&2 \
     || { echo "error: resumed stream diverged from the uninterrupted run" >&2; exit 1; }
+same_store "$smoke_dir/pdns" "$smoke_dir/pdns-crash" \
+    || { echo "error: the resumed store diverged from the uninterrupted run's" >&2; exit 1; }
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-crash" >"$smoke_dir/fsck.txt" \
     || { echo "error: fsck found problems after crash+resume" >&2
          cat "$smoke_dir/fsck.txt" >&2; exit 1; }
@@ -161,7 +174,8 @@ diff "$smoke_dir/s1.txt" "$smoke_dir/sr.txt" >&2 \
     --out "$smoke_dir/day1-big.trace" 2>/dev/null
 pre=(stream --trace "$smoke_dir/day1-big.trace" --model "$smoke_dir/model.txt" --epoch-secs 86400)
 durable=(--store disk --store-path "$smoke_dir/pdns-pre" --checkpoint "$smoke_dir/ckpt-pre")
-./target/release/dnsnoise "${pre[@]}" >"$smoke_dir/pre-ref.txt"
+./target/release/dnsnoise "${pre[@]}" --store disk --store-path "$smoke_dir/pdns-pre-ref" \
+    >"$smoke_dir/pre-ref.txt" 2>/dev/null
 events=$(grep -cv '^#' "$smoke_dir/day1-big.trace")
 if ./target/release/dnsnoise "${pre[@]}" "${durable[@]}" --die-after $((events * 9 / 10)) \
     >/dev/null 2>/dev/null; then
@@ -178,6 +192,9 @@ grep -q 'resuming from checkpoint: day=1 events=0' "$smoke_dir/pre-res.log" \
          exit 1; }
 diff "$smoke_dir/pre-ref.txt" "$smoke_dir/pre-res.txt" >&2 \
     || { echo "error: the pre-boundary resume diverged from the uninterrupted run" >&2; exit 1; }
+same_store "$smoke_dir/pdns-pre-ref" "$smoke_dir/pdns-pre" \
+    || { echo "error: the pre-boundary resumed store diverged from the uninterrupted run's" >&2
+         exit 1; }
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-pre" >"$smoke_dir/fsck-pre.txt" \
     || { echo "error: fsck found problems after the pre-boundary resume" >&2
          cat "$smoke_dir/fsck-pre.txt" >&2; exit 1; }

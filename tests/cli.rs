@@ -594,11 +594,14 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
     assert!(stderr.contains("checkpoint covers more events than the trace supplies"), "{stderr}");
 
     // Intact images of earlier formats (per-record counters in the body,
-    // then a name HyperLogLog and a whole fpDNS log) are refused by name,
-    // never misparsed or restarted from zero.
+    // then a name HyperLogLog and a whole fpDNS log, then the observer's
+    // state and a copy of the store) are refused by name, never misparsed
+    // or restarted from zero.
     for (magic, hex) in [
+        (b"dnckpt1\n", include_str!("../crates/stream/tests/golden/checkpoint_v1.hex")),
         (b"dnckpt2\n", include_str!("../crates/stream/tests/golden/checkpoint_v2.hex")),
         (b"dnckpt3\n", include_str!("../crates/stream/tests/golden/checkpoint_v3.hex")),
+        (b"dnckpt4\n", include_str!("../crates/stream/tests/golden/checkpoint_v4.hex")),
     ] {
         let image: Vec<u8> = hex
             .split_whitespace()
@@ -717,6 +720,62 @@ fn a_stream_killed_before_its_first_boundary_restarts() {
     assert_eq!(resumed.stdout, reference.stdout, "the resumed render diverged");
     let fsck = bin().arg("fsck").arg(dir.join("killed")).output().expect("run fsck");
     assert!(fsck.status.success(), "{}", String::from_utf8_lossy(&fsck.stdout));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run its `MANIFEST` lists, corrupted between the kill and the rerun,
+/// would leave the reopened store short of records. The resume refuses in
+/// one line naming the store directory, prints no report, and keeps the
+/// corrupt bytes as `*.quarantined` evidence.
+#[test]
+fn a_resume_refuses_a_store_that_lost_a_listed_run() {
+    let dir = tempdir_named("ckpt-lost-run");
+    let (trace, model, store) = (dir.join("day.trace"), dir.join("model.txt"), dir.join("pd"));
+    let out = bin()
+        .args(["generate", "--scale", "0.08", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin().args(["train", "--scale", "0.02", "--seed", "3", "--out"]).arg(&model).output();
+    assert!(out.expect("run train").status.success());
+    let stream = |die_after: Option<&str>| {
+        let mut cmd = bin();
+        cmd.args(["stream", "--seed", "3", "--epoch-secs", "86400", "--trace"]).arg(&trace);
+        cmd.arg("--model").arg(&model).args(["--store", "disk", "--store-path"]).arg(&store);
+        cmd.arg("--checkpoint").arg(dir.join("ckpt"));
+        if let Some(n) = die_after {
+            cmd.args(["--die-after", n]);
+        }
+        cmd.output().expect("run stream")
+    };
+
+    assert!(!stream(Some("90000")).status.success(), "--die-after must abort");
+    let run = std::fs::read_dir(&store)
+        .expect("the kill left a store")
+        .map(|entry| entry.expect("readable entry").path())
+        .find(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with("run-") && name.ends_with(".bin")
+        })
+        .expect("a flush published a run before the kill");
+    let mut bytes = std::fs::read(&run).expect("read run");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&run, &bytes).expect("flip a run byte");
+
+    let out = stream(None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused resume prints no report");
+    let named: Vec<&str> =
+        stderr.lines().filter(|line| line.contains(&*store.to_string_lossy())).collect();
+    assert_eq!(named.len(), 1, "{stderr}");
+    assert!(named[0].contains("recovery lost 1 run"), "{stderr}");
+    let quarantined =
+        run.with_file_name(format!("{}.quarantined", run.file_name().unwrap().to_string_lossy()));
+    assert_eq!(std::fs::read(&quarantined).expect("corrupt bytes kept"), bytes);
 
     std::fs::remove_dir_all(&dir).ok();
 }
