@@ -76,6 +76,24 @@ impl QType {
         })
     }
 
+    /// The presentation mnemonic (`A`, `CNAME`, …): the one table behind
+    /// `Display`, `FromStr` and the text trace's writer.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            QType::A => "A",
+            QType::Ns => "NS",
+            QType::Cname => "CNAME",
+            QType::Soa => "SOA",
+            QType::Ptr => "PTR",
+            QType::Mx => "MX",
+            QType::Txt => "TXT",
+            QType::Aaaa => "AAAA",
+            QType::Ds => "DS",
+            QType::Rrsig => "RRSIG",
+            QType::Dnskey => "DNSKEY",
+        }
+    }
+
     /// All types this crate understands, in wire-code order.
     pub fn all() -> &'static [QType] {
         &[
@@ -96,20 +114,7 @@ impl QType {
 
 impl fmt::Display for QType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            QType::A => "A",
-            QType::Ns => "NS",
-            QType::Cname => "CNAME",
-            QType::Soa => "SOA",
-            QType::Ptr => "PTR",
-            QType::Mx => "MX",
-            QType::Txt => "TXT",
-            QType::Aaaa => "AAAA",
-            QType::Ds => "DS",
-            QType::Rrsig => "RRSIG",
-            QType::Dnskey => "DNSKEY",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -130,20 +135,7 @@ impl FromStr for QType {
     type Err = UnknownQType;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "A" => QType::A,
-            "NS" => QType::Ns,
-            "CNAME" => QType::Cname,
-            "SOA" => QType::Soa,
-            "PTR" => QType::Ptr,
-            "MX" => QType::Mx,
-            "TXT" => QType::Txt,
-            "AAAA" => QType::Aaaa,
-            "DS" => QType::Ds,
-            "RRSIG" => QType::Rrsig,
-            "DNSKEY" => QType::Dnskey,
-            _ => return Err(UnknownQType),
-        })
+        QType::all().iter().copied().find(|t| t.mnemonic() == s).ok_or(UnknownQType)
     }
 }
 

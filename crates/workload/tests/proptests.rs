@@ -3,6 +3,11 @@
 use dnsnoise_workload::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 
+#[path = "common/corruption.rs"]
+mod corruption;
+
+use corruption::corruption;
+
 fn small_config(epoch: f64) -> ScenarioConfig {
     ScenarioConfig::paper_epoch(epoch).with_scale(0.01)
 }
@@ -90,27 +95,6 @@ proptest! {
     }
 }
 
-/// Arbitrary corruptions applied to a serialized trace: the reader must
-/// reject or accept, never panic or hang.
-#[derive(Debug, Clone)]
-enum Corruption {
-    FlipByte { offset: usize, value: u8 },
-    Truncate { keep: usize },
-    InsertBytes { offset: usize, bytes: Vec<u8> },
-    DropNewlines,
-}
-
-fn corruption() -> impl Strategy<Value = Corruption> {
-    prop_oneof![
-        (any::<usize>(), any::<u8>())
-            .prop_map(|(offset, value)| Corruption::FlipByte { offset, value }),
-        any::<usize>().prop_map(|keep| Corruption::Truncate { keep }),
-        (any::<usize>(), proptest::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(offset, bytes)| Corruption::InsertBytes { offset, bytes }),
-        Just(Corruption::DropNewlines),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -127,25 +111,7 @@ proptest! {
         let trace = scenario.generate_day(0);
         let mut bytes = Vec::new();
         write_trace(&trace, &mut bytes).unwrap();
-        for c in corruptions {
-            match c {
-                Corruption::FlipByte { offset, value } => {
-                    if !bytes.is_empty() {
-                        let at = offset % bytes.len();
-                        bytes[at] = value;
-                    }
-                }
-                Corruption::Truncate { keep } => {
-                    let at = keep % (bytes.len() + 1);
-                    bytes.truncate(at);
-                }
-                Corruption::InsertBytes { offset, bytes: extra } => {
-                    let at = offset % (bytes.len() + 1);
-                    bytes.splice(at..at, extra);
-                }
-                Corruption::DropNewlines => bytes.retain(|&b| b != b'\n'),
-            }
-        }
+        corruption::apply(&mut bytes, corruptions);
         match read_trace(bytes.as_slice()) {
             Ok(_) => {}
             Err(TraceIoError::Parse { line, .. }) => prop_assert!(line >= 1),

@@ -62,6 +62,24 @@ kept=$(grep -cv '^#' "$smoke_dir/i1.trace") || kept=0
 [ "$kept" -ge $((total * 95 / 100)) ] \
     || { echo "error: ingest recovered $kept/$total events (<95%) from 1% corruption" >&2; exit 1; }
 
+echo "== codec round-trip gate (a clean capture ingests to the trace generate writes) ==" >&2
+# The text writer and the wire codec are held against each other: for two
+# epochs and both capture formats, generating the day as a capture and
+# ingesting it must give back generate's own trace, byte for byte.
+for epoch in 0 1; do
+    ./target/release/dnsnoise generate --scale 0.01 --seed 3 --epoch "$epoch" \
+        --out "$smoke_dir/rt$epoch.trace" 2>/dev/null
+    for fmt in pcap dnstap; do
+        ./target/release/dnsnoise generate --scale 0.01 --seed 3 --epoch "$epoch" \
+            --capture "$fmt" 2>/dev/null \
+            | ./target/release/dnsnoise ingest /dev/stdin -o "$smoke_dir/rt$epoch-$fmt.trace" \
+                2>/dev/null
+        cmp "$smoke_dir/rt$epoch.trace" "$smoke_dir/rt$epoch-$fmt.trace" >&2 \
+            || { echo "error: the --epoch $epoch $fmt capture ingested to other trace bytes" \
+                      "than generate wrote" >&2; exit 1; }
+    done
+done
+
 echo "== stream smoke (batch-vs-stream agreement, conservation, determinism) ==" >&2
 ./target/release/dnsnoise train --scale 0.02 --seed 3 --out "$smoke_dir/model.txt" 2>/dev/null
 ./target/release/dnsnoise generate --scale 0.02 --seed 3 --day 1 \
