@@ -1,8 +1,12 @@
 //! The run-store engine: an append-friendly memtable over immutable
 //! sorted runs with deterministic size-tiered compaction.
 //!
-//! Writes land in a `BTreeMap` memtable; at `memtable_cap` keys it
-//! flushes to an immutable columnar [`Run`]. Runs are grouped into size
+//! Writes land in a hash memtable (`memtable::Memtable`): entries in
+//! insertion order under an open-addressing table keyed by `key_hash`,
+//! the hash every run's index uses, so a probe hashes its key once for
+//! the memtable and every run. At `memtable_cap` keys the memtable sorts
+//! its entries and flushes them to an immutable columnar [`Run`]; its
+//! buffer and table are reused by the next fill. Runs are grouped into size
 //! tiers (`tier t` holds runs of at least `memtable_cap · fanoutᵗ`
 //! entries); whenever a tier accumulates `fanout` runs, *all* runs in
 //! that tier merge into one — a rule driven purely by entry counts, so
@@ -16,8 +20,8 @@
 //!
 //! # Durability
 //!
-//! With a spill directory configured, every live run is mirrored to a
-//! checksummed `run-<id>.bin` image via the atomic writer
+//! With a spill directory configured, every published live run is
+//! mirrored to a checksummed `run-<id>.bin` image via the atomic writer
 //! ([`super::io::atomic_write`]): staged as `.tmp`, fsynced, renamed,
 //! directory fsynced. The in-memory byte buffers remain the serving
 //! copy; the spill is the on-disk image of exactly the live run set.
@@ -26,7 +30,12 @@
 //! compaction ends by atomically swapping a new checksummed
 //! [`Manifest`] naming the live run set, and only **after** that swap
 //! succeeds are superseded run files unlinked (they queue in
-//! `pending_deletes` until then). A crash at any IO point therefore
+//! `pending_deletes` until then). A run is written when a manifest
+//! first names it: a new run only reserves its file name, and each
+//! publish first writes the image of every live run still unwritten. A
+//! run that compaction consumes within the flush that made it is never
+//! written, fsynced or unlinked, and no published byte differs from
+//! spilling every run as it is made. A crash at any IO point therefore
 //! leaves the last published manifest and every file it names intact;
 //! [`RunStore::open`] recovers exactly that state, quarantines anything
 //! corrupt into a typed ledger, and garbage-collects orphans.
@@ -38,7 +47,6 @@
 //! callers inspect the latched error at the end and surface it as an
 //! exit code.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dnsnoise_dns::{Name, Record, RrKey};
@@ -47,8 +55,9 @@ use super::crc::crc32;
 use super::error::StoreError;
 use super::index;
 use super::io;
-use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
+use super::keys::{self, KeyRef};
 use super::manifest::{Manifest, RunFileMeta};
+use super::memtable::Memtable;
 use super::recovery::{self, RecoveryReport};
 use super::run::{Run, RunWriter};
 use crate::rpdns::DailyNewRrs;
@@ -98,16 +107,26 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
+/// A live run's spill file.
+#[derive(Debug)]
+enum RunFile {
+    /// The file name reserved when the run was made; no manifest has
+    /// named the run yet, so its image is not written.
+    Reserved(String),
+    /// The written image, as the manifest records it.
+    Written(RunFileMeta),
+}
+
 /// The run store. See the module docs for the design; see
 /// [`PdnsStore`](super::PdnsStore) for the API it shares with
 /// [`RpDns`](crate::RpDns).
 #[derive(Debug)]
 pub struct RunStore {
     config: StoreConfig,
-    memtable: BTreeMap<CompositeKey, u64>,
+    memtable: Memtable,
     runs: Vec<Run>,
-    /// Spill-file metadata of each run in `runs`, when mirroring is on.
-    run_files: Vec<Option<RunFileMeta>>,
+    /// The spill file of each run in `runs`, when mirroring is on.
+    run_files: Vec<Option<RunFile>>,
     /// Superseded run files awaiting deletion; unlinked only after a
     /// manifest that no longer names them has been published.
     pending_deletes: Vec<PathBuf>,
@@ -141,7 +160,7 @@ impl RunStore {
     pub fn with_config(config: StoreConfig) -> RunStore {
         let mut store = RunStore {
             config,
-            memtable: BTreeMap::new(),
+            memtable: Memtable::default(),
             runs: Vec::new(),
             run_files: Vec::new(),
             pending_deletes: Vec::new(),
@@ -214,7 +233,7 @@ impl RunStore {
         }
         for scanned in scan.live {
             store.runs.push(scanned.run);
-            store.run_files.push(Some(scanned.meta));
+            store.run_files.push(Some(RunFile::Written(scanned.meta)));
         }
         // Corrupt runs keep their bytes under a quarantine name for
         // diagnosis; orphans were never durable and are deleted. Both
@@ -298,22 +317,12 @@ impl RunStore {
         }
     }
 
-    fn get_encoded(&self, key: KeyRef<'_>) -> Option<u64> {
-        // Every key lives in exactly one place (observe dedups before
-        // inserting), so probe order is immaterial; memtable first is
-        // simply cheapest. After `optimize` the memtable is empty and
-        // lookups go straight to the single run. The key is hashed once
-        // for every run's table.
-        if !self.memtable.is_empty() {
-            if let Some(&day) = self.memtable.get(&key as &dyn KeyColumns) {
-                return Some(day);
-            }
-        }
-        if self.runs.is_empty() {
-            return None;
-        }
-        let hash = index::key_hash(key);
-        self.runs.iter().find_map(|run| run.get(key, hash))
+    /// The day `key`, whose [`index::key_hash`] is `hash`, was first
+    /// seen. Every key lives in exactly one place (observe dedups before
+    /// inserting), so probe order is immaterial; memtable first is
+    /// simply cheapest.
+    fn get_encoded(&self, key: KeyRef<'_>, hash: u64) -> Option<u64> {
+        self.memtable.get(key, hash).or_else(|| self.runs.iter().find_map(|run| run.get(key, hash)))
     }
 
     /// Records one observation of `record` on `day`. Returns `true` when
@@ -324,15 +333,16 @@ impl RunStore {
         // The probe borrows the thread's key buffers; only a record the
         // store has never seen gets an owned key.
         let fresh = keys::with_probe(&record.name, record.qtype, &record.rdata, |key| {
-            self.get_encoded(key).is_none().then(|| key.to_owned_key())
+            let hash = index::key_hash(key);
+            self.get_encoded(key, hash).is_none().then(|| (key.to_owned_key(), hash))
         });
-        let Some(key) = fresh else {
+        let Some((key, hash)) = fresh else {
             self.per_day[day as usize].repeated_records += 1;
             return false;
         };
         self.storage_bytes += RrKey::storage_bytes_of(&record.name, &record.rdata) as u64;
         self.per_day[day as usize].new_records += 1;
-        self.memtable.insert(key, day);
+        self.memtable.insert(key, hash, day);
         if self.memtable.len() >= self.config.memtable_cap {
             self.flush();
         }
@@ -341,7 +351,9 @@ impl RunStore {
 
     /// The day `key` was first seen, if stored.
     pub fn first_seen(&self, key: &RrKey) -> Option<u64> {
-        keys::with_probe(&key.name, key.qtype, &key.rdata, |key| self.get_encoded(key))
+        keys::with_probe(&key.name, key.qtype, &key.rdata, |key| {
+            self.get_encoded(key, index::key_hash(key))
+        })
     }
 
     /// Flushes the memtable into a new immutable run, compacts, and
@@ -350,53 +362,48 @@ impl RunStore {
         if self.memtable.is_empty() {
             return;
         }
-        let entries: Vec<(CompositeKey, u64)> =
-            std::mem::take(&mut self.memtable).into_iter().collect();
-        let run = Run::build(entries);
+        let run = self.memtable.drain_sorted(Run::build);
         self.flushes += 1;
         self.push_run(run);
         self.compact();
         self.persist();
     }
 
+    /// Adds `run` to the live set. With mirroring on, the run reserves
+    /// the next file name; [`persist`](RunStore::persist) writes it if
+    /// the run is still live when the next manifest is published.
     fn push_run(&mut self, run: Run) {
-        let meta = self.spill_run(&run);
+        let file = (self.config.spill.is_some() && self.io_error.is_none()).then(|| {
+            let name = format!("run-{:08}.bin", self.next_run_id);
+            self.next_run_id += 1;
+            RunFile::Reserved(name)
+        });
         self.runs.push(run);
-        self.run_files.push(meta);
+        self.run_files.push(file);
     }
 
-    /// Durably writes a run image via the atomic protocol. An error
-    /// latches and the store degrades to memory-only.
-    fn spill_run(&mut self, run: &Run) -> Option<RunFileMeta> {
-        let dir = self.config.spill.as_ref()?.clone();
-        if self.io_error.is_some() {
-            return None;
-        }
-        let name = format!("run-{:08}.bin", self.next_run_id);
-        self.next_run_id += 1;
-        let bytes = run.to_bytes();
-        let meta = RunFileMeta { name: name.clone(), len: bytes.len() as u64, crc: crc32(&bytes) };
-        match io::atomic_write(&dir, &name, &bytes) {
-            Ok(()) => {
-                self.bytes_written += meta.len;
-                Some(meta)
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                None
-            }
-        }
-    }
-
-    /// Atomically publishes the manifest naming the current live run
+    /// Durably writes the image of every live run no manifest has named
+    /// yet, then atomically publishes the manifest naming the live run
     /// set, then — and only then — unlinks superseded files queued in
-    /// `pending_deletes`. A publish failure latches; the queued files
-    /// are still named by the last durable manifest and must survive.
+    /// `pending_deletes`. A failure latches; the queued files are still
+    /// named by the last durable manifest and must survive.
     fn persist(&mut self) {
         if self.io_error.is_some() {
             return;
         }
         let Some(dir) = self.config.spill.clone() else { return };
+        for (run, file) in self.runs.iter().zip(&mut self.run_files) {
+            let Some(RunFile::Reserved(name)) = file else { continue };
+            let bytes = run.to_bytes();
+            let meta =
+                RunFileMeta { name: name.clone(), len: bytes.len() as u64, crc: crc32(&bytes) };
+            if let Err(e) = io::atomic_write(&dir, &meta.name, &bytes) {
+                self.io_error = Some(e);
+                return;
+            }
+            self.bytes_written += meta.len;
+            *file = Some(RunFile::Written(meta));
+        }
         let manifest = Manifest {
             seq: self.manifest_seq + 1,
             memtable_cap: self.config.memtable_cap as u64,
@@ -407,7 +414,14 @@ impl RunStore {
             flushes: self.flushes,
             compactions: self.compactions,
             per_day: self.per_day.clone(),
-            runs: self.run_files.iter().flatten().cloned().collect(),
+            runs: self
+                .run_files
+                .iter()
+                .filter_map(|file| match file {
+                    Some(RunFile::Written(meta)) => Some(meta.clone()),
+                    _ => None,
+                })
+                .collect(),
         };
         match manifest.publish(&dir) {
             Ok(len) => {
@@ -427,11 +441,11 @@ impl RunStore {
         // Indices arrive ascending; remove back-to-front to keep them
         // valid, then restore first-added-first order. Files are not
         // unlinked here — they stay until a manifest without them is
-        // durable (see `persist`).
+        // durable (see `persist`). A run never written has no file.
         let mut removed = Vec::with_capacity(indices.len());
         for &i in indices.iter().rev() {
             removed.push(self.runs.remove(i));
-            if let Some(meta) = self.run_files.remove(i) {
+            if let Some(RunFile::Written(meta)) = self.run_files.remove(i) {
                 if let Some(dir) = &self.config.spill {
                     self.pending_deletes.push(dir.join(&meta.name));
                 }
@@ -499,11 +513,10 @@ impl RunStore {
         // the runs' byte buffers, so a scan clones nothing until the
         // final decode.
         let mut hits: Vec<(&[u8], u16, &[u8], u64)> = Vec::new();
-        for (key, &day) in self.memtable.range((prefix.clone(), 0, Vec::new())..) {
-            if !key.0.starts_with(&prefix) {
-                break;
+        for ((name, qtype, rdata), day) in self.memtable.entries() {
+            if name.starts_with(&prefix) {
+                hits.push((name, *qtype, rdata, *day));
             }
-            hits.push((key.0.as_slice(), key.1, key.2.as_slice(), day));
         }
         for run in &self.runs {
             let (lo, hi) = run.prefix_range(&prefix);
@@ -511,8 +524,9 @@ impl RunStore {
                 hits.push((run.name_at(i), run.qtype_at(i), run.rdata_at(i), run.day_at(i)));
             }
         }
-        // Sources are individually sorted and mutually disjoint; one
-        // sort yields the canonical global order.
+        // Sources are mutually disjoint (the runs individually sorted,
+        // the memtable in insertion order); one sort yields the
+        // canonical global order.
         hits.sort_unstable();
         hits.iter()
             .map(|&(name, qtype, rdata, day)| {
@@ -560,12 +574,15 @@ fn merge_runs(runs: &[Run]) -> Run {
 
 #[cfg(test)]
 mod tests {
+    use super::super::keys::tests::merge_key;
+    use super::super::keys::CompositeKey;
     use super::super::manifest::MANIFEST_NAME;
     use super::super::recovery::QUARANTINE_LEDGER;
     use super::*;
     use dnsnoise_dns::{QType, RData, Ttl};
     use proptest::prelude::*;
-    use std::net::{Ipv4Addr, Ipv6Addr};
+    use std::collections::BTreeMap;
+    use std::net::Ipv4Addr;
 
     fn rr(name: &str, ip: u8) -> Record {
         Record::new(
@@ -644,17 +661,6 @@ mod tests {
         assert_eq!(store.scan_prefix(&Name::root()), before);
     }
 
-    /// A key of one of three shapes (A, AAAA, CNAME rdata) for `id`.
-    fn merge_key(id: u32, shape: u8) -> CompositeKey {
-        let name: Name = format!("h{id}.z{}.example", id % 7).parse().unwrap();
-        let (qtype, rdata) = match shape {
-            0 => (QType::A, RData::A(Ipv4Addr::from(id))),
-            1 => (QType::Aaaa, RData::Aaaa(Ipv6Addr::from(u128::from(id)))),
-            _ => (QType::Cname, RData::Cname(format!("e{id}.cdn.example").parse().unwrap())),
-        };
-        keys::encode_key(&name, qtype, &rdata)
-    }
-
     proptest! {
         /// Disjoint runs — with few entries over six runs, many are empty
         /// or hold one entry — merge to exactly the run built from their
@@ -671,10 +677,10 @@ mod tests {
             for (key, &(day, run)) in &owner {
                 parts[run].push((key.clone(), day));
             }
-            let runs: Vec<Run> = parts.into_iter().map(Run::build).collect();
+            let runs: Vec<Run> = parts.iter().map(|part| Run::build(part)).collect();
             let union: Vec<(CompositeKey, u64)> =
                 owner.into_iter().map(|(key, (day, _))| (key, day)).collect();
-            prop_assert_eq!(merge_runs(&runs).to_bytes(), Run::build(union).to_bytes());
+            prop_assert_eq!(merge_runs(&runs).to_bytes(), Run::build(&union).to_bytes());
         }
     }
 
@@ -682,12 +688,12 @@ mod tests {
     fn merge_keeps_a_shared_key_once_with_its_earliest_day() {
         let (a, b, c) = (merge_key(1, 0), merge_key(2, 0), merge_key(3, 0));
         let runs = [
-            Run::build(vec![(a.clone(), 4), (b.clone(), 9)]),
-            Run::build(vec![(b.clone(), 2), (c.clone(), 1)]),
-            Run::build(vec![(b.clone(), 5)]),
+            Run::build(&[(a.clone(), 4), (b.clone(), 9)]),
+            Run::build(&[(b.clone(), 2), (c.clone(), 1)]),
+            Run::build(&[(b.clone(), 5)]),
         ];
         let merged = merge_runs(&runs);
-        assert_eq!(merged.to_bytes(), Run::build(vec![(a, 4), (b, 2), (c, 1)]).to_bytes());
+        assert_eq!(merged.to_bytes(), Run::build(&[(a, 4), (b, 2), (c, 1)]).to_bytes());
     }
 
     #[test]

@@ -29,7 +29,7 @@ const MAX_PROBE: usize = 16;
 
 /// A slot that holds no entry. No entry encodes to it, because an
 /// entry's position is below `u32::MAX` (run offsets are `u32`).
-const EMPTY: u64 = u64::MAX;
+pub(crate) const EMPTY: u64 = u64::MAX;
 
 /// The multiplier of the word mix: 2⁶⁴ / φ, odd, so each step is a
 /// bijection of the running state.
@@ -73,7 +73,7 @@ impl HashIndex {
             let home = hash as usize & mask;
             let free = (0..MAX_PROBE).map(|d| (home + d) & mask).find(|&s| slots[s] == EMPTY);
             match free {
-                Some(s) => slots[s] = (hash & !0xffff_ffff) | pos as u64,
+                Some(s) => slots[s] = slot(hash, pos),
                 None => spilled = true,
             }
         }
@@ -86,7 +86,7 @@ impl HashIndex {
     // lint:certify(no-panic)
     pub(crate) fn find(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> Probe {
         let mask = self.slots.len().saturating_sub(1);
-        let (home, fingerprint) = (hash as usize & mask, hash >> 32);
+        let home = hash as usize & mask;
         for d in 0..MAX_PROBE {
             let Some(&slot) = self.slots.get(home.saturating_add(d) & mask) else {
                 return Probe::Absent;
@@ -94,9 +94,9 @@ impl HashIndex {
             if slot == EMPTY {
                 return Probe::Absent;
             }
-            let pos = slot as u32 as usize;
-            if slot >> 32 == fingerprint && is_key(pos) {
-                return Probe::Found(pos);
+            match slot_match(slot, hash) {
+                Some(pos) if is_key(pos) => return Probe::Found(pos),
+                _ => {}
             }
         }
         if self.spilled {
@@ -105,6 +105,19 @@ impl HashIndex {
             Probe::Absent
         }
     }
+}
+
+/// The slot of entry `pos`, whose key hashes to `hash`: the hash's high
+/// 32 bits (its fingerprint) over the position.
+pub(crate) fn slot(hash: u64, pos: usize) -> u64 {
+    (hash & !0xffff_ffff) | pos as u64
+}
+
+/// The position a non-empty `slot` holds when its fingerprint is
+/// `hash`'s; a different fingerprint proves the slot holds another key.
+// lint:certify(no-panic)
+pub(crate) fn slot_match(slot: u64, hash: u64) -> Option<usize> {
+    (slot >> 32 == hash >> 32).then_some(slot as u32 as usize)
 }
 
 /// The hash every run's table is keyed by: the name, qtype and rdata

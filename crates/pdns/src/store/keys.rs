@@ -19,9 +19,7 @@
 //! Every encoding round-trips losslessly (names are case-normalised at
 //! construction, so re-encoding a decoded key is byte-identical).
 
-use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey};
@@ -41,55 +39,15 @@ pub(crate) struct KeyRef<'a> {
     pub(crate) rdata: &'a [u8],
 }
 
-impl KeyRef<'_> {
+impl<'a> KeyRef<'a> {
+    /// The columns of an owned key.
+    pub(crate) fn of(key: &'a CompositeKey) -> KeyRef<'a> {
+        KeyRef { name: &key.0, qtype: key.1, rdata: &key.2 }
+    }
+
     /// The owned key — built only for a record the store is inserting.
     pub(crate) fn to_owned_key(self) -> CompositeKey {
         (self.name.to_vec(), self.qtype, self.rdata.to_vec())
-    }
-}
-
-/// A key readable as [`KeyRef`] columns. The memtable's
-/// `BTreeMap<CompositeKey, _>` is probed through
-/// `Borrow<dyn KeyColumns>`, so a lookup needs no owned tuple.
-pub(crate) trait KeyColumns {
-    fn columns(&self) -> KeyRef<'_>;
-}
-
-impl KeyColumns for CompositeKey {
-    fn columns(&self) -> KeyRef<'_> {
-        KeyRef { name: &self.0, qtype: self.1, rdata: &self.2 }
-    }
-}
-
-impl KeyColumns for KeyRef<'_> {
-    fn columns(&self) -> KeyRef<'_> {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn KeyColumns + 'a> for CompositeKey {
-    fn borrow(&self) -> &(dyn KeyColumns + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn KeyColumns + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.columns() == other.columns()
-    }
-}
-
-impl Eq for dyn KeyColumns + '_ {}
-
-impl PartialOrd for dyn KeyColumns + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn KeyColumns + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.columns().cmp(&other.columns())
     }
 }
 
@@ -332,8 +290,19 @@ pub fn decode_key_parts(name: &[u8], qtype: u16, rdata: &[u8]) -> Result<RrKey, 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A key of one of three shapes (A, AAAA, CNAME rdata) for `id`.
+    pub(crate) fn merge_key(id: u32, shape: u8) -> CompositeKey {
+        let name: Name = format!("h{id}.z{}.example", id % 7).parse().unwrap();
+        let (qtype, rdata) = match shape {
+            0 => (QType::A, RData::A(Ipv4Addr::from(id))),
+            1 => (QType::Aaaa, RData::Aaaa(Ipv6Addr::from(u128::from(id)))),
+            _ => (QType::Cname, RData::Cname(format!("e{id}.cdn.example").parse().unwrap())),
+        };
+        encode_key(&name, qtype, &rdata)
+    }
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()

@@ -6,11 +6,14 @@
 //! the modelled storage footprint. Two backends implement it:
 //!
 //! * [`RpDns`](crate::RpDns) — the original hash-map store (`memory`);
-//! * [`RunStore`] — memtable + immutable columnar sorted runs with
-//!   size-tiered compaction and a per-run hash index built on each run's
-//!   first probe (`disk`), optionally mirroring runs to files. A probe
-//!   hashes its key once (`index::key_hash`) and reads a few slots of
-//!   each run's table.
+//! * [`RunStore`] — a hash memtable + immutable columnar sorted runs
+//!   with size-tiered compaction and a per-run hash index built on each
+//!   run's first probe (`disk`), optionally mirroring runs to files. A
+//!   probe hashes its key once (`index::key_hash`) and reads a few slots
+//!   of the memtable's table and of each run's. Mirroring follows
+//!   manifest-before-delete, and a run is written when a manifest first
+//!   names it, so a run compacted away in the flush that made it never
+//!   reaches the disk.
 //!
 //! The two are interchangeable and bit-identical in every counter,
 //! lookup, and scan — pinned by the backend-equivalence property tests —
@@ -25,6 +28,7 @@ pub mod index;
 pub mod io;
 pub mod keys;
 pub mod manifest;
+mod memtable;
 pub mod recovery;
 pub mod run;
 

@@ -450,7 +450,7 @@ mod tests {
             };
             verify_run(&meta, image).map(|_| ()).map_err(|(class, _)| class)
         };
-        let clean = Run::build(entries(40)).to_bytes();
+        let clean = Run::build(&entries(40)).to_bytes();
         assert_eq!(class_of(&clean), Ok(()));
 
         let mut bad_footer = clean.clone();

@@ -29,7 +29,7 @@ use dnsnoise_dns::RrKey;
 use super::crc::crc32;
 use super::frame::{self, malformed, FrameError, Reader};
 use super::index::{key_hash, HashIndex, Probe};
-use super::keys::{self, CompositeKey, KeyColumns, KeyRef};
+use super::keys::{self, CompositeKey, KeyRef};
 
 /// Magic + version tag leading every serialised run (format v2: the
 /// checksummed layout; v1 `dnrun01` images predate the durability layer
@@ -70,14 +70,14 @@ impl PartialEq for Run {
 impl Run {
     /// Builds a run from entries already in composite-key order with no
     /// duplicate keys.
-    pub fn build(entries: Vec<(CompositeKey, u64)>) -> Run {
+    pub fn build(entries: &[(CompositeKey, u64)]) -> Run {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted and distinct");
         let (name_len, rdata_len) = entries
             .iter()
             .fold((0, 0), |(n, r), ((name, _, rdata), _)| (n + name.len(), r + rdata.len()));
         let mut out = RunWriter::with_capacity(entries.len(), name_len, rdata_len);
-        for (key, day) in &entries {
-            out.push(key.columns(), *day);
+        for (key, day) in entries {
+            out.push(KeyRef::of(key), *day);
         }
         out.finish()
     }
@@ -430,13 +430,13 @@ pub(crate) mod tests {
 
     /// `run.get` with the store's own hash of `key`.
     fn lookup(run: &Run, key: &CompositeKey) -> Option<u64> {
-        run.get(key.columns(), key_hash(key.columns()))
+        run.get(KeyRef::of(key), key_hash(KeyRef::of(key)))
     }
 
     #[test]
     fn get_finds_every_stored_key_and_rejects_absent_ones() {
         let e = entries(3000);
-        let run = Run::build(e.clone());
+        let run = Run::build(&e);
         assert!(run.index.get().is_none(), "a built run has no index before its first probe");
         for (key, day) in &e {
             assert_eq!(lookup(&run, key), Some(*day));
@@ -454,7 +454,7 @@ pub(crate) mod tests {
         // Every stored name encodes as `example\0zone…`; these probes do
         // not. They sort wholly before or after the run and must come back
         // absent, not mislocated.
-        let run = Run::build(entries(3000));
+        let run = Run::build(&entries(3000));
         for name in ["d000001.zone1.aaa", "d000001.zone1.zzz", "example", "zone1.examplf"] {
             let probe =
                 encode_key(&name.parse().unwrap(), QType::A, &RData::A(Ipv4Addr::new(10, 0, 0, 1)));
@@ -481,15 +481,15 @@ pub(crate) mod tests {
             |k| 0x5eed_0000_0000_0000 | u64::from(k.name.len() % 3 == 0),
         ];
         for hash in hostile {
-            let run = Run::build(e.clone());
+            let run = Run::build(&e);
             let index = HashIndex::build(run.len(), |i| hash(run.key_ref_at(i)));
-            assert_eq!(index.find(hash(e[499].0.columns()), |_| false), Probe::Unsure);
+            assert_eq!(index.find(hash(KeyRef::of(&e[499].0)), |_| false), Probe::Unsure);
             run.index.set(index).expect("index not built yet");
             for (key, day) in &e {
-                assert_eq!(run.get(key.columns(), hash(key.columns())), Some(*day));
+                assert_eq!(run.get(KeyRef::of(key), hash(KeyRef::of(key))), Some(*day));
             }
             for key in &absent {
-                assert_eq!(run.get(key.columns(), hash(key.columns())), None);
+                assert_eq!(run.get(KeyRef::of(key), hash(KeyRef::of(key))), None);
             }
         }
     }
@@ -497,7 +497,7 @@ pub(crate) mod tests {
     #[test]
     fn a_one_entry_run_finds_its_key_and_nothing_else() {
         let e = entries(1);
-        let run = Run::build(e.clone());
+        let run = Run::build(&e);
         assert_eq!(lookup(&run, &e[0].0), Some(e[0].1));
         assert_eq!(lookup(&run, &entries(2)[1].0), None);
     }
@@ -505,7 +505,7 @@ pub(crate) mod tests {
     #[test]
     fn loading_an_image_builds_no_index() {
         let e = entries(100);
-        let run = Run::build(e.clone());
+        let run = Run::build(&e);
         assert_eq!(lookup(&run, &e[5].0), Some(e[5].1));
         assert!(run.index.get().is_some(), "the first probe builds the index");
         let back = Run::from_bytes(&run.to_bytes()).unwrap();
@@ -516,7 +516,7 @@ pub(crate) mod tests {
     #[test]
     fn prefix_range_is_exactly_the_subtree() {
         let e = entries(500);
-        let run = Run::build(e);
+        let run = Run::build(&e);
         let zone: Name = "zone3.example".parse().unwrap();
         let prefix = super::super::keys::encode_name(&zone);
         let (lo, hi) = run.prefix_range(&prefix);
@@ -530,7 +530,7 @@ pub(crate) mod tests {
 
     #[test]
     fn serialisation_roundtrips_bit_exactly() {
-        let run = Run::build(entries(700));
+        let run = Run::build(&entries(700));
         let bytes = run.to_bytes();
         let back = Run::from_bytes(&bytes).expect("well-formed image");
         assert_eq!(back, run, "columns and rebuilt index match");
@@ -541,7 +541,7 @@ pub(crate) mod tests {
 
     #[test]
     fn v1_images_are_rejected_as_unsupported() {
-        let v2 = Run::build(entries(5)).to_bytes();
+        let v2 = Run::build(&entries(5)).to_bytes();
         let v1 = frame::seal(b"dnrun01\n", &v2[RUN_MAGIC.len()..v2.len() - 4]);
         let err = Run::from_bytes(&v1).unwrap_err();
         assert_eq!(err, FrameError::Version);
@@ -554,14 +554,14 @@ pub(crate) mod tests {
     #[test]
     fn image_matches_the_golden_fixture() {
         let golden = frame::unhex(include_str!("../../tests/golden/run_v2.hex"));
-        let run = Run::build(entries(40));
+        let run = Run::build(&entries(40));
         assert_eq!(run.to_bytes(), golden);
         assert_eq!(Run::from_bytes(&golden).expect("golden image parses"), run);
     }
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        let run = Run::build(entries(40));
+        let run = Run::build(&entries(40));
         let bytes = run.to_bytes();
         for byte in (0..bytes.len()).step_by(7) {
             let mut flipped = bytes.clone();
@@ -602,7 +602,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_run_is_well_behaved() {
-        let run = Run::build(Vec::new());
+        let run = Run::build(&[]);
         assert!(run.is_empty());
         let probe =
             encode_key(&"x.example".parse().unwrap(), QType::A, &RData::A(Ipv4Addr::LOCALHOST));

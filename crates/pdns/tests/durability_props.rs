@@ -130,7 +130,7 @@ proptest! {
     /// every truncation and every sampled bit flip is rejected.
     #[test]
     fn run_image_roundtrips_and_rejects_every_mutation(entries in arb_entries()) {
-        let run = Run::build(entries);
+        let run = Run::build(&entries);
         let bytes = run.to_bytes();
         let reparsed = Run::from_bytes(&bytes).expect("pristine image parses");
         prop_assert_eq!(reparsed.to_bytes(), bytes.clone(), "round-trip is bit-exact");

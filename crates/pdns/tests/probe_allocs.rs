@@ -3,7 +3,9 @@
 //! their key into reused buffers, read each run's hash table and compare
 //! borrowed columns. The tables themselves are built lazily: a run's
 //! first probe allocates its table, once. Only a new record is given an
-//! owned key.
+//! owned key, and once the memtable has flushed, that key is all a new
+//! record allocates: the memtable's entry buffer and hash table keep
+//! their capacity across flushes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -98,4 +100,27 @@ fn repeated_observes_and_first_seen_probes_allocate_nothing() {
     let (fresh, n) = allocations(|| store.observe(&absent, 0));
     assert!(fresh && n > 0, "a new record must be stored ({n} allocations)");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_new_record_after_the_first_flush_allocates_only_its_key() {
+    let mut store =
+        RunStore::with_config(StoreConfig { memtable_cap: 8, ..StoreConfig::default() });
+    // Every name below has the same length, so the probe buffers this
+    // thread sizes on the first observe never grow.
+    for i in 10..18 {
+        assert!(store.observe(&rr(i), 0));
+    }
+    assert_eq!((store.stats().flushes, store.stats().memtable_keys), (1, 0));
+    // The first probe of the flushed run builds its table.
+    assert_eq!(store.first_seen(&rr(99).key()), None);
+
+    // The next seven records fill the memtable up to one below its cap:
+    // each allocates its name and rdata columns and nothing else.
+    for i in 18..25 {
+        let record = rr(i);
+        let (fresh, n) = allocations(|| store.observe(&record, 0));
+        assert_eq!((fresh, n), (true, 2), "new record {i}");
+    }
+    assert_eq!((store.stats().flushes, store.stats().memtable_keys), (1, 7));
 }

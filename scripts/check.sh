@@ -134,6 +134,13 @@ grep -q 'rpdns store: backend=disk' "$smoke_dir/sd.log" \
     || { echo "error: disk store summary missing from stream stderr" >&2; exit 1; }
 ls "$smoke_dir/pdns" | grep -q 'run-.*\.bin' \
     || { echo "error: disk store spilled no run files" >&2; exit 1; }
+# The write path is pinned to the byte: the disk store's run, flush,
+# compaction and bytes-written counters must equal the committed row.
+grep -o 'runs=[0-9]* flushes=[0-9]* compactions=[0-9]* bytes_written=[0-9]*' "$smoke_dir/sd.log" \
+    | diff <(grep -v '^#' scripts/store_io_counts.txt) - >&2 \
+    || { echo "error: disk store write counters differ from scripts/store_io_counts.txt" \
+              "(< committed, > this tree); a PR that changes them must update it and explain why" >&2
+         exit 1; }
 # Two subcommands, one replay loop: `simulate` (DayRun) and `stream`
 # (EventSession) over the same trace must count the same records at the
 # monitoring point and feed the memory store the same bytes.
