@@ -296,7 +296,7 @@ impl RrKey {
     /// fixed type/TTL overhead (8 bytes) + RDATA. This is the *single*
     /// definition every pDNS accounting path shares — `RpDns` charges it
     /// on first sight and refunds it on merge-duplicates, and the fpDNS
-    /// tuple builds on it — so the accountings cannot drift.
+    /// byte model builds on it — so the accountings cannot drift.
     pub fn storage_bytes(&self) -> usize {
         RrKey::storage_bytes_of(&self.name, &self.rdata)
     }

@@ -3,10 +3,10 @@
 //! The paper's §III-A defines two datasets collected at the monitoring
 //! point and §VI-C analyses their storage economics:
 //!
-//! * [`FpDnsLog`] — the **full passive DNS** dataset: every answer-section
-//!   tuple `(timestamp, client, name, qtype, TTL, RDATA)` observed below
-//!   the recursives, optionally exercised through the RFC 1035 wire codec
-//!   the way a real collector parses packets off the wire.
+//! * [`FpDnsSummary`] — the **full passive DNS** dataset's totals: one
+//!   answer-section tuple `(timestamp, client, name, qtype, TTL, RDATA)`
+//!   per record observed below the recursives, counted and sized by the
+//!   one fpDNS byte model rather than kept.
 //! * [`RpDns`] — the **reduced passive DNS** dataset: distinct resource
 //!   records from successful resolutions with their first-seen day, the
 //!   substrate of Fig. 5 / Fig. 15 and of the §VI-C storage discussion.
@@ -23,7 +23,7 @@ mod rpdns;
 pub mod store;
 mod wildcard;
 
-pub use fpdns::{FpDnsLog, FpDnsRecord};
+pub use fpdns::FpDnsSummary;
 pub use rpdns::{DailyNewRrs, RpDns};
 pub use store::{
     fsck, BackendKind, PdnsBackend, PdnsStore, RecoveryReport, Run, RunStore, StoreConfig,

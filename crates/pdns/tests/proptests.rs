@@ -1,7 +1,7 @@
 //! Property-based tests for passive-DNS invariants.
 
-use dnsnoise_dns::{Name, QType, RData, Record, RrKey, Timestamp, Ttl};
-use dnsnoise_pdns::{FpDnsLog, PdnsStore, RpDns, RunStore, StoreConfig, WildcardAggregator};
+use dnsnoise_dns::{Name, QType, RData, Record, RrKey, Ttl};
+use dnsnoise_pdns::{FpDnsSummary, PdnsStore, RpDns, RunStore, StoreConfig, WildcardAggregator};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -180,26 +180,27 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&outcome.reduction_ratio()));
     }
 
-    /// The fpDNS log's counters always reconcile: records ≤ responses ×
-    /// max answer size, storage grows monotonically, wire round-trips are
-    /// lossless for generated traffic.
+    /// The fpDNS counters always reconcile: records are the answers
+    /// collected, NXDOMAINs the empty answer sections, and every record
+    /// grows the storage by its shared rpDNS footprint plus the 16
+    /// fpDNS-only bytes.
     #[test]
     fn fpdns_counters_reconcile(batches in proptest::collection::vec(proptest::collection::vec(arb_record(), 0..4), 1..30)) {
-        let mut log = FpDnsLog::new(10, true);
-        let qname: Name = "probe.example.com".parse().unwrap();
+        let mut fpdns = FpDnsSummary::default();
         let mut expected_records = 0u64;
         let mut expected_nx = 0u64;
-        for (i, answers) in batches.iter().enumerate() {
-            log.collect(Timestamp::from_secs(i as u64), i as u64, &qname, QType::A, answers);
+        for answers in &batches {
+            let before = fpdns.storage_bytes;
+            fpdns.collect(answers);
             expected_records += answers.len() as u64;
             if answers.is_empty() {
                 expected_nx += 1;
             }
+            let added: u64 = answers.iter().map(|rr| rr.storage_bytes() as u64 + 16).sum();
+            prop_assert_eq!(fpdns.storage_bytes - before, added);
         }
-        prop_assert_eq!(log.total_records(), expected_records);
-        prop_assert_eq!(log.total_responses(), batches.len() as u64);
-        prop_assert_eq!(log.nx_responses(), expected_nx);
-        prop_assert_eq!(log.wire_parse_failures(), 0);
-        prop_assert!(log.retained().len() <= 10);
+        prop_assert_eq!(fpdns.total_records, expected_records);
+        prop_assert_eq!(fpdns.total_responses, batches.len() as u64);
+        prop_assert_eq!(fpdns.nx_responses, expected_nx);
     }
 }

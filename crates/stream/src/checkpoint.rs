@@ -9,7 +9,7 @@
 //! function of the first [`Checkpoint::pushed`] events, so
 //! [`StreamMiner::resume`](crate::StreamMiner::resume) rebuilds it by
 //! replaying them through the live observer: the resolver session (its
-//! caches and per-record table), the client HyperLogLog, the pDNS
+//! caches and per-record table), the client set, the pDNS
 //! counters, the served-class tallies and the rpDNS store. A store with a
 //! spill directory is not copied either: resume reopens the directory,
 //! whose `MANIFEST` records how many observations it holds, and the
@@ -32,14 +32,15 @@ use dnsnoise_pdns::store::frame::{self, malformed, put_blob16, put_u64, FrameErr
 use dnsnoise_pdns::store::io;
 use dnsnoise_pdns::StoreError;
 
-use crate::engine::{EpochSummary, StreamConfig, HLL_PRECISION};
+use crate::engine::{EpochSummary, StreamConfig};
 
 /// Magic + format version leading every serialised checkpoint. Versions
 /// 1 and 2 (which carried per-record counters in the body: sketch tables,
-/// then registry rows), 3 (a name HyperLogLog and a whole fpDNS log) and
-/// 4 (the observer's state and a copy of the rpDNS store) are refused as
+/// then registry rows), 3 (a name HyperLogLog and a whole fpDNS log), 4
+/// (the observer's state and a copy of the rpDNS store) and 5 (a client
+/// HyperLogLog's precision and seed in the echo) are refused as
 /// `FrameError::Version`.
-const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt5\n";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"dnckpt6\n";
 
 /// The checkpoint's file name inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
@@ -52,8 +53,6 @@ pub const CHECKPOINT_NAME: &str = "checkpoint.bin";
 pub struct Checkpoint {
     // -- configuration echo, verified on resume --
     pub(crate) epoch_secs: u64,
-    pub(crate) hll_precision: u8,
-    pub(crate) seed: u64,
     // -- stream position --
     /// The simulated day being streamed.
     pub day: u64,
@@ -77,8 +76,6 @@ impl Checkpoint {
     ) -> Checkpoint {
         Checkpoint {
             epoch_secs: config.epoch_secs,
-            hll_precision: HLL_PRECISION,
-            seed: config.seed,
             day,
             pushed,
             current_epoch,
@@ -91,22 +88,18 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`StoreError::ConfigMismatch`] naming every disagreeing field.
+    /// [`StoreError::ConfigMismatch`] naming the epoch length when it
+    /// disagrees.
     pub fn verify(&self, config: &StreamConfig) -> Result<(), StoreError> {
-        let echo = [
-            ("epoch_secs", self.epoch_secs, config.epoch_secs),
-            ("hll_precision", u64::from(self.hll_precision), u64::from(HLL_PRECISION)),
-            ("seed", self.seed, config.seed),
-        ];
-        let diffs: Vec<String> = echo
-            .iter()
-            .filter(|(_, ckpt, ours)| ckpt != ours)
-            .map(|(field, ckpt, ours)| format!("{field}: checkpoint={ckpt} config={ours}"))
-            .collect();
-        if diffs.is_empty() {
+        if self.epoch_secs == config.epoch_secs {
             Ok(())
         } else {
-            Err(StoreError::ConfigMismatch { detail: diffs.join(", ") })
+            Err(StoreError::ConfigMismatch {
+                detail: format!(
+                    "epoch_secs: checkpoint={} config={}",
+                    self.epoch_secs, config.epoch_secs
+                ),
+            })
         }
     }
 
@@ -115,8 +108,6 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u64(&mut out, self.epoch_secs);
-        out.push(self.hll_precision);
-        put_u64(&mut out, self.seed);
         put_u64(&mut out, self.day);
         put_u64(&mut out, self.pushed);
         out.push(u8::from(self.current_epoch.is_some()));
@@ -127,7 +118,7 @@ impl Checkpoint {
             put_u64(&mut out, e.end_secs);
             put_u64(&mut out, e.events);
             put_u64(&mut out, e.distinct_names);
-            put_u64(&mut out, e.distinct_clients_est);
+            put_u64(&mut out, e.distinct_clients);
             put_u64(&mut out, e.state_bytes as u64);
             put_u64(&mut out, e.findings.len() as u64);
             for f in &e.findings {
@@ -144,8 +135,6 @@ impl Checkpoint {
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, FrameError> {
         let mut cur = Reader::open(CHECKPOINT_MAGIC, bytes)?;
         let epoch_secs = cur.u64()?;
-        let hll_precision = cur.u8()?;
-        let seed = cur.u64()?;
         let day = cur.u64()?;
         let pushed = cur.u64()?;
         let has_current = cur.bool()?;
@@ -158,7 +147,7 @@ impl Checkpoint {
                 end_secs: r.u64()?,
                 events: r.u64()?,
                 distinct_names: r.u64()?,
-                distinct_clients_est: r.u64()?,
+                distinct_clients: r.u64()?,
                 state_bytes: r.usize()?,
                 findings: {
                     let n = r.count()?;
@@ -167,7 +156,7 @@ impl Checkpoint {
             })
         })?;
         cur.end()?;
-        Ok(Checkpoint { epoch_secs, hll_precision, seed, day, pushed, current_epoch, epochs })
+        Ok(Checkpoint { epoch_secs, day, pushed, current_epoch, epochs })
     }
 
     /// Atomically publishes this checkpoint as `dir/checkpoint.bin`
@@ -221,8 +210,6 @@ mod tests {
     fn sample() -> Checkpoint {
         Checkpoint {
             epoch_secs: 21_600,
-            hll_precision: 4,
-            seed: 7,
             day: 3,
             pushed: 1234,
             current_epoch: Some(2),
@@ -237,7 +224,7 @@ mod tests {
                     members: 40,
                 }],
                 distinct_names: 17,
-                distinct_clients_est: 9,
+                distinct_clients: 9,
                 state_bytes: 2048,
             }],
         }
@@ -262,7 +249,7 @@ mod tests {
     /// The on-disk bytes, pinned.
     #[test]
     fn image_matches_the_golden_fixture() {
-        let golden = unhex(include_str!("../tests/golden/checkpoint_v5.hex"));
+        let golden = unhex(include_str!("../tests/golden/checkpoint_v6.hex"));
         assert_eq!(sample().to_bytes(), golden);
         let back = Checkpoint::from_bytes(&golden).expect("golden image parses");
         assert_eq!(back.to_bytes(), golden);
@@ -270,9 +257,10 @@ mod tests {
 
     /// A `checkpoint.bin` written while the body still carried per-record
     /// counters (v1: two sketch tables, v2: registry rows), a name
-    /// HyperLogLog and a whole fpDNS log (v3) or the observer's state and
-    /// a copy of the store (v4) is intact but unreadable: resume must
-    /// refuse it by name, not restart from zero.
+    /// HyperLogLog and a whole fpDNS log (v3), the observer's state and a
+    /// copy of the store (v4) or a client HyperLogLog's precision and seed
+    /// (v5) is intact but unreadable: resume must refuse it by name, not
+    /// restart from zero.
     #[test]
     fn older_versions_are_rejected_as_unsupported_version() {
         for (magic, hex) in [
@@ -280,6 +268,7 @@ mod tests {
             (b"dnckpt2\n", include_str!("../tests/golden/checkpoint_v2.hex")),
             (b"dnckpt3\n", include_str!("../tests/golden/checkpoint_v3.hex")),
             (b"dnckpt4\n", include_str!("../tests/golden/checkpoint_v4.hex")),
+            (b"dnckpt5\n", include_str!("../tests/golden/checkpoint_v5.hex")),
         ] {
             let image = unhex(hex);
             assert!(image.starts_with(magic));
@@ -319,25 +308,14 @@ mod tests {
 
     #[test]
     fn verify_rejects_mismatched_tuning() {
-        let ckpt = Checkpoint { hll_precision: HLL_PRECISION, ..sample() };
-        let good = StreamConfig { epoch_secs: 21_600, seed: 7 };
-        ckpt.verify(&good).unwrap();
-        let text = ckpt.verify(&StreamConfig { seed: 8, ..good }).unwrap_err().to_string();
-        assert!(text.contains("seed"), "{text}");
-        // Every echoed field disagrees (the sample image was written at
-        // precision 4, which is not the constant): the three values are
-        // all a checkpoint can name, and no sketch geometry or store
-        // backend is among them.
-        let all = StreamConfig { epoch_secs: 3600, seed: 8 };
-        let text = sample().verify(&all).unwrap_err().to_string();
-        for field in ["epoch_secs", "hll_precision", "seed"] {
-            assert!(text.contains(field), "{text}");
-        }
-        assert_eq!(text.matches("checkpoint=").count(), 3, "{text}");
-        assert!(!text.contains("cm_") && !text.contains("backend"), "{text}");
-        // The precision alone is enough to refuse an image.
-        let text = sample().verify(&good).unwrap_err().to_string();
+        sample().verify(&StreamConfig { epoch_secs: 21_600 }).unwrap();
+        // The epoch length is all a checkpoint echoes: no sketch geometry,
+        // hash seed or store backend is among it.
+        let text = sample().verify(&StreamConfig { epoch_secs: 3600 }).unwrap_err().to_string();
+        assert!(text.contains("epoch_secs: checkpoint=21600 config=3600"), "{text}");
         assert_eq!(text.matches("checkpoint=").count(), 1, "{text}");
-        assert!(text.contains("hll_precision: checkpoint=4 config=12"), "{text}");
+        for gone in ["hll_precision", "seed", "cm_", "backend"] {
+            assert!(!text.contains(gone), "{text}");
+        }
     }
 }

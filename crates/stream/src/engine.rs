@@ -9,11 +9,11 @@
 //!   count and above-the-recursives miss count per resource record that
 //!   every replay keeps, and the very table the batch miner reads after
 //!   the day. The stream path holds no second copy of it;
-//! * the observer adds only what no other structure holds: one
-//!   **HyperLogLog** of distinct clients, the four fpDNS counters the
-//!   report prints, the rpDNS store and the served-class tallies. The
-//!   distinct owner-name count needs no estimator: it is the close-time
-//!   tree's exact black-node count.
+//! * the observer adds only what no other structure holds: the **set of
+//!   distinct clients**, the four fpDNS counters the report prints, the
+//!   rpDNS store and the served-class tallies. Both distinct counts are
+//!   exact: the clients are the set's size, the owner names the
+//!   close-time tree's black-node count.
 //!
 //! At each epoch boundary (and at [`StreamMiner::finish`]) the table is
 //! folded into a fresh [`DomainTree`] with
@@ -24,13 +24,14 @@
 //! uninterrupted run.
 
 use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
 use dnsnoise_dns::{Record, SuffixList};
 use dnsnoise_pdns::store::io;
 use dnsnoise_pdns::{
-    BackendKind, FpDnsRecord, PdnsBackend, PdnsStore, RunStore, StoreError, StoreStats,
+    BackendKind, FpDnsSummary, PdnsBackend, PdnsStore, RunStore, StoreError, StoreStats,
 };
 use dnsnoise_resolver::{
     DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
@@ -38,27 +39,22 @@ use dnsnoise_resolver::{
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
 use crate::checkpoint::Checkpoint;
-use crate::sketch::HyperLogLog;
 
-/// HyperLogLog precision `p` of the client estimator: `2^p` = 4096
-/// one-byte registers, ≈ 1.6 % standard error. Echoed in every checkpoint,
-/// so an image written at another precision is refused on resume.
-pub(crate) const HLL_PRECISION: u8 = 12;
+/// Modeled resident bytes per distinct client: one `u64` id.
+const CLIENT_BYTES: usize = std::mem::size_of::<u64>();
 
-/// Streaming miner knobs (see DESIGN.md §streaming-miner). Per-record
-/// counts are exact and need none.
+/// Streaming miner knobs (see DESIGN.md §streaming-miner). Every count
+/// is exact and needs none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Seconds per classification epoch (default 21 600 — four mid-day
     /// closes per day).
     pub epoch_secs: u64,
-    /// Hash seed for the client HyperLogLog.
-    pub seed: u64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig { epoch_secs: 21_600, seed: 7 }
+        StreamConfig { epoch_secs: 21_600 }
     }
 }
 
@@ -76,11 +72,12 @@ pub struct EpochSummary {
     /// Exact distinct owner names: the close-time tree's black nodes,
     /// counted before Algorithm 1 decolors any.
     pub distinct_names: u64,
-    /// HyperLogLog estimate of distinct clients.
-    pub distinct_clients_est: u64,
+    /// Exact distinct clients among the responses so far that were
+    /// neither shed nor failed.
+    pub distinct_clients: u64,
     /// Resident streaming state at close, in bytes: the session's
-    /// per-record table ([`RrDayStats::state_bytes`]) plus the client
-    /// HyperLogLog.
+    /// per-record table ([`RrDayStats::state_bytes`]) plus 8 bytes per
+    /// distinct client.
     pub state_bytes: usize,
 }
 
@@ -115,36 +112,6 @@ impl From<&PdnsBackend> for RpdnsStoreSummary {
     }
 }
 
-/// Aggregate pDNS counters collected online: the totals an
-/// [`FpDnsLog`](dnsnoise_pdns::FpDnsLog) keeps over the same responses,
-/// without the log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PdnsSummary {
-    /// Responses collected (answers and NXDOMAINs).
-    pub total_responses: u64,
-    /// Resource records across those responses.
-    pub total_records: u64,
-    /// Responses with an empty answer section (NXDOMAIN, and NODATA).
-    pub nx_responses: u64,
-    /// Modeled storage the full fpDNS log would occupy.
-    pub storage_bytes: u64,
-}
-
-impl PdnsSummary {
-    /// Counts one response's answer section (empty = NXDOMAIN), exactly
-    /// as [`FpDnsLog::collect`](dnsnoise_pdns::FpDnsLog::collect) does.
-    fn collect(&mut self, answers: &[Record]) {
-        self.total_responses += 1;
-        if answers.is_empty() {
-            self.nx_responses += 1;
-        }
-        for rr in answers {
-            self.total_records += 1;
-            self.storage_bytes += FpDnsRecord::storage_bytes_of(&rr.name, &rr.rdata) as u64;
-        }
-    }
-}
-
 /// The end-of-day output of a [`StreamMiner`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
@@ -152,8 +119,6 @@ pub struct StreamReport {
     pub day: u64,
     /// Epoch length used.
     pub epoch_secs: u64,
-    /// HyperLogLog precision.
-    pub hll_precision: u8,
     /// Mid-day classification snapshots, in close order.
     pub epochs: Vec<EpochSummary>,
     /// End-of-day Algorithm 1 findings.
@@ -164,8 +129,8 @@ pub struct StreamReport {
     /// Ground-truth evaluation of the final findings, when ground truth
     /// was attached.
     pub mining: Option<MiningReport>,
-    /// Online pDNS counters.
-    pub pdns: PdnsSummary,
+    /// Online fpDNS counters.
+    pub pdns: FpDnsSummary,
     /// The deduplicating rpDNS backend's end-of-day summary.
     pub rpdns_store: RpdnsStoreSummary,
     /// The first persistence failure the rpDNS backend latched, if any
@@ -187,8 +152,9 @@ pub struct StreamReport {
     pub events_shed: u64,
     /// Exact distinct owner names at end of day.
     pub distinct_names: u64,
-    /// HLL estimate of distinct clients.
-    pub distinct_clients_est: u64,
+    /// Exact distinct clients at end of day (see
+    /// [`EpochSummary::distinct_clients`]).
+    pub distinct_clients: u64,
     /// Largest resident state of the day. The per-record table only
     /// grows within a day, so this is the end-of-day state.
     pub peak_state_bytes: usize,
@@ -228,12 +194,11 @@ impl StreamReport {
         };
         line(format!("day = {}", self.day));
         line(format!("epoch_secs = {}", self.epoch_secs));
-        line(format!("hll_precision = {}", self.hll_precision));
         for e in &self.epochs {
             line(format!("-- epoch {} (close @ {}s, {} events) --", e.epoch, e.end_secs, e.events));
             line(format!("state_bytes = {}", e.state_bytes));
             line(format!("distinct_names = {}", e.distinct_names));
-            line(format!("distinct_clients_hll = {}", e.distinct_clients_est));
+            line(format!("distinct_clients = {}", e.distinct_clients));
             line(format!("findings = {}", e.findings.len()));
             for f in &e.findings {
                 line(render_finding(f));
@@ -242,7 +207,7 @@ impl StreamReport {
         line("-- final --".to_string());
         line(format!("events = {}", self.events_pushed));
         line(format!("distinct_names = {}", self.distinct_names));
-        line(format!("distinct_clients_hll = {}", self.distinct_clients_est));
+        line(format!("distinct_clients = {}", self.distinct_clients));
         line(format!("peak_state_bytes = {}", self.peak_state_bytes));
         line(format!(
             "pdns = {} responses / {} records / {} nx / {} bytes",
@@ -273,16 +238,16 @@ fn render_finding(f: &Finding) -> String {
 }
 
 /// The online statistics the observer accumulates — what the replay
-/// session does not already hold: the client estimator, the pDNS
-/// counters and store, and the served-class tallies behind the
-/// conservation line.
+/// session does not already hold: the client set, the pDNS counters and
+/// store, and the served-class tallies behind the conservation line.
 #[derive(Debug)]
 pub(crate) struct StreamState {
-    pub(crate) hll_clients: HyperLogLog,
-    pub(crate) pdns: PdnsSummary,
+    /// The client of every response that was neither shed nor failed.
+    pub(crate) clients: HashSet<u64>,
+    pub(crate) pdns: FpDnsSummary,
     /// The deduplicating rpDNS store behind the `--store` flag. Excluded
     /// from [`StreamState::state_bytes`]: the paper's streaming-state
-    /// budget covers the per-record table and estimators, and the store's
+    /// budget covers the per-record table and the client set, and the store's
     /// own footprint is reported separately as rpDNS storage bytes.
     pub(crate) rpdns: PdnsBackend,
     /// Answer records still to withhold from `rpdns` because it already
@@ -301,10 +266,10 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    fn new(config: &StreamConfig, day: u64) -> StreamState {
+    fn new(day: u64) -> StreamState {
         StreamState {
-            hll_clients: HyperLogLog::new(HLL_PRECISION, config.seed),
-            pdns: PdnsSummary::default(),
+            clients: HashSet::new(),
+            pdns: FpDnsSummary::default(),
             rpdns: PdnsBackend::default(),
             store_skip: 0,
             day,
@@ -316,9 +281,9 @@ impl StreamState {
     }
 
     /// Total resident streaming state in bytes: the session's per-record
-    /// `table` + the client HyperLogLog.
+    /// `table` + one `u64` per distinct client.
     fn state_bytes(&self, table: &RrDayStats) -> usize {
-        table.state_bytes() + self.hll_clients.state_bytes()
+        table.state_bytes() + self.clients.len() * CLIENT_BYTES
     }
 }
 
@@ -332,7 +297,7 @@ impl Observer for StreamState {
             self.failed += 1;
             return;
         }
-        self.hll_clients.insert(event.client);
+        self.clients.insert(event.client);
         if served.is_nxdomain() {
             self.nxdomain += 1;
             // Empty answer section marks the response NXDOMAIN in fpDNS.
@@ -412,7 +377,7 @@ impl<'m> StreamMiner<'m> {
             psl: SuffixList::builtin(),
             ground_truth: None,
             session: EventSession::new(sim, day),
-            state: StreamState::new(&config, day),
+            state: StreamState::new(day),
             current_epoch: None,
             epochs: Vec::new(),
             pushed: 0,
@@ -530,7 +495,7 @@ impl<'m> StreamMiner<'m> {
     /// written: the first `ckpt.pushed` events of the day's trace are
     /// pulled from `warmup` and replayed through the resolver session and
     /// the live observer, so the code that built the interrupted process's
-    /// state — caches, per-record table, client HyperLogLog, pDNS counters,
+    /// state — caches, per-record table, client set, pDNS counters,
     /// served-class tallies and rpDNS store — rebuilds it; only the closed
     /// epochs come from the checkpoint. Pushing the remaining events and
     /// finishing then produces a report byte-identical to an uninterrupted
@@ -649,7 +614,7 @@ impl<'m> StreamMiner<'m> {
             events: self.pushed,
             findings,
             distinct_names,
-            distinct_clients_est: self.state.hll_clients.estimate_rounded(),
+            distinct_clients: self.state.clients.len() as u64,
             state_bytes: self.state.state_bytes(table),
         });
     }
@@ -697,7 +662,6 @@ impl<'m> StreamMiner<'m> {
         let report = StreamReport {
             day: day_report.day,
             epoch_secs: config.epoch_secs,
-            hll_precision: HLL_PRECISION,
             epochs,
             final_findings,
             mining,
@@ -710,7 +674,7 @@ impl<'m> StreamMiner<'m> {
             events_failed: state.failed,
             events_shed: state.shed,
             distinct_names,
-            distinct_clients_est: state.hll_clients.estimate_rounded(),
+            distinct_clients: state.clients.len() as u64,
             peak_state_bytes: state.state_bytes(&day_report.rr_stats),
             day_report,
         };
@@ -833,14 +797,13 @@ mod tests {
         assert_eq!(resumed.epochs.len(), uninterrupted.epochs.len() + 1);
     }
 
-    /// The observer's four counters are `FpDnsLog::collect`'s totals:
-    /// an answered NODATA counts as `nx` like an NXDOMAIN, a SERVFAIL
-    /// not at all. Answers land in the store under the streamed day,
-    /// whatever the event's own stamp says.
+    /// The observer's four fpDNS counters: an answered NODATA counts as
+    /// `nx` like an NXDOMAIN, a SERVFAIL or a shed query not at all, and
+    /// neither adds its client to the set. Answers land in the store under
+    /// the streamed day, whatever the event's own stamp says.
     #[test]
     fn observer_counts_like_the_fpdns_log_under_the_streamed_day() {
         use dnsnoise_dns::{QType, RData, Timestamp, Ttl};
-        use dnsnoise_pdns::FpDnsLog;
         use dnsnoise_workload::Outcome;
 
         let name: dnsnoise_dns::Name = "www.example.com".parse().unwrap();
@@ -848,39 +811,36 @@ mod tests {
             let ip = std::net::Ipv4Addr::new(192, 0, 2, ip);
             Record::new(name.clone(), QType::A, Ttl::from_secs(60), RData::A(ip))
         };
-        let event = |secs: u64| QueryEvent {
+        let event = |secs: u64, client: u64| QueryEvent {
             time: Timestamp::from_secs(secs),
-            client: 1,
+            client,
             name: name.clone(),
             qtype: QType::A,
             outcome: Outcome::NxDomain,
             zone_tag: u32::MAX,
         };
         let answered = [rr(1), rr(2)];
-        let responses: [(u64, Served, &[Record]); 5] = [
-            (86_400 + 10, Served::CacheMiss, &answered),
-            (86_400 + 20, Served::CacheHit, &[]),
-            (86_400 + 30, Served::NxMiss, &[]),
-            (86_400 + 40, Served::ServFail, &[]),
-            (u64::MAX, Served::CacheHit, &answered[..1]),
+        let responses: [(u64, u64, Served, &[Record]); 6] = [
+            (86_400 + 10, 1, Served::CacheMiss, &answered),
+            (86_400 + 20, 2, Served::CacheHit, &[]),
+            (86_400 + 30, 1, Served::NxMiss, &[]),
+            (86_400 + 40, 3, Served::ServFail, &[]),
+            (86_400 + 50, 4, Served::Dropped, &[]),
+            (u64::MAX, 2, Served::CacheHit, &answered[..1]),
         ];
-        let mut state = StreamState::new(&StreamConfig::default(), 1);
-        let mut log = FpDnsLog::new(0, false);
-        for (secs, served, answers) in responses {
-            let e = event(secs);
-            state.observe(&e, served, answers);
-            if !served.is_failure() {
-                log.collect(e.time, e.client, &e.name, e.qtype, answers);
-            }
+        let mut state = StreamState::new(1);
+        for (secs, client, served, answers) in responses {
+            state.observe(&event(secs, client), served, answers);
         }
-        let expected = PdnsSummary {
-            total_responses: log.total_responses(),
-            total_records: log.total_records(),
-            nx_responses: log.nx_responses(),
-            storage_bytes: log.storage_bytes(),
+        let expected = FpDnsSummary {
+            total_responses: 4,
+            total_records: 3,
+            nx_responses: 2,
+            storage_bytes: 3 * 43,
         };
         assert_eq!(state.pdns, expected);
-        assert_eq!((expected.total_responses, expected.nx_responses), (4, 2));
+        assert_eq!(state.clients, HashSet::from([1, 2]), "no failed or shed client");
+        assert_eq!((state.failed, state.shed), (1, 1));
         assert_eq!(state.rpdns.daily_stats().len(), 2, "days 0 and 1 only");
     }
 
@@ -890,10 +850,7 @@ mod tests {
         let miner = trained_miner(&s);
         let trace = s.generate_day(0);
         let render = || {
-            let mut stream = StreamMiner::new(
-                StreamConfig { epoch_secs: 7200, ..StreamConfig::default() },
-                &miner,
-            );
+            let mut stream = StreamMiner::new(StreamConfig { epoch_secs: 7200 }, &miner);
             for event in &trace.events {
                 stream.push(event);
             }

@@ -5,17 +5,19 @@
 //! incrementally — one [`QueryEvent`](dnsnoise_workload::QueryEvent) at a
 //! time — and mines the replay session's own exact per-record query/miss
 //! table ([`EventSession::rr_stats`](dnsnoise_resolver::EventSession::rr_stats))
-//! whenever an epoch closes, adding only a seeded [`HyperLogLog`] of
-//! distinct clients, four fpDNS counters and the rpDNS store (the
-//! distinct-name count is the close-time tree's, exact). Periodic epoch
-//! closes emit mid-day classifications; [`StreamMiner::finish`] emits the
+//! whenever an epoch closes, adding only the set of distinct clients, the
+//! four fpDNS counters of
+//! [`FpDnsSummary`](dnsnoise_pdns::FpDnsSummary) and the rpDNS store.
+//! Every count it reports is exact: the distinct clients are the set's
+//! size, the distinct names the close-time tree's. Periodic epoch closes
+//! emit mid-day classifications; [`StreamMiner::finish`] emits the
 //! end-of-day report.
 //!
-//! Everything is deterministic: hashes are seeded, the miner's output
-//! does not depend on table iteration order, and the streaming
-//! classifications equal the batch miner's exactly — both build their
-//! tree from the same table with the same function (a property the
-//! fidelity test suite pins all the same).
+//! Everything is deterministic: the miner's output does not depend on
+//! table iteration order, and the streaming classifications equal the
+//! batch miner's exactly — both build their tree from the same table with
+//! the same function (a property the fidelity test suite pins all the
+//! same).
 //!
 //! # Examples
 //!
@@ -42,10 +44,6 @@
 
 mod checkpoint;
 mod engine;
-mod sketch;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_NAME};
-pub use engine::{
-    EpochSummary, PdnsSummary, RpdnsStoreSummary, StreamConfig, StreamMiner, StreamReport,
-};
-pub use sketch::HyperLogLog;
+pub use engine::{EpochSummary, RpdnsStoreSummary, StreamConfig, StreamMiner, StreamReport};

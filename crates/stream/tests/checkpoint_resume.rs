@@ -32,7 +32,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Four two-hour epochs fit in the seeded trace's busy window, so the
 /// kill point lies past several checkpoint writes.
 fn config() -> StreamConfig {
-    StreamConfig { epoch_secs: 7200, ..StreamConfig::default() }
+    StreamConfig { epoch_secs: 7200 }
 }
 
 /// A run store small enough to flush many times a day, so kill points can
@@ -183,6 +183,8 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
 
             let want = &expected.report;
             assert_eq!(report.render(), want.render(), "{what}: render diverged");
+            assert_eq!(report.epochs, want.epochs, "{what}: epoch closes diverged");
+            assert_eq!(report.distinct_clients, want.distinct_clients, "{what}: clients");
             assert_eq!(report.final_findings, want.final_findings, "{what}: findings");
             assert_eq!(report.day_report, want.day_report, "{what}: day report diverged");
             assert_eq!(report.rpdns_store.records, want.rpdns_store.records, "{what}: rpDNS");
@@ -302,11 +304,11 @@ fn resume_rejects_wrong_config_and_prefix() {
     let ckpt = Checkpoint::load(&ckpt_dir).unwrap().expect("checkpoint exists");
     let warmup = &trace.events[..ckpt.pushed as usize];
 
-    // Different hash seed: the closed epochs' client estimates would not
-    // be the ones the rebuilt HyperLogLog continues.
-    let other = StreamConfig { seed: 99, ..config() };
+    // Different epoch length: the checkpointed closes would not be the
+    // ones this miner's schedule makes.
+    let other = StreamConfig { epoch_secs: 3600 };
     let err = StreamMiner::new(other, &miner).resume(&ckpt, warmup).unwrap_err();
-    assert!(err.to_string().contains("seed"), "{err}");
+    assert!(err.to_string().contains("epoch_secs"), "{err}");
 
     // Short warmup: the replay prefix must cover exactly `pushed` events.
     let err = StreamMiner::new(config(), &miner)

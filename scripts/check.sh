@@ -93,6 +93,15 @@ echo "== stream smoke (batch-vs-stream agreement, conservation, determinism) =="
 diff "$smoke_dir/s1.txt" "$smoke_dir/s2.txt" >&2
 grep -q '(conserved)' "$smoke_dir/s1.txt" \
     || { echo "error: stream smoke did not conserve events" >&2; exit 1; }
+# Distinct clients are exact: on a day with no SERVFAIL and no shed
+# query, the final count is every client id the trace holds.
+grep -q ' + 0 servfail + 0 shed (conserved)$' "$smoke_dir/s1.txt" \
+    || { echo "error: stream smoke expected 0 servfail and 0 shed" >&2; exit 1; }
+trace_clients=$(grep -v '^#' "$smoke_dir/day1.trace" | cut -f2 | sort -u | wc -l | tr -d ' ')
+stream_clients=$(awk '/^-- final --/{f=1} f && /^distinct_clients = /{print $3}' "$smoke_dir/s1.txt")
+[ -n "$stream_clients" ] && [ "$stream_clients" = "$trace_clients" ] \
+    || { echo "error: stream distinct_clients ($stream_clients) != trace clients" \
+              "($trace_clients)" >&2; exit 1; }
 ./target/release/dnsnoise mine --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" >"$smoke_dir/mine.tsv" 2>/dev/null
 awk -F'\t' 'NR>1 {print $1, "depth="$2}' "$smoke_dir/mine.tsv" | sort >"$smoke_dir/zones.batch"

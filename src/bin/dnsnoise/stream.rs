@@ -47,7 +47,7 @@ fn run(o: &Opts) -> Result<(), String> {
         o.refuse_existing_store()?;
     }
     let miner = o.load_or_train_miner()?;
-    let config = StreamConfig { epoch_secs: o.epoch_secs, seed: o.seed };
+    let config = StreamConfig { epoch_secs: o.epoch_secs };
     let mut stream = StreamMiner::new(config, &miner).with_store(o.store_backend());
     if let Some(dir) = &o.checkpoint {
         stream = stream.with_checkpoint(Path::new(dir));

@@ -556,7 +556,7 @@ fn simulate_disk_store_repeats_byte_for_byte() {
 /// A checkpoint's `pushed` is outside input behind only a CRC: a
 /// well-formed image claiming more events than the trace holds must end
 /// in the named error, not in an allocation sized from the claim. So is
-/// its format version: the committed `dnckpt2` and `dnckpt3` images are
+/// its format version: the committed `dnckpt1` to `dnckpt5` images are
 /// refused as such.
 #[test]
 fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
@@ -595,13 +595,15 @@ fn stream_refuses_a_checkpoint_that_outruns_the_trace() {
 
     // Intact images of earlier formats (per-record counters in the body,
     // then a name HyperLogLog and a whole fpDNS log, then the observer's
-    // state and a copy of the store) are refused by name, never misparsed
-    // or restarted from zero.
+    // state and a copy of the store, then a client HyperLogLog's precision
+    // and seed) are refused by name, never misparsed or restarted from
+    // zero.
     for (magic, hex) in [
         (b"dnckpt1\n", include_str!("../crates/stream/tests/golden/checkpoint_v1.hex")),
         (b"dnckpt2\n", include_str!("../crates/stream/tests/golden/checkpoint_v2.hex")),
         (b"dnckpt3\n", include_str!("../crates/stream/tests/golden/checkpoint_v3.hex")),
         (b"dnckpt4\n", include_str!("../crates/stream/tests/golden/checkpoint_v4.hex")),
+        (b"dnckpt5\n", include_str!("../crates/stream/tests/golden/checkpoint_v5.hex")),
     ] {
         let image: Vec<u8> = hex
             .split_whitespace()

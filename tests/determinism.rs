@@ -10,7 +10,7 @@ use dnsnoise::cache::LoadBalance;
 use dnsnoise::core::{DailyPipeline, Miner, MinerConfig};
 use dnsnoise::dns::Record;
 use dnsnoise::ingest::{framestream, ingest_bytes, pcap, IngestConfig};
-use dnsnoise::pdns::FpDnsLog;
+use dnsnoise::pdns::FpDnsSummary;
 use dnsnoise::resolver::{
     DayReport, EventSession, FaultPlan, MetricsRegistry, Observer, OverloadConfig, ResolverSim,
     Served, SimConfig,
@@ -175,14 +175,14 @@ fn multi_day_carryover_is_bit_identical() {
     assert_eq!(run(&mut streamed), run(&mut reference), "day 3 over the carried state");
 }
 
-/// A passive-DNS collector over the full-fidelity log.
+/// A passive-DNS collector counting the full-fidelity dataset.
 struct Collector {
-    log: FpDnsLog,
+    fpdns: FpDnsSummary,
 }
 
 impl Observer for Collector {
-    fn observe(&mut self, event: &QueryEvent, _served: Served, answers: &[Record]) {
-        self.log.collect(event.time, event.client, &event.name, event.qtype, answers);
+    fn observe(&mut self, _event: &QueryEvent, _served: Served, answers: &[Record]) {
+        self.fpdns.collect(answers);
     }
 }
 
@@ -197,7 +197,7 @@ fn stream_trained_miner(s: &Scenario) -> Miner {
 }
 
 fn stream_render(trace: &DayTrace, miner: &Miner, epoch_secs: u64) -> String {
-    let config = StreamConfig { epoch_secs, ..StreamConfig::default() };
+    let config = StreamConfig { epoch_secs };
     let mut stream = StreamMiner::new(config, miner);
     for event in &trace.events {
         stream.push(event);
@@ -271,12 +271,12 @@ fn session_pdns_collection_counts_match_day_run() {
     let s = scenario(90);
     let trace = s.generate_day(0);
 
-    let mut batch = Collector { log: FpDnsLog::new(200, false) };
+    let mut batch = Collector { fpdns: FpDnsSummary::default() };
     let mut reference = ResolverSim::new(SimConfig::default());
     reference.day(&trace).ground_truth(s.ground_truth()).observer(&mut batch).run();
 
     // A `dyn` observer, which the one `run()` and `push` both take.
-    let mut streamed = Collector { log: FpDnsLog::new(200, false) };
+    let mut streamed = Collector { fpdns: FpDnsSummary::default() };
     let observer: &mut dyn Observer = &mut streamed;
     let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), trace.day);
     for event in &trace.events {
@@ -284,24 +284,18 @@ fn session_pdns_collection_counts_match_day_run() {
     }
     session.finish();
 
-    assert!(batch.log.total_records() > 0);
-    assert_eq!(streamed.log.total_responses(), batch.log.total_responses());
-    assert_eq!(streamed.log.total_records(), batch.log.total_records());
-    assert_eq!(streamed.log.nx_responses(), batch.log.nx_responses());
-    assert_eq!(streamed.log.storage_bytes(), batch.log.storage_bytes());
-    assert_eq!(streamed.log.retained(), batch.log.retained());
+    assert!(batch.fpdns.total_records > 0 && batch.fpdns.nx_responses > 0);
+    assert_eq!(streamed.fpdns, batch.fpdns);
 
-    // The stream keeps only the four counters, folded in place: they must
-    // be the log's own totals over the same responses.
+    // The stream folds the same four counters in place: over a day with
+    // no SERVFAIL or shed query they are the collector's own totals.
     let miner = stream_trained_miner(&s);
     let mut stream =
         StreamMiner::new(StreamConfig::default(), &miner).ground_truth(s.ground_truth());
     for event in &trace.events {
         stream.push(event);
     }
-    let pdns = stream.finish().0.pdns;
-    assert_eq!(pdns.total_responses, batch.log.total_responses());
-    assert_eq!(pdns.total_records, batch.log.total_records());
-    assert_eq!(pdns.nx_responses, batch.log.nx_responses());
-    assert_eq!(pdns.storage_bytes, batch.log.storage_bytes());
+    let report = stream.finish().0;
+    assert_eq!((report.events_failed, report.events_shed), (0, 0));
+    assert_eq!(report.pdns, batch.fpdns);
 }

@@ -4,9 +4,10 @@
 //! snapshot.
 //!
 //! The snapshot pins the full `StreamReport::render()` text — every
-//! epoch close, HyperLogLog estimate, finding line, pDNS counter, and
-//! the conservation line — so any drift in the per-record table, the
-//! epoch schedule, or the event accounting shows up as a line diff. To
+//! epoch close, exact distinct-client and distinct-name count, state
+//! size, finding line, pDNS counter, and the conservation line — so any
+//! drift in the per-record table, the client set, the epoch schedule, or
+//! the event accounting shows up as a line diff. To
 //! intentionally rebless after a semantic change:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_stream`. The snapshot's
 //! final findings are also checked against the batch miner's, so a
