@@ -12,13 +12,12 @@ use crate::CaptureFormat;
 /// description for the ledger's samples.
 pub(crate) type DecodeFailure = (QuarantineClass, String);
 
-/// Decodes the frame `frame` delimits within `capture`.
+/// Decodes the frame `frame` delimits, whose payload bytes are `payload`.
 pub(crate) fn decode_frame(
-    capture: &[u8],
+    payload: &[u8],
     frame: &RawFrame,
     format: CaptureFormat,
 ) -> Result<QueryEvent, DecodeFailure> {
-    let payload = &capture[frame.payload.clone()];
     match format {
         CaptureFormat::Pcap => decode_pcap_frame(payload, frame),
         CaptureFormat::Dnstap => {

@@ -21,7 +21,7 @@
 //! scanner skip-scans, accounting every byte.
 
 use crate::report::{IngestReport, QuarantineClass, QuarantineSample};
-use crate::scan::{RawFrame, ScanError, Scanned};
+use crate::scan::{self, More, RawFrame, ScanError, Scanned, Step, View};
 
 /// Data-frame header length: version + timestamp + client + dns length.
 pub const DATA_HEADER_LEN: usize = 1 + 8 + 8 + 2;
@@ -35,17 +35,17 @@ const MAX_CONTROL_LEN: usize = 512;
 /// Largest accepted data frame: header + a maximal UDP DNS message.
 const MAX_DATA_LEN: usize = DATA_HEADER_LEN + 65_535;
 
+// A confirmed boundary looks two frames past its start; the read window
+// must hold that.
+const _: () = assert!(2 * (4 + MAX_DATA_LEN) <= crate::WINDOW_LEN);
+
 /// `true` when the capture starts with a Frame Streams control escape.
 pub fn looks_like_dnstap(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[0..4] == [0, 0, 0, 0]
 }
 
-fn be_u32(bytes: &[u8], pos: usize) -> Option<u32> {
-    Some(u32::from_be_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?))
-}
-
-fn be_u64(bytes: &[u8], pos: usize) -> Option<u64> {
-    Some(u64::from_be_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?))
+fn be_u32(view: View<'_>, pos: usize) -> Result<Option<u32>, More> {
+    Ok(view.span(pos, 4)?.and_then(|b| Some(u32::from_be_bytes(b.try_into().ok()?))))
 }
 
 /// Classification of the bytes at one position.
@@ -62,129 +62,157 @@ enum Boundary {
 /// Parses the frame at `pos` without trusting it further than the bytes
 /// in range. Self-consistency required: control type known and length
 /// bounded; data length bounded, version byte correct, and the inner DNS
-/// length agreeing with the outer frame length.
-fn boundary_at(bytes: &[u8], pos: usize) -> Boundary {
-    let Some(flen) = be_u32(bytes, pos) else { return Boundary::No };
+/// length agreeing with the outer frame length. It looks at most
+/// `4 + MAX_DATA_LEN` bytes past `pos`.
+fn boundary_at(view: View<'_>, pos: usize) -> Result<Boundary, More> {
+    let Some(flen) = be_u32(view, pos)? else { return Ok(Boundary::No) };
     if flen == 0 {
         // Control escape: [0][ctrl_len][ctrl_type ...].
-        let Some(ctrl_len) = be_u32(bytes, pos + 4) else { return Boundary::No };
+        let Some(ctrl_len) = be_u32(view, pos + 4)? else { return Ok(Boundary::No) };
         let ctrl_len = ctrl_len as usize;
-        if !(4..=MAX_CONTROL_LEN).contains(&ctrl_len) {
-            return Boundary::No;
+        if !(4..=MAX_CONTROL_LEN).contains(&ctrl_len) || !view.holds(pos + 8 + ctrl_len)? {
+            return Ok(Boundary::No);
         }
-        if pos + 8 + ctrl_len > bytes.len() {
-            return Boundary::No;
-        }
-        let Some(ctrl_type) = be_u32(bytes, pos + 8) else { return Boundary::No };
+        let Some(ctrl_type) = be_u32(view, pos + 8)? else { return Ok(Boundary::No) };
         if ctrl_type != CONTROL_START && ctrl_type != CONTROL_STOP {
-            return Boundary::No;
+            return Ok(Boundary::No);
         }
-        Boundary::Control(8 + ctrl_len)
+        Ok(Boundary::Control(8 + ctrl_len))
     } else {
         let flen = flen as usize;
         if !(DATA_HEADER_LEN..=MAX_DATA_LEN).contains(&flen) {
-            return Boundary::No;
+            return Ok(Boundary::No);
         }
-        if pos + 4 + flen > bytes.len() {
-            return Boundary::No;
+        let Some(body) = view.span(pos + 4, flen)? else { return Ok(Boundary::No) };
+        if body[0] != VERSION {
+            return Ok(Boundary::No);
         }
-        let body = pos + 4;
-        if bytes[body] != VERSION {
-            return Boundary::No;
-        }
-        let Some(ts_secs) = be_u64(bytes, body + 1) else { return Boundary::No };
-        let Some(client) = be_u64(bytes, body + 9) else { return Boundary::No };
-        let dns_len = usize::from(u16::from_be_bytes([bytes[body + 17], bytes[body + 18]]));
+        let be_u64 =
+            |at: usize| u64::from_be_bytes(body[at..at + 8].try_into().unwrap_or_default());
+        let (ts_secs, client) = (be_u64(1), be_u64(9));
+        let dns_len = usize::from(u16::from_be_bytes([body[17], body[18]]));
         if DATA_HEADER_LEN + dns_len != flen {
-            return Boundary::No;
+            return Ok(Boundary::No);
         }
-        Boundary::Data { total: 4 + flen, ts_secs, client }
+        Ok(Boundary::Data { total: 4 + flen, ts_secs, client })
     }
 }
 
 /// A boundary whose successor is EOF, a trailing stub, or another
-/// boundary — the lookahead confirmation used during resync.
-fn confirmed_boundary(bytes: &[u8], pos: usize) -> bool {
-    let total = match boundary_at(bytes, pos) {
+/// boundary — the lookahead confirmation used during resync. It looks at
+/// most `2 * (4 + MAX_DATA_LEN)` bytes past `pos`.
+fn confirmed_boundary(view: View<'_>, pos: usize) -> Result<bool, More> {
+    let total = match boundary_at(view, pos)? {
         Boundary::Control(total) => total,
         Boundary::Data { total, .. } => total,
-        Boundary::No => return false,
+        Boundary::No => return Ok(false),
     };
     let end = pos + total;
-    if end + 4 > bytes.len() {
+    if !view.holds(end + 4)? {
         // EOF or a trailing stub shorter than a length word.
-        return true;
+        return Ok(true);
     }
-    !matches!(boundary_at(bytes, end), Boundary::No)
+    Ok(!matches!(boundary_at(view, end)?, Boundary::No))
 }
 
-/// A resumable frame-at-a-time scanner over a Frame Streams byte stream:
-/// the iterator form of [`scan`], for consumers (like
+/// A resumable frame-at-a-time scanner over a Frame Streams capture: the
+/// iterator form of [`scan`], for consumers (like
 /// [`EventStream`](crate::EventStream)) that want one frame per call
-/// instead of a materialised extent list. [`scan`] is implemented on top
-/// of it, so the two agree exactly — same frames, same ledger accounting —
-/// a property the regression tests pin.
+/// instead of a materialised extent list. Like
+/// [`PcapScanner`](crate::pcap::PcapScanner) it holds no bytes and reads
+/// the capture through the [`View`] each call passes. [`scan`] is
+/// implemented on top of it, so the two agree exactly — same frames, same
+/// ledger accounting.
 #[derive(Debug)]
-pub struct FrameScanner<'a> {
-    bytes: &'a [u8],
+pub struct FrameScanner {
     pos: usize,
+    /// The offset a resync skip-scan that began at `pos` has reached.
+    probe: Option<usize>,
     done: bool,
 }
 
-impl<'a> FrameScanner<'a> {
-    /// Positions a scanner at the start of `bytes`.
+impl FrameScanner {
+    /// Positions a scanner at the start of the capture `view` begins.
     ///
     /// # Errors
     ///
     /// Fails on an empty capture — the one condition with no degraded
     /// reading.
-    pub fn new(bytes: &'a [u8]) -> Result<FrameScanner<'a>, ScanError> {
-        if bytes.is_empty() {
+    pub fn new(view: View<'_>) -> Result<FrameScanner, ScanError> {
+        if view.ends_at(0).unwrap_or(false) {
             return Err(ScanError::BadCapture("empty capture".into()));
         }
-        Ok(FrameScanner { bytes, pos: 0, done: false })
+        Ok(FrameScanner { pos: 0, probe: None, done: false })
     }
 
-    /// The byte offset the scanner will examine next.
+    /// The first byte offset the scanner has yet to consume: a view passed
+    /// to [`FrameScanner::next_frame`] must start at or before it.
     pub fn offset(&self) -> usize {
-        self.pos
+        self.probe.unwrap_or(self.pos)
     }
 
     /// Whether the scanner has reached the end of the capture (cleanly or
     /// via a terminal quarantine).
     pub fn is_done(&self) -> bool {
-        self.done || self.pos >= self.bytes.len()
+        self.done
     }
 
     /// Advances to and returns the next data frame, accounting control
     /// frames, resyncs, and tail quarantines in `report` along the way.
-    /// Returns `None` at end of capture; subsequent calls keep returning
-    /// `None` without touching the report again.
-    pub fn next_frame(&mut self, report: &mut IngestReport) -> Option<RawFrame> {
+    /// [`Step::End`] at end of capture, and on every call after that
+    /// without touching the report again; [`Step::More`] when `view` ends
+    /// before the capture and before the bytes the next decision needs.
+    pub fn next_frame(&mut self, view: View<'_>, report: &mut IngestReport) -> Step {
         if self.done {
-            return None;
+            return Step::End;
         }
-        while self.pos < self.bytes.len() {
-            let remaining = self.bytes.len() - self.pos;
-            if remaining < 4 {
-                report.quarantine(
-                    QuarantineClass::TruncatedFrame,
-                    remaining as u64,
-                    QuarantineSample {
-                        frame_index: report.frames_scanned,
-                        offset: self.pos as u64,
-                        reason: format!("{remaining} trailing bytes, shorter than a frame length"),
-                    },
+        loop {
+            if let Some(probe) = self.probe {
+                let confirmed = |at| confirmed_boundary(view, at);
+                let landing = match scan::skip_scan(view, probe, 4, confirmed) {
+                    Ok(landing) => landing,
+                    Err(probe) => {
+                        self.probe = Some(probe);
+                        return Step::More;
+                    }
+                };
+                report.record_resync(
+                    self.pos as u64,
+                    (landing - self.pos) as u64,
+                    format!("implausible frame, skipped {} bytes", landing - self.pos),
                 );
-                self.done = true;
-                return None;
+                self.pos = landing;
+                self.probe = None;
             }
-            match boundary_at(self.bytes, self.pos) {
-                Boundary::Control(total) => {
+            let flen = match be_u32(view, self.pos) {
+                Ok(Some(flen)) => flen as usize,
+                Ok(None) => {
+                    let remaining = view.end() - self.pos;
+                    if remaining > 0 {
+                        report.quarantine(
+                            QuarantineClass::TruncatedFrame,
+                            remaining as u64,
+                            QuarantineSample {
+                                frame_index: report.frames_scanned,
+                                offset: self.pos as u64,
+                                reason: format!(
+                                    "{remaining} trailing bytes, shorter than a frame length"
+                                ),
+                            },
+                        );
+                    }
+                    self.done = true;
+                    return Step::End;
+                }
+                Err(More) => return Step::More,
+            };
+            match boundary_at(view, self.pos) {
+                Err(More) => return Step::More,
+                Ok(Boundary::Control(total)) => {
                     report.bytes_parsed += total as u64;
                     self.pos += total;
                 }
-                Boundary::Data { total, ts_secs, client } => {
+                Ok(Boundary::Data { total, ts_secs, client }) => {
                     let payload_start = self.pos + 4 + DATA_HEADER_LEN;
                     let frame = RawFrame {
                         index: report.frames_scanned,
@@ -196,60 +224,46 @@ impl<'a> FrameScanner<'a> {
                     };
                     report.frames_scanned += 1;
                     self.pos += total;
-                    return Some(frame);
+                    return Step::Frame(frame);
                 }
-                Boundary::No => {
-                    // Distinguish "frame promises more bytes than remain"
-                    // (a truncated tail) from mid-stream garbage (resync).
-                    if let Some(flen) = be_u32(self.bytes, self.pos) {
-                        let flen = flen as usize;
-                        if (DATA_HEADER_LEN..=MAX_DATA_LEN).contains(&flen)
-                            && self.pos + 4 + flen > self.bytes.len()
-                        {
-                            report.quarantine(
-                                QuarantineClass::TruncatedFrame,
-                                remaining as u64,
-                                QuarantineSample {
-                                    frame_index: report.frames_scanned,
-                                    offset: self.pos as u64,
-                                    reason: format!(
-                                        "frame promises {flen} bytes but only {} remain",
-                                        remaining - 4
-                                    ),
-                                },
-                            );
-                            report.frames_scanned += 1;
-                            self.done = true;
-                            return None;
-                        }
-                    }
-                    let mut probe = self.pos + 1;
-                    while probe + 4 <= self.bytes.len() && !confirmed_boundary(self.bytes, probe) {
-                        probe += 1;
-                    }
-                    let landing =
-                        if probe + 4 <= self.bytes.len() { probe } else { self.bytes.len() };
-                    report.record_resync(
-                        self.pos as u64,
-                        (landing - self.pos) as u64,
-                        format!("implausible frame, skipped {} bytes", landing - self.pos),
+                // A frame that promises more bytes than remain is a
+                // truncated tail; anything else untrustworthy is garbage
+                // to resync over.
+                Ok(Boundary::No)
+                    if (DATA_HEADER_LEN..=MAX_DATA_LEN).contains(&flen)
+                        && matches!(view.holds(self.pos + 4 + flen), Ok(false)) =>
+                {
+                    let remaining = view.end() - self.pos;
+                    report.quarantine(
+                        QuarantineClass::TruncatedFrame,
+                        remaining as u64,
+                        QuarantineSample {
+                            frame_index: report.frames_scanned,
+                            offset: self.pos as u64,
+                            reason: format!(
+                                "frame promises {flen} bytes but only {} remain",
+                                remaining - 4
+                            ),
+                        },
                     );
-                    self.pos = landing;
+                    report.frames_scanned += 1;
+                    self.done = true;
+                    return Step::End;
                 }
+                Ok(Boundary::No) => self.probe = Some(self.pos + 1),
             }
         }
-        self.done = true;
-        None
     }
 }
 
-/// Scans a whole Frame Streams byte stream into data-frame extents. For
+/// Scans a whole Frame Streams capture into data-frame extents. For
 /// tools that want the extent list itself; ingestion pulls from
-/// [`FrameScanner`] a batch at a time instead.
+/// [`FrameScanner`] one frame at a time instead.
 pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanError> {
-    let mut scanner = FrameScanner::new(bytes)?;
+    let view = View::whole(bytes);
+    let mut scanner = FrameScanner::new(view)?;
     let mut frames = Vec::new();
-    while let Some(frame) = scanner.next_frame(report) {
+    while let Step::Frame(frame) = scanner.next_frame(view, report) {
         frames.push(frame);
     }
     Ok(Scanned { frames })

@@ -7,10 +7,12 @@
 //! ring buffers, and interleaved with traffic that is not DNS at all.
 //!
 //! Ingestion is one serial pull pipeline, [`EventStream`]: scan → decode
-//! → timestamp filter, one frame at a time. A consumer that renders or
-//! replays each event as it arrives holds the capture bytes and the
-//! filter's two-event lookahead — never the day. [`ingest_bytes`] is that
-//! stream collected into a [`DayTrace`].
+//! → timestamp filter, one frame at a time. It reads the capture from any
+//! [`std::io::Read`] through one [`WINDOW_LEN`]-byte window, or borrows a
+//! capture already in memory whole. A consumer that renders or replays
+//! each event as it arrives holds that window and the filter's two-event
+//! lookahead — never the capture, never the day. [`ingest_bytes`] is the
+//! stream over an in-memory capture collected into a [`DayTrace`].
 //!
 //! The design is graceful degradation with receipts:
 //!
@@ -45,6 +47,7 @@ mod scan;
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::{self, Read};
 
 use dnsnoise_dns::SECS_PER_DAY;
 use dnsnoise_workload::{DayTrace, QueryEvent};
@@ -52,7 +55,7 @@ use dnsnoise_workload::{DayTrace, QueryEvent};
 pub use report::{
     ClassStats, IngestReport, QuarantineClass, QuarantineSample, MAX_QUARANTINE_SAMPLES,
 };
-pub use scan::{RawFrame, ScanError, Scanned};
+pub use scan::{RawFrame, ScanError, Scanned, Step, View};
 
 use report::QuarantineSample as Sample;
 
@@ -141,6 +144,13 @@ pub enum IngestError {
         /// The complete ledger up to the point of rejection.
         report: Box<IngestReport>,
     },
+    /// Reading the capture failed before its end, so no verdict exists.
+    Read {
+        /// Bytes read before the failure.
+        after: u64,
+        /// The reader's error.
+        error: io::Error,
+    },
 }
 
 impl fmt::Display for IngestError {
@@ -153,6 +163,9 @@ impl fmt::Display for IngestError {
                 rate * 100.0,
                 limit * 100.0
             ),
+            IngestError::Read { after, error } => {
+                write!(f, "read failed after {after} bytes: {error}")
+            }
         }
     }
 }
@@ -178,6 +191,14 @@ const MAX_TS_DEVIATION_SECS: u64 = SECS_PER_DAY;
 /// Decoded events the timestamp filter consults on either side of the one
 /// it judges.
 const TS_NEIGHBORS: usize = 2;
+
+/// Bytes of the window [`EventStream::from_reader`] reads a capture
+/// through. Both scanners decide on at most ≈ 256 KiB past the first
+/// byte they have yet to consume (a pcap record header, a record of the
+/// largest plausible length and the next header; each scanner asserts
+/// its bound against this at compile time), so one window always holds
+/// what they need.
+pub const WINDOW_LEN: usize = 1 << 20;
 
 /// Ingests one capture held in memory: collects an [`EventStream`], then
 /// takes its verdict.
@@ -212,17 +233,84 @@ pub fn detect_format(bytes: &[u8]) -> Result<CaptureFormat, IngestError> {
 
 /// The frame-at-a-time scanner of whichever format the capture is in.
 #[derive(Debug)]
-enum Scanner<'a> {
-    Pcap(pcap::PcapScanner<'a>),
-    Dnstap(framestream::FrameScanner<'a>),
+enum Scanner {
+    Pcap(pcap::PcapScanner),
+    Dnstap(framestream::FrameScanner),
 }
 
-impl Scanner<'_> {
-    fn next_frame(&mut self, report: &mut IngestReport) -> Option<RawFrame> {
+impl Scanner {
+    fn next_frame(&mut self, view: View<'_>, report: &mut IngestReport) -> Step {
         match self {
-            Scanner::Pcap(scanner) => scanner.next_frame(report),
-            Scanner::Dnstap(scanner) => scanner.next_frame(report),
+            Scanner::Pcap(scanner) => scanner.next_frame(view, report),
+            Scanner::Dnstap(scanner) => scanner.next_frame(view, report),
         }
+    }
+
+    fn offset(&self) -> usize {
+        match self {
+            Scanner::Pcap(scanner) => scanner.offset(),
+            Scanner::Dnstap(scanner) => scanner.offset(),
+        }
+    }
+}
+
+/// Where an [`EventStream`]'s capture bytes come from.
+#[derive(Debug)]
+enum Source<'a> {
+    /// A capture the caller holds whole: one view, at EOF from the start.
+    Slice(&'a [u8]),
+    /// A capture read through a fixed window.
+    Reader(Window<'a>),
+}
+
+impl Source<'_> {
+    fn view(&self) -> View<'_> {
+        match self {
+            Source::Slice(bytes) => View::whole(bytes),
+            Source::Reader(window) => View::new(&window.buf[..window.len], window.base, window.eof),
+        }
+    }
+}
+
+/// [`WINDOW_LEN`] bytes of a capture: those from offset `base` on that
+/// have been read and not yet dropped.
+struct Window<'a> {
+    reader: Box<dyn Read + 'a>,
+    buf: Box<[u8]>,
+    base: usize,
+    len: usize,
+    eof: bool,
+}
+
+impl Window<'_> {
+    /// Drops the bytes before absolute offset `keep`, then reads once into
+    /// the room that leaves: the number of bytes read, 0 at EOF.
+    fn refill(&mut self, keep: usize) -> io::Result<usize> {
+        let dropped = keep.saturating_sub(self.base).min(self.len);
+        self.buf.copy_within(dropped..self.len, 0);
+        self.base += dropped;
+        self.len -= dropped;
+        loop {
+            match self.reader.read(&mut self.buf[self.len..]) {
+                Ok(n) => {
+                    self.len += n;
+                    self.eof = n == 0;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Window<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Window")
+            .field("base", &self.base)
+            .field("len", &self.len)
+            .field("eof", &self.eof)
+            .finish_non_exhaustive()
     }
 }
 
@@ -241,9 +329,11 @@ struct Held {
 /// each event as it arrives instead of holding the day.
 ///
 /// Each pull scans and decodes frames one at a time until the timestamp
-/// filter has its lookahead — so beyond the capture bytes the stream holds
-/// only that lookahead, whatever the capture's length. The ledger and the
-/// error-budget verdict exist only once the capture is
+/// filter has its lookahead. Opened with [`EventStream::from_reader`], the
+/// stream holds one [`WINDOW_LEN`]-byte window of the capture and that
+/// lookahead, whatever the capture's length; [`EventStream::new`] borrows
+/// a capture already in memory and neither copies nor reads it. The
+/// ledger and the error-budget verdict exist only once the capture is
 /// exhausted: [`EventStream::finish`] returns them, and a consumer that
 /// must not act on a ruined source holds its output back until then.
 ///
@@ -265,11 +355,13 @@ struct Held {
 /// ```
 #[derive(Debug)]
 pub struct EventStream<'a> {
-    bytes: &'a [u8],
+    source: Source<'a>,
     format: CaptureFormat,
     max_error_rate: f64,
-    scanner: Scanner<'a>,
+    scanner: Scanner,
     report: IngestReport,
+    /// The read error that cut the capture short, if one did.
+    failed: Option<io::Error>,
     /// Stamps of the last decoded events before `held`, accepted or not:
     /// the window's left half.
     before: VecDeque<u64>,
@@ -287,22 +379,72 @@ impl<'a> EventStream<'a> {
     /// [`IngestError::BadCapture`] when the capture is not recognizably of
     /// any (or of the forced) format.
     pub fn new(bytes: &'a [u8], config: &IngestConfig) -> Result<EventStream<'a>, IngestError> {
+        EventStream::open(Source::Slice(bytes), config)
+    }
+
+    /// Opens a stream over the capture `reader` yields, which it reads
+    /// through one [`WINDOW_LEN`]-byte window as the stream is pulled. The
+    /// ledger's `bytes_total` counts the bytes read, so the reader needs
+    /// no length (a pipe will do).
+    ///
+    /// ```
+    /// use dnsnoise_ingest::{framestream, EventStream, IngestConfig};
+    /// use dnsnoise_workload::{Scenario, ScenarioConfig};
+    ///
+    /// let day = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.002), 7).generate_day(0);
+    /// let capture = framestream::write_dnstap(&day).unwrap();
+    ///
+    /// // Any `io::Read` will do: a file, a pipe, or here a byte slice.
+    /// let mut stream = EventStream::from_reader(&capture[..], &IngestConfig::default()).unwrap();
+    /// assert_eq!(stream.by_ref().count(), day.events.len());
+    /// assert_eq!(stream.finish().unwrap().bytes_total, capture.len() as u64);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::BadCapture`] as for [`EventStream::new`], and
+    /// [`IngestError::Read`] when reading the capture's first bytes fails.
+    pub fn from_reader(
+        reader: impl Read + 'a,
+        config: &IngestConfig,
+    ) -> Result<EventStream<'a>, IngestError> {
+        let mut window = Window {
+            reader: Box::new(reader),
+            buf: vec![0; WINDOW_LEN].into_boxed_slice(),
+            base: 0,
+            len: 0,
+            eof: false,
+        };
+        // Format detection and the pcap global header look at the first
+        // bytes only; everything later waits for `Step::More`.
+        while window.len < pcap::GLOBAL_HEADER_LEN && !window.eof {
+            window
+                .refill(0)
+                .map_err(|error| IngestError::Read { after: window.len as u64, error })?;
+        }
+        EventStream::open(Source::Reader(window), config)
+    }
+
+    fn open(source: Source<'a>, config: &IngestConfig) -> Result<EventStream<'a>, IngestError> {
+        let view = source.view();
+        let head = view.extent(0..view.end());
         let format = match config.format {
             Some(f) => f,
-            None => detect_format(bytes)?,
+            None => detect_format(head)?,
         };
-        let mut report = IngestReport { bytes_total: bytes.len() as u64, ..Default::default() };
+        let mut report = IngestReport { bytes_total: view.end() as u64, ..Default::default() };
         let scanner = match format {
-            CaptureFormat::Pcap => pcap::PcapScanner::new(bytes, &mut report).map(Scanner::Pcap),
-            CaptureFormat::Dnstap => framestream::FrameScanner::new(bytes).map(Scanner::Dnstap),
+            CaptureFormat::Pcap => pcap::PcapScanner::new(view, &mut report).map(Scanner::Pcap),
+            CaptureFormat::Dnstap => framestream::FrameScanner::new(view).map(Scanner::Dnstap),
         }
         .map_err(|ScanError::BadCapture(why)| IngestError::BadCapture(why))?;
         Ok(EventStream {
-            bytes,
+            source,
             format,
             max_error_rate: config.max_error_rate,
             scanner,
             report,
+            failed: None,
             before: VecDeque::with_capacity(TS_NEIGHBORS),
             held: VecDeque::with_capacity(TS_NEIGHBORS + 1),
         })
@@ -310,13 +452,33 @@ impl<'a> EventStream<'a> {
 
     /// The next frame that decoded to an event, in capture order;
     /// everything else met on the way is booked in the ledger. `None` once
-    /// the capture is exhausted, and on every call after that.
+    /// the capture is exhausted or a read has failed, and on every call
+    /// after that.
     fn next_decoded(&mut self) -> Option<Held> {
         loop {
-            let frame = self.scanner.next_frame(&mut self.report)?;
+            let view = self.source.view();
+            let frame = match self.scanner.next_frame(view, &mut self.report) {
+                Step::Frame(frame) => frame,
+                Step::End => return None,
+                Step::More => {
+                    // Only a reader's window ends before its capture does.
+                    let Source::Reader(window) = &mut self.source else { return None };
+                    match window.refill(self.scanner.offset()) {
+                        Ok(read) => self.report.bytes_total += read as u64,
+                        // The capture ends here for the scanner; `finish`
+                        // turns the error into the verdict.
+                        Err(error) => {
+                            window.eof = true;
+                            self.failed = Some(error);
+                        }
+                    }
+                    continue;
+                }
+            };
             let (frame_bytes, index, offset) =
                 (frame.frame_bytes as u64, frame.index, frame.offset as u64);
-            match decode::decode_frame(self.bytes, &frame, self.format) {
+            let payload = view.extent(frame.payload.clone());
+            match decode::decode_frame(payload, &frame, self.format) {
                 Ok(event) => return Some(Held { event, frame_bytes, index, offset }),
                 Err((class, reason)) => self.report.quarantine(
                     class,
@@ -378,9 +540,13 @@ impl<'a> EventStream<'a> {
     ///
     /// [`IngestError::ErrorBudgetExceeded`] when the quarantined and
     /// skipped share of the capture's bytes is above
-    /// [`IngestConfig::max_error_rate`].
+    /// [`IngestConfig::max_error_rate`]; [`IngestError::Read`] when reading
+    /// the capture failed before its end.
     pub fn finish(mut self) -> Result<IngestReport, IngestError> {
         self.by_ref().for_each(drop);
+        if let Some(error) = self.failed {
+            return Err(IngestError::Read { after: self.report.bytes_total, error });
+        }
         let report = self.report;
         debug_assert!(report.conserves(), "ledger must conserve: {report}");
         let rate = report.error_rate();

@@ -11,7 +11,7 @@
 //! — never the rest of the file.
 
 use crate::report::{IngestReport, QuarantineClass, QuarantineSample};
-use crate::scan::{RawFrame, ScanError, Scanned};
+use crate::scan::{self, More, RawFrame, ScanError, Scanned, Step, View};
 
 /// Magic numbers of the classic (non-ng) format, microsecond and
 /// nanosecond flavours, in both byte orders.
@@ -27,6 +27,10 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// above anything a DNS capture produces but small enough to reject most
 /// random garbage.
 const MAX_ORIG_LEN: u32 = 1 << 18;
+
+// A confirmed boundary looks one header, one record and one more header
+// past its start; the read window must hold that.
+const _: () = assert!(2 * RECORD_HEADER_LEN + MAX_ORIG_LEN as usize <= crate::WINDOW_LEN);
 
 /// Snap length used by [`write_pcap`] and as the fallback bound when the
 /// capture's own header is corrupt.
@@ -88,14 +92,13 @@ struct Header {
     orig_len: u32,
 }
 
-fn header_at(bytes: &[u8], pos: usize, layout: Layout) -> Option<Header> {
-    let hdr = bytes.get(pos..pos + RECORD_HEADER_LEN)?;
-    Some(Header {
+fn header_at(view: View<'_>, pos: usize, layout: Layout) -> Result<Option<Header>, More> {
+    Ok(view.span(pos, RECORD_HEADER_LEN)?.map(|hdr| Header {
         ts_sec: layout.u32(&hdr[0..4]),
         ts_frac: layout.u32(&hdr[4..8]),
         incl_len: layout.u32(&hdr[8..12]),
         orig_len: layout.u32(&hdr[12..16]),
-    })
+    }))
 }
 
 /// Syntactic plausibility of a record header: lengths and sub-second
@@ -111,50 +114,61 @@ fn plausible_header(h: &Header, snaplen: u32, layout: Layout) -> bool {
 }
 
 /// A header is a *confirmed* boundary when it is plausible, its frame fits
-/// the remaining bytes, and the next position is EOF or plausible again.
-fn confirmed_boundary(bytes: &[u8], pos: usize, snaplen: u32, layout: Layout) -> bool {
-    let Some(h) = header_at(bytes, pos, layout) else { return false };
+/// the capture, and the next position is EOF or plausible again. It looks
+/// at most `2 * RECORD_HEADER_LEN + MAX_ORIG_LEN` bytes past `pos`.
+fn confirmed_boundary(
+    view: View<'_>,
+    pos: usize,
+    snaplen: u32,
+    layout: Layout,
+) -> Result<bool, More> {
+    let Some(h) = header_at(view, pos, layout)? else { return Ok(false) };
     if !plausible_header(&h, snaplen, layout) {
-        return false;
+        return Ok(false);
     }
     let end = pos + RECORD_HEADER_LEN + h.incl_len as usize;
-    if end > bytes.len() {
-        return false;
+    if !view.holds(end)? {
+        return Ok(false);
     }
-    if end == bytes.len() {
-        return true;
+    if view.ends_at(end)? {
+        return Ok(true);
     }
-    match header_at(bytes, end, layout) {
+    Ok(match header_at(view, end, layout)? {
         Some(next) => plausible_header(&next, snaplen, layout),
         // A trailing partial header: plausible as a truncated capture.
         None => true,
-    }
+    })
 }
 
-/// A resumable record-at-a-time scanner over a pcap byte stream: the
+/// A resumable record-at-a-time scanner over a pcap capture: the
 /// iterator form of [`scan`]. Construction consumes the global header
 /// (accounting it in the report); each [`PcapScanner::next_frame`] call
-/// yields one record extent, resyncing over garbage as it goes. [`scan`]
-/// is implemented on top of it, so the two agree exactly.
+/// yields one record extent, resyncing over garbage as it goes. The
+/// capture arrives as [`View`]s, so the scanner itself holds no bytes:
+/// [`scan`] hands it the whole capture, [`EventStream`](crate::EventStream)
+/// a window it slides forward on [`Step::More`].
 #[derive(Debug)]
-pub struct PcapScanner<'a> {
-    bytes: &'a [u8],
+pub struct PcapScanner {
     pos: usize,
+    /// The offset a resync skip-scan that began at `pos` has reached.
+    probe: Option<usize>,
     layout: Layout,
     snaplen: u32,
     done: bool,
 }
 
-impl<'a> PcapScanner<'a> {
+impl PcapScanner {
     /// Reads the global header and positions the scanner at the first
     /// record. The header's bytes are accounted in `report` immediately,
-    /// exactly as the batch scan does.
+    /// exactly as the batch scan does. `view` starts at offset 0 and holds
+    /// [`GLOBAL_HEADER_LEN`] bytes unless the capture is shorter.
     ///
     /// # Errors
     ///
     /// Fails when the capture is shorter than a global header — with a
     /// recognizable magic ("truncated") or without one ("not a pcap").
-    pub fn new(bytes: &'a [u8], report: &mut IngestReport) -> Result<PcapScanner<'a>, ScanError> {
+    pub fn new(view: View<'_>, report: &mut IngestReport) -> Result<PcapScanner, ScanError> {
+        let bytes = view.extent(0..view.end());
         let pos;
         let layout = match Layout::from_magic(bytes) {
             Some(layout) => {
@@ -194,47 +208,82 @@ impl<'a> PcapScanner<'a> {
                 WRITER_SNAPLEN
             }
         };
-        Ok(PcapScanner { bytes, pos, layout, snaplen, done: false })
+        Ok(PcapScanner { pos, probe: None, layout, snaplen, done: false })
     }
 
-    /// The byte offset the scanner will examine next.
+    /// The first byte offset the scanner has yet to consume: a view passed
+    /// to [`PcapScanner::next_frame`] must start at or before it.
     pub fn offset(&self) -> usize {
-        self.pos
+        self.probe.unwrap_or(self.pos)
     }
 
     /// Whether the scanner has reached the end of the capture.
     pub fn is_done(&self) -> bool {
-        self.done || self.pos >= self.bytes.len()
+        self.done
     }
 
     /// Advances to and returns the next record extent, accounting resyncs
-    /// and tail quarantines in `report` along the way. Returns `None` at
-    /// end of capture; subsequent calls keep returning `None` without
-    /// touching the report again.
-    pub fn next_frame(&mut self, report: &mut IngestReport) -> Option<RawFrame> {
+    /// and tail quarantines in `report` along the way. [`Step::End`] at end
+    /// of capture, and on every call after that without touching the
+    /// report again; [`Step::More`] when `view` ends before the capture
+    /// and before the bytes the next decision needs.
+    pub fn next_frame(&mut self, view: View<'_>, report: &mut IngestReport) -> Step {
         if self.done {
-            return None;
+            return Step::End;
         }
-        while self.pos < self.bytes.len() {
-            let remaining = self.bytes.len() - self.pos;
-            if remaining < RECORD_HEADER_LEN {
-                report.quarantine(
-                    QuarantineClass::TruncatedFrame,
-                    remaining as u64,
-                    QuarantineSample {
-                        frame_index: report.frames_scanned,
-                        offset: self.pos as u64,
-                        reason: format!("{remaining} trailing bytes, shorter than a record header"),
-                    },
+        let (snaplen, layout) = (self.snaplen, self.layout);
+        loop {
+            if let Some(probe) = self.probe {
+                // Lost framing: skip-scan for the next confirmed boundary.
+                let confirmed = |at| confirmed_boundary(view, at, snaplen, layout);
+                let landing = match scan::skip_scan(view, probe, RECORD_HEADER_LEN, confirmed) {
+                    Ok(landing) => landing,
+                    Err(probe) => {
+                        self.probe = Some(probe);
+                        return Step::More;
+                    }
+                };
+                report.record_resync(
+                    self.pos as u64,
+                    (landing - self.pos) as u64,
+                    format!("implausible record header, skipped {} bytes", landing - self.pos),
                 );
-                self.done = true;
-                return None;
+                self.pos = landing;
+                self.probe = None;
             }
-            let h = header_at(self.bytes, self.pos, self.layout).expect("length checked");
-            if plausible_header(&h, self.snaplen, self.layout) {
-                let body = h.incl_len as usize;
-                if body > remaining - RECORD_HEADER_LEN {
+            let h = match header_at(view, self.pos, layout) {
+                Ok(Some(h)) => h,
+                Ok(None) => {
+                    let remaining = view.end() - self.pos;
+                    if remaining > 0 {
+                        report.quarantine(
+                            QuarantineClass::TruncatedFrame,
+                            remaining as u64,
+                            QuarantineSample {
+                                frame_index: report.frames_scanned,
+                                offset: self.pos as u64,
+                                reason: format!(
+                                    "{remaining} trailing bytes, shorter than a record header"
+                                ),
+                            },
+                        );
+                    }
+                    self.done = true;
+                    return Step::End;
+                }
+                Err(More) => return Step::More,
+            };
+            if !plausible_header(&h, snaplen, layout) {
+                self.probe = Some(self.pos + 1);
+                continue;
+            }
+            let body = h.incl_len as usize;
+            let payload_start = self.pos + RECORD_HEADER_LEN;
+            match view.holds(payload_start + body) {
+                Ok(true) => {}
+                Ok(false) => {
                     // Plausible header, absent bytes: the classic chopped tail.
+                    let remaining = view.end() - self.pos;
                     report.quarantine(
                         QuarantineClass::TruncatedFrame,
                         remaining as u64,
@@ -249,53 +298,34 @@ impl<'a> PcapScanner<'a> {
                     );
                     report.frames_scanned += 1;
                     self.done = true;
-                    return None;
+                    return Step::End;
                 }
-                let payload_start = self.pos + RECORD_HEADER_LEN;
-                let frame = RawFrame {
-                    index: report.frames_scanned,
-                    offset: self.pos,
-                    frame_bytes: RECORD_HEADER_LEN + body,
-                    ts_secs: u64::from(h.ts_sec),
-                    client: None,
-                    payload: payload_start..payload_start + body,
-                };
-                report.frames_scanned += 1;
-                self.pos = payload_start + body;
-                return Some(frame);
+                Err(More) => return Step::More,
             }
-            // Lost framing: skip-scan for the next confirmed boundary.
-            let mut probe = self.pos + 1;
-            while probe + RECORD_HEADER_LEN <= self.bytes.len()
-                && !confirmed_boundary(self.bytes, probe, self.snaplen, self.layout)
-            {
-                probe += 1;
-            }
-            let landing = if probe + RECORD_HEADER_LEN <= self.bytes.len() {
-                probe
-            } else {
-                self.bytes.len()
+            let frame = RawFrame {
+                index: report.frames_scanned,
+                offset: self.pos,
+                frame_bytes: RECORD_HEADER_LEN + body,
+                ts_secs: u64::from(h.ts_sec),
+                client: None,
+                payload: payload_start..payload_start + body,
             };
-            report.record_resync(
-                self.pos as u64,
-                (landing - self.pos) as u64,
-                format!("implausible record header, skipped {} bytes", landing - self.pos),
-            );
-            self.pos = landing;
+            report.frames_scanned += 1;
+            self.pos = payload_start + body;
+            return Step::Frame(frame);
         }
-        self.done = true;
-        None
     }
 }
 
-/// Scans a whole pcap byte stream into frame extents, performing resync
+/// Scans a whole pcap capture into frame extents, performing resync
 /// skip-scans over corrupt regions. Serial and cheap: it reads only
 /// record headers. For tools that want the extent list itself; ingestion
-/// pulls from [`PcapScanner`] a batch at a time instead.
+/// pulls from [`PcapScanner`] one frame at a time instead.
 pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanError> {
-    let mut scanner = PcapScanner::new(bytes, report)?;
+    let view = View::whole(bytes);
+    let mut scanner = PcapScanner::new(view, report)?;
     let mut frames = Vec::new();
-    while let Some(frame) = scanner.next_frame(report) {
+    while let Step::Frame(frame) = scanner.next_frame(view, report) {
         frames.push(frame);
     }
     Ok(Scanned { frames })

@@ -4,7 +4,7 @@
 
 mod common;
 
-use dnsnoise_ingest::{corrupt, ingest_bytes, CaptureFormat, IngestConfig};
+use dnsnoise_ingest::{corrupt, ingest_bytes, CaptureFormat, IngestConfig, IngestReport, Step};
 use dnsnoise_workload::trace_io;
 
 const FORMATS: [CaptureFormat; 2] = [CaptureFormat::Pcap, CaptureFormat::Dnstap];
@@ -153,17 +153,50 @@ fn splices_and_truncation_degrade_gracefully() {
     }
 }
 
+/// One step of either format's resumable scanner.
+trait Resumable {
+    fn step(&mut self, view: dnsnoise_ingest::View<'_>, report: &mut IngestReport) -> Step;
+    fn offset(&self) -> usize;
+    fn is_done(&self) -> bool;
+}
+
+impl Resumable for dnsnoise_ingest::pcap::PcapScanner {
+    fn step(&mut self, view: dnsnoise_ingest::View<'_>, report: &mut IngestReport) -> Step {
+        self.next_frame(view, report)
+    }
+    fn offset(&self) -> usize {
+        self.offset()
+    }
+    fn is_done(&self) -> bool {
+        self.is_done()
+    }
+}
+
+impl Resumable for dnsnoise_ingest::framestream::FrameScanner {
+    fn step(&mut self, view: dnsnoise_ingest::View<'_>, report: &mut IngestReport) -> Step {
+        self.next_frame(view, report)
+    }
+    fn offset(&self) -> usize {
+        self.offset()
+    }
+    fn is_done(&self) -> bool {
+        self.is_done()
+    }
+}
+
 /// The resumable frame scanners must agree with the whole-buffer scan
 /// frame for frame and ledger entry for ledger entry — on clean captures,
-/// on burst-corrupted ones, and on chopped tails. This is the regression
-/// gate for the iterator refactor: `scan()` is now a thin loop over the
-/// scanner, so any divergence here means resumable consumption (the
-/// streaming path) sees different data than batch ingestion.
+/// on burst-corrupted ones, and on chopped tails — when they see the
+/// capture only through a view that starts at the first byte they have
+/// yet to consume and grows by `chunk` bytes each time they ask for more.
+/// `scan()` is the same scanner over one view of the whole capture, so
+/// any divergence here means the windowed reading path sees different
+/// data than batch ingestion.
 #[test]
 fn resumable_scanners_match_whole_buffer_scan() {
     use dnsnoise_ingest::framestream::FrameScanner;
     use dnsnoise_ingest::pcap::PcapScanner;
-    use dnsnoise_ingest::IngestReport;
+    use dnsnoise_ingest::View;
 
     for format in FORMATS {
         let trace = common::trace(300);
@@ -189,31 +222,37 @@ fn resumable_scanners_match_whole_buffer_scan() {
             }
             .unwrap_or_else(|e| panic!("{format} {what}: {e}"));
 
-            let mut iter_report =
-                IngestReport { bytes_total: bytes.len() as u64, ..Default::default() };
-            let mut iter_frames = Vec::new();
-            match format {
-                CaptureFormat::Pcap => {
-                    let mut scanner = PcapScanner::new(bytes, &mut iter_report).unwrap();
-                    // One frame per call, interleaved with is_done probes:
-                    // the consumption pattern a streaming caller uses.
-                    while let Some(frame) = scanner.next_frame(&mut iter_report) {
-                        iter_frames.push(frame);
+            for chunk in [1, 7, 300] {
+                let mut iter_report =
+                    IngestReport { bytes_total: bytes.len() as u64, ..Default::default() };
+                // The global header arrives whole, as `EventStream` reads it.
+                let mut fed = dnsnoise_ingest::pcap::GLOBAL_HEADER_LEN.min(bytes.len());
+                let head = View::new(&bytes[..fed], 0, fed == bytes.len());
+                let mut scanner: Box<dyn Resumable> = match format {
+                    CaptureFormat::Pcap => {
+                        Box::new(PcapScanner::new(head, &mut iter_report).unwrap())
                     }
-                    assert!(scanner.is_done(), "{format} {what}");
-                    assert!(scanner.next_frame(&mut iter_report).is_none());
-                }
-                CaptureFormat::Dnstap => {
-                    let mut scanner = FrameScanner::new(bytes).unwrap();
-                    while let Some(frame) = scanner.next_frame(&mut iter_report) {
-                        iter_frames.push(frame);
+                    CaptureFormat::Dnstap => Box::new(FrameScanner::new(head).unwrap()),
+                };
+                let mut iter_frames = Vec::new();
+                loop {
+                    let base = scanner.offset();
+                    let view = View::new(&bytes[base..fed], base, fed == bytes.len());
+                    match scanner.step(view, &mut iter_report) {
+                        Step::Frame(frame) => iter_frames.push(frame),
+                        Step::More => {
+                            assert!(fed < bytes.len(), "{format} {what}: More at EOF");
+                            fed = (fed + chunk).min(bytes.len());
+                        }
+                        Step::End => break,
                     }
-                    assert!(scanner.is_done(), "{format} {what}");
-                    assert!(scanner.next_frame(&mut iter_report).is_none());
                 }
+                let what = format!("{format} {what} chunk={chunk}");
+                assert!(scanner.is_done(), "{what}");
+                assert_eq!(scanner.step(View::whole(bytes), &mut iter_report), Step::End);
+                assert_eq!(iter_frames, batch.frames, "{what}: frames diverge");
+                assert_eq!(iter_report, batch_report, "{what}: ledgers diverge");
             }
-            assert_eq!(iter_frames, batch.frames, "{format} {what}: frames diverge");
-            assert_eq!(iter_report, batch_report, "{format} {what}: ledgers diverge");
         }
     }
 }
@@ -294,6 +333,9 @@ mod proptests {
                         prop_assert!(report.conserves(), "{}", report);
                     }
                     Err(dnsnoise_ingest::IngestError::BadCapture(_)) => {}
+                    Err(e @ dnsnoise_ingest::IngestError::Read { .. }) => {
+                        prop_assert!(false, "an in-memory capture failed a read: {}", e);
+                    }
                 }
             }
         }

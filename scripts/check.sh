@@ -48,6 +48,15 @@ echo "== ingest corruption smoke (1% damage: ledger conserves, >= 95% recovered)
     -o "$smoke_dir/i1.trace" 2>"$smoke_dir/ledger.txt"
 grep -q 'conserved' "$smoke_dir/ledger.txt" \
     || { echo "error: ingest ledger did not conserve bytes" >&2; exit 1; }
+# A capture read from a pipe has no length: the windowed reader must give
+# the same trace and the same byte and frame ledgers as the file path.
+cat "$smoke_dir/day.pcap" | ./target/release/dnsnoise ingest /dev/stdin \
+    -o "$smoke_dir/p.trace" 2>"$smoke_dir/pledger.txt"
+cmp "$smoke_dir/i1.trace" "$smoke_dir/p.trace" >&2 \
+    || { echo "error: the piped capture ingested to other trace bytes" >&2; exit 1; }
+diff <(grep -E '^(bytes|frames): ' "$smoke_dir/ledger.txt") \
+    <(grep -E '^(bytes|frames): ' "$smoke_dir/pledger.txt") >&2 \
+    || { echo "error: the piped capture's ledger differs from the file's" >&2; exit 1; }
 # A source over its error budget is refused whole: non-zero exit, and
 # neither the destination nor the temp sibling it is renamed from.
 if ./target/release/dnsnoise ingest "$smoke_dir/day.pcap" --max-error-rate 0.0001 \

@@ -31,13 +31,14 @@ pub const INGEST: Subcommand = Subcommand {
 
 fn run(o: &Opts) -> Result<(), String> {
     let path = &o.input;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let capture = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let config = IngestConfig {
         format: o.format,
         max_error_rate: o.max_error_rate,
         ..IngestConfig::default()
     };
-    let mut stream = EventStream::new(&bytes, &config).map_err(|e| format!("{path}: {e}"))?;
+    let mut stream =
+        EventStream::from_reader(capture, &config).map_err(|e| format!("{path}: {e}"))?;
 
     // Each event is rendered as it leaves the filter, but the
     // error-budget verdict exists only at end of capture and a refused

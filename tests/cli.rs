@@ -433,6 +433,42 @@ fn mine_replays_empty_and_malformed_traces_like_a_loaded_day() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A capture that cannot be read is refused like a ruined one: non-zero
+/// exit, nothing on stdout, and neither the destination nor its temp
+/// sibling; an earlier good `dest` stays.
+#[test]
+fn ingest_read_failure_leaves_nothing_behind() {
+    let dir = tempdir_named("ingest-read-failure");
+    // A directory opens but fails its first read.
+    let capture = dir.join("capture.pcap");
+    std::fs::create_dir_all(&capture).expect("create capture dir");
+    let dest = dir.join("day.trace");
+    std::fs::write(&dest, b"an earlier good trace\n").expect("write dest");
+    let files = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list temp dir")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        names.sort();
+        names
+    };
+    for target in [Some("day.trace"), Some("fresh.trace"), None] {
+        let mut cmd = bin();
+        cmd.args(["ingest"]).arg(&capture);
+        if let Some(name) = target {
+            cmd.arg("-o").arg(dir.join(name));
+        }
+        let out = cmd.output().expect("run ingest");
+        assert!(!out.status.success(), "{target:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("read failed after 0 bytes"), "{target:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{target:?}: an unreadable source reached stdout");
+        assert_eq!(files(), ["capture.pcap", "day.trace"], "{target:?}");
+        assert_eq!(std::fs::read(&dest).expect("still there"), b"an earlier good trace\n");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn ingest_rejects_garbage_cleanly() {
     let dir = tempdir_named("ingest-garbage");
