@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dnsnoise_dns::{fnv1a, Timestamp};
+use dnsnoise_dns::{fnv1a, splitmix_finalize, Timestamp};
 
 use crate::lru::{CacheKey, CacheStats, TtlLru};
 use crate::negative::NegativeCache;
@@ -68,14 +68,6 @@ pub struct CacheCluster {
     /// Crash state per member: a downed member receives no routes; its
     /// keyspace rehashes onto the survivors until it restarts cold.
     down: Vec<bool>,
-}
-
-/// SplitMix64 finalizer, used to re-randomize a routing hash when its
-/// primary member is down so failover spreads over the survivors.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl CacheCluster {
@@ -164,7 +156,7 @@ impl CacheCluster {
         // member's keys spread deterministically over the survivors.
         let alive: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
         assert!(!alive.is_empty(), "every cluster member is down");
-        alive[(mix64(h) % alive.len() as u64) as usize]
+        alive[(splitmix_finalize(h) % alive.len() as u64) as usize]
     }
 
     /// A snapshot of the per-member crash flags.

@@ -14,6 +14,8 @@
 //!   can exercise a realistic parse path rather than an in-memory shortcut.
 //! * [`Timestamp`] / [`Ttl`] — simulation time with second granularity, which
 //!   matches the granularity of the paper's fpDNS tuples.
+//! * [`quarantine`] — the typed, exactly counted quarantine ledger that
+//!   capture ingestion and store recovery both book rejected bytes into.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 mod label;
 mod message;
 mod name;
+pub mod quarantine;
 mod record;
 mod suffix;
 mod time;
@@ -42,7 +45,7 @@ pub mod wire;
 
 pub use label::{Label, LabelParseError, MAX_LABEL_LEN};
 pub use message::{Message, Opcode, Question, Rcode};
-pub use name::{fnv1a, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN};
+pub use name::{fnv1a, splitmix_finalize, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN};
 pub use record::{QType, RData, Record, RrKey, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{Timestamp, Ttl, SECS_PER_DAY};

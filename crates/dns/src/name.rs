@@ -462,6 +462,17 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
+/// The SplitMix64 finalizer: avalanches a 64-bit value into an unbiased
+/// one. Fault sampling and failover routing use it on raw coordinates;
+/// `dnsnoise_workload::mix64` is SplitMix64 proper, this after a
+/// golden-ratio add.
+#[inline]
+pub fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl FromStr for Name {
     type Err = NameParseError;
 

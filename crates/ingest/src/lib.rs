@@ -52,9 +52,7 @@ use std::io::{self, Read};
 use dnsnoise_dns::SECS_PER_DAY;
 use dnsnoise_workload::{DayTrace, QueryEvent};
 
-pub use report::{
-    ClassStats, IngestReport, QuarantineClass, QuarantineSample, MAX_QUARANTINE_SAMPLES,
-};
+pub use report::{IngestReport, QuarantineClass, QuarantineSample};
 pub use scan::{RawFrame, ScanError, Scanned, Step, View};
 
 use report::QuarantineSample as Sample;
@@ -675,7 +673,10 @@ mod tests {
         capture[ts_at] = 0xff; // timestamp becomes astronomically large
         let out = ingest_bytes(&capture, &IngestConfig::default()).unwrap();
         assert_eq!(out.trace.events.len(), 9, "{}", out.report);
-        assert_eq!(out.report.class(QuarantineClass::OutOfOrderTimestamp).frames, 1);
+        assert_eq!(
+            out.report.quarantine.get(QuarantineClass::OutOfOrderTimestamp).unwrap().count,
+            1
+        );
         assert!(out.report.conserves(), "{}", out.report);
     }
 
@@ -719,8 +720,8 @@ mod tests {
             let what = format!("poisoned={poisoned}: {report}");
             assert_eq!(events.len(), n as usize - 1, "{what}");
             assert!(events.iter().all(|e| e.time.as_secs() < 2000), "{what}");
-            let dropped = report.class(QuarantineClass::OutOfOrderTimestamp);
-            assert_eq!(dropped.frames, 1, "{what}");
+            let dropped = report.quarantine.get(QuarantineClass::OutOfOrderTimestamp).unwrap();
+            assert_eq!(dropped.count, 1, "{what}");
             assert_eq!(dropped.samples[0].frame_index, poisoned as u64, "{what}");
             assert!(report.conserves(), "{what}");
         }

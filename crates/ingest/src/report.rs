@@ -16,9 +16,7 @@
 
 use std::fmt;
 
-/// How many offending samples each quarantine class (and the resync log)
-/// retains. Counts are exact; samples are a bounded diagnostic aid.
-pub const MAX_QUARANTINE_SAMPLES: usize = 5;
+use dnsnoise_dns::quarantine::{self, Class, Ledger};
 
 /// The malformed-record classes ingestion distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,9 +35,15 @@ pub enum QuarantineClass {
     OutOfOrderTimestamp,
 }
 
-impl QuarantineClass {
-    /// Stable lowercase identifier used in report rendering.
-    pub fn id(self) -> &'static str {
+impl Class for QuarantineClass {
+    const ALL: &'static [Self] = &[
+        QuarantineClass::TruncatedFrame,
+        QuarantineClass::BadWireMessage,
+        QuarantineClass::NonDnsPayload,
+        QuarantineClass::OutOfOrderTimestamp,
+    ];
+
+    fn id(self) -> &'static str {
         match self {
             QuarantineClass::TruncatedFrame => "truncated-frame",
             QuarantineClass::BadWireMessage => "bad-wire-message",
@@ -60,28 +64,6 @@ pub struct QuarantineSample {
     pub reason: String,
 }
 
-/// Exact counts plus bounded samples for one quarantine class.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Records quarantined under this class.
-    pub frames: u64,
-    /// Bytes those records occupied in the capture.
-    pub bytes: u64,
-    /// Up to [`MAX_QUARANTINE_SAMPLES`] examples, in stream order.
-    pub samples: Vec<QuarantineSample>,
-}
-
-impl ClassStats {
-    /// Records one quarantined record of `bytes` bytes.
-    pub(crate) fn record(&mut self, bytes: u64, sample: QuarantineSample) {
-        self.frames += 1;
-        self.bytes += bytes;
-        if self.samples.len() < MAX_QUARANTINE_SAMPLES {
-            self.samples.push(sample);
-        }
-    }
-}
-
 /// The full ledger for one ingested source.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -90,7 +72,7 @@ pub struct IngestReport {
     /// Bytes that became structure: the capture's global header, control
     /// frames, and every frame that was emitted as an event.
     pub bytes_parsed: u64,
-    /// Bytes held by quarantined records (sum over the four classes).
+    /// Bytes held by quarantined records (the ledger's byte total).
     pub bytes_quarantined: u64,
     /// Bytes skip-scanned while resynchronizing, plus any unrecoverable
     /// tail.
@@ -102,15 +84,10 @@ pub struct IngestReport {
     /// Times the scanner lost framing and had to skip-scan for the next
     /// plausible record boundary.
     pub resyncs: u64,
-    /// Frames cut short by EOF or by a header promising absent bytes.
-    pub truncated: ClassStats,
-    /// Frames whose DNS payload failed wire decoding or was unusable.
-    pub bad_wire: ClassStats,
-    /// Frames that do not carry DNS over UDP/53.
-    pub non_dns: ClassStats,
-    /// Events dropped by the timestamp plausibility filter.
-    pub out_of_order: ClassStats,
-    /// Up to [`MAX_QUARANTINE_SAMPLES`] resync incidents, in stream order.
+    /// Quarantined records: exact frames and bytes per class, plus the
+    /// first [`quarantine::MAX_SAMPLES`] of each.
+    pub quarantine: Ledger<QuarantineClass, QuarantineSample>,
+    /// Up to [`quarantine::MAX_SAMPLES`] resync incidents, in stream order.
     pub resync_samples: Vec<QuarantineSample>,
 }
 
@@ -120,13 +97,8 @@ impl IngestReport {
     pub(crate) fn record_resync(&mut self, offset: u64, bytes: u64, reason: String) {
         self.resyncs += 1;
         self.bytes_skipped += bytes;
-        if self.resync_samples.len() < MAX_QUARANTINE_SAMPLES {
-            self.resync_samples.push(QuarantineSample {
-                frame_index: self.frames_scanned,
-                offset,
-                reason,
-            });
-        }
+        let sample = QuarantineSample { frame_index: self.frames_scanned, offset, reason };
+        quarantine::keep_sample(&mut self.resync_samples, sample);
     }
 
     /// Quarantines one record under `class`.
@@ -137,34 +109,12 @@ impl IngestReport {
         sample: QuarantineSample,
     ) {
         self.bytes_quarantined += bytes;
-        self.class_mut(class).record(bytes, sample);
-    }
-
-    fn class_mut(&mut self, class: QuarantineClass) -> &mut ClassStats {
-        match class {
-            QuarantineClass::TruncatedFrame => &mut self.truncated,
-            QuarantineClass::BadWireMessage => &mut self.bad_wire,
-            QuarantineClass::NonDnsPayload => &mut self.non_dns,
-            QuarantineClass::OutOfOrderTimestamp => &mut self.out_of_order,
-        }
-    }
-
-    /// Read-only view of one class's stats.
-    pub fn class(&self, class: QuarantineClass) -> &ClassStats {
-        match class {
-            QuarantineClass::TruncatedFrame => &self.truncated,
-            QuarantineClass::BadWireMessage => &self.bad_wire,
-            QuarantineClass::NonDnsPayload => &self.non_dns,
-            QuarantineClass::OutOfOrderTimestamp => &self.out_of_order,
-        }
+        self.quarantine.record(class, bytes, sample);
     }
 
     /// Total records quarantined across all classes.
     pub fn quarantined_frames(&self) -> u64 {
-        self.truncated.frames
-            + self.bad_wire.frames
-            + self.non_dns.frames
-            + self.out_of_order.frames
+        self.quarantine.count()
     }
 
     /// The error rate the per-source budget is checked against: the
@@ -185,9 +135,11 @@ impl IngestReport {
     }
 
     /// The conservation invariant: every input byte is parsed, quarantined
-    /// or skipped. Checked by tests on every fixture and fuzz input.
+    /// or skipped, and the quarantined bytes are the ledger's. Checked by
+    /// tests on every fixture and fuzz input.
     pub fn conserves(&self) -> bool {
         self.bytes_parsed + self.bytes_quarantined + self.bytes_skipped == self.bytes_total
+            && self.bytes_quarantined == self.quarantine.bytes()
     }
 }
 
@@ -210,18 +162,12 @@ impl fmt::Display for IngestReport {
             self.quarantined_frames(),
             self.resyncs,
         )?;
-        for class in [
-            QuarantineClass::TruncatedFrame,
-            QuarantineClass::BadWireMessage,
-            QuarantineClass::NonDnsPayload,
-            QuarantineClass::OutOfOrderTimestamp,
-        ] {
-            let stats = self.class(class);
-            if stats.frames == 0 {
+        for (class, tally) in self.quarantine.iter() {
+            if tally.count == 0 {
                 continue;
             }
-            writeln!(f, "  {}: {} frames / {} bytes", class.id(), stats.frames, stats.bytes)?;
-            for s in &stats.samples {
+            writeln!(f, "  {}: {} frames / {} bytes", class.id(), tally.count, tally.bytes)?;
+            for s in &tally.samples {
                 writeln!(f, "    frame {} @ byte {}: {}", s.frame_index, s.offset, s.reason)?;
             }
         }
@@ -246,19 +192,25 @@ mod tests {
                 QuarantineSample { frame_index: i, offset: i * 10, reason: format!("bad {i}") },
             );
         }
-        assert_eq!(report.bad_wire.frames, 20);
-        assert_eq!(report.bad_wire.bytes, 200);
-        assert_eq!(report.bad_wire.samples.len(), MAX_QUARANTINE_SAMPLES);
-        assert_eq!(report.bad_wire.samples[0].reason, "bad 0");
+        let bad_wire = report.quarantine.get(QuarantineClass::BadWireMessage).unwrap();
+        assert_eq!((bad_wire.count, bad_wire.bytes), (20, 200));
+        assert_eq!(bad_wire.samples.len(), quarantine::MAX_SAMPLES);
+        assert_eq!(bad_wire.samples[0].reason, "bad 0");
+        assert_eq!(report.quarantined_frames(), 20);
     }
 
     #[test]
     fn conservation_flags_leaks() {
         let mut report = IngestReport { bytes_total: 100, bytes_parsed: 60, ..Default::default() };
         assert!(!report.conserves());
-        report.bytes_quarantined = 30;
+        let sample = QuarantineSample { frame_index: 0, offset: 60, reason: "short".into() };
+        report.quarantine(QuarantineClass::TruncatedFrame, 30, sample);
         report.bytes_skipped = 10;
         assert!(report.conserves());
+        // Quarantined bytes the class ledger never booked are a leak too.
+        report.bytes_quarantined += 5;
+        report.bytes_parsed -= 5;
+        assert!(!report.conserves());
     }
 
     #[test]

@@ -105,8 +105,8 @@ fn truncated_tail_is_quarantined_not_fatal() {
         bytes.truncate(last_off + last_len / 2);
 
         let out = ingest(&bytes, format);
-        let truncated = out.report.class(QuarantineClass::TruncatedFrame);
-        assert_eq!(truncated.frames, 1, "{format}: {}", out.report);
+        let truncated = out.report.quarantine.get(QuarantineClass::TruncatedFrame).unwrap();
+        assert_eq!(truncated.count, 1, "{format}: {}", out.report);
         assert_eq!(out.report.resyncs, 0, "{format}: {}", out.report);
         assert_survivors(&out, &[N - 1]);
     }

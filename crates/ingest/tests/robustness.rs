@@ -103,13 +103,13 @@ fn names_over_the_wire_limit_are_quarantined_not_forwarded() {
             let bytes = common::capture(&trace, format);
             let out = ingest_bytes(&bytes, &IngestConfig::default()).unwrap();
             assert!(out.report.conserves(), "{format} {lens:?}: {}", out.report);
-            let bad_wire = out.report.class(QuarantineClass::BadWireMessage);
+            let bad_wire = out.report.quarantine.get(QuarantineClass::BadWireMessage).unwrap();
             if legal {
                 assert_eq!(out.report.quarantined_frames(), 0, "{format}: {}", out.report);
                 assert_eq!(out.trace.events[2].name.presentation_len(), 253);
             } else {
                 assert_eq!(out.trace.events.len(), 39, "{format}: {}", out.report);
-                assert_eq!(bad_wire.frames, 1, "{format}: {}", out.report);
+                assert_eq!(bad_wire.count, 1, "{format}: {}", out.report);
                 assert_eq!(bad_wire.samples[0].frame_index, 2);
                 assert!(bad_wire.samples[0].reason.contains("exceeds length limit"));
             }

@@ -246,7 +246,7 @@ impl RunStore {
             let _ = io::remove_file(path);
         }
         if !scan.report.is_clean() {
-            recovery::append_ledger(&dir, &scan.report);
+            recovery::append_ledger(&dir, &scan.log);
         }
         store.recovery = Some(scan.report);
         Ok(store)
@@ -577,7 +577,7 @@ mod tests {
     use super::super::keys::tests::merge_key;
     use super::super::keys::CompositeKey;
     use super::super::manifest::MANIFEST_NAME;
-    use super::super::recovery::QUARANTINE_LEDGER;
+    use super::super::recovery::{QuarantineClass, QUARANTINE_LEDGER};
     use super::*;
     use dnsnoise_dns::{QType, RData, Ttl};
     use proptest::prelude::*;
@@ -777,7 +777,7 @@ mod tests {
         let back = RunStore::open(&dir, tiny_config()).expect("lossy open succeeds");
         let report = back.recovery().unwrap();
         assert_eq!(report.problems(), 1);
-        assert_eq!(report.bad_checksum.files, 1);
+        assert_eq!(report.quarantine.get(QuarantineClass::BadRunChecksum).unwrap().count, 1);
         assert!(report.conserves(), "{}", report.conservation_line());
         assert_eq!(back.len(), 0, "the only run was quarantined");
         assert!(!victim.exists(), "corrupt file renamed away");

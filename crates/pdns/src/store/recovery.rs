@@ -5,9 +5,10 @@
 //! exact length, whole-file CRC, and a full parse — which itself checks
 //! the section checksums and composite-key ordering), and account for
 //! every other file in the directory. Nothing is silently dropped: each
-//! rejected file lands in a typed quarantine class with exact counts and
-//! a bounded set of samples, and the byte totals obey a conservation
-//! invariant —
+//! rejected file lands in a typed quarantine class of the shared
+//! [`Ledger`] (exact counts, a bounded set of samples) and gets one line
+//! in `quarantine.log` when it is dropped, and the byte totals obey a
+//! conservation invariant —
 //!
 //! ```text
 //! bytes_scanned = bytes_live + bytes_quarantined + bytes_orphaned
@@ -19,6 +20,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use dnsnoise_dns::quarantine::{Class, Ledger};
+
 use super::error::StoreError;
 use super::frame::{self, FrameError};
 use super::io;
@@ -28,10 +31,6 @@ use super::run::Run;
 /// Advisory plain-text ledger of quarantine events, appended on lossy
 /// opens and repairs. Diagnostics only — never recovery input.
 pub const QUARANTINE_LEDGER: &str = "quarantine.log";
-
-/// Cap on retained samples per quarantine class; counts are always
-/// exact, samples are illustrative.
-pub const MAX_QUARANTINE_SAMPLES: usize = 5;
 
 /// Why a file was quarantined or flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,36 +51,22 @@ pub enum QuarantineClass {
     PriorQuarantine,
 }
 
-impl QuarantineClass {
-    /// Stable identifier used in ledger lines and reports.
-    pub fn id(&self) -> &'static str {
+impl Class for QuarantineClass {
+    const ALL: &'static [Self] = &[
+        QuarantineClass::MissingRun,
+        QuarantineClass::BadRunChecksum,
+        QuarantineClass::BadRunLayout,
+        QuarantineClass::OrphanFile,
+        QuarantineClass::PriorQuarantine,
+    ];
+
+    fn id(self) -> &'static str {
         match self {
             QuarantineClass::MissingRun => "missing-run",
             QuarantineClass::BadRunChecksum => "bad-run-checksum",
             QuarantineClass::BadRunLayout => "bad-run-layout",
             QuarantineClass::OrphanFile => "orphan-file",
             QuarantineClass::PriorQuarantine => "prior-quarantine",
-        }
-    }
-}
-
-/// Exact per-class accounting with bounded samples.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Files in this class (exact).
-    pub files: u64,
-    /// Bytes in this class (exact; missing files contribute zero).
-    pub bytes: u64,
-    /// Up to [`MAX_QUARANTINE_SAMPLES`] `file: reason` samples.
-    pub samples: Vec<String>,
-}
-
-impl ClassStats {
-    fn record(&mut self, bytes: u64, sample: String) {
-        self.files += 1;
-        self.bytes += bytes;
-        if self.samples.len() < MAX_QUARANTINE_SAMPLES {
-            self.samples.push(sample);
         }
     }
 }
@@ -103,48 +88,26 @@ pub struct RecoveryReport {
     pub bytes_scanned: u64,
     /// Bytes in verified live runs.
     pub bytes_live: u64,
-    /// Bytes in quarantined files (corrupt runs + prior quarantine).
-    pub bytes_quarantined: u64,
-    /// Bytes in orphaned files.
-    pub bytes_orphaned: u64,
-    /// Manifest-listed runs missing from disk.
-    pub missing: ClassStats,
-    /// Manifest-listed runs failing a length/checksum gate.
-    pub bad_checksum: ClassStats,
-    /// Manifest-listed runs with invalid decoded layout.
-    pub bad_layout: ClassStats,
-    /// Files the manifest does not account for.
-    pub orphans: ClassStats,
-    /// `*.quarantined` leftovers from earlier lossy opens.
-    pub prior_quarantine: ClassStats,
+    /// Flagged files: exact files and bytes per class (a missing run
+    /// holds zero bytes), with up to five `file: reason` samples each.
+    pub quarantine: Ledger<QuarantineClass, String>,
 }
 
 impl RecoveryReport {
-    fn class_mut(&mut self, class: QuarantineClass) -> &mut ClassStats {
-        match class {
-            QuarantineClass::MissingRun => &mut self.missing,
-            QuarantineClass::BadRunChecksum => &mut self.bad_checksum,
-            QuarantineClass::BadRunLayout => &mut self.bad_layout,
-            QuarantineClass::OrphanFile => &mut self.orphans,
-            QuarantineClass::PriorQuarantine => &mut self.prior_quarantine,
-        }
-    }
-
-    /// Every `(class, stats)` pair, in report order.
-    pub fn classes(&self) -> [(QuarantineClass, &ClassStats); 5] {
-        [
-            (QuarantineClass::MissingRun, &self.missing),
-            (QuarantineClass::BadRunChecksum, &self.bad_checksum),
-            (QuarantineClass::BadRunLayout, &self.bad_layout),
-            (QuarantineClass::OrphanFile, &self.orphans),
-            (QuarantineClass::PriorQuarantine, &self.prior_quarantine),
-        ]
+    /// Manifest-listed runs the scan could not admit: missing, or failing
+    /// a checksum or layout gate. An open loses their records.
+    pub fn runs_lost(&self) -> u64 {
+        let listed = [
+            QuarantineClass::MissingRun,
+            QuarantineClass::BadRunChecksum,
+            QuarantineClass::BadRunLayout,
+        ];
+        listed.iter().filter_map(|&class| self.quarantine.get(class)).map(|t| t.count).sum()
     }
 
     /// Total problems found: flagged files plus a corrupt manifest.
     pub fn problems(&self) -> u64 {
-        let flagged: u64 = self.classes().iter().map(|(_, s)| s.files).sum();
-        flagged + u64::from(self.manifest_present && !self.manifest_ok)
+        self.quarantine.count() + u64::from(self.manifest_present && !self.manifest_ok)
     }
 
     /// No problems at all.
@@ -155,17 +118,19 @@ impl RecoveryReport {
     /// The byte-conservation invariant: every scanned byte is accounted
     /// live, quarantined, or orphaned.
     pub fn conserves(&self) -> bool {
-        self.bytes_scanned == self.bytes_live + self.bytes_quarantined + self.bytes_orphaned
+        self.bytes_scanned == self.bytes_live + self.quarantine.bytes()
     }
 
-    /// The conservation line, mirroring the ingest ledger's shape.
+    /// The conservation line, mirroring the ingest ledger's shape:
+    /// quarantined bytes are those of every class but `orphan-file`.
     pub fn conservation_line(&self) -> String {
+        let orphaned = self.quarantine.get(QuarantineClass::OrphanFile).map_or(0, |t| t.bytes);
         format!(
             "bytes {} scanned = {} live + {} quarantined + {} orphaned ({})",
             self.bytes_scanned,
             self.bytes_live,
-            self.bytes_quarantined,
-            self.bytes_orphaned,
+            self.quarantine.bytes() - orphaned,
+            orphaned,
             if self.conserves() { "conserved" } else { "VIOLATED" },
         )
     }
@@ -180,17 +145,17 @@ impl RecoveryReport {
         };
         out.push_str(&format!("manifest: {manifest_state}\n"));
         out.push_str(&format!("live: {} runs / {} bytes\n", self.runs_live, self.bytes_live));
-        for (class, stats) in self.classes() {
-            if stats.files == 0 {
+        for (class, tally) in self.quarantine.iter() {
+            if tally.count == 0 {
                 continue;
             }
             out.push_str(&format!(
                 "quarantine[{}]: {} files / {} bytes\n",
                 class.id(),
-                stats.files,
-                stats.bytes
+                tally.count,
+                tally.bytes
             ));
-            for sample in &stats.samples {
+            for sample in &tally.samples {
                 out.push_str(&format!("  sample {sample}\n"));
             }
         }
@@ -214,6 +179,7 @@ pub(super) struct ScannedRun {
 }
 
 /// Everything a directory scan learns, for `open` and `fsck` to act on.
+#[derive(Default)]
 pub(super) struct Scan {
     /// The loaded manifest, when present and valid.
     pub manifest: Option<Manifest>,
@@ -225,6 +191,17 @@ pub(super) struct Scan {
     pub orphan_paths: Vec<PathBuf>,
     /// The typed ledger.
     pub report: RecoveryReport,
+    /// One `quarantine.log` line per flagged file, in scan order.
+    pub log: Vec<String>,
+}
+
+impl Scan {
+    /// Books one flagged file of `bytes` bytes: a ledger entry and a
+    /// `class: file: N bytes: reason` log line.
+    fn flag(&mut self, class: QuarantineClass, file: &str, bytes: u64, reason: &str) {
+        self.report.quarantine.record(class, bytes, format!("{file}: {reason}"));
+        self.log.push(format!("{}: {file}: {bytes} bytes: {reason}", class.id()));
+    }
 }
 
 /// Scans `dir`: loads the manifest, verifies every listed run, and
@@ -233,27 +210,23 @@ pub(super) struct Scan {
 /// as an error; files are then left unclassified-as-orphans since the
 /// live set is unknowable.
 pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, StoreError> {
-    let mut report = RecoveryReport { manifest_ok: true, ..RecoveryReport::default() };
-    let manifest_path = dir.join(MANIFEST_NAME);
-    report.manifest_present = manifest_path.exists();
+    let mut scan = Scan::default();
+    scan.report.manifest_ok = true;
+    scan.report.manifest_present = dir.join(MANIFEST_NAME).exists();
     let manifest = match Manifest::load(dir) {
         Ok(m) => m,
         Err(e) => {
             if !tolerate_bad_manifest {
                 return Err(e);
             }
-            report.manifest_ok = false;
+            scan.report.manifest_ok = false;
             None
         }
     };
-    if let Some(m) = &manifest {
-        report.manifest_seq = m.seq;
-    }
 
     let mut listed = BTreeSet::new();
-    let mut live = Vec::new();
-    let mut corrupt_paths = Vec::new();
     if let Some(m) = &manifest {
+        scan.report.manifest_seq = m.seq;
         for meta in &m.runs {
             listed.insert(meta.name.clone());
             // The parse closure cannot fail: a run that does not verify
@@ -262,28 +235,29 @@ pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, Stor
                 Ok((bytes.len() as u64, verify_run(meta, bytes)))
             })?;
             let Some((len, verdict)) = read else {
-                report
-                    .class_mut(QuarantineClass::MissingRun)
-                    .record(0, format!("{}: listed in manifest, not on disk", meta.name));
+                scan.flag(
+                    QuarantineClass::MissingRun,
+                    &meta.name,
+                    0,
+                    "listed in manifest, not on disk",
+                );
                 continue;
             };
-            report.bytes_scanned += len;
+            scan.report.bytes_scanned += len;
             match verdict {
                 Ok(run) => {
-                    report.runs_live += 1;
-                    report.bytes_live += len;
-                    live.push(ScannedRun { meta: meta.clone(), run });
+                    scan.report.runs_live += 1;
+                    scan.report.bytes_live += len;
+                    scan.live.push(ScannedRun { meta: meta.clone(), run });
                 }
                 Err((class, reason)) => {
-                    report.bytes_quarantined += len;
-                    report.class_mut(class).record(len, format!("{}: {reason}", meta.name));
-                    corrupt_paths.push(dir.join(&meta.name));
+                    scan.flag(class, &meta.name, len, &reason);
+                    scan.corrupt_paths.push(dir.join(&meta.name));
                 }
             }
         }
     }
 
-    let mut orphan_paths = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io("read_dir", dir, &e))?;
     let mut names: Vec<(String, u64)> = Vec::new();
     for entry in entries {
@@ -299,22 +273,22 @@ pub(super) fn scan(dir: &Path, tolerate_bad_manifest: bool) -> Result<Scan, Stor
         if name == MANIFEST_NAME || name == QUARANTINE_LEDGER || listed.contains(&name) {
             continue;
         }
-        report.bytes_scanned += len;
+        scan.report.bytes_scanned += len;
         if name.ends_with(".quarantined") {
-            report.bytes_quarantined += len;
-            report
-                .class_mut(QuarantineClass::PriorQuarantine)
-                .record(len, format!("{name}: preserved by an earlier lossy open"));
+            scan.flag(
+                QuarantineClass::PriorQuarantine,
+                &name,
+                len,
+                "preserved by an earlier lossy open",
+            );
         } else {
-            report.bytes_orphaned += len;
-            report
-                .class_mut(QuarantineClass::OrphanFile)
-                .record(len, format!("{name}: not in manifest"));
-            orphan_paths.push(dir.join(name));
+            scan.flag(QuarantineClass::OrphanFile, &name, len, "not in manifest");
+            scan.orphan_paths.push(dir.join(name));
         }
     }
 
-    Ok(Scan { manifest, live, corrupt_paths, orphan_paths, report })
+    scan.manifest = manifest;
+    Ok(scan)
 }
 
 /// Verifies one manifest-listed run image: exact length, whole-file CRC,
@@ -343,14 +317,12 @@ fn verify_run(meta: &RunFileMeta, bytes: &[u8]) -> Result<Run, (QuarantineClass,
     })
 }
 
-/// Appends one ledger line per quarantined file to `quarantine.log`.
+/// Appends a scan's log lines, one per flagged file, to `quarantine.log`.
 /// Best-effort: the ledger is advisory, so append failures are ignored.
-pub(super) fn append_ledger(dir: &Path, report: &RecoveryReport) {
+pub(super) fn append_ledger(dir: &Path, log: &[String]) {
     let path = dir.join(QUARANTINE_LEDGER);
-    for (class, stats) in report.classes() {
-        for sample in &stats.samples {
-            let _ = io::append_line(&path, &format!("{}: {sample}", class.id()));
-        }
+    for line in log {
+        let _ = io::append_line(&path, line);
     }
 }
 
@@ -381,7 +353,7 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<RecoveryReport, StoreError> {
             "manifest corrupt; repair cannot determine the live set",
         ));
     }
-    append_ledger(dir, &scan.report);
+    append_ledger(dir, &scan.log);
     for path in scan.corrupt_paths.iter().chain(&scan.orphan_paths) {
         io::remove_file(path)?;
     }
@@ -395,8 +367,7 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<RecoveryReport, StoreError> {
         }
     }
     if let Some(m) = scan.manifest {
-        let dropped = m.runs.len() != scan.live.len();
-        if dropped || !scan.report.missing.samples.is_empty() {
+        if m.runs.len() != scan.live.len() {
             let mut next = m;
             next.seq += 1;
             next.runs = scan.live.iter().map(|r| r.meta.clone()).collect();
@@ -420,17 +391,17 @@ mod tests {
     }
 
     #[test]
-    fn class_stats_cap_samples_but_count_exactly() {
+    fn orphans_cap_samples_but_count_exactly() {
         let mut report = RecoveryReport { manifest_ok: true, ..RecoveryReport::default() };
         for i in 0..9 {
             report.bytes_scanned += 10;
-            report.bytes_orphaned += 10;
-            report.class_mut(QuarantineClass::OrphanFile).record(10, format!("f{i}: orphan"));
+            report.quarantine.record(QuarantineClass::OrphanFile, 10, format!("f{i}: orphan"));
         }
-        assert_eq!(report.orphans.files, 9);
-        assert_eq!(report.orphans.bytes, 90);
-        assert_eq!(report.orphans.samples.len(), MAX_QUARANTINE_SAMPLES);
-        assert_eq!(report.problems(), 9);
+        let orphans = report.quarantine.get(QuarantineClass::OrphanFile).unwrap();
+        assert_eq!((orphans.count, orphans.bytes), (9, 90));
+        assert_eq!(orphans.samples.len(), dnsnoise_dns::quarantine::MAX_SAMPLES);
+        assert!(report.conservation_line().contains(" 0 quarantined + 90 orphaned"));
+        assert_eq!((report.problems(), report.runs_lost()), (9, 0));
         assert!(report.conserves());
         assert!(report.render().contains("quarantine[orphan-file]: 9 files / 90 bytes"));
     }

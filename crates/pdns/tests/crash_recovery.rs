@@ -7,9 +7,10 @@
 
 use dnsnoise_dns::{Name, QType, RData, Record, RrKey, Ttl};
 use dnsnoise_pdns::store::io::failpoints;
+use dnsnoise_pdns::store::recovery::QuarantineClass;
 use dnsnoise_pdns::{fsck, DailyNewRrs, RunStore, StoreConfig};
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Tiny tiers so a ~200-event workload exercises many flushes,
 /// compactions, and manifest swaps.
@@ -122,7 +123,7 @@ fn every_io_site_crash_recovers_to_the_uninterrupted_state() {
             let report = recovered.recovery().expect("open records its scan").clone();
             assert!(report.conserves(), "site {k}: {}", report.conservation_line());
             assert_eq!(
-                report.bad_checksum.files + report.bad_layout.files + report.missing.files,
+                report.runs_lost(),
                 0,
                 "site {k} (torn={torn}): a clean crash must never corrupt published runs:\n{}",
                 report.render()
@@ -175,8 +176,9 @@ fn bit_flipped_run_is_quarantined_with_exact_accounting() {
     // fsck (read-only) sees the corruption and byte conservation holds.
     let check = fsck(&dir, false).expect("fsck runs");
     assert!(!check.is_clean());
-    assert_eq!(check.bad_checksum.files, 1, "{}", check.render());
-    assert_eq!(check.bad_checksum.bytes, bytes.len() as u64);
+    let bad = check.quarantine.get(QuarantineClass::BadRunChecksum).unwrap();
+    assert_eq!(bad.count, 1, "{}", check.render());
+    assert_eq!(bad.bytes, bytes.len() as u64);
     assert!(check.conserves(), "{}", check.conservation_line());
 
     // Open quarantines the run (the bytes survive under a new name, and
@@ -184,7 +186,7 @@ fn bit_flipped_run_is_quarantined_with_exact_accounting() {
     // keeps working without the lost records.
     let recovered = RunStore::open(&dir, tiny_config()).expect("lossy open succeeds");
     let report = recovered.recovery().expect("scan recorded");
-    assert_eq!(report.bad_checksum.files, 1);
+    assert_eq!(report.runs_lost(), 1, "{}", report.render());
     assert!(report.conserves());
     assert!(recovered.len() < total, "the quarantined run's records are gone");
     let quarantined: Vec<_> = std::fs::read_dir(&dir)
@@ -203,5 +205,63 @@ fn bit_flipped_run_is_quarantined_with_exact_accounting() {
     }
     recovered.optimize();
     assert_eq!(recovered.len(), total, "replay restores the lost records");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Builds the bit-flip fixture's store, then plants seven orphans and
+/// flips one byte of its run file; returns the flagged files' bytes by
+/// name.
+fn damaged_store(dir: &PathBuf) -> Vec<(String, u64)> {
+    drop(run_workload(dir, &workload()));
+    let run = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("run-")))
+        .expect("an optimized run file exists");
+    let mut bytes = std::fs::read(&run).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&run, &bytes).unwrap();
+    let mut flagged = vec![(run.file_name().unwrap().to_string_lossy().into_owned(), bytes.len())];
+    for i in 1..=7 {
+        let junk = "x".repeat(i * 3);
+        std::fs::write(dir.join(format!("junk-{i}.tmp")), &junk).unwrap();
+        flagged.push((format!("junk-{i}.tmp"), junk.len()));
+    }
+    flagged.into_iter().map(|(name, len)| (name, len as u64)).collect()
+}
+
+/// Asserts `quarantine.log` holds exactly one line per flagged file,
+/// each naming the file's class and its bytes.
+fn assert_logged_every_file(dir: &Path, flagged: &[(String, u64)]) {
+    let log = std::fs::read_to_string(dir.join("quarantine.log")).expect("ledger appended");
+    assert_eq!(log.lines().count(), flagged.len(), "{log}");
+    for (name, len) in flagged {
+        let class = if name.starts_with("run-") { "bad-run-checksum" } else { "orphan-file" };
+        let prefix = format!("{class}: {name}: {len} bytes: ");
+        assert_eq!(log.lines().filter(|l| l.starts_with(&prefix)).count(), 1, "{prefix}\n{log}");
+    }
+}
+
+#[test]
+fn quarantine_log_records_every_dropped_file_with_its_bytes() {
+    // More orphans than the report keeps samples of: the render stays
+    // capped, the log does not.
+    let dir = temp_dir("log-open");
+    let flagged = damaged_store(&dir);
+    let store = RunStore::open(&dir, tiny_config()).expect("lossy open succeeds");
+    let report = store.recovery().expect("scan recorded");
+    assert_eq!(report.problems(), 8, "{}", report.render());
+    assert_eq!(report.render().matches("  sample junk-").count(), 5, "{}", report.render());
+    assert_logged_every_file(&dir, &flagged);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = temp_dir("log-repair");
+    let flagged = damaged_store(&dir);
+    let report = fsck(&dir, true).expect("repair runs");
+    assert_eq!(report.problems(), 8, "{}", report.render());
+    assert_logged_every_file(&dir, &flagged);
+    assert!(fsck(&dir, false).unwrap().is_clean());
     std::fs::remove_dir_all(&dir).ok();
 }

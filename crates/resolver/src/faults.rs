@@ -20,7 +20,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use dnsnoise_dns::{Name, Timestamp};
+use dnsnoise_dns::{splitmix_finalize, Name, Timestamp};
 use dnsnoise_workload::Operator;
 
 /// Latency modelled for an upstream that answers SERVFAIL immediately
@@ -158,14 +158,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// SplitMix64 finalizer: avalanches the (seed, day, event, attempt)
-/// coordinates into an unbiased 64-bit value.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// Returns `true` if this plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
@@ -231,10 +223,10 @@ impl FaultPlan {
         if self.packet_loss <= 0.0 {
             return false;
         }
-        let coords = mix64(day)
+        let coords = splitmix_finalize(day)
             .wrapping_add(event_index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add(u64::from(attempt).rotate_left(48));
-        let h = mix64(self.seed ^ coords);
+        let h = splitmix_finalize(self.seed ^ coords);
         // 53 uniform bits → an exact dyadic fraction in [0, 1).
         ((h >> 11) as f64) / ((1u64 << 53) as f64) < self.packet_loss
     }

@@ -568,7 +568,7 @@ impl<'m> StreamMiner<'m> {
         let Some(dir) = fresh.config().spill.clone() else { return Ok(()) };
         let store = RunStore::open(&dir, fresh.config().clone())?;
         if let Some(report) = store.recovery() {
-            let lost = report.missing.files + report.bad_checksum.files + report.bad_layout.files;
+            let lost = report.runs_lost();
             if lost > 0 {
                 return Err(StoreError::corrupt(
                     &dir,

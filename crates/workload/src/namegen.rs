@@ -6,7 +6,7 @@
 //! `(zone, day, index)` without storing it, and so two runs of a scenario
 //! produce identical traces.
 
-use dnsnoise_dns::{Label, Name, RData};
+use dnsnoise_dns::{splitmix_finalize, Label, Name, RData};
 use std::net::Ipv4Addr;
 
 /// SplitMix64: a statistically solid 64→64-bit mixer, used to derive all
@@ -19,11 +19,8 @@ use std::net::Ipv4Addr;
 /// assert_ne!(mix64(1), mix64(2));
 /// assert_eq!(mix64(7), mix64(7));
 /// ```
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+pub fn mix64(z: u64) -> u64 {
+    splitmix_finalize(z.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 fn take_chars(seed: u64, len: usize, alphabet: &[u8]) -> String {

@@ -242,6 +242,38 @@ same_store "$smoke_dir/pdns-pre-ref" "$smoke_dir/pdns-pre" \
     || { echo "error: fsck found problems after the pre-boundary resume" >&2
          cat "$smoke_dir/fsck-pre.txt" >&2; exit 1; }
 
+echo "== damaged-store fsck smoke (every flagged file counted, rendered and logged) ==" >&2
+# A copy of the stream smoke's store with seven planted orphans and one
+# flipped run byte: fsck must flag all eight with byte conservation,
+# --repair must log one quarantine.log line per file it drops, and the
+# repaired store must then check clean.
+cp -r "$smoke_dir/pdns" "$smoke_dir/pdns-damaged"
+for i in 1 2 3 4 5 6 7; do printf 'junk %s\n' "$i" >"$smoke_dir/pdns-damaged/junk-$i.tmp"; done
+victim=$(cd "$smoke_dir/pdns-damaged" && ls run-*.bin | head -n 1)
+size=$(wc -c <"$smoke_dir/pdns-damaged/$victim")
+byte=$(od -An -tu1 -j $((size / 2)) -N1 "$smoke_dir/pdns-damaged/$victim" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 64)))" \
+    | dd of="$smoke_dir/pdns-damaged/$victim" bs=1 seek=$((size / 2)) conv=notrunc 2>/dev/null
+status=0
+./target/release/dnsnoise fsck "$smoke_dir/pdns-damaged" >"$smoke_dir/fsck-damaged.txt" 2>&1 \
+    || status=$?
+[ "$status" -eq 1 ] \
+    && grep -q '^quarantine\[orphan-file\]: 7 files' "$smoke_dir/fsck-damaged.txt" \
+    && grep -q '^quarantine\[bad-run-checksum\]: 1 files' "$smoke_dir/fsck-damaged.txt" \
+    && grep -q '(conserved)$' "$smoke_dir/fsck-damaged.txt" \
+    || { echo "error: fsck of the damaged store (exit $status) did not flag 7 orphans and" \
+              "1 bad run with conserved bytes" >&2
+         cat "$smoke_dir/fsck-damaged.txt" >&2; exit 1; }
+./target/release/dnsnoise fsck "$smoke_dir/pdns-damaged" --repair >/dev/null \
+    || { echo "error: fsck --repair of the damaged store failed" >&2; exit 1; }
+logged=$(wc -l <"$smoke_dir/pdns-damaged/quarantine.log" | tr -d ' ')
+[ "$logged" -eq 8 ] \
+    || { echo "error: repair logged $logged quarantine.log lines, expected 8" >&2; exit 1; }
+./target/release/dnsnoise fsck "$smoke_dir/pdns-damaged" >"$smoke_dir/fsck-repaired.txt" \
+    && grep -q '^status: clean$' "$smoke_dir/fsck-repaired.txt" \
+    || { echo "error: the repaired store does not check clean" >&2
+         cat "$smoke_dir/fsck-repaired.txt" >&2; exit 1; }
+
 echo "== benchmark smoke (benchmark/ builds against this tree, every gate holds, counts are exact) ==" >&2
 # benchmark/ is a package of its own that no other step compiles: an API
 # change can break it unnoticed until the benchmark driver runs. Sharing
