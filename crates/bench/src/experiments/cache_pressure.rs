@@ -92,7 +92,7 @@ pub fn run(scale_factor: f64) -> CachePressureResult {
                 premature_normal: report.cache.premature_evictions_normal,
                 premature_low: report.cache.premature_evictions_low,
                 hit_rate: report.cache.hit_rate(),
-                above_total: report.above_total,
+                above_total: report.above_total(),
             });
         }
     }

@@ -149,7 +149,7 @@ pub fn run(scale_factor: f64) -> OverloadResult {
                 epoch,
                 intensity: name.to_owned(),
                 offered: o.offered,
-                nx_above: report.nx_above,
+                nx_above: report.nx_above(),
                 shed_attack: o.shed_attack,
                 shed_legit: o.shed_legit,
                 avail_legit: 1.0 - o.shed_legit as f64 / legit as f64,

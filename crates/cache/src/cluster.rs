@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dnsnoise_dns::{fnv1a, splitmix_finalize, Timestamp};
+use dnsnoise_dns::{fnv1a, splitmix_finalize};
 
 use crate::lru::{CacheKey, CacheStats, TtlLru};
 use crate::negative::NegativeCache;
@@ -239,11 +239,6 @@ impl CacheCluster {
         total
     }
 
-    /// Per-member stats snapshots.
-    pub fn member_stats(&self) -> Vec<CacheStats> {
-        self.caches.iter().map(|c| *c.stats()).collect()
-    }
-
     /// Entry counts per member cache, in member order — the occupancy
     /// gauge a metrics layer samples at day end.
     pub fn member_occupancy(&self) -> Vec<usize> {
@@ -264,18 +259,13 @@ impl CacheCluster {
     pub fn is_empty(&self) -> bool {
         self.caches.iter().all(TtlLru::is_empty)
     }
-
-    /// Purges expired entries in every member; returns total removed.
-    pub fn purge_expired(&mut self, now: Timestamp) -> usize {
-        self.caches.iter_mut().map(|c| c.purge_expired(now)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lru::InsertPriority;
-    use dnsnoise_dns::{QType, RData, Record, Ttl};
+    use dnsnoise_dns::{QType, RData, Record, Timestamp, Ttl};
     use std::net::Ipv4Addr;
 
     fn key(s: &str) -> CacheKey {
@@ -339,7 +329,6 @@ mod tests {
         let _ = cl.cache_mut(0).get(&k, Timestamp::ZERO); // miss
         let _ = cl.cache_mut(1).get(&k, Timestamp::ZERO); // miss
         assert_eq!(cl.total_stats().misses, 2);
-        assert_eq!(cl.member_stats().len(), 2);
     }
 
     #[test]

@@ -99,6 +99,21 @@ impl CacheStats {
         self.premature_evictions_low += other.premature_evictions_low;
         self.expired_evictions += other.expired_evictions;
     }
+
+    /// The counts accrued since `before`, an earlier snapshot of the
+    /// same counters.
+    pub fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            expired: self.expired - before.expired,
+            inserts: self.inserts - before.inserts,
+            premature_evictions_normal: self.premature_evictions_normal
+                - before.premature_evictions_normal,
+            premature_evictions_low: self.premature_evictions_low - before.premature_evictions_low,
+            expired_evictions: self.expired_evictions - before.expired_evictions,
+        }
+    }
 }
 
 /// Outcome of a staleness-aware lookup ([`TtlLru::lookup`]).
@@ -220,11 +235,6 @@ impl TtlLru {
     /// Accumulated counters.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets the counters (the cache contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Looks up `key` at time `now`.

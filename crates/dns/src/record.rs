@@ -140,7 +140,7 @@ impl FromStr for QType {
 }
 
 /// Record data (the paper's `RDATA`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum RData {
     /// An IPv4 address.
     A(Ipv4Addr),
@@ -281,7 +281,7 @@ impl fmt::Display for Record {
 
 /// The rpDNS deduplication key: `(name, qtype, rdata)` without TTL or
 /// timestamp (§III-A).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RrKey {
     /// The owner name.
     pub name: Name,

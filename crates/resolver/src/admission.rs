@@ -111,7 +111,6 @@ struct RrlWindow {
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionState {
     backlog: u64,
-    peak_backlog: u64,
     last_secs: Option<u64>,
     buckets: HashMap<u64, ClientBucket>,
     rrl: HashMap<Name, RrlWindow>,
@@ -192,18 +191,12 @@ impl AdmissionState {
             return Admission::RateLimit;
         }
         self.backlog += 1;
-        self.peak_backlog = self.peak_backlog.max(self.backlog);
         Admission::Admit
     }
 
     /// Current queue backlog (post-drain of the last processed event).
     pub fn backlog(&self) -> u64 {
         self.backlog
-    }
-
-    /// Highest backlog the member's queue ever reached.
-    pub fn peak_backlog(&self) -> u64 {
-        self.peak_backlog
     }
 }
 
@@ -281,7 +274,7 @@ mod tests {
         }
         // …the fifth (still in token budget) is dropped: queue full.
         assert_eq!(s.admit(&c, 4, &name("a.example.com"), 10, false), Admission::Drop);
-        assert_eq!(s.peak_backlog(), 4);
+        assert_eq!(s.backlog(), 4);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!     .faults(&plan)
 //!     .metrics(&mut reg)
 //!     .run();
-//! assert_eq!(reg.counters().records_below, report.below_total);
+//! assert_eq!(reg.counters().records_below, report.below_total());
 //! # Ok::<(), dnsnoise_resolver::FaultSpecError>(())
 //! ```
 

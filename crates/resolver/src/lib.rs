@@ -26,8 +26,8 @@
 //! let trace = scenario.generate_day(0);
 //! let mut sim = ResolverSim::new(SimConfig::default());
 //! let report = sim.day(&trace).ground_truth(scenario.ground_truth()).run();
-//! assert!(report.below_total > 0);
-//! assert!(report.above_total <= report.below_total);
+//! assert!(report.below_total() > 0);
+//! assert!(report.above_total() <= report.below_total());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -21,7 +21,7 @@ use dnsnoise_cache::CacheStats;
 use dnsnoise_workload::{Category, GroundTruth};
 
 use crate::observer::Served;
-use crate::sim::FetchOutcome;
+use crate::sim::{DayReport, FetchOutcome, ResilienceStats};
 
 /// Upper-inclusive bucket bounds (simulated milliseconds) for the lookup
 /// latency histogram. Compile-time constants: bucket boundaries never
@@ -214,7 +214,10 @@ pub fn served_index(served: Served) -> usize {
     }
 }
 
-/// Monotonic counters over one run; every field is a plain sum.
+/// The run's counters, derived on demand: the served-outcome and record
+/// counts are sums over the timeline slots, `upstream_fetches` is the
+/// attempts histogram's sample count, and the fault counters are the
+/// day reports' [`ResilienceStats`] folded in at day end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCounters {
     /// Query events processed.
@@ -386,9 +389,10 @@ impl PhaseTimings {
     }
 }
 
-/// The deterministic metrics registry: counters, bounded histograms,
-/// per-member gauges, an intra-day [`TimelineRecorder`], and (separately,
-/// see the module docs) wall-clock [`PhaseTimings`].
+/// The deterministic metrics registry: bounded histograms, per-member
+/// gauges, an intra-day [`TimelineRecorder`], and (separately, see the
+/// module docs) wall-clock [`PhaseTimings`]. Its [`QueryCounters`] and
+/// whole-day member load are derived from those, never booked twice.
 ///
 /// # Examples
 ///
@@ -402,22 +406,23 @@ impl PhaseTimings {
 /// let mut sim = ResolverSim::new(SimConfig::default());
 /// let report = sim.day(&trace).ground_truth(s.ground_truth()).metrics(&mut reg).run();
 /// assert_eq!(reg.counters().queries, trace.events.len() as u64);
-/// assert_eq!(reg.counters().records_below, report.below_total);
+/// assert_eq!(reg.counters().records_below, report.below_total());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
     day: u64,
-    counters: QueryCounters,
+    /// The widest cluster a day has begun with: the whole-day load's width.
+    members: usize,
     latency_ms: Histogram,
     upstream_attempts: Histogram,
     retries_per_fetch: Histogram,
     queue_backlog: Histogram,
     overload_enabled: bool,
     timeline: TimelineRecorder,
-    member_load: Vec<u64>,
     member_occupancy: Vec<u64>,
     member_down: Vec<bool>,
     cache: CacheStats,
+    resilience: ResilienceStats,
     phases: PhaseTimings,
 }
 
@@ -437,17 +442,17 @@ impl MetricsRegistry {
     pub fn with_buckets(buckets: usize) -> Self {
         MetricsRegistry {
             day: 0,
-            counters: QueryCounters::default(),
+            members: 0,
             latency_ms: Histogram::new(LATENCY_BOUNDS_MS),
             upstream_attempts: Histogram::new(ATTEMPT_BOUNDS),
             retries_per_fetch: Histogram::new(RETRY_BOUNDS),
             queue_backlog: Histogram::new(QUEUE_BOUNDS),
             overload_enabled: false,
             timeline: TimelineRecorder::new(buckets),
-            member_load: Vec::new(),
             member_occupancy: Vec::new(),
             member_down: Vec::new(),
             cache: CacheStats::default(),
+            resilience: ResilienceStats::default(),
             phases: PhaseTimings::default(),
         }
     }
@@ -456,9 +461,7 @@ impl MetricsRegistry {
     /// sizes the per-member gauges.
     pub fn begin_day(&mut self, day: u64, members: usize) {
         self.day = day;
-        if self.member_load.len() < members {
-            self.member_load.resize(members, 0);
-        }
+        self.members = self.members.max(members);
         if self.member_occupancy.len() < members {
             self.member_occupancy.resize(members, 0);
         }
@@ -467,10 +470,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one served event. Called from the per-event hot path; all
-    /// work is a handful of array increments. The flat argument list is
-    /// deliberate — a parameter struct would cost a copy per event for a
-    /// crate-private call with exactly two call sites.
+    /// Records one served event into its timeline slot and the
+    /// histograms. Called from the per-event hot path; all work is a
+    /// handful of array increments. The flat argument list is deliberate
+    /// — a parameter struct would cost a copy per event for a
+    /// crate-private call.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_event(
         &mut self,
@@ -483,49 +487,25 @@ impl MetricsRegistry {
         fetch: Option<&FetchOutcome>,
         backlog: Option<u64>,
     ) {
-        let c = &mut self.counters;
-        c.queries += 1;
-        match served {
-            Served::CacheHit => c.cache_hits += 1,
-            Served::CacheMiss => c.cache_misses += 1,
-            Served::NegativeHit => c.negative_hits += 1,
-            Served::NxMiss => c.nx_misses += 1,
-            Served::StaleHit => c.stale_serves += 1,
-            Served::ServFail => c.servfails += 1,
-            Served::Dropped => c.dropped += 1,
-            Served::RateLimited => c.rate_limited += 1,
-        }
-        c.records_below += records_below;
-        c.records_above += records_above;
         if let Some(depth) = backlog {
             self.queue_backlog.record(depth);
         }
         self.latency_ms.record(fetch.map_or(0, |f| f.elapsed_ms));
         if let Some(f) = fetch {
-            c.upstream_fetches += 1;
-            c.failed_attempts += f.failed_attempts;
-            c.retries += f.retries;
-            c.timeouts += f.timeouts;
-            c.upstream_servfails += f.upstream_servfails;
             self.upstream_attempts.record(f.failed_attempts + u64::from(f.success));
             self.retries_per_fetch.record(f.retries);
         }
-        if self.member_load.len() <= member {
-            self.member_load.resize(member + 1, 0);
-        }
-        self.member_load[member] += 1;
         self.timeline.record(secs_in_day, member, served, class, records_below, records_above);
     }
 
     /// Called by the replay loop at day end: samples the day-end gauges
-    /// (per-member occupancy and down-state) and the day's cache counter
-    /// deltas.
-    pub fn set_day_end(&mut self, occupancy: &[usize], down: &[bool], cache: &CacheStats) {
+    /// (per-member occupancy and down-state) and folds in the day's cache
+    /// counter deltas and fault accounting.
+    pub fn set_day_end(&mut self, occupancy: &[usize], down: &[bool], day: &DayReport) {
         self.member_occupancy = occupancy.iter().map(|&n| n as u64).collect();
         self.member_down = down.to_vec();
-        let mut delta = self.cache;
-        delta.merge(cache);
-        self.cache = delta;
+        self.cache.merge(&day.cache);
+        self.resilience.merge(&day.resilience);
     }
 
     /// Marks whether admission control is active for this run: the
@@ -565,9 +545,38 @@ impl MetricsRegistry {
         self.day
     }
 
-    /// The monotonic counters.
-    pub fn counters(&self) -> &QueryCounters {
-        &self.counters
+    /// The run's counters, derived from the timeline, the attempts
+    /// histogram and the folded-in fault accounting.
+    pub fn counters(&self) -> QueryCounters {
+        let mut served = [0u64; SERVED_KINDS];
+        let (mut records_below, mut records_above) = (0, 0);
+        for slot in self.timeline.slots() {
+            for (total, n) in served.iter_mut().zip(slot.served) {
+                *total += n;
+            }
+            records_below += slot.records_below;
+            records_above += slot.records_above;
+        }
+        let count = |kind: Served| served[served_index(kind)];
+        let r = &self.resilience;
+        QueryCounters {
+            queries: served.iter().sum(),
+            cache_hits: count(Served::CacheHit),
+            cache_misses: count(Served::CacheMiss),
+            negative_hits: count(Served::NegativeHit),
+            nx_misses: count(Served::NxMiss),
+            stale_serves: count(Served::StaleHit),
+            servfails: count(Served::ServFail),
+            records_below,
+            records_above,
+            upstream_fetches: self.upstream_attempts.count(),
+            failed_attempts: r.failed_attempts,
+            retries: r.retries,
+            timeouts: r.timeouts,
+            upstream_servfails: r.upstream_servfails,
+            dropped: count(Served::Dropped),
+            rate_limited: count(Served::RateLimited),
+        }
     }
 
     /// Lookup latency in simulated milliseconds.
@@ -590,9 +599,19 @@ impl MetricsRegistry {
         &self.timeline
     }
 
-    /// Events served per member over the whole day.
-    pub fn member_load(&self) -> &[u64] {
-        &self.member_load
+    /// Events served per member over the whole day: the timeline slots'
+    /// per-member sums, one column per member of the widest cluster.
+    pub fn member_load(&self) -> Vec<u64> {
+        let mut load = vec![0; self.members];
+        for slot in self.timeline.slots() {
+            if load.len() < slot.member_load.len() {
+                load.resize(slot.member_load.len(), 0);
+            }
+            for (total, n) in load.iter_mut().zip(&slot.member_load) {
+                *total += n;
+            }
+        }
+        load
     }
 
     /// Day-end cache occupancy per member (gauge).
@@ -632,7 +651,7 @@ impl MetricsRegistry {
         let _ = writeln!(out, "  \"day\": {},", self.day);
         let kinds = self.exported_kinds();
         out.push_str("  \"counters\": {");
-        let c = &self.counters;
+        let c = self.counters();
         let mut fields: Vec<(&str, u64)> = vec![
             ("queries", c.queries),
             ("cache_hits", c.cache_hits),
@@ -681,7 +700,7 @@ impl MetricsRegistry {
         }
         out.push_str("  },\n  \"members\": {");
         let _ = write!(out, "\"load\": ");
-        push_u64_array(&mut out, &self.member_load);
+        push_u64_array(&mut out, &self.member_load());
         let _ = write!(out, ", \"occupancy\": ");
         push_u64_array(&mut out, &self.member_occupancy);
         let _ = write!(out, ", \"down\": ");
@@ -713,14 +732,7 @@ impl MetricsRegistry {
     /// Serializes the timeline as CSV, one row per bucket: served
     /// outcomes, query mix by class, record volumes, and per-member load.
     pub fn timeline_csv(&self) -> String {
-        let members = self
-            .timeline
-            .slots()
-            .iter()
-            .map(|s| s.member_load.len())
-            .max()
-            .unwrap_or(0)
-            .max(self.member_load.len());
+        let members = self.member_load().len();
         let kinds = self.exported_kinds();
         let mut out = String::with_capacity(2048);
         out.push_str("bucket,start_secs");

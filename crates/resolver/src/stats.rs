@@ -14,11 +14,6 @@ pub struct RrStat {
     /// Answers containing this record observed above the recursives
     /// (cache misses).
     pub misses: u32,
-    /// 64-bucket linear-counting sketch of the distinct clients that
-    /// queried this record (§IV: disposable names are "queried a few
-    /// times by a handful of clients"). Exact for small counts, a
-    /// bounded estimate beyond ~40.
-    pub client_sketch: u64,
 }
 
 impl RrStat {
@@ -30,30 +25,6 @@ impl RrStat {
         } else {
             f64::from(self.queries - self.misses) / f64::from(self.queries)
         }
-    }
-
-    /// Folds a client id into the sketch.
-    pub fn observe_client(&mut self, client: u64) {
-        // Full SplitMix64 finaliser: the estimator below assumes uniform
-        // bucket assignment, so the hash must scatter sequential ids.
-        let mut h = client.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        self.client_sketch |= 1u64 << (h % 64);
-    }
-
-    /// Estimated distinct clients (linear counting over 64 buckets):
-    /// `n ≈ −64·ln(z/64)` where `z` is the number of empty buckets. Exact
-    /// to within collisions for the "handful" range the paper cares
-    /// about; saturates around 64·ln 64 ≈ 266.
-    pub fn distinct_clients(&self) -> u32 {
-        let zeros = self.client_sketch.count_zeros();
-        if zeros == 0 {
-            return 266; // the sketch's saturation point
-        }
-        let z = f64::from(zeros) / 64.0;
-        (-64.0 * z.ln()).round() as u32
     }
 }
 
@@ -72,9 +43,8 @@ impl RrStat {
 ///     qtype: QType::A,
 ///     rdata: RData::A(Ipv4Addr::new(192, 0, 2, 1)),
 /// };
-/// stats.record_below(&key);
-/// stats.record_below(&key);
-/// stats.record_above(&key);
+/// stats.record(&key, false);
+/// stats.record(&key, true);
 /// assert_eq!(stats.get(&key).unwrap().dhr(), 0.5);
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
@@ -89,33 +59,20 @@ impl RrDayStats {
         RrDayStats::default()
     }
 
-    /// Applies `update` to the row for `key`, creating it on first sight.
-    /// Most updates hit an existing row, so the key is cloned only when
-    /// it is inserted.
-    fn update(&mut self, key: &RrKey, update: impl FnOnce(&mut RrStat)) {
+    /// Counts one served answer carrying `key`: a query, and a miss when
+    /// the response was fetched from above. Most answers hit an existing
+    /// row, so the key is cloned only when it is inserted.
+    pub fn record(&mut self, key: &RrKey, missed: bool) {
+        let misses = u32::from(missed);
         match self.stats.get_mut(key) {
-            Some(stat) => update(stat),
-            None => update(self.stats.entry(key.clone()).or_default()),
+            Some(stat) => {
+                stat.queries += 1;
+                stat.misses += misses;
+            }
+            None => {
+                self.stats.insert(key.clone(), RrStat { queries: 1, misses });
+            }
         }
-    }
-
-    /// Counts one below-the-recursives observation of `key`.
-    pub fn record_below(&mut self, key: &RrKey) {
-        self.update(key, |stat| stat.queries += 1);
-    }
-
-    /// Counts one below-the-recursives observation of `key` by `client`,
-    /// updating the distinct-client sketch.
-    pub fn record_below_by(&mut self, key: &RrKey, client: u64) {
-        self.update(key, |stat| {
-            stat.queries += 1;
-            stat.observe_client(client);
-        });
-    }
-
-    /// Counts one above-the-recursives observation of `key`.
-    pub fn record_above(&mut self, key: &RrKey) {
-        self.update(key, |stat| stat.misses += 1);
     }
 
     /// The stat for a record, if observed.
@@ -201,12 +158,11 @@ impl RrDayStats {
     /// Merges another day's stats into this table (used by multi-day
     /// aggregates like Fig. 4b).
     pub fn merge(&mut self, other: &RrDayStats) {
-        // lint:allow(hash-iter): entry-wise integer sums and bitwise-or; order cannot matter
+        // lint:allow(hash-iter): entry-wise integer sums; order cannot matter
         for (k, s) in &other.stats {
             let e = self.stats.entry(k.clone()).or_default();
             e.queries += s.queries;
             e.misses += s.misses;
-            e.client_sketch |= s.client_sketch;
         }
     }
 }
@@ -323,11 +279,8 @@ mod tests {
         // §III-C2: an object with 2 misses and 5 total queries has CHR 0.6
         // for both misses.
         let mut s = RrDayStats::new();
-        for _ in 0..5 {
-            s.record_below(&key(1));
-        }
-        for _ in 0..2 {
-            s.record_above(&key(1));
+        for missed in [true, false, true, false, false] {
+            s.record(&key(1), missed);
         }
         let stat = s.get(&key(1)).unwrap();
         assert!((stat.dhr() - 0.6).abs() < 1e-12);
@@ -340,13 +293,12 @@ mod tests {
     fn tail_and_zero_dhr_fractions() {
         let mut s = RrDayStats::new();
         // Record 1: queried once, missed once (DHR 0, tail).
-        s.record_below(&key(1));
-        s.record_above(&key(1));
+        s.record(&key(1), true);
         // Record 2: 20 queries, 1 miss (DHR 0.95, not tail).
-        for _ in 0..20 {
-            s.record_below(&key(2));
+        s.record(&key(2), true);
+        for _ in 0..19 {
+            s.record(&key(2), false);
         }
-        s.record_above(&key(2));
         assert_eq!(s.tail_fraction(10), 0.5);
         assert_eq!(s.zero_dhr_fraction(), 0.5);
     }
@@ -355,9 +307,9 @@ mod tests {
     fn lookup_volumes_sorted_descending() {
         let mut s = RrDayStats::new();
         for _ in 0..3 {
-            s.record_below(&key(1));
+            s.record(&key(1), false);
         }
-        s.record_below(&key(2));
+        s.record(&key(2), false);
         assert_eq!(s.lookup_volumes_desc(), vec![3, 1]);
     }
 
@@ -383,11 +335,10 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = RrDayStats::new();
-        a.record_below(&key(1));
+        a.record(&key(1), false);
         let mut b = RrDayStats::new();
-        b.record_below(&key(1));
-        b.record_above(&key(1));
-        b.record_below(&key(2));
+        b.record(&key(1), true);
+        b.record(&key(2), false);
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(&key(1)).unwrap().queries, 2);
@@ -395,55 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn client_sketch_counts_small_sets_exactly() {
-        let mut stat = RrStat::default();
-        assert_eq!(stat.distinct_clients(), 0);
-        for c in 0..3u64 {
-            stat.observe_client(c);
-            stat.observe_client(c); // repeats are free
-        }
-        assert_eq!(stat.distinct_clients(), 3);
-    }
-
-    #[test]
-    fn client_sketch_estimates_and_saturates() {
-        let mut stat = RrStat::default();
-        for c in 0..40u64 {
-            stat.observe_client(c * 7919);
-        }
-        let est = stat.distinct_clients();
-        assert!((25..=70).contains(&est), "estimate {est} for 40 clients");
-        for c in 0..100_000u64 {
-            stat.observe_client(c);
-        }
-        assert_eq!(stat.distinct_clients(), 266, "sketch saturates");
-    }
-
-    #[test]
-    fn record_below_by_tracks_clients() {
-        let mut s = RrDayStats::new();
-        s.record_below_by(&key(1), 10);
-        s.record_below_by(&key(1), 11);
-        s.record_below_by(&key(1), 10);
-        let stat = s.get(&key(1)).unwrap();
-        assert_eq!(stat.queries, 3);
-        assert_eq!(stat.distinct_clients(), 2);
-    }
-
-    #[test]
-    fn merge_unions_client_sketches() {
-        let mut a = RrDayStats::new();
-        a.record_below_by(&key(1), 1);
-        let mut b = RrDayStats::new();
-        b.record_below_by(&key(1), 2);
-        a.merge(&b);
-        assert_eq!(a.get(&key(1)).unwrap().distinct_clients(), 2);
-    }
-
-    #[test]
     fn records_with_no_misses_carry_no_chr_weight() {
         let mut s = RrDayStats::new();
-        s.record_below(&key(1)); // hit-only record (e.g. cached from yesterday)
+        s.record(&key(1), false); // hit-only record (e.g. cached from yesterday)
         let chr = s.chr_distribution();
         assert!(chr.is_empty());
     }

@@ -40,25 +40,19 @@ proptest! {
         let mut sim = ResolverSim::new(config);
         let report = sim.day(&trace).ground_truth(scenario.ground_truth()).run();
 
-        prop_assert!(report.above_total <= report.below_total);
-        prop_assert!(report.nx_above <= report.nx_below);
+        prop_assert!(report.above_total() <= report.below_total());
+        prop_assert!(report.nx_above() <= report.nx_below());
 
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
         let sum_misses: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.misses)).sum();
-        prop_assert_eq!(sum_queries, report.below_total - report.nx_below);
-        prop_assert_eq!(sum_misses, report.above_total - report.nx_above);
+        prop_assert_eq!(sum_queries, report.below_total() - report.nx_below());
+        prop_assert_eq!(sum_misses, report.above_total() - report.nx_above());
 
         for (key, stat) in report.rr_stats.iter() {
             prop_assert!(stat.misses <= stat.queries, "{}: {stat:?}", key);
             let dhr = stat.dhr();
             prop_assert!((0.0..=1.0).contains(&dhr));
         }
-
-        // Traffic-profile totals agree with the scalar counters.
-        use dnsnoise_resolver::Series;
-        prop_assert_eq!(report.traffic.below_total(Series::All), report.below_total);
-        prop_assert_eq!(report.traffic.above_total(Series::All), report.above_total);
-        prop_assert_eq!(report.traffic.below_total(Series::NxDomain), report.nx_below);
     }
 
     /// A cache with more capacity never produces more upstream traffic on
@@ -72,8 +66,8 @@ proptest! {
         let small = small_sim.day(&trace).run();
         let mut large_sim = ResolverSim::new(SimConfig { members: 2, capacity_each: 50_000, ..SimConfig::default() });
         let large = large_sim.day(&trace).run();
-        prop_assert!(large.above_total <= small.above_total,
-            "large {} vs small {}", large.above_total, small.above_total);
+        prop_assert!(large.above_total() <= small.above_total(),
+            "large {} vs small {}", large.above_total(), small.above_total());
     }
 
     /// The extended conservation law under arbitrary fault plans:
@@ -81,7 +75,6 @@ proptest! {
     ///   SERVFAIL responses (which carry no records);
     /// * per-RR miss counts equal the above fetches minus NXDOMAIN fetches
     ///   and failed attempts (retries are above-only traffic);
-    /// * hourly traffic series still sum to the scalar totals;
     /// * every trace event lands in exactly one availability bucket.
     #[test]
     fn fault_accounting_is_conserved(
@@ -122,12 +115,8 @@ proptest! {
         let r = &report.resilience;
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
         let sum_misses: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.misses)).sum();
-        prop_assert_eq!(sum_queries, report.below_total - report.nx_below - r.servfails_below);
-        prop_assert_eq!(sum_misses, report.above_total - report.nx_above - r.failed_attempts);
-
-        use dnsnoise_resolver::Series;
-        prop_assert_eq!(report.traffic.below_total(Series::All), report.below_total);
-        prop_assert_eq!(report.traffic.above_total(Series::All), report.above_total);
+        prop_assert_eq!(sum_queries, report.below_total() - report.nx_below() - r.servfails_below);
+        prop_assert_eq!(sum_misses, report.above_total() - report.nx_above() - r.failed_attempts);
 
         let events = trace.events.len() as u64;
         let tallied = r.disposable.answered + r.disposable.failed
@@ -178,11 +167,8 @@ proptest! {
         let r = &report.resilience;
         let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
         let sum_misses: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.misses)).sum();
-        prop_assert_eq!(sum_queries, report.below_total - report.nx_below - r.servfails_below);
-        prop_assert_eq!(sum_misses, report.above_total - report.nx_above - r.failed_attempts);
-        use dnsnoise_resolver::Series;
-        prop_assert_eq!(report.traffic.below_total(Series::All), report.below_total);
-        prop_assert_eq!(report.traffic.above_total(Series::All), report.above_total);
+        prop_assert_eq!(sum_queries, report.below_total() - report.nx_below() - r.servfails_below);
+        prop_assert_eq!(sum_misses, report.above_total() - report.nx_above() - r.failed_attempts);
         if !plan.is_empty() {
             let events = trace.events.len() as u64;
             let tallied = r.disposable.answered + r.disposable.failed
@@ -247,11 +233,12 @@ proptest! {
         prop_assert_eq!(r.stale_serves, o.stale_under_pressure,
             "faultless run: every stale serve is an under-pressure serve");
 
-        // Shed queries deliver nothing: records below never exceed the
-        // fault-free baseline, and the traffic series still reconcile.
-        use dnsnoise_resolver::Series;
-        prop_assert_eq!(report.traffic.below_total(Series::All), report.below_total);
-        prop_assert_eq!(report.traffic.above_total(Series::All), report.above_total);
+        // Shed queries deliver nothing: the per-record table still holds
+        // exactly the records delivered below and fetched above.
+        let sum_queries: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.queries)).sum();
+        let sum_misses: u64 = report.rr_stats.iter().map(|(_, s)| u64::from(s.misses)).sum();
+        prop_assert_eq!(sum_queries, report.below_total() - report.nx_below() - r.servfails_below);
+        prop_assert_eq!(sum_misses, report.above_total() - report.nx_above() - r.failed_attempts);
     }
 
     /// Fault specs round-trip: parse → render → parse is the identity
@@ -302,7 +289,7 @@ proptest! {
         let mut sim = ResolverSim::new(SimConfig::default());
         let first = sim.day(&trace).run();
         let second = sim.day(&trace).run();
-        prop_assert!(second.above_total <= first.above_total,
-            "second {} vs first {}", second.above_total, first.above_total);
+        prop_assert!(second.above_total() <= first.above_total(),
+            "second {} vs first {}", second.above_total(), first.above_total());
     }
 }

@@ -12,10 +12,10 @@ fn run(scale: f64, epu: f64, members: usize) -> (u64, u64, f64, f64) {
     let mut sim = ResolverSim::new(SimConfig { members, ..SimConfig::default() });
     let r = sim.day(&s.generate_day(0)).ground_truth(s.ground_truth()).run_serial();
     (
-        r.below_total,
-        r.above_total,
-        r.nx_above as f64 / r.above_total as f64,
-        r.nx_below as f64 / r.below_total as f64,
+        r.below_total(),
+        r.above_total(),
+        r.nx_above() as f64 / r.above_total() as f64,
+        r.nx_below() as f64 / r.below_total() as f64,
     )
 }
 

@@ -216,8 +216,8 @@ impl StreamReport {
             self.pdns.nx_responses,
             self.pdns.storage_bytes
         ));
-        line(format!("below_total = {}", self.day_report.below_total));
-        line(format!("above_total = {}", self.day_report.above_total));
+        line(format!("below_total = {}", self.day_report.below_total()));
+        line(format!("above_total = {}", self.day_report.above_total()));
         line(format!("cache.hits = {}", self.day_report.cache.hits));
         line(format!("cache.misses = {}", self.day_report.cache.misses));
         line(format!("findings = {}", self.final_findings.len()));
@@ -768,7 +768,7 @@ mod tests {
         assert_eq!(day1.day, 1);
         assert_eq!(day2.day, 2);
         // Warm caches on day 2: repeat queries hit below without going above.
-        assert!(day2.day_report.above_total < day2.day_report.below_total);
+        assert!(day2.day_report.above_total() < day2.day_report.below_total());
     }
 
     #[test]

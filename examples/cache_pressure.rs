@@ -42,7 +42,7 @@ fn main() {
                 report.cache.premature_evictions_normal,
                 report.cache.premature_evictions_low,
                 report.cache.hit_rate() * 100.0,
-                report.above_total,
+                report.above_total(),
             );
         }
     }

@@ -21,11 +21,25 @@ cargo build --release --offline
 echo "== simulate --metrics smoke (registry export, phase table on stderr only) ==" >&2
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
+# The export's counters are derived from the timeline, the report's totals
+# from the traffic profile: the two derivations of the same facts must
+# agree on events, records below and records above.
+export_matches_report() {
+    local json report
+    json=$(grep '^  "counters": ' "$1" \
+        | grep -o '"\(queries\|records_below\|records_above\)": [0-9]*' | awk '{print $2}' | xargs)
+    report=$(awk '/^events:/{e=$NF} /^below records:/{b=$NF} /^above records:/{a=$NF}
+        END{print e, b, a}' "$2")
+    [[ "$json" =~ ^[0-9]+\ [0-9]+\ [0-9]+$ && "$json" == "$report" ]] \
+        || { echo "error: $1 counts (queries records_below records_above: $json) differ" \
+                  "from the simulate report ($report)" >&2; return 1; }
+}
 ./target/release/dnsnoise generate --scale 0.01 --seed 3 --out "$smoke_dir/day.trace" 2>/dev/null
 ./target/release/dnsnoise simulate --trace "$smoke_dir/day.trace" \
-    --buckets 8 --metrics "$smoke_dir/m1.json" >/dev/null 2>"$smoke_dir/m1.log"
+    --buckets 8 --metrics "$smoke_dir/m1.json" >"$smoke_dir/m1.txt" 2>"$smoke_dir/m1.log"
 grep -q '"queries":' "$smoke_dir/m1.json" \
     || { echo "error: metrics export carries no counters" >&2; exit 1; }
+export_matches_report "$smoke_dir/m1.json" "$smoke_dir/m1.txt" || exit 1
 grep -q '^replay ' "$smoke_dir/m1.log" && ! grep -q 'replay\|wall' "$smoke_dir/m1.json" \
     || { echo "error: the phase table belongs on stderr, never in the export" >&2; exit 1; }
 
@@ -36,6 +50,7 @@ attack='seed=9; victim=flood.example; labellen=16; clients=300; surge=0,86400,25
     --buckets 8 --metrics "$smoke_dir/a1.json" >"$smoke_dir/a1.txt" 2>/dev/null
 grep -q '"rate_limited":' "$smoke_dir/a1.json" \
     || { echo "error: overload columns missing from the attack smoke's export" >&2; exit 1; }
+export_matches_report "$smoke_dir/a1.json" "$smoke_dir/a1.txt" || exit 1
 grep -q -- '-- overload --' "$smoke_dir/a1.txt" \
     || { echo "error: overload section missing from attack smoke" >&2; exit 1; }
 grep -Eq 'shed attack/legit: [1-9]' "$smoke_dir/a1.txt" \

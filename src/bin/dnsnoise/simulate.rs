@@ -63,7 +63,8 @@ fn run(o: &Opts) -> Result<(), String> {
         config = config.with_serve_stale(Ttl::from_secs(secs));
     }
     let mut sim = ResolverSim::new(config);
-    let mut registry = MetricsRegistry::with_buckets(o.buckets);
+    // A registry is filled only when `--metrics` will export it.
+    let mut registry = o.metrics.as_ref().map(|_| MetricsRegistry::with_buckets(o.buckets));
     let mut ground_truth = None;
     let mut trace = match &o.trace {
         Some(_) => {
@@ -94,7 +95,10 @@ fn run(o: &Opts) -> Result<(), String> {
     // The pDNS collector rides along on every replay; without the
     // store flags it stays on the silent in-memory backend.
     let mut collector = PdnsCollector::new(o.store_backend(), trace.day);
-    let mut run = sim.day(&trace).faults(&plan).metrics(&mut registry).observer(&mut collector);
+    let mut run = sim.day(&trace).faults(&plan).observer(&mut collector);
+    if let Some(registry) = &mut registry {
+        run = run.metrics(registry);
+    }
     if let Some(gt) = &ground_truth {
         run = run.ground_truth(gt);
     }
@@ -112,9 +116,9 @@ fn run(o: &Opts) -> Result<(), String> {
         eprintln!("{}", store_summary_line(&RpdnsStoreSummary::from(&store)));
     }
     println!("events:            {}", trace.events.len());
-    println!("below records:     {}", report.below_total);
-    println!("above records:     {}", report.above_total);
-    println!("nxdomain (below):  {}", report.nx_below);
+    println!("below records:     {}", report.below_total());
+    println!("above records:     {}", report.above_total());
+    println!("nxdomain (below):  {}", report.nx_below());
     println!("distinct RRs:      {}", report.rr_stats.len());
     println!("cache hit rate:    {:.1}%", report.cache.hit_rate() * 100.0);
     println!("zero-DHR fraction: {:.1}%", report.rr_stats.zero_dhr_fraction() * 100.0);
@@ -143,7 +147,7 @@ fn run(o: &Opts) -> Result<(), String> {
         println!("stale (pressure):  {}", load.stale_under_pressure);
         println!("queue peak:        {}", load.queue_peak);
     }
-    if let Some(path) = &o.metrics {
+    if let (Some(path), Some(registry)) = (&o.metrics, &registry) {
         // `.csv` selects the timeline table; anything else gets the
         // full JSON registry dump. Both are deterministic byte-for-byte.
         let payload =

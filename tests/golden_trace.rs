@@ -65,10 +65,10 @@ fn render(report: &DayReport) -> String {
     let mut out = String::new();
     let mut line = |k: &str, v: u64| writeln!(out, "{k} = {v}").expect("string write");
     line("day", report.day);
-    line("below_total", report.below_total);
-    line("above_total", report.above_total);
-    line("nx_below", report.nx_below);
-    line("nx_above", report.nx_above);
+    line("below_total", report.below_total());
+    line("above_total", report.above_total());
+    line("nx_below", report.nx_below());
+    line("nx_above", report.nx_above());
     line("cache.hits", report.cache.hits);
     line("cache.misses", report.cache.misses);
     line("cache.expired", report.cache.expired);

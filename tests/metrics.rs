@@ -3,13 +3,15 @@
 //! the day (and for every value of the benchmark's inert thread shim), and
 //! the histogram bucket boundaries must be compile-time stable — independent
 //! of `--scale`, seed, or trace size — so exported histograms stay
-//! comparable across runs.
+//! comparable across runs. Two fixed days pin both exports to the byte:
+//! a faulted day with serve-stale, and an overloaded day whose flood
+//! fills the shed columns and the queue-backlog histogram.
 
 use dnsnoise::resolver::{
-    EventSession, FaultPlan, MetricsRegistry, ResolverSim, SimConfig, ATTEMPT_BOUNDS,
-    LATENCY_BOUNDS_MS, RETRY_BOUNDS,
+    EventSession, FaultPlan, MetricsRegistry, OverloadConfig, ResolverSim, SimConfig,
+    ATTEMPT_BOUNDS, LATENCY_BOUNDS_MS, RETRY_BOUNDS,
 };
-use dnsnoise::workload::{DayTrace, Scenario, ScenarioConfig};
+use dnsnoise::workload::{AttackPlan, DayTrace, Scenario, ScenarioConfig};
 
 /// The golden-trace fault plan: packet loss (retries), an upstream
 /// timeout outage (stale serves), and a member crash (failover).
@@ -38,8 +40,9 @@ fn run_with_metrics(buckets: usize) -> MetricsRegistry {
 #[test]
 fn registry_exports_are_bit_identical_across_thread_counts() {
     let reference = run_with_metrics(24);
-    let json = reference.to_json();
-    let csv = reference.timeline_csv();
+    let (json, csv) =
+        (include_str!("golden/metrics_faults.json"), include_str!("golden/metrics_faults.csv"));
+    assert_golden(&reference, json, csv, "DayRun");
     assert!(json.contains("\"queries\":"), "{json}");
     assert!(reference.counters().queries > 0);
     assert!(reference.counters().stale_serves > 0, "outage must trigger stale serves");
@@ -55,8 +58,7 @@ fn registry_exports_are_bit_identical_across_thread_counts() {
             .threads(threads)
             .metrics(&mut shimmed)
             .run();
-        assert_eq!(shimmed.to_json(), json, "JSON export drifted at {threads} threads");
-        assert_eq!(shimmed.timeline_csv(), csv, "timeline drifted at {threads} threads");
+        assert_golden(&shimmed, json, csv, &format!("DayRun at {threads} threads"));
     }
 
     // The other driver: the same day pushed through a session.
@@ -67,8 +69,7 @@ fn registry_exports_are_bit_identical_across_thread_counts() {
         session.push(event, Some(s.ground_truth()), &mut ());
     }
     let streamed = session.finish_with_metrics().2.expect("the session was given a registry");
-    assert_eq!(streamed.to_json(), json, "JSON export drifted in a session");
-    assert_eq!(streamed.timeline_csv(), csv, "timeline drifted in a session");
+    assert_golden(&streamed, json, csv, "EventSession");
 }
 
 #[test]
@@ -111,4 +112,56 @@ fn histogram_bucket_boundaries_are_stable_across_scale() {
         registries[0].latency_ms().counts().len(),
         registries[1].latency_ms().counts().len()
     );
+}
+
+/// The overloaded day: the fixture's scenario with a two-hour
+/// random-subdomain flood injected, over two serve-stale members behind
+/// a 4-deep queue retiring one query a second, with NXDOMAIN rate
+/// limiting at one fetch a second.
+fn overloaded_fixture() -> (Scenario, DayTrace, ResolverSim, OverloadConfig) {
+    let s = Scenario::new(ScenarioConfig::paper_epoch(0.5).with_scale(0.02), 20140622);
+    let mut trace = s.generate_day(0);
+    let attack: AttackPlan =
+        "seed=9; victim=flood.example; labellen=16; clients=300; surge=28800,36000,20"
+            .parse()
+            .expect("static attack spec");
+    attack.inject(&mut trace);
+    let overload = OverloadConfig::default().with_queue_depth(4).with_service_rate(1).with_rrl(1);
+    let config = SimConfig { members: 2, ..SimConfig::default() }
+        .with_serve_stale(dnsnoise::dns::Ttl::from_secs(43_200));
+    (s, trace, ResolverSim::new(config), overload)
+}
+
+/// Asserts that `registry` exports exactly the committed golden pair.
+fn assert_golden(registry: &MetricsRegistry, json: &str, csv: &str, driver: &str) {
+    assert_eq!(registry.to_json(), json, "{driver}: JSON export drifted from its golden");
+    assert_eq!(registry.timeline_csv(), csv, "{driver}: timeline drifted from its golden");
+}
+
+#[test]
+fn overloaded_day_exports_match_their_goldens() {
+    let json = include_str!("golden/metrics_attack.json");
+    let csv = include_str!("golden/metrics_attack.csv");
+    assert!(json.contains("\"queue_backlog\"") && csv.contains(",dropped,rate_limited"));
+
+    let (s, trace, mut sim, overload) = overloaded_fixture();
+    let mut registry = MetricsRegistry::new();
+    let report = sim
+        .day(&trace)
+        .ground_truth(s.ground_truth())
+        .overload(&overload)
+        .metrics(&mut registry)
+        .run();
+    let o = &report.overload;
+    assert!(o.dropped > 0 && o.rate_limited > 0 && o.stale_under_pressure > 0, "{o:?}");
+    assert_golden(&registry, json, csv, "DayRun");
+
+    let (s, trace, sim, overload) = overloaded_fixture();
+    let mut session =
+        EventSession::begin(sim, trace.day, None, Some(&overload), Some(MetricsRegistry::new()));
+    for event in &trace.events {
+        session.push(event, Some(s.ground_truth()), &mut ());
+    }
+    let registry = session.finish_with_metrics().2.expect("the session was given a registry");
+    assert_golden(&registry, json, csv, "EventSession");
 }

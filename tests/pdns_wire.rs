@@ -72,8 +72,8 @@ fn collector_parses_every_packet_and_counts_match() {
 
     // The collector's record count equals the resolver's below volume.
     let fpdns = collector.fpdns;
-    assert_eq!(fpdns.total_records, report.below_total - report.nx_below);
-    assert_eq!(fpdns.nx_responses, report.nx_below);
+    assert_eq!(fpdns.total_records, report.below_total() - report.nx_below());
+    assert_eq!(fpdns.nx_responses, report.nx_below());
     assert_eq!(fpdns.total_responses, trace.events.len() as u64);
     assert!(fpdns.storage_bytes > 20 * fpdns.total_records, "every tuple sized");
 }
