@@ -143,7 +143,7 @@ pub fn run_experiment(id: ExperimentId, scale_factor: f64) -> String {
 }
 
 /// [`run_experiment`] with the pDNS-backed experiments (Fig. 5,
-/// Fig. 15, §VI-C) collecting into the chosen [`BackendKind`]
+/// Fig. 15, §VI-C) collecting into the chosen [`BackendKind`](dnsnoise_pdns::BackendKind)
 /// (`--store`); reports are bit-identical across backends. `store_path`
 /// mirrors the disk backend's runs under the given directory.
 /// Experiments that build no pDNS database ignore both knobs.

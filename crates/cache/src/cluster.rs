@@ -54,9 +54,10 @@ pub struct MemberShard<'a> {
 /// let rr = Record::new(name, QType::A, Ttl::from_secs(60), RData::A(Ipv4Addr::new(192, 0, 2, 1)));
 ///
 /// let idx = cluster.route(7, &key);
-/// assert!(cluster.cache_mut(idx).get(&key, Timestamp::ZERO).is_none());
-/// cluster.cache_mut(idx).insert(key.clone(), vec![rr], Timestamp::ZERO, InsertPriority::Normal);
-/// assert!(cluster.cache_mut(idx).get(&key, Timestamp::from_secs(1)).is_some());
+/// let member = cluster.member_mut(idx);
+/// assert!(member.cache.get(&key, Timestamp::ZERO).is_none());
+/// member.cache.insert(key.clone(), vec![rr], Timestamp::ZERO, InsertPriority::Normal);
+/// assert!(cluster.member_mut(idx).cache.get(&key, Timestamp::from_secs(1)).is_some());
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
 #[derive(Debug)]
@@ -212,24 +213,6 @@ impl CacheCluster {
         self.down.iter().any(|&d| d)
     }
 
-    /// Mutable access to member `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn cache_mut(&mut self, idx: usize) -> &mut TtlLru {
-        &mut self.caches[idx]
-    }
-
-    /// Mutable access to the negative cache of member `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn negative_mut(&mut self, idx: usize) -> &mut NegativeCache {
-        &mut self.negatives[idx]
-    }
-
     /// Sum of all member stats.
     pub fn total_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -312,32 +295,38 @@ mod tests {
     fn independent_caches_do_not_share_entries() {
         let mut cl = CacheCluster::new(2, 10, LoadBalance::RoundRobin);
         let k = key("a.com");
-        cl.cache_mut(0).insert(
+        cl.member_mut(0).cache.insert(
             k.clone(),
             vec![rr("a.com", 100)],
             Timestamp::ZERO,
             InsertPriority::Normal,
         );
-        assert!(cl.cache_mut(0).get(&k, Timestamp::from_secs(1)).is_some());
-        assert!(cl.cache_mut(1).get(&k, Timestamp::from_secs(1)).is_none());
+        assert!(cl.member_mut(0).cache.get(&k, Timestamp::from_secs(1)).is_some());
+        assert!(cl.member_mut(1).cache.get(&k, Timestamp::from_secs(1)).is_none());
     }
 
     #[test]
     fn total_stats_aggregates_members() {
         let mut cl = CacheCluster::new(2, 10, LoadBalance::RoundRobin);
         let k = key("a.com");
-        let _ = cl.cache_mut(0).get(&k, Timestamp::ZERO); // miss
-        let _ = cl.cache_mut(1).get(&k, Timestamp::ZERO); // miss
+        let _ = cl.member_mut(0).cache.get(&k, Timestamp::ZERO); // miss
+        let _ = cl.member_mut(1).cache.get(&k, Timestamp::ZERO); // miss
         assert_eq!(cl.total_stats().misses, 2);
     }
 
     #[test]
     fn negative_cache_swap() {
         let mut cl = CacheCluster::new(2, 10, LoadBalance::HashClient);
-        assert!(!cl.negative_mut(0).is_enabled());
+        let name: dnsnoise_dns::Name = "gone.com".parse().unwrap();
+        let caches = |cl: &mut CacheCluster, idx| {
+            let negative = cl.member_mut(idx).negative;
+            negative.insert(name.clone(), Timestamp::ZERO);
+            negative.contains(&name, Timestamp::from_secs(1))
+        };
+        assert!(!caches(&mut cl, 0));
         cl.set_negative_caches(|| NegativeCache::new(Ttl::from_secs(900)));
-        assert!(cl.negative_mut(0).is_enabled());
-        assert!(cl.negative_mut(1).is_enabled());
+        assert!(caches(&mut cl, 0));
+        assert!(caches(&mut cl, 1));
     }
 
     #[test]
@@ -383,19 +372,19 @@ mod tests {
     fn restart_is_cold_but_keeps_counters() {
         let mut cl = CacheCluster::new(2, 10, LoadBalance::HashClient);
         let k = key("a.com");
-        cl.cache_mut(0).insert(
+        cl.member_mut(0).cache.insert(
             k.clone(),
             vec![rr("a.com", 100)],
             Timestamp::ZERO,
             InsertPriority::Normal,
         );
-        assert!(cl.cache_mut(0).get(&k, Timestamp::from_secs(1)).is_some());
+        assert!(cl.member_mut(0).cache.get(&k, Timestamp::from_secs(1)).is_some());
         cl.set_member_down(0);
         assert!(cl.member_is_down(0));
         assert!(cl.any_member_down());
         cl.restart_member_cold(0);
         assert!(!cl.any_member_down());
-        assert!(cl.cache_mut(0).get(&k, Timestamp::from_secs(2)).is_none(), "entries lost");
+        assert!(cl.member_mut(0).cache.get(&k, Timestamp::from_secs(2)).is_none(), "entries lost");
         assert_eq!(cl.total_stats().hits, 1, "counters survive the restart");
     }
 

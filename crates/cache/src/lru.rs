@@ -346,21 +346,6 @@ impl TtlLru {
         Some((entry.key, kind))
     }
 
-    /// Drops every entry whose TTL has lapsed at `now`; returns how many
-    /// were removed. Production resolvers do this lazily; the simulation
-    /// exposes it so long runs don't count stale entries in [`len`].
-    ///
-    /// [`len`]: TtlLru::len
-    pub fn purge_expired(&mut self, now: Timestamp) -> usize {
-        let before = self.index.len();
-        for id in 0..self.slots.len() as u32 {
-            if self.slots[id as usize].entry.as_ref().is_some_and(|e| e.expires <= now) {
-                self.remove_slot(id);
-            }
-        }
-        before - self.index.len()
-    }
-
     /// Stores `entry` in a vacant slot (or a new one), not yet on a list.
     fn occupy(&mut self, entry: Entry) -> u32 {
         let slot = Slot { entry: Some(entry), prev: NIL, next: NIL };
@@ -522,22 +507,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         // New TTL applies: live at t(30) (5 + 50 > 30).
         assert!(c.get(&key("a.com"), t(30)).is_some());
-    }
-
-    #[test]
-    fn purge_expired_shrinks_len() {
-        let mut c = TtlLru::new(8);
-        for (i, ttl) in [1u32, 2, 100, 200].iter().enumerate() {
-            c.insert(
-                key(&format!("d{i}.com")),
-                vec![rr("x.com", *ttl)],
-                t(0),
-                InsertPriority::Normal,
-            );
-        }
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.purge_expired(t(50)), 2);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

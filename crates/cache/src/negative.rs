@@ -63,11 +63,6 @@ impl NegativeCache {
         NegativeCache { enabled: false, ..NegativeCache::new(Ttl::ZERO) }
     }
 
-    /// Whether negative answers are being cached at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an NXDOMAIN for `name` observed at `now`.
     pub fn insert(&mut self, name: Name, now: Timestamp) {
         if !self.enabled || self.ttl.is_zero() {
@@ -145,7 +140,6 @@ mod tests {
         neg.insert(n("x.com"), t(0));
         assert!(!neg.contains(&n("x.com"), t(1)));
         assert_eq!(neg.len(), 0);
-        assert!(!neg.is_enabled());
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::net::Ipv4Addr;
 enum Op {
     Get { key: u8, at: u64 },
     Insert { key: u8, ttl: u32, at: u64, low: bool },
-    Purge { at: u64 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -18,7 +17,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), 0u64..1_000).prop_map(|(key, at)| Op::Get { key, at }),
         (any::<u8>(), 0u32..200, 0u64..1_000, any::<bool>())
             .prop_map(|(key, ttl, at, low)| Op::Insert { key, ttl, at, low }),
-        (0u64..1_000).prop_map(|at| Op::Purge { at }),
     ]
 }
 
@@ -100,19 +98,12 @@ impl NaiveLru {
         self.entries.push(NaiveEntry { key, answers: vec![rr(key, ttl)], expires, low });
         evicted
     }
-
-    fn purge_expired(&mut self, now: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.expires > now);
-        before - self.entries.len()
-    }
 }
 
 #[derive(Debug, Clone)]
 enum ModelOp {
     Lookup { key: u8, at: u64, stale_window: u64 },
     Insert { key: u8, ttl: u32, at: u64, low: bool },
-    Purge { at: u64 },
     Clear,
 }
 
@@ -135,7 +126,6 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
             .prop_map(|(key, ttl, at, low)| ModelOp::Insert { key, ttl, at, low }),
         (0u8..8, 0u32..40, 0u64..60, any::<bool>())
             .prop_map(|(key, ttl, at, low)| ModelOp::Insert { key, ttl, at, low }),
-        (0u64..60).prop_map(|at| ModelOp::Purge { at }),
         Just(ModelOp::Clear),
     ]
 }
@@ -162,10 +152,6 @@ proptest! {
                     let prio = if low { InsertPriority::Low } else { InsertPriority::Normal };
                     let got = cache.insert(key(k), vec![rr(k, ttl)], Timestamp::from_secs(at), prio);
                     prop_assert_eq!(got, model.insert(k, ttl, at, low), "step {}", step);
-                }
-                ModelOp::Purge { at } => {
-                    let got = cache.purge_expired(Timestamp::from_secs(at));
-                    prop_assert_eq!(got, model.purge_expired(at), "step {}", step);
                 }
                 ModelOp::Clear => {
                     cache.clear_entries();
@@ -199,10 +185,6 @@ proptest! {
                     let prio = if low { InsertPriority::Low } else { InsertPriority::Normal };
                     cache.insert(key(k), vec![rr(k, ttl)], Timestamp::from_secs(now), prio);
                 }
-                Op::Purge { at } => {
-                    now = now.max(at);
-                    cache.purge_expired(Timestamp::from_secs(now));
-                }
             }
             prop_assert!(cache.len() <= cap);
         }
@@ -234,10 +216,6 @@ proptest! {
                         expiry_oracle.insert(k, now + u64::from(ttl));
                     }
                 }
-                Op::Purge { at } => {
-                    now = now.max(at);
-                    cache.purge_expired(Timestamp::from_secs(now));
-                }
             }
         }
     }
@@ -259,10 +237,6 @@ proptest! {
                     now = now.max(at);
                     let prio = if low { InsertPriority::Low } else { InsertPriority::Normal };
                     cache.insert(key(k), vec![rr(k, ttl)], Timestamp::from_secs(now), prio);
-                }
-                Op::Purge { at } => {
-                    now = now.max(at);
-                    cache.purge_expired(Timestamp::from_secs(now));
                 }
             }
         }

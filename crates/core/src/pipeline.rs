@@ -42,17 +42,6 @@ impl DailyPipeline {
         }
     }
 
-    /// Overrides the training-set selection parameters (before the first
-    /// `run_day`).
-    pub fn set_training(&mut self, training: TrainingSetBuilder) {
-        self.training = training;
-    }
-
-    /// Whether the classifier has been trained yet.
-    pub fn is_trained(&self) -> bool {
-        self.miner.is_some()
-    }
-
     /// Access to the trained miner, once available.
     pub fn miner(&self) -> Option<&Miner> {
         self.miner.as_ref()
@@ -62,6 +51,7 @@ impl DailyPipeline {
     /// train-once-offline, deploy-streaming handoff: train on seed days
     /// with the batch pipeline, then drive `dnsnoise-stream` with the
     /// resulting model.
+    // lint:allow(dead-api): the stream tests' model handoff (tests/{conservation,determinism,golden_stream,stream_fidelity}.rs, crates/stream/tests/checkpoint_resume.rs)
     pub fn into_miner(self) -> Option<Miner> {
         self.miner
     }
@@ -118,7 +108,7 @@ mod tests {
         let scenario = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.15), 21);
         let mut pipeline = DailyPipeline::new(MinerConfig::default());
         let report = pipeline.run_day(&scenario, 0);
-        assert!(pipeline.is_trained());
+        assert!(pipeline.miner().is_some());
         assert!(report.eligible_disposable > 20, "eligible {}", report.eligible_disposable);
         // In-sample day: the paper reports 97% TPR / 1% FPR out-of-fold;
         // require solid-but-looser bounds here.

@@ -149,6 +149,7 @@ impl DomainTree {
     }
 
     /// Whether the node for `name` exists and is black.
+    // lint:allow(dead-api): crates/core/tests/proptests.rs reads the tree's colouring through it
     pub fn is_black(&self, name: &Name) -> bool {
         self.node_of(name).is_some_and(|id| self.arena[id].black)
     }

@@ -154,6 +154,7 @@ pub struct Message {
 
 impl Message {
     /// Builds a query message.
+    // lint:allow(dead-api): crates/dns/tests/name_allocs.rs encodes its query with it
     pub fn query(id: u16, question: Question) -> Self {
         Message {
             id,
@@ -187,6 +188,7 @@ impl Message {
 
     /// Builds an NXDOMAIN response carrying the zone's SOA in the
     /// authority section, as RFC 2308 negative responses do.
+    // lint:allow(dead-api): tests/pdns_wire.rs builds its NXDOMAIN packets with it
     pub fn negative_response(id: u16, question: Question, soa: Record) -> Self {
         let mut msg = Message::response(id, question, Rcode::NxDomain, Vec::new());
         msg.authority.push(soa);
@@ -204,12 +206,6 @@ impl Message {
             _ => None,
         })
     }
-
-    /// `true` when the response successfully resolved the name (NOERROR
-    /// with at least one answer) — the paper's "resolved domain" notion.
-    pub fn is_successful_resolution(&self) -> bool {
-        self.is_response && self.rcode == Rcode::NoError && !self.answers.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +213,6 @@ mod tests {
     use super::*;
     use crate::record::RData;
     use crate::time::Ttl;
-    use std::net::Ipv4Addr;
 
     fn q() -> Question {
         Question::new("www.example.com".parse().unwrap(), QType::A)
@@ -262,25 +257,5 @@ mod tests {
         // Responses without an SOA expose no negative TTL.
         let plain = Message::response(5, q(), Rcode::NxDomain, vec![]);
         assert_eq!(plain.negative_ttl(), None);
-    }
-
-    #[test]
-    fn successful_resolution_requires_answers() {
-        let empty = Message::response(1, q(), Rcode::NoError, vec![]);
-        assert!(!empty.is_successful_resolution());
-        let nx = Message::response(1, q(), Rcode::NxDomain, vec![]);
-        assert!(!nx.is_successful_resolution());
-        let ok = Message::response(
-            1,
-            q(),
-            Rcode::NoError,
-            vec![Record::new(
-                "www.example.com".parse().unwrap(),
-                QType::A,
-                Ttl::from_secs(60),
-                RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-            )],
-        );
-        assert!(ok.is_successful_resolution());
     }
 }

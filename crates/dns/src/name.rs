@@ -334,11 +334,6 @@ impl Name {
         Labels { text: &self.text }
     }
 
-    /// The leftmost (deepest) label, if any.
-    pub fn leftmost(&self) -> Option<&str> {
-        self.labels().iter().next()
-    }
-
     /// The rightmost label — the lexical TLD (`com` for `www.example.com`).
     ///
     /// Note that the *effective* TLD of the paper (which treats `co.uk` as
@@ -441,12 +436,6 @@ impl Name {
     /// labels joined by `b'.'`, `b"."` for the root.
     pub fn presentation_bytes(&self) -> impl Iterator<Item = u8> + '_ {
         self.as_str().bytes()
-    }
-
-    /// Number of `.` separators in the presentation form. The paper reports
-    /// "on average, there are 7 periods in disposable domains".
-    pub fn period_count(&self) -> usize {
-        self.depth().saturating_sub(1)
     }
 }
 
@@ -568,7 +557,7 @@ mod tests {
     #[test]
     fn period_count_and_len() {
         let d = n("0.0.0.0.1.0.0.4e.13cfus2drmdq3j8cafidezr8l6.avqs.mcafee.com");
-        assert_eq!(d.period_count(), 11); // as stated in §IV-A for avqs.mcafee.com
+        assert_eq!(d.depth(), 12); // 11 periods, as stated in §IV-A for avqs.mcafee.com
         assert_eq!(d.presentation_len(), d.to_string().len());
         assert_eq!(Name::root().presentation_len(), 1);
     }

@@ -101,11 +101,6 @@ impl DnssecCostModel {
         &self.stats
     }
 
-    /// Number of distinct cached signatures.
-    pub fn cached_signatures(&self) -> usize {
-        self.sig_cache.len()
-    }
-
     /// Modelled RRSIG cache memory in bytes.
     pub fn signature_cache_bytes(&self) -> u64 {
         (self.sig_cache.len() * self.config.rrsig_bytes) as u64
@@ -176,7 +171,7 @@ mod tests {
         assert_eq!(model.stats().signature_validations, 100);
         // Same zone keys stay cached after the first chain build.
         assert_eq!(model.stats().chain_validations, 1);
-        assert_eq!(model.cached_signatures(), 100);
+        assert_eq!(model.sig_cache.len(), 100);
     }
 
     #[test]
@@ -200,7 +195,7 @@ mod tests {
         // One real validation; the other 99 reuse the wildcard signature.
         assert_eq!(model.stats().signature_validations, 1);
         assert_eq!(model.stats().validations_reused, 99);
-        assert_eq!(model.cached_signatures(), 1);
+        assert_eq!(model.sig_cache.len(), 1);
     }
 
     #[test]
@@ -210,7 +205,7 @@ mod tests {
         let mut model = DnssecCostModel::new(cfg);
         model.validate_upstream_answer(&[rr("a.b.z.example.com")], t(0)); // depth 5: no match
         model.validate_upstream_answer(&[rr("c.z.example.com")], t(1)); // depth 4: match
-        assert_eq!(model.cached_signatures(), 2);
+        assert_eq!(model.sig_cache.len(), 2);
     }
 
     #[test]

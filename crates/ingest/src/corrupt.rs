@@ -48,6 +48,7 @@ fn flip_bursts_rng(data: &mut [u8], fraction: f64, rng: &mut StdRng) {
 
 /// Removes the final `fraction` of `data` (at least one byte when the
 /// fraction is positive), modeling a capture cut off mid-frame.
+// lint:allow(dead-api): damage model of crates/ingest/tests/{robustness,window}.rs
 pub fn truncate_tail(data: &mut Vec<u8>, fraction: f64) {
     if data.is_empty() || fraction <= 0.0 {
         return;
@@ -67,6 +68,7 @@ pub enum SpliceKind {
 }
 
 /// Applies one splice of at most `max_span` bytes at a seeded position.
+// lint:allow(dead-api): damage model of crates/ingest/tests/robustness.rs
 pub fn splice(data: &mut Vec<u8>, kind: SpliceKind, max_span: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     if data.len() < 2 || max_span == 0 {

@@ -151,12 +151,6 @@ impl FrameScanner {
         self.probe.unwrap_or(self.pos)
     }
 
-    /// Whether the scanner has reached the end of the capture (cleanly or
-    /// via a terminal quarantine).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Advances to and returns the next data frame, accounting control
     /// frames, resyncs, and tail quarantines in `report` along the way.
     /// [`Step::End`] at end of capture, and on every call after that

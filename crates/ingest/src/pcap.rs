@@ -217,11 +217,6 @@ impl PcapScanner {
         self.probe.unwrap_or(self.pos)
     }
 
-    /// Whether the scanner has reached the end of the capture.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Advances to and returns the next record extent, accounting resyncs
     /// and tail quarantines in `report` along the way. [`Step::End`] at end
     /// of capture, and on every call after that without touching the

@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod deadapi;
 pub mod diag;
 pub mod lexer;
 pub mod nopanic;
@@ -247,9 +248,9 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 }
 
 /// Lints an in-memory file set: the per-file token rules plus the
-/// whole-set `no-panic` certification pass (which needs every file at
-/// once to build the symbol table and call graph). Returns diagnostics
-/// sorted by path, line, column.
+/// whole-set passes, `no-panic` certification and `dead-api` (which need
+/// every file at once to build the symbol table and call graph). Returns
+/// diagnostics sorted by path, line, column.
 pub fn lint_files(
     files: &[(String, String)],
     allowlist: &[AllowlistEntry],
@@ -259,8 +260,9 @@ pub fn lint_files(
     for (rel, source) in files {
         diags.extend(lint_source(rel, source, allowlist));
     }
-    let (cert_diags, _stats) = nopanic::analyze(files, allowlist, std_allow);
-    diags.extend(cert_diags);
+    let prepared = nopanic::prepare(files);
+    diags.extend(nopanic::certify(&prepared, allowlist, std_allow).0);
+    diags.extend(deadapi::analyze(&prepared, allowlist));
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     diags
 }

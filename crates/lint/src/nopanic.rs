@@ -140,10 +140,88 @@ pub struct CertStats {
 }
 
 /// One file prepared for whole-workspace analysis.
-struct Prepared {
-    rel: String,
-    lexed: Lexed,
-    parsed: ParsedFile,
+pub(crate) struct Prepared {
+    pub(crate) rel: String,
+    pub(crate) lexed: Lexed,
+    pub(crate) parsed: ParsedFile,
+}
+
+/// A fn as `(file index, fn index)` into a prepared file set.
+pub(crate) type FnId = (usize, usize);
+
+/// The workspace symbol table: non-test fns by name, and by `Self` type
+/// then name.
+pub(crate) struct Symbols<'a> {
+    by_name: HashMap<&'a str, Vec<FnId>>,
+    by_type: HashMap<&'a str, HashMap<&'a str, Vec<FnId>>>,
+}
+
+impl<'a> Symbols<'a> {
+    pub(crate) fn new(prepared: &'a [Prepared]) -> Self {
+        let mut symbols = Symbols { by_name: HashMap::new(), by_type: HashMap::new() };
+        for (fi, p) in prepared.iter().enumerate() {
+            for (k, f) in p.parsed.fns.iter().enumerate().filter(|(_, f)| !f.in_test) {
+                symbols.by_name.entry(f.name.as_str()).or_default().push((fi, k));
+                if let Some(ty) = &f.impl_type {
+                    let of_type = symbols.by_type.entry(ty.as_str()).or_default();
+                    of_type.entry(f.name.as_str()).or_default().push((fi, k));
+                }
+            }
+        }
+        symbols
+    }
+
+    /// Every fn called `name`.
+    pub(crate) fn named(&self, name: &str) -> Option<&[FnId]> {
+        self.by_name.get(name).map(Vec::as_slice)
+    }
+
+    /// The fns called `name` in an `impl`/`trait` block for `ty`.
+    pub(crate) fn typed(&self, ty: &str, name: &str) -> Option<&[FnId]> {
+        self.by_type.get(ty)?.get(name).map(Vec::as_slice)
+    }
+}
+
+/// Lexes and parses a file set once for the whole-workspace passes.
+pub(crate) fn prepare(files: &[(String, String)]) -> Vec<Prepared> {
+    files
+        .iter()
+        .map(|(rel, source)| {
+            let lexed = lexer::lex(source);
+            let is_test_file = rel.starts_with("tests/") || rel.contains("/tests/");
+            let parsed = parser::parse(&lexed, is_test_file);
+            Prepared { rel: rel.clone(), lexed, parsed }
+        })
+        .collect()
+}
+
+/// Drops the findings an inline allow or the committed allowlist waives,
+/// exactly as for every per-file rule.
+pub(crate) fn suppress(
+    diags: &mut Vec<Diagnostic>,
+    prepared: &[Prepared],
+    allowlist: &[AllowlistEntry],
+) {
+    let by_rel: HashMap<&str, usize> =
+        prepared.iter().enumerate().map(|(i, p)| (p.rel.as_str(), i)).collect();
+    let mut allows_cache: HashMap<usize, Vec<crate::InlineAllow>> = HashMap::new();
+    diags.retain(|d| {
+        let listed = allowlist
+            .iter()
+            .any(|e| e.rule == d.rule && d.file.starts_with(e.path_prefix.as_str()));
+        if listed {
+            return false;
+        }
+        let Some(&fi) = by_rel.get(d.file.as_str()) else {
+            return true;
+        };
+        let allows = allows_cache
+            .entry(fi)
+            .or_insert_with(|| crate::parse_allows(&d.file, &prepared[fi].lexed.comments).0);
+        !allows
+            .iter()
+            .any(|a| a.rule == d.rule && crate::allow_covers(&prepared[fi].lexed, a.line, d.line))
+    });
 }
 
 /// What a body scan found: either a construct violation at a location,
@@ -170,35 +248,21 @@ pub fn analyze(
     allowlist: &[AllowlistEntry],
     std_allow: &StdAllow,
 ) -> (Vec<Diagnostic>, CertStats) {
-    let prepared: Vec<Prepared> = files
-        .iter()
-        .map(|(rel, source)| {
-            let lexed = lexer::lex(source);
-            let is_test_file = rel.starts_with("tests/") || rel.contains("/tests/");
-            let parsed = parser::parse(&lexed, is_test_file);
-            Prepared { rel: rel.clone(), lexed, parsed }
-        })
-        .collect();
+    certify(&prepare(files), allowlist, std_allow)
+}
 
-    // Workspace symbol table over non-test fns.
-    let mut by_name: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    let mut by_type: HashMap<(&str, &str), Vec<(usize, usize)>> = HashMap::new();
-    for (fi, p) in prepared.iter().enumerate() {
-        for (k, f) in p.parsed.fns.iter().enumerate() {
-            if f.in_test {
-                continue;
-            }
-            by_name.entry(f.name.as_str()).or_default().push((fi, k));
-            if let Some(ty) = &f.impl_type {
-                by_type.entry((ty.as_str(), f.name.as_str())).or_default().push((fi, k));
-            }
-        }
-    }
+/// [`analyze`] over files already prepared.
+pub(crate) fn certify(
+    prepared: &[Prepared],
+    allowlist: &[AllowlistEntry],
+    std_allow: &StdAllow,
+) -> (Vec<Diagnostic>, CertStats) {
+    let symbols = Symbols::new(prepared);
 
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     // Marker hygiene: a marker that certifies nothing is itself a bug.
-    for p in &prepared {
+    for p in prepared {
         for marker in &p.parsed.markers {
             if !marker.arg_ok {
                 diags.push(marker_diag(
@@ -271,7 +335,7 @@ pub fn analyze(
                     zone: zone.clone(),
                     chain: via.clone(),
                 }),
-                Found::Call(call) => match resolve(&call, f, &mut std, &by_name, &by_type) {
+                Found::Call(call) => match resolve(&call, f, &mut std, &symbols) {
                     Resolution::Total => {}
                     Resolution::Workspace(targets) => {
                         for tgt in targets {
@@ -297,28 +361,7 @@ pub fn analyze(
         }
     }
 
-    // Inline allows and the committed allowlist apply to certification
-    // findings exactly like every other rule.
-    let by_rel: HashMap<&str, usize> =
-        prepared.iter().enumerate().map(|(i, p)| (p.rel.as_str(), i)).collect();
-    let mut allows_cache: HashMap<usize, Vec<crate::InlineAllow>> = HashMap::new();
-    diags.retain(|d| {
-        let listed = allowlist
-            .iter()
-            .any(|e| e.rule == d.rule && d.file.starts_with(e.path_prefix.as_str()));
-        if listed {
-            return false;
-        }
-        let Some(&fi) = by_rel.get(d.file.as_str()) else {
-            return true;
-        };
-        let allows = allows_cache
-            .entry(fi)
-            .or_insert_with(|| crate::parse_allows(&d.file, &prepared[fi].lexed.comments).0);
-        !allows
-            .iter()
-            .any(|a| a.rule == d.rule && crate::allow_covers(&prepared[fi].lexed, a.line, d.line))
-    });
+    suppress(&mut diags, prepared, allowlist);
 
     let mut stale_std_entries: Vec<String> =
         std_allow.entries.iter().filter(|e| !std.used.contains(e.as_str())).cloned().collect();
@@ -646,7 +689,7 @@ fn scan_body(
 /// turbofish (`Vec::<u8>::new`) to the real segment; an unrecognisable
 /// path shape yields `Some("<expr>")` so resolution fails loudly rather
 /// than silently treating it as a bare call.
-fn path_qualifier(t: &[Token], idx: usize) -> Option<String> {
+pub(crate) fn path_qualifier(t: &[Token], idx: usize) -> Option<String> {
     if idx < 2 || !t[idx - 1].is_punct(':') || !t[idx - 2].is_punct(':') {
         return None;
     }
@@ -686,7 +729,7 @@ enum Resolution {
     /// Known-total: std allowlist, constructor, or local closure.
     Total,
     /// Resolved to workspace fns — all of them join the zone.
-    Workspace(Vec<(usize, usize)>),
+    Workspace(Vec<FnId>),
     /// Cannot be resolved: a violation at the call site.
     Unresolved(String),
 }
@@ -695,8 +738,7 @@ fn resolve(
     call: &Call,
     caller: &FnItem,
     std: &mut StdLookup<'_>,
-    by_name: &HashMap<&str, Vec<(usize, usize)>>,
-    by_type: &HashMap<(&str, &str), Vec<(usize, usize)>>,
+    symbols: &Symbols<'_>,
 ) -> Resolution {
     let name = call.name.as_str();
     // Uppercase initial = tuple-struct / enum-variant constructor
@@ -711,15 +753,15 @@ fn resolve(
         } else {
             qual.as_str()
         };
-        if let Some(targets) = by_type.get(&(ty, name)) {
-            return Resolution::Workspace(targets.clone());
+        if let Some(targets) = symbols.typed(ty, name) {
+            return Resolution::Workspace(targets.to_vec());
         }
         if std.allows(&format!("{ty}::{name}")) || std.allows(name) {
             return Resolution::Total;
         }
         // Module-qualified free fn (`io::atomic_write`, `keys::decode_rdata`).
-        if let Some(targets) = by_name.get(name) {
-            return Resolution::Workspace(targets.clone());
+        if let Some(targets) = symbols.named(name) {
+            return Resolution::Workspace(targets.to_vec());
         }
         Resolution::Unresolved(format!(
             "cannot resolve `{qual}::{name}` — not in {CERTIFIED_STD_FILE} and not in the \
@@ -731,16 +773,16 @@ fn resolve(
         if std.allows(name) {
             return Resolution::Total;
         }
-        if let Some(targets) = by_name.get(name) {
-            return Resolution::Workspace(targets.clone());
+        if let Some(targets) = symbols.named(name) {
+            return Resolution::Workspace(targets.to_vec());
         }
         Resolution::Unresolved(format!(
             "cannot resolve method `.{name}()` — not in {CERTIFIED_STD_FILE} and not in the \
              workspace symbol table"
         ))
     } else {
-        if let Some(targets) = by_name.get(name) {
-            return Resolution::Workspace(targets.clone());
+        if let Some(targets) = symbols.named(name) {
+            return Resolution::Workspace(targets.to_vec());
         }
         if std.allows(name) {
             return Resolution::Total;

@@ -42,6 +42,12 @@ pub struct FnItem {
     /// Whether the fn lives in test code (`tests/` file or a
     /// `#[cfg(test)]` region).
     pub in_test: bool,
+    /// Whether the fn is declared plain `pub` (`pub(crate)` and
+    /// narrower are not).
+    pub is_pub: bool,
+    /// Whether the fn sits in a `trait` body or an `impl Trait for Type`
+    /// block.
+    pub in_trait: bool,
 }
 
 impl FnItem {
@@ -73,6 +79,16 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// All certification markers (for dangling-marker diagnostics).
     pub markers: Vec<Marker>,
+    /// Token spans `[lo, hi)` of test code: the whole file for a
+    /// `tests/` file, else its `#[cfg(test)]` items.
+    test_spans: Vec<(usize, usize)>,
+}
+
+impl ParsedFile {
+    /// Whether token `i` lies in test code.
+    pub fn in_test(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|&(lo, hi)| i >= lo && i < hi)
+    }
 }
 
 /// Token-index spans `[lo, hi)` of `#[cfg(test)] mod … { … }` bodies.
@@ -142,8 +158,10 @@ fn skip_balanced(t: &[Token], idx: usize, open: char, close: char) -> usize {
 /// Recovers the `Self` type name of an `impl`/`trait` header starting at
 /// the keyword token `kw_idx`: the last path segment before the body
 /// brace, restarting the capture after `for` (so `impl Trait for Type`
-/// yields `Type`).
-fn impl_self_type(t: &[Token], kw_idx: usize) -> Option<String> {
+/// yields `Type`). The flag says whether the header names a trait: a
+/// `trait` keyword or an `impl … for`.
+fn impl_self_type(t: &[Token], kw_idx: usize) -> (Option<String>, bool) {
+    let mut of_trait = t[kw_idx].is_ident("trait");
     let mut j = kw_idx + 1;
     if t.get(j).is_some_and(|x| x.is_punct('<')) {
         j = skip_balanced(t, j, '<', '>');
@@ -156,6 +174,7 @@ fn impl_self_type(t: &[Token], kw_idx: usize) -> Option<String> {
         }
         if tok.is_ident("for") {
             last = None;
+            of_trait = true;
             j += 1;
             continue;
         }
@@ -174,7 +193,7 @@ fn impl_self_type(t: &[Token], kw_idx: usize) -> Option<String> {
         }
         j += 1;
     }
-    last
+    (last, of_trait)
 }
 
 /// Whether `impl`/`trait` at `idx` opens an item (vs. `-> impl Trait` /
@@ -193,20 +212,33 @@ fn is_item_container(t: &[Token], idx: usize) -> bool {
     }
 }
 
+/// Whether the `fn` keyword at `fn_idx` follows a plain `pub`, past any
+/// `const`/`unsafe`/`async`/`extern "abi"` qualifiers.
+fn is_plain_pub(t: &[Token], fn_idx: usize) -> bool {
+    let mut j = fn_idx;
+    while let Some(prev) = j.checked_sub(1).and_then(|p| t.get(p)) {
+        let qualifier = ["const", "unsafe", "async", "extern"].iter().any(|q| prev.is_ident(q))
+            || prev.kind == TokenKind::Str;
+        if !qualifier {
+            return prev.is_ident("pub");
+        }
+        j -= 1;
+    }
+    false
+}
+
 /// Parses one lexed file into its `fn` items and certification markers.
 /// `is_test_file` marks every fn as test code (integration-test files).
 pub fn parse(lexed: &Lexed, is_test_file: bool) -> ParsedFile {
     let t = &lexed.tokens;
-    let test_regions = cfg_test_regions(t);
-    let in_test = |i: usize| is_test_file || test_regions.iter().any(|&(lo, hi)| i >= lo && i < hi);
-
-    let mut out = ParsedFile::default();
+    let test_spans = if is_test_file { vec![(0, t.len())] } else { cfg_test_regions(t) };
+    let mut out = ParsedFile { test_spans, ..ParsedFile::default() };
     // Frames annotate what each `{` opened so fn bodies and container
     // spans close at the matching `}`.
     enum Frame {
-        Fn(usize, usize),          // (fns index, open brace token index)
-        Container(Option<String>), // impl/trait Self type; None for mod
-        Mod(usize, usize),         // (mods index, open brace token index)
+        Fn(usize, usize),                // (fns index, open brace token index)
+        Container(Option<String>, bool), // impl/trait Self type, and whether of a trait
+        Mod(usize, usize),               // (mods index, open brace token index)
         Other,
     }
     // `mod` blocks by keyword token index, with their brace spans, for
@@ -217,16 +249,15 @@ pub fn parse(lexed: &Lexed, is_test_file: bool) -> ParsedFile {
     let mut pending_depth = 0usize;
     let mut depth = 0usize; // parens + brackets
 
-    let enclosing_type = |stack: &[Frame]| -> Option<String> {
+    let enclosing_type = |stack: &[Frame]| -> (Option<String>, bool) {
         for frame in stack.iter().rev() {
             match frame {
-                Frame::Fn(..) => return None,
-                Frame::Container(ty) => return ty.clone(),
-                Frame::Mod(..) => return None,
+                Frame::Fn(..) | Frame::Mod(..) => break,
+                Frame::Container(ty, of_trait) => return (ty.clone(), *of_trait),
                 Frame::Other => {}
             }
         }
-        None
+        (None, false)
     };
 
     for i in 0..t.len() {
@@ -273,22 +304,27 @@ pub fn parse(lexed: &Lexed, is_test_file: bool) -> ParsedFile {
             "fn" if t.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident) => {
                 let name_tok = &t[i + 1];
                 let k = out.fns.len();
+                let (impl_type, in_trait) = enclosing_type(&stack);
+                let in_test = out.in_test(i);
                 out.fns.push(FnItem {
                     name: name_tok.text.clone(),
-                    impl_type: enclosing_type(&stack),
+                    impl_type,
                     line: tok.line,
                     col: tok.col,
                     fn_idx: i,
                     sig_end: t.len(),
                     body: None,
                     certified_root: false,
-                    in_test: in_test(i),
+                    in_test,
+                    is_pub: is_plain_pub(t, i),
+                    in_trait,
                 });
                 pending = Some(Frame::Fn(k, i));
                 pending_depth = depth;
             }
             "impl" | "trait" if is_item_container(t, i) => {
-                pending = Some(Frame::Container(impl_self_type(t, i)));
+                let (ty, of_trait) = impl_self_type(t, i);
+                pending = Some(Frame::Container(ty, of_trait));
                 pending_depth = depth;
             }
             "mod"
@@ -494,6 +530,27 @@ mod tests {
         let p = parse_src("fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n");
         assert!(!p.fns.iter().find(|f| f.name == "prod").unwrap().in_test);
         assert!(p.fns.iter().find(|f| f.name == "helper").unwrap().in_test);
+    }
+
+    #[test]
+    fn visibility_and_trait_membership_are_recovered() {
+        let p = parse_src(
+            "pub const fn a() {}\npub(crate) fn b() {}\nfn c() {}\n\
+             impl S {\n    pub unsafe fn d() {}\n}\n\
+             impl<T> Tr for S<T> {\n    fn e() {}\n}\ntrait Tr {\n    fn f();\n}\n",
+        );
+        let flags: Vec<_> = p.fns.iter().map(|f| (f.name.as_str(), f.is_pub, f.in_trait)).collect();
+        assert_eq!(
+            flags,
+            [
+                ("a", true, false),
+                ("b", false, false),
+                ("c", false, false),
+                ("d", true, false),
+                ("e", false, true),
+                ("f", false, true),
+            ]
+        );
     }
 
     #[test]

@@ -50,7 +50,8 @@ use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Every rule id the linter knows (excluding the meta `bad-allow`).
 /// `no-panic` / `no-panic-call` are the certification family implemented
-/// in [`crate::nopanic`]; they are listed here so `lint:allow` and the
+/// in [`crate::nopanic`], and `dead-api` is the whole-workspace
+/// reachability pass; they are listed here so `lint:allow` and the
 /// committed allowlist validate against them.
 pub const RULES: &[&str] = &[
     "hash-iter",
@@ -61,6 +62,7 @@ pub const RULES: &[&str] = &[
     "fs-direct-write",
     "no-panic",
     "no-panic-call",
+    "dead-api",
 ];
 
 const ITER_METHODS: &[&str] = &[

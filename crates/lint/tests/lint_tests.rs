@@ -184,7 +184,7 @@ fn binary_flags_a_bad_workspace_and_accepts_a_fixed_one() {
     std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+        "fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
     )
     .unwrap();
 
@@ -224,14 +224,18 @@ fn binary_rejects_unknown_arguments() {
 
 /// Runs the full pipeline (path rules + certification pass) over
 /// fixtures at synthetic non-test paths, against the committed std
-/// allowlist so fixture expectations track the reviewed entries.
+/// allowlist so fixture expectations track the reviewed entries. The
+/// fixture sets hold no binary, so every `pub fn` in them is dead API;
+/// those findings are `dead-api`'s own fixture's business.
 fn lint_nopanic_fixtures(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files: Vec<(String, String)> = files
         .iter()
         .map(|(name, src)| (format!("crates/fake/src/{name}"), src.to_string()))
         .collect();
-    lint_files(&files, &[], &load_std_allow(&root))
+    let mut diags = lint_files(&files, &[], &load_std_allow(&root));
+    diags.retain(|d| d.rule != "dead-api");
+    diags
 }
 
 #[test]
@@ -328,6 +332,45 @@ fn std_entries_no_zone_consults_are_reported_stale() {
     let (diags, stats) = dnsnoise_lint::nopanic::analyze(&files, &[], &std_allow);
     assert!(diags.is_empty(), "{diags:#?}");
     assert_eq!(stats.stale_std_entries, ["last", "vec!"]);
+}
+
+// --- dead-api reachability fixture ---------------------------------------
+
+/// Lints the `dead-api` fixture: `tool` as the one root binary, the
+/// fixture library, and one integration test calling `Lib::tested`.
+fn lint_dead_api_fixture(tool: &str) -> Vec<Diagnostic> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = [
+        ("src/bin/tool.rs", tool),
+        ("crates/fake/src/lib.rs", include_str!("fixtures/dead_api_lib.rs")),
+        ("crates/fake/tests/t.rs", "use fake::Lib;\n\n#[test]\nfn t() {\n    Lib::tested();\n}\n"),
+    ];
+    let files: Vec<(String, String)> =
+        files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
+    lint_files(&files, &[], &load_std_allow(&root))
+}
+
+#[test]
+fn dead_api_flags_only_what_no_root_reaches() {
+    let lib = include_str!("fixtures/dead_api_lib.rs");
+    let tool = include_str!("fixtures/dead_api_tool.rs");
+    let diags = lint_dead_api_fixture(tool);
+    assert_eq!(rules_fired(&diags), ["dead-api"]);
+    assert!(diags.iter().all(|d| d.file == "crates/fake/src/lib.rs"), "{diags:#?}");
+    check_against_markers(lib, "dead-api", &diags);
+    let message = |name: &str| {
+        let d = diags.iter().find(|d| d.message.starts_with(&format!("pub fn Lib::{name}:")));
+        d.map(|d| d.message.clone()).unwrap_or_else(|| panic!("no finding for {name}: {diags:#?}"))
+    };
+    assert!(!message("dead").contains("tests call it"), "{diags:#?}");
+    assert!(message("tested").ends_with("; only tests call it"), "{diags:#?}");
+
+    // Without the root's call, the fn it called is dead too.
+    let cut = tool.replace("total + Lib::called()", "total");
+    assert_ne!(cut, tool);
+    let diags = lint_dead_api_fixture(&cut);
+    assert_eq!(diags.len(), 3, "{diags:#?}");
+    assert!(diags.iter().any(|d| d.message.starts_with("pub fn Lib::called:")), "{diags:#?}");
 }
 
 // --- the workspace holds itself to its own rules --------------------------

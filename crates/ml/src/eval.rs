@@ -66,16 +66,6 @@ impl ConfusionMatrix {
             self.tp as f64 / pp as f64
         }
     }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.tp + self.fp + self.tn + self.fn_;
-        if total == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
 }
 
 /// An ROC curve over out-of-fold scores.
@@ -235,7 +225,6 @@ mod tests {
         assert_eq!(m.tpr(), 0.5);
         assert_eq!(m.fpr(), 0.5);
         assert_eq!(m.precision(), 0.5);
-        assert_eq!(m.accuracy(), 0.5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! composite keys, answering a point lookup in about one slot read.
 //!
 //! Each slot is one `u64`: the high 32 bits of the key's hash (its
-//! *fingerprint*) over the entry's position in the run, or [`EMPTY`].
+//! *fingerprint*) over the entry's position in the run, or `EMPTY`.
 //! The table has a power-of-two length of at least twice the run's
 //! entry count (load factor ≤ 0.5, so ≤ 32 B per entry) and is probed
 //! linearly from the slot the hash's low bits name. A probe skips slots
@@ -10,11 +10,11 @@
 //! confirms a fingerprint match with one exact composite compare.
 //!
 //! Hostile keys cannot make a probe unbounded: the build places an entry
-//! only within [`MAX_PROBE`] slots of its home slot, and *spills* one
+//! only within `MAX_PROBE` slots of its home slot, and *spills* one
 //! that finds no free slot there. A probe therefore reads at most
-//! [`MAX_PROBE`] slots. Reaching an empty slot proves absence (the
+//! `MAX_PROBE` slots. Reaching an empty slot proves absence (the
 //! missing key would have been placed before it); only a window that is
-//! full in a table that spilled leaves the answer [`Probe::Unsure`], and
+//! full in a table that spilled leaves the answer `Probe::Unsure`, and
 //! the caller then binary-searches the sorted columns.
 //!
 //! Determinism: the hash is a fixed function of the key bytes and the

@@ -59,12 +59,14 @@ pub mod failpoints {
     /// every site after it) fails. `torn` makes the tripped site, if it
     /// is a write, leave a half-written file behind. Arm with
     /// `u64::MAX` to count sites without failing any.
+    // lint:allow(dead-api): the fault injector of crates/pdns/tests/crash_recovery.rs
     pub fn arm(trip_at: u64, torn: bool) {
         PLAN.with(|p| p.set(Some(Plan { trip_at, torn, visited: 0, dead: false })));
     }
 
     /// Disarms the injector and returns how many IO sites were visited
     /// while armed.
+    // lint:allow(dead-api): the fault injector of crates/pdns/tests/{crash_recovery,store_dir}.rs
     pub fn disarm() -> u64 {
         PLAN.with(|p| p.take()).map_or(0, |plan| plan.visited)
     }

@@ -269,17 +269,10 @@ pub fn encode_key(name: &Name, qtype: QType, rdata: &RData) -> CompositeKey {
     (encode_name(name), qtype.code(), encode_rdata(rdata))
 }
 
-/// Decodes a composite key back into an [`RrKey`]. Total — see
-/// [`decode_key_parts`].
-// lint:certify(no-panic)
-pub fn decode_key(key: &CompositeKey) -> Result<RrKey, String> {
-    decode_key_parts(&key.0, key.1, &key.2)
-}
-
-/// [`decode_key`] over borrowed columns — scans decode straight out of a
-/// run's byte buffers without materialising an owned composite key.
-/// Total: malformed columns and unknown qtype codes are `Err`, never a
-/// panic.
+/// Decodes a key's columns back into an [`RrKey`] — scans decode
+/// straight out of a run's byte buffers without materialising an owned
+/// composite key. Total: malformed columns and unknown qtype codes are
+/// `Err`, never a panic.
 // lint:certify(no-panic)
 pub fn decode_key_parts(name: &[u8], qtype: u16, rdata: &[u8]) -> Result<RrKey, String> {
     Ok(RrKey {
@@ -370,7 +363,7 @@ pub(crate) mod tests {
             rdata: RData::A(Ipv4Addr::new(203, 0, 113, 9)),
         };
         let enc = encode_key(&key.name, key.qtype, &key.rdata);
-        let back = decode_key(&enc).unwrap();
+        let back = decode_key_parts(&enc.0, enc.1, &enc.2).unwrap();
         assert_eq!(back, key);
         assert_eq!(back.storage_bytes(), key.storage_bytes());
     }

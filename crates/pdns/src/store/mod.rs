@@ -5,7 +5,7 @@
 //! zone-subtree scans, and expose the daily new/repeated counters and
 //! the modelled storage footprint. Two backends implement it:
 //!
-//! * [`RpDns`](crate::RpDns) — the original hash-map store (`memory`);
+//! * [`RpDns`] — the original hash-map store (`memory`);
 //! * [`RunStore`] — a hash memtable + immutable columnar sorted runs
 //!   with size-tiered compaction and a per-run hash index built on each
 //!   run's first probe (`disk`), optionally mirroring runs to files. A

@@ -5,15 +5,14 @@
 //! offset-indexed), the qtype column, the rdata byte-buffer
 //! (offset-indexed) and the first-seen-day column. Runs are built once —
 //! from a flushed memtable or a compaction merge — and never mutated.
-//! Point lookups go through the run's hash index
-//! ([`HashIndex`](super::index::HashIndex)), built on the run's first
-//! probe; range scans, merges and images read the sorted columns, which
-//! stay the only source of truth.
+//! Point lookups go through the run's hash index (`HashIndex`), built on
+//! the run's first probe; range scans, merges and images read the sorted
+//! columns, which stay the only source of truth.
 //!
 //! [`Run::to_bytes`]/[`Run::from_bytes`] define the on-disk image the
-//! disk backend spills (format v2): inside the shared
-//! [`frame`](super::frame), a fixed header, a CRC-32 per section (names,
-//! qtypes, rdata, days) and the raw columns. `from_bytes` is *total*: on
+//! disk backend spills (format v2): inside the shared [`frame`], a fixed
+//! header, a CRC-32 per section (names, qtypes, rdata, days) and the raw
+//! columns. `from_bytes` is *total*: on
 //! arbitrary, truncated, or bit-flipped input it returns an error — it
 //! never panics and never trusts a forged header (all size arithmetic is
 //! checked). The index is *not* serialised — it is a pure function of
@@ -23,8 +22,6 @@
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
-
-use dnsnoise_dns::RrKey;
 
 use super::crc::crc32;
 use super::frame::{self, malformed, FrameError, Reader};
@@ -179,14 +176,6 @@ impl Run {
             None => n,
         };
         (lo, hi)
-    }
-
-    /// Decodes entry `i` into an [`RrKey`]. `Err` reports a key the
-    /// encoders cannot produce (possible only via a checksum collision
-    /// or an upstream logic bug).
-    // lint:certify(no-panic)
-    pub fn rr_key_at(&self, i: usize) -> Result<RrKey, String> {
-        keys::decode_key_parts(self.name_at(i), self.qtype_at(i), self.rdata_at(i))
     }
 
     /// The four section byte-images, in on-disk order: names (offsets +
@@ -523,7 +512,12 @@ pub(crate) mod tests {
         assert!(lo < hi);
         for i in 0..run.len() {
             let inside = lo <= i && i < hi;
-            let rr_key = run.rr_key_at(i).expect("stored keys decode");
+            let rr_key = super::super::keys::decode_key_parts(
+                run.name_at(i),
+                run.qtype_at(i),
+                run.rdata_at(i),
+            )
+            .expect("stored keys decode");
             assert_eq!(rr_key.name.is_subdomain_of(&zone), inside, "entry {i}");
         }
     }

@@ -28,18 +28,8 @@ impl AggregationOutcome {
         self.wildcard_entries + self.passthrough_records
     }
 
-    /// `stored / original` — the paper reports 0.7% for the disposable
-    /// portion alone.
-    pub fn reduction_ratio(&self) -> f64 {
-        let original = self.aggregated_records + self.passthrough_records;
-        if original == 0 {
-            1.0
-        } else {
-            self.stored_entries() as f64 / original as f64
-        }
-    }
-
-    /// The reduction ratio over only the aggregated (disposable) portion.
+    /// `stored / original` over only the aggregated (disposable) portion:
+    /// the paper reports 0.7%.
     pub fn disposable_reduction_ratio(&self) -> f64 {
         if self.aggregated_records == 0 {
             1.0
@@ -79,11 +69,6 @@ impl WildcardAggregator {
     /// Adds a mined `(zone, depth)` rule.
     pub fn add_rule(&mut self, zone: Name, depth: usize) {
         self.rules.entry(zone).or_default().insert(depth);
-    }
-
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.values().map(HashSet::len).sum()
     }
 
     /// The wildcard name replacing `name`, if a rule covers it. The `*`
@@ -155,7 +140,6 @@ mod tests {
         assert_eq!(outcome.aggregated_records, 100);
         assert_eq!(outcome.wildcard_entries, 1);
         assert_eq!(outcome.passthrough_records, 0);
-        assert!((outcome.reduction_ratio() - 0.01).abs() < 1e-9);
         assert!((outcome.disposable_reduction_ratio() - 0.01).abs() < 1e-9);
     }
 
@@ -166,7 +150,7 @@ mod tests {
         let outcome = agg.aggregate([&key("x.y.avqs.mcafee.com", 1)]);
         assert_eq!(outcome.aggregated_records, 0);
         assert_eq!(outcome.passthrough_records, 1);
-        assert_eq!(outcome.reduction_ratio(), 1.0);
+        assert_eq!(outcome.stored_entries(), 1);
     }
 
     #[test]
@@ -191,7 +175,6 @@ mod tests {
         let mut agg = WildcardAggregator::new();
         agg.add_rule("a.example.com".parse().unwrap(), 4);
         agg.add_rule("b.example.net".parse().unwrap(), 4);
-        assert_eq!(agg.rule_count(), 2);
         let outcome = agg.aggregate([&key("x.a.example.com", 1), &key("y.b.example.net", 2)]);
         assert_eq!(outcome.wildcard_entries, 2);
         assert_eq!(outcome.aggregated_records, 2);
@@ -202,6 +185,6 @@ mod tests {
         let agg = agg_with_rule("z.example.com", 4);
         let outcome = agg.aggregate(std::iter::empty::<&RrKey>());
         assert_eq!(outcome.stored_entries(), 0);
-        assert_eq!(outcome.reduction_ratio(), 1.0);
+        assert_eq!(outcome.disposable_reduction_ratio(), 1.0);
     }
 }

@@ -234,15 +234,6 @@ impl OverloadStats {
     pub fn shed(&self) -> u64 {
         self.dropped + self.rate_limited
     }
-
-    /// Fraction of offered queries shed; zero when nothing was offered.
-    pub fn shed_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed() as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn shed_fraction_is_shed_over_offered() {
+    fn shed_is_dropped_plus_rate_limited() {
         let a = OverloadStats {
             offered: 14,
             admitted: 12,
@@ -351,8 +342,7 @@ mod tests {
             ..OverloadStats::default()
         };
         assert_eq!(a.shed(), 2);
-        assert!((a.shed_fraction() - 2.0 / 14.0).abs() < 1e-12);
-        assert_eq!(OverloadStats::default().shed_fraction(), 0.0);
+        assert_eq!(OverloadStats::default().shed(), 0);
     }
 
     #[test]

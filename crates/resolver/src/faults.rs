@@ -194,14 +194,9 @@ impl FaultPlan {
     }
 
     /// Returns the plan with a member crash window appended.
+    // lint:allow(dead-api): crates/resolver/tests/proptests.rs builds its crash windows with it
     pub fn with_member_outage(mut self, member: usize, start: Timestamp, end: Timestamp) -> Self {
         self.member_outages.push(MemberOutage { member, start, end });
-        self
-    }
-
-    /// Returns the plan with a different retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 

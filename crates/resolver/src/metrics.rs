@@ -490,7 +490,10 @@ impl MetricsRegistry {
         if let Some(depth) = backlog {
             self.queue_backlog.record(depth);
         }
-        self.latency_ms.record(fetch.map_or(0, |f| f.elapsed_ms));
+        // A shed query got no answer, so it has no latency to book.
+        if !served.is_shed() {
+            self.latency_ms.record(fetch.map_or(0, |f| f.elapsed_ms));
+        }
         if let Some(f) = fetch {
             self.upstream_attempts.record(f.failed_attempts + u64::from(f.success));
             self.retries_per_fetch.record(f.retries);
@@ -579,7 +582,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Lookup latency in simulated milliseconds.
+    /// Lookup latency in simulated milliseconds, one sample per answered
+    /// query: a shed query has no answer and books no sample.
     pub fn latency_ms(&self) -> &Histogram {
         &self.latency_ms
     }

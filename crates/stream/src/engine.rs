@@ -470,6 +470,7 @@ impl<'m> StreamMiner<'m> {
     /// Forces a checkpoint write now, mid-epoch (a checkpointing miner
     /// also writes one automatically at every epoch boundary). A no-op
     /// without [`StreamMiner::with_checkpoint`].
+    // lint:allow(dead-api): crates/stream/tests/checkpoint_resume.rs checkpoints mid-epoch with it
     pub fn checkpoint_now(&mut self) {
         self.write_checkpoint();
     }
@@ -600,6 +601,7 @@ impl<'m> StreamMiner<'m> {
     /// tree and classifies it. Non-destructive — pushing more events and
     /// finishing yields exactly the report an uninterrupted run produces,
     /// with this one extra epoch entry.
+    // lint:allow(dead-api): tests/determinism.rs closes an epoch mid-stream with it
     pub fn close_epoch_now(&mut self) {
         let epoch = self.current_epoch.unwrap_or(0);
         self.close_epoch(epoch);

@@ -17,14 +17,10 @@ use serde::{Deserialize, Serialize};
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let s = curve.sample_second(&mut rng);
 /// assert!(s < 86_400);
-/// // Evening hours carry more weight than the dead of night.
-/// assert!(curve.weight(20) > curve.weight(4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiurnalCurve {
-    /// Relative weight per hour of day; need not be normalised.
-    weights: [f64; 24],
-    /// Cumulative distribution over hours, derived from `weights`.
+    /// Cumulative distribution over hours of day.
     cdf: [f64; 24],
 }
 
@@ -48,7 +44,7 @@ impl DiurnalCurve {
             cdf[i] = acc;
         }
         cdf[23] = 1.0;
-        DiurnalCurve { weights, cdf }
+        DiurnalCurve { cdf }
     }
 
     /// A residential-ISP curve: trough around 04:00, rise from 10:00,
@@ -63,21 +59,6 @@ impl DiurnalCurve {
             *slot = (day + evening).max(0.05);
         }
         DiurnalCurve::new(w)
-    }
-
-    /// A flat curve (uniform over the day), for machine-driven workloads
-    /// like host telemetry that beacon around the clock.
-    pub fn flat() -> Self {
-        DiurnalCurve::new([1.0; 24])
-    }
-
-    /// The relative weight of hour `h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h >= 24`.
-    pub fn weight(&self, h: usize) -> f64 {
-        self.weights[h]
     }
 
     /// Samples a second-of-day (`0..86_400`) following the curve: hour by
@@ -118,7 +99,7 @@ mod tests {
 
     #[test]
     fn flat_curve_is_roughly_uniform() {
-        let curve = DiurnalCurve::flat();
+        let curve = DiurnalCurve::new([1.0; 24]);
         let mut rng = StdRng::seed_from_u64(9);
         let mut hour_counts = [0u32; 24];
         for _ in 0..48_000 {

@@ -74,11 +74,8 @@ pub fn label_alnum(seed: u64, len: usize) -> Label {
 ///
 /// let apex: dnsnoise_dns::Name = "avqs.mcafee.com".parse()?;
 /// let forge = NameForge::new(9, apex.clone());
-/// let a = forge.hash_child(1, 26);
-/// let b = forge.hash_child(2, 26);
-/// assert_ne!(a, b);
-/// assert!(a.is_subdomain_of(&apex));
-/// assert_eq!(a, forge.hash_child(1, 26)); // reproducible
+/// assert_ne!(forge.item_seed(1), forge.item_seed(2));
+/// assert_eq!(forge.item_seed(1), NameForge::new(9, apex).item_seed(1)); // reproducible
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -101,11 +98,6 @@ impl NameForge {
     /// Derives the sub-seed for item `index`.
     pub fn item_seed(&self, index: u64) -> u64 {
         mix64(self.seed ^ mix64(index))
-    }
-
-    /// A single-label child `<base32 hash>.apex`.
-    pub fn hash_child(&self, index: u64, len: usize) -> Name {
-        self.apex.child(label_base32(self.item_seed(index), len))
     }
 
     /// A deterministic globally-routable-looking IPv4 RDATA for `index`,
@@ -164,13 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn forge_children_are_deterministic_and_distinct() {
+    fn forge_item_seeds_are_deterministic_and_distinct() {
         let apex: Name = "ipv6-exp.l.google.com".parse().unwrap();
         let forge = NameForge::new(77, apex.clone());
-        let names: Vec<Name> = (0..100).map(|i| forge.hash_child(i, 16)).collect();
-        let unique: std::collections::HashSet<_> = names.iter().cloned().collect();
+        let seeds: Vec<u64> = (0..100).map(|i| forge.item_seed(i)).collect();
+        let unique: std::collections::HashSet<_> = seeds.iter().collect();
         assert_eq!(unique.len(), 100);
-        assert_eq!(forge.hash_child(5, 16), names[5]);
+        assert_eq!(NameForge::new(77, apex).item_seed(5), seeds[5]);
     }
 
     #[test]

@@ -91,13 +91,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Returns the config with an explicit client count.
-    pub fn with_clients(mut self, n: u64) -> Self {
-        assert!(n > 0, "client population must be positive");
-        self.n_clients = n;
-        self
-    }
-
     // ---- Derived volume targets (per day, already scaled) ----
 
     fn scaled(&self, base: f64) -> usize {

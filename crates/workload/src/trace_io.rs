@@ -320,13 +320,6 @@ pub fn append_event(event: &QueryEvent, line: &mut String) {
     }
 }
 
-/// Serializes one event as a trace line (without the newline).
-pub fn render_event(event: &QueryEvent) -> String {
-    let mut line = String::new();
-    append_event(event, &mut line);
-    line
-}
-
 /// Parses a raw name field (`what` is `qname` or `record name`) in one
 /// pass: the name parser is the only thing that reads a well-formed field.
 /// It refuses everything the trace format refuses — a control byte is not
@@ -1002,6 +995,12 @@ mod tests {
         fn assert_same_parse(line: &str) -> Result<(), TestCaseError> {
             prop_assert_eq!(parse_event(line), reference::parse_event(line), "line {:?}", line);
             Ok(())
+        }
+
+        fn render_event(event: &QueryEvent) -> String {
+            let mut line = String::new();
+            append_event(event, &mut line);
+            line
         }
 
         fn reference_render(event: &QueryEvent) -> String {

@@ -53,11 +53,6 @@ impl TtlModel {
         TtlModel { buckets, cdf }
     }
 
-    /// A fixed single-valued TTL.
-    pub fn fixed(ttl: u32) -> Self {
-        TtlModel::new(vec![(ttl, 1.0)])
-    }
-
     /// The disposable-domain TTL mixture at epoch `t ∈ [0, 1]`, where 0 is
     /// February 2011 and 1 is December 2011, linearly interpolating the two
     /// observed histograms of Fig. 14.
@@ -118,12 +113,6 @@ impl TtlModel {
     pub fn buckets(&self) -> &[(u32, f64)] {
         &self.buckets
     }
-
-    /// Probability of drawing exactly `ttl_secs`.
-    pub fn probability_of(&self, ttl_secs: u32) -> f64 {
-        let total: f64 = self.buckets.iter().map(|(_, w)| w).sum();
-        self.buckets.iter().filter(|(t, _)| *t == ttl_secs).map(|(_, w)| w / total).sum()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +129,7 @@ mod tests {
 
     #[test]
     fn fixed_always_returns_value() {
-        let m = TtlModel::fixed(300);
+        let m = TtlModel::new(vec![(300, 1.0)]);
         for h in 0..50u64 {
             assert_eq!(m.sample(h).as_secs(), 300);
         }
@@ -169,14 +158,6 @@ mod tests {
         }
         let mode = histogram.iter().max_by_key(|(_, &c)| c).map(|(&t, _)| t).unwrap();
         assert_eq!(mode, 300);
-    }
-
-    #[test]
-    fn probability_of_matches_weights() {
-        let m = TtlModel::new(vec![(1, 1.0), (2, 3.0)]);
-        assert!((m.probability_of(1) - 0.25).abs() < 1e-12);
-        assert!((m.probability_of(2) - 0.75).abs() < 1e-12);
-        assert_eq!(m.probability_of(99), 0.0);
     }
 
     #[test]

@@ -68,19 +68,6 @@ impl ZipfSampler {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// The probability mass of index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn pmf(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[i] - self.cdf[i - 1]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,16 +95,9 @@ mod tests {
     #[test]
     fn exponent_zero_is_uniform() {
         let zipf = ZipfSampler::new(4, 0.0);
-        for i in 0..4 {
-            assert!((zipf.pmf(i) - 0.25).abs() < 1e-12);
+        for (i, c) in zipf.cdf.iter().enumerate() {
+            assert!((c - (i + 1) as f64 / 4.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn pmf_sums_to_one() {
-        let zipf = ZipfSampler::new(257, 1.2);
-        let total: f64 = (0..zipf.len()).map(|i| zipf.pmf(i)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -144,15 +144,15 @@ mod tests {
     fn names_have_eleven_periods() {
         // §IV-A: "disposable domains under avqs.mcafee.com always have 11
         // periods in the domain".
-        let fleet = AvReputation::new(1, 50, TtlModel::fixed(300), 2);
+        let fleet = AvReputation::new(1, 50, TtlModel::new(vec![(300, 1.0)]), 2);
         for ev in generate(&fleet) {
-            assert_eq!(ev.name.period_count(), 11, "{}", ev.name);
+            assert_eq!(ev.name.depth(), 12, "{}: 11 periods", ev.name);
         }
     }
 
     #[test]
     fn answers_are_loopback_signals() {
-        let fleet = AvReputation::new(2, 60, TtlModel::fixed(300), 2);
+        let fleet = AvReputation::new(2, 60, TtlModel::new(vec![(300, 1.0)]), 2);
         for ev in generate(&fleet) {
             match &ev.outcome {
                 Outcome::Answer(rrs) => match rrs[0].rdata {
@@ -168,7 +168,7 @@ mod tests {
     fn same_file_yields_same_name() {
         // A widespread sample queried twice must produce the identical
         // fingerprint name — that is what creates the small cache-hit head.
-        let fleet = AvReputation::new(1, 2_000, TtlModel::fixed(300), 2);
+        let fleet = AvReputation::new(1, 2_000, TtlModel::new(vec![(300, 1.0)]), 2);
         let events = generate(&fleet);
         let unique: std::collections::HashSet<_> = events.iter().map(|e| e.name.clone()).collect();
         assert!(unique.len() < events.len(), "expected some repeated fingerprints");
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn child_depth_matches() {
-        let fleet = AvReputation::new(1, 20, TtlModel::fixed(300), 2);
+        let fleet = AvReputation::new(1, 20, TtlModel::new(vec![(300, 1.0)]), 2);
         let info = &fleet.zones()[0];
         for ev in generate(&fleet) {
             assert_eq!(ev.name.depth(), info.child_depth.unwrap());

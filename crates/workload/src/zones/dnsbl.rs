@@ -129,7 +129,8 @@ mod tests {
     use rand::SeedableRng;
 
     fn generate(fleet: &DnsblFleet) -> Vec<crate::event::QueryEvent> {
-        let ctx = DayCtx { day: 0, epoch: 0.0, n_clients: 1_000, diurnal: DiurnalCurve::flat() };
+        let ctx =
+            DayCtx { day: 0, epoch: 0.0, n_clients: 1_000, diurnal: DiurnalCurve::new([1.0; 24]) };
         let mut rng = StdRng::seed_from_u64(6);
         let mut sink = Vec::new();
         fleet.generate_day(&ctx, 1, &mut rng, &mut sink);
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn names_are_reversed_ip_children() {
-        let fleet = DnsblFleet::new(1, 100, TtlModel::fixed(300), 5);
+        let fleet = DnsblFleet::new(1, 100, TtlModel::new(vec![(300, 1.0)]), 5);
         let info = &fleet.zones()[0];
         for ev in generate(&fleet) {
             assert_eq!(ev.name.depth(), info.child_depth.unwrap());
@@ -152,7 +153,7 @@ mod tests {
 
     #[test]
     fn few_clients_issue_all_queries() {
-        let fleet = DnsblFleet::new(2, 400, TtlModel::fixed(300), 5);
+        let fleet = DnsblFleet::new(2, 400, TtlModel::new(vec![(300, 1.0)]), 5);
         let events = generate(&fleet);
         let clients: std::collections::HashSet<_> = events.iter().map(|e| e.client).collect();
         assert!(
@@ -164,7 +165,7 @@ mod tests {
 
     #[test]
     fn mostly_unique_names_with_recurring_head() {
-        let fleet = DnsblFleet::new(1, 3_000, TtlModel::fixed(300), 5);
+        let fleet = DnsblFleet::new(1, 3_000, TtlModel::new(vec![(300, 1.0)]), 5);
         let events = generate(&fleet);
         let unique: std::collections::HashSet<_> = events.iter().map(|e| e.name.clone()).collect();
         assert!(unique.len() * 10 > events.len() * 7, "bulk of lookups unique");

@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn names_match_published_structure() {
-        let model = Ipv6Experiment::new(50, 0.02, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(50, 0.02, TtlModel::new(vec![(300, 1.0)]), 4);
         for ev in generate(&model, 0) {
             let labels: Vec<&str> = ev.name.labels().iter().collect();
             assert_eq!(labels.len(), 10, "{}", ev.name);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn answers_are_cname_chains_onto_collectors() {
-        let model = Ipv6Experiment::new(50, 0.0, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(50, 0.0, TtlModel::new(vec![(300, 1.0)]), 4);
         for ev in generate(&model, 0) {
             let records = ev.outcome.records();
             assert_eq!(records.len(), 2, "CNAME + address");
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn session_volume_grows_daily() {
-        let model = Ipv6Experiment::new(200, 0.02, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(200, 0.02, TtlModel::new(vec![(300, 1.0)]), 4);
         let d0 = generate(&model, 0).len();
         let d12 = generate(&model, 12).len();
         assert!(d12 > d0, "day 12 ({d12}) should exceed day 0 ({d0})");
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn dual_stack_probes_create_aaaa_records() {
-        let model = Ipv6Experiment::new(200, 0.0, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(200, 0.0, TtlModel::new(vec![(300, 1.0)]), 4);
         let events = generate(&model, 0);
         let aaaa = events.iter().filter(|e| e.qtype == QType::Aaaa).count();
         let a = events.iter().filter(|e| e.qtype == QType::A).count();
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn names_are_session_unique() {
-        let model = Ipv6Experiment::new(300, 0.0, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(300, 0.0, TtlModel::new(vec![(300, 1.0)]), 4);
         let events = generate(&model, 0);
         // Within a session, A and AAAA share the name, but across sessions
         // names never repeat: unique names ≈ probes (2-3 per session).
@@ -269,7 +269,7 @@ mod tests {
     fn rr_multiplicity_is_paper_like() {
         // Each disposable probe name should yield ≈3 distinct RRs (CNAME +
         // A + often AAAA) per §III-C3's disposable-RR arithmetic.
-        let model = Ipv6Experiment::new(300, 0.0, TtlModel::fixed(300), 4);
+        let model = Ipv6Experiment::new(300, 0.0, TtlModel::new(vec![(300, 1.0)]), 4);
         let events = generate(&model, 0);
         let mut names = std::collections::HashSet::new();
         let mut rrs = std::collections::HashSet::new();

@@ -72,11 +72,6 @@ impl PopularSites {
             seed,
         }
     }
-
-    /// The number of sites in the population.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
 }
 
 impl ZoneModel for PopularSites {

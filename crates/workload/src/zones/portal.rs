@@ -185,9 +185,12 @@ mod tests {
         let fleet = PortalFleet::new(1, 200, 4.0, TtlModel::long_tail(), 5);
         let events = generate(&fleet);
         let entropy = |l: &str| l.parse::<dnsnoise_dns::Label>().expect("valid label").entropy();
-        let mean_entropy: f64 =
-            events.iter().map(|e| e.name.leftmost().expect("has label")).map(entropy).sum::<f64>()
-                / events.len() as f64;
+        let mean_entropy: f64 = events
+            .iter()
+            .map(|e| e.name.labels().iter().next().expect("has label"))
+            .map(entropy)
+            .sum::<f64>()
+            / events.len() as f64;
         assert!(mean_entropy > 2.0, "portal labels should look random: {mean_entropy}");
     }
 

@@ -151,12 +151,12 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> DayCtx {
-        DayCtx { day: 0, epoch: 0.0, n_clients: 100, diurnal: DiurnalCurve::flat() }
+        DayCtx { day: 0, epoch: 0.0, n_clients: 100, diurnal: DiurnalCurve::new([1.0; 24]) }
     }
 
     #[test]
     fn names_are_unique_and_under_apex() {
-        let fleet = TelemetryFleet::new(2, 80, TtlModel::fixed(60), 7);
+        let fleet = TelemetryFleet::new(2, 80, TtlModel::new(vec![(60, 1.0)]), 7);
         let mut rng = StdRng::seed_from_u64(1);
         let mut sink = Vec::new();
         fleet.generate_day(&ctx(), 0, &mut rng, &mut sink);
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn child_depth_matches_generated_names() {
-        let fleet = TelemetryFleet::new(1, 20, TtlModel::fixed(60), 7);
+        let fleet = TelemetryFleet::new(1, 20, TtlModel::new(vec![(60, 1.0)]), 7);
         let info = &fleet.zones()[0];
         let mut rng = StdRng::seed_from_u64(2);
         let mut sink = Vec::new();
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn volume_tracks_requested_names() {
-        let fleet = TelemetryFleet::new(4, 400, TtlModel::fixed(60), 7);
+        let fleet = TelemetryFleet::new(4, 400, TtlModel::new(vec![(60, 1.0)]), 7);
         let mut rng = StdRng::seed_from_u64(3);
         let mut sink = Vec::new();
         fleet.generate_day(&ctx(), 0, &mut rng, &mut sink);
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seeded_rng() {
-        let fleet = TelemetryFleet::new(1, 40, TtlModel::fixed(60), 9);
+        let fleet = TelemetryFleet::new(1, 40, TtlModel::new(vec![(60, 1.0)]), 9);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut sink = Vec::new();

@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn children_sit_directly_under_apex() {
-        let fleet = TrackerFleet::new(3, 90, TtlModel::fixed(60), 11);
+        let fleet = TrackerFleet::new(3, 90, TtlModel::new(vec![(60, 1.0)]), 11);
         let infos = fleet.zones();
         for ev in generate(&fleet) {
             let zone = infos
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn retries_duplicate_some_names() {
-        let fleet = TrackerFleet::new(1, 5_000, TtlModel::fixed(60), 11);
+        let fleet = TrackerFleet::new(1, 5_000, TtlModel::new(vec![(60, 1.0)]), 11);
         let events = generate(&fleet);
         let unique: std::collections::HashSet<_> = events.iter().map(|e| e.name.clone()).collect();
         assert!(unique.len() < events.len(), "retries should repeat names");
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn zone_count_matches_request() {
-        let fleet = TrackerFleet::new(307, 307 * 4, TtlModel::fixed(60), 11);
+        let fleet = TrackerFleet::new(307, 307 * 4, TtlModel::new(vec![(60, 1.0)]), 11);
         assert_eq!(fleet.zones().len(), 307);
         assert!(fleet.zones().iter().all(|z| z.disposable));
     }

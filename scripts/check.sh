@@ -313,6 +313,17 @@ cargo test -q --offline
 echo "== cargo clippy --all-targets -D warnings ==" >&2
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings (intra-doc links cannot dangle) ==" >&2
+# Every dnsnoise package; third_party stays out (its proptest stand-in
+# carries an ambiguous `[vec]` link).
+doc_packages=()
+for package in dnsnoise dnsnoise-bench dnsnoise-cache dnsnoise-core dnsnoise-dns \
+    dnsnoise-dnssec dnsnoise-ingest dnsnoise-lint dnsnoise-ml dnsnoise-pdns \
+    dnsnoise-resolver dnsnoise-stream dnsnoise-workload; do
+    doc_packages+=(-p "$package")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps "${doc_packages[@]}"
+
 echo "== cargo fmt --check ==" >&2
 cargo fmt --check
 

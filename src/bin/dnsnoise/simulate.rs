@@ -92,10 +92,7 @@ fn run(o: &Opts) -> Result<(), String> {
         let service_rate = o.service_rate.unwrap_or(d.service_rate);
         OverloadConfig { queue_depth, service_rate, rrl: o.rrl || d.rrl, ..d }
     });
-    // The pDNS collector rides along on every replay; without the
-    // store flags it stays on the silent in-memory backend.
-    let mut collector = PdnsCollector::new(o.store_backend(), trace.day);
-    let mut run = sim.day(&trace).faults(&plan).observer(&mut collector);
+    let mut run = sim.day(&trace).faults(&plan);
     if let Some(registry) = &mut registry {
         run = run.metrics(registry);
     }
@@ -105,8 +102,15 @@ fn run(o: &Opts) -> Result<(), String> {
     if let Some(cfg) = &overload {
         run = run.overload(cfg);
     }
-    let report = run.run();
-    if o.store_reported() {
+    // A pDNS collector is attached only when a store flag asks for its
+    // summary.
+    let mut collector =
+        o.store_reported().then(|| PdnsCollector::new(o.store_backend(), trace.day));
+    let report = match &mut collector {
+        Some(collector) => run.observer(collector).run(),
+        None => run.run(),
+    };
+    if let Some(collector) = collector {
         let mut store = collector.into_store();
         if let PdnsBackend::Disk(ref mut s) = store {
             // Flush and collapse so a spill directory holds the final

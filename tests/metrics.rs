@@ -132,8 +132,15 @@ fn overloaded_fixture() -> (Scenario, DayTrace, ResolverSim, OverloadConfig) {
     (s, trace, ResolverSim::new(config), overload)
 }
 
-/// Asserts that `registry` exports exactly the committed golden pair.
+/// Asserts that `registry` exports exactly the committed golden pair,
+/// and that its latency histogram holds one sample per answered query.
 fn assert_golden(registry: &MetricsRegistry, json: &str, csv: &str, driver: &str) {
+    let c = registry.counters();
+    assert_eq!(
+        registry.latency_ms().count(),
+        c.queries - c.dropped - c.rate_limited,
+        "{driver}: a shed query is not a latency sample"
+    );
     assert_eq!(registry.to_json(), json, "{driver}: JSON export drifted from its golden");
     assert_eq!(registry.timeline_csv(), csv, "{driver}: timeline drifted from its golden");
 }

@@ -63,8 +63,10 @@ fn check_negative_cache(scale: f64) {
     let mut ignoring = ResolverSim::new(SimConfig::default());
     let r_ignore = ignoring.day(&trace).run();
 
-    let mut honoring =
-        ResolverSim::new(SimConfig::default().with_negative_ttl(Ttl::from_secs(900)));
+    let mut honoring = ResolverSim::new(SimConfig {
+        negative_ttl: Some(Ttl::from_secs(900)),
+        ..SimConfig::default()
+    });
     let r_honor = honoring.day(&trace).run();
 
     assert_eq!(

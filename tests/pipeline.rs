@@ -80,7 +80,7 @@ fn check_cross_epoch(scale: f64, min_tpr: f64, max_fpr: f64) {
     let dec = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(scale), 31);
     let mut pipeline = DailyPipeline::new(MinerConfig::default());
     let _ = pipeline.run_day(&dec, 0);
-    assert!(pipeline.is_trained());
+    assert!(pipeline.miner().is_some());
 
     let feb = Scenario::new(ScenarioConfig::paper_epoch(0.0).with_scale(scale), 32);
     let report = pipeline.run_day(&feb, 0);
