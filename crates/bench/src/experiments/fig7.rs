@@ -66,7 +66,7 @@ pub fn run(scale_factor: f64) -> Fig7Result {
         let Some(groups) = tree.groups_under(&zone.apex) else { continue };
         for group in groups.groups.values() {
             for &member in &group.members {
-                for &(dhr, misses) in tree.node_chr(member) {
+                for (dhr, misses) in tree.node_chr(member) {
                     let sample = (dhr, u64::from(misses));
                     if zone.disposable {
                         disposable_samples.push(sample);

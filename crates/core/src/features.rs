@@ -1,6 +1,5 @@
 //! The statistical feature families of §V-A2.
 
-use dnsnoise_dns::Label;
 use dnsnoise_resolver::ChrDistribution;
 use serde::{Deserialize, Serialize};
 
@@ -47,10 +46,10 @@ pub struct GroupFeatures {
 impl GroupFeatures {
     /// Computes the vector for a group in a tree.
     pub fn compute(tree: &DomainTree, group: &GroupMembers) -> GroupFeatures {
-        let entropy = entropy_stats(&group.adjacent_labels);
+        let entropy = entropy_stats(group.adjacent.iter().map(|&id| tree.entropy_of(id)).collect());
         let chr = group_chr(tree, group);
         GroupFeatures {
-            cardinality: group.adjacent_labels.len() as f64,
+            cardinality: group.adjacent.len() as f64,
             entropy_max: entropy.max,
             entropy_min: entropy.min,
             entropy_mean: entropy.mean,
@@ -83,7 +82,7 @@ pub(crate) fn group_chr(tree: &DomainTree, group: &GroupMembers) -> ChrDistribut
     let samples: Vec<(f64, u64)> = group
         .members
         .iter()
-        .flat_map(|&id| tree.node_chr(id).iter().map(|&(dhr, misses)| (dhr, u64::from(misses))))
+        .flat_map(|&id| tree.node_chr(id).map(|(dhr, misses)| (dhr, u64::from(misses))))
         .collect();
     ChrDistribution::from_samples(samples)
 }
@@ -96,11 +95,11 @@ struct EntropyStats {
     variance: f64,
 }
 
-fn entropy_stats(labels: &[Label]) -> EntropyStats {
-    if labels.is_empty() {
+/// The entropy statistics of `L_k`, given each label's entropy `h`.
+fn entropy_stats(mut h: Vec<f64>) -> EntropyStats {
+    if h.is_empty() {
         return EntropyStats { max: 0.0, min: 0.0, mean: 0.0, median: 0.0, variance: 0.0 };
     }
-    let mut h: Vec<f64> = labels.iter().map(Label::entropy).collect();
     h.sort_unstable_by(|a, b| a.partial_cmp(b).expect("entropy is finite"));
     let n = h.len() as f64;
     let mean = h.iter().sum::<f64>() / n;
@@ -113,7 +112,7 @@ fn entropy_stats(labels: &[Label]) -> EntropyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnsnoise_dns::Name;
+    use dnsnoise_dns::{Label, Name};
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -155,7 +154,7 @@ mod tests {
 
     #[test]
     fn entropy_stats_on_singleton() {
-        let stats = entropy_stats(&[label("aaaa")]);
+        let stats = entropy_stats(vec![label("aaaa").entropy()]);
         assert_eq!(stats.max, 0.0);
         assert_eq!(stats.min, 0.0);
         assert_eq!(stats.variance, 0.0);
@@ -163,8 +162,7 @@ mod tests {
 
     #[test]
     fn entropy_median_even_count() {
-        let labels = [label("aaaa"), label("abcd")];
-        let stats = entropy_stats(&labels);
+        let stats = entropy_stats(vec![label("aaaa").entropy(), label("abcd").entropy()]);
         assert!((stats.median - 1.0).abs() < 1e-12); // (0 + 2) / 2
         assert_eq!(stats.max, 2.0);
         assert_eq!(stats.min, 0.0);

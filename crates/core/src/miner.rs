@@ -93,36 +93,29 @@ impl Miner {
     /// Runs Algorithm 1 over the whole tree: from every effective 2LD,
     /// classify depth groups, decolor disposable ones, recurse.
     ///
-    /// The tree is mutated (decoloring); run on a fresh tree per day as
-    /// the paper's daily process does (Fig. 10).
+    /// The tree is mutated (decoloring); [`DomainTree::fold`] colours it
+    /// again before the next run, so the streaming miner mines one tree
+    /// per day at every epoch close, as the paper's daily process mines
+    /// one per day (Fig. 10).
     pub fn mine(&self, tree: &mut DomainTree, psl: &SuffixList) -> Vec<Finding> {
         let mut findings = Vec::new();
-        for (node, name) in tree.registered_domains(psl) {
-            self.classify_zone(tree, node, name, &mut findings);
+        for zone in tree.registered_ids(psl) {
+            self.classify_zone(tree, zone, &mut findings);
         }
         findings
     }
 
-    /// Algorithm 1 for one zone `z` (recursive).
-    fn classify_zone(
-        &self,
-        tree: &mut DomainTree,
-        zone_id: usize,
-        zone: Name,
-        out: &mut Vec<Finding>,
-    ) {
-        let depth = zone.depth();
-        let groups = tree.groups_under_id(zone_id, depth);
+    /// Algorithm 1 for one zone `z`, by node id (recursive). The zone's
+    /// name is built only for a finding.
+    fn classify_zone(&self, tree: &mut DomainTree, zone: usize, out: &mut Vec<Finding>) {
+        let groups = tree.groups_under_id(zone, tree.depth_of(zone));
         // Line 1-3: no black descendants → stop.
         if groups.groups.is_empty() {
             return;
         }
-        // Lines 6-14: classify each G_k; decolor and emit on a confident
-        // disposable verdict.
-        let mut depths: Vec<usize> = groups.groups.keys().copied().collect();
-        depths.sort_unstable();
-        for k in depths {
-            let group = &groups.groups[&k];
+        // Lines 6-14: classify each G_k, shallowest first; decolor and
+        // emit on a confident disposable verdict.
+        for (&k, group) in &groups.groups {
             if group.members.len() < self.config.min_group_size {
                 continue;
             }
@@ -133,7 +126,7 @@ impl Miner {
                     tree.decolor(member);
                 }
                 out.push(Finding {
-                    zone: zone.clone(),
+                    zone: tree.name_of(zone),
                     depth: k,
                     confidence: p,
                     members: group.members.len(),
@@ -141,10 +134,10 @@ impl Miner {
             }
         }
         // Lines 15-17: recurse into children.
-        let children: Vec<usize> = tree.children_of(zone_id).collect();
-        for child in children {
-            let label = tree.label_of(child).expect("non-root node has a label").clone();
-            self.classify_zone(tree, child, zone.child(label), out);
+        let mut i = 0;
+        while let Some(child) = tree.child(zone, i) {
+            self.classify_zone(tree, child, out);
+            i += 1;
         }
     }
 }

@@ -126,7 +126,13 @@ impl Label {
     /// # Ok::<(), dnsnoise_dns::LabelParseError>(())
     /// ```
     pub fn entropy(&self) -> f64 {
-        let bytes = self.0.as_bytes();
+        Label::entropy_of(&self.0)
+    }
+
+    /// [`Label::entropy`] of a label's text, for callers that hold it
+    /// borrowed (the domain tree keeps its labels in one byte arena).
+    pub fn entropy_of(text: &str) -> f64 {
+        let bytes = text.as_bytes();
         let mut counts = [0u32; 256];
         for &b in bytes {
             counts[b as usize] += 1;

@@ -55,17 +55,21 @@ impl RpDns {
     /// if it is new to the store. TTL is not part of the identity
     /// (§III-A's tuple is name/type/RDATA/first-seen).
     pub fn observe(&mut self, record: &Record, day: u64) -> bool {
+        self.observe_key(&record.key(), day)
+    }
+
+    /// [`RpDns::observe`] by the record's key.
+    pub fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
         let d = day as usize;
         if self.per_day.len() <= d {
             self.per_day.resize(d + 1, DailyNewRrs::default());
         }
-        let key = record.key();
-        if self.records.contains_key(&key) {
+        if self.records.contains_key(key) {
             self.per_day[d].repeated_records += 1;
             return false;
         }
-        self.storage_bytes += record.storage_bytes() as u64;
-        self.records.insert(key, day);
+        self.storage_bytes += key.storage_bytes() as u64;
+        self.records.insert(key.clone(), day);
         self.per_day[d].new_records += 1;
         true
     }

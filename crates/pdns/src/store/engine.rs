@@ -49,7 +49,7 @@
 
 use std::path::PathBuf;
 
-use dnsnoise_dns::{Name, Record, RrKey};
+use dnsnoise_dns::{Name, QType, RData, Record, RrKey};
 
 use super::crc::crc32;
 use super::error::StoreError;
@@ -328,11 +328,22 @@ impl RunStore {
     /// Records one observation of `record` on `day`. Returns `true` when
     /// the record is new to the store.
     pub fn observe(&mut self, record: &Record, day: u64) -> bool {
+        self.observe_parts(&record.name, record.qtype, &record.rdata, day)
+    }
+
+    /// [`RunStore::observe`] of the record `(name, qtype, rdata)`.
+    pub(crate) fn observe_parts(
+        &mut self,
+        name: &Name,
+        qtype: QType,
+        rdata: &RData,
+        day: u64,
+    ) -> bool {
         self.observed += 1;
         self.ensure_day(day);
         // The probe borrows the thread's key buffers; only a record the
         // store has never seen gets an owned key.
-        let fresh = keys::with_probe(&record.name, record.qtype, &record.rdata, |key| {
+        let fresh = keys::with_probe(name, qtype, rdata, |key| {
             let hash = index::key_hash(key);
             self.get_encoded(key, hash).is_none().then(|| (key.to_owned_key(), hash))
         });
@@ -340,7 +351,7 @@ impl RunStore {
             self.per_day[day as usize].repeated_records += 1;
             return false;
         };
-        self.storage_bytes += RrKey::storage_bytes_of(&record.name, &record.rdata) as u64;
+        self.storage_bytes += RrKey::storage_bytes_of(name, rdata) as u64;
         self.per_day[day as usize].new_records += 1;
         self.memtable.insert(key, hash, day);
         if self.memtable.len() >= self.config.memtable_cap {

@@ -50,6 +50,11 @@ pub trait PdnsStore {
     /// the record is new to the store.
     fn observe(&mut self, record: &Record, day: u64) -> bool;
 
+    /// [`PdnsStore::observe`] by the record's key, for a caller that holds
+    /// keys rather than records (the streaming miner feeds the store its
+    /// per-record table's first sightings).
+    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool;
+
     /// The day `key` was first seen, if stored.
     fn first_seen(&self, key: &RrKey) -> Option<u64>;
 
@@ -77,6 +82,10 @@ pub trait PdnsStore {
 impl PdnsStore for RpDns {
     fn observe(&mut self, record: &Record, day: u64) -> bool {
         RpDns::observe(self, record, day)
+    }
+
+    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+        RpDns::observe_key(self, key, day)
     }
 
     fn first_seen(&self, key: &RrKey) -> Option<u64> {
@@ -111,6 +120,10 @@ impl PdnsStore for RpDns {
 impl PdnsStore for RunStore {
     fn observe(&mut self, record: &Record, day: u64) -> bool {
         RunStore::observe(self, record, day)
+    }
+
+    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+        RunStore::observe_parts(self, &key.name, key.qtype, &key.rdata, day)
     }
 
     fn first_seen(&self, key: &RrKey) -> Option<u64> {
@@ -226,6 +239,13 @@ impl PdnsStore for PdnsBackend {
         match self {
             PdnsBackend::Memory(s) => s.observe(record, day),
             PdnsBackend::Disk(s) => s.observe(record, day),
+        }
+    }
+
+    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+        match self {
+            PdnsBackend::Memory(s) => PdnsStore::observe_key(s, key, day),
+            PdnsBackend::Disk(s) => PdnsStore::observe_key(s, key, day),
         }
     }
 

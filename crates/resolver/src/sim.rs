@@ -401,7 +401,7 @@ impl DayState {
         let went_above = served.went_above();
         report.traffic.record(hour, operator, served.is_nxdomain(), below, went_above);
         for rr in answers {
-            report.rr_stats.record(&rr.key(), went_above);
+            report.rr_stats.record(&rr.name, rr.qtype, &rr.rdata, went_above);
         }
         if let Some(fetch) = &response.fetch {
             // Failed attempts are above traffic (retry amplification).

@@ -1,10 +1,9 @@
 //! Per-resource-record statistics: lookup volumes, DHR and CHR.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
+use dnsnoise_dns::{Name, QType, RData, RrKey};
 use serde::{Deserialize, Serialize};
-
-use dnsnoise_dns::RrKey;
 
 /// Query/miss counters for one distinct resource record over one day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,7 +27,20 @@ impl RrStat {
     }
 }
 
+/// A slot of [`RrDayStats`]' table that holds no row.
+const EMPTY: u32 = u32::MAX;
+
+/// The table's length before the first insert grows it.
+const MIN_SLOTS: usize = 16;
+
 /// Per-RR statistics for one day of traffic.
+///
+/// Rows are held once, in first-seen order: the rows past any earlier
+/// [`RrDayStats::len`] are exactly the records first seen since, which
+/// is how the streaming miner folds each epoch's new rows into its tree
+/// and hands the store each record once ([`RrDayStats::rows_since`]).
+/// An open-addressing table of row positions, hashed with a per-table
+/// [`RandomState`], finds a row by its borrowed parts.
 ///
 /// # Examples
 ///
@@ -43,14 +55,31 @@ impl RrStat {
 ///     qtype: QType::A,
 ///     rdata: RData::A(Ipv4Addr::new(192, 0, 2, 1)),
 /// };
-/// stats.record(&key, false);
-/// stats.record(&key, true);
+/// assert!(stats.record(&key.name, key.qtype, &key.rdata, false));
+/// assert!(!stats.record(&key.name, key.qtype, &key.rdata, true));
 /// assert_eq!(stats.get(&key).unwrap().dhr(), 0.5);
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RrDayStats {
-    stats: HashMap<RrKey, RrStat>,
+    /// Every distinct record with its counters, in first-seen order.
+    rows: Vec<(RrKey, RrStat)>,
+    /// Row positions, or [`EMPTY`]; a power-of-two length of at least
+    /// twice `rows.len()`, probed linearly, or none before the first
+    /// insert.
+    slots: Vec<u32>,
+    hasher: RandomState,
+    /// Σ [`RrKey::storage_bytes`] + one [`RrStat`] per row.
+    state_bytes: usize,
+}
+
+impl PartialEq for RrDayStats {
+    /// Two tables are equal when they hold the same rows with the same
+    /// counters, whatever order they were first seen in.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.rows.iter().all(|(key, stat)| other.get(key) == Some(stat))
+    }
 }
 
 impl RrDayStats {
@@ -59,54 +88,118 @@ impl RrDayStats {
         RrDayStats::default()
     }
 
-    /// Counts one served answer carrying `key`: a query, and a miss when
-    /// the response was fetched from above. Most answers hit an existing
-    /// row, so the key is cloned only when it is inserted.
-    pub fn record(&mut self, key: &RrKey, missed: bool) {
+    fn hash(&self, name: &Name, qtype: QType, rdata: &RData) -> u64 {
+        self.hasher.hash_one((name, qtype, rdata))
+    }
+
+    /// The slot holding the row of `(name, qtype, rdata)`, or the empty
+    /// slot where it would go; `None` before the first insert.
+    fn probe(&self, name: &Name, qtype: QType, rdata: &RData) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut s = self.hash(name, qtype, rdata) as usize & mask;
+        loop {
+            let pos = self.slots[s];
+            if pos == EMPTY {
+                return Some(s);
+            }
+            let key = &self.rows[pos as usize].0;
+            if key.qtype == qtype && key.name == *name && key.rdata == *rdata {
+                return Some(s);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Counts one served answer carrying the record `(name, qtype,
+    /// rdata)`: a query, and a miss when the response was fetched from
+    /// above. Returns `true` when the record is new today. The record is
+    /// found by its borrowed parts, so only a first sighting clones them
+    /// into an owned key.
+    pub fn record(&mut self, name: &Name, qtype: QType, rdata: &RData, missed: bool) -> bool {
         let misses = u32::from(missed);
-        match self.stats.get_mut(key) {
-            Some(stat) => {
-                stat.queries += 1;
-                stat.misses += misses;
-            }
-            None => {
-                self.stats.insert(key.clone(), RrStat { queries: 1, misses });
-            }
+        if let Some(pos) = self.find(name, qtype, rdata) {
+            let stat = &mut self.rows[pos].1;
+            stat.queries += 1;
+            stat.misses += misses;
+            return false;
+        }
+        let key = RrKey { name: name.clone(), qtype, rdata: rdata.clone() };
+        self.insert(key, RrStat { queries: 1, misses });
+        true
+    }
+
+    /// The row position of `(name, qtype, rdata)`, if the table holds it.
+    fn find(&self, name: &Name, qtype: QType, rdata: &RData) -> Option<usize> {
+        let pos = self.slots[self.probe(name, qtype, rdata)?];
+        (pos != EMPTY).then_some(pos as usize)
+    }
+
+    /// Appends a row for a key the table does not hold.
+    fn insert(&mut self, key: RrKey, stat: RrStat) {
+        if (self.rows.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let s = self.probe(&key.name, key.qtype, &key.rdata).expect("grow sized the table");
+        self.slots[s] = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
+        self.state_bytes += key.storage_bytes() + std::mem::size_of::<RrStat>();
+        self.rows.push((key, stat));
+    }
+
+    /// Doubles the table and places every row again.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for pos in 0..self.rows.len() {
+            let key = &self.rows[pos].0;
+            let s = self.probe(&key.name, key.qtype, &key.rdata).expect("the table has slots");
+            self.slots[s] = pos as u32;
         }
     }
 
     /// The stat for a record, if observed.
     pub fn get(&self, key: &RrKey) -> Option<&RrStat> {
-        self.stats.get(key)
+        self.find(&key.name, key.qtype, &key.rdata).map(|pos| &self.rows[pos].1)
     }
 
     /// Number of distinct records observed.
     pub fn len(&self) -> usize {
-        self.stats.len()
+        self.rows.len()
     }
 
     /// Returns `true` if nothing was observed.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.rows.is_empty()
     }
 
     /// Modeled resident size of the table in bytes: per row, the key's
     /// [`RrKey::storage_bytes`] plus one [`RrStat`]. The size model
-    /// behind the streaming report's `state_bytes`.
+    /// behind the streaming report's `state_bytes`, kept as a running
+    /// sum.
     pub fn state_bytes(&self) -> usize {
-        self.stats.keys().map(|key| key.storage_bytes() + std::mem::size_of::<RrStat>()).sum()
+        self.state_bytes
     }
 
-    /// Iterates over `(record key, stat)` pairs.
+    /// Iterates over `(record key, stat)` pairs in first-seen order.
     pub fn iter(&self) -> impl Iterator<Item = (&RrKey, &RrStat)> {
-        // lint:allow(hash-iter): documented-unordered view; consumers reduce order-free or sort
-        self.stats.iter()
+        self.rows_since(0)
+    }
+
+    /// The rows first seen after the first `cursor` ones, in first-seen
+    /// order: what is new since the table's [`RrDayStats::len`] read
+    /// `cursor`. Empty when `cursor` is at or past the end.
+    pub fn rows_since(&self, cursor: usize) -> impl Iterator<Item = (&RrKey, &RrStat)> {
+        self.rows.get(cursor..).unwrap_or_default().iter().map(|(key, stat)| (key, stat))
+    }
+
+    fn stats(&self) -> impl Iterator<Item = &RrStat> {
+        self.rows.iter().map(|(_, stat)| stat)
     }
 
     /// Sorted per-record lookup counts, descending — Fig. 3a's
     /// lookup-volume distribution.
     pub fn lookup_volumes_desc(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.stats.values().map(|s| s.queries).collect();
+        let mut v: Vec<u32> = self.stats().map(|s| s.queries).collect();
         v.sort_unstable_by(|a, b| b.cmp(a));
         v
     }
@@ -114,26 +207,26 @@ impl RrDayStats {
     /// Fraction of records with fewer than `threshold` lookups — the
     /// paper's long-tail measure (Table I uses `threshold = 10`).
     pub fn tail_fraction(&self, threshold: u32) -> f64 {
-        if self.stats.is_empty() {
+        if self.rows.is_empty() {
             return 0.0;
         }
-        let tail = self.stats.values().filter(|s| s.queries < threshold).count();
-        tail as f64 / self.stats.len() as f64
+        let tail = self.stats().filter(|s| s.queries < threshold).count();
+        tail as f64 / self.rows.len() as f64
     }
 
     /// Fraction of records with a domain hit rate of zero (Fig. 3b's tail,
     /// Table II).
     pub fn zero_dhr_fraction(&self) -> f64 {
-        if self.stats.is_empty() {
+        if self.rows.is_empty() {
             return 0.0;
         }
-        let zero = self.stats.values().filter(|s| s.dhr() == 0.0).count();
-        zero as f64 / self.stats.len() as f64
+        let zero = self.stats().filter(|s| s.dhr() == 0.0).count();
+        zero as f64 / self.rows.len() as f64
     }
 
     /// The empirical CDF of DHR values evaluated at `points`.
     pub fn dhr_cdf(&self, points: &[f64]) -> Vec<f64> {
-        let mut dhrs: Vec<f64> = self.stats.values().map(RrStat::dhr).collect();
+        let mut dhrs: Vec<f64> = self.stats().map(RrStat::dhr).collect();
         dhrs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("dhr is finite"));
         points
             .iter()
@@ -151,18 +244,22 @@ impl RrDayStats {
     /// The cache-hit-rate distribution of all records (Eq. 2): each
     /// record's DHR value counted once per cache miss.
     pub fn chr_distribution(&self) -> ChrDistribution {
-        // lint:allow(hash-iter): histogram binning; integer bin counts are order-independent
-        ChrDistribution::from_stats(self.stats.values())
+        ChrDistribution::from_stats(self.stats())
     }
 
     /// Merges another day's stats into this table (used by multi-day
-    /// aggregates like Fig. 4b).
+    /// aggregates like Fig. 4b); rows new to this table follow its own
+    /// in `other`'s first-seen order.
     pub fn merge(&mut self, other: &RrDayStats) {
-        // lint:allow(hash-iter): entry-wise integer sums; order cannot matter
-        for (k, s) in &other.stats {
-            let e = self.stats.entry(k.clone()).or_default();
-            e.queries += s.queries;
-            e.misses += s.misses;
+        for (k, s) in other.iter() {
+            match self.find(&k.name, k.qtype, &k.rdata) {
+                Some(pos) => {
+                    let e = &mut self.rows[pos].1;
+                    e.queries += s.queries;
+                    e.misses += s.misses;
+                }
+                None => self.insert(k.clone(), *s),
+            }
         }
     }
 }
@@ -266,6 +363,10 @@ mod tests {
     use dnsnoise_dns::{QType, RData};
     use std::net::Ipv4Addr;
 
+    fn record(s: &mut RrDayStats, key: &RrKey, missed: bool) -> bool {
+        s.record(&key.name, key.qtype, &key.rdata, missed)
+    }
+
     fn key(i: u8) -> RrKey {
         RrKey {
             name: format!("d{i}.example.com").parse().unwrap(),
@@ -280,7 +381,7 @@ mod tests {
         // for both misses.
         let mut s = RrDayStats::new();
         for missed in [true, false, true, false, false] {
-            s.record(&key(1), missed);
+            record(&mut s, &key(1), missed);
         }
         let stat = s.get(&key(1)).unwrap();
         assert!((stat.dhr() - 0.6).abs() < 1e-12);
@@ -293,11 +394,11 @@ mod tests {
     fn tail_and_zero_dhr_fractions() {
         let mut s = RrDayStats::new();
         // Record 1: queried once, missed once (DHR 0, tail).
-        s.record(&key(1), true);
+        record(&mut s, &key(1), true);
         // Record 2: 20 queries, 1 miss (DHR 0.95, not tail).
-        s.record(&key(2), true);
+        record(&mut s, &key(2), true);
         for _ in 0..19 {
-            s.record(&key(2), false);
+            record(&mut s, &key(2), false);
         }
         assert_eq!(s.tail_fraction(10), 0.5);
         assert_eq!(s.zero_dhr_fraction(), 0.5);
@@ -307,9 +408,9 @@ mod tests {
     fn lookup_volumes_sorted_descending() {
         let mut s = RrDayStats::new();
         for _ in 0..3 {
-            s.record(&key(1), false);
+            record(&mut s, &key(1), false);
         }
-        s.record(&key(2), false);
+        record(&mut s, &key(2), false);
         assert_eq!(s.lookup_volumes_desc(), vec![3, 1]);
     }
 
@@ -335,10 +436,10 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = RrDayStats::new();
-        a.record(&key(1), false);
+        record(&mut a, &key(1), false);
         let mut b = RrDayStats::new();
-        b.record(&key(1), true);
-        b.record(&key(2), false);
+        record(&mut b, &key(1), true);
+        record(&mut b, &key(2), false);
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.get(&key(1)).unwrap().queries, 2);
@@ -348,8 +449,57 @@ mod tests {
     #[test]
     fn records_with_no_misses_carry_no_chr_weight() {
         let mut s = RrDayStats::new();
-        s.record(&key(1), false); // hit-only record (e.g. cached from yesterday)
+        record(&mut s, &key(1), false); // hit-only record (e.g. cached from yesterday)
         let chr = s.chr_distribution();
         assert!(chr.is_empty());
+    }
+
+    #[test]
+    fn rows_keep_first_seen_order_and_report_what_is_new() {
+        let mut s = RrDayStats::new();
+        for i in [3, 1, 3, 2, 1] {
+            record(&mut s, &key(i), false);
+        }
+        let order: Vec<RrKey> = s.iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(order, vec![key(3), key(1), key(2)]);
+        let cursor = s.len();
+        assert!(!record(&mut s, &key(2), true), "a repeat is not new");
+        assert!(record(&mut s, &key(9), true));
+        let fresh: Vec<&RrKey> = s.rows_since(cursor).map(|(k, _)| k).collect();
+        assert_eq!(fresh, vec![&key(9)]);
+        assert_eq!(s.rows_since(99).count(), 0);
+        // Many rows: the table grows, and every row is still found.
+        for i in 10..=200 {
+            record(&mut s, &key(i), false);
+        }
+        assert!((1..=200).all(|i| s.get(&key(i)).is_some() == (i >= 9 || i <= 3)));
+    }
+
+    #[test]
+    fn state_bytes_is_the_running_sum_of_its_rows() {
+        let mut s = RrDayStats::new();
+        for i in [1, 2, 1, 7] {
+            record(&mut s, &key(i), false);
+        }
+        let scanned: usize =
+            s.iter().map(|(k, _)| k.storage_bytes() + std::mem::size_of::<RrStat>()).sum();
+        assert_eq!(s.state_bytes(), scanned);
+        let mut merged = RrDayStats::new();
+        merged.merge(&s);
+        assert_eq!(merged.state_bytes(), scanned);
+    }
+
+    #[test]
+    fn equality_ignores_first_seen_order() {
+        let (mut a, mut b) = (RrDayStats::new(), RrDayStats::new());
+        for i in [1, 2] {
+            record(&mut a, &key(i), false);
+        }
+        for i in [2, 1] {
+            record(&mut b, &key(i), false);
+        }
+        assert_eq!(a, b);
+        record(&mut b, &key(1), true);
+        assert_ne!(a, b);
     }
 }

@@ -1,13 +1,14 @@
 //! A cache hit is served from the cache's shared answer block: replaying
 //! an event that hits allocates nothing, whatever the observer does with
-//! the answers it is handed.
+//! the answers it is handed. Booking a record the day's table already
+//! holds allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use dnsnoise_dns::{QType, RData, Record, Timestamp, Ttl};
-use dnsnoise_resolver::{EventSession, Observer, ResolverSim, Served, SimConfig};
+use dnsnoise_resolver::{EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig};
 use dnsnoise_workload::{Outcome, QueryEvent};
 
 thread_local! {
@@ -86,4 +87,26 @@ fn an_event_that_hits_the_cache_allocates_nothing() {
     let ((), n) = allocations(|| session.push(&again, None, &mut tally));
     assert_eq!((tally.last, tally.answers), (Some(Served::CacheHit), 2));
     assert_eq!(n, 0, "a cache hit allocated {n} times");
+}
+
+/// The table finds a row by the record's borrowed parts: a repeat builds
+/// no owned key, so even a TXT record, whose key would copy its text,
+/// books without allocating.
+#[test]
+fn recording_a_repeated_record_allocates_nothing() {
+    let name: dnsnoise_dns::Name = "www.example.com".parse().unwrap();
+    let records = [
+        Record::new(name.clone(), QType::A, Ttl::from_secs(60), RData::A(Ipv4Addr::LOCALHOST)),
+        Record::new(name.clone(), QType::Txt, Ttl::from_secs(60), RData::Txt("v=spf1".into())),
+        Record::new(name.clone(), QType::Cname, Ttl::from_secs(60), RData::Cname(name.clone())),
+    ];
+    let mut stats = RrDayStats::new();
+    for rr in &records {
+        assert!(stats.record(&rr.name, rr.qtype, &rr.rdata, true), "{rr} is new");
+    }
+    let (fresh, n) = allocations(|| {
+        records.iter().filter(|rr| stats.record(&rr.name, rr.qtype, &rr.rdata, false)).count()
+    });
+    assert_eq!(fresh, 0, "every record was a repeat");
+    assert_eq!(n, 0, "booking three repeats allocated {n} times");
 }

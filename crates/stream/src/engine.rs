@@ -10,18 +10,30 @@
 //!   every replay keeps, and the very table the batch miner reads after
 //!   the day. The stream path holds no second copy of it;
 //! * the observer adds only what no other structure holds: the **set of
-//!   distinct clients**, the four fpDNS counters the report prints, the
-//!   rpDNS store and the served-class tallies. Both distinct counts are
-//!   exact: the clients are the set's size, the owner names the
-//!   close-time tree's black-node count.
+//!   distinct clients**, the four fpDNS counters the report prints and
+//!   the served-class tallies. Both distinct counts are exact: the
+//!   clients are the set's size, the owner names the close-time tree's
+//!   black-node count.
 //!
-//! At each epoch boundary (and at [`StreamMiner::finish`]) the table is
-//! folded into a fresh [`DomainTree`] with
-//! [`DomainTree::from_day_stats`] — the function the batch pipeline calls
-//! — and the trained classifier runs Algorithm 1 over it, so stream ≡
-//! batch holds by construction. Snapshots are non-destructive: closing an
-//! epoch mid-stream and resuming is indistinguishable from an
-//! uninterrupted run.
+//! The table keeps its rows in first-seen order, so the rows past any
+//! earlier length are exactly the records first seen since
+//! ([`RrDayStats::rows_since`]). The miner reads its two day-long
+//! consumers off that order:
+//!
+//! * the **rpDNS store** gets each record once, at its first sighting:
+//!   after every push the miner hands it the rows past its `stored`
+//!   cursor, so the store sees one observe per distinct record, not one
+//!   per answer record;
+//! * the **domain tree** lives all day. At each epoch boundary (and at
+//!   [`StreamMiner::finish`]) [`DomainTree::fold`] inserts the rows first
+//!   seen since the last close, refreshes every row's counters and
+//!   re-colours the tree, and the trained classifier runs Algorithm 1
+//!   over it. A fold equals a fresh [`DomainTree::from_day_stats`] — the
+//!   function the batch pipeline calls — so stream ≡ batch holds by
+//!   construction, and a close costs its epoch's new rows plus one
+//!   Algorithm 1 walk, not a rebuild of the day so far. Snapshots are
+//!   non-destructive: closing an epoch mid-stream and resuming is
+//!   indistinguishable from an uninterrupted run.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -239,26 +251,12 @@ fn render_finding(f: &Finding) -> String {
 
 /// The online statistics the observer accumulates — what the replay
 /// session does not already hold: the client set, the pDNS counters and
-/// store, and the served-class tallies behind the conservation line.
-#[derive(Debug)]
+/// the served-class tallies behind the conservation line.
+#[derive(Debug, Default)]
 pub(crate) struct StreamState {
     /// The client of every response that was neither shed nor failed.
     pub(crate) clients: HashSet<u64>,
     pub(crate) pdns: FpDnsSummary,
-    /// The deduplicating rpDNS store behind the `--store` flag. Excluded
-    /// from [`StreamState::state_bytes`]: the paper's streaming-state
-    /// budget covers the per-record table and the client set, and the store's
-    /// own footprint is reported separately as rpDNS storage bytes.
-    pub(crate) rpdns: PdnsBackend,
-    /// Answer records still to withhold from `rpdns` because it already
-    /// holds them: a store reopened on resume has folded in the day's
-    /// first [`RunStore::observed`] records, and the warm-up replay counts
-    /// them down instead of observing them twice.
-    pub(crate) store_skip: u64,
-    /// The day being streamed, named by its first event: every answer is
-    /// observed into `rpdns` under it, whatever its own timestamp says,
-    /// so one hostile stamp cannot size the store's per-day table.
-    pub(crate) day: u64,
     pub(crate) answered: u64,
     pub(crate) nxdomain: u64,
     pub(crate) failed: u64,
@@ -266,20 +264,6 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    fn new(day: u64) -> StreamState {
-        StreamState {
-            clients: HashSet::new(),
-            pdns: FpDnsSummary::default(),
-            rpdns: PdnsBackend::default(),
-            store_skip: 0,
-            day,
-            answered: 0,
-            nxdomain: 0,
-            failed: 0,
-            shed: 0,
-        }
-    }
-
     /// Total resident streaming state in bytes: the session's per-record
     /// `table` + one `u64` per distinct client.
     fn state_bytes(&self, table: &RrDayStats) -> usize {
@@ -306,24 +290,22 @@ impl Observer for StreamState {
         }
         self.answered += 1;
         self.pdns.collect(answers);
-        for rr in answers {
-            if self.store_skip > 0 {
-                self.store_skip -= 1;
-            } else {
-                self.rpdns.observe(rr, self.day);
-            }
-        }
     }
 }
 
-/// One classification of the day so far: the batch miner's tree build
-/// and Algorithm 1 over `table`. Returns the tree's distinct owner names
-/// — counted before Algorithm 1 decolors the zones it classifies — and
-/// the findings.
-fn classify(miner: &Miner, psl: &SuffixList, table: &RrDayStats) -> (u64, Vec<Finding>) {
-    let mut tree = DomainTree::from_day_stats(table);
+/// One classification of the day so far: folds `table`'s new rows into
+/// the day's `tree` and runs Algorithm 1 over it. Returns the tree's
+/// distinct owner names — counted before Algorithm 1 decolors the zones
+/// it classifies — and the findings.
+fn classify(
+    miner: &Miner,
+    psl: &SuffixList,
+    tree: &mut DomainTree,
+    table: &RrDayStats,
+) -> (u64, Vec<Finding>) {
+    tree.fold(table);
     let distinct_names = tree.black_count() as u64;
-    (distinct_names, miner.mine(&mut tree, psl))
+    (distinct_names, miner.mine(tree, psl))
 }
 
 /// The streaming online miner: feed it one [`QueryEvent`] at a time with
@@ -342,6 +324,21 @@ pub struct StreamMiner<'m> {
     ground_truth: Option<&'m GroundTruth>,
     session: EventSession,
     state: StreamState,
+    /// The day's domain tree, folded up to the last close.
+    tree: DomainTree,
+    /// The deduplicating rpDNS store behind the `--store` flag. Excluded
+    /// from the report's `state_bytes`: the paper's streaming-state
+    /// budget covers the per-record table and the client set, and the
+    /// store's own footprint is reported separately as rpDNS storage
+    /// bytes.
+    store: PdnsBackend,
+    /// Rows of the session's table the store has been handed: the rows
+    /// past it are first sightings the store has not seen.
+    stored: usize,
+    /// The day being streamed, named by its first event: every record is
+    /// observed into `store` under it, whatever its answer's timestamp
+    /// says, so one hostile stamp cannot size the store's per-day table.
+    day: u64,
     current_epoch: Option<u64>,
     epochs: Vec<EpochSummary>,
     pushed: u64,
@@ -377,7 +374,11 @@ impl<'m> StreamMiner<'m> {
             psl: SuffixList::builtin(),
             ground_truth: None,
             session: EventSession::new(sim, day),
-            state: StreamState::new(day),
+            state: StreamState::default(),
+            tree: DomainTree::new(),
+            store: PdnsBackend::default(),
+            stored: 0,
+            day,
             current_epoch: None,
             epochs: Vec::new(),
             pushed: 0,
@@ -401,7 +402,7 @@ impl<'m> StreamMiner<'m> {
     /// Findings and the rendered report are bit-identical across
     /// backends; only [`StreamReport::rpdns_store`] reflects the choice.
     pub fn with_store(mut self, backend: PdnsBackend) -> StreamMiner<'m> {
-        self.state.rpdns = backend;
+        self.store = backend;
         self
     }
 
@@ -423,16 +424,25 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Streams one event: closes any epoch the event's timestamp has
-    /// moved past, then replays the event through the cluster and folds
-    /// the response into the online state.
+    /// moved past, then replays the event through the cluster, folds the
+    /// response into the online state and hands the store the records
+    /// it carried for the first time today.
     pub fn push(&mut self, event: &QueryEvent) {
+        self.tick(event);
+        self.replay(event);
+    }
+
+    /// Moves the epoch clock to `event`: names the day on the first
+    /// event, and closes (and checkpoints) the epoch the event's
+    /// timestamp has moved past.
+    fn tick(&mut self, event: &QueryEvent) {
         if !self.session_started {
             // The stream itself names the day (a stdin-fed miner cannot
             // know it up front); for well-formed traces this agrees with
             // the day passed to `with_sim`.
             self.session_started = true;
-            self.state.day = event.time.day();
-            self.session.set_day(self.state.day);
+            self.day = event.time.day();
+            self.session.set_day(self.day);
             // The day's first checkpoint, before its first event counts:
             // a process killed before the first boundary may already have
             // flushed to the store directory, so its rerun must resume
@@ -452,8 +462,24 @@ impl<'m> StreamMiner<'m> {
             }
         }
         self.current_epoch = Some(epoch.max(self.current_epoch.unwrap_or(0)));
+    }
+
+    /// Replays `event` through the cluster and the observer, then hands
+    /// the store the records it carried for the first time today.
+    fn replay(&mut self, event: &QueryEvent) {
         self.pushed += 1;
         self.session.push(event, self.ground_truth, &mut self.state);
+        self.feed_store();
+    }
+
+    /// Observes the table's rows past the `stored` cursor into the store:
+    /// each record once, at its first sighting.
+    fn feed_store(&mut self) {
+        let table = self.session.rr_stats();
+        for (key, _) in table.rows_since(self.stored) {
+            self.store.observe_key(key, self.day);
+        }
+        self.stored = self.stored.max(table.len());
     }
 
     /// Events streamed so far.
@@ -482,7 +508,7 @@ impl<'m> StreamMiner<'m> {
         let Some(dir) = self.checkpoint_dir.clone() else { return };
         let ckpt = Checkpoint::capture(
             &self.config,
-            self.state.day,
+            self.day,
             self.pushed,
             self.current_epoch,
             &self.epochs,
@@ -497,16 +523,18 @@ impl<'m> StreamMiner<'m> {
     /// pulled from `warmup` and replayed through the resolver session and
     /// the live observer, so the code that built the interrupted process's
     /// state — caches, per-record table, client set, pDNS counters,
-    /// served-class tallies and rpDNS store — rebuilds it; only the closed
-    /// epochs come from the checkpoint. Pushing the remaining events and
+    /// served-class tallies — rebuilds it, and the store is handed the
+    /// records first seen in it; only the closed epochs come from the
+    /// checkpoint. Pushing the remaining events and
     /// finishing then produces a report byte-identical to an uninterrupted
     /// run.
     ///
     /// A disk store with a spill directory is reopened with
     /// [`RunStore::open`] (orphans collected, corrupt runs quarantined)
-    /// rather than rebuilt: its `MANIFEST` records how many answer records
-    /// it holds, and the replay feeds it only the ones after those, whether
-    /// that count is behind the checkpoint or ahead of it.
+    /// rather than rebuilt: it holds the day's first few distinct records,
+    /// in the order the table first saw them, so the miner hands it only
+    /// the table rows after those, whether that count is behind the
+    /// checkpoint or ahead of it.
     ///
     /// `warmup` may be the whole trace: exactly `ckpt.pushed` events are
     /// taken from it and nothing is buffered, so a reader handed over
@@ -534,7 +562,7 @@ impl<'m> StreamMiner<'m> {
         ckpt.verify(&self.config)?;
         self.reopen_store(ckpt.day)?;
         self.session_started = true;
-        self.state.day = ckpt.day;
+        self.day = ckpt.day;
         self.session.set_day(ckpt.day);
         // The count bounds the pull, so a forged `pushed` sizes nothing.
         let mut warmup = warmup.into_iter();
@@ -544,6 +572,7 @@ impl<'m> StreamMiner<'m> {
             self.session.push(event.borrow(), self.ground_truth, &mut self.state);
             supplied += 1;
         }
+        self.feed_store();
         if supplied != ckpt.pushed {
             return Err(StoreError::ConfigMismatch {
                 detail: format!(
@@ -560,12 +589,12 @@ impl<'m> StreamMiner<'m> {
     }
 
     /// Takes over the spill directory of a disk backend, if it has one:
-    /// reopens it and arms the observer to skip the answer records it
+    /// reopens it and moves the `stored` cursor past the records it
     /// already holds. Refuses a directory whose recovery lost a
     /// manifest-listed run (the store would silently miss records) or
     /// that holds observations of a day other than `day`.
     fn reopen_store(&mut self, day: u64) -> Result<(), StoreError> {
-        let PdnsBackend::Disk(fresh) = &self.state.rpdns else { return Ok(()) };
+        let PdnsBackend::Disk(fresh) = &self.store else { return Ok(()) };
         let Some(dir) = fresh.config().spill.clone() else { return Ok(()) };
         let store = RunStore::open(&dir, fresh.config().clone())?;
         if let Some(report) = store.recovery() {
@@ -592,8 +621,8 @@ impl<'m> StreamMiner<'m> {
                 ),
             });
         }
-        self.state.store_skip = store.observed();
-        self.state.rpdns = PdnsBackend::Disk(store);
+        self.stored = store.len();
+        self.store = PdnsBackend::Disk(store);
         Ok(())
     }
 
@@ -609,7 +638,7 @@ impl<'m> StreamMiner<'m> {
 
     fn close_epoch(&mut self, epoch: u64) {
         let table = self.session.rr_stats();
-        let (distinct_names, findings) = classify(self.miner, &self.psl, table);
+        let (distinct_names, findings) = classify(self.miner, &self.psl, &mut self.tree, table);
         self.epochs.push(EpochSummary {
             epoch,
             end_secs: (epoch + 1) * self.config.epoch_secs,
@@ -631,7 +660,11 @@ impl<'m> StreamMiner<'m> {
             psl,
             ground_truth,
             session,
-            mut state,
+            state,
+            mut tree,
+            mut store,
+            stored: _,
+            day: _,
             current_epoch: _,
             epochs,
             pushed,
@@ -641,21 +674,22 @@ impl<'m> StreamMiner<'m> {
         } = self;
         // Close out the run store: flush and collapse to one optimized
         // run so a spill directory holds the complete, final day image.
-        if let PdnsBackend::Disk(ref mut s) = state.rpdns {
+        if let PdnsBackend::Disk(ref mut s) = store {
             s.optimize();
         }
-        let rpdns_store_error = state.rpdns.io_error().map(StoreError::to_string);
-        let rpdns_store = RpdnsStoreSummary::from(&state.rpdns);
+        let rpdns_store_error = store.io_error().map(StoreError::to_string);
+        let rpdns_store = RpdnsStoreSummary::from(&store);
         let (day_report, sim) = session.finish();
-        let (distinct_names, final_findings) = classify(miner, &psl, &day_report.rr_stats);
+        let (distinct_names, final_findings) =
+            classify(miner, &psl, &mut tree, &day_report.rr_stats);
         let mining = ground_truth.map(|gt| {
             // Eligibility bookkeeping needs the pristine (un-decolored)
-            // tree, exactly as the batch pipeline rebuilds one.
-            let eval_tree = DomainTree::from_day_stats(&day_report.rr_stats);
+            // tree: a fold with no new rows colours it again.
+            tree.fold(&day_report.rr_stats);
             MiningReport::evaluate(
                 day_report.day,
                 final_findings.clone(),
-                &eval_tree,
+                &tree,
                 gt,
                 &psl,
                 miner.config().min_group_size,
@@ -801,10 +835,10 @@ mod tests {
 
     /// The observer's four fpDNS counters: an answered NODATA counts as
     /// `nx` like an NXDOMAIN, a SERVFAIL or a shed query not at all, and
-    /// neither adds its client to the set. Answers land in the store under
-    /// the streamed day, whatever the event's own stamp says.
+    /// neither adds its client to the set, whatever the event's own stamp
+    /// says.
     #[test]
-    fn observer_counts_like_the_fpdns_log_under_the_streamed_day() {
+    fn observer_counts_like_the_fpdns_log() {
         use dnsnoise_dns::{QType, RData, Timestamp, Ttl};
         use dnsnoise_workload::Outcome;
 
@@ -830,7 +864,7 @@ mod tests {
             (86_400 + 50, 4, Served::Dropped, &[]),
             (u64::MAX, 2, Served::CacheHit, &answered[..1]),
         ];
-        let mut state = StreamState::new(1);
+        let mut state = StreamState::default();
         for (secs, client, served, answers) in responses {
             state.observe(&event(secs, client), served, answers);
         }
@@ -843,7 +877,6 @@ mod tests {
         assert_eq!(state.pdns, expected);
         assert_eq!(state.clients, HashSet::from([1, 2]), "no failed or shed client");
         assert_eq!((state.failed, state.shed), (1, 1));
-        assert_eq!(state.rpdns.daily_stats().len(), 2, "days 0 and 1 only");
     }
 
     #[test]
@@ -859,5 +892,95 @@ mod tests {
             stream.finish().0.render()
         };
         assert_eq!(render(), render());
+    }
+
+    /// Holds the miner's all-day tree, as the close just left it, against
+    /// a fresh build of the same table: re-folding it must restore every
+    /// node Algorithm 1 decoloured, and the two trees must agree on the
+    /// owner count, the registered-domain walk, every group's member and
+    /// adjacent names, and Algorithm 1's findings.
+    fn assert_close_matches_a_rebuild(stream: &mut StreamMiner<'_>, what: &str) -> usize {
+        let table = stream.session.rr_stats();
+        let mut fresh = DomainTree::from_day_stats(table);
+        stream.tree.fold(table);
+        let (tree, psl) = (&stream.tree, &stream.psl);
+        let close = stream.epochs.last().expect("an epoch closed");
+        assert_eq!(tree.black_count(), fresh.black_count(), "{what}");
+        assert_eq!(close.distinct_names, fresh.black_count() as u64, "{what}");
+        let zones = tree.registered_domains(psl);
+        let fresh_zones = fresh.registered_domains(psl);
+        let names = |zones: &[(usize, dnsnoise_dns::Name)]| -> Vec<dnsnoise_dns::Name> {
+            zones.iter().map(|(_, name)| name.clone()).collect()
+        };
+        assert_eq!(names(&zones), names(&fresh_zones), "{what}");
+        let named = |t: &DomainTree, ids: &[usize]| -> Vec<dnsnoise_dns::Name> {
+            ids.iter().map(|&id| t.name_of(id)).collect()
+        };
+        for ((id, zone), (fresh_id, _)) in zones.iter().zip(&fresh_zones) {
+            let ours = tree.groups_under_id(*id, zone.depth());
+            let theirs = fresh.groups_under_id(*fresh_id, zone.depth());
+            assert!(ours.groups.keys().eq(theirs.groups.keys()), "{what}: {zone}");
+            for (a, b) in ours.groups.values().zip(theirs.groups.values()) {
+                assert_eq!(named(tree, &a.members), named(&fresh, &b.members), "{what}: {zone}");
+                assert_eq!(named(tree, &a.adjacent), named(&fresh, &b.adjacent), "{what}: {zone}");
+            }
+        }
+        assert_eq!(stream.miner.mine(&mut fresh, psl), close.findings, "{what}");
+        close.findings.len()
+    }
+
+    #[test]
+    fn the_all_day_tree_folds_to_a_fresh_build_at_every_close() {
+        for seed in [7, 301] {
+            let s = scenario(seed);
+            let miner = trained_miner(&s);
+            let trace = s.generate_day(1);
+            for epoch_secs in [600, 3600, 21_600] {
+                let mut stream = StreamMiner::new(StreamConfig { epoch_secs }, &miner);
+                let (mut closes, mut findings) = (0, 0);
+                for (i, event) in trace.events.iter().enumerate() {
+                    let what = format!("seed {seed}, epoch_secs {epoch_secs}, event {i}");
+                    if i == trace.events.len() / 2 {
+                        stream.close_epoch_now();
+                        findings += assert_close_matches_a_rebuild(&mut stream, &what);
+                        closes += 1;
+                    }
+                    let closed = stream.epochs.len();
+                    stream.tick(event);
+                    if stream.epochs.len() > closed {
+                        findings += assert_close_matches_a_rebuild(&mut stream, &what);
+                        closes += 1;
+                    }
+                    stream.replay(event);
+                }
+                assert_eq!(closes, stream.epochs.len(), "seed {seed}: every close was checked");
+                assert!(
+                    findings > 0,
+                    "seed {seed}, epoch_secs {epoch_secs}: no close found anything"
+                );
+            }
+        }
+    }
+
+    /// The store is handed each table row once, at its first sighting,
+    /// under the streamed day whatever an event's own stamp says.
+    #[test]
+    fn the_store_takes_each_first_sighting_once_under_the_streamed_day() {
+        use dnsnoise_dns::Timestamp;
+
+        let s = scenario(21);
+        let miner = trained_miner(&s);
+        let mut events = s.generate_day(1).events;
+        events[500].time = Timestamp::from_secs(u64::MAX);
+        let mut stream = StreamMiner::new(StreamConfig::default(), &miner);
+        for event in &events {
+            stream.push(event);
+        }
+        let rows = stream.session.rr_stats().len();
+        assert_eq!(stream.stored, rows);
+        assert_eq!(stream.store.len(), rows);
+        let days = stream.store.daily_stats();
+        assert_eq!(days.len(), 2, "days 0 and 1 only");
+        assert_eq!((days[1].new_records, days[1].repeated_records), (rows as u64, 0));
     }
 }

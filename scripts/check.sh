@@ -188,7 +188,7 @@ sim_store=$(grep -o "$store_tokens" "$smoke_dir/sim.log") \
     && [ "$sim_store" = "$(grep -o "$store_tokens" "$smoke_dir/sm.log")" ] \
     || { echo "error: simulate and stream filled the memory store differently" >&2; exit 1; }
 
-echo "== crash/resume smoke (kill mid-day and before the first boundary, resume, cmp, fsck) ==" >&2
+echo "== crash/resume smoke (kill mid-day, hourly and before the first boundary; resume, cmp, fsck) ==" >&2
 # A stream killed mid-day by --die-after (simulating SIGKILL) and resumed
 # from its on-disk checkpoint must print the exact bytes of the
 # uninterrupted run; the reopened spill directory must end holding the
@@ -225,6 +225,29 @@ same_store "$smoke_dir/pdns" "$smoke_dir/pdns-crash" \
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-crash" >"$smoke_dir/fsck.txt" \
     || { echo "error: fsck found problems after crash+resume" >&2
          cat "$smoke_dir/fsck.txt" >&2; exit 1; }
+# Hourly epochs: killed two thirds into the day, resumed from a mid-day
+# boundary. The resumed process re-folds its all-day tree across many
+# closes and moves the store's first-sighting cursor to the reopened
+# store's record count: render and store must still equal the
+# uninterrupted hourly run's.
+hourly=(stream --trace "$smoke_dir/day1.trace" --model "$smoke_dir/model.txt" --epoch-secs 3600)
+./target/release/dnsnoise "${hourly[@]}" --store disk --store-path "$smoke_dir/pdns-hourly-ref" \
+    >"$smoke_dir/hourly-ref.txt" 2>/dev/null
+if ./target/release/dnsnoise "${hourly[@]}" --store disk --store-path "$smoke_dir/pdns-hourly" \
+    --checkpoint "$smoke_dir/ckpt-hourly" --die-after $((events * 2 / 3)) >/dev/null 2>/dev/null; then
+    echo "error: --die-after $((events * 2 / 3)) did not kill the hourly stream" >&2; exit 1
+fi
+./target/release/dnsnoise "${hourly[@]}" --store disk --store-path "$smoke_dir/pdns-hourly" \
+    --checkpoint "$smoke_dir/ckpt-hourly" >"$smoke_dir/hourly-res.txt" 2>"$smoke_dir/hourly-res.log"
+grep -q 'resuming from checkpoint' "$smoke_dir/hourly-res.log" \
+    || { echo "error: the resumed hourly stream did not load the checkpoint" >&2; exit 1; }
+diff "$smoke_dir/hourly-ref.txt" "$smoke_dir/hourly-res.txt" >&2 \
+    || { echo "error: the resumed hourly stream diverged from the uninterrupted run" >&2; exit 1; }
+same_store "$smoke_dir/pdns-hourly-ref" "$smoke_dir/pdns-hourly" \
+    || { echo "error: the resumed hourly store diverged from the uninterrupted run's" >&2; exit 1; }
+./target/release/dnsnoise fsck "$smoke_dir/pdns-hourly" >"$smoke_dir/fsck-hourly.txt" \
+    || { echo "error: fsck found problems after the hourly crash+resume" >&2
+         cat "$smoke_dir/fsck-hourly.txt" >&2; exit 1; }
 # Killed before its first epoch boundary (one epoch per day), once a flush
 # has published the store: the day-start checkpoint makes the identical
 # rerun a resume that takes the store over, not a refusal.

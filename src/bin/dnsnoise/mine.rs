@@ -43,7 +43,8 @@ fn run(o: &Opts) -> Result<(), String> {
         return Ok(());
     }
     // The day is replayed straight off the reader, as `stream` does,
-    // and only its per-record table outlives the loop.
+    // and only its per-record table outlives the loop: the simulator's
+    // caches are dropped before the tree is built.
     let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), 0);
     for (i, event) in trace_events(&o.trace)?.enumerate() {
         let event = event.map_err(|e| e.to_string())?;
@@ -52,7 +53,7 @@ fn run(o: &Opts) -> Result<(), String> {
         }
         session.push(&event, None, &mut ());
     }
-    let (report, _sim) = session.finish();
+    let (report, _) = session.finish();
     let miner = o.load_or_train_miner()?;
 
     let mut tree = DomainTree::from_day_stats(&report.rr_stats);

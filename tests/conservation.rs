@@ -71,9 +71,15 @@ fn assert_stream_and_store_conserve(miner: &Miner, trace: &DayTrace, dir: &Path,
     assert_eq!(report.events_pushed, trace.events.len() as u64, "{what}");
     assert!(report.conserves(), "{what}: {}", report.conservation_line());
 
+    // Every answer record is booked once in the day's table, and the
+    // store observes each table row once, at its first sighting.
+    let table = &report.day_report.rr_stats;
+    let booked: u64 = table.iter().map(|(_, stat)| u64::from(stat.queries)).sum();
+    assert_eq!(booked, report.pdns.total_records, "{what}");
     let store = RunStore::open(dir, StoreConfig::default()).expect("the store reopens");
-    assert_eq!(store.observed(), report.pdns.total_records, "{what}");
+    assert_eq!(store.observed(), table.len() as u64, "{what}");
     assert_eq!(store.len() as u64, report.rpdns_store.records, "{what}");
+    assert_eq!(store.len(), table.len(), "{what}");
     let reopened = store.recovery().expect("open records its scan");
     assert!(reopened.is_clean(), "{what}:\n{}", reopened.render());
     drop(store);
