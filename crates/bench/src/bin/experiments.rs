@@ -11,8 +11,9 @@
 //! the workload size (1.0 = report scale used for EXPERIMENTS.md; smaller
 //! values run faster with noisier numbers). `--store` picks the pDNS
 //! backend for the storage-bound experiments (fig5, fig15, pdnsdb);
-//! reports are bit-identical across backends, and `--store-path` mirrors
-//! the disk backend's sorted runs under a directory.
+//! reports are bit-identical across backends, and `--store-path D` mirrors
+//! each one's disk store under `D/<id>`, refusing one that already holds
+//! a store.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -84,6 +85,13 @@ fn main() -> ExitCode {
         let start = Instant::now();
         let report =
             run_experiment_with_store(id, opts.scale, opts.store, opts.store_path.as_deref());
+        let report = match report {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("{report}");
         println!("[{id} completed in {:.1?} at scale {}]\n", start.elapsed(), opts.scale);
     }

@@ -7,7 +7,7 @@
 //! new records climbs from ≈68% to ≈94%, and ≈88% of all stored records
 //! end up disposable.
 
-use dnsnoise_pdns::{PdnsStore, RpDns};
+use dnsnoise_pdns::PdnsBackend;
 
 use crate::experiments::common;
 use crate::util::{pct, scenario, Table};
@@ -52,14 +52,9 @@ impl Fig15Result {
     }
 }
 
-/// Runs the 13-day bootstrap on the default in-memory store.
-pub fn run(scale_factor: f64) -> Fig15Result {
-    run_with_store(scale_factor, &mut RpDns::new())
-}
-
-/// Runs the 13-day bootstrap against any [`PdnsStore`] backend; the
-/// result is bit-identical across backends.
-pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig15Result {
+/// Runs the 13-day bootstrap, handing `store` each day's distinct
+/// records; the result is bit-identical across backends.
+pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> Fig15Result {
     let s = scenario(0.85, 0.2 * scale_factor, 40.0, 101);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -69,13 +64,7 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig15Re
         let m = common::measure_day(&s, &mut sim, day);
         let (mut disp, mut non) = (0u64, 0u64);
         for (key, _) in m.report.rr_stats.iter() {
-            let record = dnsnoise_dns::Record::new(
-                key.name.clone(),
-                key.qtype,
-                dnsnoise_dns::Ttl::from_secs(60),
-                key.rdata.clone(),
-            );
-            if store.observe(&record, day) {
+            if store.observe_key(key, day) {
                 if gt.is_disposable_name(&key.name) {
                     disp += 1;
                 } else {
@@ -87,11 +76,8 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig15Re
     }
 
     result.total_records = store.len() as u64;
-    let disposable_total = store
-        .scan_prefix(&dnsnoise_dns::Name::root())
-        .iter()
-        .filter(|(k, _)| gt.is_disposable_name(&k.name))
-        .count() as u64;
+    // A record is new exactly once, so the daily counts sum to the store's.
+    let disposable_total: u64 = result.per_day.iter().map(|d| d.0).sum();
     result.disposable_store_share = disposable_total as f64 / result.total_records.max(1) as f64;
     result
 }
@@ -102,7 +88,7 @@ mod tests {
 
     #[test]
     fn disposable_share_of_new_records_climbs() {
-        let r = run(0.3);
+        let r = run(0.3, &mut PdnsBackend::default());
         assert_eq!(r.per_day.len(), 13);
         let first = r.daily_share(0);
         let last = r.daily_share(12);

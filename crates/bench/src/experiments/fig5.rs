@@ -5,7 +5,7 @@
 //! Akamai declines sharply, Google *grows* (≈+25%) and ends up operating
 //! the majority of all stored records (≈58%).
 
-use dnsnoise_pdns::{PdnsStore, RpDns};
+use dnsnoise_pdns::PdnsBackend;
 use dnsnoise_workload::Operator;
 
 use crate::experiments::common;
@@ -73,14 +73,9 @@ impl Fig5Result {
     }
 }
 
-/// Runs the 13-day dedup experiment on the default in-memory store.
-pub fn run(scale_factor: f64) -> Fig5Result {
-    run_with_store(scale_factor, &mut RpDns::new())
-}
-
-/// Runs the 13-day dedup experiment against any [`PdnsStore`] backend;
-/// the result is bit-identical across backends.
-pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig5Result {
+/// Runs the 13-day dedup experiment, handing `store` each day's distinct
+/// records; the result is bit-identical across backends.
+pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> Fig5Result {
     let s = scenario(0.85, 0.2 * scale_factor, 40.0, 51);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -89,15 +84,8 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig5Res
     for day in 0..13 {
         let m = common::measure_day(&s, &mut sim, day);
         let (mut all, mut akamai, mut google) = (0u64, 0u64, 0u64);
-        for (key, stat) in m.report.rr_stats.iter() {
-            // rpDNS counts each distinct record once; observe() dedups.
-            let record = dnsnoise_dns::Record::new(
-                key.name.clone(),
-                key.qtype,
-                dnsnoise_dns::Ttl::from_secs(stat.queries.max(1)),
-                key.rdata.clone(),
-            );
-            if store.observe(&record, day) {
+        for (key, _) in m.report.rr_stats.iter() {
+            if store.observe_key(key, day) {
                 all += 1;
                 match gt.operator_of(&key.name) {
                     Some(Operator::Akamai) => akamai += 1,
@@ -110,11 +98,8 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> Fig5Res
     }
 
     result.total_records = store.len() as u64;
-    result.google_records = store
-        .scan_prefix(&dnsnoise_dns::Name::root())
-        .iter()
-        .filter(|(k, _)| gt.operator_of(&k.name) == Some(Operator::Google))
-        .count() as u64;
+    // A record is new exactly once, so the daily counts sum to the store's.
+    result.google_records = result.per_day.iter().map(|d| d.2).sum();
     result
 }
 
@@ -124,7 +109,7 @@ mod tests {
 
     #[test]
     fn google_grows_while_all_declines() {
-        let r = run(0.3);
+        let r = run(0.3, &mut PdnsBackend::default());
         assert_eq!(r.per_day.len(), 13);
         assert!(r.all_change() < 0.0, "all change {}", r.all_change());
         assert!(r.akamai_change() < 0.0, "akamai change {}", r.akamai_change());

@@ -21,7 +21,11 @@ pub mod resilience;
 pub mod tables;
 
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
+
+use dnsnoise_pdns::store::holds_store;
+use dnsnoise_pdns::{BackendKind, PdnsBackend};
 
 /// Identifier of a reproducible experiment (see DESIGN.md §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,45 +141,55 @@ impl FromStr for ExperimentId {
 }
 
 /// Runs one experiment at `scale_factor` (1.0 = report scale; tests use
-/// much smaller) and returns its rendered report.
-pub fn run_experiment(id: ExperimentId, scale_factor: f64) -> String {
-    run_experiment_with_store(id, scale_factor, dnsnoise_pdns::BackendKind::Memory, None)
-}
-
-/// [`run_experiment`] with the pDNS-backed experiments (Fig. 5,
-/// Fig. 15, §VI-C) collecting into the chosen [`BackendKind`](dnsnoise_pdns::BackendKind)
-/// (`--store`); reports are bit-identical across backends. `store_path`
-/// mirrors the disk backend's runs under the given directory.
-/// Experiments that build no pDNS database ignore both knobs.
+/// much smaller) and returns its rendered report. The pDNS-backed
+/// experiments (Fig. 5, Fig. 15, §VI-C) each collect into a fresh backend
+/// of `store`'s kind (`--store`); reports are bit-identical across
+/// backends. `store_path` mirrors the disk backend's runs under
+/// `<store_path>/<id>`, one directory per experiment. Experiments that
+/// build no pDNS database ignore both knobs.
+///
+/// # Errors
+///
+/// When `<store_path>/<id>` already holds a store ([`holds_store`]): a
+/// fresh store would rename its runs over the old one's.
 pub fn run_experiment_with_store(
     id: ExperimentId,
     scale_factor: f64,
-    store: dnsnoise_pdns::BackendKind,
-    store_path: Option<&std::path::Path>,
-) -> String {
-    let mut backend = dnsnoise_pdns::PdnsBackend::create(store, store_path);
-    match id {
+    store: BackendKind,
+    store_path: Option<&Path>,
+) -> Result<String, String> {
+    let backend = || {
+        let dir = store_path.map(|path| path.join(id.to_string()));
+        match dir {
+            Some(dir) if holds_store(&dir) => Err(format!(
+                "{} already holds a pDNS store; pass an empty --store-path",
+                dir.display()
+            )),
+            dir => Ok(PdnsBackend::create(store, dir.as_deref())),
+        }
+    };
+    Ok(match id {
         ExperimentId::Fig2 => fig2::run(scale_factor).render(),
         ExperimentId::Fig3a => fig3::run_3a(scale_factor).render(),
         ExperimentId::Fig3b => fig3::run_3b(scale_factor).render(),
         ExperimentId::Fig4 => fig4::run(scale_factor).render(),
-        ExperimentId::Fig5 => fig5::run_with_store(scale_factor, &mut backend).render(),
+        ExperimentId::Fig5 => fig5::run(scale_factor, &mut backend()?).render(),
         ExperimentId::Fig7 => fig7::run(scale_factor).render(),
         ExperimentId::Fig11 => fig11::run(scale_factor).render(),
         ExperimentId::Fig12 => fig12::run(scale_factor).render(),
         ExperimentId::Fig13 => fig13::run(scale_factor).render(),
         ExperimentId::Fig14 => fig14::run(scale_factor).render(),
-        ExperimentId::Fig15 => fig15::run_with_store(scale_factor, &mut backend).render(),
+        ExperimentId::Fig15 => fig15::run(scale_factor, &mut backend()?).render(),
         ExperimentId::Tab1 => tables::run_tab1(scale_factor).render(),
         ExperimentId::Tab2 => tables::run_tab2(scale_factor).render(),
         ExperimentId::Cache => cache_pressure::run(scale_factor).render(),
         ExperimentId::Dnssec => dnssec_cost::run(scale_factor).render(),
-        ExperimentId::PdnsDb => pdnsdb::run_with_store(scale_factor, &mut backend).render(),
+        ExperimentId::PdnsDb => pdnsdb::run(scale_factor, &mut backend()?).render(),
         ExperimentId::Phases => phases::run(scale_factor).render(),
         ExperimentId::Ablation => ablation::run(scale_factor).render(),
         ExperimentId::Resilience => resilience::run(scale_factor).render(),
         ExperimentId::Overload => overload::run(scale_factor).render(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -184,12 +198,27 @@ mod tests {
 
     #[test]
     fn pdns_experiments_render_identically_across_backends() {
-        use dnsnoise_pdns::BackendKind;
-        for id in [ExperimentId::Fig15, ExperimentId::PdnsDb] {
+        for id in [ExperimentId::Fig5, ExperimentId::Fig15, ExperimentId::PdnsDb] {
             let memory = run_experiment_with_store(id, 0.1, BackendKind::Memory, None);
             let disk = run_experiment_with_store(id, 0.1, BackendKind::Disk, None);
-            assert_eq!(memory, disk, "{id} diverges across store backends");
+            assert_eq!(memory.unwrap(), disk.unwrap(), "{id} diverges across store backends");
         }
+    }
+
+    #[test]
+    fn each_pdns_experiment_keeps_its_own_store() {
+        let dir = std::env::temp_dir().join(format!("dnsnoise-exp-stores-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |id| run_experiment_with_store(id, 0.1, BackendKind::Disk, Some(&dir));
+        for id in [ExperimentId::Fig15, ExperimentId::Fig5] {
+            run(id).unwrap();
+        }
+        assert!(holds_store(&dir.join("fig15")), "fig5 overwrote fig15's store");
+        assert!(holds_store(&dir.join("fig5")));
+        assert!(!holds_store(&dir), "a store landed in the shared directory itself");
+        let refused = run(ExperimentId::Fig5).unwrap_err();
+        assert!(refused.contains("already holds a pDNS store"), "{refused}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

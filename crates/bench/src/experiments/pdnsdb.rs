@@ -6,7 +6,7 @@
 //! size (the paper reports 0.7%: 129,674,213 → 945,065).
 
 use dnsnoise_core::{DailyPipeline, MinerConfig};
-use dnsnoise_pdns::{PdnsStore, RpDns, WildcardAggregator};
+use dnsnoise_pdns::{PdnsBackend, WildcardAggregator};
 
 use crate::experiments::common;
 use crate::util::{pct, scenario, Table};
@@ -68,15 +68,9 @@ impl PdnsDbResult {
     }
 }
 
-/// Runs the 13-day bootstrap plus both aggregation variants on the
-/// default in-memory store.
-pub fn run(scale_factor: f64) -> PdnsDbResult {
-    run_with_store(scale_factor, &mut RpDns::new())
-}
-
-/// Runs the storage experiment against any [`PdnsStore`] backend; the
-/// result is bit-identical across backends.
-pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> PdnsDbResult {
+/// Runs the 13-day bootstrap into `store` plus both aggregation variants;
+/// the result is bit-identical across backends.
+pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> PdnsDbResult {
     let s = scenario(0.9, 0.15 * scale_factor, 40.0, 151);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -85,17 +79,17 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> PdnsDbR
     let mut mined_rules: std::collections::BTreeSet<(dnsnoise_dns::Name, usize)> =
         std::collections::BTreeSet::new();
     let mut pipeline = DailyPipeline::new(MinerConfig::default());
+    // Every record the store took as new: the store's contents, in the
+    // order they arrived. Aggregation counts and collects a set, so the
+    // order does not matter.
+    let mut stored = Vec::new();
 
     for day in 0..13 {
         let m = common::measure_day(&s, &mut sim, day);
         for (key, _) in m.report.rr_stats.iter() {
-            let record = dnsnoise_dns::Record::new(
-                key.name.clone(),
-                key.qtype,
-                dnsnoise_dns::Ttl::from_secs(60),
-                key.rdata.clone(),
-            );
-            store.observe(&record, day);
+            if store.observe_key(key, day) {
+                stored.push(key.clone());
+            }
         }
         // Mine the first three days to accumulate wildcard rules, like an
         // operator seeding the aggregation filter.
@@ -118,16 +112,12 @@ pub fn run_with_store<S: PdnsStore>(scale_factor: f64, store: &mut S) -> PdnsDbR
         mined_agg.add_rule(zone.clone(), *depth);
     }
 
-    // scan_prefix(root) walks the whole store in canonical key order, so
-    // the aggregation sees the same sequence on every backend.
-    let scanned = store.scan_prefix(&dnsnoise_dns::Name::root());
-    let keys: Vec<&dnsnoise_dns::RrKey> = scanned.iter().map(|(k, _)| k).collect();
-    let outcome_gt = gt_agg.aggregate(keys.iter().copied());
-    let outcome_mined = mined_agg.aggregate(keys.iter().copied());
+    let outcome_gt = gt_agg.aggregate(&stored);
+    let outcome_mined = mined_agg.aggregate(&stored);
 
     PdnsDbResult {
         total_records: store.len() as u64,
-        disposable_records: keys.iter().filter(|k| gt.is_disposable_name(&k.name)).count() as u64,
+        disposable_records: stored.iter().filter(|k| gt.is_disposable_name(&k.name)).count() as u64,
         storage_bytes: store.storage_bytes(),
         aggregated_entries_gt: outcome_gt.stored_entries(),
         disposable_reduction_gt: outcome_gt.disposable_reduction_ratio(),
@@ -142,7 +132,7 @@ mod tests {
 
     #[test]
     fn wildcarding_collapses_disposable_storage() {
-        let r = run(0.3);
+        let r = run(0.3, &mut PdnsBackend::default());
         assert!(r.disposable_share() > 0.5, "disposable share {}", r.disposable_share());
         assert!(
             r.aggregated_entries_gt < r.total_records / 2,

@@ -26,7 +26,7 @@ mod wildcard;
 pub use fpdns::FpDnsSummary;
 pub use rpdns::{DailyNewRrs, RpDns};
 pub use store::{
-    fsck, BackendKind, PdnsBackend, PdnsStore, RecoveryReport, Run, RunStore, StoreConfig,
-    StoreError, StoreStats,
+    fsck, BackendKind, PdnsBackend, RecoveryReport, Run, RunStore, StoreConfig, StoreError,
+    StoreStats,
 };
 pub use wildcard::{AggregationOutcome, WildcardAggregator};

@@ -59,7 +59,7 @@ impl RpDns {
     }
 
     /// [`RpDns::observe`] by the record's key.
-    pub fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+    pub(crate) fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
         let d = day as usize;
         if self.per_day.len() <= d {
             self.per_day.resize(d + 1, DailyNewRrs::default());
@@ -94,30 +94,9 @@ impl RpDns {
         &self.per_day
     }
 
-    /// New records on `day` (0 for days never observed).
-    pub fn new_on_day(&self, day: u64) -> u64 {
-        self.per_day.get(day as usize).map_or(0, |d| d.new_records)
-    }
-
     /// Modelled storage footprint in bytes.
     pub fn storage_bytes(&self) -> u64 {
         self.storage_bytes
-    }
-
-    /// Iterates `(record key, first-seen day)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&RrKey, u64)> {
-        // lint:allow(hash-iter): documented-unordered view; consumers reduce order-free or sort
-        self.records.iter().map(|(k, &d)| (k, d))
-    }
-
-    /// Counts stored records matching a predicate (e.g. "disposable" per
-    /// ground truth) — the paper's "88% of all unique resource records in
-    /// the database are disposable" measure (§VI-C).
-    pub fn count_matching<F>(&self, mut predicate: F) -> usize
-    where
-        F: FnMut(&RrKey) -> bool,
-    {
-        self.records.keys().filter(|k| predicate(k)).count()
     }
 }
 
@@ -152,7 +131,7 @@ mod tests {
         assert!(store.observe(&rr("x.com", 1), 0));
         assert!(store.observe(&rr("x.com", 2), 0));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.new_on_day(0), 2);
+        assert_eq!(store.per_day()[0].new_records, 2);
     }
 
     #[test]
@@ -164,8 +143,7 @@ mod tests {
         assert_eq!(store.per_day().len(), 3);
         assert_eq!(store.per_day()[0], DailyNewRrs { new_records: 1, repeated_records: 1 });
         assert_eq!(store.per_day()[1], DailyNewRrs::default());
-        assert_eq!(store.new_on_day(2), 1);
-        assert_eq!(store.new_on_day(99), 0);
+        assert_eq!(store.per_day()[2].new_records, 1);
     }
 
     #[test]
@@ -175,15 +153,6 @@ mod tests {
         store.observe(&r, 3);
         store.observe(&r, 7);
         assert_eq!(store.first_seen(&r.key()), Some(3));
-    }
-
-    #[test]
-    fn count_matching_filters() {
-        let mut store = RpDns::new();
-        store.observe(&rr("a.tracker.com", 1), 0);
-        store.observe(&rr("www.site.com", 1), 0);
-        let trackers = store.count_matching(|k| k.name.to_string().ends_with("tracker.com"));
-        assert_eq!(trackers, 1);
     }
 
     #[test]

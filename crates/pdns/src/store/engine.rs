@@ -117,9 +117,8 @@ enum RunFile {
     Written(RunFileMeta),
 }
 
-/// The run store. See the module docs for the design; see
-/// [`PdnsStore`](super::PdnsStore) for the API it shares with
-/// [`RpDns`](crate::RpDns).
+/// The run store. See the module docs for the design; it answers every
+/// read [`RpDns`](crate::RpDns) answers, bit-identically.
 #[derive(Debug)]
 pub struct RunStore {
     config: StoreConfig,

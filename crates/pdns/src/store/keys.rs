@@ -157,7 +157,7 @@ fn take_prefixed_name(bytes: &[u8]) -> Result<(Name, &[u8]), String> {
 }
 
 /// Encodes RDATA as a tag byte plus a deterministic payload.
-pub fn encode_rdata(rdata: &RData) -> Vec<u8> {
+fn encode_rdata(rdata: &RData) -> Vec<u8> {
     let mut out = Vec::new();
     encode_rdata_into(rdata, &mut out);
     out
@@ -210,7 +210,7 @@ fn encode_rdata_into(rdata: &RData, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes [`encode_rdata`] output. Total: unknown tags and malformed
+/// Decodes the RDATA column of [`encode_key`]. Total: unknown tags and malformed
 /// payloads are reported as `Err`, never a panic.
 // lint:certify(no-panic)
 pub fn decode_rdata(bytes: &[u8]) -> Result<RData, String> {
@@ -265,6 +265,7 @@ pub fn decode_rdata(bytes: &[u8]) -> Result<RData, String> {
 }
 
 /// Encodes a full deduplication key.
+// lint:allow(dead-api): crates/pdns/tests/{proptests,durability_props}.rs build keys with it
 pub fn encode_key(name: &Name, qtype: QType, rdata: &RData) -> CompositeKey {
     (encode_name(name), qtype.code(), encode_rdata(rdata))
 }

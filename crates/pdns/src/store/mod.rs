@@ -1,9 +1,8 @@
-//! The unified pDNS storage API and the run-store engine.
+//! The run-store engine and the run-time choice of rpDNS backend.
 //!
-//! [`PdnsStore`] is the contract every rpDNS backend honours: observe
-//! deduplicated records with first-seen days, answer point lookups and
-//! zone-subtree scans, and expose the daily new/repeated counters and
-//! the modelled storage footprint. Two backends implement it:
+//! Every rpDNS backend takes the same feed: each distinct record once,
+//! by key, with the day it was first seen, answering whether it was new.
+//! Two backends take it:
 //!
 //! * [`RpDns`] — the original hash-map store (`memory`);
 //! * [`RunStore`] — a hash memtable + immutable columnar sorted runs
@@ -15,10 +14,9 @@
 //!   names it, so a run compacted away in the flush that made it never
 //!   reaches the disk.
 //!
-//! The two are interchangeable and bit-identical in every counter,
-//! lookup, and scan — pinned by the backend-equivalence property tests —
-//! so pipelines select a backend at run time via [`PdnsBackend`] without
-//! touching results.
+//! The two are bit-identical in every counter, lookup, and scan — pinned
+//! by the backend-equivalence property tests — so pipelines select a
+//! backend at run time via [`PdnsBackend`] without touching results.
 
 pub mod crc;
 pub mod engine;
@@ -34,118 +32,14 @@ pub mod run;
 
 use std::path::Path;
 
-use dnsnoise_dns::{Name, Record, RrKey};
+use dnsnoise_dns::RrKey;
 
 pub use engine::{RunStore, StoreConfig, StoreStats};
 pub use error::StoreError;
 pub use recovery::{fsck, RecoveryReport};
 pub use run::Run;
 
-use crate::rpdns::{DailyNewRrs, RpDns};
-use keys::CompositeKey;
-
-/// The storage contract shared by every rpDNS backend.
-pub trait PdnsStore {
-    /// Records one observation of `record` on `day`; returns `true` when
-    /// the record is new to the store.
-    fn observe(&mut self, record: &Record, day: u64) -> bool;
-
-    /// [`PdnsStore::observe`] by the record's key, for a caller that holds
-    /// keys rather than records (the streaming miner feeds the store its
-    /// per-record table's first sightings).
-    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool;
-
-    /// The day `key` was first seen, if stored.
-    fn first_seen(&self, key: &RrKey) -> Option<u64>;
-
-    /// Number of distinct records stored.
-    fn len(&self) -> usize;
-
-    /// Whether the store holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The daily new/repeated counters (index = day).
-    fn daily_stats(&self) -> &[DailyNewRrs];
-
-    /// Modelled storage footprint in bytes.
-    fn storage_bytes(&self) -> u64;
-
-    /// Every stored `(key, first-seen day)` whose name lies in `zone`'s
-    /// subtree (the zone apex included), in canonical reverse-label key
-    /// order — identical across backends. `Name::root()` scans the whole
-    /// store.
-    fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)>;
-}
-
-impl PdnsStore for RpDns {
-    fn observe(&mut self, record: &Record, day: u64) -> bool {
-        RpDns::observe(self, record, day)
-    }
-
-    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
-        RpDns::observe_key(self, key, day)
-    }
-
-    fn first_seen(&self, key: &RrKey) -> Option<u64> {
-        RpDns::first_seen(self, key)
-    }
-
-    fn len(&self) -> usize {
-        RpDns::len(self)
-    }
-
-    fn daily_stats(&self) -> &[DailyNewRrs] {
-        self.per_day()
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        RpDns::storage_bytes(self)
-    }
-
-    fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)> {
-        let mut hits: Vec<(CompositeKey, RrKey, u64)> = self
-            .iter()
-            .filter(|(key, _)| key.name.is_subdomain_of(zone))
-            .map(|(key, day)| {
-                (keys::encode_key(&key.name, key.qtype, &key.rdata), key.clone(), day)
-            })
-            .collect();
-        hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        hits.into_iter().map(|(_, key, day)| (key, day)).collect()
-    }
-}
-
-impl PdnsStore for RunStore {
-    fn observe(&mut self, record: &Record, day: u64) -> bool {
-        RunStore::observe(self, record, day)
-    }
-
-    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
-        RunStore::observe_parts(self, &key.name, key.qtype, &key.rdata, day)
-    }
-
-    fn first_seen(&self, key: &RrKey) -> Option<u64> {
-        RunStore::first_seen(self, key)
-    }
-
-    fn len(&self) -> usize {
-        RunStore::len(self)
-    }
-
-    fn daily_stats(&self) -> &[DailyNewRrs] {
-        self.per_day()
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        RunStore::storage_bytes(self)
-    }
-
-    fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)> {
-        RunStore::scan_prefix(self, zone)
-    }
-}
+use crate::rpdns::RpDns;
 
 /// Which [`PdnsBackend`] variant to build — the value of the CLI's
 /// `--store` flag.
@@ -180,9 +74,9 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A run-time-selected rpDNS backend. Both variants honour
-/// [`PdnsStore`] bit-identically; pipelines hold this enum so `--store`
-/// can pick the engine without generics leaking into every layer.
+/// A run-time-selected rpDNS backend. Both variants answer bit-identically;
+/// pipelines hold this enum so `--store` can pick the engine without
+/// generics leaking into every layer.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one long-lived value per pipeline; boxing would cost a deref on the hot observe path
 pub enum PdnsBackend {
@@ -226,6 +120,36 @@ impl PdnsBackend {
             PdnsBackend::Disk(s) => s.io_error(),
         }
     }
+
+    /// Records one observation of the record `key` on `day`; returns
+    /// `true` when the record is new to the store.
+    pub fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+        match self {
+            PdnsBackend::Memory(s) => s.observe_key(key, day),
+            PdnsBackend::Disk(s) => s.observe_parts(&key.name, key.qtype, &key.rdata, day),
+        }
+    }
+
+    /// Number of distinct records stored.
+    pub fn len(&self) -> usize {
+        match self {
+            PdnsBackend::Memory(s) => s.len(),
+            PdnsBackend::Disk(s) => s.len(),
+        }
+    }
+
+    /// Whether the store holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Modelled storage footprint in bytes.
+    pub fn storage_bytes(&self) -> u64 {
+        match self {
+            PdnsBackend::Memory(s) => s.storage_bytes(),
+            PdnsBackend::Disk(s) => s.storage_bytes(),
+        }
+    }
 }
 
 impl Default for PdnsBackend {
@@ -234,77 +158,32 @@ impl Default for PdnsBackend {
     }
 }
 
-impl PdnsStore for PdnsBackend {
-    fn observe(&mut self, record: &Record, day: u64) -> bool {
-        match self {
-            PdnsBackend::Memory(s) => s.observe(record, day),
-            PdnsBackend::Disk(s) => s.observe(record, day),
-        }
-    }
-
-    fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
-        match self {
-            PdnsBackend::Memory(s) => PdnsStore::observe_key(s, key, day),
-            PdnsBackend::Disk(s) => PdnsStore::observe_key(s, key, day),
-        }
-    }
-
-    fn first_seen(&self, key: &RrKey) -> Option<u64> {
-        match self {
-            PdnsBackend::Memory(s) => s.first_seen(key),
-            PdnsBackend::Disk(s) => s.first_seen(key),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PdnsBackend::Memory(s) => s.len(),
-            PdnsBackend::Disk(s) => s.len(),
-        }
-    }
-
-    fn daily_stats(&self) -> &[DailyNewRrs] {
-        match self {
-            PdnsBackend::Memory(s) => s.per_day(),
-            PdnsBackend::Disk(s) => s.per_day(),
-        }
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        match self {
-            PdnsBackend::Memory(s) => s.storage_bytes(),
-            PdnsBackend::Disk(s) => s.storage_bytes(),
-        }
-    }
-
-    fn scan_prefix(&self, zone: &Name) -> Vec<(RrKey, u64)> {
-        match self {
-            PdnsBackend::Memory(s) => PdnsStore::scan_prefix(s, zone),
-            PdnsBackend::Disk(s) => s.scan_prefix(zone),
-        }
-    }
+/// Whether `dir` already holds a store: a `MANIFEST` or a `run-*.bin`.
+/// A missing or unreadable directory holds none. A store built fresh
+/// numbers its runs and its `MANIFEST` from zero, so it must not be
+/// pointed at a directory this returns `true` for: it would rename new
+/// images over files the old `MANIFEST` still lists.
+pub fn holds_store(dir: &Path) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir) else { return false };
+    entries.flatten().any(|entry| {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        name == manifest::MANIFEST_NAME || (name.starts_with("run-") && name.ends_with(".bin"))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnsnoise_dns::{QType, RData, Ttl};
+    use dnsnoise_dns::{QType, RData};
     use std::net::Ipv4Addr;
 
-    fn rr(name: &str, ip: u8) -> Record {
-        Record::new(
-            name.parse().unwrap(),
-            QType::A,
-            Ttl::from_secs(60),
-            RData::A(Ipv4Addr::new(192, 0, 2, ip)),
-        )
-    }
-
-    fn backends() -> Vec<PdnsBackend> {
-        vec![
-            PdnsBackend::create(BackendKind::Memory, None),
-            PdnsBackend::create(BackendKind::Disk, None),
-        ]
+    fn key(name: &str, ip: u8) -> RrKey {
+        RrKey {
+            name: name.parse().unwrap(),
+            qtype: QType::A,
+            rdata: RData::A(Ipv4Addr::new(192, 0, 2, ip)),
+        }
     }
 
     #[test]
@@ -316,25 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_agree_through_the_trait() {
-        let records: Vec<Record> =
-            (0..50u8).map(|i| rr(&format!("r{i}.zone{}.example", i % 3), i)).collect();
+    fn both_backends_agree_by_key() {
+        let keys: Vec<RrKey> =
+            (0..50u8).map(|i| key(&format!("r{i}.zone{}.example", i % 3), i)).collect();
         let mut summaries = Vec::new();
-        for mut store in backends() {
-            for (i, r) in records.iter().enumerate() {
-                store.observe(r, (i % 4) as u64);
-                store.observe(r, 3);
-            }
-            let zone: Name = "zone1.example".parse().unwrap();
-            summaries.push((
-                store.len(),
-                store.storage_bytes(),
-                store.daily_stats().to_vec(),
-                store.scan_prefix(&zone),
-                store.first_seen(&records[7].key()),
-            ));
+        for kind in [BackendKind::Memory, BackendKind::Disk] {
+            let mut store = PdnsBackend::create(kind, None);
+            let verdicts: Vec<(bool, bool)> = (keys.iter().enumerate())
+                .map(|(i, k)| (store.observe_key(k, (i % 4) as u64), store.observe_key(k, 3)))
+                .collect();
+            summaries.push((store.len(), store.storage_bytes(), verdicts));
         }
         assert_eq!(summaries[0], summaries[1], "memory and disk disagree");
-        assert!(!summaries[0].3.is_empty(), "zone scan found nothing");
+        assert_eq!(summaries[0].0, keys.len());
+        assert!(summaries[0].2.iter().all(|&(first, again)| first && !again));
     }
 }

@@ -35,7 +35,6 @@
 
 mod admission;
 mod builder;
-mod collector;
 mod faults;
 mod metrics;
 mod observer;
@@ -46,7 +45,6 @@ mod traffic;
 
 pub use admission::{AdmissionState, OverloadConfig, OverloadStats};
 pub use builder::DayRun;
-pub use collector::PdnsCollector;
 pub use faults::{
     FaultKind, FaultPlan, FaultSpecError, MemberOutage, OutageScope, OutageWindow, RetryPolicy,
     SERVFAIL_LATENCY_MS, UPSTREAM_RTT_MS,

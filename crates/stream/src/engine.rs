@@ -42,9 +42,7 @@ use std::path::PathBuf;
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
 use dnsnoise_dns::{Record, SuffixList};
 use dnsnoise_pdns::store::io;
-use dnsnoise_pdns::{
-    BackendKind, FpDnsSummary, PdnsBackend, PdnsStore, RunStore, StoreError, StoreStats,
-};
+use dnsnoise_pdns::{BackendKind, FpDnsSummary, PdnsBackend, RunStore, StoreError, StoreStats};
 use dnsnoise_resolver::{
     DayReport, EventSession, Observer, ResolverSim, RrDayStats, Served, SimConfig,
 };
@@ -115,7 +113,7 @@ impl From<&PdnsBackend> for RpdnsStoreSummary {
         RpdnsStoreSummary {
             backend: store.kind(),
             records: store.len() as u64,
-            storage_bytes: PdnsStore::storage_bytes(store),
+            storage_bytes: store.storage_bytes(),
             stats: match store {
                 PdnsBackend::Disk(s) => Some(s.stats()),
                 PdnsBackend::Memory(_) => None,
@@ -979,7 +977,8 @@ mod tests {
         let rows = stream.session.rr_stats().len();
         assert_eq!(stream.stored, rows);
         assert_eq!(stream.store.len(), rows);
-        let days = stream.store.daily_stats();
+        let PdnsBackend::Memory(store) = &stream.store else { panic!("the default is memory") };
+        let days = store.per_day();
         assert_eq!(days.len(), 2, "days 0 and 1 only");
         assert_eq!((days[1].new_records, days[1].repeated_records), (rows as u64, 0));
     }

@@ -11,8 +11,8 @@
 //! ```
 
 use dnsnoise::core::{CampaignTracker, DailyPipeline, MinerConfig};
-use dnsnoise::dns::{Record, SuffixList, Ttl};
-use dnsnoise::pdns::RpDns;
+use dnsnoise::dns::SuffixList;
+use dnsnoise::pdns::PdnsBackend;
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::workload::{Scenario, ScenarioConfig};
 
@@ -22,7 +22,8 @@ fn main() {
 
     // One simulator for passive-DNS collection (kept warm across days)…
     let mut pdns_sim = ResolverSim::new(SimConfig::default());
-    let mut store = RpDns::new();
+    let mut store = PdnsBackend::default();
+    let mut disposable = 0u64;
     // …and the mining pipeline with its own cluster.
     let mut pipeline = DailyPipeline::new(MinerConfig::default());
 
@@ -44,13 +45,11 @@ fn main() {
         let day_report = pdns_sim.day(&trace).ground_truth(gt).run();
         let mut new_rrs = 0u64;
         for (key, _) in day_report.rr_stats.iter() {
-            let rr =
-                Record::new(key.name.clone(), key.qtype, Ttl::from_secs(60), key.rdata.clone());
-            if store.observe(&rr, day) {
+            if store.observe_key(key, day) {
                 new_rrs += 1;
+                disposable += u64::from(gt.is_disposable_name(&key.name));
             }
         }
-        let disposable = store.count_matching(|k| gt.is_disposable_name(&k.name));
         println!(
             "{:>3} | {:>9} | {:>16} | {:>5.1}% | {:>7} | {:>10} | {:>15.1}%",
             day + 1,

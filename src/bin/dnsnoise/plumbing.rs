@@ -8,7 +8,7 @@ use std::path::Path;
 
 use dnsnoise::core::{DomainTree, LabeledZones, Miner, MinerConfig, TrainingSetBuilder};
 use dnsnoise::ingest::CaptureFormat;
-use dnsnoise::pdns::{store::manifest::MANIFEST_NAME, BackendKind, PdnsBackend};
+use dnsnoise::pdns::{store::holds_store, BackendKind, PdnsBackend};
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::RpdnsStoreSummary;
 use dnsnoise::workload::{trace_io, QueryEvent, Scenario, ScenarioConfig};
@@ -149,23 +149,15 @@ impl Opts {
         )
     }
 
-    /// Refuses a `--store-path` that already holds a store (a `MANIFEST`
-    /// or a `run-*.bin`). A run that is not resuming numbers its runs and
-    /// its MANIFEST from zero, so it would rename fresh images over files
-    /// the old MANIFEST still lists.
+    /// Refuses a `--store-path` that already holds a store
+    /// ([`holds_store`]): only a resume may take one over.
     pub fn refuse_existing_store(&self) -> Result<(), String> {
         let Some(dir) = &self.store_path else { return Ok(()) };
-        let Ok(entries) = std::fs::read_dir(dir) else { return Ok(()) };
-        let holds_store = entries.flatten().any(|entry| {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            name == MANIFEST_NAME || (name.starts_with("run-") && name.ends_with(".bin"))
-        });
         let message = format!(
             "--store-path {dir} already holds a pDNS store; pass an empty directory \
              (only a --checkpoint resume takes an existing store over)"
         );
-        ensure(!holds_store, &message)
+        ensure(!holds_store(Path::new(dir)), &message)
     }
 }
 

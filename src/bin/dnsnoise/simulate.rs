@@ -3,7 +3,7 @@
 use dnsnoise::dns::{Ttl, SECS_PER_DAY};
 use dnsnoise::pdns::PdnsBackend;
 use dnsnoise::resolver::{FaultPlan, FaultSpecError, MetricsRegistry, OverloadConfig};
-use dnsnoise::resolver::{PdnsCollector, ResolverSim, SimConfig};
+use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::RpdnsStoreSummary;
 use dnsnoise::workload::{AttackPlan, AttackSpecError, DayTrace};
 
@@ -102,16 +102,15 @@ fn run(o: &Opts) -> Result<(), String> {
     if let Some(cfg) = &overload {
         run = run.overload(cfg);
     }
-    // A pDNS collector is attached only when a store flag asks for its
-    // summary.
-    let mut collector =
-        o.store_reported().then(|| PdnsCollector::new(o.store_backend(), trace.day));
-    let report = match &mut collector {
-        Some(collector) => run.observer(collector).run(),
-        None => run.run(),
-    };
-    if let Some(collector) = collector {
-        let mut store = collector.into_store();
+    let report = run.run();
+    // The store is built only when a store flag asks for its summary. It
+    // takes the day's distinct records once each, in first-seen order,
+    // under the replayed day: one hostile timestamp sizes nothing.
+    if o.store_reported() {
+        let mut store = o.store_backend();
+        for (key, _) in report.rr_stats.iter() {
+            store.observe_key(key, trace.day);
+        }
         if let PdnsBackend::Disk(ref mut s) = store {
             // Flush and collapse so a spill directory holds the final
             // single-run image of the day.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dnsnoise::dns::{Record, Ttl};
 use dnsnoise::dnssec::{DnssecConfig, DnssecCostModel};
-use dnsnoise::pdns::{RpDns, WildcardAggregator};
+use dnsnoise::pdns::{PdnsBackend, WildcardAggregator};
 use dnsnoise::resolver::{Observer, ResolverSim, Served, SimConfig};
 use dnsnoise::workload::{QueryEvent, Scenario, ScenarioConfig};
 
@@ -139,14 +139,15 @@ fn check_pdns_wildcarding(scale: f64, days: u64, min_aggregated: u64, max_ratio:
     let s = scenario_at(scale);
     let gt = s.ground_truth();
     let mut sim = ResolverSim::new(SimConfig::default());
-    let mut store = RpDns::new();
+    let mut store = PdnsBackend::default();
+    let mut stored = Vec::new();
     for day in 0..days {
         let trace = s.generate_day(day);
         let report = sim.day(&trace).ground_truth(gt).run();
         for (key, _) in report.rr_stats.iter() {
-            let rr =
-                Record::new(key.name.clone(), key.qtype, Ttl::from_secs(60), key.rdata.clone());
-            store.observe(&rr, day);
+            if store.observe_key(key, day) {
+                stored.push(key.clone());
+            }
         }
     }
 
@@ -156,8 +157,7 @@ fn check_pdns_wildcarding(scale: f64, days: u64, min_aggregated: u64, max_ratio:
             agg.add_rule(zone.apex.clone(), depth);
         }
     }
-    let keys: Vec<&dnsnoise::dns::RrKey> = store.iter().map(|(k, _)| k).collect();
-    let outcome = agg.aggregate(keys);
+    let outcome = agg.aggregate(&stored);
 
     assert!(
         outcome.aggregated_records > min_aggregated,

@@ -91,10 +91,9 @@ fn fpdns_storage_dwarfs_rpdns_storage() {
     let mut collector = Collector::default();
     let report = sim.day(&trace).observer(&mut collector).run();
 
-    let mut store = dnsnoise::pdns::RpDns::new();
+    let mut store = dnsnoise::pdns::PdnsBackend::default();
     for (key, _) in report.rr_stats.iter() {
-        let rr = Record::new(key.name.clone(), key.qtype, Ttl::from_secs(60), key.rdata.clone());
-        store.observe(&rr, 0);
+        store.observe_key(key, 0);
     }
     let fpdns = collector.fpdns.storage_bytes;
     assert!(fpdns > 5 * store.storage_bytes(), "fpdns {fpdns} vs rpdns {}", store.storage_bytes());
