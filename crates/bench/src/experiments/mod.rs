@@ -145,27 +145,42 @@ impl FromStr for ExperimentId {
 /// experiments (Fig. 5, Fig. 15, §VI-C) each collect into a fresh backend
 /// of `store`'s kind (`--store`); reports are bit-identical across
 /// backends. `store_path` mirrors the disk backend's runs under
-/// `<store_path>/<id>`, one directory per experiment. Experiments that
-/// build no pDNS database ignore both knobs.
+/// `<store_path>/<id>`, one directory per experiment, flushed and
+/// collapsed into its final single-run image once the experiment ends.
+/// Experiments that build no pDNS database ignore both knobs.
 ///
 /// # Errors
 ///
 /// When `<store_path>/<id>` already holds a store ([`holds_store`]): a
-/// fresh store would rename its runs over the old one's.
+/// fresh store would rename its runs over the old one's. When the disk
+/// store latched a persistence failure: the report is exact, but the
+/// directory does not hold it.
 pub fn run_experiment_with_store(
     id: ExperimentId,
     scale_factor: f64,
     store: BackendKind,
     store_path: Option<&Path>,
 ) -> Result<String, String> {
-    let backend = || {
+    // Runs a pDNS experiment against a fresh backend, then closes it the
+    // way `simulate --store` does.
+    let with_store = |experiment: &dyn Fn(&mut PdnsBackend) -> String| {
         let dir = store_path.map(|path| path.join(id.to_string()));
-        match dir {
-            Some(dir) if holds_store(&dir) => Err(format!(
-                "{} already holds a pDNS store; pass an empty --store-path",
-                dir.display()
-            )),
-            dir => Ok(PdnsBackend::create(store, dir.as_deref())),
+        let mut backend = match dir {
+            Some(dir) if holds_store(&dir) => {
+                return Err(format!(
+                    "{} already holds a pDNS store; pass an empty --store-path",
+                    dir.display()
+                ))
+            }
+            dir => PdnsBackend::create(store, dir.as_deref()),
+        };
+        let render = experiment(&mut backend);
+        if let PdnsBackend::Disk(store) = &mut backend {
+            store.optimize();
+        }
+        match backend.io_error() {
+            Some(e) => Err(format!("rpdns store degraded to memory-only: {e}")),
+            None => Ok(render),
         }
     };
     Ok(match id {
@@ -173,18 +188,18 @@ pub fn run_experiment_with_store(
         ExperimentId::Fig3a => fig3::run_3a(scale_factor).render(),
         ExperimentId::Fig3b => fig3::run_3b(scale_factor).render(),
         ExperimentId::Fig4 => fig4::run(scale_factor).render(),
-        ExperimentId::Fig5 => fig5::run(scale_factor, &mut backend()?).render(),
+        ExperimentId::Fig5 => with_store(&|b| fig5::run(scale_factor, b).render())?,
         ExperimentId::Fig7 => fig7::run(scale_factor).render(),
         ExperimentId::Fig11 => fig11::run(scale_factor).render(),
         ExperimentId::Fig12 => fig12::run(scale_factor).render(),
         ExperimentId::Fig13 => fig13::run(scale_factor).render(),
         ExperimentId::Fig14 => fig14::run(scale_factor).render(),
-        ExperimentId::Fig15 => fig15::run(scale_factor, &mut backend()?).render(),
+        ExperimentId::Fig15 => with_store(&|b| fig15::run(scale_factor, b).render())?,
         ExperimentId::Tab1 => tables::run_tab1(scale_factor).render(),
         ExperimentId::Tab2 => tables::run_tab2(scale_factor).render(),
         ExperimentId::Cache => cache_pressure::run(scale_factor).render(),
         ExperimentId::Dnssec => dnssec_cost::run(scale_factor).render(),
-        ExperimentId::PdnsDb => pdnsdb::run(scale_factor, &mut backend()?).render(),
+        ExperimentId::PdnsDb => with_store(&|b| pdnsdb::run(scale_factor, b).render())?,
         ExperimentId::Phases => phases::run(scale_factor).render(),
         ExperimentId::Ablation => ablation::run(scale_factor).render(),
         ExperimentId::Resilience => resilience::run(scale_factor).render(),
@@ -218,6 +233,49 @@ mod tests {
         assert!(!holds_store(&dir), "a store landed in the shared directory itself");
         let refused = run(ExperimentId::Fig5).unwrap_err();
         assert!(refused.contains("already holds a pDNS store"), "{refused}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The distinct records a pDNS experiment's render reports: the sum of
+    /// Fig. 5's `all` column or of Fig. 15's two columns, §VI-C's stored
+    /// count.
+    fn rendered_records(render: &str) -> u64 {
+        let number = |cell: &str| cell.parse::<u64>().ok();
+        render
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split_whitespace().collect();
+                match cells.as_slice() {
+                    ["stored", "distinct", "records", n] => number(n),
+                    [day, disposable, other, share] if share.ends_with('%') => {
+                        number(day)?;
+                        Some(number(disposable)? + number(other)?)
+                    }
+                    [day, all, _, _] => {
+                        number(day)?;
+                        number(all)
+                    }
+                    _ => None,
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn a_reopened_experiment_store_holds_every_rendered_record() {
+        let dir = std::env::temp_dir().join(format!("dnsnoise-exp-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for id in [ExperimentId::Fig5, ExperimentId::Fig15, ExperimentId::PdnsDb] {
+            let render = run_experiment_with_store(id, 0.1, BackendKind::Disk, Some(&dir)).unwrap();
+            let records = rendered_records(&render);
+            assert!(records > 0, "{id} rendered no records:\n{render}");
+            let reopened = dnsnoise_pdns::RunStore::open(
+                dir.join(id.to_string()),
+                dnsnoise_pdns::StoreConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(reopened.len() as u64, records, "{id}'s store lost records");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -44,5 +44,5 @@ mod lru;
 mod negative;
 
 pub use cluster::{CacheCluster, LoadBalance, MemberShard};
-pub use lru::{CacheKey, CacheStats, EvictionKind, InsertPriority, Lookup, TtlLru};
+pub use lru::{CacheKey, CacheStats, EvictionKind, InsertPriority, Lookup, Miss, TtlLru};
 pub use negative::{NegativeCache, NegativeEntry};

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::{Name, QType, Record, Timestamp, Ttl};
 
 /// The cache lookup key: `(name, qtype)` — one cached answer set per
@@ -117,17 +118,83 @@ impl CacheStats {
 }
 
 /// Outcome of a staleness-aware lookup ([`TtlLru::lookup`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup {
+#[derive(Debug)]
+pub enum Lookup<'a> {
     /// A live entry: its TTL has not lapsed.
     Fresh(Arc<[Record]>),
-    /// The TTL has lapsed but the entry is still inside the serve-stale
-    /// window (RFC 8767). The entry is *retained* so a later refresh can
-    /// replace it in place; the lookup itself still counts as
-    /// [`CacheStats::expired`] — staleness never inflates the hit rate.
-    Stale(Arc<[Record]>),
-    /// No usable entry.
-    Absent,
+    /// No live entry: the answers fetched in its stead go through the
+    /// [`Miss`].
+    Miss(Miss<'a>),
+}
+
+/// A lookup that found no live entry. It holds the cache until the caller
+/// either [fills](Miss::fill) it with the fetched answers or drops it.
+///
+/// A key whose entry has expired keeps its slot in the miss, so filling it
+/// rewrites that slot in place: no second index probe, and no new answer
+/// block when the answers are unchanged. Dropping the miss unfilled leaves
+/// the cache as a lookup that removed the expired entry at once would
+/// have: an entry past the serve-stale window is removed then, one inside
+/// it retained (RFC 8767).
+#[derive(Debug)]
+#[must_use = "a miss removes an expired entry when dropped unfilled"]
+pub struct Miss<'a> {
+    cache: &'a mut TtlLru,
+    key: &'a CacheKey,
+    /// The expired entry's slot, or [`NIL`] when the key has none (or the
+    /// miss was filled).
+    slot: u32,
+    /// The expired entry's answers while it is inside the serve-stale
+    /// window; the entry is then retained.
+    stale: Option<Arc<[Record]>>,
+}
+
+impl Miss<'_> {
+    /// The expired entry's answers while it is inside the serve-stale
+    /// window: what a resolver falls back on if the refresh fails. Such a
+    /// lookup still counts as [`CacheStats::expired`] — staleness never
+    /// inflates the hit rate.
+    pub fn stale(&self) -> Option<&Arc<[Record]>> {
+        self.stale.as_ref()
+    }
+
+    /// Caches `answers` for the missed key at `now`, exactly as
+    /// [`TtlLru::insert`] would, and returns the block the cache now holds
+    /// (the expired entry's own when the answers are unchanged) with the
+    /// evictions the fill caused. Zero-TTL answers are handed back in a
+    /// block of their own and not cached.
+    pub fn fill(
+        mut self,
+        answers: &[Record],
+        now: Timestamp,
+        priority: InsertPriority,
+    ) -> (Arc<[Record]>, Vec<(CacheKey, EvictionKind)>) {
+        let block = match self.cache.slots.get(self.slot as usize).and_then(|s| s.entry.as_ref()) {
+            Some(old) if *old.answers == *answers => Arc::clone(&old.answers),
+            _ => Arc::from(answers),
+        };
+        let Some(ttl) = live_ttl(&block) else {
+            return (block, Vec::new());
+        };
+        let evicted = self.cache.store(self.slot, self.key, Arc::clone(&block), now, ttl, priority);
+        self.slot = NIL;
+        (block, evicted)
+    }
+}
+
+impl Drop for Miss<'_> {
+    fn drop(&mut self) {
+        if self.slot != NIL && self.stale.is_none() {
+            self.cache.remove_slot(self.slot);
+        }
+    }
+}
+
+/// The TTL an answer set is cached for — the minimum of its records'
+/// (resolver semantics) — or `None` when it is zero and the set is not
+/// cached at all.
+fn live_ttl(answers: &[Record]) -> Option<Ttl> {
+    answers.iter().map(|r| r.ttl).min().filter(|ttl| !ttl.is_zero())
 }
 
 /// "No slot": the end of a recency list or of the free chain.
@@ -171,13 +238,15 @@ impl RecencyList {
 /// insert or a live hit moves the slot to its list's tail, so each list
 /// is always in least-to-most-recently-used order and its head is the
 /// eviction victim: a hit costs one hash probe and a constant number of
-/// link updates. Low-priority entries are always the first victims under
-/// capacity pressure. Lookups on expired entries remove them and count as
-/// misses ([`CacheStats::expired`]), matching resolver behaviour.
+/// link updates, and so does a refresh of an expired entry through its
+/// [`Miss`]. Low-priority entries are always the first victims under
+/// capacity pressure. Lookups on expired entries count as misses
+/// ([`CacheStats::expired`]) and remove the entry unless it is refilled,
+/// matching resolver behaviour.
 #[derive(Debug)]
 pub struct TtlLru {
     capacity: usize,
-    index: HashMap<CacheKey, u32>,
+    index: HashMap<CacheKey, u32, SeededState>,
     slots: Vec<Slot>,
     /// First vacant slot, chained through `Slot::next`.
     free: u32,
@@ -209,7 +278,7 @@ impl TtlLru {
         assert!(capacity < NIL as usize, "cache capacity must fit 32-bit slot numbers");
         TtlLru {
             capacity,
-            index: HashMap::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, SeededState::default()),
             slots: Vec::new(),
             free: NIL,
             recency: [RecencyList::EMPTY; 2],
@@ -245,34 +314,37 @@ impl TtlLru {
     pub fn get(&mut self, key: &CacheKey, now: Timestamp) -> Option<Arc<[Record]>> {
         match self.lookup(key, now, Ttl::ZERO) {
             Lookup::Fresh(answers) => Some(answers),
-            Lookup::Stale(_) | Lookup::Absent => None,
+            Lookup::Miss(_) => None,
         }
     }
 
-    /// Staleness-aware lookup of `key` at time `now` (RFC 8767).
+    /// Staleness-aware lookup of `key` at time `now` (RFC 8767): one index
+    /// probe.
     ///
-    /// A live entry behaves exactly as in [`TtlLru::get`]. An expired
-    /// entry still counts as [`CacheStats::expired`], but when `now` is
-    /// within `stale_window` past its expiry the entry is retained and its
-    /// answers returned as [`Lookup::Stale`] for the resolver to fall back
-    /// on if the refresh fails; beyond the window it is removed. A zero
-    /// `stale_window` reproduces [`TtlLru::get`] exactly — state and
-    /// counters included.
-    pub fn lookup(&mut self, key: &CacheKey, now: Timestamp, stale_window: Ttl) -> Lookup {
+    /// A live entry behaves exactly as in [`TtlLru::get`]. Anything else is
+    /// a [`Miss`], counted as [`CacheStats::expired`] when the key had an
+    /// entry and [`CacheStats::misses`] when it had none; an expired entry
+    /// within `stale_window` past its expiry offers its answers through
+    /// [`Miss::stale`]. A zero `stale_window` reproduces [`TtlLru::get`]
+    /// exactly — state and counters included.
+    pub fn lookup<'a>(
+        &'a mut self,
+        key: &'a CacheKey,
+        now: Timestamp,
+        stale_window: Ttl,
+    ) -> Lookup<'a> {
         let Some(&id) = self.index.get(key) else {
             self.stats.misses += 1;
-            return Lookup::Absent;
+            return Lookup::Miss(Miss { cache: self, key, slot: NIL, stale: None });
         };
         let entry = occupied(&self.slots, id);
         if entry.expires <= now {
             self.stats.expired += 1;
-            if !stale_window.is_zero() && entry.expires + stale_window > now {
-                // Within the window: keep the entry (recency untouched, so
-                // a stale entry stays a likely eviction victim).
-                return Lookup::Stale(Arc::clone(&entry.answers));
-            }
-            self.remove_slot(id);
-            return Lookup::Absent;
+            // Within the window the entry stays, recency untouched, so a
+            // stale entry remains a likely eviction victim.
+            let stale = (!stale_window.is_zero() && entry.expires + stale_window > now)
+                .then(|| Arc::clone(&entry.answers));
+            return Lookup::Miss(Miss { cache: self, key, slot: id, stale });
         }
         self.stats.hits += 1;
         let (answers, priority) = (Arc::clone(&entry.answers), entry.priority);
@@ -304,15 +376,38 @@ impl TtlLru {
         priority: InsertPriority,
     ) -> Vec<(CacheKey, EvictionKind)> {
         let answers: Arc<[Record]> = answers.into();
-        let ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(Ttl::ZERO);
-        if ttl.is_zero() {
+        let Some(ttl) = live_ttl(&answers) else {
             return Vec::new();
-        }
+        };
+        let slot = self.index.get(&key).copied().unwrap_or(NIL);
+        self.store(slot, &key, answers, now, ttl, priority)
+    }
+
+    /// Caches `answers` under `key` for `ttl` from `now`: rewritten in place
+    /// when the key already holds `slot` (which is then the vacated slot
+    /// a removal would hand straight back, so nothing is evicted), else in
+    /// a new slot after evicting down to capacity.
+    fn store(
+        &mut self,
+        slot: u32,
+        key: &CacheKey,
+        answers: Arc<[Record]>,
+        now: Timestamp,
+        ttl: Ttl,
+        priority: InsertPriority,
+    ) -> Vec<(CacheKey, EvictionKind)> {
         self.stats.inserts += 1;
-        // Replace an existing entry: its slot is vacated first, so the
-        // cache is below capacity and the loop below evicts nothing.
-        if let Some(&old) = self.index.get(&key) {
-            self.remove_slot(old);
+        let expires = now + ttl;
+        if slot != NIL {
+            let entry = self.slots[slot as usize]
+                .entry
+                .as_mut()
+                .expect("an indexed or listed slot is occupied");
+            let old_priority = std::mem::replace(&mut entry.priority, priority);
+            (entry.answers, entry.expires) = (answers, expires);
+            self.unlink(slot, old_priority);
+            self.push_tail(slot, priority);
+            return Vec::new();
         }
         let mut evicted = Vec::new();
         while self.index.len() >= self.capacity {
@@ -321,9 +416,8 @@ impl TtlLru {
                 None => break,
             }
         }
-        let entry = Entry { key: key.clone(), answers, expires: now + ttl, priority };
-        let id = self.occupy(entry);
-        self.index.insert(key, id);
+        let id = self.occupy(Entry { key: key.clone(), answers, expires, priority });
+        self.index.insert(key.clone(), id);
         self.push_tail(id, priority);
         evicted
     }
@@ -529,20 +623,29 @@ mod tests {
         let _ = TtlLru::new(0);
     }
 
+    /// What a lookup offered: `Some(true)` live answers, `Some(false)`
+    /// stale ones, `None` nothing.
+    fn offered(lookup: Lookup<'_>) -> Option<bool> {
+        match lookup {
+            Lookup::Fresh(_) => Some(true),
+            Lookup::Miss(miss) => miss.stale().map(|_| false),
+        }
+    }
+
     #[test]
     fn stale_lookup_never_serves_past_the_window() {
         let mut c = TtlLru::new(4);
         c.insert(key("a.com"), vec![rr("a.com", 10)], t(0), InsertPriority::Normal);
         let w = Ttl::from_secs(5);
-        assert!(matches!(c.lookup(&key("a.com"), t(9), w), Lookup::Fresh(_)));
+        assert_eq!(offered(c.lookup(&key("a.com"), t(9), w)), Some(true));
         // Expired at t = 10; stale until (exclusive) 10 + 5.
-        assert!(matches!(c.lookup(&key("a.com"), t(10), w), Lookup::Stale(_)));
-        assert!(matches!(c.lookup(&key("a.com"), t(14), w), Lookup::Stale(_)));
+        assert_eq!(offered(c.lookup(&key("a.com"), t(10), w)), Some(false));
+        assert_eq!(offered(c.lookup(&key("a.com"), t(14), w)), Some(false));
         assert_eq!(c.len(), 1, "stale entry is retained for refresh");
         // One second past the window: removed, never served again.
-        assert_eq!(c.lookup(&key("a.com"), t(15), w), Lookup::Absent);
+        assert_eq!(offered(c.lookup(&key("a.com"), t(15), w)), None);
         assert_eq!(c.len(), 0);
-        assert_eq!(c.lookup(&key("a.com"), t(15), w), Lookup::Absent);
+        assert_eq!(offered(c.lookup(&key("a.com"), t(15), w)), None);
         // Every expired-entry touch counted as expired; the final lookup
         // found nothing at all.
         assert_eq!(c.stats().hits, 1);
@@ -560,15 +663,56 @@ mod tests {
         }
         for (k, now) in [("a.com", 5), ("a.com", 11), ("b.com", 11), ("c.com", 11)] {
             let got = via_get.get(&key(k), t(now));
-            let looked = via_lookup.lookup(&key(k), t(now), Ttl::ZERO);
-            match looked {
+            let k = key(k);
+            match via_lookup.lookup(&k, t(now), Ttl::ZERO) {
                 Lookup::Fresh(a) => assert_eq!(got.as_deref(), Some(&*a)),
-                Lookup::Absent => assert!(got.is_none()),
-                Lookup::Stale(_) => panic!("zero window must never yield stale"),
-            }
+                Lookup::Miss(miss) => {
+                    assert!(got.is_none());
+                    assert!(miss.stale().is_none(), "zero window must never yield stale");
+                }
+            };
         }
         assert_eq!(via_get.stats(), via_lookup.stats());
         assert_eq!(via_get.len(), via_lookup.len());
+    }
+
+    #[test]
+    fn a_refill_rewrites_the_expired_slot_and_keeps_equal_answers() {
+        let mut c = TtlLru::new(2);
+        c.insert(key("a.com"), vec![rr("a.com", 10)], t(0), InsertPriority::Normal);
+        c.insert(key("b.com"), vec![rr("b.com", 100)], t(1), InsertPriority::Normal);
+        let k = key("a.com");
+        let Lookup::Miss(miss) = c.lookup(&k, t(20), Ttl::ZERO) else { panic!("a.com expired") };
+        let Some(old) = miss.cache.slots[0].entry.as_ref().map(|e| Arc::clone(&e.answers)) else {
+            panic!("slot 0 holds a.com")
+        };
+        let (block, evicted) = miss.fill(&[rr("a.com", 10)], t(20), InsertPriority::Normal);
+        assert!(evicted.is_empty());
+        assert!(Arc::ptr_eq(&block, &old), "unchanged answers keep their block");
+        assert_eq!((c.len(), c.stats().inserts, c.stats().expired), (2, 3, 1));
+        // Rewritten as most recently used: b.com is the next victim.
+        let evicted = c.insert(key("c.com"), vec![rr("c.com", 100)], t(21), InsertPriority::Normal);
+        assert_eq!(evicted, vec![(key("b.com"), EvictionKind::Premature)]);
+        assert!(c.get(&key("a.com"), t(29)).is_some());
+    }
+
+    #[test]
+    fn an_unfilled_miss_removes_only_an_entry_past_the_window() {
+        let mut c = TtlLru::new(4);
+        c.insert(key("a.com"), vec![rr("a.com", 10)], t(0), InsertPriority::Normal);
+        let k = key("a.com");
+        let zero_ttl = |c: &mut TtlLru, now| match c.lookup(&k, t(now), Ttl::from_secs(5)) {
+            Lookup::Miss(miss) => {
+                drop(miss.fill(&[rr("a.com", 0)], t(now), InsertPriority::Normal))
+            }
+            Lookup::Fresh(_) => panic!("a.com expired"),
+        };
+        // Inside the window a zero-TTL refill caches nothing and keeps the
+        // stale entry; past it the entry goes.
+        zero_ttl(&mut c, 12);
+        assert_eq!((c.len(), c.stats().inserts), (1, 1));
+        zero_ttl(&mut c, 15);
+        assert_eq!((c.len(), c.stats().inserts), (0, 1));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
+use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::{Name, Timestamp, Ttl};
 
 /// A cached negative (NXDOMAIN) answer.
@@ -45,7 +46,7 @@ pub struct NegativeEntry {
 pub struct NegativeCache {
     ttl: Ttl,
     enabled: bool,
-    entries: HashMap<Name, NegativeEntry>,
+    entries: HashMap<Name, NegativeEntry, SeededState>,
     hits: u64,
     misses: u64,
 }
@@ -54,7 +55,13 @@ impl NegativeCache {
     /// Creates an enabled negative cache holding entries for `ttl`
     /// (the SOA MINIMUM-derived negative TTL of RFC 2308).
     pub fn new(ttl: Ttl) -> Self {
-        NegativeCache { ttl, enabled: true, entries: HashMap::new(), hits: 0, misses: 0 }
+        NegativeCache {
+            ttl,
+            enabled: true,
+            entries: HashMap::with_hasher(SeededState::default()),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Creates a cache that never stores nor serves entries — the observed

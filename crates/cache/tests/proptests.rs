@@ -33,8 +33,27 @@ fn rr(i: u8, ttl: u32) -> Record {
     )
 }
 
+/// What a lookup offered: live answers, stale ones, or nothing.
+#[derive(Debug, PartialEq)]
+enum Offer {
+    Fresh(Vec<Record>),
+    Stale(Vec<Record>),
+    Nothing,
+}
+
+fn offer(lookup: &Lookup<'_>) -> Offer {
+    match lookup {
+        Lookup::Fresh(answers) => Offer::Fresh(answers.to_vec()),
+        Lookup::Miss(miss) => miss.stale().map_or(Offer::Nothing, |a| Offer::Stale(a.to_vec())),
+    }
+}
+
 /// The cache as its documentation states it, with nothing clever: entries
-/// in one `Vec`, least recently used first, scanned for everything.
+/// in one `Vec`, least recently used first, scanned for everything. A
+/// lookup removes an entry past its serve-stale window at once, and an
+/// insert removes the key's old entry before pushing the new one: the
+/// remove-then-insert logic a refill through [`dnsnoise_cache::Miss`]
+/// must be observably equal to.
 struct NaiveLru {
     capacity: usize,
     entries: Vec<NaiveEntry>,
@@ -49,24 +68,24 @@ struct NaiveEntry {
 }
 
 impl NaiveLru {
-    fn lookup(&mut self, key: u8, now: u64, stale_window: u64) -> Lookup {
+    fn lookup(&mut self, key: u8, now: u64, stale_window: u64) -> Offer {
         let Some(at) = self.entries.iter().position(|e| e.key == key) else {
             self.stats.misses += 1;
-            return Lookup::Absent;
+            return Offer::Nothing;
         };
         if self.entries[at].expires <= now {
             self.stats.expired += 1;
             if stale_window > 0 && self.entries[at].expires + stale_window > now {
-                return Lookup::Stale(self.entries[at].answers.clone().into());
+                return Offer::Stale(self.entries[at].answers.clone());
             }
             self.entries.remove(at);
-            return Lookup::Absent;
+            return Offer::Nothing;
         }
         self.stats.hits += 1;
         let entry = self.entries.remove(at);
         let answers = entry.answers.clone();
         self.entries.push(entry);
-        Lookup::Fresh(answers.into())
+        Offer::Fresh(answers)
     }
 
     fn insert(&mut self, key: u8, ttl: u32, now: u64, low: bool) -> Vec<(CacheKey, EvictionKind)> {
@@ -102,38 +121,71 @@ impl NaiveLru {
 
 #[derive(Debug, Clone)]
 enum ModelOp {
-    Lookup { key: u8, at: u64, stale_window: u64 },
-    Insert { key: u8, ttl: u32, at: u64, low: bool },
+    /// A lookup whose miss, if any, is dropped unfilled.
+    Lookup {
+        key: u8,
+        at: u64,
+        stale_window: u64,
+    },
+    /// A lookup whose miss, if any, is filled: a resolver's refresh.
+    Refill {
+        key: u8,
+        at: u64,
+        stale_window: u64,
+        ttl: u32,
+        low: bool,
+    },
+    Insert {
+        key: u8,
+        ttl: u32,
+        at: u64,
+        low: bool,
+    },
     Clear,
 }
 
-/// Few keys, short TTLs and a clock that wanders both ways, so hits,
-/// in-place replacements, stale serves and both eviction kinds all occur
-/// at capacities of a handful.
+/// Few keys, short TTLs (10 s often, so a refill often brings the answers
+/// back unchanged) and a clock that wanders both ways, so hits, in-place
+/// refills, stale serves, zero-TTL refills and both eviction kinds all
+/// occur at capacities of a handful.
 fn arb_model_op() -> impl Strategy<Value = ModelOp> {
-    let lookup = |stale_window| {
-        (0u8..8, 0u64..60).prop_map(move |(key, at)| ModelOp::Lookup { key, at, stale_window })
-    };
+    let window = || prop_oneof![Just(0u64), Just(0u64), 1u64..30];
+    let ttl = || prop_oneof![0u32..40, Just(10u32)];
     prop_oneof![
-        lookup(0),
-        lookup(0),
-        (0u8..8, 0u64..60, 1u64..30).prop_map(|(key, at, stale_window)| ModelOp::Lookup {
+        (0u8..8, 0u64..60, window()).prop_map(|(key, at, stale_window)| ModelOp::Lookup {
             key,
             at,
             stale_window
         }),
-        (0u8..8, 0u32..40, 0u64..60, any::<bool>())
-            .prop_map(|(key, ttl, at, low)| ModelOp::Insert { key, ttl, at, low }),
-        (0u8..8, 0u32..40, 0u64..60, any::<bool>())
-            .prop_map(|(key, ttl, at, low)| ModelOp::Insert { key, ttl, at, low }),
+        (0u8..8, 0u64..60, window(), ttl(), any::<bool>()).prop_map(
+            |(key, at, stale_window, ttl, low)| ModelOp::Refill { key, at, stale_window, ttl, low }
+        ),
+        (0u8..8, 0u64..60, window(), ttl(), any::<bool>()).prop_map(
+            |(key, at, stale_window, ttl, low)| ModelOp::Refill { key, at, stale_window, ttl, low }
+        ),
+        (0u8..8, ttl(), 0u64..60, any::<bool>()).prop_map(|(key, ttl, at, low)| ModelOp::Insert {
+            key,
+            ttl,
+            at,
+            low
+        }),
         Just(ModelOp::Clear),
     ]
 }
 
+fn priority(low: bool) -> InsertPriority {
+    if low {
+        InsertPriority::Low
+    } else {
+        InsertPriority::Normal
+    }
+}
+
 proptest! {
-    /// The index-linked recency lists are observably the naive cache:
-    /// identical lookup results, eviction lists (key and kind, in order),
-    /// length and counters after every operation, over both priorities.
+    /// The index-linked recency lists and the in-place refill are
+    /// observably the naive remove-then-insert cache: identical lookup
+    /// offers, eviction lists (key and kind, in order), length and
+    /// counters after every operation, over both priorities.
     #[test]
     fn recency_lists_match_the_naive_model(
         cap in 1usize..6,
@@ -144,13 +196,34 @@ proptest! {
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 ModelOp::Lookup { key: k, at, stale_window } => {
-                    let got =
-                        cache.lookup(&key(k), Timestamp::from_secs(at), Ttl::from_secs(stale_window as u32));
+                    let kk = key(k);
+                    let window = Ttl::from_secs(stale_window as u32);
+                    let got = offer(&cache.lookup(&kk, Timestamp::from_secs(at), window));
                     prop_assert_eq!(got, model.lookup(k, at, stale_window), "step {}", step);
                 }
+                ModelOp::Refill { key: k, at, stale_window, ttl, low } => {
+                    let kk = key(k);
+                    let (now, window) = (Timestamp::from_secs(at), Ttl::from_secs(stale_window as u32));
+                    let lookup = cache.lookup(&kk, now, window);
+                    let got = offer(&lookup);
+                    let evicted = match lookup {
+                        Lookup::Fresh(_) => Vec::new(),
+                        Lookup::Miss(miss) => {
+                            let (block, evicted) = miss.fill(&[rr(k, ttl)], now, priority(low));
+                            prop_assert_eq!(&*block, &[rr(k, ttl)][..], "step {}", step);
+                            evicted
+                        }
+                    };
+                    let want = model.lookup(k, at, stale_window);
+                    let want_evicted = match want {
+                        Offer::Fresh(_) => Vec::new(),
+                        _ => model.insert(k, ttl, at, low),
+                    };
+                    prop_assert_eq!(got, want, "step {}", step);
+                    prop_assert_eq!(evicted, want_evicted, "step {}", step);
+                }
                 ModelOp::Insert { key: k, ttl, at, low } => {
-                    let prio = if low { InsertPriority::Low } else { InsertPriority::Normal };
-                    let got = cache.insert(key(k), vec![rr(k, ttl)], Timestamp::from_secs(at), prio);
+                    let got = cache.insert(key(k), vec![rr(k, ttl)], Timestamp::from_secs(at), priority(low));
                     prop_assert_eq!(got, model.insert(k, ttl, at, low), "step {}", step);
                 }
                 ModelOp::Clear => {

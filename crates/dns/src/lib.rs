@@ -14,6 +14,8 @@
 //!   can exercise a realistic parse path rather than an in-memory shortcut.
 //! * [`Timestamp`] / [`Ttl`] — simulation time with second granularity, which
 //!   matches the granularity of the paper's fpDNS tuples.
+//! * [`hash`] — the seeded hasher of the tables probed on every replayed
+//!   event.
 //! * [`quarantine`] — the typed, exactly counted quarantine ledger that
 //!   capture ingestion and store recovery both book rejected bytes into.
 //!
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 mod label;
 mod message;
 mod name;

@@ -294,6 +294,26 @@ impl Name {
             return Ok(Name::root());
         }
         let s = s.strip_suffix('.').unwrap_or(s);
+        match scan(s.as_bytes()) {
+            Some(false) => Ok(Name { text: Arc::from(s) }),
+            Some(true) => {
+                let mut lower = [0u8; MAX_NAME_LEN];
+                for (dst, src) in lower.iter_mut().zip(s.bytes()) {
+                    *dst = src.to_ascii_lowercase();
+                }
+                match std::str::from_utf8(&lower[..s.len()]) {
+                    Ok(text) => Ok(Name { text: Arc::from(text) }),
+                    Err(_) => Name::parse_labels(s),
+                }
+            }
+            None => Name::parse_labels(s),
+        }
+    }
+
+    /// The label-by-label parse of a name [`scan`] found a defect in: it
+    /// names the defect, in the order checked (length, then each label's
+    /// emptiness, length and bytes, left to right).
+    fn parse_labels(s: &str) -> Result<Self, NameParseError> {
         if s.len() > MAX_NAME_LEN {
             return Err(NameParseError::TooLong(s.len()));
         }
@@ -437,6 +457,32 @@ impl Name {
     pub fn presentation_bytes(&self) -> impl Iterator<Item = u8> + '_ {
         self.as_str().bytes()
     }
+}
+
+/// One pass over a name's presentation bytes, trailing dot stripped:
+/// `Some(has_upper_case)` when it is at most [`MAX_NAME_LEN`] bytes of
+/// non-empty labels of at most [`MAX_LABEL_LEN`] accepted bytes each, so
+/// the text is the name's block as it stands (or once lower-cased);
+/// `None` on any defect.
+fn scan(s: &[u8]) -> Option<bool> {
+    if s.len() > MAX_NAME_LEN {
+        return None;
+    }
+    let (mut label_len, mut upper) = (0usize, false);
+    for &b in s {
+        if b == b'.' {
+            if label_len == 0 {
+                return None;
+            }
+            label_len = 0;
+        } else if byte_ok(b) && label_len < MAX_LABEL_LEN {
+            upper |= b.is_ascii_uppercase();
+            label_len += 1;
+        } else {
+            return None;
+        }
+    }
+    (label_len > 0).then_some(upper)
 }
 
 /// Seedless 64-bit FNV-1a over a byte stream: the stable hash behind

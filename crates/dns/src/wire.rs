@@ -227,7 +227,7 @@ impl<'m> Compressor<'m> {
 /// question.
 // lint:certify(no-panic)
 pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut cur = Cursor { bytes, pos: 0 };
+    let mut cur = Cursor { bytes, pos: 0, names: NameMemo::new() };
     let id = cur.u16()?;
     let flags = cur.u16()?;
     let qdcount = cur.u16()?;
@@ -283,6 +283,61 @@ fn record_capacity_hint(count: u16, cur: &Cursor<'_>) -> usize {
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    names: NameMemo,
+}
+
+/// How many of a message's decoded names [`NameMemo`] keeps: the question
+/// plus the last few record names cover an answer chain, whose owners
+/// point at the question or at the previous CNAME target.
+const NAME_MEMO_LEN: usize = 4;
+
+/// The names one message has decoded so far, by the offset each started
+/// at, newest overwriting oldest. A name that is nothing but a pointer to
+/// one of them clones it rather than building a block of its own, so a
+/// message costs one heap block per distinct name. It lives and dies with
+/// the message's [`Cursor`]: no table outlives a message.
+struct NameMemo {
+    /// `(start offset, pointer hops taken, name)`.
+    entries: [Option<(usize, usize, Name)>; NAME_MEMO_LEN],
+    next: usize,
+}
+
+impl NameMemo {
+    fn new() -> Self {
+        NameMemo { entries: [None, None, None, None], next: 0 }
+    }
+
+    /// The name a bare pointer at `at` in `bytes` decodes to, when it
+    /// points (strictly backward) at a remembered name whose chain leaves
+    /// room for this one more hop; `None` sends the caller down the full
+    /// walk, which also reports every defect.
+    fn shared(&self, bytes: &[u8], at: usize) -> Option<Name> {
+        let pointer: [u8; 2] = bytes.get(at..at.checked_add(2)?)?.try_into().ok()?;
+        let [first, second] = pointer;
+        if first & POINTER_MASK != POINTER_MASK {
+            return None;
+        }
+        let target = usize::from(u16::from_be_bytes([first & !POINTER_MASK, second]));
+        if target >= at {
+            return None;
+        }
+        for entry in self.entries.iter() {
+            match entry {
+                Some((start, hops, name)) if *start == target && *hops < MAX_POINTER_HOPS => {
+                    return Some(name.clone());
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    fn remember(&mut self, start: usize, hops: usize, name: &Name) {
+        if let Some(slot) = self.entries.get_mut(self.next) {
+            *slot = Some((start, hops, name.clone()));
+        }
+        self.next = (self.next + 1) % NAME_MEMO_LEN;
+    }
 }
 
 impl<'a> Cursor<'a> {
@@ -309,8 +364,23 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    /// Decodes a possibly compressed name starting at the current position.
+    /// Decodes a possibly compressed name starting at the current position:
+    /// a bare pointer to a name this message already decoded shares its
+    /// block, anything else walks its labels.
     fn name(&mut self) -> Result<Name, WireError> {
+        let start = self.pos;
+        if let Some(name) = self.names.shared(self.bytes, start) {
+            self.pos = start.saturating_add(2);
+            return Ok(name);
+        }
+        let (name, hops) = self.walk_name()?;
+        self.names.remember(start, hops, &name);
+        Ok(name)
+    }
+
+    /// Walks the labels and pointers of the name at the current position;
+    /// returns it with the number of pointer hops taken.
+    fn walk_name(&mut self) -> Result<(Name, usize), WireError> {
         let mut name = NameBuilder::new();
         let mut pos = self.pos;
         // After the first pointer the cursor no longer advances; remember
@@ -356,7 +426,7 @@ impl<'a> Cursor<'a> {
             pos = start + len;
         }
         self.pos = end_after.unwrap_or(pos);
-        name.to_name().map_err(|_| WireError::BadLabel)
+        Ok((name.to_name().map_err(|_| WireError::BadLabel)?, hops))
     }
 
     fn read_record(&mut self) -> Result<Record, WireError> {
@@ -661,6 +731,48 @@ mod tests {
         b.extend_from_slice(&(0xc000 | u16::try_from(top).unwrap()).to_be_bytes());
         b.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 192, 0, 2, 1]);
         assert!(matches!(decode(&b), Err(WireError::PointerChainTooLong(_))), "{:?}", decode(&b));
+    }
+
+    /// A message whose second answer's owner enters a pointer ladder of
+    /// `rungs` rungs and whose third answer's owner is a bare pointer to
+    /// the second's: the second owner takes `rungs + 1` hops, the third
+    /// one more.
+    fn ladder_then_pointer(rungs: usize) -> Vec<u8> {
+        let mut b = vec![0u8; 12];
+        b[4..6].copy_from_slice(&1u16.to_be_bytes());
+        b[6..8].copy_from_slice(&3u16.to_be_bytes());
+        b.extend_from_slice(&[0x00, 0, 1, 0, 1]); // question: root, A, IN
+        b.push(0x00); // answer 1: root owner, RRSIG whose RDATA is the ladder
+        b.extend_from_slice(&[0, 46, 0, 1, 0, 0, 0, 0]);
+        b.extend_from_slice(&u16::try_from(1 + 2 * rungs).unwrap().to_be_bytes());
+        let base = b.len();
+        b.push(0x00);
+        for k in 0..rungs {
+            let target = if k == 0 { base } else { base + 1 + 2 * (k - 1) };
+            b.extend_from_slice(&(0xc000 | u16::try_from(target).unwrap()).to_be_bytes());
+        }
+        let top = base + 1 + 2 * (rungs - 1);
+        let second = b.len();
+        for target in [top, second] {
+            b.extend_from_slice(&(0xc000 | u16::try_from(target).unwrap()).to_be_bytes());
+            b.extend_from_slice(&[0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 192, 0, 2, 1]);
+        }
+        b
+    }
+
+    #[test]
+    fn a_pointer_to_a_remembered_name_still_counts_its_hops() {
+        // The second owner takes MAX_POINTER_HOPS - 1 hops: the third,
+        // shared from the memo, lands exactly on the limit.
+        let msg = decode(&ladder_then_pointer(MAX_POINTER_HOPS - 2)).unwrap();
+        assert_eq!(msg.answers.len(), 3);
+        assert!(msg.answers[2].name.is_root());
+        // The second owner is at the limit: one more hop is over it,
+        // whether or not its name is remembered.
+        assert_eq!(
+            decode(&ladder_then_pointer(MAX_POINTER_HOPS - 1)),
+            Err(WireError::PointerChainTooLong(MAX_POINTER_HOPS + 1))
+        );
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! A name is one heap block: parsing or wire-decoding one allocates once,
-//! whatever its depth, and cloning allocates nothing.
+//! whatever its depth, and cloning allocates nothing. A decoded message
+//! builds one block per distinct name: a record name that is a pointer to
+//! a name the message already decoded shares that name's block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dnsnoise_dns::{wire, Message, Name, QType, Question};
+use std::net::Ipv4Addr;
+
+use dnsnoise_dns::{wire, Message, Name, QType, Question, RData, Rcode, Record, Ttl};
 
 thread_local! {
     /// Allocations made by this thread (the test harness has others).
@@ -51,4 +55,45 @@ fn a_seven_label_name_costs_one_allocation() {
 
     let (copy, n) = allocations(|| name.clone());
     assert_eq!((copy, n), (name, 0), "clone");
+}
+
+fn a_record(owner: &Name) -> Record {
+    Record::new(owner.clone(), QType::A, Ttl::from_secs(60), RData::A(Ipv4Addr::new(192, 0, 2, 7)))
+}
+
+/// Decodes `msg`'s encoding and returns the name blocks it built: every
+/// allocation but the answer section's one vector.
+fn name_blocks(msg: &Message) -> u64 {
+    let bytes = wire::encode(msg).unwrap();
+    let (decoded, n) = allocations(|| wire::decode(&bytes).unwrap());
+    assert_eq!(&decoded, msg);
+    assert!(!decoded.answers.is_empty() && decoded.authority.is_empty());
+    n - 1
+}
+
+#[test]
+fn an_answer_owned_by_the_question_shares_its_block() {
+    let qname: Name = "x7f3k.telemetry.example.com".parse().unwrap();
+    let msg = Message::response(
+        1,
+        Question::new(qname.clone(), QType::A),
+        Rcode::NoError,
+        vec![a_record(&qname)],
+    );
+    assert_eq!(name_blocks(&msg), 1);
+}
+
+#[test]
+fn a_cname_then_a_costs_two_blocks() {
+    let qname: Name = "www.example.com".parse().unwrap();
+    let target: Name = "edge.cdn.example.net".parse().unwrap();
+    let cname =
+        Record::new(qname.clone(), QType::Cname, Ttl::from_secs(60), RData::Cname(target.clone()));
+    let msg = Message::response(
+        2,
+        Question::new(qname, QType::A),
+        Rcode::NoError,
+        vec![cname, a_record(&target)],
+    );
+    assert_eq!(name_blocks(&msg), 2);
 }

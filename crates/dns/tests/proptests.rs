@@ -1,7 +1,8 @@
 //! Property-based tests for the DNS data model and wire codec.
 
 use dnsnoise_dns::{
-    wire, Label, Message, Name, QType, Question, RData, Rcode, Record, SuffixList, Ttl,
+    wire, Label, Message, Name, NameBuilder, NameParseError, QType, Question, RData, Rcode, Record,
+    SuffixList, Ttl, MAX_NAME_LEN,
 };
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -54,7 +55,107 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// `Name::parse` as it was before its one-pass scan: every label through
+/// the builder. The oracle for the `Ok` value and for which error wins.
+fn parse_by_labels(s: &str) -> Result<Name, NameParseError> {
+    if s == "." || s.is_empty() {
+        return Ok(Name::root());
+    }
+    let s = s.strip_suffix('.').unwrap_or(s);
+    if s.len() > MAX_NAME_LEN {
+        return Err(NameParseError::TooLong(s.len()));
+    }
+    let mut name = NameBuilder::new();
+    for part in s.split('.') {
+        if part.is_empty() {
+            return Err(NameParseError::EmptyLabel);
+        }
+        name.push_label(part.as_bytes())?;
+    }
+    name.to_name()
+}
+
+/// One label of `len` characters drawn from `alphabet` by `seed`.
+fn label_text(len: usize, alphabet: &str, seed: u64) -> String {
+    let chars: Vec<char> = alphabet.chars().collect();
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            chars[(x >> 33) as usize % chars.len()]
+        })
+        .collect()
+}
+
+/// Strings shaped like names and weighted toward the edges a parse
+/// checks: empty, leading, doubled and trailing dots, upper case, bytes
+/// outside the alphabet (space, tab, non-ASCII, a lone dot inside a
+/// label's alphabet), 63/64-character labels and 253/254-character names.
+fn arb_name_text() -> impl Strategy<Value = String> {
+    let alphabet = || {
+        prop_oneof![
+            Just("abcxyz0129-_"),
+            Just("abcxyz0129-_"),
+            Just("wwwEXAMPLEcom"),
+            Just("ab c"),
+            Just("a\tb\u{e9}"),
+            Just("a*~!/."),
+        ]
+    };
+    let short = || {
+        (
+            proptest::collection::vec((0usize..9, alphabet(), any::<u64>()), 0..8),
+            prop_oneof![Just(""), Just("."), Just(".."), Just("")],
+            prop_oneof![Just(""), Just(""), Just(".")],
+        )
+            .prop_map(|(labels, end, start)| {
+                let labels: Vec<String> =
+                    labels.into_iter().map(|(len, a, seed)| label_text(len, a, seed)).collect();
+                format!("{start}{}{end}", labels.join("."))
+            })
+    };
+    // Up to four long labels of 61–64 characters each, so a label lands
+    // on either side of 63.
+    let long = (
+        proptest::collection::vec((61usize..65, alphabet(), any::<u64>()), 1..5),
+        prop_oneof![Just(""), Just(".")],
+    )
+        .prop_map(|(labels, end)| {
+            let labels: Vec<String> =
+                labels.into_iter().map(|(len, a, seed)| label_text(len, a, seed)).collect();
+            format!("{}{end}", labels.join("."))
+        });
+    // 63-character labels filled up to 252–255 characters, so the name
+    // lands on either side of 253.
+    let edge = (252usize..256, alphabet(), any::<u64>(), prop_oneof![Just(""), Just(".")])
+        .prop_map(|(total, alphabet, seed, end)| {
+            let mut text = String::new();
+            while text.len() < total {
+                if !text.is_empty() {
+                    text.push('.');
+                }
+                let len = (total - text.len()).min(63);
+                text += &label_text(len, alphabet, seed ^ text.len() as u64);
+            }
+            text + end
+        });
+    prop_oneof![
+        short(),
+        short(),
+        long,
+        edge,
+        proptest::string::string_regex("[ -~]{0,12}").unwrap()
+    ]
+}
+
 proptest! {
+    /// The one-pass parse is the label-by-label parse: the same name, or
+    /// the same error.
+    #[test]
+    fn name_parse_equals_the_builder_path(text in arb_name_text()) {
+        prop_assert_eq!(Name::parse(&text), parse_by_labels(&text), "{:?}", text);
+    }
+
     /// Encoding then decoding any message reproduces it exactly — including
     /// names rewritten through compression pointers.
     #[test]

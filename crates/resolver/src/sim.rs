@@ -5,7 +5,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use dnsnoise_cache::{
-    CacheCluster, CacheKey, CacheStats, InsertPriority, LoadBalance, Lookup, NegativeCache, TtlLru,
+    CacheCluster, CacheKey, CacheStats, InsertPriority, LoadBalance, Lookup, MemberShard,
+    NegativeCache,
 };
 use dnsnoise_dns::{Name, Record, Timestamp, Ttl};
 use dnsnoise_workload::{GroundTruth, Operator, Outcome, QueryEvent};
@@ -358,17 +359,17 @@ impl DayState {
         if self.drive_members {
             sim.apply_member_faults(&self.ctx.plan, event.time);
         }
-        let member =
-            sim.cluster.route(event.client, &CacheKey::new(event.name.clone(), event.qtype));
+        let key = CacheKey::new(event.name.clone(), event.qtype);
+        let member = sim.cluster.route(event.client, &key);
         let shard = sim.cluster.member_mut(member);
         let operator = ground_truth.and_then(|gt| gt.operator_of(&event.name));
         let response = serve(
             &self.ctx,
             self.index,
             event,
+            &key,
             operator,
-            shard.cache,
-            shard.negative,
+            shard,
             self.admission.get_mut(member),
         );
         observer.observe(event, response.served, response.answers());
@@ -513,18 +514,20 @@ impl Response {
     }
 }
 
-/// Serves one query event against one member's caches: the cache lookup,
-/// the admission gate and the upstream fetch. Counts nothing;
-/// [`DayState::book`] folds the [`Response`] into the report.
+/// Serves one query event, whose cache key is `key`, against one member's
+/// `shard` of the caches: the cache lookup, the admission gate and the upstream fetch.
+/// Counts nothing; [`DayState::book`] folds the [`Response`] into the
+/// report.
 fn serve(
     ctx: &EventCtx,
     index: u64,
     event: &QueryEvent,
+    key: &CacheKey,
     operator: Option<Operator>,
-    cache: &mut TtlLru,
-    negative: &mut NegativeCache,
+    shard: MemberShard<'_>,
     admission: Option<&mut AdmissionState>,
 ) -> Response {
+    let MemberShard { cache, negative } = shard;
     let mut fetch = None;
     let mut backlog = None;
     let (served, answers) = match &event.outcome {
@@ -545,38 +548,36 @@ fn serve(
                 }
             }
         },
-        Outcome::Answer(auth_answers) => {
-            let key = CacheKey::new(event.name.clone(), event.qtype);
-            match cache.lookup(&key, event.time, ctx.stale_window) {
-                // Cache-hit fast path: protected, never queued or shed.
-                Lookup::Fresh(records) => (Served::CacheHit, Some(records)),
-                not_fresh => match admit(ctx, admission, event, false, &mut backlog) {
-                    Admission::Admit => {
-                        let outcome = fetch.insert(fetch_upstream(ctx, index, event, operator));
-                        if outcome.success {
-                            let priority = match &ctx.low_priority {
-                                Some(pred) if pred(&event.name) => InsertPriority::Low,
-                                _ => InsertPriority::Normal,
-                            };
-                            let answers: Arc<[Record]> = auth_answers.as_slice().into();
-                            cache.insert(key, Arc::clone(&answers), event.time, priority);
-                            (Served::CacheMiss, Some(answers))
-                        } else if let Lookup::Stale(records) = not_fresh {
-                            (Served::StaleHit, Some(records))
-                        } else {
-                            (Served::ServFail, None)
-                        }
+        Outcome::Answer(auth_answers) => match cache.lookup(key, event.time, ctx.stale_window) {
+            // Cache-hit fast path: protected, never queued or shed.
+            Lookup::Fresh(records) => (Served::CacheHit, Some(records)),
+            // A miss that is not filled leaves the cache as if the lookup
+            // had removed an expired entry outright.
+            Lookup::Miss(miss) => match admit(ctx, admission, event, false, &mut backlog) {
+                Admission::Admit => {
+                    let outcome = fetch.insert(fetch_upstream(ctx, index, event, operator));
+                    if outcome.success {
+                        let priority = match &ctx.low_priority {
+                            Some(pred) if pred(&event.name) => InsertPriority::Low,
+                            _ => InsertPriority::Normal,
+                        };
+                        let (answers, _) = miss.fill(auth_answers, event.time, priority);
+                        (Served::CacheMiss, Some(answers))
+                    } else if let Some(records) = miss.stale() {
+                        (Served::StaleHit, Some(Arc::clone(records)))
+                    } else {
+                        (Served::ServFail, None)
                     }
-                    // Graceful degradation: answer from a stale entry
-                    // rather than shed, when RFC 8767 allows.
-                    decision => match (not_fresh, decision) {
-                        (Lookup::Stale(records), _) => (Served::StaleHit, Some(records)),
-                        (_, Admission::Drop) => (Served::Dropped, None),
-                        _ => (Served::RateLimited, None),
-                    },
+                }
+                // Graceful degradation: answer from a stale entry rather
+                // than shed, when RFC 8767 allows.
+                decision => match (miss.stale(), decision) {
+                    (Some(records), _) => (Served::StaleHit, Some(Arc::clone(records))),
+                    (None, Admission::Drop) => (Served::Dropped, None),
+                    (None, _) => (Served::RateLimited, None),
                 },
-            }
-        }
+            },
+        },
     };
     Response { served, answers, fetch, backlog }
 }

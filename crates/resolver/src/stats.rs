@@ -1,7 +1,8 @@
 //! Per-resource-record statistics: lookup volumes, DHR and CHR.
 
-use std::hash::{BuildHasher, RandomState};
+use std::hash::BuildHasher;
 
+use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::{Name, QType, RData, RrKey};
 use serde::{Deserialize, Serialize};
 
@@ -39,8 +40,8 @@ const MIN_SLOTS: usize = 16;
 /// [`RrDayStats::len`] are exactly the records first seen since, which
 /// is how the streaming miner folds each epoch's new rows into its tree
 /// and hands the store each record once ([`RrDayStats::rows_since`]).
-/// An open-addressing table of row positions, hashed with a per-table
-/// [`RandomState`], finds a row by its borrowed parts.
+/// An open-addressing table of row positions, hashed under a per-table
+/// [`SeededState`], finds a row by its borrowed parts.
 ///
 /// # Examples
 ///
@@ -68,7 +69,7 @@ pub struct RrDayStats {
     /// twice `rows.len()`, probed linearly, or none before the first
     /// insert.
     slots: Vec<u32>,
-    hasher: RandomState,
+    hasher: SeededState,
     /// Σ [`RrKey::storage_bytes`] + one [`RrStat`] per row.
     state_bytes: usize,
 }

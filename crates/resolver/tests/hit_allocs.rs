@@ -1,7 +1,9 @@
 //! A cache hit is served from the cache's shared answer block: replaying
 //! an event that hits allocates nothing, whatever the observer does with
-//! the answers it is handed. Booking a record the day's table already
-//! holds allocates nothing either.
+//! the answers it is handed. Neither does one that refreshes an expired
+//! entry with unchanged answers: the refresh rewrites the entry's slot and
+//! keeps its block. Booking a record the day's table already holds
+//! allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,6 +89,21 @@ fn an_event_that_hits_the_cache_allocates_nothing() {
     let ((), n) = allocations(|| session.push(&again, None, &mut tally));
     assert_eq!((tally.last, tally.answers), (Some(Served::CacheHit), 2));
     assert_eq!(n, 0, "a cache hit allocated {n} times");
+}
+
+#[test]
+fn refreshing_an_expired_entry_with_unchanged_answers_allocates_nothing() {
+    let mut session = EventSession::new(ResolverSim::new(SimConfig::default()), 0);
+    let mut tally = Tally::default();
+    // The answer's TTL is 300 s: the second event finds the entry expired.
+    let (first, later) = (event(100, 7), event(400, 7));
+
+    session.push(&first, None, &mut tally);
+    assert_eq!(tally.last, Some(Served::CacheMiss));
+
+    let ((), n) = allocations(|| session.push(&later, None, &mut tally));
+    assert_eq!((tally.last, tally.answers), (Some(Served::CacheMiss), 2));
+    assert_eq!(n, 0, "a refresh with unchanged answers allocated {n} times");
 }
 
 /// The table finds a row by the record's borrowed parts: a repeat builds

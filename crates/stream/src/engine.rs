@@ -40,6 +40,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
+use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::{Record, SuffixList};
 use dnsnoise_pdns::store::io;
 use dnsnoise_pdns::{BackendKind, FpDnsSummary, PdnsBackend, RunStore, StoreError, StoreStats};
@@ -253,7 +254,7 @@ fn render_finding(f: &Finding) -> String {
 #[derive(Debug, Default)]
 pub(crate) struct StreamState {
     /// The client of every response that was neither shed nor failed.
-    pub(crate) clients: HashSet<u64>,
+    pub(crate) clients: HashSet<u64, SeededState>,
     pub(crate) pdns: FpDnsSummary,
     pub(crate) answered: u64,
     pub(crate) nxdomain: u64,
@@ -873,7 +874,7 @@ mod tests {
             storage_bytes: 3 * 43,
         };
         assert_eq!(state.pdns, expected);
-        assert_eq!(state.clients, HashSet::from([1, 2]), "no failed or shed client");
+        assert_eq!(state.clients, HashSet::from_iter([1, 2]), "no failed or shed client");
         assert_eq!((state.failed, state.shed), (1, 1));
     }
 

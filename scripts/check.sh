@@ -199,6 +199,44 @@ sim_disk=$(grep '^rpdns store: ' "$smoke_dir/simd.log") \
     || { echo "error: fsck found problems in simulate's disk store" >&2
          cat "$smoke_dir/fsck-sim.txt" >&2; exit 1; }
 
+# A disk store that cannot be written degrades to memory-only: simulate,
+# like stream, must name the failure and exit non-zero, not report success.
+printf 'x' >"$smoke_dir/blocker"
+if ./target/release/dnsnoise simulate --trace "$smoke_dir/day1.trace" \
+    --store disk --store-path "$smoke_dir/blocker/sub" >/dev/null 2>"$smoke_dir/simdeg.log"; then
+    echo "error: simulate exited 0 on a store path under a regular file" >&2; exit 1
+fi
+grep -q '^rpdns store degraded to memory-only: ' "$smoke_dir/simdeg.log" \
+    || { echo "error: simulate did not name its degraded store" >&2
+         cat "$smoke_dir/simdeg.log" >&2; exit 1; }
+
+echo "== experiments store smoke (fig15's disk store holds every record its render counts) ==" >&2
+# A pDNS experiment's store is flushed and collapsed when the experiment
+# ends: the directory checks clean and its MANIFEST's per-day new-record
+# counts are the render's, day for day. The MANIFEST is big-endian u64s
+# after an 8-byte magic: field 8 counts the days, and each day's (new,
+# repeated) pair follows the ten fixed fields.
+cargo build -q --release --offline -p dnsnoise-bench --bins
+./target/release/experiments fig15 --scale 0.05 --store disk --store-path "$smoke_dir/exp" \
+    >"$smoke_dir/fig15.txt"
+./target/release/dnsnoise fsck "$smoke_dir/exp/fig15" >"$smoke_dir/fsck-fig15.txt" \
+    || { echo "error: fsck found problems in fig15's disk store" >&2
+         cat "$smoke_dir/fsck-fig15.txt" >&2; exit 1; }
+rendered=$(awk 'NF == 4 && $1 ~ /^[0-9]+$/ && $4 ~ /%$/ {print $2 + $3}' "$smoke_dir/fig15.txt" | xargs)
+stored=$(od -An -v -tu1 -j 8 "$smoke_dir/exp/fig15/MANIFEST" | awk '
+    { for (i = 1; i <= NF; i++) b[n++] = $i }
+    END {
+        for (w = 0; 8 * w + 8 <= n; w++) {
+            v = 0
+            for (j = 0; j < 8; j++) v = v * 256 + b[8 * w + j]
+            f[w] = v
+        }
+        for (d = 0; d < f[8]; d++) print f[10 + 2 * d]
+    }' | xargs)
+[ -n "$rendered" ] && [ "$rendered" = "$stored" ] \
+    || { echo "error: fig15's store holds per-day new records ($stored)" \
+              "other than its render's ($rendered)" >&2; exit 1; }
+
 echo "== crash/resume smoke (kill mid-day, hourly and before the first boundary; resume, cmp, fsck) ==" >&2
 # A stream killed mid-day by --die-after (simulating SIGKILL) and resumed
 # from its on-disk checkpoint must print the exact bytes of the

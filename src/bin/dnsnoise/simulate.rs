@@ -106,6 +106,7 @@ fn run(o: &Opts) -> Result<(), String> {
     // The store is built only when a store flag asks for its summary. It
     // takes the day's distinct records once each, in first-seen order,
     // under the replayed day: one hostile timestamp sizes nothing.
+    let mut store_error = None;
     if o.store_reported() {
         let mut store = o.store_backend();
         for (key, _) in report.rr_stats.iter() {
@@ -117,6 +118,7 @@ fn run(o: &Opts) -> Result<(), String> {
             s.optimize();
         }
         eprintln!("{}", store_summary_line(&RpdnsStoreSummary::from(&store)));
+        store_error = store.io_error().map(ToString::to_string);
     }
     println!("events:            {}", trace.events.len());
     println!("below records:     {}", report.below_total());
@@ -159,5 +161,8 @@ fn run(o: &Opts) -> Result<(), String> {
         eprintln!("wrote metrics to {path}");
         eprint!("{}", registry.phases().render_table());
     }
-    Ok(())
+    match store_error {
+        Some(e) => Err(format!("rpdns store degraded to memory-only: {e}")),
+        None => Ok(()),
+    }
 }

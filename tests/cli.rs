@@ -823,6 +823,48 @@ fn a_resume_refuses_a_store_that_lost_a_listed_run() {
 /// the old MANIFEST lists): it is refused, naming the directory, before
 /// any event is read. An empty directory is accepted.
 #[test]
+fn simulate_fails_like_stream_when_its_disk_store_degrades() {
+    let dir = tempdir_named("store-degraded");
+    let trace = dir.join("day.trace");
+    let out = bin()
+        .args(["generate", "--scale", "0.01", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // A store path under a regular file can never be created.
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").expect("write the blocking file");
+    let store = file.join("sub");
+    let failure = |subcommand: &[&str]| {
+        let out = bin()
+            .args(subcommand)
+            .arg("--trace")
+            .arg(&trace)
+            .args(["--store", "disk", "--store-path"])
+            .arg(&store)
+            .output()
+            .expect("run the subcommand");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{subcommand:?}: {stderr}");
+        let last = stderr.lines().last().unwrap_or_default().to_owned();
+        assert!(last.contains("rpdns store degraded to memory-only: "), "{subcommand:?}: {stderr}");
+        last
+    };
+    let model = dir.join("model.txt");
+    let out = bin()
+        .args(["train", "--scale", "0.01", "--seed", "3", "--out"])
+        .arg(&model)
+        .output()
+        .expect("run train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let simulate = failure(&["simulate"]);
+    let stream = failure(&["stream", "--model", model.to_str().expect("UTF-8 temp path")]);
+    assert_eq!(simulate, stream);
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
 fn a_fresh_run_refuses_a_store_path_that_holds_a_store() {
     let dir = tempdir_named("store-reuse");
     let trace = dir.join("day.trace");
