@@ -311,6 +311,7 @@ impl TtlLru {
     /// A live entry refreshes its recency and returns its answers. An
     /// expired entry is removed and `None` is returned (counted in
     /// [`CacheStats::expired`]).
+    // lint:allow(dead-api): crates/cache/tests/proptests.rs drives the cache through it
     pub fn get(&mut self, key: &CacheKey, now: Timestamp) -> Option<Arc<[Record]>> {
         match self.lookup(key, now, Ttl::ZERO) {
             Lookup::Fresh(answers) => Some(answers),
@@ -368,6 +369,7 @@ impl TtlLru {
     /// caller that also hands the answers on copies none of them.
     ///
     /// Returns the evictions this insert caused, if any.
+    // lint:allow(dead-api): crates/cache/tests/proptests.rs fills the cache through it
     pub fn insert(
         &mut self,
         key: CacheKey,

@@ -48,7 +48,9 @@ pub mod wire;
 
 pub use label::{Label, LabelParseError, MAX_LABEL_LEN};
 pub use message::{Message, Opcode, Question, Rcode};
-pub use name::{fnv1a, splitmix_finalize, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN};
+pub use name::{
+    fnv1a, splitmix_finalize, LabelIter, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN,
+};
 pub use record::{QType, RData, Record, RrKey, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{Timestamp, Ttl, SECS_PER_DAY};

@@ -19,7 +19,10 @@
 //! (`.map(Type::f)`); a `Type::name` path narrows the match to that
 //! type's fns when it has one of the name. Matching by name
 //! over-approximates what is reached, so a missed call edge never yields
-//! a false finding.
+//! a false finding. The price is missed ones: a method call reaches every
+//! method of its name, so a fn only tests call passes while any other
+//! type's namesake is reached (`TtlLru::get` rides on every `.get(`);
+//! such a fn carries a waiver anyway, naming the test that needs it.
 //!
 //! A flagged fn goes, or stays under an inline waiver that names the test
 //! or doc example needing it:

@@ -373,6 +373,36 @@ fn dead_api_flags_only_what_no_root_reaches() {
     assert!(diags.iter().any(|d| d.message.starts_with("pub fn Lib::called:")), "{diags:#?}");
 }
 
+/// Pins a known over-approximation: a method call resolves by its name
+/// alone, so a root calling `Other::get` through a value also reaches
+/// `Cache::get`, which only a test calls. A name no other type shares
+/// is still flagged. Receiver types would need type inference the pass
+/// does not do; workspace fns caught this way carry inline waivers.
+#[test]
+fn dead_api_resolves_a_method_call_by_its_name_alone() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lib = "pub struct Cache;\npub struct Other;\n\n\
+               impl Cache {\n    pub fn get(&self) {}\n    pub fn peek(&self) {}\n}\n\n\
+               impl Other {\n    pub fn get(&self) {}\n}\n";
+    let files = [
+        ("src/bin/tool.rs", "fn main() {\n    fake::Other.get();\n}\n"),
+        ("crates/fake/src/lib.rs", lib),
+        (
+            "crates/fake/tests/t.rs",
+            "#[test]\nfn t() {\n    fake::Cache.get();\n    fake::Cache.peek();\n}\n",
+        ),
+    ];
+    let files: Vec<(String, String)> =
+        files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
+    let diags: Vec<Diagnostic> = lint_files(&files, &[], &load_std_allow(&root))
+        .into_iter()
+        .filter(|d| d.rule == "dead-api")
+        .collect();
+    let flagged: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+    assert_eq!(flagged.len(), 1, "{diags:#?}");
+    assert!(flagged[0].starts_with("pub fn Cache::peek:"), "{diags:#?}");
+}
+
 // --- the workspace holds itself to its own rules --------------------------
 
 #[test]

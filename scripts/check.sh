@@ -351,6 +351,24 @@ status=0
     || { echo "error: fsck of the damaged store (exit $status) did not flag 7 orphans and" \
               "1 bad run with conserved bytes" >&2
          cat "$smoke_dir/fsck-damaged.txt" >&2; exit 1; }
+# A flipped size field in a run's header: the sizes no longer partition
+# the image, so the one-pass verify checksums it whole, and the verdict,
+# the sample line and the byte conservation must be the mid-file flip's.
+cp -r "$smoke_dir/pdns" "$smoke_dir/pdns-header"
+size_byte=23 # the last byte of the header's name-column length
+byte=$(od -An -tu1 -j "$size_byte" -N1 "$smoke_dir/pdns-header/$victim" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" \
+    | dd of="$smoke_dir/pdns-header/$victim" bs=1 seek="$size_byte" conv=notrunc 2>/dev/null
+status=0
+./target/release/dnsnoise fsck "$smoke_dir/pdns-header" >"$smoke_dir/fsck-header.txt" 2>&1 \
+    || status=$?
+[ "$status" -eq 1 ] \
+    && grep -q '^quarantine\[bad-run-checksum\]: 1 files' "$smoke_dir/fsck-header.txt" \
+    && grep -qx "  sample $victim: file CRC != manifest CRC" "$smoke_dir/fsck-header.txt" \
+    && grep -q '(conserved)$' "$smoke_dir/fsck-header.txt" \
+    || { echo "error: fsck of the store with a damaged run header (exit $status) did not flag" \
+              "1 bad run with conserved bytes" >&2
+         cat "$smoke_dir/fsck-header.txt" >&2; exit 1; }
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-damaged" --repair >/dev/null \
     || { echo "error: fsck --repair of the damaged store failed" >&2; exit 1; }
 logged=$(wc -l <"$smoke_dir/pdns-damaged/quarantine.log" | tr -d ' ')
