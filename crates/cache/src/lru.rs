@@ -1,4 +1,10 @@
 //! TTL-aware LRU record cache with priority classes and eviction accounting.
+//!
+//! A cache's `capacity` bounds its entries and decides its evictions; it
+//! reserves nothing. The slab, the recency lists and the key index all
+//! grow with the entries the cache holds, so a 50,000-entry member that a
+//! day fills with a few thousand keys costs what those keys cost, not the
+//! ≈ 2 MiB a full-capacity index would (`tests/heap.rs` pins it).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -268,7 +274,8 @@ fn prio_idx(p: InsertPriority) -> usize {
 }
 
 impl TtlLru {
-    /// Creates a cache holding at most `capacity` answer sets.
+    /// Creates a cache holding at most `capacity` answer sets. Nothing is
+    /// reserved for them: the cache allocates as entries arrive.
     ///
     /// # Panics
     ///
@@ -278,7 +285,7 @@ impl TtlLru {
         assert!(capacity < NIL as usize, "cache capacity must fit 32-bit slot numbers");
         TtlLru {
             capacity,
-            index: HashMap::with_capacity_and_hasher(capacity, SeededState::default()),
+            index: HashMap::with_hasher(SeededState::default()),
             slots: Vec::new(),
             free: NIL,
             recency: [RecencyList::EMPTY; 2],

@@ -20,17 +20,22 @@
 //!     Rcode::NoError,
 //!     vec![Record::new(name, QType::A, Ttl::from_secs(300), RData::A(Ipv4Addr::new(192, 0, 2, 7)))],
 //! );
-//! let bytes = wire::encode(&msg)?;
+//! let mut bytes = Vec::new();
+//! wire::Encoder::new().append(
+//!     &mut bytes,
+//!     wire::Header::from(&msg),
+//!     &msg.question.name,
+//!     msg.question.qtype,
+//!     &msg.answers,
+//!     &msg.authority,
+//! )?;
 //! let back = wire::decode(&bytes)?;
 //! assert_eq!(back, msg);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
-
-use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::message::{Message, Opcode, Question, Rcode};
 use crate::name::{Name, NameBuilder, NameParseError};
@@ -100,121 +105,251 @@ const POINTER_MASK: u8 = 0xc0;
 /// few bytes), which without a cap costs quadratic work per message.
 pub const MAX_POINTER_HOPS: usize = 127;
 
-/// Encodes a message to wire format, compressing repeated names.
+/// The header fields of a message, all but the section counts, which
+/// [`Encoder::append`] takes from the sections it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Transaction identifier.
+    pub id: u16,
+    /// `true` for responses (QR bit).
+    pub is_response: bool,
+    /// Operation code.
+    pub opcode: Opcode,
+    /// Authoritative-answer bit.
+    pub authoritative: bool,
+    /// Recursion-desired bit.
+    pub recursion_desired: bool,
+    /// Recursion-available bit.
+    pub recursion_available: bool,
+    /// Response code.
+    pub rcode: Rcode,
+}
+
+impl Header {
+    /// A response's header, with the bits [`Message::response`] sets.
+    pub fn response(id: u16, rcode: Rcode) -> Header {
+        Header {
+            id,
+            is_response: true,
+            opcode: Opcode::Query,
+            authoritative: false,
+            recursion_desired: true,
+            recursion_available: true,
+            rcode,
+        }
+    }
+
+    fn flags(self) -> u16 {
+        let bit = |set: bool, mask: u16| if set { mask } else { 0 };
+        bit(self.is_response, 0x8000)
+            | u16::from(self.opcode.code()) << 11
+            | bit(self.authoritative, 0x0400)
+            | bit(self.recursion_desired, 0x0100)
+            | bit(self.recursion_available, 0x0080)
+            | u16::from(self.rcode.code())
+    }
+}
+
+impl From<&Message> for Header {
+    fn from(msg: &Message) -> Header {
+        Header {
+            id: msg.id,
+            is_response: msg.is_response,
+            opcode: msg.opcode,
+            authoritative: msg.authoritative,
+            recursion_desired: msg.recursion_desired,
+            recursion_available: msg.recursion_available,
+            rcode: msg.rcode,
+        }
+    }
+}
+
+/// Offsets past this one cannot be named by a 14-bit compression pointer.
+const POINTER_WINDOW_END: usize = 0x3fff;
+
+/// Encodes messages to wire format, appending each to a caller's buffer
+/// and compressing repeated names.
 ///
-/// # Errors
-///
-/// Returns an error only if a TXT record's payload exceeds the 255-byte
-/// single-string limit.
-pub fn encode(msg: &Message) -> Result<Bytes, WireError> {
-    let mut buf = BytesMut::with_capacity(128);
-    let mut compressor = Compressor::new();
-
-    buf.put_u16(msg.id);
-    let mut flags: u16 = 0;
-    if msg.is_response {
-        flags |= 0x8000;
-    }
-    flags |= u16::from(msg.opcode.code()) << 11;
-    if msg.authoritative {
-        flags |= 0x0400;
-    }
-    if msg.recursion_desired {
-        flags |= 0x0100;
-    }
-    if msg.recursion_available {
-        flags |= 0x0080;
-    }
-    flags |= u16::from(msg.rcode.code());
-    buf.put_u16(flags);
-    buf.put_u16(1); // QDCOUNT
-    buf.put_u16(u16::try_from(msg.answers.len()).map_err(|_| WireError::UnsupportedCounts)?);
-    buf.put_u16(u16::try_from(msg.authority.len()).map_err(|_| WireError::UnsupportedCounts)?);
-    buf.put_u16(0); // ARCOUNT
-
-    compressor.encode_name(&mut buf, &msg.question.name);
-    buf.put_u16(msg.question.qtype.code());
-    buf.put_u16(CLASS_IN);
-
-    for rr in msg.answers.iter().chain(&msg.authority) {
-        encode_record(&mut buf, &mut compressor, rr)?;
-    }
-    Ok(buf.freeze())
+/// A name is written as its labels up to the longest suffix the message
+/// has already written, then a pointer to that suffix (or the root byte).
+/// The suffixes written so far sit in a linear table, one entry per label
+/// written at an offset a pointer can name: only offsets inside the 16 KiB
+/// pointer window are recorded. Each label takes at least two bytes, so
+/// the table never holds more than 8,186 entries, and a name costs one
+/// scan of it; a message of a few names scans a few dozen. The table's
+/// buffers are reused from one message to the next, so an encoder that
+/// has seen a day's largest message allocates nothing more.
+#[derive(Debug, Default)]
+pub struct Encoder {
+    /// The text of every name with a recorded suffix, back to back.
+    text: String,
+    /// The suffixes the current message has written inside the window.
+    suffixes: Vec<Suffix>,
 }
 
-fn encode_record<'m>(
-    buf: &mut BytesMut,
-    compressor: &mut Compressor<'m>,
-    rr: &'m Record,
-) -> Result<(), WireError> {
-    compressor.encode_name(buf, &rr.name);
-    buf.put_u16(rr.qtype.code());
-    buf.put_u16(CLASS_IN);
-    buf.put_u32(rr.ttl.as_secs());
-    // Reserve the RDLENGTH slot and backfill it once the RDATA is written.
-    let len_pos = buf.len();
-    buf.put_u16(0);
-    let start = buf.len();
-    match &rr.rdata {
-        RData::A(a) => buf.put_slice(&a.octets()),
-        RData::Aaaa(a) => buf.put_slice(&a.octets()),
-        RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => compressor.encode_name(buf, n),
-        RData::Txt(s) => {
-            if s.len() > 255 {
-                return Err(WireError::TxtTooLong(s.len()));
-            }
-            buf.put_u8(s.len() as u8);
-            buf.put_slice(s.as_bytes());
-        }
-        RData::Mx { preference, exchange } => {
-            buf.put_u16(*preference);
-            compressor.encode_name(buf, exchange);
-        }
-        RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
-            compressor.encode_name(buf, mname);
-            compressor.encode_name(buf, rname);
-            buf.put_u32(*serial);
-            buf.put_u32(*refresh);
-            buf.put_u32(*retry);
-            buf.put_u32(*expire);
-            buf.put_u32(*minimum);
-        }
-        RData::Opaque(b) => buf.put_slice(b),
-    }
-    let rdlen = u16::try_from(buf.len() - start).map_err(|_| WireError::BadRdata)?;
-    buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
-    Ok(())
+/// A written name suffix: the last `len` bytes of `text[..end]`, whose
+/// first label starts at message offset `offset`.
+#[derive(Debug, Clone, Copy)]
+struct Suffix {
+    end: usize,
+    len: usize,
+    offset: u16,
 }
 
-/// Tracks previously written name suffixes so later occurrences can be
-/// replaced by 14-bit compression pointers. A suffix of a name is a
-/// suffix of its text, so the table borrows from the message's names.
-struct Compressor<'m> {
-    offsets: HashMap<&'m str, u16>,
-}
-
-impl<'m> Compressor<'m> {
-    fn new() -> Self {
-        Compressor { offsets: HashMap::new() }
+impl Encoder {
+    /// An encoder with empty tables.
+    pub fn new() -> Self {
+        Encoder::default()
     }
 
-    fn encode_name(&mut self, buf: &mut BytesMut, name: &'m Name) {
-        let mut suffix = if name.is_root() { "" } else { name.as_str() };
-        while !suffix.is_empty() {
-            if let Some(&off) = self.offsets.get(suffix) {
-                buf.put_u16(0xc000 | off);
-                return;
-            }
-            // Pointers can only address the first 16 KiB minus the 2 tag bits.
-            if buf.len() <= 0x3fff {
-                self.offsets.insert(suffix, buf.len() as u16);
-            }
-            let (label, rest) = suffix.split_once('.').unwrap_or((suffix, ""));
-            buf.put_u8(label.len() as u8);
-            buf.put_slice(label.as_bytes());
-            suffix = rest;
+    /// Appends one message to `out`: `header`, one question (`qname`,
+    /// `qtype`), the `answers` and `authority` sections and no additional
+    /// records. Compression pointers are relative to the message's first
+    /// byte, wherever in `out` it lands.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnsupportedCounts`] for a section of more than 65,535
+    /// records, [`WireError::TxtTooLong`] for a TXT payload over 255 bytes
+    /// and [`WireError::BadRdata`] for RDATA over 65,535 bytes. On an error
+    /// `out` is left as it was.
+    pub fn append(
+        &mut self,
+        out: &mut Vec<u8>,
+        header: Header,
+        qname: &Name,
+        qtype: QType,
+        answers: &[Record],
+        authority: &[Record],
+    ) -> Result<(), WireError> {
+        let base = out.len();
+        let result = self.write_message(out, header, qname, qtype, answers, authority);
+        if result.is_err() {
+            out.truncate(base);
         }
-        buf.put_u8(0);
+        result
+    }
+
+    fn write_message(
+        &mut self,
+        out: &mut Vec<u8>,
+        header: Header,
+        qname: &Name,
+        qtype: QType,
+        answers: &[Record],
+        authority: &[Record],
+    ) -> Result<(), WireError> {
+        let count = |records: &[Record]| {
+            u16::try_from(records.len()).map_err(|_| WireError::UnsupportedCounts)
+        };
+        let (ancount, nscount) = (count(answers)?, count(authority)?);
+        self.text.clear();
+        self.suffixes.clear();
+        let base = out.len();
+        for field in [header.id, header.flags(), 1, ancount, nscount, 0] {
+            out.extend_from_slice(&field.to_be_bytes());
+        }
+        self.write_name(out, base, qname);
+        out.extend_from_slice(&qtype.code().to_be_bytes());
+        out.extend_from_slice(&CLASS_IN.to_be_bytes());
+        for rr in answers.iter().chain(authority) {
+            self.write_record(out, base, rr)?;
+        }
+        Ok(())
+    }
+
+    fn write_record(
+        &mut self,
+        out: &mut Vec<u8>,
+        base: usize,
+        rr: &Record,
+    ) -> Result<(), WireError> {
+        self.write_name(out, base, &rr.name);
+        out.extend_from_slice(&rr.qtype.code().to_be_bytes());
+        out.extend_from_slice(&CLASS_IN.to_be_bytes());
+        out.extend_from_slice(&rr.ttl.as_secs().to_be_bytes());
+        // Reserve the RDLENGTH slot and backfill it once the RDATA is written.
+        let len_pos = out.len();
+        out.extend_from_slice(&[0, 0]);
+        match &rr.rdata {
+            RData::A(a) => out.extend_from_slice(&a.octets()),
+            RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
+            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => self.write_name(out, base, n),
+            RData::Txt(s) => {
+                let len = u8::try_from(s.len()).map_err(|_| WireError::TxtTooLong(s.len()))?;
+                out.push(len);
+                out.extend_from_slice(s.as_bytes());
+            }
+            RData::Mx { preference, exchange } => {
+                out.extend_from_slice(&preference.to_be_bytes());
+                self.write_name(out, base, exchange);
+            }
+            RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+                self.write_name(out, base, mname);
+                self.write_name(out, base, rname);
+                for field in [serial, refresh, retry, expire, minimum] {
+                    out.extend_from_slice(&field.to_be_bytes());
+                }
+            }
+            RData::Opaque(b) => out.extend_from_slice(b),
+        }
+        let rdlen = u16::try_from(out.len() - len_pos - 2).map_err(|_| WireError::BadRdata)?;
+        out[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+        Ok(())
+    }
+
+    /// The longest suffix of `text` (a whole label sequence) this message
+    /// has written: its length and offset.
+    fn longest_suffix(&self, text: &str) -> Option<(usize, u16)> {
+        let mut best: Option<(usize, u16)> = None;
+        for s in &self.suffixes {
+            if s.len > text.len() || best.is_some_and(|(len, _)| len >= s.len) {
+                continue;
+            }
+            let at = text.len() - s.len;
+            let aligned = at == 0 || text.as_bytes()[at - 1] == b'.';
+            if aligned && text[at..] == self.text[s.end - s.len..s.end] {
+                best = Some((s.len, s.offset));
+            }
+        }
+        best
+    }
+
+    /// Writes `name` at the end of the message that starts at `out[base]`.
+    fn write_name(&mut self, out: &mut Vec<u8>, base: usize, name: &Name) {
+        if name.is_root() {
+            out.push(0);
+            return;
+        }
+        let text = name.as_str();
+        let found = self.longest_suffix(text);
+        // The labels before the suffix found, without the dot ending them.
+        let inline = found.map_or(text.len(), |(len, _)| text.len().saturating_sub(len + 1));
+        let end = self.text.len() + text.len();
+        let mut at = 0;
+        while at < inline {
+            let offset = out.len() - base;
+            if offset <= POINTER_WINDOW_END {
+                if self.text.len() < end {
+                    self.text.push_str(text);
+                }
+                self.suffixes.push(Suffix { end, len: text.len() - at, offset: offset as u16 });
+            }
+            let label_end = text[at..inline].find('.').map_or(inline, |dot| at + dot);
+            out.push((label_end - at) as u8);
+            out.extend_from_slice(&text.as_bytes()[at..label_end]);
+            at = label_end + 1;
+        }
+        match found {
+            Some((_, offset)) => out.extend_from_slice(&(0xc000 | offset).to_be_bytes()),
+            None => out.push(0),
+        }
+    }
+
+    /// How many suffixes the table holds.
+    #[cfg(test)]
+    fn recorded(&self) -> usize {
+        self.suffixes.len()
     }
 }
 
@@ -523,6 +658,19 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn encode(msg: &Message) -> Result<Vec<u8>, WireError> {
+        let (mut out, q) = (Vec::new(), &msg.question);
+        Encoder::new().append(
+            &mut out,
+            msg.into(),
+            &q.name,
+            q.qtype,
+            &msg.answers,
+            &msg.authority,
+        )?;
+        Ok(out)
+    }
+
     fn sample_response() -> Message {
         Message::response(
             0xbeef,
@@ -817,6 +965,99 @@ mod tests {
             vec![Record::new(name("q.test"), QType::Txt, Ttl::ZERO, RData::Txt("x".repeat(300)))],
         );
         assert_eq!(encode(&msg), Err(WireError::TxtTooLong(300)));
+    }
+
+    #[test]
+    fn an_encoder_appends_and_leaves_a_failed_message_out() {
+        let mut enc = Encoder::new();
+        let mut out = b"prefix".to_vec();
+        let msg = sample_response();
+        let q = &msg.question;
+        let header = Header::response(msg.id, msg.rcode);
+        enc.append(&mut out, header, &q.name, q.qtype, &msg.answers, &[]).unwrap();
+        assert_eq!(&out[..6], b"prefix");
+        // Pointers count from the message's first byte, not the buffer's.
+        assert_eq!(decode(&out[6..]).unwrap(), msg);
+        let len = out.len();
+        let txt = [Record::new(name("q.test"), QType::Txt, Ttl::ZERO, RData::Txt("x".repeat(256)))];
+        let err = enc.append(&mut out, header, &q.name, QType::Txt, &txt, &[]);
+        assert_eq!(err, Err(WireError::TxtTooLong(256)));
+        assert_eq!(out.len(), len, "a failed message leaves nothing behind");
+        // The table starts afresh: the next message equals a fresh encoder's.
+        enc.append(&mut out, header, &q.name, q.qtype, &msg.answers, &[]).unwrap();
+        assert_eq!(out[len..], out[6..len]);
+    }
+
+    /// A message whose second answer's owner, `owner`, starts at offset
+    /// `at` and whose third answer's owner is `owner` again; returns the
+    /// third owner's bytes on the wire.
+    fn repeat_at(at: usize, owner: &str) -> Vec<u8> {
+        let a = |n: &str| {
+            Record::new(name(n), QType::A, Ttl::from_secs(1), RData::A(Ipv4Addr::LOCALHOST))
+        };
+        // Header 12, root question 5, root owner and fixed fields 11.
+        let pad = at - 12 - 5 - 11;
+        let padding =
+            Record::new(Name::root(), QType::Rrsig, Ttl::from_secs(1), RData::Opaque(vec![0; pad]));
+        let msg = Message::response(
+            1,
+            Question::new(Name::root(), QType::A),
+            Rcode::NoError,
+            vec![padding, a(owner), a(owner)],
+        );
+        let bytes = encode(&msg).unwrap();
+        assert_eq!(decode(&bytes).unwrap(), msg);
+        let third = at + owner.len() + 2 + 14;
+        bytes[third..bytes.len() - 14].to_vec()
+    }
+
+    #[test]
+    fn only_offsets_inside_the_pointer_window_are_recorded() {
+        for at in [0x3ffe, 0x3fff] {
+            let pointer = (0xc000 | at as u16).to_be_bytes().to_vec();
+            assert_eq!(repeat_at(at, "x.test"), pointer, "a name at {at:#x}");
+        }
+        let inline = b"\x01x\x04test\x00".to_vec();
+        assert_eq!(repeat_at(0x4000, "x.test"), inline, "a name at 0x4000");
+    }
+
+    #[test]
+    fn the_suffix_table_stops_at_the_pointer_window() {
+        // Worst case for the table: every label a one-byte label (two
+        // bytes on the wire) and no suffix ever repeated, so every label
+        // written inside the window is recorded. Each owner is 120
+        // one-byte labels and a last one of its own.
+        let owner = |i: usize| format!("{}t{i}", "a.".repeat(120));
+        let answers: Vec<Record> = (0..200)
+            .map(|i| {
+                Record::new(
+                    name(&owner(i)),
+                    QType::A,
+                    Ttl::from_secs(1),
+                    RData::A(Ipv4Addr::LOCALHOST),
+                )
+            })
+            .collect();
+        let mut enc = Encoder::new();
+        let mut out = Vec::new();
+        let q = Name::root();
+        enc.append(&mut out, Header::response(1, Rcode::NoError), &q, QType::A, &answers, &[])
+            .unwrap();
+        assert!(out.len() > 3 * POINTER_WINDOW_END, "{} bytes", out.len());
+        assert_eq!(decode(&out).unwrap().answers, answers);
+        // Label starts inside the window, counted from the layout: header,
+        // root question, then per record its labels, root byte, fixed
+        // fields and four bytes of address.
+        let (mut at, mut expected) = (12 + 5, 0);
+        for i in 0..answers.len() {
+            for label in owner(i).split('.') {
+                expected += usize::from(at <= POINTER_WINDOW_END);
+                at += 1 + label.len();
+            }
+            at += 1 + 10 + 4;
+        }
+        assert_eq!(enc.recorded(), expected);
+        assert!(expected <= (POINTER_WINDOW_END - 12) / 2 + 1, "{expected} entries");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Per-frame payload decoding — the expensive phase of ingestion.
 
-use dnsnoise_dns::{wire, Message, Name, Question, Rcode, Record, Timestamp};
+use dnsnoise_dns::wire::{self, Encoder, Header};
+use dnsnoise_dns::{Name, Rcode, Record, Timestamp};
 use dnsnoise_workload::trace_io::MAX_ANSWER_RECORDS;
 use dnsnoise_workload::{Outcome, QueryEvent};
 
 use crate::report::QuarantineClass;
 use crate::scan::RawFrame;
-use crate::CaptureFormat;
+use crate::{CaptureFormat, CaptureWriteError};
 
 /// Why a frame did not decode to an event: its quarantine class and a
 /// description for the ledger's samples.
@@ -132,22 +133,29 @@ fn rdata_name_depth_zero(rr: &Record) -> bool {
     }
 }
 
-/// Rebuilds the response message a capture writer serializes for one
-/// trace event (the inverse of [`decode_dns_payload`]).
-pub(crate) fn event_to_message(event: &QueryEvent, id: u16) -> Message {
-    let question = Question::new(event.name.clone(), event.qtype);
-    match &event.outcome {
-        Outcome::NxDomain => Message::response(id, question, Rcode::NxDomain, Vec::new()),
-        Outcome::Answer(records) => {
-            Message::response(id, question, Rcode::NoError, records.clone())
-        }
-    }
+/// Appends to `out` the response message a capture writer serializes for
+/// trace event `index` (the inverse of [`decode_dns_payload`]), its id the
+/// low 16 bits of the index.
+pub(crate) fn encode_response(
+    encoder: &mut Encoder,
+    out: &mut Vec<u8>,
+    event: &QueryEvent,
+    index: usize,
+) -> Result<(), CaptureWriteError> {
+    let (rcode, answers) = match &event.outcome {
+        Outcome::NxDomain => (Rcode::NxDomain, &[][..]),
+        Outcome::Answer(records) => (Rcode::NoError, &records[..]),
+    };
+    let header = Header::response(index as u16, rcode);
+    encoder
+        .append(out, header, &event.name, event.qtype, answers, &[])
+        .map_err(|e| CaptureWriteError(format!("event {index}: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnsnoise_dns::{QType, RData, Ttl};
+    use dnsnoise_dns::{Message, QType, Question, RData, Ttl};
     use std::net::Ipv4Addr;
 
     fn event(secs: u64) -> QueryEvent {
@@ -166,11 +174,20 @@ mod tests {
         }
     }
 
+    /// `msg` on the wire, from a fresh encoder.
+    fn encode(msg: &Message) -> Vec<u8> {
+        let (mut out, q) = (Vec::new(), &msg.question);
+        Encoder::new()
+            .append(&mut out, msg.into(), &q.name, q.qtype, &msg.answers, &msg.authority)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn message_roundtrips_through_decode() {
         let original = event(100);
-        let msg = event_to_message(&original, 7);
-        let dns = wire::encode(&msg).unwrap();
+        let mut dns = Vec::new();
+        encode_response(&mut Encoder::new(), &mut dns, &original, 7).unwrap();
         let back = decode_dns_payload(&dns, 100, 9).unwrap();
         assert_eq!(back.time, original.time);
         assert_eq!(back.client, original.client);
@@ -181,8 +198,7 @@ mod tests {
     #[test]
     fn queries_and_odd_rcodes_are_rejected() {
         let q = Message::query(1, Question::new("x.example".parse().unwrap(), QType::A));
-        let dns = wire::encode(&q).unwrap();
-        let err = decode_dns_payload(&dns, 0, 0).unwrap_err();
+        let err = decode_dns_payload(&encode(&q), 0, 0).unwrap_err();
         assert_eq!(err.0, QuarantineClass::BadWireMessage);
         assert!(err.1.contains("not a response"), "{}", err.1);
 
@@ -192,8 +208,7 @@ mod tests {
             Rcode::ServFail,
             vec![],
         );
-        let dns = wire::encode(&servfail).unwrap();
-        let err = decode_dns_payload(&dns, 0, 0).unwrap_err();
+        let err = decode_dns_payload(&encode(&servfail), 0, 0).unwrap_err();
         assert!(err.1.contains("SERVFAIL"), "{}", err.1);
     }
 
@@ -201,8 +216,7 @@ mod tests {
     fn root_names_are_rejected_not_emitted() {
         let msg =
             Message::response(3, Question::new(Name::root(), QType::A), Rcode::NxDomain, vec![]);
-        let dns = wire::encode(&msg).unwrap();
-        let err = decode_dns_payload(&dns, 0, 0).unwrap_err();
+        let err = decode_dns_payload(&encode(&msg), 0, 0).unwrap_err();
         assert!(err.1.contains("root query name"), "{}", err.1);
     }
 }

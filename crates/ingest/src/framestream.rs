@@ -267,9 +267,10 @@ pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanErro
 // Writer
 // ---------------------------------------------------------------------------
 
+use dnsnoise_dns::wire::Encoder;
 use dnsnoise_workload::DayTrace;
 
-use crate::decode::event_to_message;
+use crate::decode::encode_response;
 use crate::CaptureWriteError;
 
 fn push_control(out: &mut Vec<u8>, ctrl_type: u32) {
@@ -279,7 +280,8 @@ fn push_control(out: &mut Vec<u8>, ctrl_type: u32) {
 }
 
 /// Serializes a trace as a Frame Streams capture of dnstap-lite frames,
-/// bracketed by START/STOP control frames.
+/// bracketed by START/STOP control frames. Each message is encoded in
+/// place, after room left for its frame's length and header.
 ///
 /// # Errors
 ///
@@ -287,19 +289,21 @@ fn push_control(out: &mut Vec<u8>, ctrl_type: u32) {
 pub fn write_dnstap(trace: &DayTrace) -> Result<Vec<u8>, CaptureWriteError> {
     let mut out = Vec::with_capacity(trace.events.len() * 112 + 24);
     push_control(&mut out, CONTROL_START);
+    let mut encoder = Encoder::new();
     for (index, event) in trace.events.iter().enumerate() {
-        let msg = event_to_message(event, index as u16);
-        let dns = dnsnoise_dns::wire::encode(&msg)
-            .map_err(|e| CaptureWriteError(format!("event {index}: {e}")))?;
-        let dns_len = u16::try_from(dns.len())
+        let frame_at = out.len();
+        out.resize(frame_at + 4 + DATA_HEADER_LEN, 0);
+        encode_response(&mut encoder, &mut out, event, index)?;
+        let dns_len = out.len() - frame_at - 4 - DATA_HEADER_LEN;
+        let dns_len = u16::try_from(dns_len)
             .map_err(|_| CaptureWriteError(format!("event {index}: oversized message")))?;
-        let flen = (DATA_HEADER_LEN + dns.len()) as u32;
-        out.extend_from_slice(&flen.to_be_bytes());
-        out.push(VERSION);
-        out.extend_from_slice(&event.time.as_secs().to_be_bytes());
-        out.extend_from_slice(&event.client.to_be_bytes());
-        out.extend_from_slice(&dns_len.to_be_bytes());
-        out.extend_from_slice(&dns);
+        let flen = (DATA_HEADER_LEN + usize::from(dns_len)) as u32;
+        let header = &mut out[frame_at..frame_at + 4 + DATA_HEADER_LEN];
+        header[0..4].copy_from_slice(&flen.to_be_bytes());
+        header[4] = VERSION;
+        header[5..13].copy_from_slice(&event.time.as_secs().to_be_bytes());
+        header[13..21].copy_from_slice(&event.client.to_be_bytes());
+        header[21..23].copy_from_slice(&dns_len.to_be_bytes());
     }
     push_control(&mut out, CONTROL_STOP);
     Ok(out)

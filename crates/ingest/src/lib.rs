@@ -42,6 +42,8 @@ pub mod corrupt;
 mod decode;
 pub mod framestream;
 pub mod pcap;
+#[cfg(test)]
+mod reference;
 pub mod report;
 mod scan;
 

@@ -330,9 +330,10 @@ pub fn scan(bytes: &[u8], report: &mut IngestReport) -> Result<Scanned, ScanErro
 // Writer
 // ---------------------------------------------------------------------------
 
+use dnsnoise_dns::wire::Encoder;
 use dnsnoise_workload::DayTrace;
 
-use crate::decode::event_to_message;
+use crate::decode::encode_response;
 use crate::CaptureWriteError;
 
 /// Linktype 1: Ethernet.
@@ -341,9 +342,16 @@ const LINKTYPE_EN10MB: u32 = 1;
 /// client address encodes the trace's 64-bit client id truncated to 32
 /// bits (the dnstap-style format carries the full id).
 const SERVER_IP: [u8; 4] = [198, 51, 100, 53];
+/// A synthesized frame's bytes before its DNS message: the record header,
+/// then Ethernet, IPv4 and UDP headers.
+const FRAME_HEADERS_LEN: usize = RECORD_HEADER_LEN + 14 + 20 + 8;
+/// The largest DNS message one IPv4 UDP datagram carries.
+const MAX_UDP_PAYLOAD: usize = 65_507;
 
 /// Serializes a trace as a little-endian microsecond pcap of synthesized
-/// server→client UDP/53 response packets.
+/// server→client UDP/53 response packets. Each message is encoded in
+/// place, after room left for its frame's headers, which are filled in
+/// once its length is known.
 ///
 /// # Errors
 ///
@@ -359,55 +367,61 @@ pub fn write_pcap(trace: &DayTrace) -> Result<Vec<u8>, CaptureWriteError> {
     out.extend_from_slice(&WRITER_SNAPLEN.to_le_bytes());
     out.extend_from_slice(&LINKTYPE_EN10MB.to_le_bytes());
 
+    let mut encoder = Encoder::new();
     for (index, event) in trace.events.iter().enumerate() {
-        let msg = event_to_message(event, index as u16);
-        let dns = dnsnoise_dns::wire::encode(&msg)
-            .map_err(|e| CaptureWriteError(format!("event {index}: {e}")))?;
-        if dns.len() > 65_507 {
+        let frame_at = out.len();
+        out.resize(frame_at + FRAME_HEADERS_LEN, 0);
+        encode_response(&mut encoder, &mut out, event, index)?;
+        let dns_len = out.len() - frame_at - FRAME_HEADERS_LEN;
+        if dns_len > MAX_UDP_PAYLOAD {
             return Err(CaptureWriteError(format!(
-                "event {index}: {}-byte message exceeds a UDP datagram",
-                dns.len()
+                "event {index}: {dns_len}-byte message exceeds a UDP datagram"
             )));
         }
         let ts = u32::try_from(event.time.as_secs()).map_err(|_| {
             CaptureWriteError(format!("event {index}: timestamp beyond pcap range"))
         })?;
-        let udp_len = 8 + dns.len() as u16;
-        let ip_len = 20 + udp_len;
-        let frame_len = 14 + ip_len as usize;
-
-        out.extend_from_slice(&ts.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // ts_usec
-        out.extend_from_slice(&(frame_len as u32).to_le_bytes()); // incl_len
-        out.extend_from_slice(&(frame_len as u32).to_le_bytes()); // orig_len
-
-        // Ethernet: locally-administered unicast MACs, IPv4 ethertype.
-        out.extend_from_slice(&[0x02, 0, 0, 0, 0, 0x01]);
-        out.extend_from_slice(&[0x02, 0, 0, 0, 0, 0x02]);
-        out.extend_from_slice(&[0x08, 0x00]);
-
-        // IPv4 header, server → client, proper checksum.
-        let client_ip = (event.client as u32).to_be_bytes();
-        let mut ip = [0u8; 20];
-        ip[0] = 0x45;
-        ip[2..4].copy_from_slice(&ip_len.to_be_bytes());
-        ip[4..6].copy_from_slice(&(index as u16).to_be_bytes());
-        ip[8] = 64; // TTL
-        ip[9] = 17; // UDP
-        ip[12..16].copy_from_slice(&SERVER_IP);
-        ip[16..20].copy_from_slice(&client_ip);
-        let csum = ipv4_checksum(&ip);
-        ip[10..12].copy_from_slice(&csum.to_be_bytes());
-        out.extend_from_slice(&ip);
-
-        // UDP: 53 → ephemeral, checksum 0 ("not computed", legal on v4).
-        out.extend_from_slice(&53u16.to_be_bytes());
-        out.extend_from_slice(&(0xc000 | (index as u16 & 0x3fff)).to_be_bytes());
-        out.extend_from_slice(&udp_len.to_be_bytes());
-        out.extend_from_slice(&0u16.to_be_bytes());
-        out.extend_from_slice(&dns);
+        let headers = frame_headers(ts, index as u16, event.client as u32, dns_len as u16);
+        out[frame_at..frame_at + FRAME_HEADERS_LEN].copy_from_slice(&headers);
     }
     Ok(out)
+}
+
+/// The headers before a `dns_len`-byte message in the frame of event
+/// `id` (the low 16 bits of its index), stamped `ts`, to `client`.
+fn frame_headers(ts: u32, id: u16, client: u32, dns_len: u16) -> [u8; FRAME_HEADERS_LEN] {
+    let udp_len = 8 + dns_len;
+    let ip_len = 20 + udp_len;
+    let frame_len = 14 + u32::from(ip_len);
+    let mut h = [0u8; FRAME_HEADERS_LEN];
+    h[0..4].copy_from_slice(&ts.to_le_bytes());
+    // ts_usec stays 0.
+    h[8..12].copy_from_slice(&frame_len.to_le_bytes()); // incl_len
+    h[12..16].copy_from_slice(&frame_len.to_le_bytes()); // orig_len
+
+    // Ethernet: locally-administered unicast MACs, IPv4 ethertype.
+    let eth = &mut h[RECORD_HEADER_LEN..RECORD_HEADER_LEN + 14];
+    eth.copy_from_slice(&[0x02, 0, 0, 0, 0, 0x01, 0x02, 0, 0, 0, 0, 0x02, 0x08, 0x00]);
+
+    // IPv4 header, server → client, proper checksum.
+    let mut ip = [0u8; 20];
+    ip[0] = 0x45;
+    ip[2..4].copy_from_slice(&ip_len.to_be_bytes());
+    ip[4..6].copy_from_slice(&id.to_be_bytes());
+    ip[8] = 64; // TTL
+    ip[9] = 17; // UDP
+    ip[12..16].copy_from_slice(&SERVER_IP);
+    ip[16..20].copy_from_slice(&client.to_be_bytes());
+    let csum = ipv4_checksum(&ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
+    h[RECORD_HEADER_LEN + 14..RECORD_HEADER_LEN + 34].copy_from_slice(&ip);
+
+    // UDP: 53 → ephemeral, checksum 0 ("not computed", legal on v4).
+    let udp = &mut h[RECORD_HEADER_LEN + 34..];
+    udp[0..2].copy_from_slice(&53u16.to_be_bytes());
+    udp[2..4].copy_from_slice(&(0xc000 | (id & 0x3fff)).to_be_bytes());
+    udp[4..6].copy_from_slice(&udp_len.to_be_bytes());
+    h
 }
 
 fn ipv4_checksum(header: &[u8; 20]) -> u16 {

@@ -104,6 +104,21 @@ for epoch in 0 1; do
     done
 done
 
+echo "== capture bytes pin (generate --capture equals scripts/capture_digests.txt) ==" >&2
+# The round trip above proves a capture decodes back to the same trace, so
+# a compression change that moves bytes but decodes alike passes it. Every
+# ingest ledger and the benchmark's input are those bytes: pin them.
+for epoch in 0 1; do
+    for fmt in pcap dnstap; do
+        echo "$epoch $fmt $(./target/release/dnsnoise generate --scale 0.01 --seed 3 \
+            --epoch "$epoch" --capture "$fmt" 2>/dev/null | cksum)"
+    done
+done >"$smoke_dir/capture_digests.txt"
+grep -v '^#' scripts/capture_digests.txt | diff - "$smoke_dir/capture_digests.txt" >&2 \
+    || { echo "error: capture bytes differ from scripts/capture_digests.txt" \
+              "(< committed, > this tree); a PR that moves them must update it and explain why" >&2
+         exit 1; }
+
 echo "== stream smoke (batch-vs-stream agreement, conservation, determinism) ==" >&2
 ./target/release/dnsnoise train --scale 0.02 --seed 3 --out "$smoke_dir/model.txt" 2>/dev/null
 ./target/release/dnsnoise generate --scale 0.02 --seed 3 --day 1 \
@@ -403,7 +418,7 @@ echo "== cargo test (every first-party package, release) ==" >&2
 # stream's fold tests) would never reach the gate. Release, because the
 # experiment suite takes minutes in a debug build; third_party stand-ins
 # are not ours to test.
-cargo test -q --offline --release --workspace --exclude bytes --exclude proptest \
+cargo test -q --offline --release --workspace --exclude proptest \
     --exclude rand --exclude serde --exclude serde_derive
 
 echo "== cargo clippy --all-targets -D warnings ==" >&2

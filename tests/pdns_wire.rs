@@ -12,6 +12,8 @@ use dnsnoise::workload::{QueryEvent, Scenario, ScenarioConfig};
 /// packets off the wire would, counting failures instead of panicking.
 #[derive(Default)]
 struct Collector {
+    encoder: wire::Encoder,
+    packet: Vec<u8>,
     fpdns: FpDnsSummary,
     roundtrips: u64,
     parse_failures: u64,
@@ -50,7 +52,17 @@ impl Observer for Collector {
     fn observe(&mut self, event: &QueryEvent, _served: Served, answers: &[Record]) {
         let msg = self.response(&event.name, event.qtype, answers);
         self.roundtrips += 1;
-        match wire::encode(&msg).map(|bytes| wire::decode(&bytes)) {
+        self.packet.clear();
+        let (header, q) = (wire::Header::response(msg.id, msg.rcode), &msg.question);
+        let encoded = self.encoder.append(
+            &mut self.packet,
+            header,
+            &q.name,
+            q.qtype,
+            &msg.answers,
+            &msg.authority,
+        );
+        match encoded.map(|()| wire::decode(&self.packet)) {
             Ok(Ok(parsed)) if parsed == msg => {}
             _ => self.parse_failures += 1,
         }
