@@ -3,27 +3,23 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [--scale <f64>] [--store memory|disk] [--store-path <dir>]
-//!             [<id> ...]
+//! experiments [--scale <f64>] [--store-path <dir>] [<id> ...]
 //! ```
 //!
 //! With no ids, every experiment runs in paper order. `--scale` multiplies
 //! the workload size (1.0 = report scale used for EXPERIMENTS.md; smaller
-//! values run faster with noisier numbers). `--store` picks the pDNS
-//! backend for the storage-bound experiments (fig5, fig15, pdnsdb);
-//! reports are bit-identical across backends, and `--store-path D` mirrors
-//! each one's disk store under `D/<id>`, refusing one that already holds
-//! a store.
+//! values run faster with noisier numbers). `--store-path D` makes the
+//! storage-bound experiments' pDNS stores (fig5, fig15, pdnsdb) durable,
+//! each under `D/<id>`, refusing one that already holds a store; reports
+//! are bit-identical with or without it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use dnsnoise_bench::{run_experiment_with_store, ExperimentId};
-use dnsnoise_pdns::BackendKind;
 
-const USAGE: &str = "usage: experiments [--scale <f64>] [--store memory|disk] \
-                     [--store-path <dir>] [<id> ...]";
+const USAGE: &str = "usage: experiments [--scale <f64>] [--store-path <dir>] [<id> ...]";
 
 fn known_ids() -> String {
     ExperimentId::all().iter().map(ToString::to_string).collect::<Vec<_>>().join(" ")
@@ -33,25 +29,22 @@ fn known_ids() -> String {
 #[derive(Debug, PartialEq)]
 struct Opts {
     scale: f64,
-    store: BackendKind,
     store_path: Option<PathBuf>,
     ids: Vec<ExperimentId>,
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, String> {
-    let mut opts =
-        Opts { scale: 1.0, store: BackendKind::default(), store_path: None, ids: Vec::new() };
+    let mut opts = Opts { scale: 1.0, store_path: None, ids: Vec::new() };
     while let Some(arg) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--scale" => {
                 let value = value()?;
                 match value.parse::<f64>() {
-                    Ok(v) if v > 0.0 => opts.scale = v,
+                    Ok(v) if v > 0.0 && v.is_finite() => opts.scale = v,
                     _ => return Err(format!("invalid scale: {value}")),
                 }
             }
-            "--store" => opts.store = value()?.parse()?,
             "--store-path" => opts.store_path = Some(PathBuf::from(value()?)),
             "--help" | "-h" => return Ok(None),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
@@ -62,9 +55,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, String>
     }
     if opts.ids.is_empty() {
         opts.ids = ExperimentId::all().to_vec();
-    }
-    if opts.store_path.is_some() && opts.store != BackendKind::Disk {
-        return Err("--store-path requires --store disk".into());
     }
     Ok(Some(opts))
 }
@@ -83,8 +73,7 @@ fn main() -> ExitCode {
     };
     for id in opts.ids {
         let start = Instant::now();
-        let report =
-            run_experiment_with_store(id, opts.scale, opts.store, opts.store_path.as_deref());
+        let report = run_experiment_with_store(id, opts.scale, opts.store_path.as_deref());
         let report = match report {
             Ok(report) => report,
             Err(e) => {
@@ -108,10 +97,9 @@ mod tests {
 
     #[test]
     fn flags_and_ids_parse() {
-        let o = parsed("--scale 0.25 --store disk --store-path /tmp/pd fig13 phases").unwrap();
+        let o = parsed("--scale 0.25 --store-path /tmp/pd fig13 phases").unwrap();
         let o = o.expect("not help");
         assert_eq!(o.scale, 0.25);
-        assert_eq!(o.store, BackendKind::Disk);
         assert_eq!(o.store_path.as_deref(), Some(std::path::Path::new("/tmp/pd")));
         assert_eq!(o.ids, [ExperimentId::Fig13, ExperimentId::Phases]);
         assert_eq!(parsed("").unwrap().expect("not help").ids, ExperimentId::all());
@@ -125,13 +113,15 @@ mod tests {
             ("--threads 4", "unknown flag --threads"),
             ("--scale", "--scale needs a value"),
             ("--scale 0", "invalid scale"),
-            ("--store floppy", "floppy"),
-            ("--store-path /tmp/pd", "requires --store disk"),
+            ("--scale inf", "invalid scale"),
+            ("--scale NaN", "invalid scale"),
+            // `--store-path` alone makes the stores durable.
+            ("--store disk", "unknown flag --store"),
             ("fig99", "known ids"),
         ] {
             let err = parsed(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
-        assert!(!USAGE.contains("--threads"));
+        assert!(!USAGE.contains("--threads") && !USAGE.contains("--store "));
     }
 }

@@ -7,7 +7,7 @@
 //! new records climbs from ≈68% to ≈94%, and ≈88% of all stored records
 //! end up disposable.
 
-use dnsnoise_pdns::PdnsBackend;
+use dnsnoise_pdns::RunStore;
 
 use crate::experiments::common;
 use crate::util::{pct, scenario, Table};
@@ -53,8 +53,8 @@ impl Fig15Result {
 }
 
 /// Runs the 13-day bootstrap, handing `store` each day's distinct
-/// records; the result is bit-identical across backends.
-pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> Fig15Result {
+/// records; the result is bit-identical with or without a spill directory.
+pub fn run(scale_factor: f64, store: &mut RunStore) -> Fig15Result {
     let s = scenario(0.85, 0.2 * scale_factor, 40.0, 101);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn disposable_share_of_new_records_climbs() {
-        let r = run(0.3, &mut PdnsBackend::default());
+        let r = run(0.3, &mut RunStore::new());
         assert_eq!(r.per_day.len(), 13);
         let first = r.daily_share(0);
         let last = r.daily_share(12);

@@ -5,7 +5,7 @@
 //! Akamai declines sharply, Google *grows* (≈+25%) and ends up operating
 //! the majority of all stored records (≈58%).
 
-use dnsnoise_pdns::PdnsBackend;
+use dnsnoise_pdns::RunStore;
 use dnsnoise_workload::Operator;
 
 use crate::experiments::common;
@@ -74,8 +74,8 @@ impl Fig5Result {
 }
 
 /// Runs the 13-day dedup experiment, handing `store` each day's distinct
-/// records; the result is bit-identical across backends.
-pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> Fig5Result {
+/// records; the result is bit-identical with or without a spill directory.
+pub fn run(scale_factor: f64, store: &mut RunStore) -> Fig5Result {
     let s = scenario(0.85, 0.2 * scale_factor, 40.0, 51);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn google_grows_while_all_declines() {
-        let r = run(0.3, &mut PdnsBackend::default());
+        let r = run(0.3, &mut RunStore::new());
         assert_eq!(r.per_day.len(), 13);
         assert!(r.all_change() < 0.0, "all change {}", r.all_change());
         assert!(r.akamai_change() < 0.0, "akamai change {}", r.akamai_change());

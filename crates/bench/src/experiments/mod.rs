@@ -25,7 +25,7 @@ use std::path::Path;
 use std::str::FromStr;
 
 use dnsnoise_pdns::store::holds_store;
-use dnsnoise_pdns::{BackendKind, PdnsBackend};
+use dnsnoise_pdns::{RunStore, StoreConfig};
 
 /// Identifier of a reproducible experiment (see DESIGN.md §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,43 +142,41 @@ impl FromStr for ExperimentId {
 
 /// Runs one experiment at `scale_factor` (1.0 = report scale; tests use
 /// much smaller) and returns its rendered report. The pDNS-backed
-/// experiments (Fig. 5, Fig. 15, §VI-C) each collect into a fresh backend
-/// of `store`'s kind (`--store`); reports are bit-identical across
-/// backends. `store_path` mirrors the disk backend's runs under
-/// `<store_path>/<id>`, one directory per experiment, flushed and
-/// collapsed into its final single-run image once the experiment ends.
-/// Experiments that build no pDNS database ignore both knobs.
+/// experiments (Fig. 5, Fig. 15, §VI-C) each collect into a fresh store,
+/// flushed and collapsed into its final single-run image once the
+/// experiment ends. `store_path` mirrors each one's runs under
+/// `<store_path>/<id>`, one directory per experiment; reports are
+/// bit-identical with or without it. Experiments that build no pDNS
+/// database ignore it.
 ///
 /// # Errors
 ///
 /// When `<store_path>/<id>` already holds a store ([`holds_store`]): a
-/// fresh store would rename its runs over the old one's. When the disk
-/// store latched a persistence failure: the report is exact, but the
-/// directory does not hold it.
+/// fresh store would rename its runs over the old one's. When the store
+/// latched a persistence failure: the report is exact, but the directory
+/// does not hold it.
 pub fn run_experiment_with_store(
     id: ExperimentId,
     scale_factor: f64,
-    store: BackendKind,
     store_path: Option<&Path>,
 ) -> Result<String, String> {
-    // Runs a pDNS experiment against a fresh backend, then closes it the
+    // Runs a pDNS experiment against a fresh store, then closes it the
     // way `simulate --store` does.
-    let with_store = |experiment: &dyn Fn(&mut PdnsBackend) -> String| {
-        let dir = store_path.map(|path| path.join(id.to_string()));
-        let mut backend = match dir {
-            Some(dir) if holds_store(&dir) => {
-                return Err(format!(
-                    "{} already holds a pDNS store; pass an empty --store-path",
-                    dir.display()
-                ))
-            }
-            dir => PdnsBackend::create(store, dir.as_deref()),
-        };
-        let render = experiment(&mut backend);
-        if let PdnsBackend::Disk(store) = &mut backend {
-            store.optimize();
+    let with_store = |experiment: &dyn Fn(&mut RunStore) -> String| {
+        let spill = store_path.map(|path| path.join(id.to_string()));
+        if let Some(dir) = spill.as_ref().filter(|dir| holds_store(dir)) {
+            return Err(format!(
+                "{} already holds a pDNS store; pass an empty --store-path",
+                dir.display()
+            ));
         }
-        match backend.io_error() {
+        let mut store = match spill {
+            Some(dir) => RunStore::with_config(StoreConfig::default().with_spill(dir)),
+            None => RunStore::new(),
+        };
+        let render = experiment(&mut store);
+        store.optimize();
+        match store.io_error() {
             Some(e) => Err(format!("rpdns store degraded to memory-only: {e}")),
             None => Ok(render),
         }
@@ -212,19 +210,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pdns_experiments_render_identically_across_backends() {
-        for id in [ExperimentId::Fig5, ExperimentId::Fig15, ExperimentId::PdnsDb] {
-            let memory = run_experiment_with_store(id, 0.1, BackendKind::Memory, None);
-            let disk = run_experiment_with_store(id, 0.1, BackendKind::Disk, None);
-            assert_eq!(memory.unwrap(), disk.unwrap(), "{id} diverges across store backends");
-        }
-    }
-
-    #[test]
     fn each_pdns_experiment_keeps_its_own_store() {
         let dir = std::env::temp_dir().join(format!("dnsnoise-exp-stores-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let run = |id| run_experiment_with_store(id, 0.1, BackendKind::Disk, Some(&dir));
+        let run = |id| run_experiment_with_store(id, 0.1, Some(&dir));
         for id in [ExperimentId::Fig15, ExperimentId::Fig5] {
             run(id).unwrap();
         }
@@ -261,12 +250,16 @@ mod tests {
             .sum()
     }
 
+    /// A store directory moves no rendered byte, and a reopen of it holds
+    /// every record the render counts.
     #[test]
     fn a_reopened_experiment_store_holds_every_rendered_record() {
         let dir = std::env::temp_dir().join(format!("dnsnoise-exp-reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for id in [ExperimentId::Fig5, ExperimentId::Fig15, ExperimentId::PdnsDb] {
-            let render = run_experiment_with_store(id, 0.1, BackendKind::Disk, Some(&dir)).unwrap();
+            let render = run_experiment_with_store(id, 0.1, Some(&dir)).unwrap();
+            let memory = run_experiment_with_store(id, 0.1, None).unwrap();
+            assert_eq!(render, memory, "{id} diverges with a store directory");
             let records = rendered_records(&render);
             assert!(records > 0, "{id} rendered no records:\n{render}");
             let reopened = dnsnoise_pdns::RunStore::open(

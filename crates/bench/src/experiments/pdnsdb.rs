@@ -6,7 +6,7 @@
 //! size (the paper reports 0.7%: 129,674,213 → 945,065).
 
 use dnsnoise_core::{DailyPipeline, MinerConfig};
-use dnsnoise_pdns::{PdnsBackend, WildcardAggregator};
+use dnsnoise_pdns::{RunStore, WildcardAggregator};
 
 use crate::experiments::common;
 use crate::util::{pct, scenario, Table};
@@ -69,8 +69,8 @@ impl PdnsDbResult {
 }
 
 /// Runs the 13-day bootstrap into `store` plus both aggregation variants;
-/// the result is bit-identical across backends.
-pub fn run(scale_factor: f64, store: &mut PdnsBackend) -> PdnsDbResult {
+/// the result is bit-identical with or without a spill directory.
+pub fn run(scale_factor: f64, store: &mut RunStore) -> PdnsDbResult {
     let s = scenario(0.9, 0.15 * scale_factor, 40.0, 151);
     let gt = s.ground_truth();
     let mut sim = common::default_sim();
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn wildcarding_collapses_disposable_storage() {
-        let r = run(0.3, &mut PdnsBackend::default());
+        let r = run(0.3, &mut RunStore::new());
         assert!(r.disposable_share() > 0.5, "disposable share {}", r.disposable_share());
         assert!(
             r.aggregated_entries_gt < r.total_records / 2,

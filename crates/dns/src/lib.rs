@@ -53,4 +53,4 @@ pub use name::{
 };
 pub use record::{QType, RData, Record, RrKey, UnknownQType};
 pub use suffix::SuffixList;
-pub use time::{Timestamp, Ttl, SECS_PER_DAY};
+pub use time::{StampWindow, Timestamp, Ttl, SECS_PER_DAY, STAMP_NEIGHBORS};

@@ -294,9 +294,9 @@ pub struct RrKey {
 impl RrKey {
     /// Storage footprint of one deduplicated record: presentation name +
     /// fixed type/TTL overhead (8 bytes) + RDATA. This is the *single*
-    /// definition every pDNS accounting path shares — `RpDns` charges it
-    /// on first sight and refunds it on merge-duplicates, and the fpDNS
-    /// byte model builds on it — so the accountings cannot drift.
+    /// definition every pDNS accounting path shares — the rpDNS store
+    /// charges it on first sight, and the fpDNS byte model builds on it —
+    /// so the accountings cannot drift.
     pub fn storage_bytes(&self) -> usize {
         RrKey::storage_bytes_of(&self.name, &self.rdata)
     }

@@ -152,6 +152,50 @@ impl fmt::Display for Ttl {
     }
 }
 
+/// Stamps a [`StampWindow`] consults on either side of the one it judges.
+pub const STAMP_NEIGHBORS: usize = 2;
+
+/// The running median of a stamp sequence: each stamp is judged by the
+/// median of itself, the (up to) [`STAMP_NEIGHBORS`] stamps before it and
+/// the (up to) [`STAMP_NEIGHBORS`] after it, which the caller holds back
+/// as lookahead. One stamp far from its neighbours cannot move the median,
+/// so it cannot move what is measured against it: ingest's timestamp
+/// filter and the stream's epoch clock.
+#[derive(Debug, Default)]
+pub struct StampWindow {
+    /// The last stamps passed, oldest first; the first `len` are valid.
+    before: [u64; STAMP_NEIGHBORS],
+    len: usize,
+}
+
+impl StampWindow {
+    /// The median of the stamps passed last, `stamp` and the first
+    /// [`STAMP_NEIGHBORS`] of `after`; then passes `stamp`.
+    pub fn median(&mut self, stamp: u64, after: impl IntoIterator<Item = u64>) -> u64 {
+        let mut window = [0u64; 2 * STAMP_NEIGHBORS + 1];
+        let mut len = 0;
+        let after = after.into_iter().take(STAMP_NEIGHBORS);
+        for s in self.before[..self.len].iter().copied().chain([stamp]).chain(after) {
+            window[len] = s;
+            len += 1;
+        }
+        window[..len].sort_unstable();
+        self.pass(stamp);
+        window[len / 2]
+    }
+
+    /// Passes `stamp` unjudged: it joins the history later stamps are
+    /// judged against.
+    pub fn pass(&mut self, stamp: u64) {
+        if self.len < STAMP_NEIGHBORS {
+            self.len += 1;
+        } else {
+            self.before.rotate_left(1);
+        }
+        self.before[self.len - 1] = stamp;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +225,18 @@ mod tests {
     fn saturating_sub_stops_at_zero() {
         let t = Timestamp::from_secs(10);
         assert_eq!(t.saturating_sub(Ttl::from_secs(100)), Timestamp::ZERO);
+    }
+
+    #[test]
+    fn the_window_is_the_median_of_five_and_forgets_older_stamps() {
+        let mut window = StampWindow::default();
+        assert_eq!(window.median(7, []), 7, "alone, a stamp is its own median");
+        window.pass(1);
+        window.pass(2);
+        // 7 left the history: the window is [1, 2, 50, 3, 4].
+        assert_eq!(window.median(50, [3, 4, 1_000]), 3);
+        // History [2, 50]: the window is [2, 50, 5].
+        assert_eq!(window.median(5, []), 5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read};
 
-use dnsnoise_dns::SECS_PER_DAY;
+use dnsnoise_dns::{StampWindow, SECS_PER_DAY, STAMP_NEIGHBORS};
 use dnsnoise_workload::{DayTrace, QueryEvent};
 
 pub use report::{IngestReport, QuarantineClass, QuarantineSample};
@@ -187,10 +187,6 @@ pub struct IngestOutput {
 /// out-of-order (a flipped timestamp byte in a surviving frame, not a
 /// real gap).
 const MAX_TS_DEVIATION_SECS: u64 = SECS_PER_DAY;
-
-/// Decoded events the timestamp filter consults on either side of the one
-/// it judges.
-const TS_NEIGHBORS: usize = 2;
 
 /// Bytes of the window [`EventStream::from_reader`] reads a capture
 /// through. Both scanners decide on at most ≈ 256 KiB past the first
@@ -362,9 +358,9 @@ pub struct EventStream<'a> {
     report: IngestReport,
     /// The read error that cut the capture short, if one did.
     failed: Option<io::Error>,
-    /// Stamps of the last decoded events before `held`, accepted or not:
-    /// the window's left half.
-    before: VecDeque<u64>,
+    /// The stamps of the last decoded events before `held`, accepted or
+    /// not: the window's left half.
+    stamps: StampWindow,
     /// The event up for judgment and its successors: the window's right
     /// half.
     held: VecDeque<Held>,
@@ -445,8 +441,8 @@ impl<'a> EventStream<'a> {
             scanner,
             report,
             failed: None,
-            before: VecDeque::with_capacity(TS_NEIGHBORS),
-            held: VecDeque::with_capacity(TS_NEIGHBORS + 1),
+            stamps: StampWindow::default(),
+            held: VecDeque::with_capacity(STAMP_NEIGHBORS + 1),
         })
     }
 
@@ -499,21 +495,7 @@ impl<'a> EventStream<'a> {
     /// the acceptance of everything after it.
     fn judge(&mut self, candidate: Held) -> Option<QueryEvent> {
         let ts = candidate.event.time.as_secs();
-        let after = self.held.iter().map(|h| h.event.time.as_secs());
-        let mut window = [0u64; 2 * TS_NEIGHBORS + 1];
-        let mut len = 0;
-        for stamp in self.before.iter().copied().chain([ts]).chain(after) {
-            window[len] = stamp;
-            len += 1;
-        }
-        window[..len].sort_unstable();
-        let median = window[len / 2];
-
-        if self.before.len() == TS_NEIGHBORS {
-            self.before.pop_front();
-        }
-        self.before.push_back(ts);
-
+        let median = self.stamps.median(ts, self.held.iter().map(|h| h.event.time.as_secs()));
         let Held { event, frame_bytes, index, offset } = candidate;
         if ts + MAX_TS_DEVIATION_SECS < median || ts > median + MAX_TS_DEVIATION_SECS {
             self.report.quarantine(
@@ -568,7 +550,7 @@ impl Iterator for EventStream<'_> {
         loop {
             // An event is judged once its successors have decoded or the
             // capture has ended.
-            while self.held.len() <= TS_NEIGHBORS {
+            while self.held.len() <= STAMP_NEIGHBORS {
                 match self.next_decoded() {
                     Some(held) => self.held.push_back(held),
                     None => break,

@@ -7,9 +7,11 @@
 //!   answer-section tuple `(timestamp, client, name, qtype, TTL, RDATA)`
 //!   per record observed below the recursives, counted and sized by the
 //!   one fpDNS byte model rather than kept.
-//! * [`RpDns`] — the **reduced passive DNS** dataset: distinct resource
-//!   records from successful resolutions with their first-seen day, the
-//!   substrate of Fig. 5 / Fig. 15 and of the §VI-C storage discussion.
+//! * [`RunStore`] — the **reduced passive DNS** dataset: distinct
+//!   resource records from successful resolutions with their first-seen
+//!   day, the substrate of Fig. 5 / Fig. 15 and of the §VI-C storage
+//!   discussion, optionally durable in a spill directory. [`RpDns`] is
+//!   its hash-map reference, which the property tests hold it to.
 //! * [`WildcardAggregator`] — the §VI-C mitigation: collapse disposable
 //!   records under their mined `(zone, depth)` into a single wildcard
 //!   record (`1022vr5.dns.xx.fbcdn.net` → `*.dns.xx.fbcdn.net`), which in

@@ -13,10 +13,10 @@
 //! the run layout after any observation sequence is a deterministic
 //! function of that sequence.
 //!
-//! The engine maintains the same aggregate accounting as
-//! [`RpDns`](crate::RpDns) — per-day new/repeated counters and modelled
-//! storage bytes — so the two backends are interchangeable and
-//! bit-identical in output.
+//! The engine keeps the rpDNS dataset's aggregate accounting — per-day
+//! new/repeated counters and modelled storage bytes — and a spill
+//! directory changes none of it: with or without one, every answer is the
+//! same.
 //!
 //! # Durability
 //!
@@ -47,7 +47,7 @@
 //! callers inspect the latched error at the end and surface it as an
 //! exit code.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dnsnoise_dns::{Name, QType, RData, Record, RrKey};
 
@@ -117,8 +117,7 @@ enum RunFile {
     Written(RunFileMeta),
 }
 
-/// The run store. See the module docs for the design; it answers every
-/// read [`RpDns`](crate::RpDns) answers, bit-identically.
+/// The run store. See the module docs for the design.
 #[derive(Debug)]
 pub struct RunStore {
     config: StoreConfig,
@@ -148,9 +147,11 @@ pub struct RunStore {
 }
 
 impl RunStore {
-    /// An empty store with default tuning and no spill directory.
+    /// An empty store with no spill directory. With nowhere to spill
+    /// to, it never flushes: its memtable holds every record until
+    /// [`optimize`](RunStore::optimize) seals them into one run.
     pub fn new() -> RunStore {
-        RunStore::with_config(StoreConfig::default())
+        RunStore::with_config(StoreConfig { memtable_cap: usize::MAX, ..StoreConfig::default() })
     }
 
     /// An empty store with explicit tuning. Creates the spill directory
@@ -251,6 +252,18 @@ impl RunStore {
         Ok(store)
     }
 
+    /// A store spilling under `path` when one is given, else
+    /// [`RunStore::new`]; `kind` is ignored. Kept only because the
+    /// benchmark harness still calls it; it goes when the benchmark stops
+    /// doing so.
+    #[doc(hidden)]
+    pub fn create(_kind: super::BackendKind, path: Option<&Path>) -> RunStore {
+        match path {
+            Some(dir) => RunStore::with_config(StoreConfig::default().with_spill(dir)),
+            None => RunStore::new(),
+        }
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &StoreConfig {
         &self.config
@@ -330,14 +343,13 @@ impl RunStore {
         self.observe_parts(&record.name, record.qtype, &record.rdata, day)
     }
 
+    /// [`RunStore::observe`] by the record's key: the first-sighting feed.
+    pub fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
+        self.observe_parts(&key.name, key.qtype, &key.rdata, day)
+    }
+
     /// [`RunStore::observe`] of the record `(name, qtype, rdata)`.
-    pub(crate) fn observe_parts(
-        &mut self,
-        name: &Name,
-        qtype: QType,
-        rdata: &RData,
-        day: u64,
-    ) -> bool {
+    fn observe_parts(&mut self, name: &Name, qtype: QType, rdata: &RData, day: u64) -> bool {
         self.observed += 1;
         self.ensure_day(day);
         // The probe borrows the thread's key buffers; only a record the

@@ -10,8 +10,10 @@
 //! table keeps a load factor of at most one half and is probed linearly,
 //! so a probe stops at an empty slot after reading at most one slot per
 //! entry plus one: keys whose hashes all collide cost one exact compare
-//! per entry, and the store flushes at `memtable_cap` entries, so such a
-//! probe reads at most `memtable_cap` slots.
+//! per entry, and a store flushes at `memtable_cap` entries, so such a
+//! probe reads at most `memtable_cap` slots (a store without a spill
+//! directory never flushes: like any hash map, it pays one compare per
+//! colliding entry).
 //!
 //! Entries are sorted only when they leave: [`Memtable::drain_sorted`]
 //! hands the flush its run input in composite-key order. The entry

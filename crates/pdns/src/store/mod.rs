@@ -1,22 +1,17 @@
-//! The run-store engine and the run-time choice of rpDNS backend.
+//! The rpDNS store: a hash memtable over immutable columnar sorted runs.
 //!
-//! Every rpDNS backend takes the same feed: each distinct record once,
-//! by key, with the day it was first seen, answering whether it was new.
-//! Two backends take it:
+//! [`RunStore`] is the one store every rpDNS feed fills: each distinct
+//! record once, by key, with the day it was first seen, answering whether
+//! it was new. It keeps size-tiered compaction and a per-run hash index
+//! built on each run's first probe. A probe hashes its key once
+//! (`index::key_hash`) and reads a few slots of the memtable's table and
+//! of each run's. Given a spill directory it mirrors its runs to files,
+//! manifest-before-delete; a run is written when a manifest first names
+//! it, so a run compacted away in the flush that made it never reaches
+//! the disk. Without one it is the same engine, memory-only.
 //!
-//! * [`RpDns`] — the original hash-map store (`memory`);
-//! * [`RunStore`] — a hash memtable + immutable columnar sorted runs
-//!   with size-tiered compaction and a per-run hash index built on each
-//!   run's first probe (`disk`), optionally mirroring runs to files. A
-//!   probe hashes its key once (`index::key_hash`) and reads a few slots
-//!   of the memtable's table and of each run's. Mirroring follows
-//!   manifest-before-delete, and a run is written when a manifest first
-//!   names it, so a run compacted away in the flush that made it never
-//!   reaches the disk.
-//!
-//! The two are bit-identical in every counter, lookup, and scan — pinned
-//! by the backend-equivalence property tests — so pipelines select a
-//! backend at run time via [`PdnsBackend`] without touching results.
+//! The property tests hold it bit-identical to the crate's hash-map
+//! reference store in every counter, lookup and scan.
 
 pub mod crc;
 pub mod engine;
@@ -32,24 +27,19 @@ pub mod run;
 
 use std::path::Path;
 
-use dnsnoise_dns::RrKey;
-
 pub use engine::{RunStore, StoreConfig, StoreStats};
 pub use error::StoreError;
 pub use recovery::{fsck, RecoveryReport};
 pub use run::Run;
 
-use crate::rpdns::RpDns;
-
-/// Which [`PdnsBackend`] variant to build — the value of the CLI's
-/// `--store` flag.
+/// The value of the CLI's `--store` flag. It no longer picks an engine:
+/// every store is a [`RunStore`], and `disk` only admits `--store-path`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// The in-memory hash-map store ([`RpDns`]); the default, keeping
-    /// existing invocations byte-identical.
+    /// No spill directory may be given (the default).
     #[default]
     Memory,
-    /// The run store ([`RunStore`]).
+    /// A spill directory may be given.
     Disk,
 }
 
@@ -74,89 +64,10 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A run-time-selected rpDNS backend. Both variants answer bit-identically;
-/// pipelines hold this enum so `--store` can pick the engine without
-/// generics leaking into every layer.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // one long-lived value per pipeline; boxing would cost a deref on the hot observe path
-pub enum PdnsBackend {
-    /// The in-memory hash-map store.
-    Memory(RpDns),
-    /// The run store.
-    Disk(RunStore),
-}
-
-impl PdnsBackend {
-    /// Builds a backend of `kind`; `path` mirrors the disk backend's
-    /// runs under the given directory (ignored for `memory`).
-    pub fn create(kind: BackendKind, path: Option<&Path>) -> PdnsBackend {
-        match kind {
-            BackendKind::Memory => PdnsBackend::Memory(RpDns::new()),
-            BackendKind::Disk => {
-                let mut config = StoreConfig::default();
-                if let Some(dir) = path {
-                    config = config.with_spill(dir);
-                }
-                PdnsBackend::Disk(RunStore::with_config(config))
-            }
-        }
-    }
-
-    /// The backend kind in force.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            PdnsBackend::Memory(_) => BackendKind::Memory,
-            PdnsBackend::Disk(_) => BackendKind::Disk,
-        }
-    }
-
-    /// The first persistence failure the backend latched, if any (always
-    /// `None` for the memory backend). A latched store has degraded to
-    /// memory-only: results stay exact, the on-disk mirror is stale —
-    /// callers surface this as a non-zero exit.
-    pub fn io_error(&self) -> Option<&StoreError> {
-        match self {
-            PdnsBackend::Memory(_) => None,
-            PdnsBackend::Disk(s) => s.io_error(),
-        }
-    }
-
-    /// Records one observation of the record `key` on `day`; returns
-    /// `true` when the record is new to the store.
-    pub fn observe_key(&mut self, key: &RrKey, day: u64) -> bool {
-        match self {
-            PdnsBackend::Memory(s) => s.observe_key(key, day),
-            PdnsBackend::Disk(s) => s.observe_parts(&key.name, key.qtype, &key.rdata, day),
-        }
-    }
-
-    /// Number of distinct records stored.
-    pub fn len(&self) -> usize {
-        match self {
-            PdnsBackend::Memory(s) => s.len(),
-            PdnsBackend::Disk(s) => s.len(),
-        }
-    }
-
-    /// Whether the store holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Modelled storage footprint in bytes.
-    pub fn storage_bytes(&self) -> u64 {
-        match self {
-            PdnsBackend::Memory(s) => s.storage_bytes(),
-            PdnsBackend::Disk(s) => s.storage_bytes(),
-        }
-    }
-}
-
-impl Default for PdnsBackend {
-    fn default() -> Self {
-        PdnsBackend::Memory(RpDns::new())
-    }
-}
+/// The run store under its old name. Kept only because the benchmark
+/// harness still names it; it goes when the benchmark stops doing so.
+#[doc(hidden)]
+pub type PdnsBackend = RunStore;
 
 /// Whether `dir` already holds a store: a `MANIFEST` or a `run-*.bin`.
 /// A missing or unreadable directory holds none. A store built fresh
@@ -175,7 +86,7 @@ pub fn holds_store(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnsnoise_dns::{QType, RData};
+    use dnsnoise_dns::{QType, RData, RrKey};
     use std::net::Ipv4Addr;
 
     fn key(name: &str, ip: u8) -> RrKey {
@@ -195,19 +106,38 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_agree_by_key() {
+    fn the_store_agrees_by_key_with_and_without_a_spill_directory() {
+        let dir =
+            std::env::temp_dir().join(format!("dnsnoise-store-by-key-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let keys: Vec<RrKey> =
             (0..50u8).map(|i| key(&format!("r{i}.zone{}.example", i % 3), i)).collect();
         let mut summaries = Vec::new();
-        for kind in [BackendKind::Memory, BackendKind::Disk] {
-            let mut store = PdnsBackend::create(kind, None);
+        for spill in [None, Some(&dir)] {
+            // A small memtable, so the feed flushes and compacts.
+            let config = StoreConfig { memtable_cap: 8, fanout: 2, spill: spill.cloned() };
+            let mut store = RunStore::with_config(config);
             let verdicts: Vec<(bool, bool)> = (keys.iter().enumerate())
                 .map(|(i, k)| (store.observe_key(k, (i % 4) as u64), store.observe_key(k, 3)))
                 .collect();
-            summaries.push((store.len(), store.storage_bytes(), verdicts));
+            store.optimize();
+            assert!(store.io_error().is_none());
+            let first_seen: Vec<Option<u64>> = keys.iter().map(|k| store.first_seen(k)).collect();
+            summaries.push((
+                store.len(),
+                store.storage_bytes(),
+                store.per_day().to_vec(),
+                verdicts,
+                first_seen,
+            ));
         }
-        assert_eq!(summaries[0], summaries[1], "memory and disk disagree");
+        assert_eq!(summaries[0], summaries[1], "the spill directory moved an answer");
         assert_eq!(summaries[0].0, keys.len());
-        assert!(summaries[0].2.iter().all(|&(first, again)| first && !again));
+        assert!(summaries[0].3.iter().all(|&(first, again)| first && !again));
+        assert!(holds_store(&dir));
+        let reopened =
+            RunStore::open(&dir, StoreConfig { memtable_cap: 8, fanout: 2, spill: None });
+        assert_eq!(reopened.unwrap().len(), keys.len(), "the directory lost records");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

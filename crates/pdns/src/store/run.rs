@@ -10,7 +10,7 @@
 //! columns, which stay the only source of truth.
 //!
 //! [`Run::to_bytes`]/[`Run::from_bytes`] define the on-disk image the
-//! disk backend spills (format v2): inside the shared [`frame`], a fixed
+//! store spills (format v2): inside the shared [`frame`], a fixed
 //! header, a CRC-32 per section (names, qtypes, rdata, days) and the raw
 //! columns. `from_bytes` is *total*: on
 //! arbitrary, truncated, or bit-flipped input it returns an error — it

@@ -68,12 +68,13 @@ fn assert_stores_agree(mem: &RpDns, disk: &RunStore, records: &[Record]) {
 }
 
 proptest! {
-    /// The run-store engine behind `--store disk` is observationally
-    /// identical to the in-memory `RpDns` under random observation
-    /// streams with duplicate keys across days (out of order, so a later
-    /// sighting can carry an earlier day): identical novelty verdicts,
-    /// `first_seen`, per-day new/repeated counters, storage bytes, and
-    /// `scan_prefix` order.
+    /// The run store is observationally identical to the in-memory
+    /// `RpDns` under random observation streams with duplicate keys
+    /// across days (out of order, so a later sighting can carry an
+    /// earlier day): identical novelty verdicts, `first_seen`, per-day
+    /// new/repeated counters, storage bytes, and `scan_prefix` order. So
+    /// is `RunStore::new()`, which never flushes, before and after
+    /// `optimize` seals its memtable.
     #[test]
     fn backends_equivalent_under_observe_and_scan(
         records in proptest::collection::vec(arb_record(), 1..48),
@@ -82,27 +83,35 @@ proptest! {
     ) {
         let mut mem = RpDns::new();
         let mut disk = RunStore::with_config(tiny_config());
+        let mut unflushed = RunStore::new();
         let stream = records.iter().chain(repeats.iter().map(|&r| &records[r % records.len()]));
         for (i, record) in stream.enumerate() {
             let day = days[i % days.len()];
             let mem_new = mem.observe(record, day);
             let disk_new = disk.observe(record, day);
             prop_assert_eq!(mem_new, disk_new, "observe novelty diverged at event {}", i);
+            prop_assert_eq!(mem_new, unflushed.observe(record, day), "unflushed, event {}", i);
         }
         assert_stores_agree(&mem, &disk, &records);
+        assert_stores_agree(&mem, &unflushed, &records);
+        prop_assert_eq!(unflushed.stats().flushes, 0);
         // Replaying every record on a later day only reclassifies: counts
         // and storage stay fixed, repeated counters still match.
         for record in &records {
             mem.observe(record, 6);
             disk.observe(record, 6);
+            unflushed.observe(record, 6);
         }
         assert_stores_agree(&mem, &disk, &records);
+        unflushed.optimize();
+        prop_assert_eq!(unflushed.stats().runs, 1);
+        assert_stores_agree(&mem, &unflushed, &records);
     }
 
     /// Exact per-run lookups: whatever the key distribution — clumped,
     /// adversarial, or degenerate — every stored key is found in the live
     /// runs and again after `optimize` merges them, and every lookup
-    /// agrees with the memory backend. This pins that a run's hash index
+    /// agrees with the reference store. This pins that a run's hash index
     /// never reports a stored key absent, and that a key stored nowhere
     /// (probed against every live run, each with its own table) stays
     /// absent.

@@ -163,6 +163,7 @@ impl<'a, O: Observer + ?Sized> DayRun<'a, O> {
     /// [`DayRun::threads`], only for `benchmark/src/layers.rs`, and it
     /// goes with it.
     #[doc(hidden)]
+    // lint:allow(dead-api): crates/resolver/tests/ratio.rs and tests/determinism.rs call it
     pub fn run_serial(self) -> DayReport {
         self.run()
     }

@@ -1,15 +1,16 @@
 //! Kill/resume fidelity: a stream killed mid-day and resumed from its
 //! last checkpoint (an epoch boundary, or the day start) must produce a
 //! report byte-identical to an uninterrupted run — same render, same
-//! findings, same day report — for both rpDNS backends. A disk store is
-//! reopened, not rebuilt: wherever its last `MANIFEST` stands against the
-//! checkpoint, the resumed directory ends byte-identical to the one an
-//! uninterrupted durable run leaves.
+//! findings, same day report — with or without a store directory. A store
+//! directory is reopened, not rebuilt: wherever its last `MANIFEST` stands
+//! against the checkpoint, the resumed directory ends byte-identical to
+//! the one an uninterrupted durable run leaves.
 
 use std::path::{Path, PathBuf};
 
 use dnsnoise_core::{DailyPipeline, Miner, MinerConfig};
-use dnsnoise_pdns::{fsck, BackendKind, PdnsBackend, RunStore, StoreConfig};
+use dnsnoise_dns::STAMP_NEIGHBORS;
+use dnsnoise_pdns::{fsck, RunStore, StoreConfig};
 use dnsnoise_stream::{Checkpoint, StreamConfig, StreamMiner, StreamReport};
 use dnsnoise_workload::{QueryEvent, Scenario, ScenarioConfig};
 
@@ -36,14 +37,11 @@ fn config() -> StreamConfig {
 }
 
 /// A run store small enough to flush many times a day, so kill points can
-/// fall on either side of a `MANIFEST` publish.
-fn store(kind: BackendKind, dir: Option<&Path>) -> PdnsBackend {
-    match (kind, dir) {
-        (BackendKind::Disk, Some(dir)) => PdnsBackend::Disk(RunStore::with_config(
-            StoreConfig { memtable_cap: 256, ..StoreConfig::default() }.with_spill(dir),
-        )),
-        _ => PdnsBackend::create(kind, None),
-    }
+/// fall on either side of a `MANIFEST` publish; it spills under `dir`,
+/// if given.
+fn store(dir: Option<&Path>) -> RunStore {
+    let spill = dir.map(Path::to_path_buf);
+    RunStore::with_config(StoreConfig { memtable_cap: 256, spill, ..StoreConfig::default() })
 }
 
 /// `MANIFEST` and every `run-*.bin`, by name: what a durable store is.
@@ -65,12 +63,28 @@ fn store_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
 }
 
 /// The checkpoint positions of a stream over `events`: the day start,
-/// then every epoch boundary, as the number of events pushed before it.
+/// then every epoch boundary, as the number of events replayed before it.
 fn boundaries(events: &[QueryEvent]) -> Vec<usize> {
     let epoch = |e: &QueryEvent| e.time.second_of_day() / config().epoch_secs;
     let mut at = vec![0];
     at.extend((1..events.len()).filter(|&i| epoch(&events[i]) > epoch(&events[i - 1])));
     at
+}
+
+/// Events pushed by the time the checkpoint at `bound` is written: the
+/// day start's at the first push; a boundary event's once its successors
+/// are in, because the clock takes the median over them.
+fn written_after(bound: usize) -> usize {
+    if bound == 0 {
+        1
+    } else {
+        bound + 1 + STAMP_NEIGHBORS
+    }
+}
+
+/// The checkpoint a process killed after `kill_at` pushes leaves behind.
+fn checkpointed(bounds: &[usize], kill_at: usize) -> usize {
+    bounds.iter().rev().copied().find(|&b| written_after(b) <= kill_at).unwrap_or(0)
 }
 
 struct Reference {
@@ -85,7 +99,7 @@ fn reference(s: &Scenario, miner: &Miner, events: &[QueryEvent]) -> Reference {
     let dir = temp_dir("ckpt-reference");
     let mut stream = StreamMiner::new(config(), miner)
         .ground_truth(s.ground_truth())
-        .with_store(store(BackendKind::Disk, Some(&dir)));
+        .with_store(store(Some(&dir)));
     let manifest = dir.join("MANIFEST");
     let (mut publishes, mut last) = (Vec::new(), None);
     for (i, event) in events.iter().enumerate() {
@@ -103,7 +117,7 @@ fn reference(s: &Scenario, miner: &Miner, events: &[QueryEvent]) -> Reference {
 }
 
 #[test]
-fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
+fn killed_and_resumed_stream_is_byte_identical_with_and_without_a_directory() {
     let s = scenario(21);
     let miner = trained_miner(&s);
     let trace = s.generate_day(1);
@@ -114,36 +128,40 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
 
     // Before any flush: the store directory holds no `MANIFEST` yet.
     let no_flush = publishes[0] - 1;
-    // Behind: killed one event past a boundary that no publish meets
-    // — the store's last `MANIFEST` predates the checkpoint.
+    // Behind: killed once a boundary's checkpoint is written, with no
+    // publish since the boundary — the store's last `MANIFEST` predates
+    // the checkpoint.
     let behind = bounds
         .iter()
-        .find(|&&b| b > publishes[0] && !publishes.contains(&b) && !publishes.contains(&(b + 1)))
-        .map(|&b| b + 1)
+        .map(|&b| (b, written_after(b)))
+        .find(|&(b, k)| b > publishes[0] && !publishes.iter().any(|&p| p >= b && p <= k))
+        .map(|(_, k)| k)
         .expect("a boundary after the first flush");
-    // Ahead: a publish after a boundary, killed one event past it, before
-    // the next boundary — the `MANIFEST` outruns the checkpoint.
+    // Ahead: a publish after a boundary's checkpoint is written, killed
+    // one event past it, before the next checkpoint — the `MANIFEST`
+    // outruns the checkpoint.
     let ahead = publishes
         .iter()
-        .map(|&p| p + 1)
-        .find(|&k| {
-            bounds.iter().any(|&b| b > 0 && b < k - 1)
-                && !bounds.iter().any(|&b| b >= k - 1 && b <= k)
+        .find(|&&p| {
+            let b = checkpointed(&bounds, p + 1);
+            b > 0 && written_after(b) <= p
         })
+        .map(|&p| p + 1)
         .expect("a flush between two boundaries");
 
-    for kind in [BackendKind::Memory, BackendKind::Disk] {
+    for durable in [false, true] {
         for (case, kill_at) in [("no-flush", no_flush), ("behind", behind), ("ahead", ahead)] {
+            let kind = if durable { "durable" } else { "memory" };
             let what = format!("{kind} {case} (kill at {kill_at})");
             let store_dir = temp_dir(&format!("ckpt-store-{kind}-{case}"));
             let ckpt_dir = temp_dir(&format!("ckpt-resume-{kind}-{case}"));
-            let spill = (kind == BackendKind::Disk).then_some(store_dir.as_path());
+            let spill = durable.then_some(store_dir.as_path());
 
             // "Process one": checkpoints enabled, killed (dropped without
             // finish, exactly what abort() leaves behind).
             let mut victim = StreamMiner::new(config(), &miner)
                 .ground_truth(s.ground_truth())
-                .with_store(store(kind, spill))
+                .with_store(store(spill))
                 .with_checkpoint(&ckpt_dir);
             for event in &events[..kill_at] {
                 victim.push(event);
@@ -157,9 +175,8 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
             let ckpt = Checkpoint::load(&ckpt_dir)
                 .expect("checkpoint readable")
                 .expect("the first event writes a checkpoint");
-            let last_bound = bounds.iter().rev().find(|&&b| b < kill_at).copied();
-            assert_eq!(Some(ckpt.pushed as usize), last_bound, "{what}");
-            if kind == BackendKind::Disk {
+            assert_eq!(ckpt.pushed as usize, checkpointed(&bounds, kill_at), "{what}");
+            if durable {
                 let flushed = publishes.iter().rev().find(|&&p| p <= kill_at).copied();
                 match case {
                     "no-flush" => assert_eq!(flushed, None, "{what}"),
@@ -170,7 +187,7 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
             let mut rest = events.iter();
             let mut resumed = StreamMiner::new(config(), &miner)
                 .ground_truth(s.ground_truth())
-                .with_store(store(kind, spill))
+                .with_store(store(spill))
                 .with_checkpoint(&ckpt_dir)
                 .resume(&ckpt, rest.by_ref())
                 .expect("checkpoint matches the miner's configuration");
@@ -192,7 +209,7 @@ fn killed_and_resumed_stream_is_byte_identical_for_both_backends() {
 
             // The reopened store converged on the uninterrupted run's
             // directory, file for file, and fsck finds it clean.
-            if kind == BackendKind::Disk {
+            if durable {
                 assert!(store_image(&store_dir) == expected.image, "{what}: store diverged");
                 let check = fsck(&store_dir, false).expect("fsck runs");
                 assert!(check.is_clean(), "{what}: fsck found problems:\n{}", check.render());
@@ -247,8 +264,8 @@ fn mid_epoch_forced_checkpoint_resumes_identically() {
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
-/// The checkpoint holds no store, so the backend is the resuming
-/// process's choice: a memory-store run resumes into a disk store.
+/// The checkpoint holds no store, so the store directory is the resuming
+/// process's choice: a run without one resumes into one.
 #[test]
 fn a_memory_store_checkpoint_resumes_into_a_disk_store_with_identical_render() {
     let s = scenario(5);
@@ -272,15 +289,15 @@ fn a_memory_store_checkpoint_resumes_into_a_disk_store_with_identical_render() {
 
     let mut rest = trace.events.iter();
     let mut resumed = StreamMiner::new(config(), &miner)
-        .with_store(store(BackendKind::Disk, Some(&store_dir)))
+        .with_store(store(Some(&store_dir)))
         .resume(&ckpt, rest.by_ref())
-        .expect("no backend echo to refuse");
+        .expect("no store echo to refuse");
     for event in rest {
         resumed.push(event);
     }
     let (report, _) = resumed.finish();
     assert_eq!(report.render(), expected.render());
-    assert_eq!(report.rpdns_store.backend, BackendKind::Disk);
+    assert!(report.rpdns_store.stats.bytes_written > 0);
     assert_eq!(report.rpdns_store.records, expected.rpdns_store.records);
     assert!(fsck(&store_dir, false).expect("fsck runs").is_clean());
 
@@ -328,8 +345,7 @@ fn resume_refuses_a_store_directory_of_another_day() {
     let (ckpt_dir, store_dir) = (temp_dir("ckpt-day"), temp_dir("ckpt-day-store"));
 
     let day0 = s.generate_day(0);
-    let mut other =
-        StreamMiner::new(config(), &miner).with_store(store(BackendKind::Disk, Some(&store_dir)));
+    let mut other = StreamMiner::new(config(), &miner).with_store(store(Some(&store_dir)));
     for event in &day0.events {
         other.push(event);
     }
@@ -343,7 +359,7 @@ fn resume_refuses_a_store_directory_of_another_day() {
     assert_eq!((ckpt.day, ckpt.pushed), (1, 0));
 
     let err = StreamMiner::new(config(), &miner)
-        .with_store(store(BackendKind::Disk, Some(&store_dir)))
+        .with_store(store(Some(&store_dir)))
         .resume(&ckpt, std::iter::empty::<QueryEvent>())
         .unwrap_err()
         .to_string();

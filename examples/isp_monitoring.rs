@@ -12,7 +12,7 @@
 
 use dnsnoise::core::{CampaignTracker, DailyPipeline, MinerConfig};
 use dnsnoise::dns::SuffixList;
-use dnsnoise::pdns::PdnsBackend;
+use dnsnoise::pdns::RunStore;
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::workload::{Scenario, ScenarioConfig};
 
@@ -22,7 +22,7 @@ fn main() {
 
     // One simulator for passive-DNS collection (kept warm across days)…
     let mut pdns_sim = ResolverSim::new(SimConfig::default());
-    let mut store = PdnsBackend::default();
+    let mut store = RunStore::new();
     let mut disposable = 0u64;
     // …and the mining pipeline with its own cluster.
     let mut pipeline = DailyPipeline::new(MinerConfig::default());

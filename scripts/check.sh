@@ -165,10 +165,10 @@ for run in "simulate" "stream --model $smoke_dir/model.txt" \
         || { echo "error: '$run' on a hostile timestamp died with status $status" >&2; exit 1; }
 done
 
-echo "== pdns store smoke (miner output identical across --store memory|disk) ==" >&2
+echo "== pdns store smoke (miner output identical with and without a store directory) ==" >&2
 # Same day-1 trace and model as the stream smoke: stdout must be
-# byte-identical whichever rpDNS backend dedups behind the miner, and the
-# disk backend must print its summary line on stderr.
+# byte-identical whether or not the one rpDNS store spills to a
+# directory, and both runs must print its summary line on stderr.
 ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
     --model "$smoke_dir/model.txt" \
     --store memory >"$smoke_dir/sm.txt" 2>"$smoke_dir/sm.log"
@@ -180,6 +180,11 @@ diff "$smoke_dir/s1.txt" "$smoke_dir/sm.txt" >&2
 diff "$smoke_dir/s1.txt" "$smoke_dir/sd.txt" >&2
 grep -q 'rpdns store: backend=disk' "$smoke_dir/sd.log" \
     || { echo "error: disk store summary missing from stream stderr" >&2; exit 1; }
+# One engine: with or without a directory it holds the same records.
+held='records=[0-9]* storage_bytes=[0-9]*'
+mem_held=$(grep -o "$held" "$smoke_dir/sm.log") \
+    && [ "$mem_held" = "$(grep -o "$held" "$smoke_dir/sd.log")" ] \
+    || { echo "error: the store's contents depend on its directory" >&2; exit 1; }
 ls "$smoke_dir/pdns" | grep -q 'run-.*\.bin' \
     || { echo "error: disk store spilled no run files" >&2; exit 1; }
 # The write path is pinned to the byte: the disk store's run, flush,
@@ -191,17 +196,16 @@ grep -o 'runs=[0-9]* flushes=[0-9]* compactions=[0-9]* bytes_written=[0-9]*' "$s
          exit 1; }
 # Two subcommands, one replay loop: `simulate` (DayRun) and `stream`
 # (EventSession) over the same trace must count the same records at the
-# monitoring point and feed the memory store the same bytes.
+# monitoring point and fill the store without a directory alike.
 ./target/release/dnsnoise simulate --trace "$smoke_dir/day1.trace" \
     --store memory >"$smoke_dir/sim.txt" 2>"$smoke_dir/sim.log"
 sim_taps=$(awk '/^below records:/{b=$NF} /^above records:/{a=$NF} END{print b, a}' "$smoke_dir/sim.txt")
 stream_taps=$(awk '/^below_total =/{b=$NF} /^above_total =/{a=$NF} END{print b, a}' "$smoke_dir/sm.txt")
 [[ "$sim_taps" =~ ^[0-9]+\ [0-9]+$ && "$sim_taps" == "$stream_taps" ]] \
     || { echo "error: simulate taps ($sim_taps) != stream taps ($stream_taps)" >&2; exit 1; }
-store_tokens='rpdns store: backend=memory records=[0-9]* storage_bytes=[0-9]*'
-sim_store=$(grep -o "$store_tokens" "$smoke_dir/sim.log") \
-    && [ "$sim_store" = "$(grep -o "$store_tokens" "$smoke_dir/sm.log")" ] \
-    || { echo "error: simulate and stream filled the memory store differently" >&2; exit 1; }
+sim_store=$(grep '^rpdns store: backend=memory ' "$smoke_dir/sim.log") \
+    && [ "$sim_store" = "$(grep '^rpdns store: ' "$smoke_dir/sm.log")" ] \
+    || { echo "error: simulate and stream filled the store differently" >&2; exit 1; }
 # Both feed the store the day's first sightings from the same table, so
 # the disk store's summary line (records, bytes, runs, flushes,
 # compactions, bytes written) must match too, and its directory check clean.
@@ -214,7 +218,7 @@ sim_disk=$(grep '^rpdns store: ' "$smoke_dir/simd.log") \
     || { echo "error: fsck found problems in simulate's disk store" >&2
          cat "$smoke_dir/fsck-sim.txt" >&2; exit 1; }
 
-# A disk store that cannot be written degrades to memory-only: simulate,
+# A store whose directory cannot be written degrades to memory-only: simulate,
 # like stream, must name the failure and exit non-zero, not report success.
 printf 'x' >"$smoke_dir/blocker"
 if ./target/release/dnsnoise simulate --trace "$smoke_dir/day1.trace" \
@@ -225,14 +229,14 @@ grep -q '^rpdns store degraded to memory-only: ' "$smoke_dir/simdeg.log" \
     || { echo "error: simulate did not name its degraded store" >&2
          cat "$smoke_dir/simdeg.log" >&2; exit 1; }
 
-echo "== experiments store smoke (fig15's disk store holds every record its render counts) ==" >&2
+echo "== experiments store smoke (fig15's store directory holds every record its render counts) ==" >&2
 # A pDNS experiment's store is flushed and collapsed when the experiment
 # ends: the directory checks clean and its MANIFEST's per-day new-record
 # counts are the render's, day for day. The MANIFEST is big-endian u64s
 # after an 8-byte magic: field 8 counts the days, and each day's (new,
 # repeated) pair follows the ten fixed fields.
 cargo build -q --release --offline -p dnsnoise-bench --bins
-./target/release/experiments fig15 --scale 0.05 --store disk --store-path "$smoke_dir/exp" \
+./target/release/experiments fig15 --scale 0.05 --store-path "$smoke_dir/exp" \
     >"$smoke_dir/fig15.txt"
 ./target/release/dnsnoise fsck "$smoke_dir/exp/fig15" >"$smoke_dir/fsck-fig15.txt" \
     || { echo "error: fsck found problems in fig15's disk store" >&2

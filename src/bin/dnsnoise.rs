@@ -317,10 +317,10 @@ mod tests {
             let o = parse(command, "--store disk --store-path /tmp/pdns").unwrap();
             assert_eq!(o.store, Some(BackendKind::Disk));
             assert_eq!(o.store_path.as_deref(), Some("/tmp/pdns"));
-            // Default invocations keep the silent memory backend.
+            // Default invocations print no store summary.
             assert!(!parse(command, "").unwrap().store_reported());
             assert_eq!(parse(command, "--store memory").unwrap().store, Some(BackendKind::Memory));
-            // Bad values and misuse are refused, with the backend's own error.
+            // Bad values and misuse are refused, with the flag's own error.
             let err = "unknown store backend `floppy` (expected memory|disk)";
             assert_eq!(parse(command, "--store floppy"), Err(err.into()));
             let spill = Err("--store-path requires --store disk".into());

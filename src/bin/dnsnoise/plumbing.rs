@@ -8,7 +8,7 @@ use std::path::Path;
 
 use dnsnoise::core::{DomainTree, LabeledZones, Miner, MinerConfig, TrainingSetBuilder};
 use dnsnoise::ingest::CaptureFormat;
-use dnsnoise::pdns::{store::holds_store, BackendKind, PdnsBackend};
+use dnsnoise::pdns::{store::holds_store, BackendKind, RunStore, StoreConfig};
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::RpdnsStoreSummary;
 use dnsnoise::workload::{trace_io, QueryEvent, Scenario, ScenarioConfig};
@@ -26,8 +26,8 @@ pub struct Opts {
     pub day: u64,
     pub theta: f64,
     pub min_group: usize,
-    /// `None` = the default memory backend with no summary printed, so
-    /// invocations without store flags stay byte-identical on both streams.
+    /// `None` = no store summary printed, so invocations without store
+    /// flags stay byte-identical on both streams.
     pub store: Option<BackendKind>,
     pub store_path: Option<String>,
     /// The positional argument: `ingest`'s capture, `fsck`'s directory.
@@ -80,12 +80,13 @@ pub const MINER: Table = Table { title: "miner", flags: &[
         .default("10"),
 ] };
 
-/// Which rpDNS backend collects, and where it spills.
+/// The rpDNS store's summary, and where it spills.
 #[rustfmt::skip]
 pub const STORE: Table = Table { title: "store", flags: &[
-    flag("--store", Value("<kind>"), "pDNS collector backend: memory (default) or disk; the \
-        output is identical, and a summary goes to stderr", |o, v| parsed(&mut o.store, v.parse())),
-    flag("--store-path", Value("<dir>"), "mirror the disk backend's sorted runs in this directory",
+    flag("--store", Value("<kind>"), "memory (default) or disk, which a --store-path needs; \
+        either prints a store summary to stderr and leaves the report as it is",
+        |o, v| parsed(&mut o.store, v.parse())),
+    flag("--store-path", Value("<dir>"), "mirror the pDNS store's sorted runs in this directory",
         |o, v| some(&mut o.store_path, v)),
 ] };
 
@@ -100,7 +101,7 @@ impl Opts {
         ensure((0.0..=1.0).contains(&self.theta), "--theta must be in [0, 1]")
     }
 
-    /// The spill directory only means something to the disk engine.
+    /// A spill directory needs `--store disk`.
     pub fn check_store(&self) -> Result<(), String> {
         let disk = self.store == Some(BackendKind::Disk);
         ensure(self.store_path.is_none() || disk, "--store-path requires --store disk")
@@ -142,11 +143,12 @@ impl Opts {
         self.store.is_some() || self.store_path.is_some()
     }
 
-    pub fn store_backend(&self) -> PdnsBackend {
-        PdnsBackend::create(
-            self.store.unwrap_or_default(),
-            self.store_path.as_deref().map(Path::new),
-        )
+    /// The rpDNS store, spilling under `--store-path` when one is given.
+    pub fn store_backend(&self) -> RunStore {
+        match &self.store_path {
+            Some(dir) => RunStore::with_config(StoreConfig::default().with_spill(dir)),
+            None => RunStore::new(),
+        }
     }
 
     /// Refuses a `--store-path` that already holds a store
@@ -159,22 +161,24 @@ impl Opts {
         );
         ensure(!holds_store(Path::new(dir)), &message)
     }
-}
 
-/// The one-line store summary `simulate` and `stream` both print, to
-/// stderr so stdout stays byte-identical across backends.
-pub fn store_summary_line(s: &RpdnsStoreSummary) -> String {
-    let mut line = format!(
-        "rpdns store: backend={} records={} storage_bytes={}",
-        s.backend, s.records, s.storage_bytes
-    );
-    if let Some(st) = s.stats {
-        line.push_str(&format!(
-            " runs={} flushes={} compactions={} bytes_written={}",
-            st.runs, st.flushes, st.compactions, st.bytes_written
-        ));
+    /// The one-line store summary `simulate` and `stream` both print, to
+    /// stderr so stdout stays byte-identical with or without a spill
+    /// directory. `backend=` echoes `--store`.
+    pub fn store_summary_line(&self, s: &RpdnsStoreSummary) -> String {
+        let st = s.stats;
+        format!(
+            "rpdns store: backend={} records={} storage_bytes={} runs={} flushes={} \
+             compactions={} bytes_written={}",
+            self.store.unwrap_or_default(),
+            s.records,
+            s.storage_bytes,
+            st.runs,
+            st.flushes,
+            st.compactions,
+            st.bytes_written
+        )
     }
-    line
 }
 
 pub fn capture_format(raw: &str) -> Result<CaptureFormat, String> {
@@ -185,8 +189,8 @@ pub fn capture_format(raw: &str) -> Result<CaptureFormat, String> {
 pub type TraceEvent = Result<QueryEvent, trace_io::TraceIoError>;
 
 /// The last day a trace's first event may name. That event's day is the
-/// replayed day, and the store's per-day tables (`RpDns`, `RunStore`, the
-/// `MANIFEST`) are dense up to it, so a hostile first stamp would size
+/// replayed day, and the store's per-day tables (`RunStore`'s and its
+/// `MANIFEST`'s) are dense up to it, so a hostile first stamp would size
 /// them. 65,536 admits every Unix-epoch capture day (≈ 20,000 today) and
 /// keeps a `MANIFEST` under 1 MiB.
 pub const MAX_TRACE_DAY: u64 = 65_536;

@@ -1,14 +1,13 @@
 //! `dnsnoise simulate`: replay a day through the resolver cluster.
 
 use dnsnoise::dns::{Ttl, SECS_PER_DAY};
-use dnsnoise::pdns::PdnsBackend;
 use dnsnoise::resolver::{FaultPlan, FaultSpecError, MetricsRegistry, OverloadConfig};
 use dnsnoise::resolver::{ResolverSim, SimConfig};
 use dnsnoise::stream::RpdnsStoreSummary;
 use dnsnoise::workload::{AttackPlan, AttackSpecError, DayTrace};
 
 use crate::cli::{ensure, flag, some, to, Kind::Switch, Kind::Value, Subcommand, Table};
-use crate::plumbing::{store_summary_line, trace_events, Opts, SCENARIO, STORE, TRACE};
+use crate::plumbing::{trace_events, Opts, SCENARIO, STORE, TRACE};
 
 #[rustfmt::skip]
 pub const SIMULATE: Subcommand = Subcommand {
@@ -112,12 +111,10 @@ fn run(o: &Opts) -> Result<(), String> {
         for (key, _) in report.rr_stats.iter() {
             store.observe_key(key, trace.day);
         }
-        if let PdnsBackend::Disk(ref mut s) = store {
-            // Flush and collapse so a spill directory holds the final
-            // single-run image of the day.
-            s.optimize();
-        }
-        eprintln!("{}", store_summary_line(&RpdnsStoreSummary::from(&store)));
+        // Flush and collapse so a spill directory holds the final
+        // single-run image of the day.
+        store.optimize();
+        eprintln!("{}", o.store_summary_line(&RpdnsStoreSummary::from(&store)));
         store_error = store.io_error().map(ToString::to_string);
     }
     println!("events:            {}", trace.events.len());

@@ -7,7 +7,7 @@ use std::path::Path;
 use dnsnoise::stream::{Checkpoint, StreamConfig, StreamMiner};
 
 use crate::cli::{ensure, flag, some, to, Kind::Value, Subcommand, Table};
-use crate::plumbing::{store_summary_line, trace_events, Opts};
+use crate::plumbing::{trace_events, Opts};
 use crate::plumbing::{MINER, MODEL, SCENARIO, STORE, TRACE};
 
 #[rustfmt::skip]
@@ -98,7 +98,7 @@ fn run(o: &Opts) -> Result<(), String> {
     let checkpoint_error = stream.checkpoint_error().map(ToString::to_string);
     let (report, _sim) = stream.finish();
     if o.store_reported() {
-        eprintln!("{}", store_summary_line(&report.rpdns_store));
+        eprintln!("{}", o.store_summary_line(&report.rpdns_store));
     }
     print!("{}", report.render());
     if !report.conserves() {

@@ -719,6 +719,51 @@ fn a_hostile_trace_timestamp_sizes_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One corrupted but plausible stamp must not silence the stream's
+/// closes. On these corruption seeds a lone stamp lands hours off its
+/// neighbours (the previous day's 23:46 on seed 20), and seed 18's capture
+/// also has an hour with no events; every hourly epoch but the last, which
+/// the final report covers, must still close.
+#[test]
+fn corrupted_stamps_close_every_hourly_epoch() {
+    let dir = tempdir_named("corrupt-closes");
+    let model = dir.join("model.txt");
+    let out = bin()
+        .args(["train", "--epoch", "0", "--scale", "0.05", "--seed", "7", "--out"])
+        .arg(&model)
+        .output()
+        .expect("run train");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for seed in ["2", "18", "20"] {
+        let (capture, trace) =
+            (dir.join(format!("{seed}.pcap")), dir.join(format!("{seed}.trace")));
+        let out = bin()
+            .args(["generate", "--epoch", "0", "--scale", "0.05", "--seed", "7", "--day", "1"])
+            .args(["--capture", "pcap", "--corrupt", "0.002", "--corrupt-seed", seed, "--out"])
+            .arg(&capture)
+            .output()
+            .expect("run generate");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let out = bin().arg("ingest").arg(&capture).arg("-o").arg(&trace).output().expect("ingest");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let out = bin()
+            .args(["stream", "--epoch-secs", "3600", "--trace"])
+            .arg(&trace)
+            .arg("--model")
+            .arg(&model)
+            .output()
+            .expect("run stream");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let closes: Vec<u64> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(|line| line.strip_prefix("-- epoch ")?.split(' ').next()?.parse().ok())
+            .collect();
+        assert_eq!(closes, (0..23).collect::<Vec<u64>>(), "corrupt seed {seed}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A stream killed before its first epoch boundary has already published a
 /// store (a flush wrote `MANIFEST` and a run). The day-start checkpoint
 /// makes the identical rerun a resume that takes the store over: its

@@ -1,6 +1,6 @@
 //! One ledger across the layers: a seeded day goes out as a capture
 //! (pcap and dnstap, clean and burst-damaged), comes back through
-//! `ingest_bytes`, streams into a disk store with a spill directory, and
+//! `ingest_bytes`, streams into a store with a spill directory, and
 //! is checked by `fsck`. At every boundary the identity the layer claims
 //! must hold exactly: frames and bytes in ingest, events in the stream,
 //! records in the store, bytes in the recovery scan.
@@ -11,7 +11,7 @@ use dnsnoise::core::{DailyPipeline, Miner, MinerConfig};
 use dnsnoise::ingest::{
     corrupt, framestream, ingest_bytes, pcap, CaptureFormat, IngestConfig, IngestOutput,
 };
-use dnsnoise::pdns::{fsck, BackendKind, PdnsBackend, RunStore, StoreConfig};
+use dnsnoise::pdns::{fsck, RunStore, StoreConfig};
 use dnsnoise::stream::{StreamConfig, StreamMiner};
 use dnsnoise::workload::{DayTrace, Scenario, ScenarioConfig};
 
@@ -58,11 +58,11 @@ fn assert_ingest_conserves(out: &IngestOutput, what: &str) {
     assert_eq!(report.events, out.trace.events.len() as u64, "{what}: {report}");
 }
 
-/// Streams `trace` into a disk store under `dir`, then checks the
+/// Streams `trace` into a store spilling under `dir`, then checks the
 /// stream's, the reopened store's and `fsck`'s identities against it.
 fn assert_stream_and_store_conserve(miner: &Miner, trace: &DayTrace, dir: &Path, what: &str) {
     let mut stream = StreamMiner::new(StreamConfig::default(), miner)
-        .with_store(PdnsBackend::create(BackendKind::Disk, Some(dir)));
+        .with_store(RunStore::with_config(StoreConfig::default().with_spill(dir)));
     for event in &trace.events {
         stream.push(event);
     }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dnsnoise::dns::{Record, Ttl};
 use dnsnoise::dnssec::{DnssecConfig, DnssecCostModel};
-use dnsnoise::pdns::{PdnsBackend, WildcardAggregator};
+use dnsnoise::pdns::{RunStore, WildcardAggregator};
 use dnsnoise::resolver::{Observer, ResolverSim, Served, SimConfig};
 use dnsnoise::workload::{QueryEvent, Scenario, ScenarioConfig};
 
@@ -139,7 +139,7 @@ fn check_pdns_wildcarding(scale: f64, days: u64, min_aggregated: u64, max_ratio:
     let s = scenario_at(scale);
     let gt = s.ground_truth();
     let mut sim = ResolverSim::new(SimConfig::default());
-    let mut store = PdnsBackend::default();
+    let mut store = RunStore::new();
     let mut stored = Vec::new();
     for day in 0..days {
         let trace = s.generate_day(day);

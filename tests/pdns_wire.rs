@@ -103,7 +103,7 @@ fn fpdns_storage_dwarfs_rpdns_storage() {
     let mut collector = Collector::default();
     let report = sim.day(&trace).observer(&mut collector).run();
 
-    let mut store = dnsnoise::pdns::PdnsBackend::default();
+    let mut store = dnsnoise::pdns::RunStore::new();
     for (key, _) in report.rr_stats.iter() {
         store.observe_key(key, 0);
     }
