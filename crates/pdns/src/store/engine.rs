@@ -518,8 +518,9 @@ impl RunStore {
         self.flush();
         if self.runs.len() > 1 {
             let all: Vec<usize> = (0..self.runs.len()).collect();
-            let runs = self.remove_runs(&all);
-            let merged = merge_runs(&runs);
+            // The inputs drop with the statement, so publishing never
+            // holds them next to the merged run and its image.
+            let merged = merge_runs(&self.remove_runs(&all));
             self.compactions += 1;
             self.push_run(merged);
             self.persist();

@@ -690,10 +690,20 @@ impl<'m> StreamMiner<'m> {
         });
     }
 
-    /// Closes the day: runs the final end-of-day classification, folds
-    /// the cache deltas into the day report, and returns the report
-    /// together with the simulator for the next day.
-    pub fn finish(mut self) -> (StreamReport, ResolverSim) {
+    /// Closes the day: folds the cache deltas into the day report and
+    /// drops the simulator, then closes out the store and runs the final
+    /// end-of-day classification. Returns the report together with the
+    /// closed store, which holds exactly the day's distinct records (and,
+    /// with a spill directory, is what [`RunStore::open`] reads back).
+    ///
+    /// The simulator goes first because nothing after needs it: the
+    /// final close reads only the day report's per-record table and the
+    /// tree, and by the day's end the simulator's caches, mostly one-shot
+    /// disposable answers, are the largest block the stream holds. So
+    /// the store's final merge and the last Algorithm 1 walk allocate
+    /// into what the caches freed, and `finish` never raises the live
+    /// heap above where it started.
+    pub fn finish(mut self) -> (StreamReport, RunStore) {
         self.drain(0);
         let StreamMiner {
             config,
@@ -715,12 +725,13 @@ impl<'m> StreamMiner<'m> {
             checkpoint_dir: _,
             checkpoint_error: _,
         } = self;
+        let (day_report, sim) = session.finish();
+        drop(sim);
         // Close out the store: flush and collapse to one optimized run,
         // so a spill directory holds the complete, final day image.
         store.optimize();
         let rpdns_store_error = store.io_error().map(StoreError::to_string);
         let rpdns_store = RpdnsStoreSummary::from(&store);
-        let (day_report, sim) = session.finish();
         let (distinct_names, final_findings) =
             classify(miner, &psl, &mut tree, &day_report.rr_stats);
         let mining = ground_truth.map(|gt| {
@@ -755,7 +766,7 @@ impl<'m> StreamMiner<'m> {
             peak_state_bytes: state.state_bytes(&day_report.rr_stats),
             day_report,
         };
-        (report, sim)
+        (report, store)
     }
 }
 
@@ -844,24 +855,66 @@ mod tests {
     }
 
     #[test]
-    fn cache_state_carries_across_days() {
-        let s = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.03), 17);
+    fn finish_returns_the_closed_day_store() {
+        let s = scenario(21);
         let miner = trained_miner(&s);
-        let run_day = |sim: ResolverSim, day: u64| {
-            let mut stream = StreamMiner::with_sim(StreamConfig::default(), &miner, sim, day)
-                .ground_truth(s.ground_truth());
-            for event in &s.generate_day(day).events {
+        let trace = s.generate_day(1);
+        let dir =
+            std::env::temp_dir().join(format!("dnsnoise-stream-closed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for spill in [None, Some(&dir)] {
+            let config = dnsnoise_pdns::StoreConfig { spill: spill.cloned(), ..Default::default() };
+            let mut stream = StreamMiner::new(StreamConfig::default(), &miner)
+                .with_store(RunStore::with_config(config.clone()));
+            for event in &trace.events {
                 stream.push(event);
             }
-            stream.finish()
+            let (report, store) = stream.finish();
+            // Exactly the day table, every row first seen today.
+            let table = &report.day_report.rr_stats;
+            assert!(!table.is_empty());
+            assert_eq!(store.len(), table.len());
+            for (key, _) in table.iter() {
+                assert_eq!(store.first_seen(key), Some(1), "{key:?}");
+            }
+            // With a directory, the store is what a reopen reads back.
+            if spill.is_some() {
+                let reopened = RunStore::open(&dir, config).unwrap();
+                assert_eq!(reopened.len(), store.len());
+                assert_eq!(reopened.per_day(), store.per_day());
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cache_state_carries_across_days() {
+        // A cluster warmed by day 1's replay streams day 2 exactly as the
+        // batch replay of day 2 on an equally warm cluster does.
+        let s = Scenario::new(ScenarioConfig::paper_epoch(1.0).with_scale(0.03), 17);
+        let miner = trained_miner(&s);
+        let day2 = s.generate_day(2);
+        let warm = || {
+            let mut sim = ResolverSim::new(SimConfig::default());
+            let _ = sim.day(&s.generate_day(1)).run();
+            sim
         };
-        let (day1, sim) = run_day(ResolverSim::new(SimConfig::default()), 1);
-        let (day2, _) = run_day(sim, 2);
-        assert!(day1.conserves() && day2.conserves());
-        assert_eq!(day1.day, 1);
-        assert_eq!(day2.day, 2);
-        // Warm caches on day 2: repeat queries hit below without going above.
-        assert!(day2.day_report.above_total() < day2.day_report.below_total());
+        let stream_day2 = |sim: ResolverSim| {
+            let mut stream = StreamMiner::with_sim(StreamConfig::default(), &miner, sim, 2)
+                .ground_truth(s.ground_truth());
+            for event in &day2.events {
+                stream.push(event);
+            }
+            stream.finish().0
+        };
+        let warmed = stream_day2(warm());
+        let expected = warm().day(&day2).ground_truth(s.ground_truth()).run();
+        assert!(warmed.conserves(), "{}", warmed.conservation_line());
+        assert_eq!(warmed.day, 2);
+        assert_eq!(warmed.day_report, expected);
+        // Warm caches on day 2: fewer queries go above than on a cold cluster.
+        let cold = stream_day2(ResolverSim::new(SimConfig::default()));
+        assert!(warmed.day_report.above_total() < cold.day_report.above_total());
     }
 
     #[test]

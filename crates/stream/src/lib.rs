@@ -35,8 +35,10 @@
 //! for event in &s.generate_day(1).events {
 //!     stream.push(event); // one event at a time
 //! }
-//! let (report, _sim) = stream.finish();
+//! // The closed rpDNS store comes back too: the day's distinct records.
+//! let (report, store) = stream.finish();
 //! assert!(report.conserves());
+//! assert_eq!(store.len(), report.day_report.rr_stats.len());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -96,7 +96,8 @@ fn run(o: &Opts) -> Result<(), String> {
     // Close out: render, store summary, and every latched persistence
     // failure surfaced as a non-zero exit.
     let checkpoint_error = stream.checkpoint_error().map(ToString::to_string);
-    let (report, _sim) = stream.finish();
+    // The closed store is done with: a spill directory already holds it.
+    let (report, _) = stream.finish();
     if o.store_reported() {
         eprintln!("{}", o.store_summary_line(&report.rpdns_store));
     }
