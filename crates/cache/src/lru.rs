@@ -1,12 +1,12 @@
 //! TTL-aware LRU record cache with priority classes and eviction accounting.
 //!
 //! A cache's `capacity` bounds its entries and decides its evictions; it
-//! reserves nothing. The slab, the recency lists and the key index all
-//! grow with the entries the cache holds, so a 50,000-entry member that a
-//! day fills with a few thousand keys costs what those keys cost, not the
-//! ≈ 2 MiB a full-capacity index would (`tests/heap.rs` pins it).
+//! reserves nothing. The slab, the recency lists and the index of slot
+//! numbers all grow with the entries the cache holds, and the key is held
+//! once, in the slab: a 50,000-entry member that a day fills with a few
+//! thousand keys costs what those keys cost (`tests/heap.rs` pins it).
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -203,8 +203,12 @@ fn live_ttl(answers: &[Record]) -> Option<Ttl> {
     answers.iter().map(|r| r.ttl).min().filter(|ttl| !ttl.is_zero())
 }
 
-/// "No slot": the end of a recency list or of the free chain.
+/// "No slot": the end of a recency list or of the free chain, and an
+/// index cell that holds no slot number.
 const NIL: u32 = u32::MAX;
+
+/// The index's length when the first insert grows it.
+const MIN_CELLS: usize = 16;
 
 #[derive(Debug)]
 struct Entry {
@@ -238,21 +242,29 @@ impl RecencyList {
 
 /// A TTL-aware LRU cache of DNS answer sets with a fixed entry capacity.
 ///
-/// Entries live in a slab; `index` maps a key to its slot, and every
-/// occupied slot sits on one of two doubly linked recency lists — one per
-/// [`InsertPriority`] — threaded through the slab by slot number. An
-/// insert or a live hit moves the slot to its list's tail, so each list
-/// is always in least-to-most-recently-used order and its head is the
-/// eviction victim: a hit costs one hash probe and a constant number of
-/// link updates, and so does a refresh of an expired entry through its
-/// [`Miss`]. Low-priority entries are always the first victims under
-/// capacity pressure. Lookups on expired entries count as misses
+/// Entries live in a slab that holds each key once; `index` is an
+/// open-addressing table of slot numbers, probed linearly from the key's
+/// hash and compared through the slab, and every occupied slot sits on
+/// one of two doubly linked recency lists — one per [`InsertPriority`] —
+/// threaded through the slab by slot number. An insert or a live hit
+/// moves the slot to its list's tail, so each list is always in
+/// least-to-most-recently-used order and its head is the eviction victim:
+/// a hit costs one hash probe and a constant number of link updates, and
+/// so does a refresh of an expired entry through its [`Miss`].
+/// Low-priority entries are always the first victims under capacity
+/// pressure. Lookups on expired entries count as misses
 /// ([`CacheStats::expired`]) and remove the entry unless it is refilled,
 /// matching resolver behaviour.
 #[derive(Debug)]
 pub struct TtlLru {
     capacity: usize,
-    index: HashMap<CacheKey, u32, SeededState>,
+    /// Occupied slot numbers, or [`NIL`]: a power-of-two length of at
+    /// least twice `len`, or none before the first insert. A removal
+    /// shifts the rest of its probe run back, so no cell is a tombstone.
+    index: Vec<u32>,
+    hasher: SeededState,
+    /// Occupied slots, which is also the index's occupied cells.
+    len: usize,
     slots: Vec<Slot>,
     /// First vacant slot, chained through `Slot::next`.
     free: u32,
@@ -285,7 +297,9 @@ impl TtlLru {
         assert!(capacity < NIL as usize, "cache capacity must fit 32-bit slot numbers");
         TtlLru {
             capacity,
-            index: HashMap::with_hasher(SeededState::default()),
+            index: Vec::new(),
+            hasher: SeededState::default(),
+            len: 0,
             slots: Vec::new(),
             free: NIL,
             recency: [RecencyList::EMPTY; 2],
@@ -300,12 +314,12 @@ impl TtlLru {
 
     /// Current number of cached entries (live or not-yet-collected expired).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Returns `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Accumulated counters.
@@ -341,7 +355,7 @@ impl TtlLru {
         now: Timestamp,
         stale_window: Ttl,
     ) -> Lookup<'a> {
-        let Some(&id) = self.index.get(key) else {
+        let Some(id) = self.find(key) else {
             self.stats.misses += 1;
             return Lookup::Miss(Miss { cache: self, key, slot: NIL, stale: None });
         };
@@ -364,7 +378,8 @@ impl TtlLru {
     /// Drops every entry while keeping the accumulated counters — a
     /// member process restarting with a cold cache after a crash.
     pub fn clear_entries(&mut self) {
-        self.index.clear();
+        self.index.fill(NIL);
+        self.len = 0;
         self.slots.clear();
         self.free = NIL;
         self.recency = [RecencyList::EMPTY; 2];
@@ -388,7 +403,7 @@ impl TtlLru {
         let Some(ttl) = live_ttl(&answers) else {
             return Vec::new();
         };
-        let slot = self.index.get(&key).copied().unwrap_or(NIL);
+        let slot = self.find(&key).unwrap_or(NIL);
         self.store(slot, &key, answers, now, ttl, priority)
     }
 
@@ -419,16 +434,103 @@ impl TtlLru {
             return Vec::new();
         }
         let mut evicted = Vec::new();
-        while self.index.len() >= self.capacity {
+        while self.len >= self.capacity {
             match self.evict_one(now) {
                 Some(e) => evicted.push(e),
                 None => break,
             }
         }
         let id = self.occupy(Entry { key: key.clone(), answers, expires, priority });
-        self.index.insert(key.clone(), id);
+        self.index_slot(id);
         self.push_tail(id, priority);
         evicted
+    }
+
+    /// The index cell of `key`'s slot, or the empty cell where it would
+    /// go; `None` before the first insert.
+    fn probe(&self, key: &CacheKey) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut cell = self.home(key, mask);
+        loop {
+            let id = self.index[cell];
+            if id == NIL {
+                return Some(cell);
+            }
+            let held = &occupied(&self.slots, id).key;
+            if held.qtype == key.qtype && held.name == key.name {
+                return Some(cell);
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// The slot holding `key`, if the cache holds it.
+    fn find(&self, key: &CacheKey) -> Option<u32> {
+        let id = self.index[self.probe(key)?];
+        (id != NIL).then_some(id)
+    }
+
+    /// The cell `key` hashes to in an index of `mask + 1` cells.
+    fn home(&self, key: &CacheKey, mask: usize) -> usize {
+        self.hasher.hash_one(key) as usize & mask
+    }
+
+    /// Enters occupied slot `id`, whose key the index does not hold, into
+    /// the index, or doubles an index it would pass half full, which
+    /// enters it with the rest.
+    fn index_slot(&mut self, id: u32) {
+        self.len += 1;
+        if self.len * 2 > self.index.len() {
+            return self.grow();
+        }
+        let cell = self.probe(&occupied(&self.slots, id).key).expect("the index has cells");
+        self.index[cell] = id;
+    }
+
+    /// Doubles the index and enters every occupied slot again.
+    fn grow(&mut self) {
+        let cells = (self.index.len() * 2).max(MIN_CELLS);
+        self.index.clear();
+        self.index.resize(cells, NIL);
+        let mask = cells - 1;
+        for (id, slot) in self.slots.iter().enumerate() {
+            let Some(entry) = &slot.entry else { continue };
+            let mut cell = self.home(&entry.key, mask);
+            while self.index[cell] != NIL {
+                cell = (cell + 1) & mask;
+            }
+            self.index[cell] = id as u32;
+        }
+    }
+
+    /// Takes slot `id`, still occupied, out of the index: its cell is
+    /// found by probing from its key's home for the slot number, and each
+    /// later cell of the probe run whose home allows it shifts back into
+    /// the hole, so every key stays reachable from its home without a
+    /// tombstone.
+    fn unindex_slot(&mut self, id: u32) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(&occupied(&self.slots, id).key, mask);
+        while self.index[hole] != id {
+            hole = (hole + 1) & mask;
+        }
+        let mut cell = hole;
+        loop {
+            cell = (cell + 1) & mask;
+            let next = self.index[cell];
+            if next == NIL {
+                break;
+            }
+            // `next` may fill the hole when the hole lies on its probe
+            // path: no further from its home than `cell` is.
+            let home = self.home(&occupied(&self.slots, next).key, mask);
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.index[hole] = next;
+                hole = cell;
+            }
+        }
+        self.index[hole] = NIL;
+        self.len -= 1;
     }
 
     /// Evicts the least recently used entry, preferring the low-priority
@@ -461,15 +563,15 @@ impl TtlLru {
         id
     }
 
-    /// Takes the entry out of slot `id`: off its list, out of the index,
+    /// Takes the entry out of slot `id`: out of the index, off its list,
     /// the slot onto the free chain.
     fn remove_slot(&mut self, id: u32) -> Entry {
+        self.unindex_slot(id);
         let entry =
             self.slots[id as usize].entry.take().expect("an indexed or listed slot is occupied");
         self.unlink(id, entry.priority);
         self.slots[id as usize].next = self.free;
         self.free = id;
-        self.index.remove(&entry.key);
         entry
     }
 
@@ -734,6 +836,66 @@ mod tests {
         assert_eq!(c.stats().hits, 1, "a cold restart must not reset accounting");
         assert_eq!(c.stats().inserts, 1);
         assert!(c.get(&key("a.com"), t(2)).is_none());
+    }
+
+    /// Checks the index against the slab: one cell per occupied slot, each
+    /// reachable from its key's home without crossing an empty cell.
+    /// Returns how many keys sit past their home (in a collided run).
+    fn check_index(c: &TtlLru) -> usize {
+        let mask = c.index.len().wrapping_sub(1);
+        let mut displaced = 0;
+        let mut cells = 0;
+        for (cell, &id) in c.index.iter().enumerate() {
+            if id == NIL {
+                continue;
+            }
+            cells += 1;
+            let key = &occupied(&c.slots, id).key;
+            let mut at = c.home(key, mask);
+            if at != cell {
+                displaced += 1;
+            }
+            while at != cell {
+                assert_ne!(c.index[at], NIL, "an empty cell cuts slot {id} off its home");
+                at = (at + 1) & mask;
+            }
+            assert_eq!(c.find(key), Some(id));
+        }
+        let occupied_slots = c.slots.iter().filter(|s| s.entry.is_some()).count();
+        assert_eq!((cells, c.len()), (occupied_slots, occupied_slots));
+        assert!(c.index.is_empty() || c.len() * 2 <= c.index.len(), "index over half full");
+        displaced
+    }
+
+    #[test]
+    fn the_index_stays_whole_through_growth_and_removals() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(49);
+        let mut c = TtlLru::new(300);
+        let names: Vec<String> = (0..1_024).map(|i| format!("n{i}.example.com")).collect();
+        let (mut displaced, mut removals) = (0, 0);
+        for step in 0..10_000u64 {
+            let name = &names[rng.gen_range(0..names.len())];
+            let now = t(step / 4);
+            match rng.gen_range(0..10u32) {
+                // Lookups drop their misses: an expired entry goes.
+                0..=3 => {
+                    let before = c.len();
+                    drop(c.get(&key(name), now));
+                    removals += before - c.len();
+                }
+                4 if step == 5_000 => c.clear_entries(),
+                _ => {
+                    let ttl = rng.gen_range(1..200);
+                    removals +=
+                        c.insert(key(name), vec![rr(name, ttl)], now, InsertPriority::Normal).len();
+                }
+            }
+            displaced = displaced.max(check_index(&c));
+        }
+        // 300 entries need 1,024 cells: six doublings from 16.
+        assert_eq!(c.index.len(), 1_024);
+        assert!(displaced > 0 && removals > 1_000, "{displaced} displaced, {removals} removals");
     }
 
     #[test]

@@ -84,9 +84,11 @@ fn a_cache_holds_heap_in_proportion_to_its_entries() {
         cache
     });
     assert_eq!(cache.len(), ENTRIES);
-    // About 130 B an entry (a 64-byte slot, a 32-byte index bucket, each
-    // table at most twice its entries); a 50,000-entry index reserved up
-    // front was ≈ 2 MiB on its own.
+    // A 64-byte slot in a slab at most twice its entries, and a 4-byte
+    // index cell in a table between a quarter and half full: 73 B an
+    // entry at 1,000 (1,024 slots and 2,048 cells). An index that copied
+    // each key into a 32-byte bucket held ≈ 130 B, and a 50,000-entry
+    // one reserved up front ≈ 2 MiB on its own.
     let per_entry = held / ENTRIES as i64;
-    assert!(per_entry <= 256, "{ENTRIES} entries hold {held} B ({per_entry} B each)");
+    assert!(per_entry <= 80, "{ENTRIES} entries hold {held} B ({per_entry} B each)");
 }

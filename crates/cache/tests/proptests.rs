@@ -20,16 +20,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn key(i: u8) -> CacheKey {
+fn key(i: impl Into<u16>) -> CacheKey {
+    let i = i.into();
     CacheKey::new(format!("d{i}.example.com").parse().unwrap(), QType::A)
 }
 
-fn rr(i: u8, ttl: u32) -> Record {
+fn rr(i: impl Into<u16>, ttl: u32) -> Record {
+    let i = i.into();
+    let [hi, lo] = i.to_be_bytes();
     Record::new(
         format!("d{i}.example.com").parse().unwrap(),
         QType::A,
         Ttl::from_secs(ttl),
-        RData::A(Ipv4Addr::new(10, 0, 0, i)),
+        RData::A(Ipv4Addr::new(10, 0, hi, lo)),
     )
 }
 
@@ -61,14 +64,14 @@ struct NaiveLru {
 }
 
 struct NaiveEntry {
-    key: u8,
+    key: u16,
     answers: Vec<Record>,
     expires: u64,
     low: bool,
 }
 
 impl NaiveLru {
-    fn lookup(&mut self, key: u8, now: u64, stale_window: u64) -> Offer {
+    fn lookup(&mut self, key: u16, now: u64, stale_window: u64) -> Offer {
         let Some(at) = self.entries.iter().position(|e| e.key == key) else {
             self.stats.misses += 1;
             return Offer::Nothing;
@@ -88,7 +91,7 @@ impl NaiveLru {
         Offer::Fresh(answers)
     }
 
-    fn insert(&mut self, key: u8, ttl: u32, now: u64, low: bool) -> Vec<(CacheKey, EvictionKind)> {
+    fn insert(&mut self, key: u16, ttl: u32, now: u64, low: bool) -> Vec<(CacheKey, EvictionKind)> {
         if ttl == 0 {
             return Vec::new();
         }
@@ -123,20 +126,20 @@ impl NaiveLru {
 enum ModelOp {
     /// A lookup whose miss, if any, is dropped unfilled.
     Lookup {
-        key: u8,
+        key: u16,
         at: u64,
         stale_window: u64,
     },
     /// A lookup whose miss, if any, is filled: a resolver's refresh.
     Refill {
-        key: u8,
+        key: u16,
         at: u64,
         stale_window: u64,
         ttl: u32,
         low: bool,
     },
     Insert {
-        key: u8,
+        key: u16,
         ttl: u32,
         at: u64,
         low: bool,
@@ -149,28 +152,38 @@ enum ModelOp {
 /// refills, stale serves, zero-TTL refills and both eviction kinds all
 /// occur at capacities of a handful.
 fn arb_model_op() -> impl Strategy<Value = ModelOp> {
-    let window = || prop_oneof![Just(0u64), Just(0u64), 1u64..30];
-    let ttl = || prop_oneof![0u32..40, Just(10u32)];
-    prop_oneof![
-        (0u8..8, 0u64..60, window()).prop_map(|(key, at, stale_window)| ModelOp::Lookup {
-            key,
-            at,
-            stale_window
-        }),
-        (0u8..8, 0u64..60, window(), ttl(), any::<bool>()).prop_map(
-            |(key, at, stale_window, ttl, low)| ModelOp::Refill { key, at, stale_window, ttl, low }
-        ),
-        (0u8..8, 0u64..60, window(), ttl(), any::<bool>()).prop_map(
-            |(key, at, stale_window, ttl, low)| ModelOp::Refill { key, at, stale_window, ttl, low }
-        ),
-        (0u8..8, ttl(), 0u64..60, any::<bool>()).prop_map(|(key, ttl, at, low)| ModelOp::Insert {
-            key,
-            ttl,
-            at,
-            low
-        }),
-        Just(ModelOp::Clear),
-    ]
+    model_op(0u16..8, [1, 2, 1, 1])
+}
+
+/// Ops over 1,024 names, a sixteenth of them hot so that lookups still
+/// hit, mostly inserts and refills: enough distinct keys stay cached for
+/// the index to double again and again, while lookups of expired
+/// entries, evictions, unfilled misses and a rare clear take keys out of
+/// the middle of its probe runs.
+fn arb_wide_op() -> impl Strategy<Value = ModelOp> {
+    model_op(prop_oneof![0u16..64, 0u16..1_024], [100, 100, 299, 1])
+}
+
+/// One op over the keys `keys` draws, of each kind — lookup, refill,
+/// insert, clear — in the proportions `weights` gives them.
+fn model_op(keys: impl Strategy<Value = u16>, weights: [u32; 4]) -> impl Strategy<Value = ModelOp> {
+    let window = prop_oneof![Just(0u64), Just(0u64), 1u64..30];
+    let ttl = prop_oneof![0u32..40, Just(10u32)];
+    let total = weights.iter().sum::<u32>();
+    (0..total, keys, 0u64..60, window, ttl, any::<bool>()).prop_map(
+        move |(draw, key, at, stale_window, ttl, low)| {
+            let mut bounds = weights.iter().scan(0, |sum, &w| {
+                *sum += w;
+                Some(*sum)
+            });
+            match bounds.position(|bound| draw < bound) {
+                Some(0) => ModelOp::Lookup { key, at, stale_window },
+                Some(1) => ModelOp::Refill { key, at, stale_window, ttl, low },
+                Some(2) => ModelOp::Insert { key, ttl, at, low },
+                _ => ModelOp::Clear,
+            }
+        },
+    )
 }
 
 fn priority(low: bool) -> InsertPriority {
@@ -182,17 +195,24 @@ fn priority(low: bool) -> InsertPriority {
 }
 
 proptest! {
-    /// The index-linked recency lists and the in-place refill are
-    /// observably the naive remove-then-insert cache: identical lookup
-    /// offers, eviction lists (key and kind, in order), length and
-    /// counters after every operation, over both priorities.
+    /// The index-linked recency lists, the slot-number index and the
+    /// in-place refill are observably the naive remove-then-insert cache:
+    /// identical lookup offers, eviction lists (key and kind, in order),
+    /// length and counters after every operation, over both priorities.
+    /// Half the cases crowd a handful of keys into a cache of a handful
+    /// of entries; the other half run up to 1,500 ops over 1,024 names
+    /// into a cache of up to 512, through at least three doublings of
+    /// the index.
     #[test]
     fn recency_lists_match_the_naive_model(
-        cap in 1usize..6,
-        ops in proptest::collection::vec(arb_model_op(), 0..300),
+        (cap, ops) in prop_oneof![
+            (1usize..6, proptest::collection::vec(arb_model_op(), 0..300)),
+            (40usize..513, proptest::collection::vec(arb_wide_op(), 600..1_500)),
+        ],
     ) {
         let mut cache = TtlLru::new(cap);
         let mut model = NaiveLru { capacity: cap, entries: Vec::new(), stats: CacheStats::default() };
+        let mut most = 0;
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 ModelOp::Lookup { key: k, at, stale_window } => {
@@ -233,10 +253,14 @@ proptest! {
             }
             prop_assert_eq!(cache.len(), model.entries.len(), "step {}", step);
             prop_assert_eq!(cache.stats(), &model.stats, "step {}", step);
+            most = most.max(model.entries.len());
         }
+        // From 16 cells, the index doubles for the 9th, 17th and 33rd
+        // entry held.
+        prop_assert!(cap < 33 || most >= 33, "{} entries at most in a cache of {}", most, cap);
         // Drain what is left through evictions: the full recency order of
         // both lists must agree, not only the victims met along the way.
-        for k in 100..100 + cap as u8 {
+        for k in 2_000..2_000 + cap as u16 {
             let got = cache.insert(key(k), vec![rr(k, 1)], Timestamp::from_secs(1_000), InsertPriority::Normal);
             prop_assert_eq!(got, model.insert(k, 1, 1_000, false), "drain {}", k);
         }

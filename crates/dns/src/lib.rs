@@ -51,6 +51,6 @@ pub use message::{Message, Opcode, Question, Rcode};
 pub use name::{
     fnv1a, splitmix_finalize, LabelIter, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN,
 };
-pub use record::{QType, RData, Record, RrKey, UnknownQType};
+pub use record::{QType, RData, Record, RrKey, Soa, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{StampWindow, Timestamp, Ttl, SECS_PER_DAY, STAMP_NEIGHBORS};

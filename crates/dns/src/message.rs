@@ -200,8 +200,8 @@ impl Message {
     /// SOA is present.
     pub fn negative_ttl(&self) -> Option<crate::Ttl> {
         self.authority.iter().find_map(|rr| match &rr.rdata {
-            crate::RData::Soa { minimum, .. } => {
-                Some(crate::Ttl::from_secs((*minimum).min(rr.ttl.as_secs())))
+            crate::RData::Soa(soa) => {
+                Some(crate::Ttl::from_secs(soa.minimum.min(rr.ttl.as_secs())))
             }
             _ => None,
         })
@@ -211,7 +211,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RData;
+    use crate::record::{RData, Soa};
     use crate::time::Ttl;
 
     fn q() -> Question {
@@ -240,7 +240,7 @@ mod tests {
             "example.com".parse().unwrap(),
             QType::Soa,
             Ttl::from_secs(3_600),
-            RData::Soa {
+            RData::Soa(Box::new(Soa {
                 mname: "ns1.example.com".parse().unwrap(),
                 rname: "hostmaster.example.com".parse().unwrap(),
                 serial: 2011113001,
@@ -248,7 +248,7 @@ mod tests {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 900,
-            },
+            })),
         );
         let m = Message::negative_response(5, q(), soa);
         assert!(m.rcode.is_nxdomain());

@@ -140,6 +140,13 @@ impl FromStr for QType {
 }
 
 /// Record data (the paper's `RDATA`).
+///
+/// 24 bytes, the size of its largest inline variant ([`RData::Mx`]): a
+/// start of authority, a text payload and an opaque payload are held
+/// behind one pointer each, so the records of every cached answer set
+/// and every row of the day's record table pay for a name, not for an
+/// SOA's two names and five counters. Hash, order, `Display` and every
+/// codec see the same fields as inline payloads would give them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum RData {
     /// An IPv4 address.
@@ -153,7 +160,7 @@ pub enum RData {
     /// A reverse-mapping target.
     Ptr(Name),
     /// Free-form text (bounded at 255 bytes by the wire codec).
-    Txt(String),
+    Txt(Box<str>),
     /// A mail exchanger: preference and target.
     Mx {
         /// Lower values are preferred.
@@ -164,25 +171,29 @@ pub enum RData {
     /// A start-of-authority record. Negative (NXDOMAIN) responses carry
     /// one in the authority section; its `minimum` bounds the negative
     /// TTL (RFC 2308).
-    Soa {
-        /// Primary name server.
-        mname: Name,
-        /// Responsible mailbox, encoded as a name.
-        rname: Name,
-        /// Zone serial.
-        serial: u32,
-        /// Refresh interval in seconds.
-        refresh: u32,
-        /// Retry interval in seconds.
-        retry: u32,
-        /// Expiry in seconds.
-        expire: u32,
-        /// Minimum / negative-caching TTL in seconds.
-        minimum: u32,
-    },
+    Soa(Box<Soa>),
     /// Opaque data carried for types without structured decoding
     /// (DNSSEC payloads in this model).
-    Opaque(Vec<u8>),
+    Opaque(Box<[u8]>),
+}
+
+/// The fields of a start-of-authority record ([`RData::Soa`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Soa {
+    /// Primary name server.
+    pub mname: Name,
+    /// Responsible mailbox, encoded as a name.
+    pub rname: Name,
+    /// Zone serial.
+    pub serial: u32,
+    /// Refresh interval in seconds.
+    pub refresh: u32,
+    /// Retry interval in seconds.
+    pub retry: u32,
+    /// Expiry in seconds.
+    pub expire: u32,
+    /// Minimum / negative-caching TTL in seconds.
+    pub minimum: u32,
 }
 
 impl RData {
@@ -197,7 +208,7 @@ impl RData {
             RData::Ptr(_) => QType::Ptr,
             RData::Txt(_) => QType::Txt,
             RData::Mx { .. } => QType::Mx,
-            RData::Soa { .. } => QType::Soa,
+            RData::Soa(_) => QType::Soa,
             RData::Opaque(_) => return None,
         })
     }
@@ -211,9 +222,7 @@ impl RData {
             RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => n.presentation_len(),
             RData::Txt(s) => s.len(),
             RData::Mx { exchange, .. } => 2 + exchange.presentation_len(),
-            RData::Soa { mname, rname, .. } => {
-                mname.presentation_len() + rname.presentation_len() + 20
-            }
+            RData::Soa(soa) => soa.mname.presentation_len() + soa.rname.presentation_len() + 20,
             RData::Opaque(b) => b.len(),
         }
     }
@@ -229,7 +238,8 @@ impl fmt::Display for RData {
             RData::Ptr(n) => write!(f, "{n}"),
             RData::Txt(s) => write!(f, "{s:?}"),
             RData::Mx { preference, exchange } => write!(f, "{preference} {exchange}"),
-            RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+            RData::Soa(soa) => {
+                let Soa { mname, rname, serial, refresh, retry, expire, minimum } = &**soa;
                 write!(f, "{mname} {rname} {serial} {refresh} {retry} {expire} {minimum}")
             }
             RData::Opaque(b) => write!(f, "opaque({} bytes)", b.len()),
@@ -345,7 +355,7 @@ mod tests {
     fn rdata_qtype_matches_variant() {
         assert_eq!(RData::A(Ipv4Addr::LOCALHOST).qtype(), Some(QType::A));
         assert_eq!(RData::Cname(name("a.b")).qtype(), Some(QType::Cname));
-        assert_eq!(RData::Opaque(vec![1, 2]).qtype(), None);
+        assert_eq!(RData::Opaque(Box::new([1, 2])).qtype(), None);
     }
 
     #[test]
@@ -394,6 +404,24 @@ mod tests {
             RData::A(Ipv4Addr::new(127, 0, 0, 1)),
         );
         assert_eq!(r.to_string(), "x.com 60 IN A 127.0.0.1");
+    }
+
+    #[test]
+    fn records_and_keys_are_48_bytes() {
+        // Every cached answer set holds its records, every row of the
+        // day's record table and every memtable entry holds a key: each
+        // pays for the largest inline `RData` variant.
+        assert_eq!(std::mem::size_of::<RData>(), 24, "RData grew: every cached record pays for it");
+        assert_eq!(
+            std::mem::size_of::<Record>(),
+            48,
+            "Record grew: every record of every cached answer set pays for it"
+        );
+        assert_eq!(
+            std::mem::size_of::<RrKey>(),
+            48,
+            "RrKey grew: every day-table row and memtable key pays for it"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::message::{Message, Opcode, Question, Rcode};
 use crate::name::{Name, NameBuilder, NameParseError};
-use crate::record::{QType, RData, Record};
+use crate::record::{QType, RData, Record, Soa};
 use crate::time::Ttl;
 
 /// Errors raised while encoding or decoding wire format.
@@ -284,7 +284,8 @@ impl Encoder {
                 out.extend_from_slice(&preference.to_be_bytes());
                 self.write_name(out, base, exchange);
             }
-            RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+            RData::Soa(soa) => {
+                let Soa { mname, rname, serial, refresh, retry, expire, minimum } = &**soa;
                 self.write_name(out, base, mname);
                 self.write_name(out, base, rname);
                 for field in [serial, refresh, retry, expire, minimum] {
@@ -615,7 +616,7 @@ impl<'a> Cursor<'a> {
                 }
                 let s = self.slice(slen)?;
                 let text = std::str::from_utf8(s).map_err(|_| WireError::BadRdata)?;
-                RData::Txt(text.to_owned())
+                RData::Txt(text.into())
             }
             QType::Mx => {
                 if rdlen < 3 {
@@ -634,7 +635,7 @@ impl<'a> Cursor<'a> {
                 if rd_end.saturating_sub(self.pos) != 20 {
                     return Err(WireError::BadRdata);
                 }
-                RData::Soa {
+                RData::Soa(Box::new(Soa {
                     mname,
                     rname,
                     serial: self.u32()?,
@@ -642,9 +643,9 @@ impl<'a> Cursor<'a> {
                     retry: self.u32()?,
                     expire: self.u32()?,
                     minimum: self.u32()?,
-                }
+                }))
             }
-            QType::Rrsig | QType::Dnskey | QType::Ds => RData::Opaque(self.slice(rdlen)?.to_vec()),
+            QType::Rrsig | QType::Dnskey | QType::Ds => RData::Opaque(self.slice(rdlen)?.into()),
         };
         Ok(Record { name, qtype, ttl, rdata })
     }
@@ -761,7 +762,7 @@ mod tests {
                 name("s.test"),
                 QType::Rrsig,
                 Ttl::from_secs(8),
-                RData::Opaque(vec![1, 2, 3, 4]),
+                RData::Opaque(Box::new([1, 2, 3, 4])),
             ),
         ];
         let msg =
@@ -776,7 +777,7 @@ mod tests {
             name("example.com"),
             QType::Soa,
             Ttl::from_secs(3_600),
-            RData::Soa {
+            RData::Soa(Box::new(Soa {
                 mname: name("ns1.example.com"),
                 rname: name("hostmaster.example.com"),
                 serial: 2011113001,
@@ -784,7 +785,7 @@ mod tests {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 900,
-            },
+            })),
         );
         let msg =
             Message::negative_response(3, Question::new(name("gone.example.com"), QType::A), soa);
@@ -802,7 +803,7 @@ mod tests {
             name("example.com"),
             QType::Soa,
             Ttl::from_secs(60),
-            RData::Soa {
+            RData::Soa(Box::new(Soa {
                 mname: name("ns1.example.com"),
                 rname: name("h.example.com"),
                 serial: 1,
@@ -810,7 +811,7 @@ mod tests {
                 retry: 3,
                 expire: 4,
                 minimum: 5,
-            },
+            })),
         );
         let msg =
             Message::negative_response(3, Question::new(name("x.example.com"), QType::A), soa);
@@ -962,7 +963,12 @@ mod tests {
             1,
             Question::new(name("q.test"), QType::Txt),
             Rcode::NoError,
-            vec![Record::new(name("q.test"), QType::Txt, Ttl::ZERO, RData::Txt("x".repeat(300)))],
+            vec![Record::new(
+                name("q.test"),
+                QType::Txt,
+                Ttl::ZERO,
+                RData::Txt("x".repeat(300).into()),
+            )],
         );
         assert_eq!(encode(&msg), Err(WireError::TxtTooLong(300)));
     }
@@ -979,7 +985,12 @@ mod tests {
         // Pointers count from the message's first byte, not the buffer's.
         assert_eq!(decode(&out[6..]).unwrap(), msg);
         let len = out.len();
-        let txt = [Record::new(name("q.test"), QType::Txt, Ttl::ZERO, RData::Txt("x".repeat(256)))];
+        let txt = [Record::new(
+            name("q.test"),
+            QType::Txt,
+            Ttl::ZERO,
+            RData::Txt("x".repeat(256).into()),
+        )];
         let err = enc.append(&mut out, header, &q.name, QType::Txt, &txt, &[]);
         assert_eq!(err, Err(WireError::TxtTooLong(256)));
         assert_eq!(out.len(), len, "a failed message leaves nothing behind");
@@ -997,8 +1008,12 @@ mod tests {
         };
         // Header 12, root question 5, root owner and fixed fields 11.
         let pad = at - 12 - 5 - 11;
-        let padding =
-            Record::new(Name::root(), QType::Rrsig, Ttl::from_secs(1), RData::Opaque(vec![0; pad]));
+        let padding = Record::new(
+            Name::root(),
+            QType::Rrsig,
+            Ttl::from_secs(1),
+            RData::Opaque(vec![0; pad].into()),
+        );
         let msg = Message::response(
             1,
             Question::new(Name::root(), QType::A),

@@ -26,11 +26,11 @@ fn arb_rdata() -> impl Strategy<Value = (QType, RData)> {
         arb_name().prop_map(|n| (QType::Ptr, RData::Ptr(n))),
         proptest::string::string_regex("[ -~]{1,40}")
             .unwrap()
-            .prop_map(|s| (QType::Txt, RData::Txt(s))),
+            .prop_map(|s| (QType::Txt, RData::Txt(s.into()))),
         (any::<u16>(), arb_name())
             .prop_map(|(p, n)| (QType::Mx, RData::Mx { preference: p, exchange: n })),
         proptest::collection::vec(any::<u8>(), 0..64)
-            .prop_map(|b| (QType::Rrsig, RData::Opaque(b))),
+            .prop_map(|b| (QType::Rrsig, RData::Opaque(b.into()))),
     ]
 }
 

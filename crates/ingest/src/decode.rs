@@ -128,7 +128,7 @@ fn rdata_name_depth_zero(rr: &Record) -> bool {
     match &rr.rdata {
         RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => zero(n),
         RData::Mx { exchange, .. } => zero(exchange),
-        RData::Soa { mname, rname, .. } => zero(mname) || zero(rname),
+        RData::Soa(soa) => zero(&soa.mname) || zero(&soa.rname),
         RData::A(_) | RData::Aaaa(_) | RData::Txt(_) | RData::Opaque(_) => false,
     }
 }

@@ -93,14 +93,14 @@ fn encode_record<'m>(
             put_u16(buf, *preference);
             compressor.encode_name(buf, exchange);
         }
-        RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
-            compressor.encode_name(buf, mname);
-            compressor.encode_name(buf, rname);
-            put_u32(buf, *serial);
-            put_u32(buf, *refresh);
-            put_u32(buf, *retry);
-            put_u32(buf, *expire);
-            put_u32(buf, *minimum);
+        RData::Soa(soa) => {
+            compressor.encode_name(buf, &soa.mname);
+            compressor.encode_name(buf, &soa.rname);
+            put_u32(buf, soa.serial);
+            put_u32(buf, soa.refresh);
+            put_u32(buf, soa.retry);
+            put_u32(buf, soa.expire);
+            put_u32(buf, soa.minimum);
         }
         RData::Opaque(b) => buf.extend_from_slice(b),
     }
@@ -245,7 +245,7 @@ mod tests {
     use std::net::{Ipv4Addr, Ipv6Addr};
 
     use dnsnoise_dns::wire::{self, Encoder, Header};
-    use dnsnoise_dns::{Label, Opcode, QType, Timestamp, Ttl};
+    use dnsnoise_dns::{Label, Opcode, QType, Soa, Timestamp, Ttl};
     use proptest::prelude::*;
 
     use super::*;
@@ -303,14 +303,14 @@ mod tests {
             arb_name().prop_map(|n| (QType::Cname, RData::Cname(n))),
             arb_name().prop_map(|n| (QType::Ns, RData::Ns(n))),
             arb_name().prop_map(|n| (QType::Ptr, RData::Ptr(n))),
-            arb_txt().prop_map(|s| (QType::Txt, RData::Txt(s))),
+            arb_txt().prop_map(|s| (QType::Txt, RData::Txt(s.into()))),
             (any::<u16>(), arb_name())
                 .prop_map(|(p, n)| (QType::Mx, RData::Mx { preference: p, exchange: n })),
             (arb_name(), arb_name(), any::<u32>(), any::<[u8; 16]>()).prop_map(
                 |(mname, rname, serial, more)| {
                     let field =
                         |i: usize| u32::from_be_bytes([0, 1, 2, 3].map(|k| more[4 * i + k]));
-                    let soa = RData::Soa {
+                    let soa = RData::Soa(Box::new(Soa {
                         mname,
                         rname,
                         serial,
@@ -318,12 +318,12 @@ mod tests {
                         retry: field(1),
                         expire: field(2),
                         minimum: field(3),
-                    };
+                    }));
                     (QType::Soa, soa)
                 }
             ),
             proptest::collection::vec(any::<u8>(), 0..64)
-                .prop_map(|b| (QType::Rrsig, RData::Opaque(b))),
+                .prop_map(|b| (QType::Rrsig, RData::Opaque(b.into()))),
         ]
     }
 
@@ -337,7 +337,12 @@ mod tests {
     /// name across the 16 KiB pointer window; past 65,535 bytes it is
     /// refused; and a big one makes a datagram past 65,507 bytes.
     fn padding(len: usize) -> Record {
-        Record::new(Name::root(), QType::Dnskey, Ttl::from_secs(1), RData::Opaque(vec![7; len]))
+        Record::new(
+            Name::root(),
+            QType::Dnskey,
+            Ttl::from_secs(1),
+            RData::Opaque(vec![7; len].into()),
+        )
     }
 
     /// Answers: up to 64 records (a CNAME chain when `chain`, each target

@@ -22,7 +22,7 @@
 use std::cell::RefCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey};
+use dnsnoise_dns::{Name, NameBuilder, NameParseError, QType, RData, RrKey, Soa};
 
 /// The composite key the memtable sorts on. Rust's derived tuple `Ord`
 /// is component-lexicographic, which matches the run layout's
@@ -195,7 +195,8 @@ fn encode_rdata_into(rdata: &RData, out: &mut Vec<u8>) {
             out.extend_from_slice(&preference.to_be_bytes());
             encode_name_into(exchange, out);
         }
-        RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+        RData::Soa(soa) => {
+            let Soa { mname, rname, serial, refresh, retry, expire, minimum } = &**soa;
             out.push(TAG_SOA);
             push_prefixed_name(out, mname);
             push_prefixed_name(out, rname);
@@ -231,7 +232,7 @@ pub fn decode_rdata(bytes: &[u8]) -> Result<RData, String> {
         TAG_PTR => Ok(RData::Ptr(decode_name(rest)?)),
         TAG_TXT => {
             let text = std::str::from_utf8(rest).map_err(|_| "TXT is not UTF-8".to_string())?;
-            Ok(RData::Txt(text.to_string()))
+            Ok(RData::Txt(text.into()))
         }
         TAG_MX => {
             let (pref, rest) =
@@ -249,7 +250,7 @@ pub fn decode_rdata(bytes: &[u8]) -> Result<RData, String> {
             let mut words =
                 rest.chunks_exact(4).map(|c| c.try_into().map(u32::from_be_bytes).unwrap_or(0));
             let mut next = || words.next().unwrap_or(0);
-            Ok(RData::Soa {
+            Ok(RData::Soa(Box::new(Soa {
                 mname,
                 rname,
                 serial: next(),
@@ -257,9 +258,9 @@ pub fn decode_rdata(bytes: &[u8]) -> Result<RData, String> {
                 retry: next(),
                 expire: next(),
                 minimum: next(),
-            })
+            })))
         }
-        TAG_OPAQUE => Ok(RData::Opaque(rest.to_vec())),
+        TAG_OPAQUE => Ok(RData::Opaque(rest.into())),
         other => Err(format!("unknown rdata tag {other}")),
     }
 }
@@ -338,9 +339,9 @@ pub(crate) mod tests {
             RData::Cname(name("edge.cdn.example.net")),
             RData::Ns(name("ns1.example.net")),
             RData::Ptr(name("host.example.com")),
-            RData::Txt("v=spf1 -all".to_string()),
+            RData::Txt("v=spf1 -all".into()),
             RData::Mx { preference: 10, exchange: name("mx.example.com") },
-            RData::Soa {
+            RData::Soa(Box::new(Soa {
                 mname: name("ns1.example.com"),
                 rname: name("hostmaster.example.com"),
                 serial: 2026,
@@ -348,8 +349,8 @@ pub(crate) mod tests {
                 retry: 900,
                 expire: 1209600,
                 minimum: 300,
-            },
-            RData::Opaque(vec![1, 2, 3, 0, 255]),
+            })),
+            RData::Opaque(Box::new([1, 2, 3, 0, 255])),
         ];
         for rdata in variants {
             assert_eq!(decode_rdata(&encode_rdata(&rdata)).unwrap(), rdata, "{rdata:?}");

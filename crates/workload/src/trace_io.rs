@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Read as _, Write};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use dnsnoise_dns::{Name, QType, RData, Record, Timestamp, Ttl};
+use dnsnoise_dns::{Name, QType, RData, Record, Soa, Timestamp, Ttl};
 
 use crate::event::{Outcome, QueryEvent};
 use crate::scenario::DayTrace;
@@ -216,7 +216,8 @@ fn append_rdata(rdata: &RData, line: &mut String) {
             push_decimal(u64::from(*preference), line);
             push_tagged(":", exchange, line);
         }
-        RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+        RData::Soa(soa) => {
+            let Soa { mname, rname, serial, refresh, retry, expire, minimum } = &**soa;
             push_tagged("SOA:", mname, line);
             push_tagged(":", rname, line);
             for field in [serial, refresh, retry, expire, minimum] {
@@ -241,7 +242,7 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
         "CNAME" => rest.parse::<Name>().map(RData::Cname).map_err(|e| e.to_string()),
         "NS" => rest.parse::<Name>().map(RData::Ns).map_err(|e| e.to_string()),
         "PTR" => rest.parse::<Name>().map(RData::Ptr).map_err(|e| e.to_string()),
-        "TXT" => unescape_txt(rest).map(RData::Txt),
+        "TXT" => unescape_txt(rest).map(|text| RData::Txt(text.into())),
         "MX" => {
             let (pref, exch) = rest.split_once(':').ok_or("MX needs preference:exchange")?;
             Ok(RData::Mx {
@@ -254,7 +255,7 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
             if parts.len() != 7 {
                 return Err("SOA needs 7 fields".into());
             }
-            Ok(RData::Soa {
+            Ok(RData::Soa(Box::new(Soa {
                 mname: parts[0].parse().map_err(|_| "bad SOA mname")?,
                 rname: parts[1].parse().map_err(|_| "bad SOA rname")?,
                 serial: parts[2].parse().map_err(|_| "bad SOA serial")?,
@@ -262,7 +263,7 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
                 retry: parts[4].parse().map_err(|_| "bad SOA retry")?,
                 expire: parts[5].parse().map_err(|_| "bad SOA expire")?,
                 minimum: parts[6].parse().map_err(|_| "bad SOA minimum")?,
-            })
+            })))
         }
         "OPAQUE" => {
             if rest.len() % 2 != 0 {
@@ -276,7 +277,7 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
             let bytes = (0..rest.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&rest[i..i + 2], 16))
-                .collect::<Result<Vec<u8>, _>>()
+                .collect::<Result<Box<[u8]>, _>>()
                 .map_err(|e| e.to_string())?;
             Ok(RData::Opaque(bytes))
         }
@@ -652,7 +653,8 @@ mod reference {
                 let _ = write!(line, "MX:{preference}:");
                 line.push_str(exchange.as_str());
             }
-            RData::Soa { mname, rname, serial, refresh, retry, expire, minimum } => {
+            RData::Soa(soa) => {
+                let Soa { mname, rname, serial, refresh, retry, expire, minimum } = &**soa;
                 tagged_name("SOA:", mname);
                 tagged_name(":", rname);
                 let _ = write!(line, ":{serial}:{refresh}:{retry}:{expire}:{minimum}");
@@ -841,7 +843,7 @@ mod tests {
                 "txt.example.com".parse().unwrap(),
                 QType::Txt,
                 Ttl::from_secs(60),
-                RData::Txt(payload.to_owned()),
+                RData::Txt(payload.into()),
             )]),
             zone_tag: u32::MAX,
         }
@@ -866,7 +868,7 @@ mod tests {
             " \t ",
         ];
         for p in payloads {
-            let rdata = RData::Txt(p.to_owned());
+            let rdata = RData::Txt(p.into());
             let rendered = render_rdata(&rdata);
             assert!(
                 !rendered.contains(['\t', '\n', '\r', ';', ',']),
@@ -1013,7 +1015,7 @@ mod tests {
         /// one shape the two writers may render differently.
         fn trailing_space_txt(event: &QueryEvent) -> bool {
             event.outcome.records().iter().any(|r| match &r.rdata {
-                RData::Txt(s) => s.trim_end() != s,
+                RData::Txt(s) => s.trim_end() != &**s,
                 _ => false,
             })
         }
@@ -1047,7 +1049,7 @@ mod tests {
                 name().prop_map(RData::Cname),
                 name().prop_map(RData::Ns),
                 name().prop_map(RData::Ptr),
-                string_regex(txt).unwrap().prop_map(RData::Txt),
+                string_regex(txt).unwrap().prop_map(|s| RData::Txt(s.into())),
                 (any::<u16>(), name())
                     .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
                 (
@@ -1057,10 +1059,18 @@ mod tests {
                 )
                     .prop_map(
                         |(mname, rname, (serial, refresh, retry, expire, minimum))| {
-                            RData::Soa { mname, rname, serial, refresh, retry, expire, minimum }
+                            RData::Soa(Box::new(Soa {
+                                mname,
+                                rname,
+                                serial,
+                                refresh,
+                                retry,
+                                expire,
+                                minimum,
+                            }))
                         }
                     ),
-                proptest::collection::vec(any::<u8>(), 0..6).prop_map(RData::Opaque),
+                proptest::collection::vec(any::<u8>(), 0..6).prop_map(|b| RData::Opaque(b.into())),
             ]
         }
 

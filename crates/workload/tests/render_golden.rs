@@ -10,7 +10,7 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use dnsnoise_dns::{Name, QType, RData, Record, Timestamp, Ttl};
+use dnsnoise_dns::{Name, QType, RData, Record, Soa, Timestamp, Ttl};
 use dnsnoise_workload::trace_io::{read_trace, write_events};
 use dnsnoise_workload::{Outcome, QueryEvent};
 
@@ -86,7 +86,7 @@ fn events() -> Vec<QueryEvent> {
                     RData::Txt("tab\there;semi,comma%25pct\nnl\r\u{1f}\u{7f}x".into()),
                 ),
                 record("txt.example.org", QType::Txt, 60, RData::Txt(" lead é 中 mid".into())),
-                record("txt.example.org", QType::Txt, 60, RData::Txt(String::new())),
+                record("txt.example.org", QType::Txt, 60, RData::Txt("".into())),
             ]),
         ),
         event(
@@ -119,7 +119,7 @@ fn events() -> Vec<QueryEvent> {
                     "example.org",
                     QType::Soa,
                     900,
-                    RData::Soa {
+                    RData::Soa(Box::new(Soa {
                         mname: name("ns1.example.org"),
                         rname: name("hostmaster.example.org"),
                         serial: 2_011_113_001,
@@ -127,13 +127,13 @@ fn events() -> Vec<QueryEvent> {
                         retry: 900,
                         expire: 1_209_600,
                         minimum: 900,
-                    },
+                    })),
                 ),
                 record(
                     "example.org",
                     QType::Soa,
                     900,
-                    RData::Soa {
+                    RData::Soa(Box::new(Soa {
                         mname: name("ns2.example.org"),
                         rname: name("root.example.org"),
                         serial: u32::MAX,
@@ -141,7 +141,7 @@ fn events() -> Vec<QueryEvent> {
                         retry: u32::MAX,
                         expire: 0,
                         minimum: u32::MAX,
-                    },
+                    })),
                 ),
             ]),
         ),
@@ -155,10 +155,10 @@ fn events() -> Vec<QueryEvent> {
                     "signed.example",
                     QType::Dnskey,
                     86_400,
-                    RData::Opaque(vec![0x00, 0x0f, 0xa5, 0xff, 0x10]),
+                    RData::Opaque(Box::new([0x00, 0x0f, 0xa5, 0xff, 0x10])),
                 ),
-                record("signed.example", QType::Rrsig, 86_400, RData::Opaque(Vec::new())),
-                record("signed.example", QType::Ds, 86_400, RData::Opaque(vec![0xde, 0xad])),
+                record("signed.example", QType::Rrsig, 86_400, RData::Opaque(Box::new([]))),
+                record("signed.example", QType::Ds, 86_400, RData::Opaque(Box::new([0xde, 0xad]))),
             ]),
         ),
         event(

@@ -2,7 +2,7 @@
 //! parse every packet the simulated cluster serves, and its counts must
 //! agree with the resolver's own accounting.
 
-use dnsnoise::dns::{wire, Message, Name, QType, Question, RData, Rcode, Record, Ttl};
+use dnsnoise::dns::{wire, Message, Name, QType, Question, RData, Rcode, Record, Soa, Ttl};
 use dnsnoise::pdns::FpDnsSummary;
 use dnsnoise::resolver::{Observer, ResolverSim, Served, SimConfig};
 use dnsnoise::workload::{QueryEvent, Scenario, ScenarioConfig};
@@ -34,7 +34,7 @@ impl Collector {
             zone.clone(),
             QType::Soa,
             Ttl::from_secs(900),
-            RData::Soa {
+            RData::Soa(Box::new(Soa {
                 mname: zone.child("ns1".parse().expect("static label")),
                 rname: zone.child("hostmaster".parse().expect("static label")),
                 serial: 2_011_113_001,
@@ -42,7 +42,7 @@ impl Collector {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 900,
-            },
+            })),
         );
         Message::negative_response(txid, Question::new(qname.clone(), qtype), soa)
     }
