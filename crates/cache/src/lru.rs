@@ -12,6 +12,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use dnsnoise_dns::hash::SeededState;
+use dnsnoise_dns::table::PositionTable;
 use dnsnoise_dns::{Name, QType, Record, Timestamp, Ttl};
 
 /// The cache lookup key: `(name, qtype)` — one cached answer set per
@@ -203,12 +204,8 @@ fn live_ttl(answers: &[Record]) -> Option<Ttl> {
     answers.iter().map(|r| r.ttl).min().filter(|ttl| !ttl.is_zero())
 }
 
-/// "No slot": the end of a recency list or of the free chain, and an
-/// index cell that holds no slot number.
+/// "No slot": the end of a recency list or of the free chain.
 const NIL: u32 = u32::MAX;
-
-/// The index's length when the first insert grows it.
-const MIN_CELLS: usize = 16;
 
 #[derive(Debug)]
 struct Entry {
@@ -242,9 +239,9 @@ impl RecencyList {
 
 /// A TTL-aware LRU cache of DNS answer sets with a fixed entry capacity.
 ///
-/// Entries live in a slab that holds each key once; `index` is an
-/// open-addressing table of slot numbers, probed linearly from the key's
-/// hash and compared through the slab, and every occupied slot sits on
+/// Entries live in a slab that holds each key once; `index` is a
+/// [`PositionTable`] of slot numbers, probed from the key's hash and
+/// compared through the slab, and every occupied slot sits on
 /// one of two doubly linked recency lists — one per [`InsertPriority`] —
 /// threaded through the slab by slot number. An insert or a live hit
 /// moves the slot to its list's tail, so each list is always in
@@ -258,13 +255,9 @@ impl RecencyList {
 #[derive(Debug)]
 pub struct TtlLru {
     capacity: usize,
-    /// Occupied slot numbers, or [`NIL`]: a power-of-two length of at
-    /// least twice `len`, or none before the first insert. A removal
-    /// shifts the rest of its probe run back, so no cell is a tombstone.
-    index: Vec<u32>,
+    /// The occupied slots' numbers.
+    index: PositionTable,
     hasher: SeededState,
-    /// Occupied slots, which is also the index's occupied cells.
-    len: usize,
     slots: Vec<Slot>,
     /// First vacant slot, chained through `Slot::next`.
     free: u32,
@@ -276,6 +269,11 @@ pub struct TtlLru {
 /// The entry in slot `id`, which the index or a recency list named.
 fn occupied(slots: &[Slot], id: u32) -> &Entry {
     slots[id as usize].entry.as_ref().expect("an indexed or listed slot is occupied")
+}
+
+/// The index's hash of the key in an occupied slot, by slot number.
+fn slot_hash<'a>(slots: &'a [Slot], hasher: &'a SeededState) -> impl Fn(usize) -> u64 + 'a {
+    move |id| hasher.hash_one(&occupied(slots, id as u32).key)
 }
 
 fn prio_idx(p: InsertPriority) -> usize {
@@ -294,12 +292,11 @@ impl TtlLru {
     /// Panics if `capacity` is zero, or too large for 32-bit slot numbers.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        assert!(capacity < NIL as usize, "cache capacity must fit 32-bit slot numbers");
+        assert!(capacity < PositionTable::LIMIT, "cache capacity must fit 32-bit slot numbers");
         TtlLru {
             capacity,
-            index: Vec::new(),
+            index: PositionTable::default(),
             hasher: SeededState::default(),
-            len: 0,
             slots: Vec::new(),
             free: NIL,
             recency: [RecencyList::EMPTY; 2],
@@ -314,12 +311,12 @@ impl TtlLru {
 
     /// Current number of cached entries (live or not-yet-collected expired).
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Returns `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Accumulated counters.
@@ -378,8 +375,7 @@ impl TtlLru {
     /// Drops every entry while keeping the accumulated counters — a
     /// member process restarting with a cold cache after a crash.
     pub fn clear_entries(&mut self) {
-        self.index.fill(NIL);
-        self.len = 0;
+        self.index.clear();
         self.slots.clear();
         self.free = NIL;
         self.recency = [RecencyList::EMPTY; 2];
@@ -434,103 +430,24 @@ impl TtlLru {
             return Vec::new();
         }
         let mut evicted = Vec::new();
-        while self.len >= self.capacity {
+        while self.len() >= self.capacity {
             match self.evict_one(now) {
                 Some(e) => evicted.push(e),
                 None => break,
             }
         }
         let id = self.occupy(Entry { key: key.clone(), answers, expires, priority });
-        self.index_slot(id);
+        let hash_of = slot_hash(&self.slots, &self.hasher);
+        self.index.insert(hash_of(id as usize), id as usize, hash_of);
         self.push_tail(id, priority);
         evicted
     }
 
-    /// The index cell of `key`'s slot, or the empty cell where it would
-    /// go; `None` before the first insert.
-    fn probe(&self, key: &CacheKey) -> Option<usize> {
-        let mask = self.index.len().checked_sub(1)?;
-        let mut cell = self.home(key, mask);
-        loop {
-            let id = self.index[cell];
-            if id == NIL {
-                return Some(cell);
-            }
-            let held = &occupied(&self.slots, id).key;
-            if held.qtype == key.qtype && held.name == key.name {
-                return Some(cell);
-            }
-            cell = (cell + 1) & mask;
-        }
-    }
-
     /// The slot holding `key`, if the cache holds it.
     fn find(&self, key: &CacheKey) -> Option<u32> {
-        let id = self.index[self.probe(key)?];
-        (id != NIL).then_some(id)
-    }
-
-    /// The cell `key` hashes to in an index of `mask + 1` cells.
-    fn home(&self, key: &CacheKey, mask: usize) -> usize {
-        self.hasher.hash_one(key) as usize & mask
-    }
-
-    /// Enters occupied slot `id`, whose key the index does not hold, into
-    /// the index, or doubles an index it would pass half full, which
-    /// enters it with the rest.
-    fn index_slot(&mut self, id: u32) {
-        self.len += 1;
-        if self.len * 2 > self.index.len() {
-            return self.grow();
-        }
-        let cell = self.probe(&occupied(&self.slots, id).key).expect("the index has cells");
-        self.index[cell] = id;
-    }
-
-    /// Doubles the index and enters every occupied slot again.
-    fn grow(&mut self) {
-        let cells = (self.index.len() * 2).max(MIN_CELLS);
-        self.index.clear();
-        self.index.resize(cells, NIL);
-        let mask = cells - 1;
-        for (id, slot) in self.slots.iter().enumerate() {
-            let Some(entry) = &slot.entry else { continue };
-            let mut cell = self.home(&entry.key, mask);
-            while self.index[cell] != NIL {
-                cell = (cell + 1) & mask;
-            }
-            self.index[cell] = id as u32;
-        }
-    }
-
-    /// Takes slot `id`, still occupied, out of the index: its cell is
-    /// found by probing from its key's home for the slot number, and each
-    /// later cell of the probe run whose home allows it shifts back into
-    /// the hole, so every key stays reachable from its home without a
-    /// tombstone.
-    fn unindex_slot(&mut self, id: u32) {
-        let mask = self.index.len() - 1;
-        let mut hole = self.home(&occupied(&self.slots, id).key, mask);
-        while self.index[hole] != id {
-            hole = (hole + 1) & mask;
-        }
-        let mut cell = hole;
-        loop {
-            cell = (cell + 1) & mask;
-            let next = self.index[cell];
-            if next == NIL {
-                break;
-            }
-            // `next` may fill the hole when the hole lies on its probe
-            // path: no further from its home than `cell` is.
-            let home = self.home(&occupied(&self.slots, next).key, mask);
-            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
-                self.index[hole] = next;
-                hole = cell;
-            }
-        }
-        self.index[hole] = NIL;
-        self.len -= 1;
+        let hash = self.hasher.hash_one(key);
+        let id = self.index.find(hash, |id| occupied(&self.slots, id as u32).key == *key)?;
+        Some(id as u32)
     }
 
     /// Evicts the least recently used entry, preferring the low-priority
@@ -566,7 +483,8 @@ impl TtlLru {
     /// Takes the entry out of slot `id`: out of the index, off its list,
     /// the slot onto the free chain.
     fn remove_slot(&mut self, id: u32) -> Entry {
-        self.unindex_slot(id);
+        let hash_of = slot_hash(&self.slots, &self.hasher);
+        self.index.remove(hash_of(id as usize), id as usize, hash_of);
         let entry =
             self.slots[id as usize].entry.take().expect("an indexed or listed slot is occupied");
         self.unlink(id, entry.priority);
@@ -838,42 +756,13 @@ mod tests {
         assert!(c.get(&key("a.com"), t(2)).is_none());
     }
 
-    /// Checks the index against the slab: one cell per occupied slot, each
-    /// reachable from its key's home without crossing an empty cell.
-    /// Returns how many keys sit past their home (in a collided run).
-    fn check_index(c: &TtlLru) -> usize {
-        let mask = c.index.len().wrapping_sub(1);
-        let mut displaced = 0;
-        let mut cells = 0;
-        for (cell, &id) in c.index.iter().enumerate() {
-            if id == NIL {
-                continue;
-            }
-            cells += 1;
-            let key = &occupied(&c.slots, id).key;
-            let mut at = c.home(key, mask);
-            if at != cell {
-                displaced += 1;
-            }
-            while at != cell {
-                assert_ne!(c.index[at], NIL, "an empty cell cuts slot {id} off its home");
-                at = (at + 1) & mask;
-            }
-            assert_eq!(c.find(key), Some(id));
-        }
-        let occupied_slots = c.slots.iter().filter(|s| s.entry.is_some()).count();
-        assert_eq!((cells, c.len()), (occupied_slots, occupied_slots));
-        assert!(c.index.is_empty() || c.len() * 2 <= c.index.len(), "index over half full");
-        displaced
-    }
-
     #[test]
     fn the_index_stays_whole_through_growth_and_removals() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(49);
         let mut c = TtlLru::new(300);
         let names: Vec<String> = (0..1_024).map(|i| format!("n{i}.example.com")).collect();
-        let (mut displaced, mut removals) = (0, 0);
+        let mut removals = 0;
         for step in 0..10_000u64 {
             let name = &names[rng.gen_range(0..names.len())];
             let now = t(step / 4);
@@ -891,11 +780,20 @@ mod tests {
                         c.insert(key(name), vec![rr(name, ttl)], now, InsertPriority::Normal).len();
                 }
             }
-            displaced = displaced.max(check_index(&c));
+            // The index finds every occupied slot by its key, and holds
+            // nothing else.
+            let held =
+                c.slots.iter().enumerate().filter_map(|(id, s)| Some((id, s.entry.as_ref()?)));
+            let mut occupied_slots = 0;
+            for (id, entry) in held {
+                assert_eq!(c.find(&entry.key), Some(id as u32));
+                occupied_slots += 1;
+            }
+            assert_eq!(c.len(), occupied_slots);
         }
         // 300 entries need 1,024 cells: six doublings from 16.
-        assert_eq!(c.index.len(), 1_024);
-        assert!(displaced > 0 && removals > 1_000, "{displaced} displaced, {removals} removals");
+        assert_eq!(c.index.cells(), 1_024);
+        assert!(removals > 1_000, "{removals} removals");
     }
 
     #[test]

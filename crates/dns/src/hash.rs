@@ -5,6 +5,8 @@
 //! event, with keys of a few dozen bytes. [`FoldHasher`] folds a key eight
 //! bytes at a time through one 64×64→128-bit multiply whose halves are
 //! xor-folded, where std's SipHash-1-3 runs several rounds per word.
+//! The cache index and the per-record table hash their keys with it and
+//! probe a [`PositionTable`](crate::table::PositionTable) from that hash.
 //!
 //! Speed must not hand a crafted trace a lever on those tables: every
 //! table draws its own key from std's [`RandomState`] through

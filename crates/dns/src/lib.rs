@@ -15,7 +15,7 @@
 //! * [`Timestamp`] / [`Ttl`] — simulation time with second granularity, which
 //!   matches the granularity of the paper's fpDNS tuples.
 //! * [`hash`] — the seeded hasher of the tables probed on every replayed
-//!   event.
+//!   event, and [`table`] — the position table those tables share.
 //! * [`quarantine`] — the typed, exactly counted quarantine ledger that
 //!   capture ingestion and store recovery both book rejected bytes into.
 //!
@@ -43,6 +43,7 @@ mod name;
 pub mod quarantine;
 mod record;
 mod suffix;
+pub mod table;
 mod time;
 pub mod wire;
 

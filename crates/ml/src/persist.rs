@@ -72,6 +72,7 @@ pub fn model_from_text(text: &str) -> Result<LadTreeModel, PersistError> {
     let shrinkage: f64 = header
         .strip_prefix("ladtree v1 shrinkage=")
         .and_then(|s| s.parse().ok())
+        .filter(|s: &f64| s.is_finite())
         .ok_or_else(|| PersistError::BadHeader(header.to_owned()))?;
 
     let mut stumps = Vec::new();
@@ -145,6 +146,18 @@ mod tests {
         assert!(matches!(model_from_text(bad), Err(PersistError::BadStump(2, _))));
         let nan = "ladtree v1 shrinkage=0.5\nstump feature=0 threshold=1 left=NaN right=1\n";
         assert!(matches!(model_from_text(nan), Err(PersistError::BadStump(2, _))));
+    }
+
+    #[test]
+    fn a_non_finite_shrinkage_is_a_bad_header() {
+        // Such a model scores every row NaN and so finds nothing.
+        for shrinkage in ["NaN", "inf", "-inf"] {
+            let text = format!(
+                "ladtree v1 shrinkage={shrinkage}\nstump feature=0 threshold=1 left=1 right=-1\n"
+            );
+            let err = model_from_text(&text).unwrap_err();
+            assert_eq!(err, PersistError::BadHeader(format!("ladtree v1 shrinkage={shrinkage}")));
+        }
     }
 
     #[test]

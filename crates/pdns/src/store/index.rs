@@ -20,6 +20,13 @@
 //! Determinism: the hash is a fixed function of the key bytes and the
 //! build inserts in run order, so the table is a pure function of the
 //! run. It is never serialized.
+//!
+//! The memtable, the cache index and the day table share
+//! [`PositionTable`](dnsnoise_dns::table::PositionTable); this table
+//! stays apart. It is built once at a fixed size, its bound on the probe
+//! (and the spill to `Probe::Unsure` behind it) is what keeps a fixed,
+//! unkeyed hash safe, and its probe is certified not to panic: a shared
+//! table would have to branch on which of them it serves.
 
 use super::keys::KeyRef;
 
@@ -29,7 +36,7 @@ const MAX_PROBE: usize = 16;
 
 /// A slot that holds no entry. No entry encodes to it, because an
 /// entry's position is below `u32::MAX` (run offsets are `u32`).
-pub(crate) const EMPTY: u64 = u64::MAX;
+const EMPTY: u64 = u64::MAX;
 
 /// The multiplier of the word mix: 2⁶⁴ / φ, odd, so each step is a
 /// bijection of the running state.
@@ -109,14 +116,14 @@ impl HashIndex {
 
 /// The slot of entry `pos`, whose key hashes to `hash`: the hash's high
 /// 32 bits (its fingerprint) over the position.
-pub(crate) fn slot(hash: u64, pos: usize) -> u64 {
+fn slot(hash: u64, pos: usize) -> u64 {
     (hash & !0xffff_ffff) | pos as u64
 }
 
 /// The position a non-empty `slot` holds when its fingerprint is
 /// `hash`'s; a different fingerprint proves the slot holds another key.
 // lint:certify(no-panic)
-pub(crate) fn slot_match(slot: u64, hash: u64) -> Option<usize> {
+fn slot_match(slot: u64, hash: u64) -> Option<usize> {
     (slot >> 32 == hash >> 32).then_some(slot as u32 as usize)
 }
 

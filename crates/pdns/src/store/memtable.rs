@@ -1,19 +1,16 @@
 //! The run store's memtable: the keys observed since the last flush,
 //! held unsorted and found by hash.
 //!
-//! Entries sit in insertion order in one buffer. An open-addressing
-//! table over them is keyed by [`key_hash`], the hash every run's index
+//! Entries sit in insertion order in one buffer, found through a
+//! [`PositionTable`] keyed by [`key_hash`], the hash every run's index
 //! uses; the caller passes it in, as it does to [`HashIndex::find`], so
 //! a store probe hashes its key once for the memtable and all runs. Each
-//! slot is one `u64`, laid out as in [`HashIndex`]: the hash's high 32
-//! bits (its fingerprint) over the entry's position, or [`EMPTY`]. The
-//! table keeps a load factor of at most one half and is probed linearly,
-//! so a probe stops at an empty slot after reading at most one slot per
-//! entry plus one: keys whose hashes all collide cost one exact compare
-//! per entry, and a store flushes at `memtable_cap` entries, so such a
-//! probe reads at most `memtable_cap` slots (a store without a spill
-//! directory never flushes: like any hash map, it pays one compare per
-//! colliding entry).
+//! entry's hash is kept beside it, compared before the key and read
+//! again when the table grows. Keys whose hashes all collide cost one
+//! exact compare per entry, and a store flushes at `memtable_cap`
+//! entries, so such a probe reads at most `memtable_cap` cells (a store
+//! without a spill directory never flushes: like any hash map, it pays
+//! one compare per colliding entry).
 //!
 //! Entries are sorted only when they leave: [`Memtable::drain_sorted`]
 //! hands the flush its run input in composite-key order. The entry
@@ -21,27 +18,21 @@
 //! first flush has sized them an insert allocates only its owned key.
 //!
 //! [`key_hash`]: super::index::key_hash
-//! [`HashIndex`]: super::index::HashIndex
 //! [`HashIndex::find`]: super::index::HashIndex::find
 
-use super::index::{slot, slot_match, EMPTY};
-use super::keys::{CompositeKey, KeyRef};
+use dnsnoise_dns::table::PositionTable;
 
-/// The table's length before the first insert grows it.
-const MIN_SLOTS: usize = 16;
+use super::keys::{CompositeKey, KeyRef};
 
 /// Unflushed `(key, first-seen day)` entries with a hash table over them.
 #[derive(Debug, Default)]
 pub(crate) struct Memtable {
     /// Entries in insertion order; keys are distinct.
     entries: Vec<(CompositeKey, u64)>,
-    /// Each entry's hash, as the caller supplied it, for placing the
-    /// entries again when the table grows.
+    /// Each entry's hash, as the caller supplied it.
     hashes: Vec<u64>,
-    /// `fingerprint << 32 | position`, or [`EMPTY`]; a power-of-two
-    /// length of at least twice `entries.len()`, or none before the
-    /// first insert.
-    slots: Vec<u64>,
+    /// The entries' positions.
+    table: PositionTable,
 }
 
 impl Memtable {
@@ -62,44 +53,20 @@ impl Memtable {
 
     /// The first-seen day of `key`, whose `key_hash` is `hash`.
     pub(crate) fn get(&self, key: KeyRef<'_>, hash: u64) -> Option<u64> {
-        let mask = self.slots.len().checked_sub(1)?;
-        let mut s = hash as usize & mask;
-        loop {
-            let slot = *self.slots.get(s)?;
-            if slot == EMPTY {
-                return None;
-            }
-            if let Some((entry, day)) = slot_match(slot, hash).and_then(|pos| self.entries.get(pos))
-            {
-                if KeyRef::of(entry) == key {
-                    return Some(*day);
-                }
-            }
-            s = (s + 1) & mask;
-        }
+        let pos = self.table.find(hash, |pos| {
+            self.hashes[pos] == hash && KeyRef::of(&self.entries[pos].0) == key
+        })?;
+        Some(self.entries[pos].1)
     }
 
     /// Adds `key`, whose `key_hash` is `hash`, first seen on `day`. The
     /// caller has probed: `key` is not in the memtable.
     pub(crate) fn insert(&mut self, key: CompositeKey, hash: u64, day: u64) {
         debug_assert!(self.get(KeyRef::of(&key), hash).is_none(), "memtable keys are distinct");
-        if (self.entries.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let pos = self.entries.len();
-        place(&mut self.slots, hash, pos);
         self.entries.push((key, day));
         self.hashes.push(hash);
-    }
-
-    /// Doubles the table and places every entry again.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(MIN_SLOTS);
-        self.slots.clear();
-        self.slots.resize(len, EMPTY);
-        for (pos, &hash) in self.hashes.iter().enumerate() {
-            place(&mut self.slots, hash, pos);
-        }
+        let hashes = &self.hashes;
+        self.table.insert(hash, hashes.len() - 1, |pos| hashes[pos]);
     }
 
     /// Sorts the entries into composite-key order, hands them to `f`
@@ -110,19 +77,9 @@ impl Memtable {
         let out = f(&self.entries);
         self.entries.clear();
         self.hashes.clear();
-        self.slots.fill(EMPTY);
+        self.table.clear();
         out
     }
-}
-
-/// Writes entry `pos` into the first empty slot from `hash`'s home.
-fn place(slots: &mut [u64], hash: u64, pos: usize) {
-    let mask = slots.len() - 1;
-    let mut s = hash as usize & mask;
-    while slots[s] != EMPTY {
-        s = (s + 1) & mask;
-    }
-    slots[s] = slot(hash, pos);
 }
 
 #[cfg(test)]
@@ -190,7 +147,7 @@ mod tests {
         assert_eq!(table.get(KeyRef::of(&key), key_hash(KeyRef::of(&key))), None);
         let mut table = Memtable::default();
         table.drain_sorted(|entries| assert!(entries.is_empty()));
-        assert!(table.slots.is_empty());
+        assert_eq!(table.table.cells(), 0);
     }
 
     #[test]
@@ -200,12 +157,12 @@ mod tests {
             let key = merge_key(id, 0);
             table.insert(key.clone(), key_hash(KeyRef::of(&key)), 0);
         }
-        let (slots, entries) = (table.slots.len(), table.entries.capacity());
+        let (cells, entries) = (table.table.cells(), table.entries.capacity());
         assert_eq!(table.hashes.capacity(), table.entries.capacity());
-        assert!(slots >= 200 && slots.is_power_of_two(), "{slots}");
+        assert!(cells >= 200 && cells.is_power_of_two(), "{cells}");
         table.drain_sorted(|_| ());
-        assert_eq!((table.slots.len(), table.entries.capacity()), (slots, entries));
-        assert!(table.slots.iter().all(|&s| s == EMPTY));
+        assert_eq!((table.table.cells(), table.entries.capacity()), (cells, entries));
+        assert!(table.table.is_empty());
     }
 
     proptest! {

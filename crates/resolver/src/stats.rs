@@ -3,6 +3,7 @@
 use std::hash::BuildHasher;
 
 use dnsnoise_dns::hash::SeededState;
+use dnsnoise_dns::table::PositionTable;
 use dnsnoise_dns::{Name, QType, RData, RrKey};
 use serde::{Deserialize, Serialize};
 
@@ -28,19 +29,13 @@ impl RrStat {
     }
 }
 
-/// A slot of [`RrDayStats`]' table that holds no row.
-const EMPTY: u32 = u32::MAX;
-
-/// The table's length before the first insert grows it.
-const MIN_SLOTS: usize = 16;
-
 /// Per-RR statistics for one day of traffic.
 ///
 /// Rows are held once, in first-seen order: the rows past any earlier
 /// [`RrDayStats::len`] are exactly the records first seen since, which
 /// is how the streaming miner folds each epoch's new rows into its tree
 /// and hands the store each record once ([`RrDayStats::rows_since`]).
-/// An open-addressing table of row positions, hashed under a per-table
+/// A [`PositionTable`] of row positions, hashed under a per-table
 /// [`SeededState`], finds a row by its borrowed parts.
 ///
 /// # Examples
@@ -65,10 +60,8 @@ const MIN_SLOTS: usize = 16;
 pub struct RrDayStats {
     /// Every distinct record with its counters, in first-seen order.
     rows: Vec<(RrKey, RrStat)>,
-    /// Row positions, or [`EMPTY`]; a power-of-two length of at least
-    /// twice `rows.len()`, probed linearly, or none before the first
-    /// insert.
-    slots: Vec<u32>,
+    /// The rows' positions.
+    index: PositionTable,
     hasher: SeededState,
     /// Σ [`RrKey::storage_bytes`] + one [`RrStat`] per row.
     state_bytes: usize,
@@ -87,28 +80,6 @@ impl RrDayStats {
     /// Creates an empty stats table.
     pub fn new() -> Self {
         RrDayStats::default()
-    }
-
-    fn hash(&self, name: &Name, qtype: QType, rdata: &RData) -> u64 {
-        self.hasher.hash_one((name, qtype, rdata))
-    }
-
-    /// The slot holding the row of `(name, qtype, rdata)`, or the empty
-    /// slot where it would go; `None` before the first insert.
-    fn probe(&self, name: &Name, qtype: QType, rdata: &RData) -> Option<usize> {
-        let mask = self.slots.len().checked_sub(1)?;
-        let mut s = self.hash(name, qtype, rdata) as usize & mask;
-        loop {
-            let pos = self.slots[s];
-            if pos == EMPTY {
-                return Some(s);
-            }
-            let key = &self.rows[pos as usize].0;
-            if key.qtype == qtype && key.name == *name && key.rdata == *rdata {
-                return Some(s);
-            }
-            s = (s + 1) & mask;
-        }
     }
 
     /// Counts one served answer carrying the record `(name, qtype,
@@ -131,31 +102,23 @@ impl RrDayStats {
 
     /// The row position of `(name, qtype, rdata)`, if the table holds it.
     fn find(&self, name: &Name, qtype: QType, rdata: &RData) -> Option<usize> {
-        let pos = self.slots[self.probe(name, qtype, rdata)?];
-        (pos != EMPTY).then_some(pos as usize)
+        self.index.find(self.hasher.hash_one((name, qtype, rdata)), |pos| {
+            let key = &self.rows[pos].0;
+            key.qtype == qtype && key.name == *name && key.rdata == *rdata
+        })
     }
 
     /// Appends a row for a key the table does not hold.
     fn insert(&mut self, key: RrKey, stat: RrStat) {
-        if (self.rows.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let s = self.probe(&key.name, key.qtype, &key.rdata).expect("grow sized the table");
-        self.slots[s] = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
         self.state_bytes += key.storage_bytes() + std::mem::size_of::<RrStat>();
         self.rows.push((key, stat));
-    }
-
-    /// Doubles the table and places every row again.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(MIN_SLOTS);
-        self.slots.clear();
-        self.slots.resize(len, EMPTY);
-        for pos in 0..self.rows.len() {
-            let key = &self.rows[pos].0;
-            let s = self.probe(&key.name, key.qtype, &key.rdata).expect("the table has slots");
-            self.slots[s] = pos as u32;
-        }
+        let (rows, hasher) = (&self.rows, &self.hasher);
+        let hash_of = |pos: usize| {
+            let RrKey { name, qtype, rdata } = &rows[pos].0;
+            hasher.hash_one((name, *qtype, rdata))
+        };
+        let pos = rows.len() - 1;
+        self.index.insert(hash_of(pos), pos, hash_of);
     }
 
     /// The stat for a record, if observed.

@@ -1,5 +1,6 @@
 //! `dnsnoise simulate`: replay a day through the resolver cluster.
 
+use dnsnoise::dns::table::PositionTable;
 use dnsnoise::dns::{Ttl, SECS_PER_DAY};
 use dnsnoise::resolver::{FaultPlan, FaultSpecError, MetricsRegistry, OverloadConfig};
 use dnsnoise::resolver::{ResolverSim, SimConfig};
@@ -45,6 +46,9 @@ fn validate(o: &Opts) -> Result<(), String> {
     o.check_store()?;
     ensure(o.members > 0, "--members must be at least 1")?;
     ensure(o.capacity > 0, "--capacity must be at least 1")?;
+    // The cache numbers its slots in a position table's 32-bit cells.
+    let slot_numbers = format!("--capacity must be below {}", PositionTable::LIMIT);
+    ensure(o.capacity < PositionTable::LIMIT, &slot_numbers)?;
     ensure(o.buckets > 0, "--buckets must be at least 1")?;
     let per_second = format!("--buckets must be at most {SECS_PER_DAY}, one per second");
     ensure(o.buckets as u64 <= SECS_PER_DAY, &per_second)?;

@@ -95,15 +95,17 @@ fn bad_arguments_fail_cleanly() {
 
 /// argv is outside input: values that once panicked (`--scale nan` at
 /// the scenario constructor, `--scale inf` as a capacity overflow,
-/// `--capacity 0` in the cluster) or aborted on a 608 GB allocation
+/// `--capacity 0` in the cluster, `--capacity 4294967295` past the cache's
+/// 32-bit slot numbers) or aborted on a 608 GB allocation
 /// (`--buckets 4000000000`), and a `--theta` outside [0, 1] that mined
 /// nothing, are refused up front: exit 1, the flag named on one line.
 #[test]
 fn hostile_flag_values_are_refused_without_a_panic() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 11] = [
         &["generate", "--scale", "nan"],
         &["generate", "--scale", "inf"],
         &["simulate", "--capacity", "0"],
+        &["simulate", "--capacity", "4294967295"],
         &["simulate", "--buckets", "4000000000"],
         &["mine", "--theta", "7"],
         &["stream", "--theta", "7"],
@@ -429,6 +431,21 @@ fn mine_replays_empty_and_malformed_traces_like_a_loaded_day() {
     assert!(out.stdout.is_empty(), "no findings from a trace that does not parse");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
+
+    // A model whose shrinkage is not finite scores every row NaN and
+    // would find nothing: it is refused, not mined with.
+    let text = std::fs::read_to_string(&model).expect("read model");
+    let (header, stumps) = text.split_once('\n').expect("a header line");
+    assert!(header.starts_with("ladtree v1 shrinkage="), "{header}");
+    for shrinkage in ["NaN", "inf"] {
+        std::fs::write(&model, format!("ladtree v1 shrinkage={shrinkage}\n{stumps}"))
+            .expect("write model");
+        let out = mine(&empty);
+        assert_eq!(out.status.code(), Some(1), "shrinkage={shrinkage}");
+        assert!(out.stdout.is_empty(), "shrinkage={shrinkage}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad model header"), "{stderr}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
