@@ -14,6 +14,14 @@
 //! The hash is therefore different in every process, and nothing may
 //! iterate a table hashed with it into an output (the `hash-iter` lint
 //! holds that line).
+//!
+//! The [`NameTable`](crate::NameTable) is the one exception: it hashes with
+//! a key fixed at compile time (`SeededState::FIXED`). It is
+//! direct-mapped, one name per slot and no probe chain, so a collision costs
+//! one miss and nothing longer: a crafted trace that makes every lookup
+//! collide pays the parse it would pay without the table, plus one hash.
+//! With no lever to guard, a fixed key keeps the table's hits, and so the
+//! reader's allocation counts, the same in every process.
 
 use std::hash::{BuildHasher, Hasher, RandomState};
 
@@ -22,6 +30,14 @@ use std::hash::{BuildHasher, Hasher, RandomState};
 pub struct SeededState {
     start: u64,
     multiplier: u64,
+}
+
+impl SeededState {
+    /// The compile-time key of the [`NameTable`](crate::NameTable), which
+    /// needs no random one; see the [module docs](self). The multiplier is
+    /// odd (2^64 over the golden ratio), the start the first digits of π.
+    pub(crate) const FIXED: SeededState =
+        SeededState { start: 0x243f_6a88_85a3_08d3, multiplier: 0x9e37_79b9_7f4a_7c15 };
 }
 
 impl Default for SeededState {

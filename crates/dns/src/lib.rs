@@ -16,6 +16,8 @@
 //!   matches the granularity of the paper's fpDNS tuples.
 //! * [`hash`] — the seeded hasher of the tables probed on every replayed
 //!   event, and [`table`] — the position table those tables share.
+//! * [`NameTable`] — a bounded table of recently parsed names, so a text
+//!   reader hands a repeated name the block it made the first time.
 //! * [`quarantine`] — the typed, exactly counted quarantine ledger that
 //!   capture ingestion and store recovery both book rejected bytes into.
 //!
@@ -40,6 +42,7 @@ pub mod hash;
 mod label;
 mod message;
 mod name;
+mod name_table;
 pub mod quarantine;
 mod record;
 mod suffix;
@@ -52,6 +55,7 @@ pub use message::{Message, Opcode, Question, Rcode};
 pub use name::{
     fnv1a, splitmix_finalize, LabelIter, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN,
 };
+pub use name_table::NameTable;
 pub use record::{QType, RData, Record, RrKey, Soa, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{StampWindow, Timestamp, Ttl, SECS_PER_DAY, STAMP_NEIGHBORS};

@@ -386,6 +386,13 @@ impl Name {
         name.to_name()
     }
 
+    /// Whether `self` and `other` are one heap block (an `Arc` clone), not
+    /// merely equal texts.
+    #[cfg(test)]
+    pub(crate) fn shares_block(&self, other: &Name) -> bool {
+        Arc::ptr_eq(&self.text, &other.text)
+    }
+
     /// The presentation form — exactly what `Display` writes: the labels
     /// joined by `.`, and `.` alone for the root.
     pub fn as_str(&self) -> &str {

@@ -4,6 +4,7 @@
 
 mod common;
 
+use dnsnoise_dns::NameTable;
 use dnsnoise_ingest::{corrupt, ingest_bytes, CaptureFormat, IngestConfig, IngestReport, Step};
 use dnsnoise_workload::trace_io;
 
@@ -114,10 +115,12 @@ fn names_over_the_wire_limit_are_quarantined_not_forwarded() {
                 assert!(bad_wire.samples[0].reason.contains("exceeds length limit"));
             }
             // Whatever was forwarded is a line the next stage accepts.
+            let mut names = NameTable::new();
             for event in &out.trace.events {
                 let mut line = String::new();
                 trace_io::append_event(event, &mut line);
-                assert_eq!(&trace_io::parse_event(&line).expect("forwarded line parses"), event);
+                let parsed = trace_io::parse_event(&line, &mut names);
+                assert_eq!(&parsed.expect("forwarded line parses"), event);
             }
         }
     }

@@ -32,14 +32,15 @@ pub use error::StoreError;
 pub use recovery::{fsck, RecoveryReport};
 pub use run::Run;
 
-/// The value of the CLI's `--store` flag. It no longer picks an engine:
-/// every store is a [`RunStore`], and `disk` only admits `--store-path`.
+/// The value of the CLI's `--store` flag, echoed in its store summary. It
+/// picks no engine: every store is a [`RunStore`], and a `--store-path`
+/// makes it durable whether or not `disk` is named.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// No spill directory may be given (the default).
+    /// No spill directory (the default); refuses a `--store-path`.
     #[default]
     Memory,
-    /// A spill directory may be given.
+    /// With or without a spill directory; what a `--store-path` alone means.
     Disk,
 }
 

@@ -20,20 +20,25 @@
 //! renders integers, qtypes and IPv4 addresses by hand rather than through
 //! `core::fmt` (AAAA alone keeps `Display`, for its RFC 5952 `::`
 //! compression) and allocates nothing into a warmed buffer. The reader
-//! ([`parse_event`]) does not parse again a name the line repeats: an
+//! ([`parse_event`]) does not parse again a name it has just seen: an
 //! answer record owned by the qname, or by the previous record's CNAME
-//! target, shares that `Name`. A one-record answer line costs two
-//! allocations (the name block and the answer `Vec`), each CNAME target
-//! one more, and an NXDOMAIN line one. `tests/trace_allocs.rs` pins those
-//! counts, `tests/golden/render.txt` pins the rendered bytes, and the unit
-//! tests hold both halves to the `core::fmt` codec they replaced.
+//! target, shares that `Name`, and every other name field is looked up in
+//! a [`NameTable`] of recent names, one per [`EventReader`], so a popular
+//! name asked all day is one heap block per read, not one per line. On a
+//! cold table a one-record answer line costs two allocations (the name
+//! block and the answer `Vec`), each CNAME target one more, and an
+//! NXDOMAIN line one; once the table holds the line's names, an answer
+//! line costs its `Vec` alone and an NXDOMAIN line nothing.
+//! `tests/trace_allocs.rs` pins those counts, `tests/golden/render.txt`
+//! pins the rendered bytes, and the unit tests hold both halves to the
+//! `core::fmt` codec they replaced, through a cold table and a shared one.
 
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read as _, Write};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use dnsnoise_dns::{Name, QType, RData, Record, Soa, Timestamp, Ttl};
+use dnsnoise_dns::{Name, NameTable, QType, RData, Record, Soa, Timestamp, Ttl};
 
 use crate::event::{Outcome, QueryEvent};
 use crate::scenario::DayTrace;
@@ -234,20 +239,20 @@ fn append_rdata(rdata: &RData, line: &mut String) {
     }
 }
 
-fn parse_rdata(s: &str) -> Result<RData, String> {
+fn parse_rdata(s: &str, names: &mut NameTable) -> Result<RData, String> {
     let (kind, rest) = s.split_once(':').ok_or_else(|| format!("rdata missing kind: {s}"))?;
     match kind {
         "A" => rest.parse::<Ipv4Addr>().map(RData::A).map_err(|e| e.to_string()),
         "AAAA" => rest.parse::<Ipv6Addr>().map(RData::Aaaa).map_err(|e| e.to_string()),
-        "CNAME" => rest.parse::<Name>().map(RData::Cname).map_err(|e| e.to_string()),
-        "NS" => rest.parse::<Name>().map(RData::Ns).map_err(|e| e.to_string()),
-        "PTR" => rest.parse::<Name>().map(RData::Ptr).map_err(|e| e.to_string()),
+        "CNAME" => names.intern(rest).map(RData::Cname).map_err(|e| e.to_string()),
+        "NS" => names.intern(rest).map(RData::Ns).map_err(|e| e.to_string()),
+        "PTR" => names.intern(rest).map(RData::Ptr).map_err(|e| e.to_string()),
         "TXT" => unescape_txt(rest).map(|text| RData::Txt(text.into())),
         "MX" => {
             let (pref, exch) = rest.split_once(':').ok_or("MX needs preference:exchange")?;
             Ok(RData::Mx {
                 preference: pref.parse().map_err(|_| "bad MX preference")?,
-                exchange: exch.parse().map_err(|_| "bad MX exchange")?,
+                exchange: names.intern(exch).map_err(|_| "bad MX exchange")?,
             })
         }
         "SOA" => {
@@ -256,8 +261,8 @@ fn parse_rdata(s: &str) -> Result<RData, String> {
                 return Err("SOA needs 7 fields".into());
             }
             Ok(RData::Soa(Box::new(Soa {
-                mname: parts[0].parse().map_err(|_| "bad SOA mname")?,
-                rname: parts[1].parse().map_err(|_| "bad SOA rname")?,
+                mname: names.intern(parts[0]).map_err(|_| "bad SOA mname")?,
+                rname: names.intern(parts[1]).map_err(|_| "bad SOA rname")?,
                 serial: parts[2].parse().map_err(|_| "bad SOA serial")?,
                 refresh: parts[3].parse().map_err(|_| "bad SOA refresh")?,
                 retry: parts[4].parse().map_err(|_| "bad SOA retry")?,
@@ -321,14 +326,16 @@ pub fn append_event(event: &QueryEvent, line: &mut String) {
     }
 }
 
-/// Parses a raw name field (`what` is `qname` or `record name`) in one
-/// pass: the name parser is the only thing that reads a well-formed field.
-/// It refuses everything the trace format refuses — a control byte is not
-/// a label byte, and more than [`MAX_NAME_LABELS`] labels cannot fit in
-/// `MAX_NAME_LEN` characters — so the format's own, more specific reports
-/// are worked out on the error path only, in their fixed precedence.
-fn parse_name_field(field: &str, what: &str) -> Result<Name, String> {
-    Name::parse(field).map_err(|e| {
+/// Parses a raw name field (`what` is `qname` or `record name`) through
+/// `names`: a field the table holds is that name, and any other is parsed
+/// in one pass, the name parser being the only thing that reads a
+/// well-formed field. It refuses everything the trace format refuses — a
+/// control byte is not a label byte, and more than [`MAX_NAME_LABELS`]
+/// labels cannot fit in `MAX_NAME_LEN` characters — so the format's own,
+/// more specific reports are worked out on the error path only, in their
+/// fixed precedence.
+fn parse_name_field(field: &str, what: &str, names: &mut NameTable) -> Result<Name, String> {
+    names.intern(field).map_err(|e| {
         if field.bytes().any(|b| b < 0x20 || b == 0x7f) {
             return format!("control byte in {what}");
         }
@@ -378,27 +385,30 @@ impl<'a> Iterator for Fields<'a> {
     }
 }
 
-/// Parses one trace line.
+/// Parses one trace line, looking its name fields up in `names`.
 ///
-/// A name the line repeats is not parsed again: a record owner field that
-/// is the presentation text of the qname, or of the previous record's
-/// `CNAME` target, shares that already-parsed [`Name`]. A name's own text
-/// parses back to it, so the value and the error precedence are a fresh
-/// parse's.
-/// A one-record answer costs two allocations, the name block and the
-/// answer `Vec`.
+/// A name the line repeats is not looked up again: a record owner field
+/// that is the presentation text of the qname, or of the previous record's
+/// `CNAME` target, shares that already-parsed [`Name`]. Every other name
+/// field — the qname, other owners, CNAME/NS/PTR/MX/SOA targets — goes
+/// through [`NameTable::intern`], which hands a field it holds the block
+/// it made before. A name's own text parses back to it, and only a miss
+/// parses, so the value and the error precedence are a fresh parse's
+/// whatever the table holds. A one-record answer costs two allocations on
+/// a cold table, the name block and the answer `Vec`, and the `Vec` alone
+/// once the table holds its name.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed field.
-pub fn parse_event(line: &str) -> Result<QueryEvent, String> {
+pub fn parse_event(line: &str, names: &mut NameTable) -> Result<QueryEvent, String> {
     if line.len() > MAX_LINE_BYTES {
         return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
     }
     let mut fields = split_ascii(line, b'\t', 5);
     let secs: u64 = fields.next().ok_or("missing time")?.parse().map_err(|_| "bad time")?;
     let client: u64 = fields.next().ok_or("missing client")?.parse().map_err(|_| "bad client")?;
-    let name = parse_name_field(fields.next().ok_or("missing qname")?, "qname")?;
+    let name = parse_name_field(fields.next().ok_or("missing qname")?, "qname", names)?;
     let qtype = parse_qtype(fields.next().ok_or("missing qtype")?)?;
     let outcome_field = fields.next().ok_or("missing outcome")?;
     let outcome = if outcome_field == "NXDOMAIN" {
@@ -414,11 +424,11 @@ pub fn parse_event(line: &str) -> Result<QueryEvent, String> {
             let rname = match records.last().map(|r| &r.rdata) {
                 _ if owner == name.as_str() => name.clone(),
                 Some(RData::Cname(target)) if owner == target.as_str() => target.clone(),
-                _ => parse_name_field(owner, "record name")?,
+                _ => parse_name_field(owner, "record name", names)?,
             };
             let rtype = parse_qtype(cols.next().ok_or("missing record type")?)?;
             let ttl: u32 = cols.next().ok_or("missing ttl")?.parse().map_err(|_| "bad ttl")?;
-            let rdata = parse_rdata(cols.next().ok_or("missing rdata")?)?;
+            let rdata = parse_rdata(cols.next().ok_or("missing rdata")?, names)?;
             records.push(Record::new(rname, rtype, Ttl::from_secs(ttl), rdata));
         }
         if records.is_empty() {
@@ -476,6 +486,10 @@ pub fn write_trace<W: Write>(trace: &DayTrace, out: W) -> Result<(), TraceIoErro
 /// agree exactly — same events, same skip rules, same line-numbered
 /// errors.
 ///
+/// The reader owns one [`NameTable`] (64 KiB) and parses every line
+/// through it, so a name the trace repeats shares one heap block while the
+/// table holds it; dropping the reader drops the table.
+///
 /// Hostile input stays bounded: each line is read through a
 /// [`MAX_LINE_BYTES`]-byte window, so a newline-free stream fails fast
 /// with a line-numbered error instead of buffering without limit; bytes
@@ -497,6 +511,7 @@ pub fn write_trace<W: Write>(trace: &DayTrace, out: W) -> Result<(), TraceIoErro
 pub struct EventReader<R: BufRead> {
     input: R,
     buf: Vec<u8>,
+    names: NameTable,
     lineno: usize,
     done: bool,
 }
@@ -505,7 +520,13 @@ impl<R: BufRead> EventReader<R> {
     /// Wraps a buffered reader positioned at the start of (or anywhere
     /// within) a trace stream.
     pub fn new(input: R) -> EventReader<R> {
-        EventReader { input, buf: Vec::with_capacity(256), lineno: 0, done: false }
+        EventReader {
+            input,
+            buf: Vec::with_capacity(256),
+            names: NameTable::new(),
+            lineno: 0,
+            done: false,
+        }
     }
 
     /// 1-based count of lines consumed so far (including skipped blanks
@@ -570,7 +591,7 @@ impl<R: BufRead> EventReader<R> {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            return Some(match parse_event(trimmed) {
+            return Some(match parse_event(trimmed, &mut self.names) {
                 Ok(event) => Ok(event),
                 Err(message) => {
                     self.done = true;
@@ -691,11 +712,14 @@ mod reference {
         if line.len() > MAX_LINE_BYTES {
             return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
         }
+        // A table no earlier line warmed: the values and errors of a
+        // table-free parse.
+        let names = &mut NameTable::new();
         let mut fields = line.splitn(5, '\t');
         let secs: u64 = fields.next().ok_or("missing time")?.parse().map_err(|_| "bad time")?;
         let client: u64 =
             fields.next().ok_or("missing client")?.parse().map_err(|_| "bad client")?;
-        let name = parse_name_field(fields.next().ok_or("missing qname")?, "qname")?;
+        let name = parse_name_field(fields.next().ok_or("missing qname")?, "qname", names)?;
         let qtype = parse_qtype(fields.next().ok_or("missing qtype")?)?;
         let outcome_field = fields.next().ok_or("missing outcome")?;
         let outcome = if outcome_field == "NXDOMAIN" {
@@ -707,11 +731,11 @@ mod reference {
                     return Err(format!("answer exceeds {MAX_ANSWER_RECORDS} records"));
                 }
                 let mut cols = part.splitn(4, ',');
-                let rname =
-                    parse_name_field(cols.next().ok_or("missing record name")?, "record name")?;
+                let owner = cols.next().ok_or("missing record name")?;
+                let rname = parse_name_field(owner, "record name", names)?;
                 let rtype = parse_qtype(cols.next().ok_or("missing record type")?)?;
                 let ttl: u32 = cols.next().ok_or("missing ttl")?.parse().map_err(|_| "bad ttl")?;
-                let rdata = parse_rdata(cols.next().ok_or("missing rdata")?)?;
+                let rdata = parse_rdata(cols.next().ok_or("missing rdata")?, names)?;
                 records.push(Record::new(rname, rtype, Ttl::from_secs(ttl), rdata));
             }
             if records.is_empty() {
@@ -738,6 +762,11 @@ mod corruption;
 mod tests {
     use super::*;
     use crate::scenario::{Scenario, ScenarioConfig};
+
+    /// `parse_rdata` through a table of its own.
+    fn parse_rdata_alone(s: &str) -> Result<RData, String> {
+        parse_rdata(s, &mut NameTable::new())
+    }
 
     fn render_rdata(rdata: &RData) -> String {
         let mut out = String::new();
@@ -825,12 +854,12 @@ mod tests {
             "OPAQUE:deadbeef",
         ];
         for k in kinds {
-            let rdata = parse_rdata(k).unwrap();
+            let rdata = parse_rdata_alone(k).unwrap();
             assert_eq!(render_rdata(&rdata), k, "roundtrip of {k}");
         }
-        assert!(parse_rdata("BOGUS:x").is_err());
-        assert!(parse_rdata("A:not-an-ip").is_err());
-        assert!(parse_rdata("OPAQUE:abc").is_err(), "odd hex length");
+        assert!(parse_rdata_alone("BOGUS:x").is_err());
+        assert!(parse_rdata_alone("A:not-an-ip").is_err());
+        assert!(parse_rdata_alone("OPAQUE:abc").is_err(), "odd hex length");
     }
 
     fn txt_event(payload: &str) -> QueryEvent {
@@ -875,7 +904,7 @@ mod tests {
                 "structural byte leaked: {rendered}"
             );
             assert_eq!(rendered.trim_end(), rendered, "trailing whitespace left raw");
-            assert_eq!(parse_rdata(&rendered).unwrap(), rdata, "rdata roundtrip of {p:?}");
+            assert_eq!(parse_rdata_alone(&rendered).unwrap(), rdata, "rdata roundtrip of {p:?}");
 
             // And the full event line round-trips through a file.
             let event = txt_event(p);
@@ -886,17 +915,17 @@ mod tests {
             assert_eq!(back, [event], "file roundtrip of {p:?}");
         }
         assert_eq!(render_rdata(&RData::Txt("x\u{3000}".into())), "TXT:x%e3%80%80");
-        assert!(parse_rdata("TXT:bad%zz").is_err());
-        assert!(parse_rdata("TXT:trunc%0").is_err());
-        assert!(parse_rdata("TXT:%ff").is_err(), "escapes must decode to utf-8");
+        assert!(parse_rdata_alone("TXT:bad%zz").is_err());
+        assert!(parse_rdata_alone("TXT:trunc%0").is_err());
+        assert!(parse_rdata_alone("TXT:%ff").is_err(), "escapes must decode to utf-8");
     }
 
     #[test]
     fn opaque_rdata_rejects_multibyte_hex_without_panicking() {
         // "€x" is 4 bytes (even), but slicing [0..2] would split the
         // 3-byte euro sign — the old code panicked here.
-        assert!(parse_rdata("OPAQUE:\u{20ac}x").is_err());
-        assert!(parse_rdata("OPAQUE:zz").is_err());
+        assert!(parse_rdata_alone("OPAQUE:\u{20ac}x").is_err());
+        assert!(parse_rdata_alone("OPAQUE:zz").is_err());
     }
 
     #[test]
@@ -995,7 +1024,8 @@ mod tests {
 
         /// Both parsers on `line`: the same event, or the same error text.
         fn assert_same_parse(line: &str) -> Result<(), TestCaseError> {
-            prop_assert_eq!(parse_event(line), reference::parse_event(line), "line {:?}", line);
+            let parsed = parse_event(line, &mut NameTable::new());
+            prop_assert_eq!(parsed, reference::parse_event(line), "line {:?}", line);
             Ok(())
         }
 
@@ -1191,6 +1221,81 @@ mod tests {
             #[test]
             fn owner_fields_parse_as_the_parent_did(line in answer_line()) {
                 assert_same_parse(&line)?;
+            }
+        }
+
+        /// A name field over a few spellings of a few names: upper case,
+        /// a trailing dot, the root as `.` and as an empty field, and
+        /// defects (an empty label, a space, a control byte, a 64-byte
+        /// label).
+        fn name_field() -> impl Strategy<Value = String> {
+            let spelled = || string_regex("[a-cA-C]{1,2}(\\.[a-cA-C]{1,2}){0,2}\\.?").unwrap();
+            prop_oneof![
+                spelled(),
+                spelled(),
+                spelled(),
+                Just(".".to_owned()),
+                Just(String::new()),
+                prop_oneof![
+                    Just("a..b".to_owned()),
+                    Just("a b.c".to_owned()),
+                    Just("a\u{1}.c".to_owned()),
+                    Just("x".repeat(64)),
+                ],
+            ]
+        }
+
+        /// Lines whose every name field is a [`name_field`]: the qname,
+        /// the owners (often the qname's field again) and each rdata kind
+        /// that names a name.
+        fn table_line() -> impl Strategy<Value = String> {
+            let rdata = prop_oneof![
+                name_field().prop_map(|n| format!("CNAME:{n}")),
+                name_field().prop_map(|n| format!("NS:{n}")),
+                name_field().prop_map(|n| format!("PTR:{n}")),
+                name_field().prop_map(|n| format!("MX:10:{n}")),
+                (name_field(), name_field()).prop_map(|(m, r)| format!("SOA:{m}:{r}:1:2:3:4:5")),
+                Just("A:192.0.2.1".to_owned()),
+            ];
+            let record = (any::<bool>(), name_field(), rdata);
+            (name_field(), proptest::collection::vec(record, 0..4)).prop_map(|(qname, records)| {
+                let mut line = format!("7\t3\t{qname}\tA\t");
+                if records.is_empty() {
+                    line.push_str("NXDOMAIN");
+                }
+                for (i, (own, owner, rdata)) in records.into_iter().enumerate() {
+                    if i > 0 {
+                        line.push(';');
+                    }
+                    let owner = if own { &qname } else { &owner };
+                    line.push_str(&format!("{owner},A,60,{rdata}"));
+                }
+                line
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// A shared table changes no value and no error: every line,
+            /// parsed twice through one table, equals its parse through a
+            /// fresh one. With a crowd, the table first takes twice as many
+            /// distinct names as it has slots, so every slot holds another
+            /// name when a line's first lookup reaches it.
+            #[test]
+            fn a_shared_table_parses_as_a_fresh_one(
+                lines in proptest::collection::vec(table_line(), 1..24),
+                crowd in any::<bool>(),
+            ) {
+                let mut shared = NameTable::new();
+                for i in 0..if crowd { 8192 } else { 0 } {
+                    let crowded = format!("{i}\t1\tn{i}.crowd\tA\tNXDOMAIN");
+                    prop_assert!(parse_event(&crowded, &mut shared).is_ok());
+                }
+                for line in lines.iter().chain(&lines) {
+                    let fresh = parse_event(line, &mut NameTable::new());
+                    prop_assert_eq!(parse_event(line, &mut shared), fresh, "line {:?}", line);
+                }
             }
         }
 

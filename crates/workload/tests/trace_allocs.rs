@@ -1,11 +1,13 @@
-//! The text trace at its byte cost: parsing a line allocates its distinct
-//! names and the answer `Vec`, nothing else, and rendering into a warmed
-//! line buffer allocates nothing.
+//! The text trace at its byte cost: parsing a line allocates the names
+//! its name table does not hold and the answer `Vec`, nothing else, and
+//! rendering into a warmed line buffer allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dnsnoise_workload::trace_io::{append_event, parse_event};
+use dnsnoise_dns::NameTable;
+use dnsnoise_workload::trace_io::{append_event, parse_event, write_events, EventReader};
+use dnsnoise_workload::{Scenario, ScenarioConfig};
 
 thread_local! {
     /// Allocations made by this thread (the test harness has others).
@@ -60,13 +62,14 @@ const EVERY_KIND: &str = "18446744073709551615\t18446744073709551615\tx.example\
 
 #[test]
 fn a_line_allocates_its_names_and_its_answer_once() {
-    for (line, expected, what) in [
-        (ONE_RECORD, 2, "one record owned by the qname: the name block and the answer Vec"),
-        (CNAME_CHAIN, 3, "a CNAME chain: qname, alias target and the answer Vec"),
-        (NXDOMAIN, 1, "an NXDOMAIN: the name block"),
+    for (line, cold, warm, what) in [
+        (ONE_RECORD, 2, 1, "one record owned by the qname: the name block and the answer Vec"),
+        (CNAME_CHAIN, 3, 1, "a CNAME chain: qname, alias target and the answer Vec"),
+        (NXDOMAIN, 1, 0, "an NXDOMAIN: the name block"),
     ] {
-        let (event, n) = allocations(|| parse_event(line).unwrap());
-        assert_eq!(n, expected, "{what}");
+        let mut names = NameTable::new();
+        let (event, n) = allocations(|| parse_event(line, &mut names).unwrap());
+        assert_eq!(n, cold, "cold table, {what}");
         // The shared names are the parsed ones, not lookalikes.
         if let [first, rest @ ..] = event.outcome.records() {
             assert_eq!(first.name, event.name);
@@ -74,17 +77,39 @@ fn a_line_allocates_its_names_and_its_answer_once() {
                 assert_eq!(r.name.as_str(), "shop.cdn.example");
             }
         }
+        // Once the table holds the line's names, only the answer `Vec`
+        // is new.
+        let (again, n) = allocations(|| parse_event(line, &mut names).unwrap());
+        assert_eq!(n, warm, "warm table, {what}");
+        assert_eq!(again, event);
     }
+}
+
+/// A whole generated day through one reader, its table included: the
+/// skew of the traffic makes most name fields hits.
+#[test]
+fn a_day_read_through_one_reader_allocates_little_more_than_its_answers() {
+    let config = ScenarioConfig::paper_epoch(1.0).with_scale(0.05);
+    let trace = Scenario::new(config, 7).generate_day(0);
+    let mut text = Vec::new();
+    write_events(&trace.events, &mut text).unwrap();
+    let (read, n) = allocations(|| EventReader::new(text.as_slice()).map(Result::unwrap).count());
+    assert_eq!(read, trace.events.len());
+    let per_line = n as f64 / read as f64;
+    // Measured 1.058 on this day (seed 7).
+    assert!(per_line < 1.1, "{n} allocations over {read} lines: {per_line:.3} per line");
 }
 
 #[test]
 fn rendering_into_a_warmed_buffer_allocates_nothing() {
-    let events = [EVERY_KIND, ONE_RECORD, CNAME_CHAIN, NXDOMAIN].map(|l| parse_event(l).unwrap());
+    let mut names = NameTable::new();
+    let events = [EVERY_KIND, ONE_RECORD, CNAME_CHAIN, NXDOMAIN]
+        .map(|l| parse_event(l, &mut names).unwrap());
     let mut line = String::with_capacity(512);
     for event in &events {
         line.clear();
         let ((), n) = allocations(|| append_event(event, &mut line));
         assert_eq!(n, 0, "{line}");
-        assert_eq!(parse_event(&line).as_ref(), Ok(event));
+        assert_eq!(parse_event(&line, &mut names).as_ref(), Ok(event));
     }
 }

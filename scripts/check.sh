@@ -187,6 +187,14 @@ mem_held=$(grep -o "$held" "$smoke_dir/sm.log") \
     || { echo "error: the store's contents depend on its directory" >&2; exit 1; }
 ls "$smoke_dir/pdns" | grep -q 'run-.*\.bin' \
     || { echo "error: disk store spilled no run files" >&2; exit 1; }
+# A --store-path alone is the same disk store: same render, same summary line.
+./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
+    --model "$smoke_dir/model.txt" \
+    --store-path "$smoke_dir/pdns-alone" >"$smoke_dir/sa.txt" 2>"$smoke_dir/sa.log"
+diff "$smoke_dir/s1.txt" "$smoke_dir/sa.txt" >&2
+alone=$(grep '^rpdns store: backend=disk ' "$smoke_dir/sa.log") \
+    && [ "$alone" = "$(grep '^rpdns store: ' "$smoke_dir/sd.log")" ] \
+    || { echo "error: --store-path alone made another store than --store disk" >&2; exit 1; }
 # The write path is pinned to the byte: the disk store's run, flush,
 # compaction and bytes-written counters must equal the committed row.
 grep -o 'runs=[0-9]* flushes=[0-9]* compactions=[0-9]* bytes_written=[0-9]*' "$smoke_dir/sd.log" \

@@ -323,9 +323,16 @@ mod tests {
             // Bad values and misuse are refused, with the flag's own error.
             let err = "unknown store backend `floppy` (expected memory|disk)";
             assert_eq!(parse(command, "--store floppy"), Err(err.into()));
-            let spill = Err("--store-path requires --store disk".into());
+            let spill =
+                Err("--store memory contradicts --store-path, which makes a disk store".into());
             assert_eq!(parse(command, "--store memory --store-path /tmp/x"), spill);
-            assert_eq!(parse(command, "--store-path /tmp/x"), spill);
+            // A path alone is a disk store, as with `--store disk`.
+            let alone = parse(command, "--store-path /tmp/x").unwrap();
+            assert_eq!((alone.store, alone.store_path.as_deref()), (None, Some("/tmp/x")));
+            assert!(alone.store_reported());
+            assert_eq!(alone.backend(), BackendKind::Disk);
+            assert_eq!(parse(command, "--store disk").unwrap().backend(), BackendKind::Disk);
+            assert_eq!(parse(command, "").unwrap().backend(), BackendKind::Memory);
         }
     }
 

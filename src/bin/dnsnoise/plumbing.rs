@@ -83,11 +83,11 @@ pub const MINER: Table = Table { title: "miner", flags: &[
 /// The rpDNS store's summary, and where it spills.
 #[rustfmt::skip]
 pub const STORE: Table = Table { title: "store", flags: &[
-    flag("--store", Value("<kind>"), "memory (default) or disk, which a --store-path needs; \
-        either prints a store summary to stderr and leaves the report as it is",
+    flag("--store", Value("<kind>"), "memory (default) or disk; either prints a store summary \
+        to stderr and leaves the report as it is",
         |o, v| parsed(&mut o.store, v.parse())),
-    flag("--store-path", Value("<dir>"), "mirror the pDNS store's sorted runs in this directory",
-        |o, v| some(&mut o.store_path, v)),
+    flag("--store-path", Value("<dir>"), "mirror the pDNS store's sorted runs in this directory \
+        (a disk store; --store may be left out)", |o, v| some(&mut o.store_path, v)),
 ] };
 
 impl Opts {
@@ -101,10 +101,19 @@ impl Opts {
         ensure((0.0..=1.0).contains(&self.theta), "--theta must be in [0, 1]")
     }
 
-    /// A spill directory needs `--store disk`.
+    /// A spill directory makes a disk store, so `--store memory` may not
+    /// come with one.
     pub fn check_store(&self) -> Result<(), String> {
-        let disk = self.store == Some(BackendKind::Disk);
-        ensure(self.store_path.is_none() || disk, "--store-path requires --store disk")
+        let memory = self.store == Some(BackendKind::Memory);
+        let message = "--store memory contradicts --store-path, which makes a disk store";
+        ensure(self.store_path.is_none() || !memory, message)
+    }
+
+    /// The store's kind: `--store`'s value, or disk when a `--store-path`
+    /// alone is given.
+    pub fn backend(&self) -> BackendKind {
+        let spill = if self.store_path.is_some() { BackendKind::Disk } else { BackendKind::Memory };
+        self.store.unwrap_or(spill)
     }
 
     pub fn scenario(&self) -> Scenario {
@@ -164,13 +173,13 @@ impl Opts {
 
     /// The one-line store summary `simulate` and `stream` both print, to
     /// stderr so stdout stays byte-identical with or without a spill
-    /// directory. `backend=` echoes `--store`.
+    /// directory. `backend=` is [`Opts::backend`].
     pub fn store_summary_line(&self, s: &RpdnsStoreSummary) -> String {
         let st = s.stats;
         format!(
             "rpdns store: backend={} records={} storage_bytes={} runs={} flushes={} \
              compactions={} bytes_written={}",
-            self.store.unwrap_or_default(),
+            self.backend(),
             s.records,
             s.storage_bytes,
             st.runs,

@@ -92,6 +92,8 @@ fn run(o: &Opts) -> Result<(), String> {
     if let Some(e) = error.take() {
         return Err(e);
     }
+    // The trace is spent: its reader and name table go before the close.
+    drop(events);
 
     // Close out: render, store summary, and every latched persistence
     // failure surfaced as a non-zero exit.

@@ -555,6 +555,41 @@ fn simulate_exports_metrics_identically_across_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store directory's files, sorted by name: `(name, bytes)`.
+type StoreFiles = Vec<(String, Vec<u8>)>;
+
+/// One run of `subcommand` over `trace` with `flags` and `--store-path
+/// store`: its stdout, its `rpdns store:` line and the files `store` holds
+/// once it exits.
+fn store_run(
+    subcommand: &str,
+    trace: &std::path::Path,
+    flags: &[&str],
+    store: &std::path::Path,
+) -> (Vec<u8>, String, StoreFiles) {
+    let out = bin()
+        .args([subcommand, "--trace"])
+        .arg(trace)
+        .args(flags)
+        .arg("--store-path")
+        .arg(store)
+        .output()
+        .expect("run the subcommand");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let summary = stderr.lines().find(|l| l.starts_with("rpdns store:")).map(str::to_owned);
+    let mut files: StoreFiles = std::fs::read_dir(store)
+        .expect("store directory written")
+        .map(|e| e.expect("dir entry").path())
+        .map(|p| {
+            let name = p.file_name().expect("file name").to_string_lossy().into_owned();
+            (name, std::fs::read(&p).expect("store file"))
+        })
+        .collect();
+    files.sort();
+    (out.stdout, summary.expect("summary line on stderr"), files)
+}
+
 /// `simulate --store disk` is a function of the trace: two runs leave the
 /// same bytes under `--store-path` (run ids and MANIFEST included) and
 /// print the same summary line.
@@ -569,29 +604,7 @@ fn simulate_disk_store_repeats_byte_for_byte() {
         .expect("run generate");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    let run = |name: &str| {
-        let store = dir.join(name);
-        let out = bin()
-            .args(["simulate", "--trace"])
-            .arg(&trace)
-            .args(["--store", "disk", "--store-path"])
-            .arg(&store)
-            .output()
-            .expect("run simulate");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        let summary = stderr.lines().find(|l| l.starts_with("rpdns store:")).map(str::to_owned);
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&store)
-            .expect("store directory written")
-            .map(|e| e.expect("dir entry").path())
-            .map(|p| {
-                let name = p.file_name().expect("file name").to_string_lossy().into_owned();
-                (name, std::fs::read(&p).expect("store file"))
-            })
-            .collect();
-        files.sort();
-        (out.stdout, summary.expect("summary line on stderr"), files)
-    };
+    let run = |name: &str| store_run("simulate", &trace, &["--store", "disk"], &dir.join(name));
     let (a, b) = (run("pd-a"), run("pd-b"));
     assert!(a.1.contains("backend=disk") && a.1.contains("flushes="), "{}", a.1);
     let names: Vec<&str> = a.2.iter().map(|(name, _)| name.as_str()).collect();
@@ -602,6 +615,47 @@ fn simulate_disk_store_repeats_byte_for_byte() {
     assert_eq!(a.0, b.0, "stdout");
     assert_eq!(a.1, b.1, "summary line");
     assert!(a.2 == b.2, "store directories differ: {names:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--store-path` alone makes the store `--store disk --store-path`
+/// makes, on `simulate` and `stream` alike: the same stdout, the same
+/// `backend=disk` summary line and the same directory bytes. `--store
+/// memory` with a path is refused in one line naming both flags.
+#[test]
+fn a_store_path_alone_is_a_disk_store() {
+    let dir = tempdir_named("store-path-alone");
+    let trace = dir.join("day.trace");
+    let out = bin()
+        .args(["generate", "--scale", "0.02", "--seed", "3", "--out"])
+        .arg(&trace)
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    for subcommand in ["simulate", "stream"] {
+        let store = |how: &str| dir.join(format!("{subcommand}-{how}"));
+        let disk = store_run(subcommand, &trace, &["--store", "disk"], &store("disk"));
+        let alone = store_run(subcommand, &trace, &[], &store("alone"));
+        assert!(disk.1.starts_with("rpdns store: backend=disk "), "{subcommand}: {}", disk.1);
+        assert_eq!(alone.0, disk.0, "{subcommand} stdout");
+        assert_eq!(alone.1, disk.1, "{subcommand} summary line");
+        assert!(alone.2 == disk.2, "{subcommand}: the store directories differ");
+
+        let out = bin()
+            .args([subcommand, "--trace"])
+            .arg(&trace)
+            .args(["--store", "memory", "--store-path"])
+            .arg(store("memory"))
+            .output()
+            .expect("run the subcommand");
+        assert_eq!(out.status.code(), Some(1), "{subcommand}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains("--store memory") && first.contains("--store-path"), "{stderr}");
+        assert!(!store("memory").exists(), "{subcommand} made the refused directory");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
