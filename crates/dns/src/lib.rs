@@ -56,6 +56,6 @@ pub use name::{
     fnv1a, splitmix_finalize, LabelIter, Labels, Name, NameBuilder, NameParseError, MAX_NAME_LEN,
 };
 pub use name_table::NameTable;
-pub use record::{QType, RData, Record, RrKey, Soa, UnknownQType};
+pub use record::{QType, RData, RDataRef, Record, RecordRef, RrKey, Soa, UnknownQType};
 pub use suffix::SuffixList;
 pub use time::{StampWindow, Timestamp, Ttl, SECS_PER_DAY, STAMP_NEIGHBORS};

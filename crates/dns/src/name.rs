@@ -218,14 +218,22 @@ impl NameBuilder {
     /// ASCII. The conversion to text is still the checked one, so a defect
     /// here would surface as an invalid-byte error, not a malformed name.
     pub fn to_name(&self) -> Result<Name, NameParseError> {
+        self.text().map(|text| Name { text: Arc::from(text) })
+    }
+
+    /// The presentation text of the labels pushed so far (`""` for none),
+    /// checked as [`NameBuilder::to_name`] checks it.
+    pub(crate) fn text(&self) -> Result<&str, NameParseError> {
         let bytes = self.buf.get(..self.len).unwrap_or(&[]);
-        match std::str::from_utf8(bytes) {
-            Ok(text) => Ok(Name { text: Arc::from(text) }),
-            Err(_) => Err(LabelParseError::InvalidByte(
-                bytes.iter().copied().find(|&b| b > 0x7e).unwrap_or(0),
-            )
-            .into()),
-        }
+        std::str::from_utf8(bytes).map_err(|_| {
+            LabelParseError::InvalidByte(bytes.iter().copied().find(|&b| b > 0x7e).unwrap_or(0))
+                .into()
+        })
+    }
+
+    /// Drops every label pushed, for the next name.
+    pub(crate) fn reset(&mut self) {
+        self.len = 0;
     }
 }
 
@@ -384,6 +392,13 @@ impl Name {
             name.push_label(part.as_bytes())?;
         }
         name.to_name()
+    }
+
+    /// The name whose text is `text`: lower-case labels, each checked and
+    /// joined by dots, at most [`MAX_NAME_LEN`] characters (`""` for the
+    /// root) — what the wire decoder writes into its view.
+    pub(crate) fn from_checked(text: &str) -> Name {
+        Name { text: Arc::from(text) }
     }
 
     /// Whether `self` and `other` are one heap block (an `Arc` clone), not

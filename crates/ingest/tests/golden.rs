@@ -12,7 +12,10 @@
 //! [`IngestReport`]: dnsnoise_ingest::IngestReport
 
 use dnsnoise_dns::fnv1a;
-use dnsnoise_ingest::{corrupt, framestream, ingest_bytes, pcap, CaptureFormat, IngestConfig};
+use dnsnoise_ingest::{
+    corrupt, framestream, ingest_bytes, pcap, CaptureFormat, EventStream, IngestConfig,
+    IngestReport,
+};
 use dnsnoise_workload::{trace_io, Scenario, ScenarioConfig};
 
 /// What `dnsnoise generate --scale 0.01 --seed 4 --capture <format>
@@ -30,17 +33,27 @@ fn capture(format: CaptureFormat, corrupted: bool) -> Vec<u8> {
 }
 
 /// The ledger as `dnsnoise ingest` prints it, then the trace's identity.
-fn rendered(bytes: &[u8]) -> String {
+fn rendered(report: &IngestReport, text: &[u8]) -> String {
+    format!("{report}trace: {} bytes, fnv1a {:016x}\n", text.len(), fnv1a(text.iter().copied()))
+}
+
+/// Through the owned events: `ingest_bytes`, then `write_trace`.
+fn through_events(bytes: &[u8]) -> String {
     let out =
         ingest_bytes(bytes, &IngestConfig::default()).expect("within the default error budget");
     let mut text = Vec::new();
     trace_io::write_trace(&out.trace, &mut text).unwrap();
-    format!(
-        "{}trace: {} bytes, fnv1a {:016x}\n",
-        out.report,
-        text.len(),
-        fnv1a(text.iter().copied())
-    )
+    rendered(&out.report, &text)
+}
+
+/// Through the CLI's path: each line rendered from its decoded frame,
+/// the capture read through the window.
+fn through_lines(bytes: &[u8]) -> String {
+    let mut stream = EventStream::from_reader(bytes, &IngestConfig::default()).unwrap();
+    let mut text = Vec::new();
+    stream.write_lines(&mut text).unwrap();
+    let report = stream.finish().expect("within the default error budget");
+    rendered(&report, &text)
 }
 
 #[test]
@@ -53,6 +66,7 @@ fn ingest_matches_the_parent_pinned_fixtures() {
     ];
     for (format, corrupted, golden) in fixtures {
         let bytes = capture(format, corrupted);
-        assert_eq!(rendered(&bytes), golden, "{format} corrupted={corrupted}");
+        assert_eq!(through_events(&bytes), golden, "{format} corrupted={corrupted}");
+        assert_eq!(through_lines(&bytes), golden, "lines: {format} corrupted={corrupted}");
     }
 }

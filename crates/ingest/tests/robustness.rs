@@ -117,9 +117,9 @@ fn names_over_the_wire_limit_are_quarantined_not_forwarded() {
             // Whatever was forwarded is a line the next stage accepts.
             let mut names = NameTable::new();
             for event in &out.trace.events {
-                let mut line = String::new();
+                let mut line = Vec::new();
                 trace_io::append_event(event, &mut line);
-                let parsed = trace_io::parse_event(&line, &mut names);
+                let parsed = trace_io::parse_event(std::str::from_utf8(&line).unwrap(), &mut names);
                 assert_eq!(&parsed.expect("forwarded line parses"), event);
             }
         }

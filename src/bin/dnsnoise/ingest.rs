@@ -4,7 +4,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 use dnsnoise::ingest::{EventStream, IngestConfig, IngestError, IngestReport};
-use dnsnoise::workload::trace_io;
 
 use crate::cli::{ensure, flag, parsed, some, to, Kind::Positional, Kind::Value};
 use crate::cli::{Flag, Subcommand, Table};
@@ -40,7 +39,8 @@ fn run(o: &Opts) -> Result<(), String> {
     let mut stream =
         EventStream::from_reader(capture, &config).map_err(|e| format!("{path}: {e}"))?;
 
-    // Each event is rendered as it leaves the filter, but the
+    // Each event's line is rendered from its decoded frame as it leaves
+    // the filter — no event is built — but the
     // error-budget verdict exists only at end of capture and a refused
     // source must emit nothing. So the text goes to a sibling of the
     // destination that is renamed over it after the verdict — or, with
@@ -52,7 +52,7 @@ fn run(o: &Opts) -> Result<(), String> {
         .filter(|dest| std::fs::symlink_metadata(dest).map_or(true, |m| m.is_file()));
     let Some(dest) = renamed_over else {
         let mut text = Vec::new();
-        trace_io::write_events(stream.by_ref(), &mut text).map_err(|e| e.to_string())?;
+        stream.write_lines(&mut text).map_err(|e| e.to_string())?;
         let report = verdict(stream, path)?;
         return match &o.out {
             Some(dest) => {
@@ -66,7 +66,8 @@ fn run(o: &Opts) -> Result<(), String> {
     let sibling = format!("{dest}.tmp{}", std::process::id());
     let publish = || -> Result<u64, String> {
         let file = File::create(&sibling).map_err(|e| format!("cannot create {dest}: {e}"))?;
-        trace_io::write_events(stream.by_ref(), BufWriter::new(file))
+        stream
+            .write_lines(BufWriter::new(file))
             .map_err(|e| format!("cannot write {dest}: {e}"))?;
         let report = verdict(stream, path)?;
         std::fs::rename(&sibling, dest).map_err(|e| format!("cannot create {dest}: {e}"))?;
