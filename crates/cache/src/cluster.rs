@@ -1,8 +1,6 @@
 //! The RDNS server cluster: several independent caches behind a
 //! load-balancing strategy.
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{fnv1a, splitmix_finalize};
 
 use crate::lru::{CacheKey, CacheStats, TtlLru};
@@ -15,7 +13,7 @@ use crate::negative::NegativeCache;
 /// cluster of RDNS servers". The paper's DHR/CHR measurements treat the
 /// cluster as a black box with *multiple independent caches*; the strategy
 /// determines how much each client's working set is split across them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalance {
     /// Each client sticks to one cache (hash of the client id). Typical of
     /// anycast/DNS-VIP-per-subnet deployments.

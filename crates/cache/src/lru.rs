@@ -9,15 +9,13 @@
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::table::PositionTable;
 use dnsnoise_dns::{Name, QType, Record, Timestamp, Ttl};
 
 /// The cache lookup key: `(name, qtype)` — one cached answer set per
 /// question, as a recursive resolver stores it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     /// The queried name.
     pub name: Name,
@@ -37,7 +35,7 @@ impl CacheKey {
 /// [`InsertPriority::Low`] models the §VI-A mitigation: "disposable domains
 /// could be treated with low priority". Low-priority entries are always
 /// evicted before any normal-priority entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsertPriority {
     /// Regular caching behaviour.
     Normal,
@@ -46,7 +44,7 @@ pub enum InsertPriority {
 }
 
 /// How an entry left the cache — used by the §VI-A pressure experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionKind {
     /// Removed by capacity pressure while its TTL was still live: the
     /// paper's *premature eviction*.
@@ -57,7 +55,7 @@ pub enum EvictionKind {
 }
 
 /// Counters maintained by [`TtlLru`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a live entry.
     pub hits: u64,

@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::{Name, Timestamp, Ttl};
 
 /// A cached negative (NXDOMAIN) answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NegativeEntry {
     /// When the entry stops being served.
     pub expires: Timestamp,

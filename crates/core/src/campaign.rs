@@ -12,12 +12,11 @@
 use std::collections::HashMap;
 
 use dnsnoise_dns::{Name, SuffixList};
-use serde::{Deserialize, Serialize};
 
 use crate::report::MiningReport;
 
 /// Accumulated state for one discovered `(zone, depth)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneHistory {
     /// The zone.
     pub zone: Name,

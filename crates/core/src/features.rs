@@ -1,7 +1,6 @@
 //! The statistical feature families of §V-A2.
 
 use dnsnoise_resolver::ChrDistribution;
-use serde::{Deserialize, Serialize};
 
 use crate::tree::{DomainTree, GroupMembers};
 
@@ -23,7 +22,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 /// The feature vector of one depth-group `G_k`: six tree-structure
 /// features over the label set `L_k` and two cache-hit-rate features over
 /// the group's RRs (§V-A2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupFeatures {
     /// `|L_k|` — how many distinct labels sit next to the inspected zone.
     pub cardinality: f64,

@@ -12,13 +12,12 @@
 use dnsnoise_dns::Name;
 use dnsnoise_ml::{Dataset, DatasetError};
 use dnsnoise_workload::GroundTruth;
-use serde::{Deserialize, Serialize};
 
 use crate::features::GroupFeatures;
 use crate::tree::DomainTree;
 
 /// Selection parameters for the labeled training set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainingSetBuilder {
     /// Minimum observed child names for a disposable zone to be labeled
     /// (the paper's 15).
@@ -41,7 +40,7 @@ impl Default for TrainingSetBuilder {
 
 /// The labeled zone rows: features, labels, and the `(zone, depth)` each
 /// row came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledZones {
     /// Feature rows.
     pub rows: Vec<Vec<f64>>,

@@ -2,14 +2,13 @@
 
 use dnsnoise_dns::{Name, SuffixList};
 use dnsnoise_ml::{LadTree, Model};
-use serde::{Deserialize, Serialize};
 
 use crate::features::GroupFeatures;
 use crate::labeling::LabeledZones;
 use crate::tree::DomainTree;
 
 /// Miner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinerConfig {
     /// Classification confidence threshold θ (Algorithm 1 line 5 sets
     /// 0.9).
@@ -30,7 +29,7 @@ impl Default for MinerConfig {
 
 /// One Algorithm 1 output: the pair `(zone, k)` with its confidence and
 /// the number of decolored member names.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// The inspected zone `z`.
     pub zone: Name,

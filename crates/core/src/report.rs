@@ -4,14 +4,13 @@ use std::collections::HashSet;
 
 use dnsnoise_dns::{Name, SuffixList};
 use dnsnoise_workload::GroundTruth;
-use serde::{Deserialize, Serialize};
 
 use crate::miner::Finding;
 use crate::tree::DomainTree;
 
 /// A ranked disposable-zone finding (the "Disposable Zone Ranking" output
 /// of Fig. 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneRanking {
     /// The zone.
     pub zone: Name,
@@ -24,7 +23,7 @@ pub struct ZoneRanking {
 }
 
 /// The outcome of one daily mining run, with ground-truth evaluation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MiningReport {
     /// Zero-based day.
     pub day: u64,

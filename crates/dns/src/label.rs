@@ -4,8 +4,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum length of a single DNS label in bytes (RFC 1035 §2.3.4).
 pub const MAX_LABEL_LEN: usize = 63;
 
@@ -34,8 +32,7 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// assert_eq!(label.len(), 3);
 /// # Ok::<(), dnsnoise_dns::LabelParseError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label(Box<str>);
 
 /// Error returned when parsing a [`Label`] from a string.

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::record::{QType, Record};
 
 /// DNS operation code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// A standard query (the only opcode the simulation generates).
     Query,
@@ -35,7 +33,7 @@ impl Opcode {
 }
 
 /// DNS response code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// Successful resolution.
     NoError,
@@ -91,7 +89,7 @@ impl fmt::Display for Rcode {
 }
 
 /// The question section entry of a DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// The queried name.
     pub name: Name,
@@ -127,7 +125,7 @@ impl fmt::Display for Question {
 /// assert!(msg.is_response);
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction identifier.
     pub id: u16,

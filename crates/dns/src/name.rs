@@ -27,9 +27,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 use crate::label::{byte_ok, Label, LabelParseError, MAX_LABEL_LEN};
 
 /// Maximum length of a full domain name in presentation format.
@@ -81,19 +78,6 @@ impl Ord for Name {
 impl PartialOrd for Name {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-impl Serialize for Name {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_str(self)
-    }
-}
-
-impl<'de> Deserialize<'de> for Name {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Name::parse(&s).map_err(D::Error::custom)
     }
 }
 

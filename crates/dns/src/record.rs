@@ -4,8 +4,6 @@ use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::Name;
 use crate::time::Ttl;
 
@@ -14,7 +12,7 @@ use crate::time::Ttl;
 /// The paper's fpDNS dataset carries `A`, `CNAME` and `AAAA` records; the
 /// remaining variants are needed by the wire codec, the DNSSEC cost model
 /// and negative caching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QType {
     /// IPv4 address record.
     A,
@@ -147,7 +145,7 @@ impl FromStr for QType {
 /// and every row of the day's record table pay for a name, not for an
 /// SOA's two names and five counters. Hash, order, `Display` and every
 /// codec see the same fields as inline payloads would give them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RData {
     /// An IPv4 address.
     A(Ipv4Addr),
@@ -178,7 +176,7 @@ pub enum RData {
 }
 
 /// The fields of a start-of-authority record ([`RData::Soa`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Soa {
     /// Primary name server.
     pub mname: Name,
@@ -273,7 +271,7 @@ impl fmt::Display for RData {
 
 /// A full resource record: the fpDNS tuple's `(name, type, TTL, RDATA)`
 /// portion.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// The owner name.
     pub name: Name,
@@ -378,7 +376,7 @@ pub enum RDataRef<'a> {
 
 /// The rpDNS deduplication key: `(name, qtype, rdata)` without TTL or
 /// timestamp (§III-A).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RrKey {
     /// The owner name.
     pub name: Name,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in a simulated day.
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -25,10 +23,7 @@ pub const SECS_PER_DAY: u64 = 86_400;
 /// assert_eq!(expiry - t, Ttl::from_secs(300));
 /// assert_eq!(t.day(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -120,10 +115,7 @@ impl Sub<Timestamp> for Timestamp {
 /// arithmetic honest. A TTL of zero is legal and means "do not cache" —
 /// §VI-A discusses why zero-TTL disposable records are rare (0.8% in Feb
 /// 2011).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Ttl(u32);
 
 impl Ttl {

@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{Name, QType, Record, SuffixList, Timestamp, Ttl};
 
 /// Configuration of the cost model.
@@ -38,7 +36,7 @@ impl DnssecConfig {
 }
 
 /// Accumulated validation costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DnssecStats {
     /// Upstream answers whose signatures had to be checked.
     pub validated_responses: u64,

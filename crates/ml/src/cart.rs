@@ -1,13 +1,11 @@
 //! A CART-style decision tree (Gini impurity), one of the paper's
 //! model-selection baselines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 use crate::{Learner, Model};
 
 /// The CART learner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cart {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -21,7 +19,7 @@ impl Default for Cart {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         /// Positive-class fraction at the leaf.
@@ -36,7 +34,7 @@ enum Node {
 }
 
 /// A trained CART tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CartModel {
     root: Node,
 }

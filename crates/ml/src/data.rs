@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense feature matrix with one boolean label per row.
 ///
 /// The positive class (`true`) is "disposable" throughout the workspace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     rows: Vec<Vec<f64>>,
     labels: Vec<bool>,

@@ -4,13 +4,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::Learner;
 
 /// Counts of a thresholded binary classifier's outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Positives classified positive.
     pub tp: u64,
@@ -69,7 +68,7 @@ impl ConfusionMatrix {
 }
 
 /// An ROC curve over out-of-fold scores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     /// `(fpr, tpr, threshold)` triples in increasing-FPR order.
     points: Vec<(f64, f64, f64)>,
@@ -148,7 +147,7 @@ impl RocCurve {
 }
 
 /// The pooled out-of-fold scores from a cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CvOutcome {
     /// `(score, true label)` for every row, scored by the model that did
     /// not train on it.

@@ -1,13 +1,11 @@
 //! k-nearest-neighbours — a model-selection baseline (§V-C).
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 use crate::{Learner, Model};
 
 /// The k-NN learner. Features are standardised (z-scored) with the
 /// training set's statistics before distances are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnnClassifier {
     /// Number of neighbours.
     pub k: usize,
@@ -20,7 +18,7 @@ impl Default for KnnClassifier {
 }
 
 /// A trained (memorised) k-NN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnnModel {
     k: usize,
     rows: Vec<Vec<f64>>,

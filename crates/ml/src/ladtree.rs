@@ -8,14 +8,12 @@
 //! tabular 8-feature data this stump ensemble is exactly the model class
 //! the Weka implementation searches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 use crate::stump::RegressionStump;
 use crate::{Learner, Model};
 
 /// The LAD tree learner (LogitBoost + stumps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadTree {
     /// Number of boosting iterations (stumps).
     pub iterations: usize,
@@ -39,7 +37,7 @@ impl LadTree {
 }
 
 /// A trained LAD tree ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadTreeModel {
     stumps: Vec<RegressionStump>,
     shrinkage: f64,

@@ -1,13 +1,11 @@
 //! Logistic regression — a model-selection baseline (§V-C).
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 use crate::{Learner, Model};
 
 /// Logistic regression trained by full-batch gradient descent on
 /// standardised features with L2 regularisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticRegression {
     /// Gradient-descent epochs.
     pub epochs: usize,
@@ -24,7 +22,7 @@ impl Default for LogisticRegression {
 }
 
 /// A trained logistic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticModel {
     weights: Vec<f64>,
     bias: f64,

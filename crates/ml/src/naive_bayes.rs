@@ -1,19 +1,17 @@
 //! Gaussian Naive Bayes — a model-selection baseline (§V-C).
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::Dataset;
 use crate::{Learner, Model};
 
 /// The Gaussian NB learner.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GaussianNb {
     /// Variance floor added to every per-class feature variance.
     pub var_smoothing: f64,
 }
 
 /// A trained Gaussian NB model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNbModel {
     prior_pos: f64,
     /// Per-feature `(mean, var)` for the positive class.

@@ -1,11 +1,9 @@
 //! Weighted least-squares regression stumps — the base learner of the LAD
 //! tree's LogitBoost procedure.
 
-use serde::{Deserialize, Serialize};
-
 /// A one-split regression tree: `if x[feature] <= threshold { left } else
 /// { right }`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionStump {
     /// The split feature index.
     pub feature: usize,

@@ -2,12 +2,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{Record, RrKey};
 
 /// Per-day new-record accounting (Fig. 5 / Fig. 15's unit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DailyNewRrs {
     /// Distinct records first seen this day.
     pub new_records: u64,

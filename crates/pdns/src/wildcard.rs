@@ -7,12 +7,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{Name, RrKey};
 
 /// The effect of aggregating a record set.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AggregationOutcome {
     /// Records that matched a disposable `(zone, depth)` rule.
     pub aggregated_records: u64,

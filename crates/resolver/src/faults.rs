@@ -18,8 +18,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{splitmix_finalize, Name, Timestamp};
 use dnsnoise_workload::Operator;
 
@@ -32,8 +30,14 @@ pub const SERVFAIL_LATENCY_MS: u64 = 50;
 /// the metrics latency histogram and never influences replay behaviour.
 pub const UPSTREAM_RTT_MS: u64 = 30;
 
+/// Most retries a spec may ask for, and the exponent at which
+/// [`RetryPolicy::backoff_ms`] stops doubling. A plan whose budget never
+/// runs out (`timeout=0;backoff=0`, or a huge `budget`) makes every
+/// failed fetch take all its retries, so the count must stay small.
+const MAX_RETRIES: u32 = 16;
+
 /// What a faulted upstream does during an outage window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The upstream never answers; each attempt burns the full
     /// per-attempt timeout from the retry budget.
@@ -43,7 +47,7 @@ pub enum FaultKind {
 }
 
 /// Which upstream queries an outage window applies to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OutageScope {
     /// Every upstream query.
     All,
@@ -55,7 +59,7 @@ pub enum OutageScope {
 }
 
 /// A scheduled upstream outage: `[start, end)` in absolute trace time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutageWindow {
     /// Which queries are affected.
     pub scope: OutageScope,
@@ -85,7 +89,7 @@ impl OutageWindow {
 /// A cache-member crash window: the member is unreachable during
 /// `[start, end)` and restarts *cold* (entries lost, counters kept) at
 /// `end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemberOutage {
     /// Index of the crashed member.
     pub member: usize,
@@ -102,7 +106,7 @@ pub struct MemberOutage {
 /// `max_retries` retries. A timed-out attempt costs `timeout_ms`; the
 /// whole query abandons once `budget_ms` is spent and the resolver falls
 /// back to serve-stale or SERVFAIL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt.
     pub max_retries: u32,
@@ -123,7 +127,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff after failed attempt `attempt` (1-based).
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        self.backoff_base_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
+        self.backoff_base_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(MAX_RETRIES))
     }
 }
 
@@ -132,7 +136,7 @@ impl RetryPolicy {
 /// The all-zero plan ([`FaultPlan::default`]) injects nothing and leaves
 /// [`ResolverSim::day`](crate::ResolverSim::day) replays bit-identical
 /// to the fault-free code path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the packet-loss hash; independent of the workload seed.
     pub seed: u64,
@@ -278,7 +282,7 @@ impl FromStr for FaultPlan {
     ///   `scope` one of `all` / `op:google` / `op:akamai` / `zone:<name>`,
     ///   `kind` one of `timeout` / `servfail`, and times in seconds;
     /// * `member=<idx>,<start>,<end>` — member crash window in seconds;
-    /// * `retries=<u32>`, `timeout=<ms>`, `backoff=<ms>`, `budget=<ms>` —
+    /// * `retries=<0..=16>`, `timeout=<ms>`, `backoff=<ms>`, `budget=<ms>` —
     ///   retry-policy overrides.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut plan = FaultPlan::default();
@@ -295,7 +299,16 @@ impl FromStr for FaultPlan {
                     }
                     plan.packet_loss = p;
                 }
-                "retries" => plan.retry.max_retries = parse_num("retries", value)?,
+                "retries" => {
+                    let retries: u32 = parse_num("retries", value)?;
+                    if retries > MAX_RETRIES {
+                        return Err(FaultSpecError(format!(
+                            "retries {retries} above {MAX_RETRIES}: a budget that never \
+                             runs out would take every retry on each failed fetch"
+                        )));
+                    }
+                    plan.retry.max_retries = retries;
+                }
                 "timeout" => plan.retry.timeout_ms = parse_num("timeout", value)?,
                 "backoff" => plan.retry.backoff_base_ms = parse_num("backoff", value)?,
                 "budget" => plan.retry.budget_ms = parse_num("budget", value)?,
@@ -512,11 +525,22 @@ mod tests {
             "outage=elsewhere,timeout,0,100",
             "member=0,5,5",
             "frobnicate=1",
+            "retries=1000000",
+            "retries=4294967295;timeout=0;backoff=0;loss=1",
+            "budget=18446744073709551615;retries=4294967295",
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "{bad:?} should not parse");
         }
         // Empty specs and stray separators are fine.
         assert!("".parse::<FaultPlan>().unwrap().is_empty());
         assert!("; ;".parse::<FaultPlan>().unwrap().is_empty());
+    }
+
+    #[test]
+    fn retries_are_bounded_at_parse_time() {
+        let plan: FaultPlan = "retries=16;timeout=0;backoff=0;loss=1".parse().unwrap();
+        assert_eq!(plan.retry.max_retries, MAX_RETRIES);
+        let err = "retries=17".parse::<FaultPlan>().unwrap_err().to_string();
+        assert!(err.contains("retries 17 above 16"), "{err}");
     }
 }

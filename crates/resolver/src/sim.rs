@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_cache::{
     CacheCluster, CacheKey, CacheStats, InsertPriority, LoadBalance, Lookup, MemberShard,
     NegativeCache,
@@ -23,7 +21,7 @@ use crate::traffic::{Series, TrafficProfile};
 pub type PriorityPredicate = Arc<dyn Fn(&Name) -> bool + Send + Sync>;
 
 /// Cluster configuration for a simulation run.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SimConfig {
     /// Number of member caches in the cluster.
     pub members: usize,
@@ -36,7 +34,6 @@ pub struct SimConfig {
     pub negative_ttl: Option<Ttl>,
     /// Optional mitigation hook (§VI-A): names for which this returns
     /// `true` are cached with low eviction priority.
-    #[serde(skip)]
     pub low_priority: Option<PriorityPredicate>,
     /// RFC 8767 serve-stale window: how long past its TTL an expired
     /// entry may still be served when every upstream attempt fails.
@@ -97,7 +94,7 @@ impl SimConfig {
 
 /// Answered-vs-failed tallies for one traffic slice under faults or
 /// overload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Availability {
     /// Queries that received a usable response (hit, miss, stale, or
     /// NXDOMAIN).
@@ -137,7 +134,7 @@ impl Availability {
 ///
 /// * `Σ rr queries = below_total() − nx_below() − servfails_below`
 /// * `Σ rr misses  = above_total() − nx_above() − failed_attempts`
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Backoff retries performed after failed upstream attempts.
     pub retries: u64,

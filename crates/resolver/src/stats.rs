@@ -5,10 +5,9 @@ use std::hash::BuildHasher;
 use dnsnoise_dns::hash::SeededState;
 use dnsnoise_dns::table::PositionTable;
 use dnsnoise_dns::{Name, QType, RData, RrKey};
-use serde::{Deserialize, Serialize};
 
 /// Query/miss counters for one distinct resource record over one day.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RrStat {
     /// Answers containing this record observed below the recursives.
     pub queries: u32,
@@ -231,7 +230,7 @@ impl RrDayStats {
 /// A weighted multiset of cache-hit-rate values (the paper's "cache hit
 /// rate distribution", §III-C2): value `dhr` with multiplicity equal to
 /// the record's miss count.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChrDistribution {
     /// `(chr value, weight)` pairs sorted by value.
     entries: Vec<(f64, u64)>,

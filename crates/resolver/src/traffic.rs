@@ -1,11 +1,9 @@
 //! Hourly traffic volumes above/below the recursives (paper Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_workload::Operator;
 
 /// The traffic series the paper plots in Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Series {
     /// All resource records.
     All,
@@ -42,7 +40,7 @@ impl std::fmt::Display for Series {
 /// so a CNAME chain of two records contributes two to each applicable
 /// bucket; an NXDOMAIN contributes one response to the NXDOMAIN and All
 /// series.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficProfile {
     below: [[u64; 24]; 4],
     above: [[u64; 24]; 4],

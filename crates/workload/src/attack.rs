@@ -21,7 +21,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use dnsnoise_dns::{Name, QType, Timestamp};
+use dnsnoise_dns::{Name, QType, Timestamp, MAX_NAME_LEN};
 
 use crate::event::{Outcome, QueryEvent};
 use crate::namegen::{label_alnum, label_base32, label_hex, mix64};
@@ -35,6 +35,17 @@ pub const ATTACK_TAG: u32 = u32::MAX - 1;
 /// Client-id base for botnet members, far above any scenario's client
 /// population so flood sources never collide with legitimate stubs.
 pub const ATTACK_CLIENT_BASE: u64 = 1 << 40;
+
+/// Largest botnet a plan may name: client ids run from
+/// [`ATTACK_CLIENT_BASE`] up to `u64::MAX`, so a larger one would wrap
+/// its ids below the base, where flood clients pass as legitimate ones.
+const MAX_CLIENTS: u64 = u64::MAX - ATTACK_CLIENT_BASE + 1;
+
+/// Largest surge multiplier a plan may name. The flood is generated
+/// whole, so its size must stay a bounded multiple of the day's own
+/// traffic: every caller floods at 40× or less, and a finite but huge
+/// multiplier would ask for ~2^64 events.
+const MAX_SURGE_MULTIPLIER: f64 = 100.0;
 
 /// Alphabet used for the flood's random labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,6 +167,13 @@ impl FromStr for AttackPlan {
                     if plan.clients == 0 {
                         return Err(AttackSpecError("clients must be positive".into()));
                     }
+                    if plan.clients > MAX_CLIENTS {
+                        return Err(AttackSpecError(format!(
+                            "clients {} above {MAX_CLIENTS}: flood client ids would wrap \
+                             below {ATTACK_CLIENT_BASE}",
+                            plan.clients
+                        )));
+                    }
                 }
                 "labellen" => {
                     plan.label_len = parse_num("labellen", value)?;
@@ -192,9 +210,27 @@ impl FromStr for AttackPlan {
                     if !(multiplier > 0.0 && multiplier.is_finite()) {
                         return Err(AttackSpecError(format!("bad surge multiplier {multiplier}")));
                     }
+                    if multiplier > MAX_SURGE_MULTIPLIER {
+                        return Err(AttackSpecError(format!(
+                            "surge multiplier {} above {MAX_SURGE_MULTIPLIER}: \
+                             the flood is built whole in memory",
+                            parts[2].trim()
+                        )));
+                    }
                     plan.surges.push(SurgeWindow { start, end, multiplier });
                 }
                 other => return Err(AttackSpecError(format!("unknown clause {other}"))),
+            }
+        }
+        // Checked once every clause is read, so `labellen` may come
+        // before or after the victims it lengthens.
+        if let Some(longest) = plan.victims.iter().map(Name::presentation_len).max() {
+            if longest + 1 + plan.label_len > MAX_NAME_LEN {
+                return Err(AttackSpecError(format!(
+                    "a {}-character label under a {longest}-character victim \
+                     exceeds {MAX_NAME_LEN} characters",
+                    plan.label_len
+                )));
             }
         }
         Ok(plan)
@@ -333,8 +369,70 @@ mod tests {
             "clients=0",
             "entropy=emoji",
             "victim=",
+            "clients=18446744073709551615",
+            "surge=0,100,100.5;victim=x.com",
         ] {
             assert!(bad.parse::<AttackPlan>().is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// A victim of `len` presentation characters, in labels of at most 63.
+    fn victim_of_len(len: usize) -> String {
+        let mut text = String::new();
+        while text.len() < len {
+            if !text.is_empty() {
+                text.push('.');
+            }
+            let take = (len - text.len()).min(63);
+            text.push_str(&"v".repeat(take));
+        }
+        assert_eq!(text.len(), len);
+        text
+    }
+
+    #[test]
+    fn over_long_flood_names_are_refused_in_either_clause_order() {
+        // One character longer than a 63-character label allows.
+        let victim = victim_of_len(MAX_NAME_LEN - 63);
+        for bad in [
+            format!("victim={victim};labellen=63;surge=0,10,2"),
+            format!("labellen=63;victim={victim};surge=0,10,2"),
+            format!("victim=x.com;victim={victim};labellen=63"),
+            format!("victim={};surge=0,10,2", victim_of_len(MAX_NAME_LEN - 12)),
+        ] {
+            let err = bad.parse::<AttackPlan>().expect_err("over-long flood names");
+            assert!(err.to_string().contains("exceeds 253 characters"), "{err}");
+        }
+    }
+
+    #[test]
+    fn limits_name_their_reason() {
+        let clients = format!("clients={}", MAX_CLIENTS + 1);
+        let err = clients.parse::<AttackPlan>().expect_err("wrapping clients");
+        assert!(err.to_string().contains("would wrap"), "{err}");
+        assert_eq!(plan(&format!("clients={MAX_CLIENTS}")).clients, MAX_CLIENTS);
+
+        let err = "surge=0,10,1e300".parse::<AttackPlan>().expect_err("unbounded flood");
+        assert!(err.to_string().contains("1e300 above 100: the flood is built whole"), "{err}");
+        assert_eq!(plan("surge=0,10,100").surges[0].multiplier, MAX_SURGE_MULTIPLIER);
+    }
+
+    #[test]
+    fn the_longest_allowed_victim_floods_valid_names() {
+        for label_len in [1, 12, 63] {
+            let victim = victim_of_len(MAX_NAME_LEN - 1 - label_len);
+            for spec in [
+                format!("seed=5;victim={victim};labellen={label_len};surge=0,10,2"),
+                format!("seed=5;labellen={label_len};surge=0,10,2;victim={victim}"),
+            ] {
+                let flood = plan(&spec).flood_events(0, 1.0);
+                assert_eq!(flood.len(), 20);
+                for ev in &flood {
+                    let text = ev.name.to_string();
+                    assert_eq!(text.len(), MAX_NAME_LEN);
+                    assert_eq!(Name::parse(&text), Ok(ev.name.clone()));
+                }
+            }
         }
     }
 

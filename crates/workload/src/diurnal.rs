@@ -2,7 +2,6 @@
 //! dropped after midnight and rose at 10am local time").
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A 24-bucket diurnal intensity curve used to place query timestamps
 /// within a simulated day.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let s = curve.sample_second(&mut rng);
 /// assert!(s < 86_400);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalCurve {
     /// Cumulative distribution over hours of day.
     cdf: [f64; 24],

@@ -1,7 +1,5 @@
 //! Query events: the unit the resolver simulation consumes.
 
-use serde::{Deserialize, Serialize};
-
 use dnsnoise_dns::{QType, Record, Timestamp};
 
 /// The authoritative-side result a query would receive if it misses every
@@ -11,7 +9,7 @@ use dnsnoise_dns::{QType, Record, Timestamp};
 /// separate authoritative lookup) because the simulated authoritative tier
 /// is deterministic: a given name always resolves to the same answer set
 /// within a day.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// A successful resolution carrying the full answer section. The first
     /// record owns the queried name; CNAME chains append records owned by
@@ -39,7 +37,7 @@ impl Outcome {
 
 /// A single client query as observed below the recursive cluster, together
 /// with the authoritative outcome it would produce on a full cache miss.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryEvent {
     /// When the stub resolver issued the query.
     pub time: Timestamp,

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use dnsnoise_dns::Name;
 
@@ -19,7 +18,7 @@ use crate::zones::{
 };
 
 /// Ground-truth descriptor for one zone a model operates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneInfo {
     /// The zone apex (e.g. `avqs.mcafee.com`).
     pub apex: Name,
@@ -38,7 +37,7 @@ pub struct ZoneInfo {
 /// an *epoch* `t ∈ [0, 1]` interpolating February 2011 (`t = 0`) to
 /// December 2011 (`t = 1`); all volumes and the disposable share grow with
 /// `t` following §V-C2 (Fig. 13).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Growth epoch in `[0, 1]`.
     pub epoch: f64,

@@ -1,7 +1,6 @@
 //! TTL mixtures per zone class and measurement epoch (paper Fig. 14).
 
 use dnsnoise_dns::Ttl;
-use serde::{Deserialize, Serialize};
 
 use crate::namegen::mix64;
 
@@ -25,7 +24,7 @@ use crate::namegen::mix64;
 /// let ttl = feb.sample(12345);
 /// assert_eq!(ttl, feb.sample(12345)); // stable per name hash
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtlModel {
     /// `(ttl_seconds, weight)` pairs; weights need not sum to 1.
     buckets: Vec<(u32, f64)>,

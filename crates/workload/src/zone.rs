@@ -4,14 +4,13 @@
 use std::fmt;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::diurnal::DiurnalCurve;
 use crate::event::QueryEvent;
 
 /// The behavioural class of a zone — the industries of the paper's
 /// Fig. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Host metric reporting over DNS (eSoft-style, Fig. 6-i). Disposable.
     Telemetry,
@@ -72,7 +71,7 @@ impl fmt::Display for Category {
 
 /// The organisation operating a zone, for the per-operator traffic series
 /// of Fig. 2 and Fig. 5 (All / Akamai / Google).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operator {
     /// Google: both user-facing services and the IPv6 experiment zone.
     Google,

@@ -424,25 +424,34 @@ grep -v '^#' scripts/smoke_counts.txt | diff - "$smoke_dir/counts.txt" >&2 \
               "(< committed, > this tree); a PR that changes a count must update it and explain why" >&2
          exit 1; }
 
+# Prints the `[package]` name of each manifest given, so the package
+# lists below follow the tree instead of being kept by hand.
+package_names() {
+    awk 'FNR == 1 {in_package = 0}
+         /^\[/ {in_package = ($0 == "[package]")}
+         in_package && /^name *=/ {gsub(/^name *= *"|"$/, ""); print}' "$@"
+}
+
 echo "== cargo test (every first-party package, release) ==" >&2
 # Without --workspace only the root package's tests run: the member
 # crates' suites (the pdns crash matrix, the allocation counters, the
 # stream's fold tests) would never reach the gate. Release, because the
 # experiment suite takes minutes in a debug build; third_party stand-ins
 # are not ours to test.
-cargo test -q --offline --release --workspace --exclude proptest \
-    --exclude rand --exclude serde --exclude serde_derive
+test_excludes=()
+for package in $(package_names third_party/*/Cargo.toml); do
+    test_excludes+=(--exclude "$package")
+done
+cargo test -q --offline --release --workspace "${test_excludes[@]}"
 
 echo "== cargo clippy --all-targets -D warnings ==" >&2
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo doc -D warnings (intra-doc links cannot dangle) ==" >&2
-# Every dnsnoise package; third_party stays out (its proptest stand-in
-# carries an ambiguous `[vec]` link).
+# Every dnsnoise package (the root and crates/*); third_party stays out
+# (its proptest stand-in carries an ambiguous `[vec]` link).
 doc_packages=()
-for package in dnsnoise dnsnoise-bench dnsnoise-cache dnsnoise-core dnsnoise-dns \
-    dnsnoise-dnssec dnsnoise-ingest dnsnoise-lint dnsnoise-ml dnsnoise-pdns \
-    dnsnoise-resolver dnsnoise-stream dnsnoise-workload; do
+for package in $(package_names Cargo.toml crates/*/Cargo.toml); do
     doc_packages+=(-p "$package")
 done
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps "${doc_packages[@]}"

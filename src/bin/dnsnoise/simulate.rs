@@ -60,6 +60,8 @@ fn run(o: &Opts) -> Result<(), String> {
     o.refuse_existing_store()?;
     let plan = o.faults.as_deref().map_or(Ok(FaultPlan::default()), str::parse);
     let plan = plan.map_err(|e: FaultSpecError| e.to_string())?;
+    let attack = o.attack.as_deref().map(str::parse::<AttackPlan>).transpose();
+    let attack = attack.map_err(|e: AttackSpecError| e.to_string())?;
     let mut config =
         SimConfig { members: o.members, capacity_each: o.capacity, ..SimConfig::default() };
     if let Some(secs) = o.stale {
@@ -82,8 +84,7 @@ fn run(o: &Opts) -> Result<(), String> {
             trace
         }
     };
-    if let Some(spec) = &o.attack {
-        let attack: AttackPlan = spec.parse().map_err(|e: AttackSpecError| e.to_string())?;
+    if let Some(attack) = &attack {
         attack.inject(&mut trace);
     }
     // Admission control engages as soon as either overload knob is
